@@ -2,9 +2,10 @@
 """Proves the benchmark steady, and records a held-out-seed baseline.
 
 Runs the command of BENCHMARK.json from the repository root, once per seed,
-and reports for every end-to-end metric the median, the quartiles and the
-spread (interquartile distance as a share of the median) next to the
-metric's bound.  A spread above a third of its bound is flagged.
+at the run length BENCHMARK.json sets, and reports for every end-to-end
+metric the median, the quartiles and the spread (interquartile distance as
+a share of the median) next to the metric's bound.  A spread above its
+bound fails the check; one above a third of its bound is flagged.
 
     python3 perfbench/prove.py --runs 10                   # seeds 1..10
     python3 perfbench/prove.py --runs 5 --workloads dse_sweep
@@ -13,8 +14,8 @@ metric's bound.  A spread above a third of its bound is flagged.
 
 `--held-out A B` runs every workload `--repeats` times on seed A (the
 baseline) and as often on seed B (held out), alternating, and checks that
-every end-to-end metric's median on B is no worse than on A by more than
-the metric's bound.  `--record` writes the figures, both seeds, nproc, the
+every end-to-end metric's median on B differs from its median on A, in
+either direction, by no more than the metric's bound.  `--record` writes the figures, both seeds, nproc, the
 build profile and the commit to a JSON file.
 """
 
@@ -56,10 +57,9 @@ def summary(values):
     return {"median": med, "q1": q1, "q3": q3, "spread": (q3 - q1) / med if med else float("inf")}
 
 
-def worse_by(metric, base, new):
-    """How much worse `new` is than `base`, as a share of `base` (<= 0: not worse)."""
-    change = (new - base) / base
-    return change if metric["better"] == "lower" else -change
+def change(base, new):
+    """How far `new` moved from `base`, as a share of `base`."""
+    return (new - base) / base
 
 
 def spread_report(bench, workloads, seeds):
@@ -78,9 +78,9 @@ def spread_report(bench, workloads, seeds):
             s = summary([r[name] for r in runs])
             report[workload][name] = dict(s, values=[r[name] for r in runs])
             flag = ""
-            if name != "setup_s" and s["spread"] > bound:
+            if s["spread"] > bound:
                 flag, ok = "OVER BOUND", False
-            elif name != "setup_s" and s["spread"] > bound / 3:
+            elif s["spread"] > bound / 3:
                 flag = "above bound/3"
             print(f"{workload:11s} {name:15s} median {s['median']:14.6g}  spread {s['spread']:7.4f}"
                   f"  bound {bound:5.3f}  {flag}", flush=True)
@@ -103,12 +103,12 @@ def held_out(bench, workloads, seed_a, seed_b, repeats):
             name = metric["name"]
             a = statistics.median(m[name] for m in values[seed_a])
             b = statistics.median(m[name] for m in values[seed_b])
-            worse = worse_by(metric, a, b)
-            agrees = worse <= metric["bound"]
+            moved = change(a, b)
+            agrees = abs(moved) <= metric["bound"]
             ok &= agrees
-            report[workload][name] = {"baseline": a, "held_out": b, "worse_by": worse, "agrees": agrees}
+            report[workload][name] = {"baseline": a, "held_out": b, "change": moved, "agrees": agrees}
             print(f"{workload:11s} {name:15s} seed {seed_a}: {a:14.6g}  seed {seed_b}: {b:14.6g}"
-                  f"  worse by {worse:+.4f} (bound {metric['bound']})  {'ok' if agrees else 'DISAGREES'}",
+                  f"  change {moved:+.4f} (bound {metric['bound']})  {'ok' if agrees else 'DISAGREES'}",
                   flush=True)
     return ok, report, profile
 
@@ -124,22 +124,18 @@ def commit():
 def main():
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--workloads", help="comma-separated subset (default: all)")
-    parser.add_argument("--runs", type=int, help="spread check over seeds first-seed .. first-seed+runs-1")
-    parser.add_argument("--first-seed", type=int, default=1)
+    parser.add_argument("--runs", type=int, help="spread check over seeds 1 .. RUNS")
     parser.add_argument("--held-out", nargs=2, type=int, metavar=("BASELINE_SEED", "HELD_OUT_SEED"))
     parser.add_argument("--repeats", type=int, default=3)
     parser.add_argument("--record", help="write the figures to this JSON file")
-    parser.add_argument("--seconds", type=int, help="override run_seconds (for tuning only)")
     args = parser.parse_args()
 
     bench = load_benchmark()
-    if args.seconds:
-        bench["run_seconds"] = args.seconds
     workloads = args.workloads.split(",") if args.workloads else [w["name"] for w in bench["workloads"]]
     record = {"commit": commit(), "nproc": os.cpu_count(), "run_seconds": bench["run_seconds"]}
     ok = True
     if args.runs:
-        seeds = list(range(args.first_seed, args.first_seed + args.runs))
+        seeds = list(range(1, args.runs + 1))
         spread_ok, report = spread_report(bench, workloads, seeds)
         ok &= spread_ok
         record["spread"] = {"seeds": seeds, "workloads": report}

@@ -14,7 +14,7 @@ use crosslight_neural::workload::NetworkWorkload;
 
 use crate::gen::SplitMix64;
 use crate::layers::{self, Layers};
-use crate::stats::{self, Sample, WindowFigures};
+use crate::stats::{self, SliceRecorder, WindowFigures};
 use crate::wire_load::{bit_identical, paper_workloads};
 use crate::{Outcome, Workload};
 
@@ -25,6 +25,9 @@ const TOP_K: usize = 10;
 const SLICE_S: f64 = 0.5;
 /// Serial replica passes behind the `core`/`experiments` ledger lines.
 const REPLICA_PASSES: usize = 3;
+/// Set-ups (building the candidate grid, well under a millisecond) timed
+/// before the measured window and as many after it.
+const SETUP_REPS: usize = 25;
 
 type Dims = (usize, usize, usize, usize);
 
@@ -36,81 +39,84 @@ struct Window {
 }
 
 /// Back-to-back sweep passes for `seconds`, each checked against
-/// `reference` after its timer stops.  Between passes the set-up (building
-/// the candidate grid) is repeated and its time pushed onto `setup_times`,
-/// so the repetitions sample the host across the whole window.
+/// `reference` after its timer stops.
 fn run_window(
     candidates: &[Dims],
     workers: usize,
     seconds: f64,
     reference: &DesignFrontier,
-    setup_times: &mut Vec<f64>,
 ) -> Result<Window, String> {
     let start = Instant::now();
     let deadline = start + Duration::from_secs_f64(seconds);
     let steal = stats::StealClock::start(start, SLICE_S);
-    let mut samples = Vec::new();
+    let recorder = SliceRecorder::new(start, seconds, SLICE_S);
+    let mut passes = 0;
     let mut wrong = 0;
     while Instant::now() < deadline {
         let began = Instant::now();
         let frontier = run_streaming(candidates, workers, TOP_K).map_err(|e| e.to_string())?;
         let now = Instant::now();
-        samples.push(Sample {
-            done_us: u32::try_from(now.duration_since(start).as_micros()).unwrap_or(u32::MAX),
-            latency_ns: u32::try_from(now.duration_since(began).as_nanos()).unwrap_or(u32::MAX),
-        });
+        recorder.record(now, now.duration_since(began));
+        passes += 1;
         if !bit_identical(&frontier, reference) {
             wrong += 1;
         }
-        let started = Instant::now();
-        std::hint::black_box(dense_candidates());
-        setup_times.push(started.elapsed().as_secs_f64());
     }
     let elapsed_s = start.elapsed().as_secs_f64();
-    let mut figures = stats::window_figures(&samples, elapsed_s, SLICE_S, &steal.finish());
+    let mut figures = stats::window_figures(
+        &SliceRecorder::merged(std::slice::from_ref(&recorder)),
+        elapsed_s,
+        SLICE_S,
+        &steal.finish(),
+    );
     // An operation is one candidate evaluated.  A slice holds only a dozen
-    // passes, so throughput is the grid over the fast slices' pass time
-    // rather than a count of passes per slice.
-    figures.throughput_rps = candidates.len() as f64 / (figures.latency_p50_us * 1e-6);
+    // passes, so a count of passes would move in steps of a whole pass;
+    // the kept passes' mean time does not.
+    figures.throughput_rps = candidates.len() as f64 / (figures.latency_mean_us * 1e-6);
     Ok(Window {
         figures,
-        passes: samples.len(),
+        passes,
         wrong,
     })
 }
 
+/// Times building the candidate grid `SETUP_REPS` times.
+fn time_setups(setup_times: &mut Vec<f64>) {
+    for _ in 0..SETUP_REPS {
+        let started = Instant::now();
+        std::hint::black_box(dense_candidates());
+        setup_times.push(started.elapsed().as_secs_f64());
+    }
+}
+
 pub fn run(seed: u64, seconds: f64, trace: bool) -> Result<Outcome, String> {
     let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
-    // Set-up is building the candidate grid: once here, and again between
-    // the passes of every window.
+    // Set-up is building the candidate grid: timed on its own before the
+    // window and again after it, and once more for the grid the run uses.
+    let mut setup_times = Vec::new();
+    time_setups(&mut setup_times);
     let started = Instant::now();
     let candidates = dense_candidates();
-    let mut setup_times = vec![started.elapsed().as_secs_f64()];
+    setup_times.push(started.elapsed().as_secs_f64());
 
     // The serial reference frontier every pass must reproduce, computed
     // before the windows open.
     let reference = run_streaming(&candidates, 1, TOP_K).map_err(|e| e.to_string())?;
     let measured_s = if trace { seconds / 2.0 } else { seconds };
-    let untraced = run_window(
-        &candidates,
-        workers,
-        measured_s,
-        &reference,
-        &mut setup_times,
-    )?;
+    let untraced = run_window(&candidates, workers, measured_s, &reference)?;
+    let peak_rss_mb = stats::peak_rss_mb();
     let traced = if trace {
-        Some(run_window(
-            &candidates,
-            workers,
-            measured_s,
-            &reference,
-            &mut setup_times,
-        )?)
+        Some(run_window(&candidates, workers, measured_s, &reference)?)
     } else {
         None
     };
+    time_setups(&mut setup_times);
 
     let mut outcome = Outcome::new(Workload::DseLocal, seed, seconds, trace);
+    match peak_rss_mb {
+        Ok(mb) => outcome.peak_rss_mb = mb,
+        Err(err) => outcome.problem(err),
+    }
     outcome.setup_s = stats::median(&mut setup_times);
     outcome.detail("setup_reps", setup_times.len().to_string());
     outcome.detail("workers", workers.to_string());

@@ -216,16 +216,12 @@ pub struct SweepStream<'a> {
 }
 
 impl SweepStream<'_> {
-    /// The next request as `(pool key, spec)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics once the pool is exhausted (≈1.87 M keys, far beyond what one
-    /// run can send).
-    pub fn next_request(&mut self) -> (u32, EvalSpec) {
-        let key = self.plan.order[self.position];
+    /// The next request as `(pool key, spec)`, or `None` once this
+    /// connection's share of the pool (≈936 k keys of two) is spent.
+    pub fn next_request(&mut self) -> Option<(u32, EvalSpec)> {
+        let key = *self.plan.order.get(self.position)?;
         self.position += self.plan.connections;
-        (key, self.plan.spec(key))
+        Some((key, self.plan.spec(key)))
     }
 }
 
@@ -237,9 +233,11 @@ pub enum Source<'a> {
 }
 
 impl Source<'_> {
-    pub fn next_request(&mut self) -> (u32, EvalSpec) {
+    /// The next request, or `None` once the source has run dry (only a
+    /// sweep does).
+    pub fn next_request(&mut self) -> Option<(u32, EvalSpec)> {
         match self {
-            Source::Mix(stream) => stream.next_request(),
+            Source::Mix(stream) => Some(stream.next_request()),
             Source::Sweep(stream) => stream.next_request(),
         }
     }
@@ -250,7 +248,7 @@ mod tests {
     use super::*;
 
     fn take(source: &mut Source<'_>, n: usize) -> Vec<(u32, EvalSpec)> {
-        (0..n).map(|_| source.next_request()).collect()
+        (0..n).map(|_| source.next_request().unwrap()).collect()
     }
 
     #[test]
@@ -298,13 +296,16 @@ mod tests {
         for spec in &warm {
             assert!(!specs.contains(&format!("{spec:?}")));
         }
-        // The connections' interleaved streams partition the shuffle.
+        // The connections' interleaved streams partition the shuffle, and
+        // each runs dry at the end of its share instead of repeating a key.
         let mut drawn = std::collections::HashSet::new();
         for conn in 0..2 {
-            for (key, _) in take(&mut Source::Sweep(plan.stream(conn)), 10_000) {
+            let mut source = Source::Sweep(plan.stream(conn));
+            while let Some((key, _)) = source.next_request() {
                 assert!(drawn.insert(key));
             }
         }
+        assert_eq!(drawn.len(), plan.pool_len());
     }
 
     #[test]

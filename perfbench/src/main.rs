@@ -129,6 +129,8 @@ pub struct Outcome {
     /// Operations answered and found correct.
     pub correct: u64,
     pub setup_s: f64,
+    /// Peak resident memory, read where the workload defines it.
+    pub peak_rss_mb: f64,
     /// Figures of the untraced window.
     pub figures: WindowFigures,
     /// Present after a traced run.
@@ -147,6 +149,7 @@ impl Outcome {
             attempted: 0,
             correct: 0,
             setup_s: 0.0,
+            peak_rss_mb: 0.0,
             figures: stats::window_figures(&[], 1.0, 1.0, &[]),
             layers: None,
             problems: Vec::new(),
@@ -172,7 +175,7 @@ impl Outcome {
 }
 
 /// The reported metrics of an outcome, keyed by name.
-fn metric_values(outcome: &Outcome, peak_rss_mb: f64) -> BTreeMap<String, f64> {
+fn metric_values(outcome: &Outcome) -> BTreeMap<String, f64> {
     let mut values = BTreeMap::new();
     match &outcome.layers {
         None => {
@@ -182,7 +185,7 @@ fn metric_values(outcome: &Outcome, peak_rss_mb: f64) -> BTreeMap<String, f64> {
                 ("latency_p50_us", figures.latency_p50_us),
                 ("latency_p99_us", figures.latency_p99_us),
                 ("setup_s", outcome.setup_s),
-                ("peak_rss_mb", peak_rss_mb),
+                ("peak_rss_mb", outcome.peak_rss_mb),
             ] {
                 values.insert(name.to_string(), value);
             }
@@ -262,6 +265,13 @@ fn detail_line(outcome: &Outcome) -> String {
         (
             "latency_samples".into(),
             outcome.figures.samples.to_string(),
+        ),
+        (
+            "kept_slices".into(),
+            format!(
+                "{} of {}",
+                outcome.figures.kept_slices, outcome.figures.slice_count
+            ),
         ),
         (
             "slices_rps_p50_p99_stolen".into(),
@@ -365,18 +375,14 @@ fn main() {
         Workload::DseLocal => dse::run(args.seed, args.seconds, args.trace),
         wire => wire_load::run(wire, args.seed, args.seconds, args.trace),
     };
-    let mut outcome = match outcome {
+    let outcome = match outcome {
         Ok(outcome) => outcome,
         Err(err) => {
             eprintln!("perfbench: {} failed: {err}", args.workload.name());
             std::process::exit(1);
         }
     };
-    let peak_rss_mb = stats::peak_rss_mb().unwrap_or_else(|err| {
-        outcome.problem(err);
-        0.0
-    });
-    let values = metric_values(&outcome, peak_rss_mb);
+    let values = metric_values(&outcome);
     let line = match result_line(&outcome, &values) {
         Ok(line) => line,
         Err(err) => {
@@ -443,7 +449,8 @@ mod tests {
         let mut outcome = Outcome::new(Workload::WarmMix, 1, 1.0, false);
         outcome.attempted = 10;
         outcome.correct = 10;
-        let mut values = metric_values(&outcome, 12.5);
+        outcome.peak_rss_mb = 12.5;
+        let mut values = metric_values(&outcome);
         let line = result_line(&outcome, &values).unwrap();
         let parsed = Json::parse(&line).unwrap();
         let metrics = parsed.get("metrics").unwrap();

@@ -6,7 +6,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crosslight_telemetry::{HistogramSnapshot, RegistrySnapshot, SeriesValue};
+use crosslight_telemetry::{Histogram, HistogramSnapshot, RegistrySnapshot, SeriesValue};
 
 /// Quantile `q` of `values` with linear interpolation between order
 /// statistics (0 when empty).  Sorts `values` in place.
@@ -25,33 +25,80 @@ pub fn median(values: &mut [f64]) -> f64 {
     quantile(values, 0.5)
 }
 
-/// One answered operation: when it completed (µs since the window opened)
-/// and how long it took (ns).
-#[derive(Debug, Clone, Copy)]
-pub struct Sample {
-    pub done_us: u32,
-    pub latency_ns: u32,
+/// Latencies of one window, one log-linear histogram (ns) per time slice.
+///
+/// Its size is fixed by the window's length, not by how many operations
+/// complete, so the benchmark's bookkeeping adds the same few hundred KiB of
+/// resident memory however fast the program runs.
+#[derive(Debug)]
+pub struct SliceRecorder {
+    start: Instant,
+    slice_s: f64,
+    slices: Vec<Histogram>,
 }
 
-/// Throughput and latency of one measured window, read from its calmer
-/// half.
+impl SliceRecorder {
+    /// Slices of `slice_s` from `start` covering `seconds`, plus one for
+    /// the operations that complete while the load drains.
+    pub fn new(start: Instant, seconds: f64, slice_s: f64) -> Self {
+        let count = (seconds / slice_s).ceil() as usize + 1;
+        Self {
+            start,
+            slice_s,
+            slices: (0..count).map(|_| Histogram::new()).collect(),
+        }
+    }
+
+    /// Records one operation that completed at `done` after `latency`.
+    pub fn record(&self, done: Instant, latency: Duration) {
+        let at = (done.duration_since(self.start).as_secs_f64() / self.slice_s) as usize;
+        if let Some(slice) = self.slices.get(at) {
+            slice.record(u64::try_from(latency.as_nanos()).unwrap_or(u64::MAX));
+        }
+    }
+
+    /// Per-slice snapshots of several recorders of one window, merged.
+    pub fn merged(recorders: &[SliceRecorder]) -> Vec<HistogramSnapshot> {
+        let count = recorders.iter().map(|r| r.slices.len()).max().unwrap_or(0);
+        (0..count)
+            .map(|i| {
+                recorders
+                    .iter()
+                    .filter_map(|r| r.slices.get(i))
+                    .fold(HistogramSnapshot::empty(), |acc, h| {
+                        acc.merge(&h.snapshot())
+                    })
+            })
+            .collect()
+    }
+}
+
+/// Share of a slice's CPU time the host may steal before the slice is left
+/// out.
+const STEAL_LIMIT: f64 = 0.05;
+
+/// Throughput and latency of one measured window.
 ///
-/// The window is cut into equal time slices, each with its own throughput
-/// and latency percentiles.  On a shared host, interference only ever slows
-/// a slice down — by up to half on the reference host, for seconds at a
-/// time, and a vCPU the hypervisor takes away stalls every request it was
-/// serving — so every figure is the median, over the calmer half of the
-/// slices, of that figure per slice.  Slices rank by the CPU time the host
-/// stole during them (`/proc/stat`), then by operations completed.  That
-/// reads the program's own speed rather than the share of the window the
-/// host happened to be busy, and a burst of stalls in a few slices moves no
-/// percentile.
+/// The window is cut into equal time slices.  A slice is left out only when
+/// the hypervisor stole more than `STEAL_LIMIT` of its CPU time
+/// (`/proc/stat`): a vCPU taken away stalls every request it was serving,
+/// which says nothing about the program.  A slice is never left out for
+/// being slow.  When more than half the slices were stolen from, the half
+/// with the least stolen time is kept.  Throughput is the operations of the
+/// kept slices over their length; p50 and p99 are taken over every latency
+/// of the kept slices together.
 #[derive(Debug, Clone)]
 pub struct WindowFigures {
     pub throughput_rps: f64,
     pub latency_p50_us: f64,
     pub latency_p99_us: f64,
-    pub samples: usize,
+    /// Mean latency of the kept slices.
+    pub latency_mean_us: f64,
+    /// Latencies behind the p50 and p99 (those of the kept slices).
+    pub samples: u64,
+    /// Whole slices, and how many of them were kept.
+    pub slice_count: usize,
+    pub kept_slices: usize,
     /// Per-slice `(throughput, p50, p99, stolen ticks)`, for the detail
     /// line.
     pub slices: Vec<(f64, f64, f64, u64)>,
@@ -60,57 +107,64 @@ pub struct WindowFigures {
     pub deciles_us: Vec<f64>,
 }
 
-/// Figures of a window `elapsed_s` long, cut into whole slices of
-/// `slice_s` (a trailing partial slice is left out); every sample counts as
-/// one successful operation.  `stolen[i]` is the host's stolen time during
-/// slice `i` (see [`StealClock`]).
+/// Figures of a window `elapsed_s` long, from its per-slice latency
+/// histograms (ns) of `slice_s` each; a trailing partial slice is left out.
+/// Every recorded latency counts as one successful operation.  `stolen[i]`
+/// is the host's stolen time during slice `i` (see [`StealClock`]).
 pub fn window_figures(
-    samples: &[Sample],
+    slices: &[HistogramSnapshot],
     elapsed_s: f64,
     slice_s: f64,
     stolen: &[u64],
 ) -> WindowFigures {
-    let count = ((elapsed_s / slice_s) as usize).max(1);
-    let mut slices: Vec<Vec<f64>> = vec![Vec::new(); count];
-    for sample in samples {
-        let at = (f64::from(sample.done_us) * 1e-6 / slice_s) as usize;
-        if let Some(slice) = slices.get_mut(at) {
-            slice.push(f64::from(sample.latency_ns) * 1e-3);
-        }
-    }
-    let per_slice: Vec<(f64, f64, f64, u64)> = slices
-        .iter_mut()
-        .enumerate()
-        .map(|(i, s)| {
+    let whole = ((elapsed_s / slice_s) as usize).clamp(1, slices.len().max(1));
+    let empty = HistogramSnapshot::empty();
+    let slice = |i: usize| slices.get(i).unwrap_or(&empty);
+    let stolen_in = |i: usize| stolen.get(i).copied().unwrap_or(0);
+    let per_slice: Vec<(f64, f64, f64, u64)> = (0..whole)
+        .map(|i| {
+            let h = slice(i);
             (
-                s.len() as f64 / slice_s,
-                quantile(s, 0.5),
-                quantile(s, 0.99),
-                stolen.get(i).copied().unwrap_or(0),
+                h.count() as f64 / slice_s,
+                histogram_quantile(h, 0.5) * 1e-3,
+                histogram_quantile(h, 0.99) * 1e-3,
+                stolen_in(i),
             )
         })
         .collect();
-    let mut all: Vec<f64> = slices.concat();
+    let all = (0..whole).fold(HistogramSnapshot::empty(), |acc, i| acc.merge(slice(i)));
     let deciles_us = (1..10)
-        .map(|d| quantile(&mut all, f64::from(d) / 10.0))
+        .map(|d| histogram_quantile(&all, f64::from(d) / 10.0) * 1e-3)
         .collect();
 
-    let mut calm = per_slice.clone();
-    calm.sort_by(|a, b| a.3.cmp(&b.3).then(b.0.total_cmp(&a.0)));
-    calm.truncate(count.div_ceil(2));
-    let column = |pick: fn(&(f64, f64, f64, u64)) -> f64| {
-        let mut values: Vec<f64> = calm.iter().map(pick).collect();
-        median(&mut values)
-    };
+    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let limit = STEAL_LIMIT * slice_s * cpus as f64 * TICKS_PER_SECOND;
+    let mut kept: Vec<usize> = (0..whole)
+        .filter(|&i| stolen_in(i) as f64 <= limit)
+        .collect();
+    if kept.len() < whole.div_ceil(2) {
+        kept = (0..whole).collect();
+        kept.sort_by_key(|&i| stolen_in(i));
+        kept.truncate(whole.div_ceil(2));
+    }
+    let calm = kept
+        .iter()
+        .fold(HistogramSnapshot::empty(), |acc, &i| acc.merge(slice(i)));
     WindowFigures {
-        throughput_rps: column(|s| s.0),
-        latency_p50_us: column(|s| s.1),
-        latency_p99_us: column(|s| s.2),
-        samples: samples.len(),
+        throughput_rps: calm.count() as f64 / (kept.len() as f64 * slice_s),
+        latency_p50_us: histogram_quantile(&calm, 0.5) * 1e-3,
+        latency_p99_us: histogram_quantile(&calm, 0.99) * 1e-3,
+        latency_mean_us: calm.mean() * 1e-3,
+        samples: calm.count(),
+        slice_count: whole,
+        kept_slices: kept.len(),
         slices: per_slice,
         deciles_us,
     }
 }
+
+/// Clock ticks per second of `/proc/stat` (`USER_HZ`, 100 on Linux).
+const TICKS_PER_SECOND: f64 = 100.0;
 
 /// CPU time the hypervisor stole from this machine so far, summed over
 /// CPUs, in clock ticks (0 where `/proc/stat` does not report it).
@@ -305,15 +359,35 @@ mod tests {
     }
 
     #[test]
-    fn window_figures_read_the_fast_slices() {
-        let samples: Vec<Sample> = (0..1000)
-            .map(|i| Sample {
-                done_us: i * 1000,
-                latency_ns: 2000,
-            })
-            .collect();
-        let figures = window_figures(&samples, 1.0, 0.1, &[]);
+    fn window_figures_keep_slow_slices_and_drop_stolen_ones() {
+        let start = Instant::now();
+        let recorder = SliceRecorder::new(start, 1.0, 0.1);
+        for i in 0..1000u32 {
+            let done = start + Duration::from_micros(u64::from(i) * 1000 + 1);
+            // Slice 3 is slow (every latency 100x); slice 7 was stolen from.
+            let latency_us = match i / 100 {
+                3 => 200,
+                7 => 50,
+                _ => 2,
+            };
+            recorder.record(done, Duration::from_micros(latency_us));
+        }
+        let slices = SliceRecorder::merged(std::slice::from_ref(&recorder));
+        let mut stolen = vec![0; 10];
+        stolen[7] = 1000;
+        let figures = window_figures(&slices, 1.0, 0.1, &stolen);
+        assert_eq!((figures.slice_count, figures.kept_slices), (10, 9));
+        assert_eq!(figures.samples, 900);
         assert!((figures.throughput_rps - 1000.0).abs() < 1e-9);
-        assert!((figures.latency_p50_us - 2.0).abs() < 1e-9);
+        assert!((figures.latency_p50_us - 2.0).abs() < 0.2, "{figures:?}");
+        // The slow slice is 1/9 of the kept latencies, so it sets the p99.
+        assert!(figures.latency_p99_us > 150.0, "{figures:?}");
+
+        // When the host stole from every slice, the half with the least
+        // stolen time is kept.
+        let stolen: Vec<u64> = (0..10).map(|i| 1000 + i).collect();
+        let figures = window_figures(&slices, 1.0, 0.1, &stolen);
+        assert_eq!(figures.kept_slices, 5);
+        assert_eq!(figures.samples, 500);
     }
 }

@@ -5,7 +5,8 @@
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::net::SocketAddr;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use crosslight_cluster::backend::rendezvous_order;
@@ -23,7 +24,7 @@ use crosslight_telemetry::{HistogramSnapshot, Phase, RegistrySnapshot};
 
 use crate::gen::{MixPlan, Source, SweepPlan};
 use crate::layers::{self, p50_call_us, Layers};
-use crate::stats::{self, Sample, WindowFigures};
+use crate::stats::{self, SliceRecorder, WindowFigures};
 use crate::{Outcome, Workload};
 
 /// Client connections (and client threads): one per core on the reference
@@ -33,12 +34,13 @@ pub const CONNECTIONS: usize = 2;
 pub const WINDOW: usize = 32;
 /// Pre-warm requests pipelined at once.
 const PREWARM_CHUNK: usize = 128;
-/// Parts of a measured window; a set-up repetition runs between parts.
-const SUB_WINDOWS: usize = 10;
-/// Latency samples per connection and second reserved (and touched) before
-/// a window opens, so the benchmark's own bookkeeping adds the same
-/// resident memory however fast the program runs.
-const SAMPLES_PER_CONN_SECOND: f64 = 100_000.0;
+/// Set-ups timed before the measured window and as many after it; with the
+/// one that serves the run, `setup_s` is the median of `2 * SETUP_REPS + 1`.
+const SETUP_REPS: usize = 5;
+/// On `dse_sweep`, `peak_rss_mb` is read when this many answers have
+/// arrived, so it measures the result cache at a fixed number of inserted
+/// entries rather than at however many a faster program fits in the run.
+const SWEEP_RSS_AT_ANSWERS: u64 = 150_000;
 /// Requests (with their answers) captured per connection in a traced window
 /// for the codec and simulator replays.
 const CAPTURE_PER_CONN: usize = 10_000;
@@ -216,7 +218,6 @@ impl Keeper {
 /// What one connection saw in one window.
 #[derive(Debug, Default)]
 struct ConnRun {
-    samples: Vec<Sample>,
     attempted: u64,
     ok: u64,
     /// Failed operations by cause (error-frame kind, `transport`, `protocol`).
@@ -225,27 +226,11 @@ struct ConnRun {
     captured: Vec<(Request, Response)>,
     /// Set once the connection failed; it sends nothing more.
     broken: bool,
+    /// Set once the request source ran dry.
+    exhausted: bool,
 }
 
 impl ConnRun {
-    /// A run whose sample buffer for `seconds` is allocated and touched up
-    /// front.
-    fn new(seconds: f64) -> Self {
-        let reserve = (SAMPLES_PER_CONN_SECOND * seconds) as usize;
-        let mut samples = vec![
-            Sample {
-                done_us: 0,
-                latency_ns: 0,
-            };
-            reserve
-        ];
-        samples.clear();
-        Self {
-            samples,
-            ..Self::default()
-        }
-    }
-
     fn fail(&mut self, cause: &str, n: u64) {
         *self.failures.entry(cause.to_string()).or_default() += n;
     }
@@ -257,9 +242,34 @@ impl ConnRun {
     }
 }
 
+/// Reads peak resident memory once, when the answer count across every
+/// connection reaches `at`.
+#[derive(Debug)]
+struct RssProbe {
+    at: u64,
+    answered: AtomicU64,
+    reading: OnceLock<Result<f64, String>>,
+}
+
+impl RssProbe {
+    fn new(at: u64) -> Self {
+        Self {
+            at,
+            answered: AtomicU64::new(0),
+            reading: OnceLock::new(),
+        }
+    }
+
+    fn answered(&self) {
+        if self.answered.fetch_add(1, Ordering::Relaxed) + 1 == self.at {
+            let _ = self.reading.set(stats::peak_rss_mb());
+        }
+    }
+}
+
 /// Drives one connection in a closed loop: `WINDOW` requests outstanding
-/// until `deadline`, then drains what is still in flight.  Latencies are
-/// stamped relative to `start`, the opening of the whole window.
+/// until `deadline` (or until its source runs dry), then drains what is
+/// still in flight.
 #[allow(clippy::too_many_arguments)]
 fn drive(
     client: &mut Client,
@@ -267,7 +277,8 @@ fn drive(
     run: &mut ConnRun,
     keeper: &mut Keeper,
     next_id: &mut u64,
-    start: Instant,
+    recorder: &SliceRecorder,
+    probe: &RssProbe,
     deadline: Instant,
     capture: usize,
 ) {
@@ -279,9 +290,12 @@ fn drive(
     let mut batch: Vec<(u64, u32)> = Vec::with_capacity(WINDOW);
     let mut now = Instant::now();
     loop {
-        if now < deadline {
+        if now < deadline && !run.exhausted {
             while pending.len() + batch.len() < WINDOW {
-                let (key, spec) = source.next_request();
+                let Some((key, spec)) = source.next_request() else {
+                    run.exhausted = true;
+                    break;
+                };
                 let request = Request {
                     id: *next_id,
                     body: RequestBody::Eval(spec),
@@ -314,13 +328,11 @@ fn drive(
             let err = format!("answer for no outstanding request: {answer:?}");
             return run.break_off("correlation", &err, pending.len() + 1);
         };
-        run.samples.push(Sample {
-            done_us: u32::try_from(now.duration_since(start).as_micros()).unwrap_or(u32::MAX),
-            latency_ns: u32::try_from(now.duration_since(sent).as_nanos()).unwrap_or(u32::MAX),
-        });
+        recorder.record(now, now.duration_since(sent));
         match &answer.body {
             ResponseBody::Eval(frame) => {
                 run.ok += 1;
+                probe.answered();
                 if keeper.keep(key, run.ok, run.kept.len()) {
                     run.kept.push((key, frame.report));
                 }
@@ -342,6 +354,8 @@ struct Window {
     failures: BTreeMap<String, u64>,
     kept: Vec<(u32, SimulationReport)>,
     captured: Vec<(Request, Response)>,
+    /// Whether a connection's request source ran dry before the deadline.
+    exhausted: bool,
 }
 
 /// The load state that carries over from one window to the next.
@@ -349,52 +363,50 @@ struct Load<'a> {
     sources: Vec<Source<'a>>,
     keepers: Vec<Keeper>,
     next_ids: Vec<u64>,
+    probe: RssProbe,
 }
 
-/// Measures one window of `seconds`, cut into `SUB_WINDOWS` equal parts.
-/// Between parts the load drains and `between` runs (one set-up
-/// repetition), so those repetitions sample the host across the window
-/// without sharing it with the load.
-fn run_window(
-    clients: &mut [Client],
-    load: &mut Load<'_>,
-    seconds: f64,
-    capture: usize,
-    mut between: impl FnMut() -> Result<(), String>,
-) -> Result<Window, String> {
+/// Measures one unbroken window of `seconds` over every connection.
+fn run_window(clients: &mut [Client], load: &mut Load<'_>, seconds: f64, capture: usize) -> Window {
     let start = Instant::now();
+    let deadline = start + Duration::from_secs_f64(seconds);
     let steal = stats::StealClock::start(start, SLICE_S);
-    let mut runs: Vec<ConnRun> = (0..clients.len()).map(|_| ConnRun::new(seconds)).collect();
-    for part in 1..=SUB_WINDOWS {
-        let deadline = start + Duration::from_secs_f64(seconds * part as f64 / SUB_WINDOWS as f64);
-        std::thread::scope(|scope| {
-            for ((((client, source), run), keeper), next_id) in clients
-                .iter_mut()
-                .zip(load.sources.iter_mut())
-                .zip(runs.iter_mut())
-                .zip(load.keepers.iter_mut())
-                .zip(load.next_ids.iter_mut())
-            {
-                scope.spawn(move || {
-                    drive(
-                        client, source, run, keeper, next_id, start, deadline, capture,
-                    );
-                });
-            }
-        });
-        if part < SUB_WINDOWS {
-            between()?;
+    let recorders: Vec<SliceRecorder> = (0..clients.len())
+        .map(|_| SliceRecorder::new(start, seconds, SLICE_S))
+        .collect();
+    let mut runs: Vec<ConnRun> = (0..clients.len()).map(|_| ConnRun::default()).collect();
+    let probe = &load.probe;
+    std::thread::scope(|scope| {
+        for (((((client, source), run), keeper), next_id), recorder) in clients
+            .iter_mut()
+            .zip(load.sources.iter_mut())
+            .zip(runs.iter_mut())
+            .zip(load.keepers.iter_mut())
+            .zip(load.next_ids.iter_mut())
+            .zip(&recorders)
+        {
+            scope.spawn(move || {
+                drive(
+                    client, source, run, keeper, next_id, recorder, probe, deadline, capture,
+                );
+            });
         }
-    }
+    });
+    let elapsed_s = start.elapsed().as_secs_f64();
     let mut window = Window {
-        figures: stats::window_figures(&[], 1.0, 1.0, &[]),
+        figures: stats::window_figures(
+            &SliceRecorder::merged(&recorders),
+            elapsed_s,
+            SLICE_S,
+            &steal.finish(),
+        ),
         attempted: 0,
         ok: 0,
         failures: BTreeMap::new(),
         kept: Vec::new(),
         captured: Vec::new(),
+        exhausted: false,
     };
-    let mut samples = Vec::new();
     for run in runs {
         window.attempted += run.attempted;
         window.ok += run.ok;
@@ -403,11 +415,9 @@ fn run_window(
         }
         window.kept.extend(run.kept);
         window.captured.extend(run.captured);
-        samples.extend(run.samples);
+        window.exhausted |= run.exhausted;
     }
-    let elapsed_s = start.elapsed().as_secs_f64();
-    window.figures = stats::window_figures(&samples, elapsed_s, SLICE_S, &steal.finish());
-    Ok(window)
+    window
 }
 
 /// The Table I workloads, indexed as `PaperModel::all()`.
@@ -512,38 +522,45 @@ pub fn run(workload: Workload, seed: u64, seconds: f64, trace: bool) -> Result<O
         Plan::Sweep(plan) => plan.model_prewarm(),
     };
 
-    let started = Instant::now();
-    let mut stack = Stack::build(topology, &prewarm)?;
-    let mut setup_times = vec![started.elapsed().as_secs_f64()];
-    let mut setup_rep = || -> Result<(), String> {
+    // Set-up is timed on its own, never next to the load: fresh stacks
+    // built and torn down before the run's stack and again after it.
+    let mut setup_times = Vec::new();
+    let mut set_up = || -> Result<Stack, String> {
         let started = Instant::now();
-        let rep = Stack::build(topology, &prewarm)?;
+        let stack = Stack::build(topology, &prewarm)?;
         setup_times.push(started.elapsed().as_secs_f64());
-        rep.shutdown();
-        Ok(())
+        Ok(stack)
     };
+    for _ in 0..SETUP_REPS {
+        set_up()?.shutdown();
+    }
+    let mut stack = set_up()?;
 
+    let rss_at = match plan {
+        Plan::Sweep(_) => SWEEP_RSS_AT_ANSWERS,
+        Plan::Mix(_) => u64::MAX,
+    };
     let mut load = Load {
         sources: plan.sources(),
         keepers: vec![plan.keeper(); CONNECTIONS],
         next_ids: (0..CONNECTIONS as u64).map(|c| c << 40).collect(),
+        probe: RssProbe::new(rss_at),
     };
     // Untraced: the whole run is one window.  Traced: an untraced half for
     // the comparison figure, then a traced half that also captures requests
     // and answers for the replays and reads the layers' counters around it.
     let measured_s = if trace { seconds / 2.0 } else { seconds };
-    let untraced = run_window(&mut stack.clients, &mut load, measured_s, 0, &mut setup_rep)?;
+    let untraced = run_window(&mut stack.clients, &mut load, measured_s, 0);
+    let peak_rss_mb = match load.probe.reading.get() {
+        Some(reading) => reading.clone(),
+        None => stats::peak_rss_mb(),
+    };
+    let rss_answers = load.probe.answered.load(Ordering::Relaxed).min(rss_at);
     let mut traced = None;
     if trace {
         let servers_before = stack.server_snapshots();
         let router_before = stack.router_view();
-        let window = run_window(
-            &mut stack.clients,
-            &mut load,
-            measured_s,
-            CAPTURE_PER_CONN,
-            &mut setup_rep,
-        )?;
+        let window = run_window(&mut stack.clients, &mut load, measured_s, CAPTURE_PER_CONN);
         traced = Some((
             servers_before,
             router_before,
@@ -556,8 +573,16 @@ pub fn run(workload: Workload, seed: u64, seconds: f64, trace: bool) -> Result<O
 
     let quiesce = stack.quiesce();
     stack.shutdown();
+    for _ in 0..SETUP_REPS {
+        set_up()?.shutdown();
+    }
 
     let mut outcome = Outcome::new(workload, seed, seconds, trace);
+    match peak_rss_mb {
+        Ok(mb) => outcome.peak_rss_mb = mb,
+        Err(err) => outcome.problem(err),
+    }
+    outcome.detail("peak_rss_at_answers", rss_answers.to_string());
     outcome.setup_s = stats::median(&mut setup_times);
     outcome.detail("setup_reps_s", format!("{setup_times:?}"));
     outcome.detail("connections", CONNECTIONS.to_string());
@@ -593,6 +618,12 @@ pub fn run(workload: Workload, seed: u64, seconds: f64, trace: bool) -> Result<O
             &format!("{label}_latency_samples"),
             window.figures.samples.to_string(),
         );
+        if window.exhausted {
+            outcome.detail(
+                &format!("{label}_pool_exhausted"),
+                "the window ended when the request pool ran dry".into(),
+            );
+        }
     }
     outcome.figures = untraced.figures.clone();
 
