@@ -25,9 +25,6 @@ const TOP_K: usize = 10;
 const SLICE_S: f64 = 0.5;
 /// Serial replica passes behind the `core`/`experiments` ledger lines.
 const REPLICA_PASSES: usize = 3;
-/// Set-ups (building the candidate grid, well under a millisecond) timed
-/// before the measured window and as many after it.
-const SETUP_REPS: usize = 25;
 
 type Dims = (usize, usize, usize, usize);
 
@@ -38,13 +35,19 @@ struct Window {
     wrong: usize,
 }
 
-/// Back-to-back sweep passes for `seconds`, each checked against
-/// `reference` after its timer stops.
+/// Sweep passes for `seconds`, each checked against `reference` after its
+/// timer stops.  After each pass the set-up (building the candidate grid,
+/// about 0.1 ms) is timed once more and pushed onto `setup_times`.  It runs
+/// while no pass does, and every figure of the window comes from the
+/// passes' own times, so it moves none of them; taken across the whole
+/// window, a few hundred repetitions sample the host as the passes do,
+/// where a burst before and after the window would catch two moments.
 fn run_window(
     candidates: &[Dims],
     workers: usize,
     seconds: f64,
     reference: &DesignFrontier,
+    setup_times: &mut Vec<f64>,
 ) -> Result<Window, String> {
     let start = Instant::now();
     let deadline = start + Duration::from_secs_f64(seconds);
@@ -61,6 +64,9 @@ fn run_window(
         if !bit_identical(&frontier, reference) {
             wrong += 1;
         }
+        let started = Instant::now();
+        std::hint::black_box(dense_candidates());
+        setup_times.push(started.elapsed().as_secs_f64());
     }
     let elapsed_s = start.elapsed().as_secs_f64();
     let mut figures = stats::window_figures(
@@ -80,37 +86,37 @@ fn run_window(
     })
 }
 
-/// Times building the candidate grid `SETUP_REPS` times.
-fn time_setups(setup_times: &mut Vec<f64>) {
-    for _ in 0..SETUP_REPS {
-        let started = Instant::now();
-        std::hint::black_box(dense_candidates());
-        setup_times.push(started.elapsed().as_secs_f64());
-    }
-}
-
 pub fn run(seed: u64, seconds: f64, trace: bool) -> Result<Outcome, String> {
     let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
-    // Set-up is building the candidate grid: timed on its own before the
-    // window and again after it, and once more for the grid the run uses.
-    let mut setup_times = Vec::new();
-    time_setups(&mut setup_times);
+    // Set-up is building the candidate grid: once here, and again after
+    // every pass of every window.
     let started = Instant::now();
     let candidates = dense_candidates();
-    setup_times.push(started.elapsed().as_secs_f64());
+    let mut setup_times = vec![started.elapsed().as_secs_f64()];
 
     // The serial reference frontier every pass must reproduce, computed
     // before the windows open.
     let reference = run_streaming(&candidates, 1, TOP_K).map_err(|e| e.to_string())?;
     let measured_s = if trace { seconds / 2.0 } else { seconds };
-    let untraced = run_window(&candidates, workers, measured_s, &reference)?;
+    let untraced = run_window(
+        &candidates,
+        workers,
+        measured_s,
+        &reference,
+        &mut setup_times,
+    )?;
     let peak_rss_mb = stats::peak_rss_mb();
     let traced = if trace {
-        Some(run_window(&candidates, workers, measured_s, &reference)?)
+        Some(run_window(
+            &candidates,
+            workers,
+            measured_s,
+            &reference,
+            &mut setup_times,
+        )?)
     } else {
         None
     };
-    time_setups(&mut setup_times);
 
     let mut outcome = Outcome::new(Workload::DseLocal, seed, seconds, trace);
     match peak_rss_mb {

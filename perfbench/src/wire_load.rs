@@ -583,7 +583,7 @@ pub fn run(workload: Workload, seed: u64, seconds: f64, trace: bool) -> Result<O
         Err(err) => outcome.problem(err),
     }
     outcome.detail("peak_rss_at_answers", rss_answers.to_string());
-    outcome.setup_s = stats::median(&mut setup_times);
+    outcome.setup_s = stats::median(&mut setup_times.clone());
     outcome.detail("setup_reps_s", format!("{setup_times:?}"));
     outcome.detail("connections", CONNECTIONS.to_string());
     outcome.detail("window", WINDOW.to_string());
