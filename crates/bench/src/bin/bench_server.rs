@@ -17,6 +17,9 @@
 //! subsystem is the loopback path staying within 2× of direct dispatch;
 //! the measured ratio is embedded in the JSON as `speedup_vs_baseline` of
 //! `server_loopback_warm_mix` (a value ≥ 0.5 means within 2×).
+//! `server_loopback_warm_mix_4conn` pipelines the same mix over four
+//! concurrent connections and is judged against this run's
+//! single-connection figure.
 
 use std::sync::Arc;
 
@@ -30,13 +33,6 @@ use crosslight_server::server::{Server, ServerOptions};
 use crosslight_server::wire::{
     self, EvalFrame, EvalSpec, Request, RequestBody, Response, ResponseBody,
 };
-
-/// `server_loopback_warm_mix` as measured at commit 76707dc, when the
-/// front-end still ran a reader/responder/writer thread trio per
-/// connection.  The reactor scenarios use it as their fixed baseline, so
-/// their `speedup_vs_baseline` reads directly as "× faster than the
-/// thread-trio front-end".
-const THREAD_TRIO_LOOPBACK_WARM_MIX_NS: f64 = 11_837.5;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -208,28 +204,18 @@ fn main() {
         p50_ns: loopback.p50_ns.map(|p| p / specs.len() as f64),
         p99_ns: loopback.p99_ns.map(|p| p / specs.len() as f64),
     });
-    // The same measurement under its reactor name, judged against the
-    // recorded thread-trio figure instead of this run's direct dispatch —
-    // the regression gate for the reactor front-end itself.
-    results.push(BenchResult {
-        name: "reactor_loopback_warm_mix".to_string(),
-        ns_per_iter: per_request_ns,
-        iterations: loopback.iterations,
-        p50_ns: loopback.p50_ns.map(|p| p / specs.len() as f64),
-        p99_ns: loopback.p99_ns.map(|p| p / specs.len() as f64),
-    });
 
-    // ---- cross-connection micro-batching ----------------------------------
-    // Four connections pipeline the warm mix concurrently, so the server's
-    // micro-batcher can coalesce admitted evals across connections into
-    // pool batches.  Reported per request across all connections.
-    const MICROBATCH_CLIENTS: usize = 4;
-    let mut batch_clients: Vec<Client> = (0..MICROBATCH_CLIENTS)
-        .map(|_| Client::connect(server.local_addr()).expect("connect batch client"))
+    // ---- the same mix over four concurrent connections --------------------
+    // Four connections pipeline the warm mix at once, so one event-loop
+    // wake can admit evals from several connections into one pool batch.
+    // Reported per request across all connections.
+    const CONNECTIONS: usize = 4;
+    let mut clients: Vec<Client> = (0..CONNECTIONS)
+        .map(|_| Client::connect(server.local_addr()).expect("connect client"))
         .collect();
-    let microbatch = measure("microbatch_warm_mix_batch", window_ms, || {
+    let concurrent = measure("server_loopback_warm_mix_4conn_batch", window_ms, || {
         std::thread::scope(|scope| {
-            for client in batch_clients.iter_mut() {
+            for client in clients.iter_mut() {
                 scope.spawn(|| {
                     client
                         .eval_pipelined(&specs, 0)
@@ -238,16 +224,16 @@ fn main() {
             }
         });
     });
-    let microbatch_requests = (MICROBATCH_CLIENTS * specs.len()) as f64;
-    let microbatch_per_req_ns = microbatch.ns_per_iter / microbatch_requests;
+    let concurrent_requests = (CONNECTIONS * specs.len()) as f64;
+    let concurrent_per_req_ns = concurrent.ns_per_iter / concurrent_requests;
     results.push(BenchResult {
-        name: "microbatch_per_req".to_string(),
-        ns_per_iter: microbatch_per_req_ns,
-        iterations: microbatch.iterations,
-        p50_ns: microbatch.p50_ns.map(|p| p / microbatch_requests),
-        p99_ns: microbatch.p99_ns.map(|p| p / microbatch_requests),
+        name: "server_loopback_warm_mix_4conn".to_string(),
+        ns_per_iter: concurrent_per_req_ns,
+        iterations: concurrent.iterations,
+        p50_ns: concurrent.p50_ns.map(|p| p / concurrent_requests),
+        p99_ns: concurrent.p99_ns.map(|p| p / concurrent_requests),
     });
-    drop(batch_clients);
+    drop(clients);
 
     // Multi-connection aggregate throughput, reported for context.
     let load_options = LoadGenOptions::paper_mix(4, if quick { 64 } else { 256 }, 1);
@@ -264,21 +250,19 @@ fn main() {
     drop(client);
     server.shutdown();
 
-    // The acceptance ratios, both recorded as same-run baselines so the
-    // JSON's `speedup_vs_baseline` fields *are* the ratios: loopback vs
-    // direct dispatch (≥ 0.5 ⇔ within 2×), and unsampled-trace vs
-    // tracing-off dispatch (≥ 0.98 ⇔ ≤ 2% tracing overhead).
+    // Every ratio is recorded against a same-run baseline, so the JSON's
+    // `speedup_vs_baseline` fields *are* the ratios: loopback vs direct
+    // dispatch (≥ 0.5 ⇔ within 2×), four connections vs one (> 1 ⇔ a
+    // request is cheaper when connections share the server), and
+    // unsampled-trace vs tracing-off dispatch (≥ 0.98 ⇔ ≤ 2% tracing
+    // overhead).
     let baselines: Vec<(&str, f64)> = vec![
         ("server_loopback_warm_mix", direct_each_ns),
+        ("server_loopback_warm_mix_4conn", per_request_ns),
         (
             "direct_submit_batch_warm_per_req_unsampled_trace",
             batch_per_req_ns,
         ),
-        (
-            "reactor_loopback_warm_mix",
-            THREAD_TRIO_LOOPBACK_WARM_MIX_NS,
-        ),
-        ("microbatch_per_req", THREAD_TRIO_LOOPBACK_WARM_MIX_NS),
     ];
     let ratio = per_request_ns / direct_each_ns;
     println!(
@@ -286,11 +270,9 @@ fn main() {
          ns/req → {ratio:.2}× direct cost (acceptance bar: ≤ 2×)"
     );
     println!(
-        "reactor {per_request_ns:.0} ns/req vs thread-trio front-end \
-         {THREAD_TRIO_LOOPBACK_WARM_MIX_NS:.0} ns/req → {:.2}×; micro-batched \
-         {microbatch_per_req_ns:.0} ns/req over {MICROBATCH_CLIENTS} connections → {:.2}×",
-        THREAD_TRIO_LOOPBACK_WARM_MIX_NS / per_request_ns,
-        THREAD_TRIO_LOOPBACK_WARM_MIX_NS / microbatch_per_req_ns,
+        "{CONNECTIONS} connections {concurrent_per_req_ns:.0} ns/req vs one connection \
+         {per_request_ns:.0} ns/req → {:.2}×",
+        per_request_ns / concurrent_per_req_ns,
     );
     let overhead = traced_per_req_ns / batch_per_req_ns;
     println!(
@@ -301,11 +283,11 @@ fn main() {
     let json = render_trajectory_json(
         "crosslight-bench-server/v1",
         mode,
-        "b2dd617 (pre-server seed: EvalService reachable in-process only; the recorded \
-         baseline of server_loopback_warm_mix is direct_submit_each_warm measured in this \
-         same run, so speedup_vs_baseline is the loopback-vs-direct cost ratio; \
-         reactor_loopback_warm_mix and microbatch_per_req are judged against the fixed \
-         thread-trio-era server_loopback_warm_mix figure from 76707dc)",
+        "b2dd617 (pre-server seed: EvalService reachable in-process only; every recorded \
+         baseline is measured in this same run: server_loopback_warm_mix against \
+         direct_submit_each_warm, server_loopback_warm_mix_4conn against \
+         server_loopback_warm_mix, and the unsampled-trace entry against \
+         direct_submit_batch_warm_per_req)",
         &baselines,
         &results,
     );

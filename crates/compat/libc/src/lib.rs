@@ -8,6 +8,9 @@
 //! short sleep, which degrades the reactor to a polling loop over nonblocking
 //! sockets without changing its observable behaviour.
 //!
+//! On Linux it also declares `getrlimit(2)`/`setrlimit(2)` for the open-file
+//! limit, which the server's descriptor-exhaustion tests lower.
+//!
 //! The declarations mirror the real `libc` crate for the `x86_64`/`aarch64`
 //! Linux ABI so a future `cargo add libc` is a drop-in swap.
 
@@ -53,6 +56,39 @@ extern "C" {
     pub fn poll(fds: *mut pollfd, nfds: nfds_t, timeout: c_int) -> c_int;
 }
 
+/// A resource-limit value (`rlim_t` is 64 bits on Linux).
+#[cfg(target_os = "linux")]
+pub type rlim_t = u64;
+
+/// Soft and hard limits of one resource, as `struct rlimit` lays them out.
+#[cfg(target_os = "linux")]
+#[repr(C)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct rlimit {
+    pub rlim_cur: rlim_t,
+    pub rlim_max: rlim_t,
+}
+
+/// The resource number of the per-process open-file limit.
+#[cfg(target_os = "linux")]
+pub const RLIMIT_NOFILE: c_int = 7;
+
+#[cfg(target_os = "linux")]
+extern "C" {
+    /// Reads a resource limit into `rlim`. Returns `0`, or `-1` on error.
+    ///
+    /// # Safety
+    ///
+    /// `rlim` must point to a writable `rlimit`.
+    pub fn getrlimit(resource: c_int, rlim: *mut rlimit) -> c_int;
+    /// Sets a resource limit from `rlim`. Returns `0`, or `-1` on error.
+    ///
+    /// # Safety
+    ///
+    /// `rlim` must point to a readable `rlimit`.
+    pub fn setrlimit(resource: c_int, rlim: *const rlimit) -> c_int;
+}
+
 /// Portable fallback for targets without a C-library `poll`: sleep briefly,
 /// then report every registered descriptor as ready for whatever it asked
 /// for. Callers already treat readiness as advisory (sockets are nonblocking
@@ -91,6 +127,16 @@ mod tests {
         assert_eq!(&probe.fd as *const c_int as usize - base, 0);
         assert_eq!(&probe.events as *const c_short as usize - base, 4);
         assert_eq!(&probe.revents as *const c_short as usize - base, 6);
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn getrlimit_reads_the_open_file_limit() {
+        let mut limit = rlimit::default();
+        // SAFETY: `limit` is a live, writable `struct rlimit` for the call.
+        assert_eq!(unsafe { getrlimit(RLIMIT_NOFILE, &mut limit) }, 0);
+        assert!(limit.rlim_cur > 0);
+        assert!(limit.rlim_cur <= limit.rlim_max);
     }
 
     #[cfg(unix)]

@@ -6,6 +6,12 @@
 //! within one batch the first occurrence computes and every later duplicate
 //! is a cache hit, never a redundant recomputation racing on another thread.
 //!
+//! There is one routing path, [`EvalService::submit_detached_batch`]: every
+//! [`BatchItem`] carries its own [`Reply`], called exactly once with the
+//! outcome.  [`EvalService::submit`] and [`EvalService::submit_batch`] are
+//! collectors over it, and the network front-end hands it each event-loop
+//! wake's admitted evals.
+//!
 //! Two memoization layers serve the hot loop:
 //!
 //! 1. a pool-wide [`ShardedCache`] of finished `(config, workload)` reports;
@@ -21,6 +27,7 @@
 //! are bit-identical to serial `CrossLightSimulator::evaluate` calls
 //! regardless of worker count, batch partitioning, or hit pattern.
 
+use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::Arc;
@@ -46,10 +53,9 @@ pub struct RuntimeOptions {
     pub workers: usize,
     /// Number of independent cache shards (clamped to at least 1).
     pub cache_shards: usize,
-    /// Trace every `n`-th batch-submitted request's phase timeline
-    /// (`0` disables sampling, `1` traces everything).  Detached
-    /// submissions via `submit_traced` carry their own traces and ignore
-    /// this knob.
+    /// Trace every `n`-th request submitted through `submit`/`submit_batch`
+    /// (`0` disables sampling, `1` traces everything).  Items passed to
+    /// `submit_detached_batch` carry their own traces and ignore this knob.
     pub trace_sample_every: u64,
 }
 
@@ -93,7 +99,7 @@ impl Default for RuntimeOptions {
 /// Point-in-time snapshot of the service counters.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RuntimeStats {
-    /// Requests accepted by `submit`/`submit_batch`/`submit_detached`.
+    /// Requests that reached a worker's queue, by any submission method.
     pub submitted: u64,
     /// Requests fully answered.
     pub completed: u64,
@@ -139,8 +145,7 @@ impl RuntimeStats {
 /// once, at pickup.  A cancelled job is answered with
 /// [`RuntimeError::Cancelled`] instead of being evaluated — the hook the
 /// network front-end uses to stop burning worker time on requests whose
-/// connection already died, and the cluster router's failover path uses to
-/// drop re-routed work.  A job that a worker already started is never
+/// connection already died.  A job that a worker already started is never
 /// interrupted (evaluations are short and side-effect-free), so results
 /// remain bit-identical whether or not a token races the worker.
 #[derive(Debug, Clone, Default)]
@@ -165,40 +170,42 @@ impl CancelToken {
     }
 }
 
+/// Where one request's outcome goes: called exactly once, on the worker
+/// that served it, or on the submitting thread with
+/// [`RuntimeError::WorkerLost`] when no worker can take it.
+pub type Reply = Box<dyn FnOnce(Result<EvalResponse>) + Send>;
+
 struct Job {
-    tag: u64,
     key: CacheKey,
     request: EvalRequest,
-    reply: Sender<(u64, Result<EvalResponse>)>,
     /// Present only for sampled requests; untraced jobs pay one `None`.
     trace: Option<Box<TracedJob>>,
-    /// Present only for cancellable detached submissions.
     cancel: Option<CancelToken>,
+    reply: Reply,
 }
 
-/// What travels down a worker's channel: either a single job or a whole
-/// same-worker group from [`EvalService::submit_detached_batch`].  Grouping
-/// amortizes the channel synchronization over the group — one send wakes the
-/// worker once for N jobs — without changing per-job processing, routing, or
-/// results.
-enum Dispatch {
-    One(Box<Job>),
-    Many(Vec<Job>),
-}
-
-/// One request of a detached batch submission (see
-/// [`EvalService::submit_detached_batch`]).
-#[derive(Debug)]
+/// One request of a [`EvalService::submit_detached_batch`] submission.
 pub struct BatchItem {
-    /// Correlation tag echoed on the reply channel.
-    pub tag: u64,
     /// The evaluation to run.
     pub request: EvalRequest,
-    /// Caller-built trace; workers close queue/cache/prepare/evaluate spans
-    /// on it exactly as for [`EvalService::submit_traced`].
+    /// Caller-built trace: the worker closes its queue, cache-lookup,
+    /// prepare and evaluate spans on it (also feeding the runtime phase
+    /// histograms) and hands it back on the response's `trace` field.
     pub trace: Option<Box<RequestTrace>>,
     /// Advisory cancellation token, checked once at pickup.
     pub cancel: Option<CancelToken>,
+    /// Receives the outcome.
+    pub reply: Reply,
+}
+
+impl fmt::Debug for BatchItem {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("BatchItem")
+            .field("request", &self.request)
+            .field("trace", &self.trace)
+            .field("cancel", &self.cancel)
+            .finish_non_exhaustive()
+    }
 }
 
 /// A trace travelling with a job, plus the enqueue instant the worker needs
@@ -290,7 +297,7 @@ impl Telemetry {
         Self {
             submitted: registry.counter(
                 "runtime_submitted_total",
-                "Requests accepted by submit, submit_batch or submit_detached.",
+                "Requests that reached a worker's queue.",
             ),
             completed: registry.counter("runtime_completed_total", "Requests fully answered."),
             cancelled: registry.counter(
@@ -324,7 +331,7 @@ impl Telemetry {
             ),
             traces_sampled: registry.counter(
                 "runtime_traces_sampled_total",
-                "Batch-submitted requests that carried a sampled trace.",
+                "Requests submitted through submit or submit_batch that carried a sampled trace.",
             ),
             result_cache_entries: registry.gauge(
                 "runtime_result_cache_entries",
@@ -385,7 +392,7 @@ impl Telemetry {
 /// ```
 #[derive(Debug)]
 pub struct EvalService {
-    senders: Vec<Sender<Dispatch>>,
+    senders: Vec<Sender<Vec<Job>>>,
     handles: Vec<JoinHandle<()>>,
     cache: Arc<ShardedCache>,
     model_cache: Arc<ModelCache>,
@@ -410,7 +417,7 @@ impl EvalService {
         let mut senders = Vec::with_capacity(workers);
         let mut handles = Vec::with_capacity(workers);
         for worker in 0..workers {
-            let (tx, rx) = mpsc::channel::<Dispatch>();
+            let (tx, rx) = mpsc::channel::<Vec<Job>>();
             let cache = Arc::clone(&cache);
             let models = Arc::clone(&model_cache);
             let telemetry = Arc::clone(&telemetry);
@@ -478,23 +485,34 @@ impl EvalService {
     /// [`RuntimeError::WorkerLost`] if a worker thread died mid-batch.
     pub fn submit_batch(&self, requests: Vec<EvalRequest>) -> Result<Vec<EvalResponse>> {
         let expected = requests.len();
-        if expected == 0 {
-            return Ok(Vec::new());
-        }
         let (reply_tx, reply_rx) = mpsc::channel();
-        for (index, request) in requests.into_iter().enumerate() {
-            let trace = self.telemetry.sampler.sample().then(|| {
-                self.telemetry.traces_sampled.inc();
-                Box::new(RequestTrace::new(request.id))
-            });
-            self.dispatch(index as u64, request, &reply_tx, trace, None)?;
-        }
+        let items = requests
+            .into_iter()
+            .enumerate()
+            .map(|(index, request)| {
+                let reply_tx = reply_tx.clone();
+                BatchItem {
+                    trace: self.telemetry.sampler.sample().then(|| {
+                        self.telemetry.traces_sampled.inc();
+                        Box::new(RequestTrace::new(request.id))
+                    }),
+                    request,
+                    cancel: None,
+                    // A send error means this collector already returned on
+                    // an earlier error; the answer has nowhere to go.
+                    reply: Box::new(move |outcome| {
+                        let _ = reply_tx.send((index, outcome));
+                    }),
+                }
+            })
+            .collect();
         drop(reply_tx);
+        self.submit_detached_batch(items);
 
         let mut responses: Vec<Option<EvalResponse>> = vec![None; expected];
         let mut received = 0;
-        while let Ok((tag, outcome)) = reply_rx.recv() {
-            responses[tag as usize] = Some(outcome?);
+        while let Ok((index, outcome)) = reply_rx.recv() {
+            responses[index] = Some(outcome?);
             received += 1;
         }
         if received != expected {
@@ -514,121 +532,35 @@ impl EvalService {
         Ok(responses)
     }
 
-    /// Routes one request to its fingerprint-sharded worker without waiting
-    /// for the answer: the worker will eventually send `(tag, outcome)` on
-    /// `reply`.  This is the queue hook behind the network front-end
-    /// (`crosslight-server`), which keeps many requests in flight per
-    /// connection and correlates completions by tag; [`EvalService::submit_batch`]
-    /// is a thin collector over the same path, so detached and batched
-    /// submissions share routing, caching and counters exactly.
+    /// Routes a batch of requests to their fingerprint-sharded workers
+    /// without waiting for the answers: the service's one routing path.
+    /// Jobs are grouped by target worker, so each worker is woken by a
+    /// single channel send per call however many items it serves.  Routing,
+    /// caching, tracing and counters do not depend on how a request stream
+    /// is cut into calls, so responses are bit-identical for any
+    /// partitioning.
     ///
-    /// # Errors
-    ///
-    /// [`RuntimeError::WorkerLost`] if the target worker's channel is closed
-    /// (the pool is shutting down or the worker panicked).  On error the
-    /// request was not enqueued and no reply will arrive.
-    pub fn submit_detached(
-        &self,
-        tag: u64,
-        request: EvalRequest,
-        reply: &Sender<(u64, Result<EvalResponse>)>,
-    ) -> Result<()> {
-        self.dispatch(tag, request, reply, None, None)
-    }
-
-    /// Like [`EvalService::submit_detached`], but the job carries a
-    /// [`CancelToken`]: if the token is cancelled before a worker picks the
-    /// job up, the job is answered with [`RuntimeError::Cancelled`] instead
-    /// of being evaluated.  The front-end uses one token per connection so
-    /// queued work for a dead peer is skipped, and the cluster router's
-    /// failover path uses it to abandon re-routed duplicates.
-    ///
-    /// # Errors
-    ///
-    /// As [`EvalService::submit_detached`].
-    pub fn submit_cancellable(
-        &self,
-        tag: u64,
-        request: EvalRequest,
-        reply: &Sender<(u64, Result<EvalResponse>)>,
-        cancel: CancelToken,
-    ) -> Result<()> {
-        self.dispatch(tag, request, reply, None, Some(cancel))
-    }
-
-    /// Like [`EvalService::submit_detached`], but the request carries a
-    /// caller-built [`RequestTrace`]: the workers close queue-wait,
-    /// cache-lookup, prepare and evaluate spans on it (also feeding the
-    /// runtime phase histograms) and hand it back on the response's
-    /// `trace` field.  This is the hook the network front-end uses to time
-    /// requests end to end across both processes' thread hops.
-    ///
-    /// # Errors
-    ///
-    /// As [`EvalService::submit_detached`]; on error the trace is dropped.
-    pub fn submit_traced(
-        &self,
-        tag: u64,
-        request: EvalRequest,
-        reply: &Sender<(u64, Result<EvalResponse>)>,
-        trace: Box<RequestTrace>,
-    ) -> Result<()> {
-        self.dispatch(tag, request, reply, Some(trace), None)
-    }
-
-    /// [`EvalService::submit_traced`] with a [`CancelToken`] attached (see
-    /// [`EvalService::submit_cancellable`]).
-    ///
-    /// # Errors
-    ///
-    /// As [`EvalService::submit_detached`]; on error the trace is dropped.
-    pub fn submit_traced_cancellable(
-        &self,
-        tag: u64,
-        request: EvalRequest,
-        reply: &Sender<(u64, Result<EvalResponse>)>,
-        trace: Box<RequestTrace>,
-        cancel: CancelToken,
-    ) -> Result<()> {
-        self.dispatch(tag, request, reply, Some(trace), Some(cancel))
-    }
-
-    /// Routes a whole batch of detached requests at once, grouping the jobs
-    /// by their fingerprint-sharded target worker so each worker is woken by
-    /// a *single* channel send per batch instead of one per request.  This
-    /// is the dispatch path behind the server's cross-connection
-    /// micro-batcher: routing, caching, tracing and counters are identical
-    /// to per-request [`EvalService::submit_detached`], so responses stay
-    /// bit-identical for any batch partitioning.
-    ///
-    /// Every item is answered exactly once on `reply`: by its worker, or —
-    /// when the pool is shut down or a worker died — immediately here with
-    /// [`RuntimeError::WorkerLost`].  Returns the number of jobs that
-    /// reached a live worker's queue.
-    pub fn submit_detached_batch(
-        &self,
-        items: Vec<BatchItem>,
-        reply: &Sender<(u64, Result<EvalResponse>)>,
-    ) -> usize {
-        if items.is_empty() {
-            return 0;
-        }
-        if self.senders.is_empty() {
+    /// Every item's [`Reply`] is called exactly once: by its worker (with
+    /// [`RuntimeError::Cancelled`] if the item's token fired before
+    /// pickup), or — when the pool is shut down or a worker died — right
+    /// here with [`RuntimeError::WorkerLost`].  Returns the number of items
+    /// that reached a live worker's queue.
+    pub fn submit_detached_batch(&self, items: Vec<BatchItem>) -> usize {
+        let workers = self.senders.len();
+        if workers == 0 {
+            // The pool has been shut down in place.
             for item in items {
-                let _ = reply.send((item.tag, Err(RuntimeError::WorkerLost)));
+                (item.reply)(Err(RuntimeError::WorkerLost));
             }
             return 0;
         }
-        let workers = self.senders.len();
         let mut groups: Vec<Vec<Job>> = (0..workers).map(|_| Vec::new()).collect();
         for item in items {
             let key = item.request.key();
             let worker = (key.fingerprint() % workers as u64) as usize;
             groups[worker].push(Job {
-                tag: item.tag,
                 key,
                 request: item.request,
-                reply: reply.clone(),
                 trace: item.trace.map(|trace| {
                     Box::new(TracedJob {
                         trace: *trace,
@@ -636,81 +568,32 @@ impl EvalService {
                     })
                 }),
                 cancel: item.cancel,
+                reply: item.reply,
             });
         }
         let mut enqueued = 0;
-        for (worker, mut group) in groups.into_iter().enumerate() {
+        for (worker, group) in groups.into_iter().enumerate() {
             if group.is_empty() {
                 continue;
             }
             let n = group.len();
             self.telemetry.submitted.add(n as u64);
             self.telemetry.queued[worker].add(n as i64);
-            let dispatch = if n == 1 {
-                Dispatch::One(Box::new(group.pop().expect("group has one job")))
-            } else {
-                Dispatch::Many(group)
-            };
-            match self.senders[worker].send(dispatch) {
+            match self.senders[worker].send(group) {
                 Ok(()) => enqueued += n,
-                Err(mpsc::SendError(returned)) => {
+                Err(mpsc::SendError(jobs)) => {
                     // The group never reached the worker: roll the counters
-                    // back and answer each job so the caller's accounting
-                    // (admission permits, pending maps) still settles.
+                    // back so the gauges cannot drift on a dying pool, and
+                    // answer each job so the caller's accounting settles.
                     self.telemetry.queued[worker].sub(n as i64);
                     self.telemetry.submitted.sub(n as u64);
-                    let jobs = match returned {
-                        Dispatch::One(job) => vec![*job],
-                        Dispatch::Many(jobs) => jobs,
-                    };
                     for job in jobs {
-                        let _ = reply.send((job.tag, Err(RuntimeError::WorkerLost)));
+                        (job.reply)(Err(RuntimeError::WorkerLost));
                     }
                 }
             }
         }
         enqueued
-    }
-
-    fn dispatch(
-        &self,
-        tag: u64,
-        request: EvalRequest,
-        reply: &Sender<(u64, Result<EvalResponse>)>,
-        trace: Option<Box<RequestTrace>>,
-        cancel: Option<CancelToken>,
-    ) -> Result<()> {
-        if self.senders.is_empty() {
-            // The pool has been shut down in place; there is no worker to
-            // route to.
-            return Err(RuntimeError::WorkerLost);
-        }
-        let key = request.key();
-        let worker = (key.fingerprint() % self.senders.len() as u64) as usize;
-        let job = Job {
-            tag,
-            key,
-            request,
-            reply: reply.clone(),
-            trace: trace.map(|trace| {
-                Box::new(TracedJob {
-                    trace: *trace,
-                    enqueued: Instant::now(),
-                })
-            }),
-            cancel,
-        };
-        self.telemetry.submitted.inc();
-        self.telemetry.queued[worker].add(1);
-        self.senders[worker]
-            .send(Dispatch::One(Box::new(job)))
-            .map_err(|_| {
-                // The job never reached a worker: roll the counters back so
-                // the gauges cannot drift on a dying pool.
-                self.telemetry.queued[worker].sub(1);
-                self.telemetry.submitted.sub(1);
-                RuntimeError::WorkerLost
-            })
     }
 
     /// Snapshot of the service counters.
@@ -797,19 +680,14 @@ impl Drop for EvalService {
 
 fn worker_loop(
     worker: usize,
-    jobs: &Receiver<Dispatch>,
+    jobs: &Receiver<Vec<Job>>,
     cache: &ShardedCache,
     models: &ModelCache,
     telemetry: &Telemetry,
 ) {
-    while let Ok(dispatch) = jobs.recv() {
-        match dispatch {
-            Dispatch::One(job) => run_job(worker, *job, cache, models, telemetry),
-            Dispatch::Many(batch) => {
-                for job in batch {
-                    run_job(worker, job, cache, models, telemetry);
-                }
-            }
+    while let Ok(group) = jobs.recv() {
+        for job in group {
+            run_job(worker, job, cache, models, telemetry);
         }
     }
 }
@@ -824,13 +702,13 @@ fn run_job(
     telemetry.queued[worker].sub(1);
     // Cancellation is checked exactly once, at pickup: queued work for
     // a peer that already vanished is skipped without touching the
-    // simulator, and the (cheap) answer still flows through the normal
-    // reply channel so completion accounting stays exact.
+    // simulator, and the (cheap) answer still flows through the job's
+    // reply so completion accounting stays exact.
     if job.cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
         telemetry.cancelled.inc();
         telemetry.per_worker[worker].inc();
         telemetry.completed.inc();
-        let _ = job.reply.send((job.tag, Err(RuntimeError::Cancelled)));
+        (job.reply)(Err(RuntimeError::Cancelled));
         return;
     }
     // Untraced jobs never read the clock: the trace check is the only
@@ -848,9 +726,7 @@ fn run_job(
     }
     telemetry.per_worker[worker].inc();
     telemetry.completed.inc();
-    // A send error means the batch collector gave up (error fast-path);
-    // the remaining jobs still drain so the channel empties.
-    let _ = job.reply.send((job.tag, outcome));
+    (job.reply)(outcome);
 }
 
 /// Moves the finished trace out of the job and into the response.
@@ -1057,8 +933,25 @@ mod tests {
         assert!(service.model_cache().stats().hits > 0);
     }
 
+    /// A batch item whose reply sends `(tag, outcome)` on `tx`.
+    fn tagged(
+        tag: u64,
+        request: EvalRequest,
+        tx: &Sender<(u64, Result<EvalResponse>)>,
+    ) -> BatchItem {
+        let tx = tx.clone();
+        BatchItem {
+            request,
+            trace: None,
+            cancel: None,
+            reply: Box::new(move |outcome| {
+                let _ = tx.send((tag, outcome));
+            }),
+        }
+    }
+
     #[test]
-    fn detached_submission_matches_batched_and_settles_queue_gauges() {
+    fn one_item_detached_submissions_match_serial_and_settle_queue_gauges() {
         let service = EvalService::new(RuntimeOptions::default().with_workers(3));
         let requests = paper_requests();
         let serial: Vec<_> = requests
@@ -1071,9 +964,8 @@ mod tests {
             .collect();
         let (reply_tx, reply_rx) = mpsc::channel();
         for (i, request) in requests.into_iter().enumerate() {
-            service
-                .submit_detached(1_000 + i as u64, request, &reply_tx)
-                .unwrap();
+            let item = tagged(1_000 + i as u64, request, &reply_tx);
+            assert_eq!(service.submit_detached_batch(vec![item]), 1);
         }
         drop(reply_tx);
         let mut answered = 0;
@@ -1093,7 +985,7 @@ mod tests {
     }
 
     #[test]
-    fn detached_batch_dispatch_matches_serial_and_per_request_paths() {
+    fn detached_batches_match_serial_and_carry_their_traces() {
         let requests = paper_requests();
         let serial: Vec<_> = requests
             .iter()
@@ -1111,18 +1003,18 @@ mod tests {
                 .cloned()
                 .enumerate()
                 .map(|(i, request)| BatchItem {
-                    tag: i as u64,
-                    request,
                     trace: Some(Box::new(RequestTrace::new(i as u64))),
                     cancel: Some(CancelToken::new()),
+                    ..tagged(i as u64, request, &reply_tx)
                 })
                 .collect();
-            let enqueued = service.submit_detached_batch(items, &reply_tx);
+            let enqueued = service.submit_detached_batch(items);
             assert_eq!(enqueued, requests.len());
             drop(reply_tx);
             let mut answered: Vec<Option<EvalResponse>> = vec![None; requests.len()];
             while let Ok((tag, outcome)) = reply_rx.recv() {
-                answered[tag as usize] = Some(outcome.unwrap());
+                let previous = answered[tag as usize].replace(outcome.unwrap());
+                assert!(previous.is_none(), "tag {tag} answered twice");
             }
             for (response, expected) in answered.iter().zip(&serial) {
                 let response = response.as_ref().expect("every tag answered");
@@ -1140,21 +1032,17 @@ mod tests {
     }
 
     #[test]
-    fn detached_batch_to_a_shut_down_pool_answers_every_tag() {
+    fn a_shut_down_pool_answers_every_item_with_worker_lost() {
         let mut service = EvalService::new(RuntimeOptions::default().with_workers(2));
         service.shutdown_in_place();
         let workload =
             Arc::new(NetworkWorkload::from_spec(&PaperModel::Lenet5SignMnist.spec()).unwrap());
+        let request = EvalRequest::new(CrossLightConfig::paper_best(), workload);
         let (reply_tx, reply_rx) = mpsc::channel();
         let items: Vec<BatchItem> = (0..3)
-            .map(|tag| BatchItem {
-                tag,
-                request: EvalRequest::new(CrossLightConfig::paper_best(), Arc::clone(&workload)),
-                trace: None,
-                cancel: None,
-            })
+            .map(|tag| tagged(tag, request.clone(), &reply_tx))
             .collect();
-        let enqueued = service.submit_detached_batch(items, &reply_tx);
+        let enqueued = service.submit_detached_batch(items);
         assert_eq!(enqueued, 0);
         drop(reply_tx);
         let mut tags = Vec::new();
@@ -1164,24 +1052,8 @@ mod tests {
         }
         tags.sort_unstable();
         assert_eq!(tags, [0, 1, 2]);
-        let stats = service.stats();
-        assert_eq!(stats.submitted, 0);
-        assert!(stats.queue_depths.iter().all(|&d| d == 0));
-    }
-
-    #[test]
-    fn detached_submission_to_a_shut_down_pool_is_rejected() {
-        let mut service = EvalService::new(RuntimeOptions::default().with_workers(2));
-        service.shutdown_in_place();
-        let workload =
-            Arc::new(NetworkWorkload::from_spec(&PaperModel::Lenet5SignMnist.spec()).unwrap());
-        let (reply_tx, _reply_rx) = mpsc::channel();
-        let err = service.submit_detached(
-            0,
-            EvalRequest::new(CrossLightConfig::paper_best(), workload),
-            &reply_tx,
-        );
-        assert_eq!(err, Err(RuntimeError::WorkerLost));
+        // The collectors over the same path report the loss as an error.
+        assert_eq!(service.submit(request), Err(RuntimeError::WorkerLost));
         let stats = service.stats();
         assert_eq!(stats.submitted, 0);
         assert!(stats.queue_depths.iter().all(|&d| d == 0));
@@ -1317,16 +1189,19 @@ mod tests {
         let cancelled = CancelToken::new();
         cancelled.cancel();
         assert!(cancelled.is_cancelled());
-        for tag in 0..4 {
-            service
-                .submit_cancellable(tag, request.clone(), &reply_tx, cancelled.clone())
-                .unwrap();
-        }
+        let mut items: Vec<BatchItem> = (0..4)
+            .map(|tag| BatchItem {
+                cancel: Some(cancelled.clone()),
+                ..tagged(tag, request.clone(), &reply_tx)
+            })
+            .collect();
         // A live token evaluates normally.
         let live = CancelToken::new();
-        service
-            .submit_cancellable(99, request.clone(), &reply_tx, live.clone())
-            .unwrap();
+        items.push(BatchItem {
+            cancel: Some(live.clone()),
+            ..tagged(99, request.clone(), &reply_tx)
+        });
+        assert_eq!(service.submit_detached_batch(items), 5);
         drop(reply_tx);
 
         let mut cancelled_seen = 0;

@@ -84,9 +84,9 @@ pub struct EvalResponse {
     pub cache_hit: bool,
     /// Index of the worker that served the request.
     pub worker: usize,
-    /// The sampled phase timeline, present only when the submitter attached
-    /// a trace (see `EvalService::submit_traced`).  Boxed so the untraced
-    /// common case pays one pointer of space.
+    /// The sampled phase timeline, present only when the request carried a
+    /// trace (see `BatchItem::trace`).  Boxed so the untraced common case
+    /// pays one pointer of space.
     pub trace: Option<Box<RequestTrace>>,
 }
 

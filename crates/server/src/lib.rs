@@ -18,11 +18,11 @@
 //!   and an incremental length-limited line scanner, shared by the server
 //!   reactor and the swarm load generator.
 //! * [`server`] — a poll-based reactor: one acceptor, a fixed pool of
-//!   event-loop threads multiplexing all connections, a micro-batcher
-//!   coalescing admitted evals across connections into pool submissions,
-//!   and one responder; bounded admission with explicit `overloaded`
-//!   shedding, a `stats` endpoint exposing [`RuntimeStats`] plus queue
-//!   depths and shed counts, and graceful drain-on-shutdown.
+//!   event-loop threads multiplexing all connections and submitting each
+//!   wake's admitted evals to the pool as one batch, and one responder
+//!   writing the answers back; bounded admission with explicit
+//!   `overloaded` shedding, a `stats` endpoint exposing [`RuntimeStats`]
+//!   plus queue depths and shed counts, and graceful drain-on-shutdown.
 //! * [`loadgen`] — the reference [`Client`], a deterministic seeded
 //!   multi-connection load generator behind `examples/serve.rs`,
 //!   `bench_server` and the stress tests, and a poll-driven connection

@@ -1,5 +1,4 @@
-//! The TCP front-end: a poll-based reactor with cross-connection
-//! micro-batching.
+//! The TCP front-end: a poll-based reactor.
 //!
 //! # Thread model
 //!
@@ -11,16 +10,16 @@
 //! per-connection state machine: an incremental length-limited line
 //! scanner on the read side and a bounded queue of encoded response lines
 //! on the write side.  `ping`/`stats`/error frames are answered inline by
-//! the loop; admitted `eval` frames flow to one **micro-batcher** thread
-//! that coalesces evals *across connections* into
-//! [`EvalService::submit_detached_batch`] windows (flushing at `batch_max`
-//! frames, after `batch_window`, or as soon as every admitted eval in the
-//! server is already in the batch — whichever comes first, so an
-//! unsaturated server adds no latency).  One **responder** thread receives
-//! tagged completions from the pool, encodes them, requeues them on their
-//! owning connection, and releases admission permits.  Thread count is
-//! therefore `4 + event_loops + workers` regardless of how many thousand
-//! connections are open.
+//! the loop.  The `eval` frames a loop admits during one poll wake go to
+//! the pool together, in [`EvalService::submit_detached_batch`] calls of
+//! at most 16: the wake is the batch window, so batching never waits for
+//! company.
+//! Each eval's reply hands its outcome, with its connection, to one
+//! **responder** thread, which encodes it, queues it on that connection,
+//! and releases the admission permit.  A process serving one [`Server`]
+//! therefore runs `3 + event_loops + workers` threads (main, acceptor,
+//! responder, the loops and the pool), however many thousand connections
+//! are open.
 //!
 //! # Load shedding
 //!
@@ -51,8 +50,8 @@ use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::io::{BufRead, IoSlice, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -61,7 +60,7 @@ use crosslight_neural::workload::NetworkWorkload;
 use crosslight_neural::zoo::PaperModel;
 use crosslight_runtime::cache::CacheKey;
 use crosslight_runtime::pool::{BatchItem, CancelToken, EvalService, RuntimeOptions, RuntimeStats};
-use crosslight_runtime::request::{EvalRequest, EvalResponse};
+use crosslight_runtime::request::EvalResponse;
 use crosslight_runtime::RuntimeError;
 use crosslight_telemetry::{
     render_text, Counter, Gauge, Histogram, Phase, Registry, RegistrySnapshot, RequestTrace,
@@ -101,14 +100,6 @@ pub struct ServerOptions {
     /// its sockets, so thousands of connections share a handful of
     /// threads.
     pub event_loops: usize,
-    /// Most admitted evals coalesced into one pool submission (clamped to
-    /// at least 1).  `1` disables micro-batching.
-    pub batch_max: usize,
-    /// Longest an admitted eval may wait for company before its batch is
-    /// flushed anyway.  The batcher also flushes early the moment every
-    /// admitted eval in the server is already in the batch, so a single
-    /// un-pipelined client never waits this long.
-    pub batch_window: Duration,
 }
 
 impl ServerOptions {
@@ -154,28 +145,12 @@ impl ServerOptions {
         self.event_loops = event_loops;
         self
     }
-
-    /// Returns a copy with a different micro-batch size cap
-    /// (`1` disables micro-batching).
-    #[must_use]
-    pub fn with_batch_max(mut self, batch_max: usize) -> Self {
-        self.batch_max = batch_max;
-        self
-    }
-
-    /// Returns a copy with a different micro-batch coalescing window.
-    #[must_use]
-    pub fn with_batch_window(mut self, batch_window: Duration) -> Self {
-        self.batch_window = batch_window;
-        self
-    }
 }
 
 impl Default for ServerOptions {
     /// Default runtime options, 256 admitted evals, 64 KiB lines, 30 s
-    /// write-stall bound, every request traced, half the cores (at most 4)
-    /// as event loops, micro-batches of up to 64 evals coalesced for at
-    /// most 100 µs.
+    /// write-stall bound, every request traced, and half the cores (at
+    /// most 4) as event loops.
     fn default() -> Self {
         let runtime = RuntimeOptions::default();
         let event_loops =
@@ -188,8 +163,6 @@ impl Default for ServerOptions {
             write_timeout: Duration::from_secs(30),
             trace_sample_every: 1,
             event_loops,
-            batch_max: 64,
-            batch_window: Duration::from_micros(100),
         }
     }
 }
@@ -262,9 +235,9 @@ struct ServerTelemetry {
     /// `write_queue_depth` decrement for lines that were queued, so the
     /// gauge returns to zero after every teardown.
     write_dropped: Counter,
-    /// Micro-batches of admitted evals flushed to the evaluation pool.
+    /// Pool submissions: one per event-loop wake that admitted evals.
     batches_total: Counter,
-    /// Admitted evals per flushed micro-batch.
+    /// Admitted evals per pool submission.
     batch_size: Histogram,
     /// Scrape-time mirrors of the admission semaphore.
     admission_in_flight: Gauge,
@@ -359,12 +332,10 @@ impl ServerTelemetry {
             ),
             batches_total: registry.counter(
                 "server_batches_total",
-                "Micro-batches of admitted evals flushed to the evaluation pool.",
+                "Pool submissions, one per event-loop wake that admitted evals.",
             ),
-            batch_size: registry.histogram(
-                "server_batch_size",
-                "Admitted evals per flushed micro-batch.",
-            ),
+            batch_size: registry
+                .histogram("server_batch_size", "Admitted evals per pool submission."),
             admission_in_flight: registry.gauge(
                 "server_admission_in_flight",
                 "Admission permits currently held by in-flight evals.",
@@ -442,17 +413,13 @@ impl ServerTelemetry {
     }
 }
 
-/// A completion handed from the evaluation pool (or the batcher's failure
-/// paths) to the responder, keyed by the server-wide submission tag.
-type Completion = (u64, Result<EvalResponse, RuntimeError>);
-
-/// Where a completion's response line must go: the owning connection and
-/// the client's own request id to echo (tags are server-wide and never
-/// leak onto the wire).
-#[derive(Debug)]
-struct PendingEval {
+/// One eval outcome on its way from the pool to the responder, with the
+/// connection its response line belongs to and the client's own request id
+/// to echo.
+struct Completion {
     conn: Arc<ConnShared>,
     client_id: u64,
+    outcome: Result<EvalResponse, RuntimeError>,
 }
 
 #[derive(Debug)]
@@ -462,13 +429,6 @@ struct Shared {
     admission: Admission,
     telemetry: ServerTelemetry,
     shutting_down: AtomicBool,
-    /// Tag allocator for in-flight evals across all connections.
-    next_tag: AtomicU64,
-    /// Admitted evals sent toward the micro-batcher but not yet drained
-    /// into a batch — the batcher's "anybody else coming?" signal.
-    unbatched: AtomicUsize,
-    /// In-flight evals: tag → owning connection, for the responder.
-    pending: Mutex<HashMap<u64, PendingEval>>,
     /// Prebuilt Table I workloads, indexed as [`PaperModel::all`].
     workloads: [Arc<NetworkWorkload>; 4],
 }
@@ -662,25 +622,34 @@ pub struct Server {
     shared: Arc<Shared>,
     acceptor: Option<JoinHandle<()>>,
     event_loops: Vec<JoinHandle<()>>,
-    batcher: Option<JoinHandle<()>>,
     responder: Option<JoinHandle<()>>,
-    /// The responder's input; dropped during shutdown so the responder can
-    /// observe the last runtime completion and exit.
-    completions_tx: Option<Sender<Completion>>,
     wakers: Arc<Vec<Waker>>,
 }
 
 impl Server {
-    /// Binds the listener and spawns the acceptor, event loops, batcher,
-    /// responder, and evaluation pool.
+    /// Binds the listener and spawns the acceptor, event loops, responder,
+    /// and evaluation pool.
     ///
     /// # Errors
     ///
     /// Propagates socket errors from binding, address resolution, or
-    /// building the event loops' loopback wake channels.
+    /// building the event loops' loopback wake channels.  Every socket is
+    /// made before the first thread is spawned, so an error leaves no
+    /// thread behind.
     pub fn bind(addr: impl ToSocketAddrs, options: ServerOptions) -> std::io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
+        let options = ServerOptions {
+            queue_capacity: options.queue_capacity.max(1),
+            max_line_bytes: options.max_line_bytes.max(1024),
+            event_loops: options.event_loops.max(1),
+            ..options
+        };
+        let (wakers, wake_rxs): (Vec<Waker>, Vec<WakeReceiver>) = (0..options.event_loops)
+            .map(|_| wake_pair())
+            .collect::<std::io::Result<Vec<_>>>()?
+            .into_iter()
+            .unzip();
         let workloads = PaperModel::all().map(|model| {
             Arc::new(
                 NetworkWorkload::from_spec(&model.spec()).expect("the Table I workloads are valid"),
@@ -691,13 +660,6 @@ impl Server {
                 .with_workers(options.workers)
                 .with_cache_shards(options.cache_shards),
         );
-        let options = ServerOptions {
-            queue_capacity: options.queue_capacity.max(1),
-            max_line_bytes: options.max_line_bytes.max(1024),
-            event_loops: options.event_loops.max(1),
-            batch_max: options.batch_max.max(1),
-            ..options
-        };
         let admission = Admission {
             capacity: options.queue_capacity,
             in_flight: AtomicUsize::new(0),
@@ -710,42 +672,28 @@ impl Server {
             admission,
             telemetry,
             shutting_down: AtomicBool::new(false),
-            next_tag: AtomicU64::new(0),
-            unbatched: AtomicUsize::new(0),
-            pending: Mutex::new(HashMap::new()),
             workloads,
         });
         let (completions_tx, completions_rx) = mpsc::channel::<Completion>();
-        let (batch_tx, batch_rx) = mpsc::channel::<BatchRequest>();
-        let mut wakers = Vec::with_capacity(options.event_loops);
         let mut registrations = Vec::with_capacity(options.event_loops);
         let mut event_loops = Vec::with_capacity(options.event_loops);
-        for loop_id in 0..options.event_loops {
-            let (waker, wake_rx) = wake_pair()?;
-            wakers.push(waker);
+        for (loop_id, wake_rx) in wake_rxs.into_iter().enumerate() {
             let (reg_tx, reg_rx) = mpsc::channel::<(u64, TcpStream)>();
             registrations.push(reg_tx);
             let shared = Arc::clone(&shared);
-            let batch_tx = batch_tx.clone();
+            let completions = completions_tx.clone();
             event_loops.push(
                 std::thread::Builder::new()
                     .name(format!("crosslight-server-loop-{loop_id}"))
-                    .spawn(move || event_loop(loop_id, &shared, &reg_rx, &wake_rx, &batch_tx))
+                    .spawn(move || event_loop(loop_id, &shared, &reg_rx, &wake_rx, &completions))
                     .expect("spawning an event-loop thread succeeds"),
             );
         }
-        // The loops hold the only long-lived batch senders: when they exit
-        // at shutdown, the batcher sees the channel close and drains out.
-        drop(batch_tx);
+        // The loops and the replies of in-flight evals hold the only
+        // completion senders: once the loops have exited and the pool has
+        // answered every eval, the responder sees the channel close.
+        drop(completions_tx);
         let wakers = Arc::new(wakers);
-        let batcher = {
-            let shared = Arc::clone(&shared);
-            let reply = completions_tx.clone();
-            std::thread::Builder::new()
-                .name("crosslight-server-batch".to_string())
-                .spawn(move || batch_loop(&shared, &batch_rx, &reply))
-                .expect("spawning the batcher thread succeeds")
-        };
         let responder = {
             let shared = Arc::clone(&shared);
             let wakers = Arc::clone(&wakers);
@@ -767,9 +715,7 @@ impl Server {
             shared,
             acceptor: Some(acceptor),
             event_loops,
-            batcher: Some(batcher),
             responder: Some(responder),
-            completions_tx: Some(completions_tx),
             wakers,
         })
     }
@@ -818,14 +764,8 @@ impl Server {
         for handle in self.event_loops.drain(..) {
             let _ = handle.join();
         }
-        // The loops held the batch senders; the batcher drains and exits.
-        if let Some(handle) = self.batcher.take() {
-            let _ = handle.join();
-        }
         // Late completions of cancelled evals still flow from the pool's
-        // workers; dropping our sender lets the responder observe the last
-        // one and exit.
-        drop(self.completions_tx.take());
+        // workers; the responder exits after delivering the last one.
         if let Some(handle) = self.responder.take() {
             let _ = handle.join();
         }
@@ -1156,29 +1096,23 @@ fn finish_connection(telemetry: &ServerTelemetry, conn: &ConnShared) {
     telemetry.connections_drained.inc();
 }
 
-/// An admitted eval on its way to the micro-batcher.
-struct BatchRequest {
-    tag: u64,
-    request: EvalRequest,
-    trace: Option<Box<RequestTrace>>,
-    cancel: CancelToken,
-}
-
 /// One event-loop thread: multiplexes its share of the connections over
-/// `poll(2)`, running the read-side state machines inline and flushing
-/// write queues as sockets drain.
+/// `poll(2)`, running the read-side state machines inline, submitting each
+/// wake's admitted evals to the pool in batches, and flushing write queues
+/// as sockets drain.
 fn event_loop(
     loop_id: usize,
     shared: &Arc<Shared>,
     registrations: &Receiver<(u64, TcpStream)>,
     wake_rx: &WakeReceiver,
-    batcher: &Sender<BatchRequest>,
+    completions: &Sender<Completion>,
 ) {
     let mut conns: HashMap<u64, Conn> = HashMap::new();
     let mut poll_set = PollSet::new();
     let mut slots: Vec<Option<u64>> = Vec::new();
     let mut to_close: Vec<u64> = Vec::new();
     let mut scratch = vec![0u8; 64 * 1024];
+    let mut admitted: Vec<BatchItem> = Vec::new();
     loop {
         // Adopt connections the acceptor handed over.
         while let Ok((id, stream)) = registrations.try_recv() {
@@ -1287,7 +1221,7 @@ fn event_loop(
                 let _ = try_flush(&shared.telemetry, &conn.link);
             }
             if readiness.readable {
-                if service_read(shared, conn, batcher, &mut scratch) {
+                if service_read(shared, conn, completions, &mut admitted, &mut scratch) {
                     // Flush whatever the burst of inline responses queued
                     // before going back to sleep.
                     let _ = try_flush(&shared.telemetry, &conn.link);
@@ -1298,7 +1232,25 @@ fn event_loop(
                 }
             }
         }
+        submit_admitted(shared, &mut admitted);
     }
+}
+
+/// Most admitted evals one pool submission carries.  A wake that admits
+/// more submits them in slices of this size as it reads, so the workers
+/// start on the first evals while the loop is still decoding the rest.
+const MAX_BATCH: usize = 16;
+
+/// Hands the evals admitted so far to the pool in one submission.
+fn submit_admitted(shared: &Shared, admitted: &mut Vec<BatchItem>) {
+    if admitted.is_empty() {
+        return;
+    }
+    shared.telemetry.batches_total.inc();
+    shared.telemetry.batch_size.record(admitted.len() as u64);
+    shared
+        .service
+        .submit_detached_batch(std::mem::take(admitted));
 }
 
 /// Reads one connection until the socket would block (bounded per tick),
@@ -1308,7 +1260,8 @@ fn event_loop(
 fn service_read(
     shared: &Arc<Shared>,
     conn: &mut Conn,
-    batcher: &Sender<BatchRequest>,
+    completions: &Sender<Completion>,
+    admitted: &mut Vec<BatchItem>,
     scratch: &mut [u8],
 ) -> bool {
     let max_bytes = shared.options.max_line_bytes;
@@ -1342,7 +1295,7 @@ fn service_read(
             ..
         } = conn;
         if !scanner.push(&scratch[..read], max_bytes, |event| {
-            handle_line_event(shared, link, restore, batcher, event)
+            handle_line_event(shared, link, restore, completions, admitted, event)
         }) {
             // The write side tore down mid-burst; stop consuming input and
             // let the sweep reap the connection.
@@ -1354,14 +1307,15 @@ fn service_read(
 
 /// Handles one framing event from a connection's line scanner: the whole
 /// per-op protocol surface.  Inline ops are answered straight onto the
-/// write queue; admitted evals are tagged, registered as pending, and
-/// handed to the micro-batcher.  Returns `false` when the connection died
-/// and scanning should stop.
+/// write queue; admitted evals join the wake's batch in `admitted`, each
+/// with a reply that routes its outcome to the responder.  Returns `false`
+/// when the connection died and scanning should stop.
 fn handle_line_event(
     shared: &Arc<Shared>,
     conn: &Arc<ConnShared>,
     restore: &mut RestoreSession,
-    batcher: &Sender<BatchRequest>,
+    completions: &Sender<Completion>,
+    admitted: &mut Vec<BatchItem>,
     event: ScanEvent,
 ) -> bool {
     let telemetry = &shared.telemetry;
@@ -1610,106 +1564,33 @@ fn handle_line_event(
             if let (Some(trace), Some(start)) = (trace.as_mut(), admission_start) {
                 trace.record_since(Phase::Admission, start);
             }
-            let tag = shared.next_tag.fetch_add(1, Ordering::Relaxed);
-            shared
-                .pending
-                .lock()
-                .expect("pending-eval map lock poisoned")
-                .insert(
-                    tag,
-                    PendingEval {
-                        conn: Arc::clone(conn),
-                        client_id: request.id,
-                    },
-                );
             conn.in_flight.fetch_add(1, Ordering::AcqRel);
-            shared.unbatched.fetch_add(1, Ordering::AcqRel);
             if trace.is_some() {
                 telemetry.traces_sampled.inc();
             }
-            let submitted = batcher.send(BatchRequest {
-                tag,
+            // The reply captures only the connection and the responder's
+            // channel, never `Shared`: `Shared` owns the pool, and a last
+            // `Arc<Shared>` dropped on a worker would make it join itself.
+            let reply_conn = Arc::clone(conn);
+            let completions = completions.clone();
+            let client_id = request.id;
+            admitted.push(BatchItem {
                 request: eval_request,
                 trace,
-                cancel: conn.cancel.clone(),
+                cancel: Some(conn.cancel.clone()),
+                reply: Box::new(move |outcome| {
+                    let _ = completions.send(Completion {
+                        conn: reply_conn,
+                        client_id,
+                        outcome,
+                    });
+                }),
             });
-            if submitted.is_err() {
-                // Only possible while the batcher is tearing down at
-                // shutdown; undo the bookkeeping and answer inline.
-                shared
-                    .pending
-                    .lock()
-                    .expect("pending-eval map lock poisoned")
-                    .remove(&tag);
-                conn.in_flight.fetch_sub(1, Ordering::AcqRel);
-                shared.unbatched.fetch_sub(1, Ordering::AcqRel);
-                shared.admission.release();
-                telemetry.evals_failed.inc();
-                let frame = ErrorFrame::new(ErrorKind::Evaluation, "evaluation pool unavailable");
-                let line = wire::encode_response(&Response::error(Some(request.id), frame));
-                return push_line(telemetry, conn, line, None);
+            if admitted.len() >= MAX_BATCH {
+                submit_admitted(shared, admitted);
             }
             true
         }
-    }
-}
-
-/// The micro-batcher: coalesces admitted evals from every connection into
-/// one [`EvalService::submit_detached_batch`] call per window.  A batch
-/// flushes at `batch_max` evals, when `batch_window` elapses, or — the
-/// adaptive fast path — the moment every eval admitted so far is already
-/// in the batch (`unbatched` is incremented *before* the send to this
-/// thread, so reading it as 0 here proves nobody else is coming and
-/// waiting out the window would be pure added latency).
-fn batch_loop(shared: &Shared, requests: &Receiver<BatchRequest>, reply: &Sender<Completion>) {
-    let batch_max = shared.options.batch_max.max(1);
-    let window = shared.options.batch_window;
-    while let Ok(first) = requests.recv() {
-        shared.unbatched.fetch_sub(1, Ordering::AcqRel);
-        let mut batch = vec![first];
-        let deadline = Instant::now() + window;
-        loop {
-            while batch.len() < batch_max {
-                match requests.try_recv() {
-                    Ok(request) => {
-                        shared.unbatched.fetch_sub(1, Ordering::AcqRel);
-                        batch.push(request);
-                    }
-                    Err(_) => break,
-                }
-            }
-            if batch.len() >= batch_max {
-                break;
-            }
-            if shared.unbatched.load(Ordering::Acquire) == 0 {
-                break;
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                break;
-            }
-            match requests.recv_timeout(deadline - now) {
-                Ok(request) => {
-                    shared.unbatched.fetch_sub(1, Ordering::AcqRel);
-                    batch.push(request);
-                }
-                Err(RecvTimeoutError::Timeout | RecvTimeoutError::Disconnected) => break,
-            }
-        }
-        shared.telemetry.batches_total.inc();
-        shared.telemetry.batch_size.record(batch.len() as u64);
-        let items: Vec<BatchItem> = batch
-            .into_iter()
-            .map(|request| BatchItem {
-                tag: request.tag,
-                request: request.request,
-                trace: request.trace,
-                cancel: Some(request.cancel),
-            })
-            .collect();
-        // Unreachable workers are answered by the pool itself (one
-        // `WorkerLost` completion per item), so every tag still resolves.
-        let _ = shared.service.submit_detached_batch(items, reply);
     }
 }
 
@@ -1730,11 +1611,10 @@ fn respond_loop(shared: &Shared, completions: &Receiver<Completion>, wakers: &[W
     while let Ok(first) = completions.recv() {
         let mut drained = 0usize;
         let mut next = Some(first);
-        while let Some((tag, outcome)) = next {
-            if let Some(conn) = deliver_completion(shared, tag, outcome) {
-                if !touched.iter().any(|seen| Arc::ptr_eq(seen, &conn)) {
-                    touched.push(conn);
-                }
+        while let Some(completion) = next {
+            let conn = deliver_completion(shared, completion);
+            if !touched.iter().any(|seen| Arc::ptr_eq(seen, &conn)) {
+                touched.push(conn);
             }
             drained += 1;
             next = if drained < DRAIN_MAX {
@@ -1768,18 +1648,13 @@ fn respond_loop(shared: &Shared, completions: &Receiver<Completion>, wakers: &[W
 /// (or accounts for a cancelled/failed eval) and releases the admission
 /// permit.  Returns the owning connection so the caller can flush and
 /// re-arm its event loop once per drain.
-fn deliver_completion(
-    shared: &Shared,
-    tag: u64,
-    outcome: Result<EvalResponse, RuntimeError>,
-) -> Option<Arc<ConnShared>> {
+fn deliver_completion(shared: &Shared, completion: Completion) -> Arc<ConnShared> {
     let telemetry = &shared.telemetry;
-    let pending = shared
-        .pending
-        .lock()
-        .expect("pending-eval map lock poisoned")
-        .remove(&tag);
-    let PendingEval { conn, client_id } = pending?;
+    let Completion {
+        conn,
+        client_id,
+        outcome,
+    } = completion;
     match outcome {
         // A cancelled job means this connection already tore down:
         // there is nowhere to send a response, so just release the
@@ -1827,7 +1702,7 @@ fn deliver_completion(
     // evals in flight.
     conn.in_flight.fetch_sub(1, Ordering::AcqRel);
     shared.admission.release();
-    Some(conn)
+    conn
 }
 
 /// Outcome of reading one length-limited line.

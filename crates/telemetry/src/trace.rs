@@ -3,10 +3,10 @@
 //! A [`RequestTrace`] is a small owned timeline: the request's id, a
 //! monotonic origin instant, and one [`Span`] per lifecycle phase recorded
 //! as nanosecond offsets from the origin.  The trace travels *with* the
-//! request — reader thread → runtime queue → worker → responder → writer —
-//! so recording never synchronizes between threads; only the finished trace
-//! is folded into shared histograms and the export ring by whichever thread
-//! finishes it.
+//! request — event loop → runtime queue → worker → responder → the socket
+//! flush (on the responder or the event loop) — so recording never
+//! synchronizes between threads; only the finished trace is folded into
+//! shared histograms and the export ring by whichever thread finishes it.
 //!
 //! [`TraceSampler`] decides cheaply (one relaxed `fetch_add`) which
 //! requests carry a trace; unsampled requests pay nothing else — not even a

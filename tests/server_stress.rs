@@ -768,56 +768,66 @@ fn ten_thousand_connections_on_a_bounded_thread_budget() {
 }
 
 #[test]
-fn micro_batching_is_bit_identical_across_batch_settings() {
+fn pipelined_and_one_at_a_time_evals_are_byte_identical() {
     use std::io::{BufRead as _, BufReader, Write as _};
 
-    // The same pipelined request sequence against a batch-of-one server
-    // and a wide-window batching server must produce byte-for-byte the
-    // same response lines (as a multiset — completion order may differ):
-    // batching is a scheduling optimization, never a semantic one.
+    // The same 48-eval block, pipelined in one write to one fresh server
+    // and sent one request at a time to another, must produce
+    // byte-for-byte the same response lines (as a multiset — completion
+    // order may differ): how the event loop's wakes cut the stream into
+    // pool batches is scheduling, never semantics.
     let specs: Vec<EvalSpec> = (0..48)
         .map(|i| EvalSpec::paper(CrossLightVariant::all()[i % 4], PaperModel::all()[i % 4]))
         .collect();
-    let mut request_block = String::new();
-    for (i, spec) in specs.iter().enumerate() {
-        request_block.push_str(&crosslight::server::wire::encode_request(&Request {
-            id: i as u64,
-            body: RequestBody::Eval(spec.clone()),
-        }));
-        request_block.push('\n');
-    }
+    let lines: Vec<String> = specs
+        .iter()
+        .enumerate()
+        .map(|(i, spec)| {
+            let mut line = crosslight::server::wire::encode_request(&Request {
+                id: i as u64,
+                body: RequestBody::Eval(spec.clone()),
+            });
+            line.push('\n');
+            line
+        })
+        .collect();
 
     let mut transcripts: Vec<Vec<String>> = Vec::new();
-    for (batch_max, window) in [(1usize, 50u64), (64, 300)] {
+    for pipelined in [true, false] {
         let server = Server::bind(
             "127.0.0.1:0",
             ServerOptions::default()
                 .with_workers(2)
-                .with_queue_capacity(1_000)
-                .with_batch_max(batch_max)
-                .with_batch_window(std::time::Duration::from_micros(window)),
+                .with_queue_capacity(1_000),
         )
         .expect("bind loopback server");
         let mut stream = std::net::TcpStream::connect(server.local_addr()).expect("connect raw");
-        stream
-            .write_all(request_block.as_bytes())
-            .expect("pipeline the burst");
-        stream.flush().expect("flush the burst");
-        let mut reader = BufReader::new(stream);
-        let mut lines = Vec::with_capacity(specs.len());
-        for _ in 0..specs.len() {
-            let mut line = String::new();
-            let n = reader.read_line(&mut line).expect("read response line");
-            assert!(n > 0, "server closed before answering the burst");
-            lines.push(line);
+        let mut reader = BufReader::new(stream.try_clone().expect("clone the stream"));
+        let mut read_response = || {
+            let mut response = String::new();
+            let n = reader.read_line(&mut response).expect("read response line");
+            assert!(n > 0, "server closed before answering every request");
+            response
+        };
+        let mut transcript = Vec::with_capacity(lines.len());
+        if pipelined {
+            stream
+                .write_all(lines.concat().as_bytes())
+                .expect("pipeline the block");
+            transcript.extend((0..lines.len()).map(|_| read_response()));
+        } else {
+            for line in &lines {
+                stream.write_all(line.as_bytes()).expect("send one request");
+                transcript.push(read_response());
+            }
         }
-        lines.sort();
-        transcripts.push(lines);
+        transcript.sort();
+        transcripts.push(transcript);
         server.shutdown();
     }
     assert_eq!(
         transcripts[0], transcripts[1],
-        "micro-batching changed response bytes"
+        "pipelining changed response bytes"
     );
 }
 
