@@ -71,10 +71,12 @@ fn main() {
     )
     .expect("bind loopback server");
     let mut direct_client = Client::connect(solo.local_addr()).expect("connect to server");
-    let direct_warm = direct_client
+    let mut direct_warm = direct_client
         .eval_pipelined(&specs, 0)
         .expect("direct warm pass succeeds");
     assert_eq!(direct_warm.len(), specs.len());
+    // Pipelined answers arrive in completion order; index them by id.
+    direct_warm.sort_by_key(|response| response.id);
 
     let direct = measure("server_direct_warm_mix_batch", window_ms, || {
         direct_client

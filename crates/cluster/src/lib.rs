@@ -17,7 +17,8 @@
 //!   and the cluster-wide token [`RetryBudget`] that brakes retry storms.
 //! * [`faultpoint`] — a seeded, deterministic fault-injection harness
 //!   (kill/stall/slow/garble at named points) behind the chaos suite.
-//! * [`router`] — the wire front-end: health-checked failover,
+//! * [`router`] — the wire front-end, serving its clients on the server's
+//!   shared reactor (`crosslight_server::frontend`): health-checked failover,
 //!   per-request deadlines, re-routing of queued and in-flight work off
 //!   dead backends, and explicit retryable `unavailable` shedding when a
 //!   shard has no live replica.  Never a hang, never a silent wrong

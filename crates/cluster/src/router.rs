@@ -2,12 +2,19 @@
 //!
 //! # Thread model
 //!
-//! One **acceptor** owns the client listener.  Each client connection gets
-//! a **reader** (decode, route, answer local ops) and a **writer** (owns
-//! the socket write half behind a bounded channel).  Each backend gets
+//! Clients live on the [`Server`](crosslight_server::server::Server)'s
+//! reactor ([`crosslight_server::frontend`]): one **acceptor** and a fixed
+//! pool of **event loops** (half the cores, clamped to 1..=4) frame each
+//! client's lines, answer local ops and dispatch evals.  Each backend gets
 //! `backend_connections` **exchange workers** pulling from one bounded
-//! per-backend queue, plus one **health prober**.  A single **retry
-//! timer** holds backed-off jobs until they are due.
+//! per-backend queue, plus one **health prober**; one **retry timer**
+//! holds backed-off jobs.  A router therefore runs `1 + event_loops +
+//! backends × backend_connections + backends + 1` threads at any client
+//! count.  Workers, the timer and the shed paths answer through the
+//! client's connection handle under the front-end's flush-then-wake rule,
+//! so they never block on a slow client.  `stats` and `metrics` block on
+//! every backend, so each runs on a short-lived thread that answers
+//! through the same handle and counts in its drain barrier.
 //!
 //! # Bit-identical forwarding
 //!
@@ -47,9 +54,9 @@
 //! delay derived from the observed per-hop p99; the first answer wins
 //! exactly once and the loser is cancelled or discarded, never delivered.
 
-use std::collections::{HashMap, HashSet};
-use std::io::{BufReader, BufWriter, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::collections::HashSet;
+use std::io::{BufReader, Write};
+use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
@@ -59,8 +66,11 @@ use std::time::{Duration, Instant};
 use crosslight_neural::workload::NetworkWorkload;
 use crosslight_neural::zoo::PaperModel;
 use crosslight_runtime::cache::CacheKey;
+use crosslight_server::frontend::{
+    default_event_loops, Bound, Conn, Frontend, FrontendTelemetry, Handler,
+};
 use crosslight_server::loadgen::{Client, ClientOptions};
-use crosslight_server::server::{read_line_limited, LineRead};
+use crosslight_server::poller::{read_line_limited, LineRead};
 use crosslight_server::wire::{
     self, ErrorFrame, ErrorKind, MetricsFormat, MetricsFrame, Request, RequestBody, Response,
     ResponseBody, SnapshotEntry, StatsFrame, WireMetricsSnapshot, WireRuntimeStats,
@@ -296,7 +306,9 @@ enum ShedReason {
 #[derive(Debug)]
 struct ClusterTelemetry {
     registry: Registry,
-    requests_total: Counter,
+    /// The client connections' families (requests, malformed and
+    /// oversized lines, connections, write queues).
+    front: FrontendTelemetry,
     evals_routed: Counter,
     evals_ok: Counter,
     evals_failed: Counter,
@@ -306,11 +318,6 @@ struct ClusterTelemetry {
     shed_attempts: Counter,
     shed_budget: Counter,
     shed_shutdown: Counter,
-    malformed_total: Counter,
-    oversized_total: Counter,
-    connections_accepted: Counter,
-    connections_active: Gauge,
-    connections_drained: Counter,
     retry_budget_tenths: Gauge,
     faults_injected: Counter,
     hop_ns: Histogram,
@@ -341,10 +348,7 @@ impl ClusterTelemetry {
             (0..backends).map(|b| f(&b.to_string())).collect()
         };
         Self {
-            requests_total: registry.counter(
-                "cluster_requests_total",
-                "Request frames received from clients, including malformed ones.",
-            ),
+            front: FrontendTelemetry::register(&registry, "cluster"),
             evals_routed: registry.counter(
                 "cluster_evals_routed_total",
                 "Eval requests accepted for routing to a backend.",
@@ -384,26 +388,6 @@ impl ClusterTelemetry {
                 "cluster_shed_total",
                 shed_help,
                 &[("reason", "shutdown")],
-            ),
-            malformed_total: registry.counter(
-                "cluster_malformed_total",
-                "Lines rejected as invalid JSON, UTF-8, or protocol frames.",
-            ),
-            oversized_total: registry.counter(
-                "cluster_oversized_total",
-                "Lines rejected for exceeding the configured length limit.",
-            ),
-            connections_accepted: registry.counter(
-                "cluster_connections_accepted_total",
-                "Client connections accepted since startup.",
-            ),
-            connections_active: registry.gauge(
-                "cluster_connections_active",
-                "Currently open client connections.",
-            ),
-            connections_drained: registry.counter(
-                "cluster_connections_drained_total",
-                "Client connections that finished and were fully drained.",
             ),
             retry_budget_tenths: registry.gauge(
                 "cluster_retry_budget_tenths",
@@ -523,9 +507,10 @@ impl ClusterTelemetry {
 }
 
 /// One admitted eval in flight through the cluster: the client's raw
-/// line, its routing key, and the reply lane back to the client's writer.
-/// A hedged request is two clones of the same job sharing one `delivered`
-/// cell; whichever resolves first claims the cell and answers.
+/// line, its routing key, and the client's connection.  A hedged request
+/// is two clones of the same job sharing one `delivered` cell; whichever
+/// resolves first claims the cell and answers, which also settles the
+/// connection's in-flight count exactly once.
 #[derive(Debug, Clone)]
 struct ForwardJob {
     id: u64,
@@ -544,7 +529,7 @@ struct ForwardJob {
     hedge: bool,
     /// First-answer-wins cell shared by the primary and its hedge.
     delivered: Arc<AtomicBool>,
-    reply: SyncSender<String>,
+    reply: Arc<Conn>,
 }
 
 impl ForwardJob {
@@ -569,8 +554,8 @@ struct ClusterShared {
     telemetry: ClusterTelemetry,
     budget: RetryBudget,
     shutting_down: AtomicBool,
-    /// Read-half handles of live client connections, for shutdown.
-    connections: Mutex<HashMap<u64, TcpStream>>,
+    /// Running `stats`/`metrics` fan-out threads, joined at shutdown.
+    fan_outs: Mutex<Vec<JoinHandle<()>>>,
     /// Prebuilt Table I workloads, indexed as [`PaperModel::all`].
     workloads: [Arc<NetworkWorkload>; 4],
 }
@@ -621,9 +606,6 @@ pub struct RouterStats {
     pub readmitted: Vec<u64>,
 }
 
-/// Upper bound on encoded response lines queued per client connection.
-const WRITE_QUEUE_LINES: usize = 1024;
-
 /// Poll period of the worker/retry/prober loops when idle; bounds how
 /// long shutdown waits for them to notice the flag.
 const IDLE_POLL: Duration = Duration::from_millis(20);
@@ -654,10 +636,8 @@ const IDLE_POLL: Duration = Duration::from_millis(20);
 /// ```
 #[derive(Debug)]
 pub struct Router {
-    local_addr: SocketAddr,
     shared: Arc<ClusterShared>,
-    acceptor: Option<JoinHandle<()>>,
-    connection_threads: Arc<Mutex<Vec<JoinHandle<()>>>>,
+    frontend: Frontend,
     worker_threads: Vec<JoinHandle<()>>,
     prober_threads: Vec<JoinHandle<()>>,
     retry_thread: Option<JoinHandle<()>>,
@@ -670,7 +650,9 @@ impl Router {
     /// # Errors
     ///
     /// Propagates socket errors; rejects an empty backend list and more
-    /// than [`MAX_BACKENDS`] backends as `InvalidInput`.
+    /// than [`MAX_BACKENDS`] backends as `InvalidInput`.  The listener and
+    /// every event loop's wake channel are made before the first thread is
+    /// spawned, so an error leaves no thread behind.
     pub fn bind(
         addr: impl ToSocketAddrs,
         backends: &[SocketAddr],
@@ -682,8 +664,7 @@ impl Router {
                 format!("backend count must be 1..={MAX_BACKENDS}"),
             ));
         }
-        let listener = TcpListener::bind(addr)?;
-        let local_addr = listener.local_addr()?;
+        let bound = Bound::bind(addr, default_event_loops())?;
         let options = RouterOptions {
             replication: options.replication.clamp(1, backends.len()),
             backend_connections: options.backend_connections.max(1),
@@ -725,7 +706,7 @@ impl Router {
             queues,
             retry_tx: Mutex::new(Some(retry_tx)),
             shutting_down: AtomicBool::new(false),
-            connections: Mutex::new(HashMap::new()),
+            fan_outs: Mutex::new(Vec::new()),
             workloads,
         });
         let mut worker_threads = Vec::new();
@@ -757,20 +738,17 @@ impl Router {
                 .spawn(move || retry_loop(&shared, &retry_rx))
                 .expect("spawning the retry timer succeeds")
         };
-        let connection_threads = Arc::new(Mutex::new(Vec::new()));
-        let acceptor = {
-            let shared = Arc::clone(&shared);
-            let threads = Arc::clone(&connection_threads);
-            std::thread::Builder::new()
-                .name("crosslight-cluster-accept".to_string())
-                .spawn(move || accept_loop(&listener, &shared, &threads))
-                .expect("spawning the acceptor thread succeeds")
-        };
+        let frontend = bound.start(
+            shared.telemetry.front.clone(),
+            shared.options.max_line_bytes,
+            shared.options.write_timeout,
+            // The router samples no phase traces of its own.
+            Box::new(|_| {}),
+            |_| ClientSide(Arc::clone(&shared)),
+        );
         Ok(Self {
-            local_addr,
             shared,
-            acceptor: Some(acceptor),
-            connection_threads,
+            frontend,
             worker_threads,
             prober_threads,
             retry_thread: Some(retry_thread),
@@ -780,7 +758,7 @@ impl Router {
     /// The bound client-facing address (useful with port 0).
     #[must_use]
     pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
+        self.frontend.local_addr()
     }
 
     /// Repoints backend `index` at a new address — the restart path: a
@@ -799,7 +777,7 @@ impl Router {
     pub fn stats(&self) -> RouterStats {
         let telemetry = &self.shared.telemetry;
         RouterStats {
-            requests_total: telemetry.requests_total.get(),
+            requests_total: telemetry.front.requests_total.get(),
             evals_routed: telemetry.evals_routed.get(),
             evals_ok: telemetry.evals_ok.get(),
             evals_failed: telemetry.evals_failed.get(),
@@ -837,32 +815,14 @@ impl Router {
         if self.shared.shutting_down.swap(true, Ordering::SeqCst) {
             return;
         }
-        // Wake and join the acceptor.
-        let _ = TcpStream::connect(self.local_addr);
-        if let Some(handle) = self.acceptor.take() {
-            let _ = handle.join();
-        }
-        // Half-close client reads: readers stop taking input and their
-        // in-flight jobs resolve (answered, failed over, or shed) while
-        // the workers and the retry timer are still running.
-        {
-            let connections = self
-                .shared
-                .connections
-                .lock()
-                .expect("connection registry lock poisoned");
-            for stream in connections.values() {
-                let _ = stream.shutdown(Shutdown::Read);
-            }
-        }
-        let handles: Vec<JoinHandle<()>> = {
-            let mut threads = self
-                .connection_threads
-                .lock()
-                .expect("connection thread registry lock poisoned");
-            threads.drain(..).collect()
-        };
-        for handle in handles {
+        // Stop accepting and half-close client reads: the loops take no
+        // more input and close each connection once its in-flight jobs and
+        // fan-outs resolved (answered, failed over, or shed) — the
+        // workers and the retry timer are still running.
+        self.frontend.shutdown();
+        let fan_outs =
+            std::mem::take(&mut *self.shared.fan_outs.lock().expect("fan-out list lock"));
+        for handle in fan_outs {
             let _ = handle.join();
         }
         // No unresolved job exists now; retire the retry timer, then the
@@ -958,7 +918,9 @@ fn schedule_retry(shared: &Arc<ClusterShared>, mut job: ForwardJob) {
         Some(Err(mpsc::SendError((_, job)))) => {
             shed(shared, &job, ShedReason::Shutdown, "router is draining");
         }
-        None => { /* unreachable: the lane is only taken after jobs resolve */ }
+        // The lane is taken only after every live client connection
+        // drained: a job still routing belongs to a torn-down one.
+        None => {}
     }
 }
 
@@ -1041,7 +1003,7 @@ fn exhaust(
                 return;
             }
             shared.telemetry.evals_failed.inc();
-            let _ = job.reply.send(line);
+            job.reply.answer(line);
         }
         None => {
             let reason_name = match reason {
@@ -1078,7 +1040,7 @@ fn shed(shared: &Arc<ClusterShared>, job: &ForwardJob, reason: ShedReason, detai
     counter.inc();
     shared.telemetry.evals_failed.inc();
     let response = Response::error(Some(job.id), ErrorFrame::new(kind, detail));
-    let _ = job.reply.send(wire::encode_response(&response));
+    job.reply.answer(wire::encode_response(&response));
 }
 
 // ---------------------------------------------------------------------------
@@ -1200,7 +1162,7 @@ fn process_job(
                     shared.telemetry.hedges_won.inc();
                 }
                 shared.telemetry.evals_ok.inc();
-                let _ = job.reply.send(line);
+                job.reply.answer(line);
             } else {
                 // The other copy answered first; this exchange's work is
                 // sunk cost (the backend bookkeeping above still counts).
@@ -1683,166 +1645,35 @@ fn push_warm_state(
 // Client connections
 // ---------------------------------------------------------------------------
 
-fn accept_loop(
-    listener: &TcpListener,
-    shared: &Arc<ClusterShared>,
-    threads: &Arc<Mutex<Vec<JoinHandle<()>>>>,
-) {
-    let mut next_id: u64 = 0;
-    for stream in listener.incoming() {
-        if shared.shutting_down.load(Ordering::SeqCst) {
-            return;
-        }
-        let Ok(stream) = stream else { continue };
-        let _ = stream.set_nodelay(true);
-        let _ = stream.set_write_timeout(Some(shared.options.write_timeout));
-        // Reap finished connection handles so long-lived routers do not
-        // accumulate one dead JoinHandle per historical connection.
-        threads
-            .lock()
-            .expect("connection thread registry lock poisoned")
-            .retain(|handle| !handle.is_finished());
-        let connection_id = next_id;
-        next_id += 1;
-        shared.telemetry.connections_accepted.inc();
-        shared.telemetry.connections_active.add(1);
-        if let Ok(read_half) = stream.try_clone() {
-            shared
-                .connections
-                .lock()
-                .expect("connection registry lock poisoned")
-                .insert(connection_id, read_half);
-        }
-        let shared = Arc::clone(shared);
-        let handle = std::thread::Builder::new()
-            .name(format!("crosslight-cluster-conn-{connection_id}"))
-            .spawn(move || {
-                handle_client(connection_id, stream, &shared);
-                shared
-                    .connections
-                    .lock()
-                    .expect("connection registry lock poisoned")
-                    .remove(&connection_id);
-                shared.telemetry.connections_active.sub(1);
-                shared.telemetry.connections_drained.inc();
-            })
-            .expect("spawning a client connection thread succeeds");
-        threads
-            .lock()
-            .expect("connection thread registry lock poisoned")
-            .push(handle);
-    }
-}
+/// The router's client side as one event loop runs it: decode, route,
+/// answer local ops.
+#[derive(Debug)]
+struct ClientSide(Arc<ClusterShared>);
 
-fn handle_client(connection_id: u64, stream: TcpStream, shared: &Arc<ClusterShared>) {
-    let write_half = match stream.try_clone() {
-        Ok(clone) => clone,
-        Err(_) => return,
-    };
-    let (line_tx, line_rx) = mpsc::sync_channel::<String>(WRITE_QUEUE_LINES);
-    let writer = std::thread::Builder::new()
-        .name(format!("crosslight-cluster-conn-{connection_id}-write"))
-        .spawn(move || client_write_loop(write_half, &line_rx))
-        .expect("spawning a client writer succeeds");
-    client_read_loop(shared, &stream, &line_tx);
-    // EOF or shutdown: drop our sender; the writer exits once every
-    // in-flight job has resolved and dropped its clone — the drain.
-    drop(line_tx);
-    let _ = writer.join();
-    let _ = stream.shutdown(Shutdown::Both);
-}
+impl Handler for ClientSide {
+    type State = ();
 
-fn client_write_loop(stream: TcpStream, lines: &Receiver<String>) {
-    let mut writer = BufWriter::new(stream);
-    'pump: while let Ok(line) = lines.recv() {
-        if writer.write_all(line.as_bytes()).is_err() || writer.write_all(b"\n").is_err() {
-            break 'pump;
-        }
-        while let Ok(more) = lines.try_recv() {
-            if writer.write_all(more.as_bytes()).is_err() || writer.write_all(b"\n").is_err() {
-                break 'pump;
-            }
-        }
-        if writer.flush().is_err() {
-            break 'pump;
-        }
-    }
-    // Clean drain or socket failure: either way tear the connection down
-    // so the reader unblocks; pending reply sends fail harmlessly.
-    let _ = writer.get_ref().shutdown(Shutdown::Both);
-}
-
-/// Sends one locally produced response line to the client's writer.
-/// Returns `false` when the writer is gone (the connection is dead).
-fn answer(lines: &SyncSender<String>, response: &Response) -> bool {
-    lines.send(wire::encode_response(response)).is_ok()
-}
-
-fn client_read_loop(shared: &Arc<ClusterShared>, stream: &TcpStream, lines: &SyncSender<String>) {
-    let mut reader = BufReader::new(match stream.try_clone() {
-        Ok(clone) => clone,
-        Err(_) => return,
-    });
-    let max_bytes = shared.options.max_line_bytes;
-    let telemetry = &shared.telemetry;
-    loop {
-        let line = match read_line_limited(&mut reader, max_bytes) {
-            LineRead::Line(line) => line,
-            LineRead::Oversized => {
-                telemetry.requests_total.inc();
-                telemetry.oversized_total.inc();
-                let frame = ErrorFrame::new(
-                    ErrorKind::Oversized,
-                    format!("line exceeds {max_bytes} bytes"),
-                );
-                if !answer(lines, &Response::error(None, frame)) {
-                    return;
-                }
-                continue;
-            }
-            LineRead::InvalidUtf8 => {
-                telemetry.requests_total.inc();
-                telemetry.malformed_total.inc();
-                let frame = ErrorFrame::new(ErrorKind::Malformed, "line is not valid UTF-8");
-                if !answer(lines, &Response::error(None, frame)) {
-                    return;
-                }
-                continue;
-            }
-            LineRead::Eof | LineRead::Error => return,
-        };
-        if line.trim().is_empty() {
-            continue;
-        }
-        telemetry.requests_total.inc();
+    fn on_line(&mut self, conn: &Arc<Conn>, (): &mut (), line: String) -> bool {
+        let shared = &self.0;
         let request = match wire::decode_request(&line) {
             Ok(request) => request,
             Err(frame) => {
-                telemetry.malformed_total.inc();
+                shared.telemetry.front.malformed_total.inc();
                 let id = wire::peek_id(&line);
-                if !answer(lines, &Response::error(id, frame)) {
-                    return;
-                }
-                continue;
+                return conn.push(wire::encode_response(&Response::error(id, frame)));
             }
         };
+        let id = request.id;
+        let local = |frame| conn.push(wire::encode_response(&Response::error(Some(id), frame)));
         match request.body {
-            RequestBody::Ping => {
-                let pong = Response {
-                    id: Some(request.id),
-                    body: ResponseBody::Pong,
-                };
-                if !answer(lines, &pong) {
-                    return;
-                }
-            }
+            RequestBody::Ping => conn.push(wire::encode_response(&Response {
+                id: Some(id),
+                body: ResponseBody::Pong,
+            })),
             RequestBody::Stats => {
-                let response = aggregate_stats(shared, request.id);
-                if !answer(lines, &response) {
-                    return;
-                }
+                fan_out(shared, conn, id, move |shared| aggregate_stats(shared, id))
             }
-            RequestBody::Metrics { format } => {
+            RequestBody::Metrics { format } => fan_out(shared, conn, id, move |shared| {
                 let frame = match format {
                     MetricsFormat::Json => {
                         MetricsFrame::Snapshot(WireMetricsSnapshot::from(&cluster_scrape(shared)))
@@ -1852,49 +1683,40 @@ fn client_read_loop(shared: &Arc<ClusterShared>, stream: &TcpStream, lines: &Syn
                     // on the backends' own metrics endpoints.
                     MetricsFormat::Spans => MetricsFrame::Spans(Vec::new()),
                 };
-                let response = Response {
-                    id: Some(request.id),
+                Response {
+                    id: Some(id),
                     body: ResponseBody::Metrics(frame),
-                };
-                if !answer(lines, &response) {
-                    return;
                 }
-            }
+            }),
             // The router holds no caches of its own: warm state lives on the
             // backends, and the router moves it between them during handoff.
             // Clients wanting a snapshot talk to a backend directly.
             RequestBody::Snapshot { .. } | RequestBody::Restore(_) | RequestBody::RestoreEnd(_) => {
-                let frame = ErrorFrame::new(
+                local(ErrorFrame::new(
                     ErrorKind::Unsupported,
                     "snapshot/restore are backend ops; the router holds no cache state",
-                );
-                if !answer(lines, &Response::error(Some(request.id), frame)) {
-                    return;
-                }
+                ))
             }
             RequestBody::Eval(spec) => {
                 if shared.shutting_down.load(Ordering::SeqCst) {
-                    let frame = ErrorFrame::new(ErrorKind::ShuttingDown, "router is draining");
-                    if !answer(lines, &Response::error(Some(request.id), frame)) {
-                        return;
-                    }
-                    continue;
+                    return local(ErrorFrame::new(
+                        ErrorKind::ShuttingDown,
+                        "router is draining",
+                    ));
                 }
                 // Decode once for validation and the routing key; the raw
                 // line is what travels to the backend.
-                let eval_request = match spec.to_eval_request(request.id, &shared.workloads) {
+                let eval_request = match spec.to_eval_request(id, &shared.workloads) {
                     Ok(eval_request) => eval_request,
                     Err(frame) => {
-                        telemetry.evals_failed.inc();
-                        if !answer(lines, &Response::error(Some(request.id), frame)) {
-                            return;
-                        }
-                        continue;
+                        shared.telemetry.evals_failed.inc();
+                        return local(frame);
                     }
                 };
-                telemetry.evals_routed.inc();
+                shared.telemetry.evals_routed.inc();
+                conn.begin();
                 let job = ForwardJob {
-                    id: request.id,
+                    id,
                     line: Arc::new(line),
                     fingerprint: eval_request.key().fingerprint(),
                     attempts: 0,
@@ -1902,16 +1724,44 @@ fn client_read_loop(shared: &Arc<ClusterShared>, stream: &TcpStream, lines: &Syn
                     deadline: Instant::now() + shared.options.request_deadline,
                     hedge: false,
                     delivered: Arc::new(AtomicBool::new(false)),
-                    reply: lines.clone(),
+                    reply: Arc::clone(conn),
                 };
                 let hedge = hedge_copy(shared, &job);
                 dispatch(shared, job);
                 if let Some(copy) = hedge {
                     park_hedge(shared, copy);
                 }
+                true
             }
         }
     }
+}
+
+/// Answers a request whose response needs blocking calls to every backend
+/// (`stats`, `metrics`) on a short-lived thread, so a slow or silent
+/// backend never stalls an event loop.  The thread counts in the
+/// connection's drain barrier, and shutdown joins it.
+fn fan_out(
+    shared: &Arc<ClusterShared>,
+    conn: &Arc<Conn>,
+    id: u64,
+    respond: impl FnOnce(&ClusterShared) -> Response + Send + 'static,
+) -> bool {
+    conn.begin();
+    let (owner, reply) = (Arc::clone(shared), Arc::clone(conn));
+    let spawned = std::thread::Builder::new()
+        .name("crosslight-cluster-fanout".to_string())
+        .spawn(move || reply.answer(wire::encode_response(&respond(&owner))));
+    let mut fan_outs = shared.fan_outs.lock().expect("fan-out list lock");
+    fan_outs.retain(|handle| !handle.is_finished());
+    match spawned {
+        Ok(handle) => fan_outs.push(handle),
+        Err(err) => conn.answer(wire::encode_response(&Response::error(
+            Some(id),
+            ErrorFrame::new(ErrorKind::Unavailable, format!("fan-out thread: {err}")),
+        ))),
+    }
+    true
 }
 
 // ---------------------------------------------------------------------------
@@ -1922,7 +1772,7 @@ fn client_read_loop(shared: &Arc<ClusterShared>, stream: &TcpStream, lines: &Syn
 /// with the `server_*`/`runtime_*` families of every healthy backend,
 /// summed across backends (counters/gauges add, histograms merge).  With
 /// no backend reachable the router's own families still answer.
-fn cluster_scrape(shared: &Arc<ClusterShared>) -> RegistrySnapshot {
+fn cluster_scrape(shared: &ClusterShared) -> RegistrySnapshot {
     let own = shared.metrics_snapshot();
     let parts: Vec<RegistrySnapshot> = shared
         .backends
@@ -1959,7 +1809,7 @@ fn metrics_from(addr: SocketAddr, timeout: Duration) -> Option<RegistrySnapshot>
 /// timeout each) and sums the answers; per-worker vectors concatenate in
 /// backend order.  With zero reachable backends the op itself degrades
 /// to `unavailable`.
-fn aggregate_stats(shared: &Arc<ClusterShared>, id: u64) -> Response {
+fn aggregate_stats(shared: &ClusterShared, id: u64) -> Response {
     let mut merged: Option<StatsFrame> = None;
     for backend in &shared.backends {
         let Some(frame) = stats_from(backend.addr(), shared.options.health_timeout) else {

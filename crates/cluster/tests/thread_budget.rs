@@ -1,0 +1,195 @@
+//! Exact thread accounting of one `Router`, read from `/proc`.
+//!
+//! This binary runs no other router, so every `crosslight-cluster-*`
+//! thread it sees belongs to the router under test; its backends' threads
+//! carry the `crosslight-server-*` and `crosslight-runtime-*` prefixes.
+//! The descriptor-exhaustion case runs in a child process (this same
+//! binary, re-executed) so that its lowered open-file limit cannot starve
+//! the other test.
+
+#![cfg(target_os = "linux")]
+
+use std::net::SocketAddr;
+use std::time::{Duration, Instant};
+
+use crosslight_cluster::router::{Router, RouterOptions};
+use crosslight_core::variants::CrossLightVariant;
+use crosslight_neural::zoo::PaperModel;
+use crosslight_server::frontend::default_event_loops;
+use crosslight_server::loadgen::{Client, ClientOptions};
+use crosslight_server::server::{Server, ServerOptions};
+use crosslight_server::wire::{EvalSpec, ResponseBody};
+
+/// `errno` for "too many open files".
+const EMFILE: i32 = 24;
+
+/// The `comm` names of this process's threads that start with `prefix`,
+/// sorted.  The kernel truncates names to 15 bytes, so every router
+/// thread reads `crosslight-clus`.
+fn threads_named(prefix: &str) -> Vec<String> {
+    let mut names = Vec::new();
+    for task in std::fs::read_dir("/proc/self/task").expect("list /proc/self/task") {
+        let Ok(task) = task else { continue };
+        // A thread may exit between the listing and this read.
+        if let Ok(comm) = std::fs::read_to_string(task.path().join("comm")) {
+            let comm = comm.trim_end();
+            if comm.starts_with(prefix) {
+                names.push(comm.to_string());
+            }
+        }
+    }
+    names.sort();
+    names
+}
+
+/// [`threads_named`] once it lists `count` threads, or after ten seconds:
+/// a thread takes its name when it starts running, and leaves `/proc` a
+/// moment after `join` returns.
+fn threads_settled_at(prefix: &str, count: usize) -> Vec<String> {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let names = threads_named(prefix);
+        if names.len() == count || Instant::now() >= deadline {
+            return names;
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    }
+}
+
+fn connect_and_eval(addr: SocketAddr, id: u64) -> Client {
+    let mut client =
+        Client::connect_with(addr, ClientOptions::with_deadline(Duration::from_secs(60)))
+            .expect("connect to the router");
+    let spec = EvalSpec::paper(CrossLightVariant::OptTed, PaperModel::Lenet5SignMnist);
+    let response = client.eval(id, &spec).expect("eval answered");
+    assert!(
+        matches!(response.body, ResponseBody::Eval(_)),
+        "{response:?}"
+    );
+    client
+}
+
+#[test]
+fn a_router_runs_exactly_acceptor_loops_exchange_workers_probers_and_retry_timer() {
+    let backends: Vec<Server> = (0..2)
+        .map(|_| {
+            Server::bind(
+                "127.0.0.1:0",
+                ServerOptions::default().with_workers(1).with_event_loops(1),
+            )
+            .expect("bind a loopback backend")
+        })
+        .collect();
+    let addrs: Vec<SocketAddr> = backends.iter().map(Server::local_addr).collect();
+    let backend_connections = 3;
+    let router = Router::bind(
+        "127.0.0.1:0",
+        &addrs,
+        RouterOptions::default().with_backend_connections(backend_connections),
+    )
+    .expect("bind router");
+    // Acceptor, event loops, exchange workers, probers and retry timer.
+    let expected = 1 + default_event_loops() + addrs.len() * backend_connections + addrs.len() + 1;
+
+    let first = connect_and_eval(router.local_addr(), 0);
+    let names = threads_settled_at("crosslight-clus", expected);
+    assert_eq!(names.len(), expected, "unexpected thread set: {names:?}");
+
+    // Fifty more clients, all connected at once, add no thread.
+    let more: Vec<Client> = (1..=50)
+        .map(|id| connect_and_eval(router.local_addr(), id))
+        .collect();
+    let names = threads_named("crosslight-clus");
+    assert_eq!(
+        names.len(),
+        expected,
+        "threads grew with the client count: {names:?}"
+    );
+
+    drop((first, more));
+    router.shutdown();
+    let left = threads_settled_at("crosslight-clus", 0);
+    assert!(left.is_empty(), "threads outlived shutdown: {left:?}");
+    for backend in backends {
+        backend.shutdown();
+    }
+}
+
+/// Child half of `a_failed_router_bind_leaves_no_thread_behind`: a no-op
+/// pass unless `CROSSLIGHT_ROUTER_BIND_FAILURE_CHILD` is set.  It fills its
+/// descriptor table, frees enough for the listener and every event loop's
+/// wake pair but the last, binds a router, and prints
+/// `BIND_FAILURE_RESULT bound=<bool> threads=<n>`.
+#[test]
+fn router_bind_failure_child() {
+    if std::env::var_os("CROSSLIGHT_ROUTER_BIND_FAILURE_CHILD").is_none() {
+        return;
+    }
+    // Lower the soft limit so filling the table stays cheap.
+    let mut limit = libc::rlimit::default();
+    // SAFETY: `limit` is a live, writable `struct rlimit` for the call.
+    assert_eq!(
+        unsafe { libc::getrlimit(libc::RLIMIT_NOFILE, &mut limit) },
+        0
+    );
+    limit.rlim_cur = limit.rlim_max.min(64);
+    // SAFETY: `limit` is a live `struct rlimit`, only read by the call.
+    assert_eq!(unsafe { libc::setrlimit(libc::RLIMIT_NOFILE, &limit) }, 0);
+    let mut fillers = Vec::new();
+    loop {
+        match std::fs::File::open("/dev/null") {
+            Ok(file) => fillers.push(file),
+            Err(err) if err.raw_os_error() == Some(EMFILE) => break,
+            Err(err) => panic!("unexpected open failure: {err}"),
+        }
+        assert!(fillers.len() <= 64, "the lowered limit did not apply");
+    }
+    // The listener takes one descriptor; a wake pair briefly holds three
+    // (its own listener and both socket ends) and keeps two.  So every
+    // loop's pair but the last fits, and the last is one descriptor short.
+    fillers.truncate(fillers.len() - (1 + 2 * (default_event_loops() - 1) + 2));
+
+    // Binding dials no backend, so any address will do.
+    let backend: SocketAddr = "127.0.0.1:9".parse().expect("backend address");
+    let outcome = Router::bind("127.0.0.1:0", &[backend], RouterOptions::default());
+    // Listing /proc needs descriptors again.
+    drop(fillers);
+    let threads = threads_settled_at("crosslight-", 0);
+    println!(
+        "BIND_FAILURE_RESULT bound={} threads={}",
+        outcome.is_ok(),
+        threads.len()
+    );
+}
+
+#[test]
+fn a_failed_router_bind_leaves_no_thread_behind() {
+    let exe = std::env::current_exe().expect("locate test binary");
+    let output = std::process::Command::new(exe)
+        .args([
+            "router_bind_failure_child",
+            "--exact",
+            "--nocapture",
+            "--test-threads=1",
+        ])
+        .env("CROSSLIGHT_ROUTER_BIND_FAILURE_CHILD", "1")
+        .output()
+        .expect("run the bind-failure child");
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    assert!(
+        output.status.success(),
+        "child failed: {stdout}{}",
+        String::from_utf8_lossy(&output.stderr)
+    );
+    // libtest prints its own progress without a newline, so the marker
+    // may land mid-line.
+    const MARKER: &str = "BIND_FAILURE_RESULT ";
+    let result = stdout
+        .lines()
+        .find_map(|line| line.find(MARKER).map(|at| line[at + MARKER.len()..].trim()))
+        .unwrap_or_else(|| panic!("child printed no result: {stdout}"));
+    assert_eq!(
+        result, "bound=false threads=0",
+        "a router bind that fails on its last wake pair must leave no thread behind"
+    );
+}

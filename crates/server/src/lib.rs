@@ -15,14 +15,19 @@
 //!   report encoding, proven bit-identical to in-process evaluation.
 //! * [`poller`] — readiness primitives over `poll(2)` (via the offline
 //!   `libc` compat shim): a reusable poll set, a loopback wake channel,
-//!   and an incremental length-limited line scanner, shared by the server
-//!   reactor and the swarm load generator.
-//! * [`server`] — a poll-based reactor: one acceptor, a fixed pool of
-//!   event-loop threads multiplexing all connections and submitting each
-//!   wake's admitted evals to the pool as one batch, and one responder
-//!   writing the answers back; bounded admission with explicit
-//!   `overloaded` shedding, a `stats` endpoint exposing [`RuntimeStats`]
-//!   plus queue depths and shed counts, and graceful drain-on-shutdown.
+//!   and an incremental length-limited line scanner, shared by the
+//!   front-end reactor and the swarm load generator, plus its blocking
+//!   twin for peers that read one answer at a time.
+//! * [`frontend`] — the connection machinery every JSON-lines front-end
+//!   shares (this crate's server and the cluster router): one acceptor, a
+//!   fixed pool of event-loop threads multiplexing all connections, line
+//!   framing, bounded write queues with back-pressure, and the drain
+//!   barrier; the protocol plugs in as a [`Handler`].
+//! * [`server`] — the evaluation protocol on that front-end: each wake's
+//!   admitted evals go to the pool as one batch and one responder writes
+//!   the answers back; bounded admission with explicit `overloaded`
+//!   shedding, a `stats` endpoint exposing [`RuntimeStats`] plus queue
+//!   depths and shed counts, and graceful drain-on-shutdown.
 //! * [`loadgen`] — the reference [`Client`], a deterministic seeded
 //!   multi-connection load generator behind `examples/serve.rs`,
 //!   `bench_server` and the stress tests, and a poll-driven connection
@@ -35,10 +40,12 @@
 //! [`RuntimeStats`]: crosslight_runtime::RuntimeStats
 //! [`ErrorKind`]: wire::ErrorKind
 //! [`Client`]: loadgen::Client
+//! [`Handler`]: frontend::Handler
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+pub mod frontend;
 pub mod json;
 pub mod loadgen;
 pub mod poller;

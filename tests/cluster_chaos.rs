@@ -743,3 +743,166 @@ fn mid_frame_client_disconnects_leave_the_router_clean() {
     router.shutdown();
     backend.shutdown();
 }
+
+#[test]
+fn a_client_that_never_reads_cannot_stall_another_clients_evals() {
+    // Two one-worker backends, both warm for the one spec every client
+    // sends.
+    let spec = mixed_sweep(1).remove(0);
+    let backends: Vec<Server> = (0..2)
+        .map(|_| {
+            Server::bind(
+                "127.0.0.1:0",
+                ServerOptions::default()
+                    .with_workers(1)
+                    .with_trace_sampling(0),
+            )
+            .expect("bind a loopback backend")
+        })
+        .collect();
+    for backend in &backends {
+        let mut client = Client::connect_with(
+            backend.local_addr(),
+            ClientOptions::with_deadline(Duration::from_secs(60)),
+        )
+        .expect("connect to backend");
+        let warm = client.eval(0, &spec).expect("warm-up eval");
+        assert!(matches!(warm.body, ResponseBody::Eval(_)), "{warm:?}");
+    }
+    let addrs: Vec<SocketAddr> = backends.iter().map(Server::local_addr).collect();
+    let router =
+        Router::bind("127.0.0.1:0", &addrs, RouterOptions::default()).expect("bind router");
+
+    // Client A pipelines 20 000 evals and never reads an answer.  Its
+    // write blocks once the router stops reading it, so it runs on its own
+    // thread until the socket is shut down under it.
+    let flood = TcpStream::connect(router.local_addr()).expect("connect client A");
+    let writer = {
+        let mut stream = flood.try_clone().expect("clone client A's socket");
+        let mut lines = String::new();
+        for id in 0..20_000 {
+            lines.push_str(&wire::encode_request(&Request {
+                id,
+                body: RequestBody::Eval(spec.clone()),
+            }));
+            lines.push('\n');
+        }
+        std::thread::spawn(move || {
+            let _ = stream.write_all(lines.as_bytes());
+        })
+    };
+    // The router has answered a whole write queue's worth of A's evals, so
+    // A's backlog is in place before B starts.
+    wait_for("client A's answer backlog", Duration::from_secs(60), || {
+        router.stats().evals_ok >= 1_024
+    });
+
+    // Client B's sequential evals of the same spec are each answered
+    // within a one-second deadline, however far behind A falls.
+    let mut client_b = Client::connect_with(
+        router.local_addr(),
+        ClientOptions::with_deadline(Duration::from_secs(1)),
+    )
+    .expect("connect client B");
+    let started = Instant::now();
+    let mut answered = 0u64;
+    while started.elapsed() < Duration::from_secs(2) {
+        let id = 1_000_000 + answered;
+        let response = client_b
+            .eval(id, &spec)
+            .unwrap_or_else(|err| panic!("client B's eval {id} missed its deadline: {err}"));
+        assert_eq!(response.id, Some(id));
+        assert!(
+            matches!(response.body, ResponseBody::Eval(_)),
+            "{response:?}"
+        );
+        answered += 1;
+    }
+    assert!(answered > 0);
+
+    // Tearing A down moves its unread answers to the dropped count and
+    // brings the write-queue gauge back to zero.
+    flood
+        .shutdown(std::net::Shutdown::Both)
+        .expect("shut client A down");
+    writer.join().expect("client A's writer exits");
+    drop(flood);
+    wait_for("client A's teardown", Duration::from_secs(60), || {
+        let scrape = WireMetricsSnapshot::from(&router.metrics_snapshot());
+        family_total(&scrape, "cluster_connections_active") == 1
+            && family_total(&scrape, "cluster_write_queue_depth") == 0
+            && family_total(&scrape, "cluster_write_dropped_total") > 0
+    });
+
+    drop(client_b);
+    router.shutdown();
+    for backend in backends {
+        backend.shutdown();
+    }
+}
+
+#[test]
+fn a_stats_fan_out_waiting_on_a_silent_backend_never_stalls_a_ping() {
+    let backend = bind_backend();
+    // The kernel completes handshakes into this listener's backlog, but
+    // nothing ever reads a request or answers one.
+    let silent = TcpListener::bind("127.0.0.1:0").expect("bind the silent backend");
+    let health_timeout = Duration::from_secs(1);
+    let router = Router::bind(
+        "127.0.0.1:0",
+        &[
+            backend.local_addr(),
+            silent.local_addr().expect("silent backend address"),
+        ],
+        RouterOptions::default().with_health(
+            Duration::from_millis(50),
+            health_timeout,
+            Duration::from_millis(250),
+        ),
+    )
+    .expect("bind router");
+    let deadline = ClientOptions::with_deadline(Duration::from_secs(30));
+    let mut stats_client = Client::connect_with(router.local_addr(), deadline).expect("connect");
+    let mut ping_client = Client::connect_with(router.local_addr(), deadline).expect("connect");
+
+    stats_client
+        .send(&Request {
+            id: 1,
+            body: RequestBody::Stats,
+        })
+        .expect("send stats");
+    stats_client.flush().expect("flush stats");
+    let stats_sent = Instant::now();
+    wait_for(
+        "the router to take the stats request",
+        Duration::from_secs(10),
+        || router.stats().requests_total >= 1,
+    );
+
+    // The stats fan-out now waits out the silent backend's health timeout;
+    // the loop it came in on still answers a ping at once.
+    let ping_sent = Instant::now();
+    let pong = ping_client
+        .call(&Request {
+            id: 2,
+            body: RequestBody::Ping,
+        })
+        .expect("ping answered");
+    let ping_latency = ping_sent.elapsed();
+    assert_eq!(pong.id, Some(2));
+    assert!(matches!(pong.body, ResponseBody::Pong), "{pong:?}");
+    assert!(
+        ping_latency < Duration::from_millis(100),
+        "a ping took {ping_latency:?} behind a stats fan-out"
+    );
+
+    // And the stats answer still arrives, from the live backend, once the
+    // silent one timed out.
+    let stats = stats_client.recv().expect("stats answered");
+    assert!(stats_sent.elapsed() >= health_timeout);
+    assert_eq!(stats.id, Some(1));
+    assert!(matches!(stats.body, ResponseBody::Stats(_)), "{stats:?}");
+
+    router.shutdown();
+    backend.shutdown();
+}

@@ -5,6 +5,7 @@
 
 use std::collections::HashMap;
 
+use crosslight::cluster::{Router, RouterOptions};
 use crosslight::core::simulator::{CrossLightSimulator, SimulationReport};
 use crosslight::core::variants::CrossLightVariant;
 use crosslight::neural::workload::NetworkWorkload;
@@ -584,12 +585,12 @@ fn shutdown_closes_idle_connections_and_new_connects_fail() {
     assert!(Client::connect(addr).is_err());
 }
 
-/// Driver half of `ten_thousand_connections_on_a_bounded_thread_budget`:
-/// when run directly (no env), this is a no-op pass.  The parent test
-/// re-executes the test binary with `--exact swarm_child` and the
+/// Child half of the swarm harness (see [`drive_swarm`]): when run
+/// directly (no env), this is a no-op pass.  The parent test re-executes
+/// the test binary with `--exact swarm_child` and the
 /// `CROSSLIGHT_SWARM_CHILD_ADDR` env set, so the connection swarm lives in
 /// its own process with its own file-descriptor budget, and the parent can
-/// assert the *server* process's thread count in isolation.
+/// assert the serving process's thread count in isolation.
 ///
 /// Protocol on stdio: child prints `SWARM_CONNECTED <n>`, blocks until the
 /// parent writes a `GO` line, runs one eval per connection, prints
@@ -630,36 +631,35 @@ fn swarm_child() {
     stdout.flush().expect("flush run report");
 }
 
-#[test]
-fn ten_thousand_connections_on_a_bounded_thread_budget() {
-    use std::io::{BufRead as _, Write as _};
+/// Serializes the swarm tests: each holds thousands of sockets in this
+/// process, and the descriptor budget (1024 on hosted CI runners) fits one
+/// swarm at a time.
+static SWARM_SLOT: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
-    // CI's reduced tier dials this down via CROSSLIGHT_SWARM_CONNS; the
-    // default is the full ten thousand.
-    let conns: usize = std::env::var("CROSSLIGHT_SWARM_CONNS")
+/// Connections per swarm: CI's reduced tier dials this down via
+/// CROSSLIGHT_SWARM_CONNS; the default is the full ten thousand.
+fn swarm_conns() -> usize {
+    std::env::var("CROSSLIGHT_SWARM_CONNS")
         .ok()
         .and_then(|v| v.parse().ok())
-        .unwrap_or(10_000);
+        .unwrap_or(10_000)
+}
 
-    let server = Server::bind(
-        "127.0.0.1:0",
-        ServerOptions::default()
-            .with_workers(2)
-            .with_event_loops(2)
-            .with_queue_capacity(conns.max(64))
-            .with_trace_sampling(64),
-    )
-    .expect("bind loopback server");
+/// Parent half of the swarm harness: re-executes this test binary as
+/// `swarm_child` against `addr`, waits until `active` reports every
+/// connection open (with a description of the serving side's state),
+/// asserts this process runs fewer than 64 threads while they are, then
+/// releases one eval per connection and asserts that each was answered
+/// without error.
+fn drive_swarm(addr: std::net::SocketAddr, conns: usize, active: impl Fn() -> (u64, String)) {
+    use std::io::{BufRead as _, Write as _};
 
     // The swarm lives in a child process (own fd budget, own threads), so
-    // the thread count read below is the server's alone.
+    // the thread count read below is the serving side's alone.
     let exe = std::env::current_exe().expect("locate test binary");
     let mut child = std::process::Command::new(exe)
         .args(["swarm_child", "--exact", "--nocapture", "--test-threads=1"])
-        .env(
-            "CROSSLIGHT_SWARM_CHILD_ADDR",
-            server.local_addr().to_string(),
-        )
+        .env("CROSSLIGHT_SWARM_CHILD_ADDR", addr.to_string())
         .env("CROSSLIGHT_SWARM_CONNS", conns.to_string())
         .stdin(std::process::Stdio::piped())
         .stdout(std::process::Stdio::piped())
@@ -687,16 +687,16 @@ fn ten_thousand_connections_on_a_bounded_thread_budget() {
         .expect("parse connect count");
     assert_eq!(connected, conns, "every swarm connection must establish");
 
-    // The server sees them all concurrently…
+    // The serving side sees them all concurrently…
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
     loop {
-        let stats = server.stats();
-        if stats.server.connections_active >= conns as u64 {
+        let (open, state) = active();
+        if open >= conns as u64 {
             break;
         }
         assert!(
             std::time::Instant::now() < deadline,
-            "server never saw all {conns} connections: {stats:?}"
+            "server never saw all {conns} connections: {state}"
         );
         std::thread::sleep(std::time::Duration::from_millis(20));
     }
@@ -742,6 +742,28 @@ fn ten_thousand_connections_on_a_bounded_thread_budget() {
     assert_eq!(ok, conns as u64, "every connection gets its answer");
     let status = child.wait().expect("reap swarm child");
     assert!(status.success(), "swarm child failed: {status:?}");
+}
+
+#[test]
+fn ten_thousand_connections_on_a_bounded_thread_budget() {
+    let _slot = SWARM_SLOT
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner());
+    let conns = swarm_conns();
+
+    let server = Server::bind(
+        "127.0.0.1:0",
+        ServerOptions::default()
+            .with_workers(2)
+            .with_event_loops(2)
+            .with_queue_capacity(conns.max(64))
+            .with_trace_sampling(64),
+    )
+    .expect("bind loopback server");
+    drive_swarm(server.local_addr(), conns, || {
+        let stats = server.stats();
+        (stats.server.connections_active, format!("{stats:?}"))
+    });
 
     // After the swarm disconnects, everything is reclaimed: the active
     // gauge and the write-queue depth gauge both return to zero — the
@@ -765,6 +787,65 @@ fn ten_thousand_connections_on_a_bounded_thread_budget() {
         std::thread::sleep(std::time::Duration::from_millis(20));
     }
     server.shutdown();
+}
+
+#[test]
+fn ten_thousand_router_clients_on_a_bounded_thread_budget() {
+    let _slot = SWARM_SLOT
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner());
+    let conns = swarm_conns();
+
+    let backend = Server::bind(
+        "127.0.0.1:0",
+        ServerOptions::default()
+            .with_workers(2)
+            .with_event_loops(1)
+            .with_trace_sampling(64),
+    )
+    .expect("bind loopback backend");
+    // Room for the whole swarm in the backend's dispatch queue, so every
+    // eval routes on its first try.
+    let router = Router::bind(
+        "127.0.0.1:0",
+        &[backend.local_addr()],
+        RouterOptions {
+            queue_capacity: conns.max(256),
+            ..RouterOptions::default()
+        },
+    )
+    .expect("bind router");
+    let gauge = |name: &str| match router.metrics_snapshot().value(name) {
+        Some(SeriesValue::Gauge(value)) => *value,
+        other => panic!("{name} is not a gauge: {other:?}"),
+    };
+    drive_swarm(router.local_addr(), conns, || {
+        let active = gauge("cluster_connections_active");
+        (active.max(0) as u64, format!("{active} active"))
+    });
+
+    // Every client was answered and every connection reclaimed: the active
+    // gauge and the router's write-queue gauge both return to zero.
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+    loop {
+        let (active, depth) = (
+            gauge("cluster_connections_active"),
+            gauge("cluster_write_queue_depth"),
+        );
+        if active == 0 && depth == 0 {
+            let stats = router.stats();
+            assert_eq!(stats.evals_ok, conns as u64);
+            assert_eq!(stats.shed_total, 0);
+            break;
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "router teardown leaked accounting: {active} active, write queue depth {depth}"
+        );
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    }
+    router.shutdown();
+    backend.shutdown();
 }
 
 #[test]
