@@ -14,15 +14,15 @@
 //! what a client pays talking straight to one server, and
 //! `cluster_loopback_warm_mix` is what the same client pays for the same
 //! scenario stream through the router and three backends.  The routed
-//! path is structurally more expensive than one extra hop: the router
-//! holds a backend connection for a full request/response round trip per
-//! exchange (no backend pipelining — exactly-once failover accounting
-//! needs each in-flight request pinned to one connection), so routed
-//! concurrency is the connection fan, while the direct client pipelines
-//! freely.  The acceptance bar for this subsystem is the routed path
-//! staying within 6× of direct serving on the warm mix; the measured
-//! ratio is embedded in the JSON as `speedup_vs_baseline` of
-//! `cluster_loopback_warm_mix` (a value ≥ 1/6 means within 6×).
+//! path pays one extra hop: the router pipelines each backend's share of
+//! the mix over that backend's one link, with up to 128 requests in
+//! flight under link-unique ids (exactly-once failover is kept by the
+//! link's in-flight map, not by pinning a request to a connection), so
+//! the backends batch as they do for a direct client.  The target for
+//! this subsystem is the routed path within 2× of direct serving on the
+//! warm mix; the measured ratio is embedded in the JSON as
+//! `speedup_vs_baseline` of `cluster_loopback_warm_mix` (a value ≥ 0.5
+//! means within 2×).
 
 use std::net::SocketAddr;
 use std::time::{Duration, Instant};
@@ -107,15 +107,8 @@ fn main() {
         })
         .collect();
     let addrs: Vec<SocketAddr> = backends.iter().map(Server::local_addr).collect();
-    // Each exchange occupies one backend connection for a full round
-    // trip, so the connection fan bounds routed concurrency; 4 per
-    // backend is the serving configuration this tier is sized for.
-    let router = Router::bind(
-        "127.0.0.1:0",
-        &addrs,
-        RouterOptions::default().with_backend_connections(4),
-    )
-    .expect("bind router");
+    let router =
+        Router::bind("127.0.0.1:0", &addrs, RouterOptions::default()).expect("bind router");
     let mut routed_client = Client::connect(router.local_addr()).expect("connect to router");
 
     // Warm pass: warms each backend's shard of the mix and verifies the
@@ -206,9 +199,9 @@ fn main() {
         results.push(recovery_result);
     }
 
-    // The acceptance ratio, recorded as a same-run baseline so the JSON's
-    // `speedup_vs_baseline` field *is* the ratio: routed vs direct serving
-    // (≥ 1/6 ⇔ within 6×).
+    // The routed-vs-direct ratio, recorded as a same-run baseline so the
+    // JSON's `speedup_vs_baseline` field *is* the ratio (≥ 0.5 ⇔ within
+    // 2×).
     let mut baselines: Vec<(&str, f64)> = vec![("cluster_loopback_warm_mix", direct_per_req_ns)];
     for (name, ns) in &failover_baselines {
         baselines.push((name.as_str(), *ns));
@@ -216,7 +209,7 @@ fn main() {
     let ratio = routed_per_req_ns / direct_per_req_ns;
     println!(
         "\ncluster loopback {routed_per_req_ns:.0} ns/req vs direct server \
-         {direct_per_req_ns:.0} ns/req → {ratio:.2}× direct cost (acceptance bar: ≤ 6×)"
+         {direct_per_req_ns:.0} ns/req → {ratio:.2}× direct cost (target: ≤ 2×)"
     );
 
     let json = render_trajectory_json(
@@ -282,14 +275,13 @@ fn failover_recovery_samples(
 
     let [keeper, victim] = [bind_backend(), bind_backend()];
     let addrs = [keeper.local_addr(), victim.local_addr()];
-    // One connection per backend keeps the post-recovery redial cost a
-    // single, explicitly primed event instead of a smear across the sweep.
+    // Each backend has one link, so the post-recovery redial is a single,
+    // explicitly primed event instead of a smear across the sweep.
     let router = Router::bind(
         "127.0.0.1:0",
         &addrs,
         RouterOptions::default()
             .with_replication(2)
-            .with_backend_connections(1)
             .with_handoff(handoff)
             .with_health(
                 Duration::from_millis(10),
@@ -343,7 +335,7 @@ fn failover_recovery_samples(
         }),
     );
 
-    // Prime the redialed exchange connection with the first two specs so
+    // Prime the redialed link with the first two specs so
     // the timed sweep measures serving cost, not TCP connect cost, then
     // serially time the rest as the first post-recovery sweep.
     let primer = client

@@ -109,9 +109,9 @@ pub struct BackendState {
     /// Instant the breaker last opened; meaningful only while open.
     opened_at: Mutex<Instant>,
     /// Connection epoch: bumped when the breaker opens or the address
-    /// changes, so exchange workers drop pooled connections minted before
-    /// the outage instead of blaming the recovered backend for writes to
-    /// a socket its dead predecessor owned.
+    /// changes, so the backend's link drops a socket dialed before the
+    /// outage instead of blaming the recovered backend for writes to a
+    /// socket its dead predecessor owned.
     generation: AtomicU64,
     failure_threshold: u32,
     open_cooldown: Duration,

@@ -28,9 +28,9 @@ use crosslight_neural::fingerprint::fingerprint;
 /// A named point in the router where a fault may be injected.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultPoint {
-    /// Immediately before the router writes a request line to a backend.
+    /// Once per request a backend link writes, before it is staged.
     BackendSend,
-    /// Immediately after the router reads a response line from a backend.
+    /// Once per answer line a backend link reads.
     BackendRecv,
     /// Immediately before a health probe dials a backend.
     HealthProbe,
@@ -67,8 +67,8 @@ impl FaultPoint {
 /// What happens when a rule fires.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultAction {
-    /// Drop the backend connection on the floor, as if the peer died
-    /// mid-exchange.  At `health.probe` the probe is failed outright.
+    /// Kill the backend link, as if the peer died mid-burst.  At
+    /// `health.probe` the probe is failed outright.
     Kill,
     /// Sleep this many milliseconds *and then fail* the operation — a peer
     /// that hangs past its deadline.  The router's per-hop timeouts bound
@@ -322,6 +322,8 @@ mod tests {
         let garbled = FaultPlan::garble_line("{\"v\":1,\"id\":3,\"op\":\"ping\"}");
         assert!(crosslight_server::wire::decode_response(&garbled).is_err());
         assert!(crosslight_server::wire::decode_request(&garbled).is_err());
+        // Nor does a backend link's peek take it for an answer.
+        assert_eq!(crosslight_server::wire::peek_answer(&garbled), None);
     }
 
     #[test]

@@ -18,7 +18,8 @@
 //! * [`faultpoint`] — a seeded, deterministic fault-injection harness
 //!   (kill/stall/slow/garble at named points) behind the chaos suite.
 //! * [`router`] — the wire front-end, serving its clients on the server's
-//!   shared reactor (`crosslight_server::frontend`): health-checked failover,
+//!   shared reactor (`crosslight_server::frontend`) and each backend over
+//!   one pipelined link: health-checked failover,
 //!   per-request deadlines, re-routing of queued and in-flight work off
 //!   dead backends, and explicit retryable `unavailable` shedding when a
 //!   shard has no live replica.  Never a hang, never a silent wrong

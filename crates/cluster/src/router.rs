@@ -6,39 +6,46 @@
 //! reactor ([`crosslight_server::frontend`]): one **acceptor** and a fixed
 //! pool of **event loops** (half the cores, clamped to 1..=4) frame each
 //! client's lines, answer local ops and dispatch evals.  Each backend gets
-//! `backend_connections` **exchange workers** pulling from one bounded
-//! per-backend queue, plus one **health prober**; one **retry timer**
-//! holds backed-off jobs.  A router therefore runs `1 + event_loops +
-//! backends × backend_connections + backends + 1` threads at any client
-//! count.  Workers, the timer and the shed paths answer through the
-//! client's connection handle under the front-end's flush-then-wake rule,
-//! so they never block on a slow client.  `stats` and `metrics` block on
-//! every backend, so each runs on a short-lived thread that answers
-//! through the same handle and counts in its drain barrier.
+//! one **link** thread, owning one pipelined socket with at most
+//! [`link::WINDOW`] requests in flight, plus one **health prober**; one
+//! **retry timer** holds backed-off jobs.  A router therefore runs
+//! `2 + event_loops + 2 × backends` threads at any client count.  Links,
+//! the timer and the shed paths answer through the client's connection
+//! handle under the front-end's flush-then-wake rule, so they never block
+//! on a slow client.  `stats` and `metrics` block on every backend, so
+//! each runs on a short-lived thread that answers through the same handle
+//! and counts in its drain barrier.
 //!
 //! # Bit-identical forwarding
 //!
 //! The router never re-encodes evaluation traffic.  A client's `eval`
 //! line is decoded once — to validate it and derive the routing
-//! fingerprint — but the *original bytes* travel to the backend, and the
-//! backend's response line travels back verbatim.  Locally answered ops
-//! (`ping`, decode errors, spec errors) go through the same `wire`
-//! encoder a single [`Server`](crosslight_server::server::Server) uses.
-//! A cluster is therefore byte-indistinguishable from one server on every
-//! answered request, which the chaos suite asserts multiset-exactly.
+//! fingerprint — and the *original bytes* travel to the backend with one
+//! change: the id value is replaced by an id unique on the link, so many
+//! clients' requests share one socket.  The backend's answer travels back
+//! with the client's id spliced in and every other byte as the backend
+//! wrote it.  Locally answered ops (`ping`, decode errors, spec errors) go
+//! through the same `wire` encoder a single
+//! [`Server`](crosslight_server::server::Server) uses.  A cluster is
+//! therefore byte-indistinguishable from one server on every answered
+//! request, which the chaos suite asserts multiset-exactly.
 //!
 //! # Failure policy
 //!
-//! Every hop is bounded: connects, reads and writes time out, and every
-//! request carries an end-to-end deadline.  A transport fault (dead
-//! connection, timeout, garbled or mismatched response) records a breaker
-//! failure and *fails over* — the job is re-dispatched to the next
-//! replica, which is safe because evaluations are pure and idempotent.
-//! Retries consume a bounded, cluster-wide [`RetryBudget`] and back off
-//! exponentially with deterministic jitter.  When no replica is usable
-//! and the budget, attempts or deadline run out, the request is shed with
-//! an explicit retryable `unavailable` error — never a hang, never a
-//! silent wrong answer.
+//! Every hop is bounded: dials time out, a link that reads no answer (or
+//! writes no byte) for `request_timeout` while it owes some is dead, and
+//! every request carries an end-to-end deadline, shed in place wherever
+//! the request is.  A link death (EOF, socket error, garbled answer,
+//! unknown answer id, timeout) is one transport fault against the
+//! backend's breaker; its outstanding and queued jobs *fail over* to the
+//! next replica, which is safe because evaluations are pure and
+//! idempotent.  Only a job a fault point names, or one a backend refused
+//! with a retryable error, spends an attempt and a token of the bounded,
+//! cluster-wide [`RetryBudget`]; retries back off exponentially with
+//! deterministic jitter.  When no replica is usable and the budget,
+//! attempts or deadline run out, the request is shed with an explicit
+//! retryable `unavailable` error — never a hang, never a silent wrong
+//! answer.
 //!
 //! # Warm recovery and hedging
 //!
@@ -55,10 +62,10 @@
 //! exactly once and the loser is cancelled or discarded, never delivered.
 
 use std::collections::HashSet;
-use std::io::{BufReader, Write};
+use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender, SyncSender, TrySendError};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -70,7 +77,7 @@ use crosslight_server::frontend::{
     default_event_loops, Bound, Conn, Frontend, FrontendTelemetry, Handler,
 };
 use crosslight_server::loadgen::{Client, ClientOptions};
-use crosslight_server::poller::{read_line_limited, LineRead};
+use crosslight_server::poller::{wake_pair, LineScanner, ScanEvent};
 use crosslight_server::wire::{
     self, ErrorFrame, ErrorKind, MetricsFormat, MetricsFrame, Request, RequestBody, Response,
     ResponseBody, SnapshotEntry, StatsFrame, WireMetricsSnapshot, WireRuntimeStats,
@@ -81,6 +88,8 @@ use crosslight_telemetry::{render_text, Counter, Gauge, Histogram, Registry, Reg
 use crate::backend::{rendezvous_order, BackendState, CircuitState, Transition};
 use crate::faultpoint::{FaultAction, FaultPlan, FaultPoint};
 use crate::retry::{RetryBudget, RetryPolicy};
+
+mod link;
 
 /// Routing state is a `u64` bitmask of tried backends, so a cluster is
 /// capped at 64 backends — far beyond the deployment sizes this tier
@@ -93,13 +102,13 @@ pub struct RouterOptions {
     /// Replicas per shard: how many backends (in rendezvous order) may
     /// serve a given fingerprint (clamped to `1..=backends`).
     pub replication: usize,
-    /// Concurrent exchange connections per backend.
-    pub backend_connections: usize,
-    /// Queued jobs per backend before dispatch spills to the next replica.
+    /// Jobs per backend — waiting for its link's window plus in flight on
+    /// it — before dispatch spills to the next replica.
     pub queue_capacity: usize,
     /// Bound on dialing a backend.
     pub connect_timeout: Duration,
-    /// Bound on one request/response exchange with a backend.
+    /// How long a backend link that owes answers may read none (or may
+    /// fail to write pending bytes) before it is declared dead.
     pub request_timeout: Duration,
     /// End-to-end deadline of one client request, covering every retry
     /// and backoff; expiry sheds the request with `unavailable`.
@@ -169,7 +178,7 @@ impl HedgePolicy {
     }
 
     /// The delay before the hedge fires, given the current per-hop p99 in
-    /// nanoseconds (0 when no exchange has completed yet).
+    /// nanoseconds (0 when no request has been answered yet).
     #[must_use]
     pub fn delay(&self, p99_ns: u64) -> Duration {
         let scaled = (p99_ns as f64 * self.p99_multiplier.max(0.0)) as u64;
@@ -181,7 +190,6 @@ impl Default for RouterOptions {
     fn default() -> Self {
         Self {
             replication: 2,
-            backend_connections: 2,
             queue_capacity: 256,
             connect_timeout: Duration::from_secs(1),
             request_timeout: Duration::from_secs(5),
@@ -209,15 +217,6 @@ impl RouterOptions {
         self
     }
 
-    /// Returns a copy with a different per-backend exchange-connection
-    /// fan.  Each exchange occupies one connection for a full round trip,
-    /// so this bounds a backend's concurrent in-flight requests.
-    #[must_use]
-    pub fn with_backend_connections(mut self, backend_connections: usize) -> Self {
-        self.backend_connections = backend_connections;
-        self
-    }
-
     /// Returns a copy with a different end-to-end request deadline.
     #[must_use]
     pub fn with_request_deadline(mut self, request_deadline: Duration) -> Self {
@@ -225,7 +224,7 @@ impl RouterOptions {
         self
     }
 
-    /// Returns a copy with a different per-exchange timeout.
+    /// Returns a copy with a different link liveness timeout.
     #[must_use]
     pub fn with_request_timeout(mut self, request_timeout: Duration) -> Self {
         self.request_timeout = request_timeout;
@@ -338,6 +337,9 @@ struct ClusterTelemetry {
     probes_ok: Vec<Counter>,
     probes_failed: Vec<Counter>,
     queue_depth: Vec<Gauge>,
+    in_flight: Vec<Gauge>,
+    /// Per backend, one counter per [`link::Reset`] reason, in label order.
+    link_resets: Vec<Vec<Counter>>,
 }
 
 impl ClusterTelemetry {
@@ -399,7 +401,8 @@ impl ClusterTelemetry {
             ),
             hop_ns: registry.histogram(
                 "cluster_hop_ns",
-                "Latency of one successful backend exchange, in nanoseconds.",
+                "Latency from writing a request on a backend link to reading its answer, \
+                 in nanoseconds.",
             ),
             handoff_snapshots_sent: registry.counter(
                 "cluster_handoff_snapshots_sent_total",
@@ -492,9 +495,32 @@ impl ClusterTelemetry {
                 .map(|b| {
                     registry.gauge_with(
                         "cluster_queue_depth",
-                        "Jobs waiting in a backend's dispatch queue.",
+                        "Jobs waiting for a backend link's window.",
                         &[("backend", &b.to_string())],
                     )
+                })
+                .collect(),
+            in_flight: (0..backends)
+                .map(|b| {
+                    registry.gauge_with(
+                        "cluster_backend_in_flight",
+                        "Requests written on a backend link and not yet answered.",
+                        &[("backend", &b.to_string())],
+                    )
+                })
+                .collect(),
+            link_resets: (0..backends)
+                .map(|b| {
+                    link::Reset::LABELS
+                        .iter()
+                        .map(|reason| {
+                            registry.counter_with(
+                                "cluster_link_resets_total",
+                                "Backend link teardowns by reason.",
+                                &[("backend", &b.to_string()), ("reason", reason)],
+                            )
+                        })
+                        .collect()
                 })
                 .collect(),
             registry,
@@ -548,12 +574,16 @@ impl ForwardJob {
 struct ClusterShared {
     options: RouterOptions,
     backends: Vec<BackendState>,
-    queues: Vec<SyncSender<ForwardJob>>,
+    /// Each backend link's dispatch side, indexed like `backends`.
+    links: Vec<link::Backlog>,
     /// Lane to the retry timer; `None` once shutdown drained it.
     retry_tx: Mutex<Option<Sender<(Instant, ForwardJob)>>>,
     telemetry: ClusterTelemetry,
     budget: RetryBudget,
     shutting_down: AtomicBool,
+    /// Set once every client connection drained and the retry timer
+    /// exited: the links account what is left and exit.
+    retired: AtomicBool,
     /// Running `stats`/`metrics` fan-out threads, joined at shutdown.
     fan_outs: Mutex<Vec<JoinHandle<()>>>,
     /// Prebuilt Table I workloads, indexed as [`PaperModel::all`].
@@ -606,8 +636,8 @@ pub struct RouterStats {
     pub readmitted: Vec<u64>,
 }
 
-/// Poll period of the worker/retry/prober loops when idle; bounds how
-/// long shutdown waits for them to notice the flag.
+/// Poll period of the link/retry/prober loops when idle; bounds how long
+/// shutdown waits for them to notice the flag.
 const IDLE_POLL: Duration = Duration::from_millis(20);
 
 /// The fault-tolerant cluster router.
@@ -638,7 +668,7 @@ const IDLE_POLL: Duration = Duration::from_millis(20);
 pub struct Router {
     shared: Arc<ClusterShared>,
     frontend: Frontend,
-    worker_threads: Vec<JoinHandle<()>>,
+    link_threads: Vec<JoinHandle<()>>,
     prober_threads: Vec<JoinHandle<()>>,
     retry_thread: Option<JoinHandle<()>>,
 }
@@ -650,9 +680,9 @@ impl Router {
     /// # Errors
     ///
     /// Propagates socket errors; rejects an empty backend list and more
-    /// than [`MAX_BACKENDS`] backends as `InvalidInput`.  The listener and
-    /// every event loop's wake channel are made before the first thread is
-    /// spawned, so an error leaves no thread behind.
+    /// than [`MAX_BACKENDS`] backends as `InvalidInput`.  The listener,
+    /// every event loop's wake channel and every link's are made before
+    /// the first thread is spawned, so an error leaves no thread behind.
     pub fn bind(
         addr: impl ToSocketAddrs,
         backends: &[SocketAddr],
@@ -665,9 +695,14 @@ impl Router {
             ));
         }
         let bound = Bound::bind(addr, default_event_loops())?;
+        let (link_wakers, link_wakes): (Vec<_>, Vec<_>) = backends
+            .iter()
+            .map(|_| wake_pair())
+            .collect::<std::io::Result<Vec<_>>>()?
+            .into_iter()
+            .unzip();
         let options = RouterOptions {
             replication: options.replication.clamp(1, backends.len()),
-            backend_connections: options.backend_connections.max(1),
             queue_capacity: options.queue_capacity.max(1),
             max_line_bytes: options.max_line_bytes.max(1024),
             ..options
@@ -689,13 +724,6 @@ impl Router {
                 )
             })
             .collect();
-        let mut queues = Vec::with_capacity(backends.len());
-        let mut receivers = Vec::with_capacity(backends.len());
-        for _ in backends {
-            let (tx, rx) = mpsc::sync_channel::<ForwardJob>(options.queue_capacity);
-            queues.push(tx);
-            receivers.push(Arc::new(Mutex::new(rx)));
-        }
         let (retry_tx, retry_rx) = mpsc::channel::<(Instant, ForwardJob)>();
         let retry_budget = options.retry_budget;
         let shared = Arc::new(ClusterShared {
@@ -703,25 +731,24 @@ impl Router {
             budget: RetryBudget::new(retry_budget),
             options,
             backends: backend_states,
-            queues,
+            links: link_wakers.into_iter().map(link::Backlog::new).collect(),
             retry_tx: Mutex::new(Some(retry_tx)),
             shutting_down: AtomicBool::new(false),
+            retired: AtomicBool::new(false),
             fan_outs: Mutex::new(Vec::new()),
             workloads,
         });
-        let mut worker_threads = Vec::new();
-        for (index, rx) in receivers.into_iter().enumerate() {
-            for conn in 0..shared.options.backend_connections {
+        let link_threads = link_wakes
+            .into_iter()
+            .enumerate()
+            .map(|(index, wake)| {
                 let shared = Arc::clone(&shared);
-                let rx = Arc::clone(&rx);
-                worker_threads.push(
-                    std::thread::Builder::new()
-                        .name(format!("crosslight-cluster-b{index}-x{conn}"))
-                        .spawn(move || backend_worker(&shared, index, &rx))
-                        .expect("spawning a backend worker succeeds"),
-                );
-            }
-        }
+                std::thread::Builder::new()
+                    .name(format!("crosslight-cluster-link-{index}"))
+                    .spawn(move || link::run(&shared, index, &wake))
+                    .expect("spawning a backend link succeeds")
+            })
+            .collect();
         let prober_threads = (0..shared.backends.len())
             .map(|index| {
                 let shared = Arc::clone(&shared);
@@ -749,7 +776,7 @@ impl Router {
         Ok(Self {
             shared,
             frontend,
-            worker_threads,
+            link_threads,
             prober_threads,
             retry_thread: Some(retry_thread),
         })
@@ -817,8 +844,8 @@ impl Router {
         }
         // Stop accepting and half-close client reads: the loops take no
         // more input and close each connection once its in-flight jobs and
-        // fan-outs resolved (answered, failed over, or shed) — the
-        // workers and the retry timer are still running.
+        // fan-outs resolved (answered, failed over, or shed) — the links
+        // and the retry timer are still running.
         self.frontend.shutdown();
         let fan_outs =
             std::mem::take(&mut *self.shared.fan_outs.lock().expect("fan-out list lock"));
@@ -826,7 +853,7 @@ impl Router {
             let _ = handle.join();
         }
         // No unresolved job exists now; retire the retry timer, then the
-        // (idle) workers and probers.
+        // links and probers.
         drop(
             self.shared
                 .retry_tx
@@ -837,7 +864,11 @@ impl Router {
         if let Some(handle) = self.retry_thread.take() {
             let _ = handle.join();
         }
-        for handle in self.worker_threads.drain(..) {
+        self.shared.retired.store(true, Ordering::SeqCst);
+        for link in &self.shared.links {
+            link.wake();
+        }
+        for handle in self.link_threads.drain(..) {
             let _ = handle.join();
         }
         for handle in self.prober_threads.drain(..) {
@@ -879,15 +910,13 @@ fn dispatch(shared: &Arc<ClusterShared>, mut job: ForwardJob) {
         if job.tried & (1u64 << backend) != 0 || !shared.backends[backend].available() {
             continue;
         }
-        match shared.queues[backend].try_send(job) {
+        let depth = &shared.telemetry.queue_depth[backend];
+        match shared.links[backend].offer(job, shared.options.queue_capacity, depth) {
             Ok(()) => {
                 shared.telemetry.forwarded[backend].inc();
-                shared.telemetry.queue_depth[backend].add(1);
                 return;
             }
-            Err(TrySendError::Full(returned)) | Err(TrySendError::Disconnected(returned)) => {
-                job = returned;
-            }
+            Err(returned) => job = returned,
         }
     }
     schedule_retry(shared, job);
@@ -1041,269 +1070,6 @@ fn shed(shared: &Arc<ClusterShared>, job: &ForwardJob, reason: ShedReason, detai
     shared.telemetry.evals_failed.inc();
     let response = Response::error(Some(job.id), ErrorFrame::new(kind, detail));
     job.reply.answer(wire::encode_response(&response));
-}
-
-// ---------------------------------------------------------------------------
-// Backend exchange workers
-// ---------------------------------------------------------------------------
-
-/// One persistent exchange connection to a backend, stamped with the
-/// backend's connection generation at dial time.  The generation bumps
-/// whenever the breaker opens or the address changes, so a stale stamp
-/// means this socket belongs to a previous incarnation of the backend —
-/// writing to it would blame the *recovered* process for its dead
-/// predecessor's corpse and could re-trip a freshly closed breaker.
-#[derive(Debug)]
-struct BackendConn {
-    stream: TcpStream,
-    reader: BufReader<TcpStream>,
-    generation: u64,
-}
-
-fn open_conn(
-    addr: SocketAddr,
-    options: &RouterOptions,
-    generation: u64,
-) -> std::io::Result<BackendConn> {
-    let stream = TcpStream::connect_timeout(&addr, options.connect_timeout)?;
-    stream.set_nodelay(true)?;
-    stream.set_write_timeout(Some(options.request_timeout))?;
-    let reader = BufReader::new(stream.try_clone()?);
-    Ok(BackendConn {
-        stream,
-        reader,
-        generation,
-    })
-}
-
-/// What one backend exchange produced.
-enum Exchange {
-    /// A response line to forward to the client verbatim.
-    Deliver(String),
-    /// The backend refused with a retryable error frame (overloaded,
-    /// draining): fail over without blaming the backend's health, and
-    /// forward this line if retries run out.
-    SoftRetry(String),
-    /// A transport fault: connection dead, timeout, garbled or mismatched
-    /// response.  Blames the backend's breaker and fails over.
-    Fault(String),
-}
-
-fn backend_worker(shared: &Arc<ClusterShared>, backend: usize, rx: &Mutex<Receiver<ForwardJob>>) {
-    let mut conn: Option<BackendConn> = None;
-    loop {
-        let received = {
-            let rx = rx.lock().expect("backend queue lock poisoned");
-            rx.recv_timeout(IDLE_POLL)
-        };
-        match received {
-            Ok(job) => {
-                shared.telemetry.queue_depth[backend].sub(1);
-                process_job(shared, backend, &mut conn, job);
-            }
-            Err(RecvTimeoutError::Timeout) => {
-                if shared.shutting_down.load(Ordering::SeqCst) {
-                    // Shutdown joins client connections (and therefore
-                    // resolves every job) before joining workers, so an
-                    // idle poll here means the queue stays empty.
-                    return;
-                }
-            }
-            Err(RecvTimeoutError::Disconnected) => return,
-        }
-    }
-}
-
-fn process_job(
-    shared: &Arc<ClusterShared>,
-    backend: usize,
-    conn: &mut Option<BackendConn>,
-    mut job: ForwardJob,
-) {
-    // A queued hedge whose primary already answered does no I/O at all.
-    if job.hedge && job.is_claimed() {
-        shared.telemetry.hedges_cancelled.inc();
-        return;
-    }
-    if Instant::now() >= job.deadline {
-        shed(
-            shared,
-            &job,
-            ShedReason::Deadline,
-            "request deadline exceeded",
-        );
-        return;
-    }
-    // The breaker may have tripped while the job sat in the queue; requeue
-    // costs nothing (no I/O happened).
-    if !shared.backends[backend].available() {
-        job.tried |= 1u64 << backend;
-        shared.telemetry.failovers.inc();
-        dispatch(shared, job);
-        return;
-    }
-    let started = Instant::now();
-    match exchange(shared, backend, conn, &job) {
-        Exchange::Deliver(line) => {
-            shared
-                .telemetry
-                .hop_ns
-                .record(started.elapsed().as_nanos() as u64);
-            let transition = shared.backends[backend].record_success();
-            if transition == Transition::Readmitted {
-                shared.telemetry.readmitted[backend].inc();
-            }
-            shared
-                .telemetry
-                .sync_state_gauge(backend, shared.backends[backend].state());
-            shared.budget.deposit();
-            if job.claim() {
-                if job.hedge {
-                    shared.telemetry.hedges_won.inc();
-                }
-                shared.telemetry.evals_ok.inc();
-                job.reply.answer(line);
-            } else {
-                // The other copy answered first; this exchange's work is
-                // sunk cost (the backend bookkeeping above still counts).
-                shared.telemetry.hedges_wasted.inc();
-            }
-        }
-        Exchange::SoftRetry(line) => {
-            let detail = "backend refused with a retryable error";
-            retry_after_failure(shared, backend, job, Some(line), detail);
-        }
-        Exchange::Fault(detail) => {
-            *conn = None;
-            shared.telemetry.backend_failures[backend].inc();
-            if shared.backends[backend].record_failure() == Transition::Opened {
-                shared.telemetry.circuit_opened[backend].inc();
-            }
-            shared
-                .telemetry
-                .sync_state_gauge(backend, shared.backends[backend].state());
-            retry_after_failure(shared, backend, job, None, &detail);
-        }
-    }
-}
-
-/// One request/response exchange with a backend, every step bounded by
-/// the per-hop timeout and the job's remaining deadline.
-fn exchange(
-    shared: &Arc<ClusterShared>,
-    backend: usize,
-    conn: &mut Option<BackendConn>,
-    job: &ForwardJob,
-) -> Exchange {
-    let options = &shared.options;
-    let mut send_garbled = false;
-    match shared.faults().check(FaultPoint::BackendSend, backend) {
-        Some(FaultAction::Kill) => {
-            *conn = None;
-            return Exchange::Fault("injected: connection killed at backend.send".to_string());
-        }
-        Some(FaultAction::Stall(ms)) => {
-            std::thread::sleep(Duration::from_millis(ms));
-            *conn = None;
-            return Exchange::Fault("injected: stall at backend.send".to_string());
-        }
-        Some(FaultAction::Slow(ms)) => std::thread::sleep(Duration::from_millis(ms)),
-        Some(FaultAction::Garble) => send_garbled = true,
-        None => {}
-    }
-    // A pooled connection from before the backend's last outage (or
-    // re-address) is a socket to a dead incarnation: drop it and redial
-    // rather than letting its write error count against the live process.
-    let generation = shared.backends[backend].generation();
-    if conn.as_ref().is_some_and(|c| c.generation != generation) {
-        *conn = None;
-    }
-    if conn.is_none() {
-        match open_conn(shared.backends[backend].addr(), options, generation) {
-            Ok(fresh) => *conn = Some(fresh),
-            Err(err) => return Exchange::Fault(format!("connect: {err}")),
-        }
-    }
-    let active = conn.as_mut().expect("connection was just established");
-    let remaining = job.deadline.saturating_duration_since(Instant::now());
-    if remaining.is_zero() {
-        return Exchange::Fault("request deadline exceeded before send".to_string());
-    }
-    let hop_budget = options.request_timeout.min(remaining);
-    if active.stream.set_read_timeout(Some(hop_budget)).is_err() {
-        *conn = None;
-        return Exchange::Fault("socket configuration failed".to_string());
-    }
-    let garbled_line;
-    let outgoing: &str = if send_garbled {
-        garbled_line = FaultPlan::garble_line(&job.line);
-        &garbled_line
-    } else {
-        &job.line
-    };
-    let wrote = active
-        .stream
-        .write_all(outgoing.as_bytes())
-        .and_then(|()| active.stream.write_all(b"\n"))
-        .and_then(|()| active.stream.flush());
-    if let Err(err) = wrote {
-        *conn = None;
-        return Exchange::Fault(format!("write: {err}"));
-    }
-    let mut line = match read_line_limited(&mut active.reader, options.max_line_bytes) {
-        LineRead::Line(line) => line,
-        LineRead::Eof => {
-            *conn = None;
-            return Exchange::Fault("backend closed the connection mid-exchange".to_string());
-        }
-        LineRead::Oversized => {
-            *conn = None;
-            return Exchange::Fault("backend response exceeded the line limit".to_string());
-        }
-        LineRead::InvalidUtf8 => {
-            *conn = None;
-            return Exchange::Fault("backend response is not valid UTF-8".to_string());
-        }
-        LineRead::Error => {
-            *conn = None;
-            return Exchange::Fault("read: socket error or per-hop timeout".to_string());
-        }
-    };
-    match shared.faults().check(FaultPoint::BackendRecv, backend) {
-        Some(FaultAction::Kill) => {
-            *conn = None;
-            return Exchange::Fault("injected: connection killed at backend.recv".to_string());
-        }
-        Some(FaultAction::Stall(ms)) => {
-            std::thread::sleep(Duration::from_millis(ms));
-            *conn = None;
-            return Exchange::Fault("injected: stall at backend.recv".to_string());
-        }
-        Some(FaultAction::Slow(ms)) => std::thread::sleep(Duration::from_millis(ms)),
-        Some(FaultAction::Garble) => line = FaultPlan::garble_line(&line),
-        None => {}
-    }
-    match wire::decode_response(&line) {
-        Ok(response) if response.id == Some(job.id) => match &response.body {
-            ResponseBody::Error(frame) if frame.kind.retryable() => Exchange::SoftRetry(line),
-            ResponseBody::Eval(_) | ResponseBody::Error(_) => Exchange::Deliver(line),
-            _ => {
-                *conn = None;
-                Exchange::Fault("protocol violation: unexpected response body".to_string())
-            }
-        },
-        Ok(response) => {
-            *conn = None;
-            Exchange::Fault(format!(
-                "response id {:?} does not match request id {}",
-                response.id, job.id
-            ))
-        }
-        Err(_) => {
-            *conn = None;
-            Exchange::Fault("undecodable response line".to_string())
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1461,26 +1227,29 @@ fn probe(shared: &Arc<ClusterShared>, backend: usize) -> bool {
     if garble {
         ping = FaultPlan::garble_line(&ping);
     }
-    let mut stream = stream;
-    if stream
-        .write_all(ping.as_bytes())
-        .and_then(|()| stream.write_all(b"\n"))
-        .and_then(|()| stream.flush())
-        .is_err()
-    {
+    ping.push('\n');
+    if (&stream).write_all(ping.as_bytes()).is_err() {
         return false;
     }
-    let mut reader = BufReader::new(stream);
-    let LineRead::Line(line) = read_line_limited(&mut reader, shared.options.max_line_bytes) else {
-        return false;
-    };
-    matches!(
+    let mut scanner = LineScanner::new();
+    let mut chunk = [0u8; 1024];
+    let mut pong = None;
+    while pong.is_none() {
+        match (&stream).read(&mut chunk) {
+            Ok(0) | Err(_) => return false,
+            Ok(read) => scanner.push(&chunk[..read], shared.options.max_line_bytes, |event| {
+                pong = Some(event);
+                false
+            }),
+        };
+    }
+    matches!(pong, Some(ScanEvent::Line(line)) if matches!(
         wire::decode_response(&line),
         Ok(Response {
             id: Some(0),
             body: ResponseBody::Pong,
         })
-    )
+    ))
 }
 
 // ---------------------------------------------------------------------------

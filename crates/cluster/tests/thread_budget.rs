@@ -70,7 +70,7 @@ fn connect_and_eval(addr: SocketAddr, id: u64) -> Client {
 }
 
 #[test]
-fn a_router_runs_exactly_acceptor_loops_exchange_workers_probers_and_retry_timer() {
+fn a_router_runs_exactly_acceptor_loops_links_probers_and_retry_timer() {
     let backends: Vec<Server> = (0..2)
         .map(|_| {
             Server::bind(
@@ -81,15 +81,11 @@ fn a_router_runs_exactly_acceptor_loops_exchange_workers_probers_and_retry_timer
         })
         .collect();
     let addrs: Vec<SocketAddr> = backends.iter().map(Server::local_addr).collect();
-    let backend_connections = 3;
-    let router = Router::bind(
-        "127.0.0.1:0",
-        &addrs,
-        RouterOptions::default().with_backend_connections(backend_connections),
-    )
-    .expect("bind router");
-    // Acceptor, event loops, exchange workers, probers and retry timer.
-    let expected = 1 + default_event_loops() + addrs.len() * backend_connections + addrs.len() + 1;
+    let router =
+        Router::bind("127.0.0.1:0", &addrs, RouterOptions::default()).expect("bind router");
+    // Acceptor, retry timer, event loops, and a link and a prober per
+    // backend.
+    let expected = 2 + default_event_loops() + 2 * addrs.len();
 
     let first = connect_and_eval(router.local_addr(), 0);
     let names = threads_settled_at("crosslight-clus", expected);
@@ -116,15 +112,16 @@ fn a_router_runs_exactly_acceptor_loops_exchange_workers_probers_and_retry_timer
 }
 
 /// Child half of `a_failed_router_bind_leaves_no_thread_behind`: a no-op
-/// pass unless `CROSSLIGHT_ROUTER_BIND_FAILURE_CHILD` is set.  It fills its
-/// descriptor table, frees enough for the listener and every event loop's
-/// wake pair but the last, binds a router, and prints
+/// pass unless `CROSSLIGHT_ROUTER_BIND_FAILURE_CHILD` names the wake pair
+/// to starve, `loop` or `link`.  It fills its descriptor table, frees
+/// enough for the listener and every wake pair before the last event
+/// loop's (or the last backend link's), binds a router, and prints
 /// `BIND_FAILURE_RESULT bound=<bool> threads=<n>`.
 #[test]
 fn router_bind_failure_child() {
-    if std::env::var_os("CROSSLIGHT_ROUTER_BIND_FAILURE_CHILD").is_none() {
+    let Ok(case) = std::env::var("CROSSLIGHT_ROUTER_BIND_FAILURE_CHILD") else {
         return;
-    }
+    };
     // Lower the soft limit so filling the table stays cheap.
     let mut limit = libc::rlimit::default();
     // SAFETY: `limit` is a live, writable `struct rlimit` for the call.
@@ -145,13 +142,24 @@ fn router_bind_failure_child() {
         assert!(fillers.len() <= 64, "the lowered limit did not apply");
     }
     // The listener takes one descriptor; a wake pair briefly holds three
-    // (its own listener and both socket ends) and keeps two.  So every
-    // loop's pair but the last fits, and the last is one descriptor short.
-    fillers.truncate(fillers.len() - (1 + 2 * (default_event_loops() - 1) + 2));
+    // (its own listener and both socket ends) and keeps two.  The pairs are
+    // made loops first, then one per backend link, so every pair before
+    // the starved one fits, and the starved one is one descriptor short.
+    let backends = 2;
+    let pairs_before = match case.as_str() {
+        "loop" => default_event_loops() - 1,
+        "link" => default_event_loops() + backends - 1,
+        other => panic!("unknown bind-failure case `{other}`"),
+    };
+    fillers.truncate(fillers.len() - (1 + 2 * pairs_before + 2));
 
     // Binding dials no backend, so any address will do.
     let backend: SocketAddr = "127.0.0.1:9".parse().expect("backend address");
-    let outcome = Router::bind("127.0.0.1:0", &[backend], RouterOptions::default());
+    let outcome = Router::bind(
+        "127.0.0.1:0",
+        &vec![backend; backends],
+        RouterOptions::default(),
+    );
     // Listing /proc needs descriptors again.
     drop(fillers);
     let threads = threads_settled_at("crosslight-", 0);
@@ -165,31 +173,33 @@ fn router_bind_failure_child() {
 #[test]
 fn a_failed_router_bind_leaves_no_thread_behind() {
     let exe = std::env::current_exe().expect("locate test binary");
-    let output = std::process::Command::new(exe)
-        .args([
-            "router_bind_failure_child",
-            "--exact",
-            "--nocapture",
-            "--test-threads=1",
-        ])
-        .env("CROSSLIGHT_ROUTER_BIND_FAILURE_CHILD", "1")
-        .output()
-        .expect("run the bind-failure child");
-    let stdout = String::from_utf8_lossy(&output.stdout);
-    assert!(
-        output.status.success(),
-        "child failed: {stdout}{}",
-        String::from_utf8_lossy(&output.stderr)
-    );
-    // libtest prints its own progress without a newline, so the marker
-    // may land mid-line.
-    const MARKER: &str = "BIND_FAILURE_RESULT ";
-    let result = stdout
-        .lines()
-        .find_map(|line| line.find(MARKER).map(|at| line[at + MARKER.len()..].trim()))
-        .unwrap_or_else(|| panic!("child printed no result: {stdout}"));
-    assert_eq!(
-        result, "bound=false threads=0",
-        "a router bind that fails on its last wake pair must leave no thread behind"
-    );
+    for case in ["loop", "link"] {
+        let output = std::process::Command::new(&exe)
+            .args([
+                "router_bind_failure_child",
+                "--exact",
+                "--nocapture",
+                "--test-threads=1",
+            ])
+            .env("CROSSLIGHT_ROUTER_BIND_FAILURE_CHILD", case)
+            .output()
+            .expect("run the bind-failure child");
+        let stdout = String::from_utf8_lossy(&output.stdout);
+        assert!(
+            output.status.success(),
+            "{case} child failed: {stdout}{}",
+            String::from_utf8_lossy(&output.stderr)
+        );
+        // libtest prints its own progress without a newline, so the marker
+        // may land mid-line.
+        const MARKER: &str = "BIND_FAILURE_RESULT ";
+        let result = stdout
+            .lines()
+            .find_map(|line| line.find(MARKER).map(|at| line[at + MARKER.len()..].trim()))
+            .unwrap_or_else(|| panic!("{case} child printed no result: {stdout}"));
+        assert_eq!(
+            result, "bound=false threads=0",
+            "a router bind that fails on its last {case} wake pair must leave no thread behind"
+        );
+    }
 }

@@ -210,6 +210,36 @@ impl Json {
     }
 }
 
+/// The byte range of the value of the first member named `key` in the
+/// object `input` opens with: the member [`Json::get`] returns, matched on
+/// the decoded key text.  The scan stops at that member, so only the
+/// members before it have to parse.  `None` when `input` does not open
+/// with an object, a member before the match does not parse, or no member
+/// matches.
+#[must_use]
+pub(crate) fn first_member_span(input: &str, key: &str) -> Option<std::ops::Range<usize>> {
+    let mut parser = Parser {
+        bytes: input.as_bytes(),
+        pos: 0,
+    };
+    parser.skip_ws();
+    parser.expect(b'{').ok()?;
+    loop {
+        parser.skip_ws();
+        let name = parser.string().ok()?;
+        parser.skip_ws();
+        parser.expect(b':').ok()?;
+        parser.skip_ws();
+        let start = parser.pos;
+        parser.value(1).ok()?;
+        if name == key {
+            return Some(start..parser.pos);
+        }
+        parser.skip_ws();
+        parser.expect(b',').ok()?;
+    }
+}
+
 /// Appends the wire encoding of one `f64` to `out` — the allocation-free
 /// building block of the hot-path frame encoders in `crate::wire`.
 pub fn push_f64(value: f64, out: &mut String) {
@@ -573,6 +603,21 @@ mod tests {
         ] {
             let outcome = Json::parse(input);
             assert!(outcome.is_err(), "`{input}` should fail, got {outcome:?}");
+        }
+    }
+
+    #[test]
+    fn first_member_span_finds_the_member_get_returns() {
+        fn span(input: &str) -> Option<&str> {
+            first_member_span(input, "id").map(|range| &input[range])
+        }
+        assert_eq!(span(r#"{"v":1,"id":7,"op":"ping"}"#), Some("7"));
+        assert_eq!(span(r#" { "v" : [1, {"id": 2}] , "id" : 9 } "#), Some("9"));
+        // Keys compare decoded, and the first of duplicates wins.
+        assert_eq!(span(r#"{"id":3,"id":4}"#), Some("3"));
+        assert_eq!(span(r#"{"id":"x\"y","id":4}"#), Some(r#""x\"y""#));
+        for miss in ["", "[1]", "{}", r#"{"v":1}"#, r#"{"v":,"id":1}"#, "{\"id\""] {
+            assert_eq!(span(miss), None, "{miss}");
         }
     }
 

@@ -16,8 +16,8 @@
 //! * [`poller`] — readiness primitives over `poll(2)` (via the offline
 //!   `libc` compat shim): a reusable poll set, a loopback wake channel,
 //!   and an incremental length-limited line scanner, shared by the
-//!   front-end reactor and the swarm load generator, plus its blocking
-//!   twin for peers that read one answer at a time.
+//!   front-end reactor, the cluster router's backend links and the swarm
+//!   load generator.
 //! * [`frontend`] — the connection machinery every JSON-lines front-end
 //!   shares (this crate's server and the cluster router): one acceptor, a
 //!   fixed pool of event-loop threads multiplexing all connections, line

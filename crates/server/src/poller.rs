@@ -1,7 +1,8 @@
 //! Readiness and line-framing primitives shared by the front-end reactor,
-//! the high-connection-count swarm load generator and blocking peers.
+//! the cluster router's backend links and the high-connection-count swarm
+//! load generator.
 //!
-//! Four small pieces:
+//! Three small pieces:
 //!
 //! * [`PollSet`] — a safe, reusable wrapper over `poll(2)` (via the offline
 //!   `libc` compat shim): register descriptors with read/write interest,
@@ -12,12 +13,10 @@
 //! * [`Waker`] / [`WakeReceiver`] — a loopback socket pair that lets any
 //!   thread interrupt a [`PollSet::poll`] sleep (the portable equivalent of
 //!   a self-pipe).
-//! * [`LineScanner`] — an incremental, length-limited `\n`-frame decoder
-//!   for nonblocking reads.
-//! * [`read_line_limited`] — its blocking twin, with the same
-//!   oversized-resync and UTF-8 semantics.
+//! * [`LineScanner`] — an incremental, length-limited `\n`-frame decoder,
+//!   fed whatever chunks a read returns.
 
-use std::io::{self, BufRead, Read, Write};
+use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::time::Duration;
 
@@ -243,8 +242,7 @@ pub enum ScanEvent {
 /// Feed it whatever chunks `read` returns; it buffers partial lines
 /// (bounded by the limit), emits one [`ScanEvent`] per completed line, and
 /// discards the remainder of over-long lines so the stream stays
-/// line-synchronized — the same discipline as the blocking
-/// [`read_line_limited`].
+/// line-synchronized.
 #[derive(Debug, Default)]
 pub struct LineScanner {
     buf: Vec<u8>,
@@ -301,129 +299,9 @@ impl LineScanner {
     }
 }
 
-/// Outcome of reading one length-limited line with [`read_line_limited`].
-#[derive(Debug)]
-pub enum LineRead {
-    /// A complete line (without the newline).
-    Line(String),
-    /// The line exceeded the limit; the rest of it was discarded.
-    Oversized,
-    /// The line was not valid UTF-8.
-    InvalidUtf8,
-    /// End of stream.
-    Eof,
-    /// The socket failed.
-    Error,
-}
-
-/// Reads one `\n`-terminated line of at most `max_bytes`, discarding the
-/// remainder of over-long lines so the stream stays line-synchronized: the
-/// blocking twin of [`LineScanner`], for peers that read one answer at a
-/// time.
-pub fn read_line_limited<R: BufRead>(reader: &mut R, max_bytes: usize) -> LineRead {
-    let mut buf: Vec<u8> = Vec::new();
-    let mut oversized = false;
-    loop {
-        let (done, used) = {
-            let available = match reader.fill_buf() {
-                Ok(available) => available,
-                Err(ref e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => return LineRead::Error,
-            };
-            if available.is_empty() {
-                // EOF mid-line counts as EOF: the peer hung up before
-                // finishing the frame, so there is nothing to answer.
-                return LineRead::Eof;
-            }
-            match available.iter().position(|&b| b == b'\n') {
-                Some(newline) => {
-                    if !oversized && buf.len() + newline <= max_bytes {
-                        buf.extend_from_slice(&available[..newline]);
-                    } else {
-                        oversized = true;
-                    }
-                    (true, newline + 1)
-                }
-                None => {
-                    if !oversized && buf.len() + available.len() <= max_bytes {
-                        buf.extend_from_slice(available);
-                    } else {
-                        oversized = true;
-                    }
-                    (false, available.len())
-                }
-            }
-        };
-        reader.consume(used);
-        if done {
-            if oversized {
-                return LineRead::Oversized;
-            }
-            return match String::from_utf8(buf) {
-                Ok(line) => LineRead::Line(line),
-                Err(_) => LineRead::InvalidUtf8,
-            };
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Cursor;
-
-    #[test]
-    fn limited_line_reader_handles_lines_oversize_and_eof() {
-        let data = b"short\n".to_vec();
-        let mut reader = Cursor::new(data);
-        assert!(matches!(
-            read_line_limited(&mut reader, 1024),
-            LineRead::Line(line) if line == "short"
-        ));
-        assert!(matches!(
-            read_line_limited(&mut reader, 1024),
-            LineRead::Eof
-        ));
-
-        let long = "x".repeat(5000) + "\nnext\n";
-        let mut reader = Cursor::new(long.into_bytes());
-        assert!(matches!(
-            read_line_limited(&mut reader, 1024),
-            LineRead::Oversized
-        ));
-        // The over-long line was discarded; the stream is still synchronized.
-        assert!(matches!(
-            read_line_limited(&mut reader, 1024),
-            LineRead::Line(line) if line == "next"
-        ));
-
-        // A line of exactly the limit passes.
-        let exact = "y".repeat(8) + "\n";
-        let mut reader = Cursor::new(exact.into_bytes());
-        assert!(matches!(
-            read_line_limited(&mut reader, 8),
-            LineRead::Line(line) if line.len() == 8
-        ));
-
-        // EOF mid-line is EOF, not a frame.
-        let mut reader = Cursor::new(b"unterminated".to_vec());
-        assert!(matches!(
-            read_line_limited(&mut reader, 1024),
-            LineRead::Eof
-        ));
-
-        // Invalid UTF-8 is its own outcome (answered as `malformed`, not
-        // `oversized`), and the stream stays synchronized past it.
-        let mut reader = Cursor::new(b"bad \xff byte\nnext\n".to_vec());
-        assert!(matches!(
-            read_line_limited(&mut reader, 1024),
-            LineRead::InvalidUtf8
-        ));
-        assert!(matches!(
-            read_line_limited(&mut reader, 1024),
-            LineRead::Line(line) if line == "next"
-        ));
-    }
 
     #[test]
     fn wake_pair_interrupts_a_poll_sleep() {

@@ -44,6 +44,7 @@
 //! offending request's id when it could be parsed.
 
 use std::fmt::Write as _;
+use std::ops::Range;
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
@@ -1662,6 +1663,71 @@ pub fn peek_id(line: &str) -> Option<u64> {
     Json::parse(line).ok()?.get("id")?.as_u64()
 }
 
+/// The request line with the value of its first top-level `id` member —
+/// the one [`decode_request`] reads — replaced by `id`; every other byte
+/// is unchanged.  This is how a router multiplexes many clients' requests
+/// over one backend connection without re-encoding them.  Keys match as
+/// [`Json::get`] matches them: decoded text, first occurrence.  `None`
+/// when the line does not open with an object whose members up to that
+/// one parse.
+#[must_use]
+pub fn splice_request_id(line: &str, id: u64) -> Option<String> {
+    json::first_member_span(line, "id").map(|span| splice_id(line, span, id))
+}
+
+/// What a peek at the head of an answer line tells: whose answer it is
+/// and whether it is an error, without decoding the payload.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct AnswerPeek {
+    /// The answer's correlation id.
+    pub id: u64,
+    /// `None` for an `ok` answer, the kind of an `err` answer.
+    pub error: Option<ErrorKind>,
+    /// Byte range of the id's digits in the peeked line.
+    id_span: Range<usize>,
+}
+
+impl AnswerPeek {
+    /// The peeked line with its id replaced by `id`; every other byte is
+    /// unchanged.
+    #[must_use]
+    pub fn splice_id(&self, line: &str, id: u64) -> String {
+        splice_id(line, self.id_span.clone(), id)
+    }
+}
+
+/// Peeks at an answer line's head exactly as [`encode_response`] writes
+/// it: `{"v":1,"id":N,` followed by `"ok":` or by `"err":{"kind":"…"`
+/// naming a known kind.  Anything else — another layout, no id, an
+/// unknown kind — is `None`.  The rest of the line is not inspected.
+#[must_use]
+pub fn peek_answer(line: &str) -> Option<AnswerPeek> {
+    const HEAD: &str = "{\"v\":1,\"id\":";
+    let rest = line.strip_prefix(HEAD)?;
+    let digits = rest.bytes().take_while(u8::is_ascii_digit).count();
+    let id = rest[..digits].parse::<u64>().ok()?;
+    let body = rest[digits..].strip_prefix(',')?;
+    let error = if body.starts_with("\"ok\":") {
+        None
+    } else {
+        let kind = body.strip_prefix("\"err\":{\"kind\":\"")?;
+        Some(ErrorKind::from_wire_name(&kind[..kind.find('"')?])?)
+    };
+    Some(AnswerPeek {
+        id,
+        error,
+        id_span: HEAD.len()..HEAD.len() + digits,
+    })
+}
+
+fn splice_id(line: &str, span: Range<usize>, id: u64) -> String {
+    let mut out = String::with_capacity(line.len() + 20);
+    out.push_str(&line[..span.start]);
+    let _ = write!(out, "{id}");
+    out.push_str(&line[span.end..]);
+    out
+}
+
 fn decode_power(power: &Json) -> Result<crosslight_core::power::AcceleratorPower, ErrorFrame> {
     Ok(crosslight_core::power::AcceleratorPower {
         laser: MilliWatts::new(f64_field(power, "laser")?),
@@ -2670,5 +2736,83 @@ mod tests {
                 ErrorKind::Unavailable
             ]
         );
+    }
+
+    #[test]
+    fn request_id_splices_match_the_member_the_decoder_reads() {
+        // (line, the line spliced to id 42): whitespace survives, an
+        // escaped key is still `id`, a nested or quoted `id` is not the
+        // top-level member, and of duplicate ids the first is the one
+        // `decode_request` reads.
+        let cases = [
+            (
+                r#" { "v" : 1 , "id" : 7 , "op" : "ping" } "#,
+                r#" { "v" : 1 , "id" : 42 , "op" : "ping" } "#,
+            ),
+            (
+                r#"{"v":1,"\u0069d":7,"op":"ping"}"#,
+                r#"{"v":1,"\u0069d":42,"op":"ping"}"#,
+            ),
+            (
+                r#"{"v":1,"x":{"id":3},"y":"\"id\":5","id":7,"op":"ping"}"#,
+                r#"{"v":1,"x":{"id":3},"y":"\"id\":5","id":42,"op":"ping"}"#,
+            ),
+            (
+                r#"{"v":1,"id":7,"id":8,"op":"ping"}"#,
+                r#"{"v":1,"id":42,"id":8,"op":"ping"}"#,
+            ),
+        ];
+        for (line, expected) in cases {
+            assert_eq!(decode_request(line).unwrap().id, 7, "{line}");
+            let spliced = splice_request_id(line, 42).unwrap();
+            assert_eq!(spliced, expected);
+            assert_eq!(
+                decode_request(&spliced).unwrap(),
+                Request {
+                    id: 42,
+                    body: RequestBody::Ping
+                }
+            );
+        }
+        for line in [r#"{"v":1,"op":"ping"}"#, "[7]", "not json", ""] {
+            assert_eq!(splice_request_id(line, 42), None, "{line}");
+        }
+    }
+
+    #[test]
+    fn answer_peeks_read_only_the_encoders_head() {
+        for kind in ALL_ERROR_KINDS {
+            let line = encode_response(&Response::error(Some(12), ErrorFrame::new(kind, "d")));
+            let peek = peek_answer(&line).unwrap();
+            assert_eq!((peek.id, peek.error), (12, Some(kind)), "{line}");
+            assert_eq!(
+                peek.splice_id(&line, 3),
+                encode_response(&Response::error(Some(3), ErrorFrame::new(kind, "d")))
+            );
+        }
+        let pong = encode_response(&Response {
+            id: Some(u64::MAX),
+            body: ResponseBody::Pong,
+        });
+        assert_eq!(
+            peek_answer(&pong).map(|p| (p.id, p.error)),
+            Some((u64::MAX, None))
+        );
+        for line in [
+            // No id, another layout, another version, an unknown kind, a
+            // truncated head, an id past u64.
+            r#"{"v":1,"err":{"kind":"malformed","detail":"d"}}"#.to_string(),
+            r#"{"v":1, "id":3,"ok":{"type":"pong"}}"#.to_string(),
+            r#"{"id":3,"v":1,"ok":{"type":"pong"}}"#.to_string(),
+            r#"{"v":2,"id":3,"ok":{"type":"pong"}}"#.to_string(),
+            r#"{"v":1,"id":3,"err":{"kind":"panic","detail":"d"}}"#.to_string(),
+            r#"{"v":1,"id":3,"err":{"detail":"d","kind":"overloaded"}}"#.to_string(),
+            r#"{"v":1,"id":3,"err":{"kind":"overloaded"#.to_string(),
+            r#"{"v":1,"id":,"ok":{"type":"pong"}}"#.to_string(),
+            format!(r#"{{"v":1,"id":{}0,"ok":{{"type":"pong"}}}}"#, u64::MAX),
+            String::new(),
+        ] {
+            assert_eq!(peek_answer(&line), None, "{line}");
+        }
     }
 }

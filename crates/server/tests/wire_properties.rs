@@ -13,10 +13,22 @@ use crosslight_neural::zoo::PaperModel;
 use crosslight_photonics::units::{MilliWatts, Picojoules, Seconds, SquareMillimeters, Watts};
 use crosslight_server::json::Json;
 use crosslight_server::wire::{
-    decode_request, decode_response, encode_request, encode_response, ErrorFrame, ErrorKind,
-    EvalFrame, EvalSpec, Request, RequestBody, Response, ResponseBody, StatsFrame,
-    WireRuntimeStats, WireServerStats, WorkloadRef,
+    decode_request, decode_response, encode_request, encode_response, peek_answer,
+    splice_request_id, ErrorFrame, ErrorKind, EvalFrame, EvalSpec, MetricsFormat, Request,
+    RequestBody, Response, ResponseBody, StatsFrame, WireRuntimeStats, WireServerStats,
+    WorkloadRef,
 };
+
+/// Where the id's digits start in every encoded request and answer.
+const ID_AT: usize = "{\"v\":1,\"id\":".len();
+
+/// Asserts `spliced` is `line` with the id digits `old` replaced by `new`.
+fn only_the_id_differs(line: &str, spliced: &str, old: u64, new: u64) {
+    let (old, new) = (old.to_string(), new.to_string());
+    assert_eq!(&spliced[..ID_AT], &line[..ID_AT]);
+    assert_eq!(&spliced[ID_AT..ID_AT + new.len()], new.as_str());
+    assert_eq!(&spliced[ID_AT + new.len()..], &line[ID_AT + old.len()..]);
+}
 
 fn variant_from(index: usize) -> CrossLightVariant {
     CrossLightVariant::all()[index % 4]
@@ -217,6 +229,101 @@ proptest! {
         );
         let line = encode_response(&error);
         prop_assert_eq!(decode_response(&line).unwrap(), error);
+    }
+
+    /// A request spliced to a new id decodes to the same request under that
+    /// id, and every byte outside the id is unchanged — for every op, and
+    /// for inline workloads whose names carry `"id":` text of their own.
+    #[test]
+    fn spliced_requests_keep_every_byte_but_the_id(
+        id in 0u64..u64::MAX,
+        new_id in 0u64..u64::MAX,
+        op in 0usize..5,
+        variant in 0usize..4,
+        dims in (1usize..500, 1usize..500, 1usize..200, 1usize..200),
+        bits in 1u32..32,
+        model in 0usize..4,
+        name_tag in 0u32..1000,
+    ) {
+        let body = match op {
+            0 => RequestBody::Eval(spec_from(variant, dims, bits, model)),
+            1 => RequestBody::Eval(EvalSpec::crosslight(
+                variant_from(variant),
+                dims,
+                bits,
+                WorkloadRef::Inline(NetworkWorkload {
+                    name: format!("{{\"id\":{name_tag}}}"),
+                    conv_layers: vec![DotProductWorkload { dot_length: dims.0, dot_count: dims.1 }],
+                    fc_layers: Vec::new(),
+                    towers: 1,
+                }),
+            )),
+            2 => RequestBody::Stats,
+            3 => RequestBody::Ping,
+            _ => RequestBody::Metrics { format: MetricsFormat::Text },
+        };
+        let request = Request { id, body };
+        let line = encode_request(&request);
+        let spliced = splice_request_id(&line, new_id).unwrap();
+        only_the_id_differs(&line, &spliced, id, new_id);
+        prop_assert_eq!(decode_request(&spliced).unwrap(), Request { id: new_id, ..request });
+    }
+
+    /// The answer peek agrees with the decoder on every eval and error
+    /// answer, splicing a new id into an answer changes nothing else, and
+    /// the same answer without an id is rejected.
+    #[test]
+    fn answer_peeks_agree_with_the_decoder(
+        id in 0u64..u64::MAX,
+        new_id in 0u64..u64::MAX,
+        kind in 0usize..9,
+        mantissas in proptest::collection::vec(-1.0f64..1.0, 16),
+        detail_tag in 0u32..1000,
+    ) {
+        let kinds = [
+            ErrorKind::Malformed,
+            ErrorKind::UnsupportedVersion,
+            ErrorKind::Oversized,
+            ErrorKind::Overloaded,
+            ErrorKind::Evaluation,
+            ErrorKind::ShuttingDown,
+            ErrorKind::Unsupported,
+            ErrorKind::Unavailable,
+        ];
+        let body = match kinds.get(kind) {
+            Some(&kind) => ResponseBody::Error(ErrorFrame::new(
+                kind,
+                format!("detail \"kind\":\"{detail_tag}\" \\"),
+            )),
+            None => {
+                let mut values = [0.0f64; 16];
+                for (slot, mantissa) in values.iter_mut().zip(&mantissas) {
+                    *slot = mantissa * 1e3;
+                }
+                ResponseBody::Eval(EvalFrame {
+                    report: report_from(&values, 16),
+                    cache_hit: detail_tag % 2 == 0,
+                    worker: u64::from(detail_tag % 8),
+                })
+            }
+        };
+        let response = Response { id: Some(id), body };
+        let line = encode_response(&response);
+        let peek = peek_answer(&line).unwrap();
+        let decoded = decode_response(&line).unwrap();
+        prop_assert_eq!(Some(peek.id), decoded.id);
+        let decoded_error = match &decoded.body {
+            ResponseBody::Error(frame) => Some(frame.kind),
+            _ => None,
+        };
+        prop_assert_eq!(peek.error, decoded_error);
+        let spliced = peek.splice_id(&line, new_id);
+        only_the_id_differs(&line, &spliced, id, new_id);
+        prop_assert_eq!(
+            decode_response(&spliced).unwrap(),
+            Response { id: Some(new_id), ..response.clone() }
+        );
+        prop_assert_eq!(peek_answer(&encode_response(&Response { id: None, ..response })), None);
     }
 
     /// Fuzz: arbitrary byte soup never panics the decoders — every outcome

@@ -93,6 +93,12 @@ fn reference_lines(specs: &[EvalSpec]) -> Vec<String> {
 /// Pipelines the sweep through one client connection and returns the
 /// canonicalized answers in arrival order; panics on any non-eval answer.
 fn cluster_lines(client: &mut Client, specs: &[EvalSpec]) -> Vec<String> {
+    send_evals(client, specs);
+    (0..specs.len()).map(|_| recv_eval(client)).collect()
+}
+
+/// Pipelines the sweep under ids `0..` without reading an answer.
+fn send_evals(client: &mut Client, specs: &[EvalSpec]) {
     for (id, spec) in specs.iter().enumerate() {
         client
             .send(&Request {
@@ -102,7 +108,6 @@ fn cluster_lines(client: &mut Client, specs: &[EvalSpec]) -> Vec<String> {
             .expect("pipelined send");
     }
     client.flush().expect("pipelined flush");
-    (0..specs.len()).map(|_| recv_eval(client)).collect()
 }
 
 fn recv_eval(client: &mut Client) -> String {
@@ -149,12 +154,22 @@ fn chaos_options() -> RouterOptions {
 
 /// Sums one counter family (over all label sets) out of a metrics scrape.
 fn family_total(snapshot: &WireMetricsSnapshot, name: &str) -> u64 {
+    labelled_total(snapshot, name, &[])
+}
+
+/// Sums the series of one family that carry every given label pair.
+fn labelled_total(snapshot: &WireMetricsSnapshot, name: &str, labels: &[(&str, &str)]) -> u64 {
     use crosslight::server::wire::WireMetricValue;
     snapshot
         .families
         .iter()
         .filter(|family| family.name == name)
         .flat_map(|family| &family.series)
+        .filter(|series| {
+            labels
+                .iter()
+                .all(|&(key, value)| series.labels.iter().any(|(k, v)| k == key && v == value))
+        })
         .map(|series| match series.value {
             WireMetricValue::Counter(value) => value,
             WireMetricValue::Gauge(value) => value.max(0) as u64,
@@ -905,4 +920,374 @@ fn a_stats_fan_out_waiting_on_a_silent_backend_never_stalls_a_ping() {
 
     router.shutdown();
     backend.shutdown();
+}
+
+// ---------------------------------------------------------------------------
+// Pipelined backend links, driven through test-local fake backends
+// ---------------------------------------------------------------------------
+
+/// The first `count` specs of a mixed sweep whose first rendezvous choice
+/// among `backends` is `backend`, so a test can aim traffic at one link.
+fn specs_homed_on(backend: usize, backends: usize, count: usize) -> Vec<EvalSpec> {
+    let table = workload_table();
+    let specs: Vec<EvalSpec> = mixed_sweep(count * backends * 4)
+        .into_iter()
+        .filter(|spec| {
+            let fingerprint = spec
+                .to_eval_request(0, &table)
+                .expect("sweep specs are valid")
+                .key()
+                .fingerprint();
+            crosslight::cluster::backend::rendezvous_order(fingerprint, backends)[0] == backend
+        })
+        .take(count)
+        .collect();
+    assert_eq!(specs.len(), count, "the sweep is long enough");
+    specs
+}
+
+/// What a fake backend does with the lines it reads.
+#[derive(Debug, Clone, Copy)]
+enum Fake {
+    /// Forwards each burst to the real server and writes its answers back
+    /// in reverse order.
+    Reverse,
+    /// Forwards the first `n` lines of each connection, then closes it.
+    AnswerFirst(usize),
+    /// Reads everything and answers nothing.
+    Silent,
+    /// Forwards each burst and writes its answers back after a delay.
+    Delay(Duration),
+}
+
+/// A test-local backend: a listener whose connections each get a thread
+/// that treats the router's lines as its [`Fake`] mode says, forwarding
+/// what it answers to a real server over a connection of its own.
+struct FakeBackend {
+    addr: SocketAddr,
+    /// Bursts of two or more lines answered in reverse order.
+    reversed_bursts: Arc<std::sync::atomic::AtomicUsize>,
+}
+
+fn fake_backend(upstream: SocketAddr, mode: Fake) -> FakeBackend {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind a fake backend");
+    let addr = listener.local_addr().expect("fake backend address");
+    let reversed_bursts = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+    let reversed = Arc::clone(&reversed_bursts);
+    // Detached: each connection's thread ends when the router closes it,
+    // and the acceptor with the test process.
+    std::thread::spawn(move || {
+        for stream in listener.incoming() {
+            let Ok(stream) = stream else { continue };
+            let reversed = Arc::clone(&reversed);
+            std::thread::spawn(move || serve_fake(stream, upstream, mode, &reversed));
+        }
+    });
+    FakeBackend {
+        addr,
+        reversed_bursts,
+    }
+}
+
+/// One fake-backend connection; returns when the router hangs up, or
+/// when an `AnswerFirst` budget is spent (dropping the socket closes it).
+fn serve_fake(
+    stream: TcpStream,
+    upstream: SocketAddr,
+    mode: Fake,
+    reversed: &std::sync::atomic::AtomicUsize,
+) -> std::io::Result<()> {
+    use std::io::{BufRead, BufReader};
+
+    let mut writer = stream.try_clone()?;
+    let mut reader = BufReader::new(stream);
+    let upstream = TcpStream::connect(upstream)?;
+    let mut up_writer = upstream.try_clone()?;
+    let mut up_reader = BufReader::new(upstream);
+    let mut answered = 0usize;
+    loop {
+        // A burst: one line, plus every complete line already buffered
+        // behind it.
+        let mut burst = Vec::new();
+        loop {
+            let mut line = String::new();
+            if reader.read_line(&mut line)? == 0 {
+                return Ok(());
+            }
+            burst.push(line);
+            if !reader.buffer().contains(&b'\n') {
+                break;
+            }
+        }
+        if let Fake::AnswerFirst(limit) = mode {
+            burst.truncate(limit - answered);
+        }
+        if matches!(mode, Fake::Silent) || burst.is_empty() {
+            continue;
+        }
+        up_writer.write_all(burst.concat().as_bytes())?;
+        let mut answers = Vec::with_capacity(burst.len());
+        for _ in &burst {
+            let mut answer = String::new();
+            up_reader.read_line(&mut answer)?;
+            answers.push(answer);
+        }
+        match mode {
+            Fake::Reverse if answers.len() > 1 => {
+                answers.reverse();
+                reversed.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+            }
+            Fake::Delay(delay) => std::thread::sleep(delay),
+            _ => {}
+        }
+        writer.write_all(answers.concat().as_bytes())?;
+        answered += answers.len();
+        if matches!(mode, Fake::AnswerFirst(limit) if answered >= limit) {
+            return Ok(());
+        }
+    }
+}
+
+/// Proves nothing more is owed on a connection: a ping's pong is the very
+/// next line.
+fn next_line_is_pong(client: &mut Client, id: u64) {
+    let pong = client
+        .call(&Request {
+            id,
+            body: RequestBody::Ping,
+        })
+        .expect("the pong");
+    assert_eq!(
+        pong,
+        Response {
+            id: Some(id),
+            body: ResponseBody::Pong
+        },
+        "an answer arrived that nobody was owed"
+    );
+}
+
+fn router_client(router: &Router) -> Client {
+    Client::connect_with(
+        router.local_addr(),
+        ClientOptions::with_deadline(Duration::from_secs(60)),
+    )
+    .expect("connect to router")
+}
+
+#[test]
+fn clients_reusing_the_same_ids_get_their_own_answers_over_one_link() {
+    let real = bind_backend();
+    let fake = fake_backend(real.local_addr(), Fake::Reverse);
+    let router = Router::bind("127.0.0.1:0", &[fake.addr], chaos_options()).expect("bind router");
+
+    // Two clients, the same ids 0..48, different specs, in flight at once
+    // over the router's one link to the reversing backend.
+    let specs = mixed_sweep(96);
+    let (specs_a, specs_b) = specs.split_at(48);
+    let (mut client_a, mut client_b) = (router_client(&router), router_client(&router));
+    send_evals(&mut client_a, specs_a);
+    send_evals(&mut client_b, specs_b);
+    let served_a: Vec<String> = specs_a.iter().map(|_| recv_eval(&mut client_a)).collect();
+    let served_b: Vec<String> = specs_b.iter().map(|_| recv_eval(&mut client_b)).collect();
+
+    assert_eq!(sorted(served_a), sorted(reference_lines(specs_a)));
+    assert_eq!(sorted(served_b), sorted(reference_lines(specs_b)));
+    next_line_is_pong(&mut client_a, 1_000);
+    next_line_is_pong(&mut client_b, 1_000);
+    assert!(
+        fake.reversed_bursts
+            .load(std::sync::atomic::Ordering::SeqCst)
+            > 0,
+        "the link must have pipelined bursts the backend could reorder"
+    );
+    let stats = router.stats();
+    assert_eq!(stats.evals_ok, 96);
+    assert_eq!(stats.failovers, 0);
+
+    drop((client_a, client_b));
+    router.shutdown();
+    real.shutdown();
+}
+
+#[test]
+fn a_backend_that_closes_mid_window_fails_each_unanswered_eval_over_once() {
+    let (upstream, survivor) = (bind_backend(), bind_backend());
+    let fake = fake_backend(upstream.local_addr(), Fake::AnswerFirst(5));
+    let router = Router::bind(
+        "127.0.0.1:0",
+        &[fake.addr, survivor.local_addr()],
+        chaos_options().with_replication(2),
+    )
+    .expect("bind router");
+
+    // Every eval's first choice is the fake, which answers five of them on
+    // its link and closes it; the rest must come from the survivor.
+    let specs = specs_homed_on(0, 2, 64);
+    let mut client = router_client(&router);
+    let served = cluster_lines(&mut client, &specs);
+    assert_eq!(sorted(served), sorted(reference_lines(&specs)));
+    next_line_is_pong(&mut client, 1_000);
+
+    let stats = router.stats();
+    assert_eq!(stats.evals_ok, 64);
+    assert_eq!(stats.shed_total, 0);
+    assert!(stats.failovers >= 1, "{stats:?}");
+    let scrape = WireMetricsSnapshot::from(&router.metrics_snapshot());
+    let deaths: u64 = ["eof", "error", "garbled", "unknown_id", "timeout"]
+        .iter()
+        .map(|reason| {
+            labelled_total(
+                &scrape,
+                "cluster_link_resets_total",
+                &[("backend", "0"), ("reason", reason)],
+            )
+        })
+        .sum();
+    // The close reads as EOF, or as a reset when requests were still
+    // unread in the fake's socket.
+    assert!(deaths >= 1, "the close must have killed the link");
+    assert_eq!(
+        labelled_total(
+            &scrape,
+            "cluster_backend_failures_total",
+            &[("backend", "0")]
+        ),
+        deaths,
+        "each link death is exactly one failure"
+    );
+
+    drop(client);
+    wait_for(
+        "every link gauge back at zero",
+        Duration::from_secs(10),
+        || {
+            let scrape = WireMetricsSnapshot::from(&router.metrics_snapshot());
+            [
+                "cluster_queue_depth",
+                "cluster_backend_in_flight",
+                "cluster_write_queue_depth",
+            ]
+            .iter()
+            .all(|name| family_total(&scrape, name) == 0)
+        },
+    );
+    router.shutdown();
+    upstream.shutdown();
+    survivor.shutdown();
+}
+
+#[test]
+fn a_silent_backend_fails_its_whole_window_over_within_one_timeout() {
+    let (upstream, survivor) = (bind_backend(), bind_backend());
+    let silent = fake_backend(upstream.local_addr(), Fake::Silent);
+    let request_timeout = Duration::from_millis(300);
+    // No probe meets the silent backend and no breaker trips during the
+    // test: the link alone must fail everything over.
+    let router = Router::bind(
+        "127.0.0.1:0",
+        &[silent.addr, survivor.local_addr()],
+        chaos_options()
+            .with_replication(2)
+            .with_request_timeout(request_timeout)
+            .with_failure_threshold(1_000)
+            .with_health(
+                Duration::from_secs(60),
+                Duration::from_secs(1),
+                Duration::from_millis(250),
+            ),
+    )
+    .expect("bind router");
+
+    // Warm the survivor, so the time measured is the failover's alone.
+    let specs = specs_homed_on(0, 2, 64);
+    let mut warm = Client::connect_with(
+        survivor.local_addr(),
+        ClientOptions::with_deadline(Duration::from_secs(60)),
+    )
+    .expect("connect to the survivor");
+    cluster_lines(&mut warm, &specs);
+
+    let mut client = router_client(&router);
+    let started = Instant::now();
+    let served = cluster_lines(&mut client, &specs);
+    let elapsed = started.elapsed();
+    assert_eq!(sorted(served), sorted(reference_lines(&specs)));
+    // One liveness timeout covers the window and the jobs queued behind
+    // it; a timeout per job (or per window) would take many times longer.
+    assert!(
+        elapsed < 2 * request_timeout,
+        "64 evals behind a silent backend took {elapsed:?}"
+    );
+    let scrape = WireMetricsSnapshot::from(&router.metrics_snapshot());
+    assert!(
+        labelled_total(
+            &scrape,
+            "cluster_link_resets_total",
+            &[("backend", "0"), ("reason", "timeout")]
+        ) >= 1
+    );
+    assert_eq!(router.stats().shed_total, 0);
+
+    drop(client);
+    router.shutdown();
+    upstream.shutdown();
+    survivor.shutdown();
+}
+
+#[test]
+fn a_deadline_passing_on_a_slow_link_is_answered_there_and_the_late_answer_dropped() {
+    let upstream = bind_backend();
+    let slow = fake_backend(
+        upstream.local_addr(),
+        Fake::Delay(Duration::from_millis(800)),
+    );
+    let deadline = Duration::from_millis(300);
+    let router = Router::bind(
+        "127.0.0.1:0",
+        &[slow.addr],
+        chaos_options()
+            .with_request_deadline(deadline)
+            // No probe meets the slow backend during the test.
+            .with_health(
+                Duration::from_secs(60),
+                Duration::from_secs(1),
+                Duration::from_millis(250),
+            ),
+    )
+    .expect("bind router");
+
+    let mut client = router_client(&router);
+    let started = Instant::now();
+    let response = client.eval(0, &mixed_sweep(1)[0]).expect("the shed");
+    let elapsed = started.elapsed();
+    assert_eq!(response.id, Some(0));
+    assert!(
+        matches!(response.body, ResponseBody::Error(ref frame) if frame.kind == ErrorKind::Unavailable),
+        "{response:?}"
+    );
+    assert!(
+        elapsed >= deadline && elapsed < Duration::from_millis(800),
+        "the shed must arrive at the deadline, not with the answer: {elapsed:?}"
+    );
+
+    // The backend's late answer lands on the link and is dropped there.
+    wait_for("the late answer", Duration::from_secs(10), || {
+        let scrape = WireMetricsSnapshot::from(&router.metrics_snapshot());
+        family_total(&scrape, "cluster_backend_in_flight") == 0
+    });
+    next_line_is_pong(&mut client, 1_000);
+    let stats = router.stats();
+    assert_eq!(stats.evals_ok, 0);
+    assert_eq!(stats.shed_total, 1);
+    let scrape = WireMetricsSnapshot::from(&router.metrics_snapshot());
+    assert_eq!(
+        family_total(&scrape, "cluster_link_resets_total"),
+        0,
+        "a late answer does not cost the link"
+    );
+
+    drop(client);
+    router.shutdown();
+    upstream.shutdown();
 }
