@@ -15,10 +15,11 @@
 //! `cluster_loopback_warm_mix` is what the same client pays for the same
 //! scenario stream through the router and three backends.  The routed
 //! path pays one extra hop: the router pipelines each backend's share of
-//! the mix over that backend's one link, with up to 128 requests in
-//! flight under link-unique ids (exactly-once failover is kept by the
-//! link's in-flight map, not by pinning a request to a connection), so
-//! the backends batch as they do for a direct client.  The target for
+//! the mix over that backend's one link, with up to the link's `WINDOW`
+//! of requests in flight, each under its window slot's index as its id
+//! (exactly-once failover is kept by the link's window, not by pinning a
+//! request to a connection), so the backends batch as they do for a
+//! direct client.  The target for
 //! this subsystem is the routed path within 2× of direct serving on the
 //! warm mix; the measured ratio is embedded in the JSON as
 //! `speedup_vs_baseline` of `cluster_loopback_warm_mix` (a value ≥ 0.5

@@ -21,11 +21,13 @@
 //! The router never re-encodes evaluation traffic.  A client's `eval`
 //! line is decoded once — to validate it and derive the routing
 //! fingerprint — and the *original bytes* travel to the backend with one
-//! change: the id value is replaced by an id unique on the link, so many
-//! clients' requests share one socket.  The backend's answer travels back
-//! with the client's id spliced in and every other byte as the backend
-//! wrote it.  Locally answered ops (`ping`, decode errors, spec errors) go
-//! through the same `wire` encoder a single
+//! change: the id value is replaced by the index of the request's window
+//! slot on the link, so many clients' requests share one socket.  That id
+//! is one digit, so the line never grows past what the client sent.  The
+//! backend's answer travels back with the client's id spliced in and
+//! every other byte as the backend wrote it.  Locally answered ops
+//! (`ping`, decode errors, spec errors) go through the same `wire`
+//! encoder a single
 //! [`Server`](crosslight_server::server::Server) uses.  A cluster is
 //! therefore byte-indistinguishable from one server on every answered
 //! request, which the chaos suite asserts multiset-exactly.
@@ -39,9 +41,11 @@
 //! unknown answer id, timeout) is one transport fault against the
 //! backend's breaker; its outstanding and queued jobs *fail over* to the
 //! next replica, which is safe because evaluations are pure and
-//! idempotent.  Only a job a fault point names, or one a backend refused
-//! with a retryable error, spends an attempt and a token of the bounded,
-//! cluster-wide [`RetryBudget`]; retries back off exponentially with
+//! idempotent.  Only a job a fault point names, one a backend refused
+//! with a retryable error, or one a failed dial strands (nothing was
+//! written, so the fault is plainly its backend's) spends an attempt and
+//! a token of the bounded, cluster-wide [`RetryBudget`]; retries back off
+//! exponentially with
 //! deterministic jitter.  When no replica is usable and the budget,
 //! attempts or deadline run out, the request is shed with an explicit
 //! retryable `unavailable` error — never a hang, never a silent wrong

@@ -4,7 +4,7 @@
 //! Dispatching threads append jobs to the link's [`Backlog`] and wake the
 //! link thread only when they make the backlog non-empty, so a burst costs
 //! one wake.  The thread moves up to [`WINDOW`] jobs in flight, each under
-//! a link-unique id spliced into the client's line
+//! the index of its window slot as the id spliced into the client's line
 //! ([`wire::splice_request_id`]), and writes the burst with one write.
 //! Answers are framed by a [`LineScanner`]; a peek at each answer's head
 //! ([`wire::peek_answer`]) names its job and tells `ok` from `err` without
@@ -21,7 +21,9 @@
 //! [`retry_after_failure`]; every other outstanding or queued job fails
 //! over without spending an attempt or a budget token.  A link from before
 //! the backend's last outage or re-address is dropped the same way, with
-//! no failure booked against the live backend.
+//! no failure booked against the live backend.  A dial that fails wrote
+//! nothing, so it is one failure and each job it strands is charged an
+//! attempt, as any failed I/O is.
 
 use std::collections::VecDeque;
 use std::io::{ErrorKind as IoErrorKind, Read, Write};
@@ -50,6 +52,11 @@ use crate::faultpoint::{FaultAction, FaultPlan, FaultPoint};
 /// router to re-route (the chaos suite's mid-sweep kill must see its
 /// failover).
 pub(super) const WINDOW: usize = 8;
+
+// A request goes out under its slot's index.  One digit never lengthens
+// the client's line (its id is at least one digit), so a line the client
+// could send is one the backend accepts.
+const _: () = assert!(WINDOW <= 10, "slot ids must stay one digit");
 
 /// Why a link was torn down: the `reason` label of
 /// `cluster_link_resets_total`.
@@ -139,8 +146,6 @@ struct Socket {
 
 /// One request written on a link and not yet answered.
 struct Outstanding {
-    /// The link-unique id the request went out under.
-    id: u64,
     job: ForwardJob,
     written: Instant,
     /// The job's deadline passed here and the client was answered (or the
@@ -153,9 +158,9 @@ struct Link<'a> {
     shared: &'a Arc<ClusterShared>,
     backend: usize,
     socket: Option<Socket>,
-    /// Requests in flight, in the order they were written.
-    in_flight: Vec<Outstanding>,
-    next_id: u64,
+    /// Requests in flight, each in the slot whose index is its id on the
+    /// wire.  A slot frees when its answer is read.
+    slots: [Option<Outstanding>; WINDOW],
     /// When the link last read an answer, or went from idle to
     /// outstanding: the liveness clock.
     progress: Instant,
@@ -169,8 +174,7 @@ pub(super) fn run(shared: &Arc<ClusterShared>, backend: usize, wake: &WakeReceiv
         shared,
         backend,
         socket: None,
-        in_flight: Vec::with_capacity(WINDOW),
-        next_id: 0,
+        slots: std::array::from_fn(|_| None),
         progress: Instant::now(),
         touched: Vec::new(),
     };
@@ -229,7 +233,7 @@ impl Link<'_> {
     /// Moves backlog jobs into the window and stages their requests.
     fn admit(&mut self) {
         let shared = self.shared;
-        let jobs = self.take(WINDOW - self.in_flight.len());
+        let jobs = self.take(WINDOW - self.in_flight());
         if jobs.is_empty() {
             return;
         }
@@ -241,11 +245,18 @@ impl Link<'_> {
             }
             return;
         }
-        if self.socket.is_none() && !self.dial() {
-            for job in jobs {
-                self.fail_over(job);
+        if self.socket.is_none() {
+            if let Err(err) = self.dial() {
+                // Nothing was written, so no window hides whose fault it
+                // is: each stranded job spends an attempt, as it would on
+                // any failed I/O.
+                self.close(Reset::Error);
+                let detail = format!("connect: {err}");
+                for job in jobs.into_iter().chain(self.take(usize::MAX)) {
+                    retry_after_failure(shared, self.backend, job, None, &detail);
+                }
+                return;
             }
-            return self.reset(Reset::Error);
         }
         let mut jobs = jobs.into_iter();
         while let Some(job) = jobs.next() {
@@ -270,9 +281,12 @@ impl Link<'_> {
                     return;
                 }
             };
-            let id = self.next_id;
-            self.next_id += 1;
-            let Some(mut line) = wire::splice_request_id(&job.line, id) else {
+            let slot = self
+                .slots
+                .iter()
+                .position(Option::is_none)
+                .expect("admit takes no more jobs than free slots");
+            let Some(mut line) = wire::splice_request_id(&job.line, slot as u64) else {
                 let detail = "request line has no top-level id";
                 shed(shared, &job, ShedReason::Attempts, detail);
                 continue;
@@ -284,11 +298,10 @@ impl Link<'_> {
             socket.out.extend_from_slice(line.as_bytes());
             socket.out.push(b'\n');
             let written = Instant::now();
-            if self.in_flight.is_empty() {
+            if self.in_flight() == 0 {
                 self.progress = written;
             }
-            self.in_flight.push(Outstanding {
-                id,
+            self.slots[slot] = Some(Outstanding {
                 job,
                 written,
                 shed: false,
@@ -316,20 +329,14 @@ impl Link<'_> {
         }
     }
 
-    /// Dials the backend; `false` when the dial failed.
-    fn dial(&mut self) -> bool {
+    /// Dials the backend.
+    fn dial(&mut self) -> std::io::Result<()> {
         let backend = &self.shared.backends[self.backend];
         let generation = backend.generation();
-        let dialed =
-            TcpStream::connect_timeout(&backend.addr(), self.shared.options.connect_timeout)
-                .and_then(|stream| {
-                    stream.set_nodelay(true)?;
-                    stream.set_nonblocking(true)?;
-                    Ok(stream)
-                });
-        let Ok(stream) = dialed else {
-            return false;
-        };
+        let stream =
+            TcpStream::connect_timeout(&backend.addr(), self.shared.options.connect_timeout)?;
+        stream.set_nodelay(true)?;
+        stream.set_nonblocking(true)?;
         self.socket = Some(Socket {
             stream,
             generation,
@@ -337,7 +344,7 @@ impl Link<'_> {
             out: Vec::new(),
             stalled_since: None,
         });
-        true
+        Ok(())
     }
 
     /// Writes what the socket takes of the pending bursts.
@@ -411,11 +418,13 @@ impl Link<'_> {
             self.reset(Reset::Garbled);
             return false;
         };
-        let Some(index) = self.in_flight.iter().position(|o| o.id == peek.id) else {
+        let slot = usize::try_from(peek.id)
+            .ok()
+            .and_then(|id| self.slots.get_mut(id));
+        let Some(outstanding) = slot.and_then(Option::take) else {
             self.reset(Reset::UnknownId);
             return false;
         };
-        let outstanding = self.in_flight.remove(index);
         self.publish_in_flight();
         self.progress = Instant::now();
         if !outstanding.shed {
@@ -471,13 +480,13 @@ impl Link<'_> {
             let stalled = socket
                 .stalled_since
                 .is_some_and(|since| now.duration_since(since) >= timeout);
-            let silent = !self.in_flight.is_empty() && now.duration_since(self.progress) >= timeout;
+            let silent = self.in_flight() > 0 && now.duration_since(self.progress) >= timeout;
             if stalled || silent {
                 return self.reset(Reset::Timeout);
             }
         }
         let shared = self.shared;
-        for outstanding in &mut self.in_flight {
+        for outstanding in self.slots.iter_mut().flatten() {
             if outstanding.shed || now < outstanding.job.deadline {
                 continue;
             }
@@ -498,18 +507,17 @@ impl Link<'_> {
     fn poll_timeout(&self) -> Duration {
         let now = Instant::now();
         let mut wake_at = now + IDLE_POLL;
-        if !self.in_flight.is_empty() {
+        if self.in_flight() > 0 {
             wake_at = wake_at.min(self.progress + self.shared.options.request_timeout);
         }
-        for outstanding in self.in_flight.iter().filter(|o| !o.shed) {
+        for outstanding in self.slots.iter().flatten().filter(|o| !o.shed) {
             wake_at = wake_at.min(outstanding.job.deadline);
         }
         wake_at.saturating_duration_since(now)
     }
 
-    /// Tears the link down: one failure unless it is `stale`, and every
-    /// outstanding and queued job fails over for free.
-    fn reset(&mut self, reason: Reset) {
+    /// Drops the socket and books why: one failure unless it is `stale`.
+    fn close(&mut self, reason: Reset) {
         let (shared, backend) = (self.shared, self.backend);
         let telemetry = &shared.telemetry;
         self.socket = None;
@@ -521,10 +529,13 @@ impl Link<'_> {
             }
             telemetry.sync_state_gauge(backend, shared.backends[backend].state());
         }
-        let outstanding = std::mem::take(&mut self.in_flight);
-        self.publish_in_flight();
-        let unanswered = outstanding.into_iter().filter(|o| !o.shed).map(|o| o.job);
-        for job in unanswered.chain(self.take(usize::MAX)) {
+    }
+
+    /// Tears the link down: [`close`](Self::close), then every outstanding
+    /// and queued job fails over for free.
+    fn reset(&mut self, reason: Reset) {
+        self.close(reason);
+        for job in self.unanswered().chain(self.take(usize::MAX)) {
             self.fail_over(job);
         }
     }
@@ -548,9 +559,26 @@ impl Link<'_> {
         jobs.drain(..count).collect()
     }
 
+    /// Requests written and not yet answered.
+    fn in_flight(&self) -> usize {
+        self.slots.iter().flatten().count()
+    }
+
+    /// Empties the window, yielding the jobs still owed an answer (a job
+    /// shed in place already has one).
+    fn unanswered(&mut self) -> impl Iterator<Item = ForwardJob> {
+        let slots = std::mem::replace(&mut self.slots, std::array::from_fn(|_| None));
+        self.publish_in_flight();
+        slots
+            .into_iter()
+            .flatten()
+            .filter(|o| !o.shed)
+            .map(|o| o.job)
+    }
+
     /// Mirrors the in-flight count to dispatchers and the gauge.
     fn publish_in_flight(&self) {
-        let count = self.in_flight.len();
+        let count = self.in_flight();
         self.shared.links[self.backend]
             .in_flight
             .store(count, Ordering::Release);
@@ -569,10 +597,7 @@ impl Link<'_> {
     /// gone): each is accounted and dropped.
     fn abandon(&mut self) {
         self.socket = None;
-        let outstanding = std::mem::take(&mut self.in_flight);
-        self.publish_in_flight();
-        let unanswered = outstanding.into_iter().filter(|o| !o.shed).map(|o| o.job);
-        for job in unanswered.chain(self.take(usize::MAX)) {
+        for job in self.unanswered().chain(self.take(usize::MAX)) {
             shed(
                 self.shared,
                 &job,

@@ -1291,3 +1291,122 @@ fn a_deadline_passing_on_a_slow_link_is_answered_there_and_the_late_answer_dropp
     router.shutdown();
     upstream.shutdown();
 }
+
+#[test]
+fn a_line_at_the_length_limit_still_fits_the_backend_after_many_requests_on_its_link() {
+    let backend = bind_backend();
+    let router = Router::bind(
+        "127.0.0.1:0",
+        &[backend.local_addr()],
+        chaos_options().with_request_deadline(Duration::from_secs(5)),
+    )
+    .expect("bind router");
+
+    // More than ten requests over the one link first, so an id that grew
+    // with the link's use would have two digits by now.
+    let mut client = router_client(&router);
+    let warm = mixed_sweep(24);
+    assert_eq!(
+        sorted(cluster_lines(&mut client, &warm)),
+        sorted(reference_lines(&warm))
+    );
+
+    // An eval under id 0, padded with JSON whitespace to exactly the line
+    // limit the router and its backend share.
+    let spec = mixed_sweep(1).remove(0);
+    let mut line = wire::encode_request(&Request {
+        id: 0,
+        body: RequestBody::Eval(spec.clone()),
+    });
+    let close = line.pop().expect("an encoded request ends with its brace");
+    line.extend(std::iter::repeat_n(
+        ' ',
+        wire::DEFAULT_MAX_LINE_BYTES - line.len() - 1,
+    ));
+    line.push(close);
+    assert_eq!(line.len(), wire::DEFAULT_MAX_LINE_BYTES);
+    let mut raw = TcpStream::connect(router.local_addr()).expect("connect to router");
+    raw.set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("read timeout");
+    raw.write_all(format!("{line}\n").as_bytes())
+        .expect("send the padded eval");
+    let mut answer = String::new();
+    std::io::BufRead::read_line(&mut std::io::BufReader::new(&raw), &mut answer)
+        .expect("the answer");
+    let response = wire::decode_response(answer.trim_end()).expect("a well-formed answer");
+    let ResponseBody::Eval(frame) = response.body else {
+        panic!("expected a report, got {response:?}");
+    };
+    assert_eq!(
+        canonical_line(0, frame.report),
+        reference_lines(std::slice::from_ref(&spec))[0]
+    );
+    let scrape = WireMetricsSnapshot::from(&router.metrics_snapshot());
+    assert_eq!(family_total(&scrape, "cluster_link_resets_total"), 0);
+    assert_eq!(router.stats().shed_total, 0);
+
+    drop((client, raw));
+    router.shutdown();
+    backend.shutdown();
+}
+
+#[test]
+fn refused_dials_spend_attempts_and_shed_long_before_the_deadline() {
+    // Bind-then-drop: addresses that refuse every dial.
+    let addrs: Vec<SocketAddr> = (0..2)
+        .map(|_| {
+            let listener = TcpListener::bind("127.0.0.1:0").expect("bind throwaway listener");
+            listener.local_addr().expect("throwaway listener addr")
+        })
+        .collect();
+    let deadline = Duration::from_secs(20);
+    // No breaker opens and no probe runs during the test: the dials alone
+    // must use up the eval's attempts.
+    let router = Router::bind(
+        "127.0.0.1:0",
+        &addrs,
+        chaos_options()
+            .with_replication(2)
+            .with_request_deadline(deadline)
+            .with_failure_threshold(1_000)
+            .with_health(
+                Duration::from_secs(60),
+                Duration::from_secs(1),
+                Duration::from_millis(250),
+            )
+            .with_retry(RetryPolicy {
+                max_attempts: 3,
+                base_backoff: Duration::from_millis(5),
+                max_backoff: Duration::from_millis(50),
+                jitter_seed: 0xC1A05,
+            }),
+    )
+    .expect("bind router");
+
+    let mut client = router_client(&router);
+    let started = Instant::now();
+    let response = client.eval(7, &mixed_sweep(1)[0]).expect("the shed");
+    let elapsed = started.elapsed();
+    let ResponseBody::Error(frame) = response.body else {
+        panic!("expected a shed, got {response:?}");
+    };
+    assert_eq!(frame.kind, ErrorKind::Unavailable);
+    assert!(
+        frame
+            .detail
+            .starts_with("retry attempts exhausted: connect"),
+        "{frame:?}"
+    );
+    assert!(
+        elapsed < deadline / 4,
+        "three refused dials must not wait for the deadline: {elapsed:?}"
+    );
+    let scrape = WireMetricsSnapshot::from(&router.metrics_snapshot());
+    assert_eq!(
+        labelled_total(&scrape, "cluster_shed_total", &[("reason", "attempts")]),
+        1
+    );
+
+    drop(client);
+    router.shutdown();
+}
