@@ -1,6 +1,7 @@
 //! Golden-value regression tests for the experiments that previously had
-//! no exact coverage: `fig7_power`, `fig8_epb`, `device_dse` and
-//! `resolution_analysis`.
+//! no exact coverage: `fig7_power`, `fig8_epb`, `device_dse`,
+//! `resolution_analysis`, the Fig. 6 streaming frontier and the
+//! architecture zoo.
 //!
 //! Each experiment's output is rendered into a canonical text form in which
 //! every `f64` appears twice: as its shortest-round-trip decimal (for
@@ -20,6 +21,7 @@
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
+use crosslight_experiments::fig6_design_space::{self, DesignPoint};
 use crosslight_experiments::{arch_zoo, device_dse, fig7_power, fig8_epb, resolution_analysis};
 
 /// Canonical rendering of one float: decimal (shortest round-trip) plus the
@@ -121,6 +123,54 @@ fn device_dse_is_locked_for_the_reference_seed() {
     let _ = writeln!(out, "optimized={}", f(result.optimized_drift_nm));
     let _ = writeln!(out, "reduction={}", f(result.reduction));
     check("device_dse.txt", &out);
+}
+
+/// Canonical rendering of one Fig. 6 design point.
+fn design_point_line(p: &DesignPoint) -> String {
+    format!(
+        "({}, {}, {}, {}) fps={} epb={} area_mm2={} fom={} in_cap={}",
+        p.conv_unit_size,
+        p.fc_unit_size,
+        p.conv_units,
+        p.fc_units,
+        f(p.avg_fps),
+        f(p.avg_epb_pj),
+        f(p.area_mm2),
+        f(p.fps_per_epb),
+        p.within_area_cap
+    )
+}
+
+#[test]
+fn fig6_frontier_is_locked() {
+    // The streaming Fig. 6 frontier over the paper grid.  Worker count
+    // cannot matter (locked by the unit tests); the fixture locks the
+    // values themselves.
+    let frontier =
+        fig6_design_space::run_streaming(&fig6_design_space::paper_candidates(), 3, 10).unwrap();
+    let mut out = String::from("fig6_frontier/v1 candidates=paper top_k=10\n");
+    let _ = writeln!(
+        out,
+        "evaluated={} in_cap={}",
+        frontier.evaluated, frontier.in_cap
+    );
+    let _ = writeln!(
+        out,
+        "best={}",
+        design_point_line(frontier.best.as_ref().unwrap())
+    );
+    let _ = writeln!(
+        out,
+        "paper_point={}",
+        design_point_line(frontier.paper_point.as_ref().unwrap())
+    );
+    for p in &frontier.top {
+        let _ = writeln!(out, "top {}", design_point_line(p));
+    }
+    for p in &frontier.pareto {
+        let _ = writeln!(out, "pareto {}", design_point_line(p));
+    }
+    check("fig6_frontier.txt", &out);
 }
 
 /// Canonical rendering of one zoo point, shared by the table and frontier
