@@ -46,7 +46,6 @@ const BASELINES_NS: &[(&str, f64)] = &[
     // Seed sweep: 9_910_361 ns / 81 candidates.
     ("fig6_cell_cached", 122_351.4),
     ("fig6_sweep_81_serial_cached", 9_910_361.0),
-    ("fig6_sweep_81_parallel_cached", 9_910_361.0),
 ];
 
 fn main() {
@@ -133,13 +132,10 @@ fn main() {
             .expect("valid workloads")
     }));
 
-    // --- the full 81-candidate Fig. 6 sweep, serial and parallel -----------
+    // --- the full 81-candidate Fig. 6 sweep ---------------------------------
     let candidates = fig6_design_space::paper_candidates();
     results.push(measure("fig6_sweep_81_serial_cached", window_ms, || {
         fig6_design_space::run(&candidates).expect("sweep succeeds")
-    }));
-    results.push(measure("fig6_sweep_81_parallel_cached", window_ms, || {
-        fig6_design_space::run_parallel(&candidates, workers).expect("sweep succeeds")
     }));
 
     // --- cross-architecture zoo sweep over the union grid ------------------

@@ -14,9 +14,9 @@
 //!
 //! * [`table_rows`] — Table-III-style comparison rows for
 //!   [`ArchSpec::zoo_defaults`] (one row per backend family default);
-//! * [`run_streaming`] — folds the union grid into per-worker
-//!   [`ZooAccumulator`]s and merges them, **identical for any worker
-//!   count**;
+//! * [`run_streaming`] — folds the union grid over the crate's parallel
+//!   sweep engine into per-worker top-K/Pareto frontiers and merges them,
+//!   **identical for any worker count**;
 //! * [`run_on`] — the same grid fanned through the runtime's
 //!   [`EvalService`], producing a frontier bit-identical to
 //!   [`run_streaming`] (the pool serves CrossLight points through the
@@ -34,11 +34,12 @@ use crosslight_core::error::Result as CoreResult;
 use crosslight_core::simulator::{AverageMetrics, SimulationReport};
 use crosslight_core::variants::CrossLightVariant;
 use crosslight_neural::workload::NetworkWorkload;
-use crosslight_neural::zoo::PaperModel;
 use crosslight_runtime::pool::EvalService;
 use crosslight_runtime::request::EvalRequest;
 
 use crate::report::{fmt_f64, TextTable};
+use crate::sweep::{self, Frontier, FrontierPoint};
+use crate::table_i_workloads;
 
 /// Default deployment power envelope (W) for the in-budget frontier: wide
 /// enough for every photonic design and the edge-class electronic parts,
@@ -199,22 +200,6 @@ fn evaluate_spec(
     Ok(zoo_point(spec, &avg, power_budget_w))
 }
 
-fn table_i_workloads() -> Result<Vec<NetworkWorkload>, Box<dyn std::error::Error>> {
-    Ok(PaperModel::all()
-        .iter()
-        .map(|m| NetworkWorkload::from_spec(&m.spec()))
-        .collect::<Result<_, _>>()?)
-}
-
-/// Ordering of frontier entries: figure of merit descending, then candidate
-/// index ascending — a total order (`total_cmp`), so degenerate foms cannot
-/// panic and merges are deterministic.
-fn fom_ordering(a: &(usize, ZooPoint), b: &(usize, ZooPoint)) -> std::cmp::Ordering {
-    b.1.fps_per_epb
-        .total_cmp(&a.1.fps_per_epb)
-        .then(a.0.cmp(&b.0))
-}
-
 /// `a` Pareto-dominates `b` on (FPS max, EPB min, power min).  NaN metrics
 /// compare false on every axis, so degenerate points never dominate and are
 /// never dominated.
@@ -225,121 +210,34 @@ fn dominates(a: &ZooPoint, b: &ZooPoint) -> bool {
         && (a.avg_fps > b.avg_fps || a.avg_epb_pj < b.avg_epb_pj || a.power_w < b.power_w)
 }
 
-/// Order-independent streaming accumulator behind [`run_streaming`] and
-/// [`run_on`]: the [`fig6_design_space`](crate::fig6_design_space)
-/// `FrontierAccumulator` lifted over architecture points — top-K by FPS/EPB
-/// within the power budget, the (FPS, EPB, power) Pareto frontier, and the
-/// running best, in O(K + frontier) memory.
-#[derive(Debug, Clone)]
-pub struct ZooAccumulator {
-    top_k: usize,
-    power_budget_w: f64,
-    top: Vec<(usize, ZooPoint)>,
-    pareto: Vec<(usize, ZooPoint)>,
-    best: Option<(usize, ZooPoint)>,
-    evaluated: usize,
-    in_budget: usize,
-}
-
-impl ZooAccumulator {
-    /// Creates an accumulator keeping the best `top_k` in-budget points.
-    #[must_use]
-    pub fn new(top_k: usize, power_budget_w: f64) -> Self {
-        Self {
-            top_k,
-            power_budget_w,
-            top: Vec::with_capacity(top_k.saturating_add(1).min(1024)),
-            pareto: Vec::new(),
-            best: None,
-            evaluated: 0,
-            in_budget: 0,
-        }
+impl FrontierPoint for ZooPoint {
+    fn fom(&self) -> f64 {
+        self.fps_per_epb
     }
-
-    /// Folds one evaluated candidate (with its grid index) into the summary.
-    pub fn push(&mut self, index: usize, point: ZooPoint) {
-        self.evaluated += 1;
-        if point.within_power_budget {
-            self.in_budget += 1;
-            let entry = (index, point.clone());
-            if self
-                .best
-                .as_ref()
-                .is_none_or(|cur| fom_ordering(&entry, cur).is_lt())
-            {
-                self.best = Some(entry.clone());
-            }
-            if self.top_k > 0 {
-                let at = self
-                    .top
-                    .binary_search_by(|probe| fom_ordering(probe, &entry))
-                    .unwrap_or_else(|i| i);
-                if at < self.top_k {
-                    self.top.insert(at, entry);
-                    self.top.truncate(self.top_k);
-                }
-            }
-        }
-        self.pareto_insert((index, point));
+    fn admitted(&self) -> bool {
+        self.within_power_budget
     }
-
-    fn pareto_insert(&mut self, entry: (usize, ZooPoint)) {
-        if self.pareto.iter().any(|(_, p)| dominates(p, &entry.1)) {
-            return;
-        }
-        self.pareto.retain(|(_, p)| !dominates(&entry.1, p));
-        self.pareto.push(entry);
-    }
-
-    /// Merges another accumulator (built over a disjoint slice of the same
-    /// candidate stream) into this one.
-    pub fn merge(&mut self, other: Self) {
-        self.evaluated += other.evaluated;
-        self.in_budget += other.in_budget;
-        if let Some(entry) = other.best {
-            if self
-                .best
-                .as_ref()
-                .is_none_or(|cur| fom_ordering(&entry, cur).is_lt())
-            {
-                self.best = Some(entry);
-            }
-        }
-        for entry in other.top {
-            let at = self
-                .top
-                .binary_search_by(|probe| fom_ordering(probe, &entry))
-                .unwrap_or_else(|i| i);
-            if at < self.top_k {
-                self.top.insert(at, entry);
-                self.top.truncate(self.top_k);
-            }
-        }
-        for entry in other.pareto {
-            self.pareto_insert(entry);
-        }
-    }
-
-    /// Finalizes the summary: top-K best first, Pareto frontier in candidate
-    /// order.
-    #[must_use]
-    pub fn finish(mut self) -> ZooFrontier {
-        self.pareto.sort_by_key(|(index, _)| *index);
-        ZooFrontier {
-            top: self.top.into_iter().map(|(_, p)| p).collect(),
-            pareto: self.pareto.into_iter().map(|(_, p)| p).collect(),
-            best: self.best.map(|(_, p)| p),
-            power_budget_w: self.power_budget_w,
-            evaluated: self.evaluated,
-            in_budget: self.in_budget,
-        }
+    fn dominates(&self, other: &Self) -> bool {
+        dominates(self, other)
     }
 }
 
-/// Runs the cross-architecture sweep as a stream: candidates are folded into
-/// per-worker [`ZooAccumulator`]s (contiguous deterministic chunks over
-/// scoped threads) and merged in chunk order — identical for any worker
-/// count.
+fn zoo_frontier(frontier: Frontier<ZooPoint>, power_budget_w: f64) -> ZooFrontier {
+    let summary = frontier.finish();
+    ZooFrontier {
+        top: summary.top,
+        pareto: summary.pareto,
+        best: summary.best,
+        power_budget_w,
+        evaluated: summary.evaluated,
+        in_budget: summary.admitted,
+    }
+}
+
+/// Runs the cross-architecture sweep as a stream: the crate's parallel
+/// sweep engine folds the candidates into per-worker top-K/Pareto frontiers
+/// (runs of consecutive candidates claimed by up to `workers` threads),
+/// which are then merged — identical for any worker count.
 ///
 /// # Errors
 ///
@@ -350,32 +248,24 @@ pub fn run_streaming(
     top_k: usize,
     power_budget_w: f64,
 ) -> Result<ZooFrontier, Box<dyn std::error::Error>> {
-    if candidates.is_empty() {
-        return Ok(ZooAccumulator::new(top_k, power_budget_w).finish());
-    }
     let workloads = table_i_workloads()?;
-    let chunk_size = candidates.len().div_ceil(workers.max(1));
-    let mut merged = ZooAccumulator::new(top_k, power_budget_w);
-    std::thread::scope(|scope| -> CoreResult<()> {
-        let mut handles = Vec::new();
-        for (chunk_index, chunk) in candidates.chunks(chunk_size).enumerate() {
-            let workloads = &workloads;
-            handles.push(scope.spawn(move || -> CoreResult<ZooAccumulator> {
-                let mut local = ZooAccumulator::new(top_k, power_budget_w);
-                let mut reports = Vec::with_capacity(workloads.len());
-                for (offset, spec) in chunk.iter().enumerate() {
-                    let point = evaluate_spec(spec, workloads, power_budget_w, &mut reports)?;
-                    local.push(chunk_index * chunk_size + offset, point);
-                }
-                Ok(local)
-            }));
-        }
-        for handle in handles {
-            merged.merge(handle.join().expect("sweep worker thread panicked")?);
-        }
-        Ok(())
-    })?;
-    Ok(merged.finish())
+    let parts = sweep::fold(
+        candidates,
+        workers,
+        || (Frontier::new(top_k), Vec::new()),
+        |(frontier, reports), index, spec| -> CoreResult<()> {
+            frontier.push(
+                index,
+                evaluate_spec(spec, &workloads, power_budget_w, reports)?,
+            );
+            Ok(())
+        },
+    )?;
+    let mut merged = Frontier::new(top_k);
+    for (part, _) in parts {
+        merged.merge(part);
+    }
+    Ok(zoo_frontier(merged, power_budget_w))
 }
 
 /// Runs the cross-architecture sweep through the runtime's evaluation
@@ -428,7 +318,7 @@ pub fn run_on(
 }
 
 /// Folds per-candidate report sets (one report per Table I model, in
-/// [`PaperModel::all`] order) into a frontier — the assembly path shared by
+/// [`PaperModel::all`](crosslight_neural::zoo::PaperModel::all) order) into a frontier — the assembly path shared by
 /// [`run_on`] and wire-served evaluation, so a client that collected its
 /// reports over the TCP protocol reproduces the in-process frontier exactly.
 ///
@@ -450,12 +340,12 @@ pub fn frontier_from_reports(
         )
         .into());
     }
-    let mut acc = ZooAccumulator::new(top_k, power_budget_w);
+    let mut frontier = Frontier::new(top_k);
     for (index, (spec, set)) in candidates.iter().zip(reports).enumerate() {
         let avg = AverageMetrics::from_reports(set)?;
-        acc.push(index, zoo_point(spec, &avg, power_budget_w));
+        frontier.push(index, zoo_point(spec, &avg, power_budget_w));
     }
-    Ok(acc.finish())
+    Ok(zoo_frontier(frontier, power_budget_w))
 }
 
 /// Table-III-style comparison rows for the backend-family defaults

@@ -12,15 +12,11 @@
 //! evaluation runs on an internally re-trained copy per bit width.
 //!
 //! The sweep is embarrassingly parallel across its `(model × bit-width)`
-//! surrogate-training cells, and [`run_parallel`] exploits that with a small
-//! dedicated worker pool (the same dedicated-threads + reply-channel pattern
-//! as `crosslight_runtime::pool::EvalService`).  Every cell seeds its own
-//! `StdRng` with exactly the seed the serial sweep would use and results are
-//! reassembled in configuration order, so the parallel output is
-//! **byte-identical** to [`run`] for any worker count.
-
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
+//! surrogate-training cells, and [`run_parallel`] spreads them over the
+//! crate's parallel sweep engine.  Every cell seeds its own `StdRng` with
+//! exactly the seed the serial sweep would use and results come back in
+//! configuration order, so the parallel output is **byte-identical** to
+//! [`run`] for any worker count.
 
 use serde::{Deserialize, Serialize};
 
@@ -33,6 +29,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::report::{fmt_f64, TextTable};
+use crate::sweep;
 
 /// Configuration of the accuracy-vs-resolution study.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -176,25 +173,8 @@ pub fn run(config: &AccuracyStudyConfig) -> Result<AccuracyStudy, crosslight_neu
     })
 }
 
-/// One unit of work of the parallel sweep: train a fresh surrogate of one
-/// model and evaluate it either at full precision or at one bit width.
-#[derive(Debug, Clone, Copy)]
-enum Cell {
-    /// The full-precision reference evaluation of one model.
-    Reference { model_index: usize },
-    /// One quantized `(model, bits)` evaluation.
-    Quantized { model_index: usize, bits: u32 },
-}
-
-impl Cell {
-    fn model_index(self) -> usize {
-        match self {
-            Cell::Reference { model_index } | Cell::Quantized { model_index, .. } => model_index,
-        }
-    }
-}
-
-/// Trains the cell's surrogate and evaluates its accuracy.
+/// Trains one cell's surrogate and evaluates its accuracy: at full precision
+/// when `bits` is `None`, else fake-quantized to `bits`.
 ///
 /// The RNG seeding replicates the serial sweep exactly: every cell builds
 /// and trains its surrogate from `seed + 97`, on the same dataset split the
@@ -205,23 +185,21 @@ fn run_cell(
     train_config: &TrainConfig,
     model: PaperModel,
     splits: &(Dataset, Dataset),
-    cell: Cell,
+    bits: Option<u32>,
 ) -> Result<f64, NeuralError> {
     let spec = model.spec();
     let (train_split, test_split) = splits;
     let mut model_rng = StdRng::seed_from_u64(config.seed.wrapping_add(97));
     let mut surrogate = spec.build_surrogate(&mut model_rng)?;
     train(&mut surrogate, train_split, train_config)?;
-    match cell {
-        Cell::Reference { .. } => evaluate(&mut surrogate, test_split),
-        Cell::Quantized { bits, .. } => {
-            evaluate_quantized(&mut surrogate, test_split, &QuantConfig::uniform(bits))
-        }
+    match bits {
+        None => evaluate(&mut surrogate, test_split),
+        Some(bits) => evaluate_quantized(&mut surrogate, test_split, &QuantConfig::uniform(bits)),
     }
 }
 
 /// Runs the accuracy-vs-resolution study with the `(model × bit-width)`
-/// cells spread across `workers` dedicated threads.
+/// cells spread across up to `workers` threads.
 ///
 /// Output is **byte-identical** to [`run`] for the same configuration, for
 /// any worker count: cells are deterministic (per-cell seeded RNGs over
@@ -236,7 +214,6 @@ pub fn run_parallel(
     config: &AccuracyStudyConfig,
     workers: usize,
 ) -> Result<AccuracyStudy, NeuralError> {
-    let workers = workers.max(1);
     let models = PaperModel::all();
 
     // Datasets are generated on the main thread with the serial sweep's
@@ -255,76 +232,39 @@ pub fn run_parallel(
         batch_size: 8,
     };
 
+    // Per model: the full-precision cell, then one cell per bit width.
     let mut cells = Vec::new();
     for model_index in 0..models.len() {
-        cells.push(Cell::Reference { model_index });
+        cells.push((model_index, None));
         for &bits in &config.bit_widths {
-            cells.push(Cell::Quantized { model_index, bits });
+            cells.push((model_index, Some(bits)));
         }
     }
+    let accuracies = sweep::map(&cells, workers, |&(model_index, bits)| {
+        run_cell(
+            config,
+            &train_config,
+            models[model_index],
+            &splits[model_index],
+            bits,
+        )
+    })?;
 
-    // Dedicated worker threads pull cell indices from a shared cursor and
-    // report `(index, result)` over a reply channel — the same worker-pool
-    // shape as the runtime's `EvalService`, minus the cache (cells never
-    // repeat).
-    let mut accuracies: Vec<Option<Result<f64, NeuralError>>> = Vec::new();
-    accuracies.resize_with(cells.len(), || None);
-    let cursor = AtomicUsize::new(0);
-    let (reply_tx, reply_rx) = mpsc::channel();
-    std::thread::scope(|scope| {
-        for _ in 0..workers.min(cells.len()).max(1) {
-            let reply = reply_tx.clone();
-            let cells = &cells;
-            let splits = &splits;
-            let cursor = &cursor;
-            let train_config = &train_config;
-            scope.spawn(move || loop {
-                let index = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some(&cell) = cells.get(index) else {
-                    break;
-                };
-                let model_index = cell.model_index();
-                let outcome = run_cell(
-                    config,
-                    train_config,
-                    models[model_index],
-                    &splits[model_index],
-                    cell,
-                );
-                if reply.send((index, outcome)).is_err() {
-                    break;
-                }
-            });
-        }
-        drop(reply_tx);
-        while let Ok((index, outcome)) = reply_rx.recv() {
-            accuracies[index] = Some(outcome);
-        }
-    });
-
-    // Reassemble in configuration order, independent of scheduling.
-    let mut curves = Vec::with_capacity(models.len());
-    let mut slots = accuracies.into_iter();
-    for model in models {
-        let full_precision_accuracy = slots
-            .next()
-            .flatten()
-            .expect("every cell reports exactly once")?;
-        let mut points = Vec::with_capacity(config.bit_widths.len());
-        for &bits in &config.bit_widths {
-            let accuracy = slots
-                .next()
-                .flatten()
-                .expect("every cell reports exactly once")?;
-            points.push((bits, accuracy));
-        }
-        curves.push(ModelAccuracyCurve {
+    let curves = models
+        .into_iter()
+        .zip(accuracies.chunks(1 + config.bit_widths.len()))
+        .map(|(model, row)| ModelAccuracyCurve {
             model,
             dataset: model.dataset_name().to_string(),
-            full_precision_accuracy,
-            points,
-        });
-    }
+            full_precision_accuracy: row[0],
+            points: config
+                .bit_widths
+                .iter()
+                .copied()
+                .zip(row[1..].iter().copied())
+                .collect(),
+        })
+        .collect();
     Ok(AccuracyStudy {
         curves,
         bit_widths: config.bit_widths.clone(),

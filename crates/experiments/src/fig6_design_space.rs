@@ -3,24 +3,24 @@
 //! Sweeps the architecture parameters `(N, K, n, m)` of §IV.C, evaluating the
 //! average FPS and EPB over the four Table I models together with the area of
 //! each configuration.  As in the paper, the best configuration is the one
-//! with the highest FPS/EPB ratio among those inside the area window, and it
-//! comes out as `(20, 150, 100, 60)`.
+//! with the highest FPS/EPB ratio among those inside the area window.  The
+//! paper's published choice, `(20, 150, 100, 60)`, is reported next to it as
+//! `paper_point`; on [`paper_candidates`] this model's best is a different
+//! point (see `EXPERIMENTS.md`).
 //!
 //! Every sweep flavor shares one [`ModelCache`]: a grid with `G` distinct
 //! `(N, K)` pairs pays for `G` CONV/FC unit reports (each with a 15×15 TED
 //! eigendecomposition inside) instead of one per grid point, which is where
 //! almost all of a candidate's cost used to go.  On top of that:
 //!
-//! * [`run`] materializes every [`DesignPoint`] serially;
-//! * [`run_parallel`] spreads contiguous candidate chunks over scoped worker
-//!   threads and reassembles them in candidate order — **byte-identical** to
-//!   [`run`] for any worker count (the `fig5_accuracy::run_parallel`
-//!   determinism contract);
-//! * [`run_streaming`] folds each candidate into a per-worker
-//!   [`FrontierAccumulator`] (top-K by FPS/EPB plus the FPS/EPB/area Pareto
-//!   frontier) and merges the accumulators, so a dense grid such as
-//!   [`dense_candidates`] (~58.5k points) needs O(top-K + frontier) memory
-//!   instead of one `DesignPoint` per candidate;
+//! * [`run`] materializes every [`DesignPoint`] serially, and is the
+//!   reference the other flavors are tested against;
+//! * [`run_streaming`] folds the candidates over the crate's parallel sweep
+//!   engine into per-worker [`FrontierAccumulator`]s (top-K by FPS/EPB plus
+//!   the FPS/EPB/area Pareto frontier) and merges them, so a dense grid such
+//!   as [`dense_candidates`] (~58.5k points) needs O(top-K + frontier)
+//!   memory instead of one `DesignPoint` per candidate, and the result is
+//!   identical for any worker count;
 //! * [`run_on`] fans the `candidates × models` grid through the runtime's
 //!   [`EvalService`].
 
@@ -36,6 +36,8 @@ use crosslight_runtime::planner::SweepPlanner;
 use crosslight_runtime::pool::EvalService;
 
 use crate::report::{fmt_f64, TextTable};
+use crate::sweep::{self, Frontier, FrontierPoint};
+use crate::table_i_workloads;
 
 /// Upper bound of the paper's "reasonable area constraint" (§V.D), in mm².
 pub const AREA_CAP_MM2: f64 = 25.0;
@@ -179,8 +181,8 @@ fn design_point(dims: (usize, usize, usize, usize), avg: &AverageMetrics) -> Des
 /// Evaluates one candidate against the shared workloads through the shared
 /// [`ModelCache`], reusing `reports` as the per-workload scratch buffer.
 ///
-/// This is the single evaluation path behind [`run`], [`run_parallel`] and
-/// [`run_streaming`]: the per-workload reports are assembled from the
+/// This is the single evaluation path behind [`run`] and [`run_streaming`]:
+/// the per-workload reports are assembled from the
 /// memoized workload-independent breakdowns exactly as
 /// `PreparedSimulator::evaluate` assembles them, and averaged through the
 /// shared `AverageMetrics::from_reports` accumulation, so every flavor
@@ -214,13 +216,6 @@ fn evaluate_candidate(
     }
     let avg = AverageMetrics::from_reports(reports)?;
     Ok(design_point(dims, &avg))
-}
-
-fn table_i_workloads() -> Result<Vec<NetworkWorkload>, Box<dyn std::error::Error>> {
-    Ok(PaperModel::all()
-        .iter()
-        .map(|m| NetworkWorkload::from_spec(&m.spec()))
-        .collect::<Result<_, _>>()?)
 }
 
 fn assemble(points: Vec<DesignPoint>) -> Result<DesignSpaceSweep, Box<dyn std::error::Error>> {
@@ -262,59 +257,6 @@ pub fn run(
     assemble(points)
 }
 
-/// Runs the design-space sweep with contiguous candidate chunks spread over
-/// `workers` scoped threads, all sharing one [`ModelCache`].
-///
-/// Chunking is deterministic and results are reassembled in candidate order,
-/// so the sweep is **byte-identical** to [`run`] for any worker count (each
-/// point is a pure function of its candidate, and caching cannot change
-/// values, only latency).
-///
-/// # Errors
-///
-/// Propagates simulator errors (which do not occur for valid candidates);
-/// returns an error if no candidate satisfies the area constraint.
-pub fn run_parallel(
-    candidates: &[(usize, usize, usize, usize)],
-    workers: usize,
-) -> Result<DesignSpaceSweep, Box<dyn std::error::Error>> {
-    if candidates.is_empty() {
-        return assemble(Vec::new());
-    }
-    let workloads = table_i_workloads()?;
-    let cache = ModelCache::new();
-    let chunk_size = candidates.len().div_ceil(workers.max(1));
-    let mut points = Vec::with_capacity(candidates.len());
-    std::thread::scope(|scope| -> CoreResult<()> {
-        let mut handles = Vec::new();
-        for chunk in candidates.chunks(chunk_size) {
-            let workloads = &workloads;
-            let cache = &cache;
-            handles.push(scope.spawn(move || -> CoreResult<Vec<DesignPoint>> {
-                let mut reports = Vec::with_capacity(workloads.len());
-                chunk
-                    .iter()
-                    .map(|&dims| evaluate_candidate(dims, workloads, cache, &mut reports))
-                    .collect()
-            }));
-        }
-        for handle in handles {
-            points.extend(handle.join().expect("sweep worker thread panicked")?);
-        }
-        Ok(())
-    })?;
-    assemble(points)
-}
-
-/// Ordering of frontier entries: figure of merit descending, then candidate
-/// index ascending — a total order (`total_cmp`), so degenerate foms cannot
-/// panic and merges are deterministic.
-fn fom_ordering(a: &(usize, DesignPoint), b: &(usize, DesignPoint)) -> std::cmp::Ordering {
-    b.1.fps_per_epb
-        .total_cmp(&a.1.fps_per_epb)
-        .then(a.0.cmp(&b.0))
-}
-
 /// `a` Pareto-dominates `b` on (FPS max, EPB min, area min).
 ///
 /// NaN metrics compare false on every axis, so degenerate points never
@@ -325,6 +267,18 @@ fn dominates(a: &DesignPoint, b: &DesignPoint) -> bool {
         && a.avg_epb_pj <= b.avg_epb_pj
         && a.area_mm2 <= b.area_mm2
         && (a.avg_fps > b.avg_fps || a.avg_epb_pj < b.avg_epb_pj || a.area_mm2 < b.area_mm2)
+}
+
+impl FrontierPoint for DesignPoint {
+    fn fom(&self) -> f64 {
+        self.fps_per_epb
+    }
+    fn admitted(&self) -> bool {
+        self.within_area_cap
+    }
+    fn dominates(&self, other: &Self) -> bool {
+        dominates(self, other)
+    }
 }
 
 /// Streaming summary of a design-space sweep: everything the analysis needs
@@ -371,13 +325,8 @@ impl DesignFrontier {
 /// frontier.
 #[derive(Debug, Clone)]
 pub struct FrontierAccumulator {
-    top_k: usize,
-    top: Vec<(usize, DesignPoint)>,
-    pareto: Vec<(usize, DesignPoint)>,
-    best: Option<(usize, DesignPoint)>,
+    frontier: Frontier<DesignPoint>,
     paper_point: Option<(usize, DesignPoint)>,
-    evaluated: usize,
-    in_cap: usize,
 }
 
 impl FrontierAccumulator {
@@ -385,112 +334,61 @@ impl FrontierAccumulator {
     #[must_use]
     pub fn new(top_k: usize) -> Self {
         Self {
-            top_k,
-            top: Vec::with_capacity(top_k.saturating_add(1).min(1024)),
-            pareto: Vec::new(),
-            best: None,
+            frontier: Frontier::new(top_k),
             paper_point: None,
-            evaluated: 0,
-            in_cap: 0,
         }
     }
 
     /// Folds one evaluated candidate (with its grid index) into the summary.
     pub fn push(&mut self, index: usize, point: DesignPoint) {
-        self.evaluated += 1;
-        if (
+        self.offer_paper_point(index, point);
+        self.frontier.push(index, point);
+    }
+
+    /// Keeps the lowest-indexed candidate with the paper's dimensions.
+    fn offer_paper_point(&mut self, index: usize, point: DesignPoint) {
+        let dims = (
             point.conv_unit_size,
             point.fc_unit_size,
             point.conv_units,
             point.fc_units,
-        ) == crosslight_core::config::BEST_CONFIG
+        );
+        if dims == crosslight_core::config::BEST_CONFIG
             && self.paper_point.is_none_or(|(i, _)| index < i)
         {
             self.paper_point = Some((index, point));
         }
-        if point.within_area_cap {
-            self.in_cap += 1;
-            let entry = (index, point);
-            if self
-                .best
-                .is_none_or(|cur| fom_ordering(&entry, &cur).is_lt())
-            {
-                self.best = Some(entry);
-            }
-            if self.top_k > 0 {
-                let at = self
-                    .top
-                    .binary_search_by(|probe| fom_ordering(probe, &entry))
-                    .unwrap_or_else(|i| i);
-                if at < self.top_k {
-                    self.top.insert(at, entry);
-                    self.top.truncate(self.top_k);
-                }
-            }
-        }
-        self.pareto_insert((index, point));
-    }
-
-    fn pareto_insert(&mut self, entry: (usize, DesignPoint)) {
-        if self.pareto.iter().any(|(_, p)| dominates(p, &entry.1)) {
-            return;
-        }
-        self.pareto.retain(|(_, p)| !dominates(&entry.1, p));
-        self.pareto.push(entry);
     }
 
     /// Merges another accumulator (built over a disjoint slice of the same
     /// candidate stream) into this one.
     pub fn merge(&mut self, other: Self) {
-        self.evaluated += other.evaluated;
-        self.in_cap += other.in_cap;
         if let Some((index, point)) = other.paper_point {
-            if self.paper_point.is_none_or(|(i, _)| index < i) {
-                self.paper_point = Some((index, point));
-            }
+            self.offer_paper_point(index, point);
         }
-        if let Some(entry) = other.best {
-            if self
-                .best
-                .is_none_or(|cur| fom_ordering(&entry, &cur).is_lt())
-            {
-                self.best = Some(entry);
-            }
-        }
-        for entry in other.top {
-            let at = self
-                .top
-                .binary_search_by(|probe| fom_ordering(probe, &entry))
-                .unwrap_or_else(|i| i);
-            if at < self.top_k {
-                self.top.insert(at, entry);
-                self.top.truncate(self.top_k);
-            }
-        }
-        for entry in other.pareto {
-            self.pareto_insert(entry);
-        }
+        self.frontier.merge(other.frontier);
     }
 
     /// Finalizes the summary: top-K best first, Pareto frontier in candidate
     /// order.
     #[must_use]
-    pub fn finish(mut self) -> DesignFrontier {
-        self.pareto.sort_by_key(|(index, _)| *index);
+    pub fn finish(self) -> DesignFrontier {
+        let summary = self.frontier.finish();
         DesignFrontier {
-            top: self.top.into_iter().map(|(_, p)| p).collect(),
-            pareto: self.pareto.into_iter().map(|(_, p)| p).collect(),
-            best: self.best.map(|(_, p)| p),
+            top: summary.top,
+            pareto: summary.pareto,
+            best: summary.best,
             paper_point: self.paper_point.map(|(_, p)| p),
-            evaluated: self.evaluated,
-            in_cap: self.in_cap,
+            evaluated: summary.evaluated,
+            in_cap: summary.admitted,
         }
     }
 }
 
-/// Runs the design-space sweep as a stream: candidates are folded into
-/// per-worker [`FrontierAccumulator`]s (contiguous deterministic chunks over
-/// scoped threads, one shared [`ModelCache`]) and merged in chunk order.
+/// Runs the design-space sweep as a stream: the crate's parallel sweep
+/// engine folds the candidates into per-worker [`FrontierAccumulator`]s
+/// (runs of consecutive candidates claimed by up to `workers` threads, one
+/// shared [`ModelCache`]), which are then merged.
 ///
 /// Memory stays O(top-K + Pareto frontier) regardless of grid size — a
 /// [`dense_candidates`] grid streams ~58.5k points through without ever
@@ -504,33 +402,24 @@ pub fn run_streaming(
     workers: usize,
     top_k: usize,
 ) -> Result<DesignFrontier, Box<dyn std::error::Error>> {
-    if candidates.is_empty() {
-        return Ok(FrontierAccumulator::new(top_k).finish());
-    }
     let workloads = table_i_workloads()?;
     let cache = ModelCache::new();
-    let chunk_size = candidates.len().div_ceil(workers.max(1));
+    let parts = sweep::fold(
+        candidates,
+        workers,
+        || (FrontierAccumulator::new(top_k), Vec::new()),
+        |(acc, reports), index, &dims| -> CoreResult<()> {
+            acc.push(
+                index,
+                evaluate_candidate(dims, &workloads, &cache, reports)?,
+            );
+            Ok(())
+        },
+    )?;
     let mut merged = FrontierAccumulator::new(top_k);
-    std::thread::scope(|scope| -> CoreResult<()> {
-        let mut handles = Vec::new();
-        for (chunk_index, chunk) in candidates.chunks(chunk_size).enumerate() {
-            let workloads = &workloads;
-            let cache = &cache;
-            handles.push(scope.spawn(move || -> CoreResult<FrontierAccumulator> {
-                let mut local = FrontierAccumulator::new(top_k);
-                let mut reports = Vec::with_capacity(workloads.len());
-                for (offset, &dims) in chunk.iter().enumerate() {
-                    let point = evaluate_candidate(dims, workloads, cache, &mut reports)?;
-                    local.push(chunk_index * chunk_size + offset, point);
-                }
-                Ok(local)
-            }));
-        }
-        for handle in handles {
-            merged.merge(handle.join().expect("sweep worker thread panicked")?);
-        }
-        Ok(())
-    })?;
+    for (part, _) in parts {
+        merged.merge(part);
+    }
     Ok(merged.finish())
 }
 
@@ -631,24 +520,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_sweep_is_byte_identical_to_serial_sweep() {
-        let serial = run(&reduced_candidates()).unwrap();
-        for workers in [1, 2, 5] {
-            let parallel = run_parallel(&reduced_candidates(), workers).unwrap();
-            assert_eq!(serial, parallel, "{workers} workers");
-            assert_eq!(
-                serial.table().render(),
-                parallel.table().render(),
-                "{workers} workers: rendered tables must match byte-for-byte"
-            );
-        }
-        assert!(
-            run_parallel(&[], 4).is_err(),
-            "empty grid has no best point"
-        );
-    }
-
-    #[test]
     fn streaming_sweep_is_identical_for_any_worker_count_and_matches_run() {
         let sweep = run(&reduced_candidates()).unwrap();
         let serial = run_streaming(&reduced_candidates(), 1, 3).unwrap();
@@ -685,6 +556,7 @@ mod tests {
         let empty = run_streaming(&[], 3, 2).unwrap();
         assert_eq!(empty.evaluated, 0);
         assert!(empty.best.is_none() && empty.top.is_empty() && empty.pareto.is_empty());
+        assert!(run(&[]).is_err(), "empty grid has no best point");
     }
 
     #[test]

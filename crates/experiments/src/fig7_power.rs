@@ -14,10 +14,9 @@ use crosslight_baselines::accelerator::{CrossLightAccelerator, PhotonicAccelerat
 use crosslight_baselines::electronic::all_platforms;
 use crosslight_baselines::{DeapCnn, HolyLight};
 use crosslight_core::variants::CrossLightVariant;
-use crosslight_neural::workload::NetworkWorkload;
-use crosslight_neural::zoo::PaperModel;
 
 use crate::report::{fmt_f64, TextTable};
+use crate::table_i_workloads;
 
 /// Whether a platform is photonic (simulated here) or an electronic literature
 /// reference.
@@ -81,10 +80,7 @@ impl PowerComparison {
 /// Propagates accelerator-evaluation errors (which do not occur for the
 /// built-in models).
 pub fn run() -> Result<PowerComparison, Box<dyn std::error::Error>> {
-    let workloads: Vec<NetworkWorkload> = PaperModel::all()
-        .iter()
-        .map(|m| NetworkWorkload::from_spec(&m.spec()))
-        .collect::<Result<_, _>>()?;
+    let workloads = table_i_workloads()?;
 
     let mut rows = Vec::new();
     for variant in CrossLightVariant::all() {

@@ -31,6 +31,19 @@ pub mod fig7_power;
 pub mod fig8_epb;
 pub mod report;
 pub mod resolution_analysis;
+mod sweep;
 pub mod table3_summary;
 
 pub use report::TextTable;
+
+use crosslight_neural::workload::NetworkWorkload;
+use crosslight_neural::zoo::PaperModel;
+
+/// The workloads of the four Table I models, in [`PaperModel::all`] order:
+/// what every averaged experiment evaluates against.
+fn table_i_workloads() -> Result<Vec<NetworkWorkload>, crosslight_neural::NeuralError> {
+    PaperModel::all()
+        .iter()
+        .map(|m| NetworkWorkload::from_spec(&m.spec()))
+        .collect()
+}

@@ -19,6 +19,7 @@ use crosslight_runtime::planner::SweepPlanner;
 use crosslight_runtime::pool::EvalService;
 
 use crate::report::{fmt_f64, TextTable};
+use crate::table_i_workloads;
 
 /// One row of Table III.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -135,10 +136,7 @@ fn finish(rows: Vec<SummaryRow>) -> SummaryTable {
 /// Propagates accelerator-evaluation errors (which do not occur for the
 /// built-in models).
 pub fn run() -> Result<SummaryTable, Box<dyn std::error::Error>> {
-    let workloads: Vec<NetworkWorkload> = PaperModel::all()
-        .iter()
-        .map(|m| NetworkWorkload::from_spec(&m.spec()))
-        .collect::<Result<_, _>>()?;
+    let workloads = table_i_workloads()?;
 
     let mut rows = baseline_rows(&workloads)?;
     for variant in CrossLightVariant::all() {
@@ -163,10 +161,7 @@ pub fn run() -> Result<SummaryTable, Box<dyn std::error::Error>> {
 ///
 /// Propagates planner/service and accelerator-evaluation errors.
 pub fn run_on(service: &EvalService) -> Result<SummaryTable, Box<dyn std::error::Error>> {
-    let workloads: Vec<NetworkWorkload> = PaperModel::all()
-        .iter()
-        .map(|m| NetworkWorkload::from_spec(&m.spec()))
-        .collect::<Result<_, _>>()?;
+    let workloads = table_i_workloads()?;
 
     let mut rows = baseline_rows(&workloads)?;
     let variants = CrossLightVariant::all();

@@ -4,17 +4,17 @@
 //! Run with:
 //!
 //! ```text
-//! cargo run --release --example design_space                    # paper grid, serial
-//! cargo run --release --example design_space -- --workers 4     # parallel sweep
+//! cargo run --release --example design_space                    # paper grid
 //! cargo run --release --example design_space -- --dense         # ~58.5k-candidate
 //!                                                               # streaming sweep
 //! cargo run --release --example design_space -- --dense --workers 4 --top 10
 //! ```
 //!
-//! The parallel sweep is byte-identical to the serial one (deterministic
-//! chunking over one shared `ModelCache`); `--dense` switches to the
-//! streaming top-K/Pareto sweep, which never materializes its per-candidate
-//! points.
+//! The paper grid is swept serially.  `--dense` switches to the streaming
+//! top-K/Pareto sweep, which never materializes its per-candidate points,
+//! and `--workers N` (dense only) spreads it over `N` threads.  The dense
+//! run panics if its frontier differs from the 1-worker frontier, so CI can
+//! use it as a smoke test of the parallel sweep engine.
 
 use crosslight::experiments::fig6_design_space::{self, AREA_CAP_MM2};
 
@@ -61,16 +61,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 paper.avg_fps, paper.avg_epb_pj, paper.area_mm2
             );
         }
+        let serial = fig6_design_space::run_streaming(&candidates, 1, top_k)?;
+        assert_eq!(serial, frontier, "frontier must not depend on worker count");
+        println!("\nOK: frontier identical to the 1-worker sweep.");
         return Ok(());
     }
 
     println!("=== Fig. 6 — FPS vs. EPB vs. area design-space exploration ===\n");
     let candidates = fig6_design_space::paper_candidates();
-    let sweep = if workers > 1 {
-        fig6_design_space::run_parallel(&candidates, workers)?
-    } else {
-        fig6_design_space::run(&candidates)?
-    };
+    let sweep = fig6_design_space::run(&candidates)?;
     print!("{}", sweep.table().render());
 
     println!(

@@ -9,8 +9,9 @@
 //! cargo run --release --example quantization_study -- --workers 8
 //! ```
 //!
-//! With `--workers N` the `(model × bit-width)` training cells run on `N`
-//! threads via [`fig5_accuracy::run_parallel`]; the output table is
+//! With `--workers N` the `(model × bit-width)` training cells run on up to
+//! `N` threads via [`fig5_accuracy::run_parallel`], on the same sweep engine
+//! as the Fig. 6 and architecture-zoo sweeps; the output table is
 //! byte-identical to the serial sweep.
 
 use std::time::Instant;

@@ -241,17 +241,28 @@ fn three_backend_cluster_is_bit_identical_to_one_eval_service() {
 
 #[test]
 fn killing_a_backend_mid_sweep_loses_zero_accepted_requests() {
+    // Backend 1's link dies on its fifth line, with no drain to race: the
+    // death books one transport failure, and the job it names is retried,
+    // which counts one failover.
+    let faults = FaultPlan::new(vec![FaultRule::once(
+        FaultPoint::BackendSend,
+        Some(1),
+        4,
+        FaultAction::Kill,
+    )]);
     let mut backends: Vec<Option<Server>> = (0..3).map(|_| Some(bind_backend())).collect();
     let addrs: Vec<SocketAddr> = backends
         .iter()
         .map(|backend| backend.as_ref().unwrap().local_addr())
         .collect();
     // A long cooldown keeps the killed backend from rejoining mid-test.
-    let options = chaos_options().with_health(
-        Duration::from_millis(20),
-        Duration::from_millis(250),
-        Duration::from_secs(600),
-    );
+    let options = chaos_options()
+        .with_health(
+            Duration::from_millis(20),
+            Duration::from_millis(250),
+            Duration::from_secs(600),
+        )
+        .with_faults(Arc::clone(&faults));
     let router = Router::bind("127.0.0.1:0", &addrs, options).expect("bind router");
 
     let specs = mixed_sweep(120);
@@ -270,11 +281,13 @@ fn killing_a_backend_mid_sweep_loses_zero_accepted_requests() {
     }
     client.flush().expect("pipelined flush");
 
-    // Take a few answers to prove the sweep is in flight, then kill a
-    // backend with ~110 requests outstanding across the cluster.
-    let mut served: Vec<String> = (0..8).map(|_| recv_eval(&mut client)).collect();
+    // Once the link kill has fired, take backend 1 down for good while the
+    // sweep is still in flight.
+    wait_for("the link kill", Duration::from_secs(10), || {
+        faults.injected() >= 1
+    });
     backends[1].take().unwrap().shutdown();
-    served.extend((8..specs.len()).map(|_| recv_eval(&mut client)));
+    let served: Vec<String> = (0..specs.len()).map(|_| recv_eval(&mut client)).collect();
 
     // Zero lost, zero shed, bit-identical — and the failover machinery
     // demonstrably did the saving.
