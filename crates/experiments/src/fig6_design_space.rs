@@ -182,11 +182,11 @@ fn design_point(dims: (usize, usize, usize, usize), avg: &AverageMetrics) -> Des
 /// [`ModelCache`], reusing `reports` as the per-workload scratch buffer.
 ///
 /// This is the single evaluation path behind [`run`] and [`run_streaming`]:
-/// the per-workload reports are assembled from the
-/// memoized workload-independent breakdowns exactly as
-/// `PreparedSimulator::evaluate` assembles them, and averaged through the
-/// shared `AverageMetrics::from_reports` accumulation, so every flavor
-/// produces bit-identical points.
+/// the per-workload reports are assembled from the memoized
+/// workload-independent breakdowns exactly as `PreparedSimulator::evaluate`
+/// assembles them, and averaged through the shared
+/// `AverageMetrics::from_reports` accumulation, so every flavor produces
+/// bit-identical points.
 fn evaluate_candidate(
     dims: (usize, usize, usize, usize),
     workloads: &[NetworkWorkload],

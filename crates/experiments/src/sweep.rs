@@ -72,18 +72,14 @@ where
             .collect()
     });
     let mut parts = Vec::with_capacity(workers);
-    let mut lowest_failure: Option<(usize, E)> = None;
+    let mut failures = Vec::new();
     for outcome in outcomes {
         match outcome {
             Ok(acc) => parts.push(acc),
-            Err((index, e)) => {
-                if lowest_failure.as_ref().is_none_or(|&(i, _)| index < i) {
-                    lowest_failure = Some((index, e));
-                }
-            }
+            Err(failure) => failures.push(failure),
         }
     }
-    match lowest_failure {
+    match failures.into_iter().min_by_key(|&(index, _)| index) {
         Some((_, e)) => Err(e),
         None => Ok(parts),
     }
