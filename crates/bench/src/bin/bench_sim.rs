@@ -18,7 +18,7 @@
 
 use std::sync::Arc;
 
-use crosslight_bench::{measure, measure_once, print_speedups, render_trajectory_json};
+use crosslight_bench::{measure, print_speedups, render_trajectory_json};
 use crosslight_core::cache::ModelCache;
 use crosslight_core::config::CrossLightConfig;
 use crosslight_core::simulator::CrossLightSimulator;
@@ -150,20 +150,22 @@ fn main() {
         .expect("sweep succeeds")
     }));
 
-    // --- dense streaming sweep (full mode only: ~58.5k candidates) ---------
-    if !quick {
-        let dense = fig6_design_space::dense_candidates();
-        let (result, frontier) = measure_once("fig6_dense_streaming_58k", || {
-            fig6_design_space::run_streaming(&dense, workers, 10).expect("sweep succeeds")
-        });
-        println!(
-            "  dense grid: {} evaluated, {} in cap, {} on the Pareto frontier",
-            frontier.evaluated,
-            frontier.in_cap,
-            frontier.pareto.len()
-        );
-        results.push(result);
-    }
+    // --- the dense ~58.5k-candidate streaming sweep, on every core and on one
+    // (the ratio of the two is the sweep's parallel speed-up) ----------------
+    let dense = fig6_design_space::dense_candidates();
+    let frontier = fig6_design_space::run_streaming(&dense, workers, 10).expect("sweep succeeds");
+    println!(
+        "  dense grid: {} evaluated, {} in cap, {} on the Pareto frontier",
+        frontier.evaluated,
+        frontier.in_cap,
+        frontier.pareto.len()
+    );
+    results.push(measure("fig6_dense_streaming_58k", window_ms, || {
+        fig6_design_space::run_streaming(&dense, workers, 10).expect("sweep succeeds")
+    }));
+    results.push(measure("fig6_dense_streaming_58k_1w", window_ms, || {
+        fig6_design_space::run_streaming(&dense, 1, 10).expect("sweep succeeds")
+    }));
 
     let json = render_trajectory_json(
         "crosslight-bench-sim/v1",

@@ -14,7 +14,7 @@
 //!   evaluation).
 //!
 //! The crate also hosts the shared benchmark-trajectory harness
-//! ([`measure`], [`measure_once`], [`render_trajectory_json`]) behind the
+//! ([`measure`], [`render_trajectory_json`]) behind the
 //! `bench_kernels` and `bench_sim` bins: each emits a `BENCH_*.json` with
 //! embedded pre-refactor baselines so every PR records a perf datapoint for
 //! both the neural-kernel and the analytical-simulator trajectories.
@@ -90,25 +90,6 @@ pub fn measure<O, F: FnMut() -> O>(name: &str, window_ms: u64, mut routine: F) -
         p50_ns: Some(p50 as f64),
         p99_ns: Some(p99 as f64),
     }
-}
-
-/// Times a single un-warmed run of `routine` — for workloads too large to
-/// repeat (full dense sweeps).
-pub fn measure_once<O, F: FnOnce() -> O>(name: &str, routine: F) -> (BenchResult, O) {
-    let start = Instant::now();
-    let output = std::hint::black_box(routine());
-    let ns_per_iter = start.elapsed().as_nanos() as f64;
-    println!("{name:<44} {ns_per_iter:>14.1} ns/iter  (1 iteration)");
-    (
-        BenchResult {
-            name: name.to_string(),
-            ns_per_iter,
-            iterations: 1,
-            p50_ns: None,
-            p99_ns: None,
-        },
-        output,
-    )
 }
 
 /// Looks up a workload's pre-refactor baseline in a `(name, ns)` table.
@@ -250,13 +231,5 @@ mod tests {
         assert!(p50 > 0.0);
         assert!(p99 >= p50);
         assert!(result.iterations > 0);
-    }
-
-    #[test]
-    fn measure_once_returns_the_routine_output() {
-        let (result, value) = measure_once("smoke_once", || 7 * 6);
-        assert_eq!(value, 42);
-        assert_eq!(result.iterations, 1);
-        assert!(result.ns_per_iter >= 0.0);
     }
 }

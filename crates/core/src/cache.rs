@@ -4,11 +4,14 @@
 //! (laser, tuning with its 15×15 TED eigendecomposition, detection,
 //! conversion), accelerator power/area, and achievable resolution — are pure
 //! functions of small sub-configurations that repeat heavily across
-//! design-space grids: an `(N, K, n, m)` sweep with `G` distinct `(N, K)`
-//! pairs only contains `G` distinct CONV/FC unit shapes, and usually a single
-//! distinct resolution input.  [`ModelCache`] memoizes those results by their
-//! canonical sub-config keys ([`crate::canonical`]), so a sweep pays for each
-//! distinct sub-model once instead of once per grid point.
+//! design-space grids.  A unit report depends on one unit size, so an
+//! `(N, K, n, m)` sweep contains one distinct unit per CONV size and one per
+//! FC size; a resolution input carries both sizes, so it contains one per
+//! distinct `(N, K)` pair.  The dense Fig. 6 grid needs 36 unit reports
+//! (10 CONV plus 26 FC sizes) and 260 resolutions.  [`ModelCache`] memoizes
+//! those results by their canonical sub-config keys ([`crate::canonical`]),
+//! so a sweep pays for each distinct sub-model once instead of once per grid
+//! point.
 //!
 //! The cache is transparent: every model is deterministic, so a hit returns
 //! exactly the value a fresh computation would produce and cached evaluation

@@ -8,10 +8,23 @@
 //! `paper_point`; on [`paper_candidates`] this model's best is a different
 //! point (see `EXPERIMENTS.md`).
 //!
-//! Every sweep flavor shares one [`ModelCache`]: a grid with `G` distinct
-//! `(N, K)` pairs pays for `G` CONV/FC unit reports (each with a 15×15 TED
-//! eigendecomposition inside) instead of one per grid point, which is where
-//! almost all of a candidate's cost used to go.  On top of that:
+//! Every sweep flavor shares one [`ModelCache`], which pays for one unit
+//! report (each with a 15×15 TED eigendecomposition inside) per distinct CONV
+//! size and per distinct FC size, and one resolution per distinct `(N, K)`
+//! pair, instead of one of each per grid point, which is where almost all of
+//! a candidate's cost used to go: [`dense_candidates`] needs 36 unit reports
+//! (10 CONV plus 26 FC sizes) and 260 resolutions.
+//!
+//! [`run`] and [`run_streaming`] keep a one-entry memo per sweep worker: the
+//! CONV and FC unit reports and the resolution it last fetched, under the
+//! cache's own canonical keys.  A worker probes the shared cache (two unit
+//! lookups and one resolution lookup) only when a candidate's keys differ
+//! from its predecessor's.  Both grids vary the unit counts `(n, m)`
+//! innermost and the sweep engine hands each worker runs of consecutive
+//! candidates, so a dense pass probes once per `(N, K)` change, about 0.5 %
+//! of candidates, and its workers barely touch the cache's locks.  On a grid
+//! whose consecutive candidates rarely share `(N, K)` the memo misses every
+//! time and costs one key comparison per candidate.  On top of that:
 //!
 //! * [`run`] materializes every [`DesignPoint`] serially, and is the
 //!   reference the other flavors are tested against;
@@ -27,9 +40,12 @@
 use serde::{Deserialize, Serialize};
 
 use crosslight_core::cache::ModelCache;
+use crosslight_core::canonical::{ResolutionKey, VdpUnitKey};
 use crosslight_core::config::{CrossLightConfig, DesignChoices};
 use crosslight_core::error::Result as CoreResult;
+use crosslight_core::power::accelerator_power_from_unit_reports;
 use crosslight_core::simulator::{AverageMetrics, CrossLightSimulator, SimulationReport};
+use crosslight_core::vdp::{VdpUnit, VdpUnitReport};
 use crosslight_neural::workload::NetworkWorkload;
 use crosslight_neural::zoo::PaperModel;
 use crosslight_runtime::planner::SweepPlanner;
@@ -178,44 +194,99 @@ fn design_point(dims: (usize, usize, usize, usize), avg: &AverageMetrics) -> Des
     }
 }
 
-/// Evaluates one candidate against the shared workloads through the shared
-/// [`ModelCache`], reusing `reports` as the per-workload scratch buffer.
-///
-/// This is the single evaluation path behind [`run`] and [`run_streaming`]:
-/// the per-workload reports are assembled from the memoized
-/// workload-independent breakdowns exactly as `PreparedSimulator::evaluate`
-/// assembles them, and averaged through the shared
-/// `AverageMetrics::from_reports` accumulation, so every flavor produces
-/// bit-identical points.
-fn evaluate_candidate(
-    dims: (usize, usize, usize, usize),
-    workloads: &[NetworkWorkload],
-    cache: &ModelCache,
-    reports: &mut Vec<SimulationReport>,
-) -> CoreResult<DesignPoint> {
+/// The configuration a candidate `(N, K, n, m)` stands for: the paper's
+/// CrossLight-Opt-TED design at those dimensions.
+fn candidate_config(dims: (usize, usize, usize, usize)) -> CoreResult<CrossLightConfig> {
     let (n_size, k_size, n_units, m_units) = dims;
-    let config = CrossLightConfig::new(
+    CrossLightConfig::new(
         n_size,
         k_size,
         n_units,
         m_units,
         DesignChoices::crosslight_opt_ted(),
-    )?;
-    let power = cache.power(&config)?;
-    let area = cache.area(&config);
-    let resolution_bits = cache.resolution_bits(&config)?;
-    let simulator = CrossLightSimulator::new(config);
-    reports.clear();
-    for workload in workloads {
-        reports.push(SimulationReport {
-            power,
-            area,
-            metrics: simulator.evaluate_metrics(workload, &power)?,
-            resolution_bits,
-        });
+    )
+}
+
+/// The workload-independent models of one sub-configuration, under the
+/// canonical keys the shared [`ModelCache`] files them by.
+#[derive(Clone, Copy)]
+struct SubModels {
+    keys: (VdpUnitKey, VdpUnitKey, ResolutionKey),
+    conv_unit: VdpUnitReport,
+    fc_unit: VdpUnitReport,
+    resolution_bits: u32,
+}
+
+/// One sweep worker's evaluation state: the per-workload report buffer and
+/// a one-entry memo of the sub-models it last fetched from the shared
+/// [`ModelCache`].
+///
+/// This is the single evaluation path behind [`run`] and [`run_streaming`].
+/// Power is combined from the unit reports exactly as [`ModelCache::power`]
+/// combines them, the per-workload reports are assembled as
+/// `PreparedSimulator::evaluate` assembles them, and they are averaged
+/// through the shared `AverageMetrics::from_reports` accumulation, so every
+/// flavor produces bit-identical points.
+struct Evaluator<'a> {
+    workloads: &'a [NetworkWorkload],
+    cache: &'a ModelCache,
+    reports: Vec<SimulationReport>,
+    memo: Option<SubModels>,
+}
+
+impl<'a> Evaluator<'a> {
+    fn new(workloads: &'a [NetworkWorkload], cache: &'a ModelCache) -> Self {
+        Self {
+            workloads,
+            cache,
+            reports: Vec::with_capacity(workloads.len()),
+            memo: None,
+        }
     }
-    let avg = AverageMetrics::from_reports(reports)?;
-    Ok(design_point(dims, &avg))
+
+    /// The sub-models of `config`: from the memo while consecutive
+    /// candidates share their canonical keys, from the shared cache (two
+    /// unit probes and one resolution probe) when they change.
+    fn sub_models(&mut self, config: &CrossLightConfig) -> CoreResult<SubModels> {
+        let conv_unit = VdpUnit::conv_unit(config);
+        let fc_unit = VdpUnit::fc_unit(config);
+        let keys = (
+            conv_unit.canonical_key(),
+            fc_unit.canonical_key(),
+            ResolutionKey::from(config),
+        );
+        if let Some(memo) = self.memo.filter(|memo| memo.keys == keys) {
+            return Ok(memo);
+        }
+        let models = SubModels {
+            keys,
+            conv_unit: self.cache.unit_report(&conv_unit)?,
+            fc_unit: self.cache.unit_report(&fc_unit)?,
+            resolution_bits: self.cache.resolution_bits(config)?,
+        };
+        self.memo = Some(models);
+        Ok(models)
+    }
+
+    fn evaluate(&mut self, dims: (usize, usize, usize, usize)) -> CoreResult<DesignPoint> {
+        let config = candidate_config(dims)?;
+        let models = self.sub_models(&config)?;
+        let power =
+            accelerator_power_from_unit_reports(&config, &models.conv_unit, &models.fc_unit);
+        let area = self.cache.area(&config);
+        let simulator = CrossLightSimulator::new(config);
+        self.reports.clear();
+        for workload in self.workloads {
+            self.reports.push(SimulationReport {
+                power,
+                area,
+                metrics: simulator.evaluate_metrics(workload, &power)?,
+                resolution_bits: models.resolution_bits,
+            });
+        }
+        let avg = AverageMetrics::from_reports(&self.reports)?;
+        Ok(design_point(dims, &avg))
+    }
 }
 
 fn assemble(points: Vec<DesignPoint>) -> Result<DesignSpaceSweep, Box<dyn std::error::Error>> {
@@ -249,10 +320,10 @@ pub fn run(
 ) -> Result<DesignSpaceSweep, Box<dyn std::error::Error>> {
     let workloads = table_i_workloads()?;
     let cache = ModelCache::new();
-    let mut reports = Vec::with_capacity(workloads.len());
+    let mut evaluator = Evaluator::new(&workloads, &cache);
     let mut points = Vec::with_capacity(candidates.len());
     for &dims in candidates {
-        points.push(evaluate_candidate(dims, &workloads, &cache, &mut reports)?);
+        points.push(evaluator.evaluate(dims)?);
     }
     assemble(points)
 }
@@ -407,12 +478,14 @@ pub fn run_streaming(
     let parts = sweep::fold(
         candidates,
         workers,
-        || (FrontierAccumulator::new(top_k), Vec::new()),
-        |(acc, reports), index, &dims| -> CoreResult<()> {
-            acc.push(
-                index,
-                evaluate_candidate(dims, &workloads, &cache, reports)?,
-            );
+        || {
+            (
+                FrontierAccumulator::new(top_k),
+                Evaluator::new(&workloads, &cache),
+            )
+        },
+        |(acc, evaluator), index, &dims| -> CoreResult<()> {
+            acc.push(index, evaluator.evaluate(dims)?);
             Ok(())
         },
     )?;
@@ -463,6 +536,8 @@ pub fn run_on(
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashSet;
+
     use super::*;
 
     /// A reduced candidate set that still contains the paper's best point,
@@ -650,10 +725,87 @@ mod tests {
         assert_eq!(candidates.len(), 58_500);
         assert!(candidates.contains(&(20, 150, 100, 60)));
         assert!(candidates.iter().all(|&(n, k, _, _)| k > n));
-        // Distinct (N, K) pairs — the number of CONV/FC unit-report pairs a
-        // shared ModelCache pays for across the whole grid.
-        let pairs: std::collections::HashSet<(usize, usize)> =
+        // Distinct (N, K) pairs: the number of resolutions a shared
+        // ModelCache pays for across the whole grid, since a ResolutionKey
+        // carries both unit sizes.
+        let pairs: HashSet<(usize, usize)> =
             candidates.iter().map(|&(n, k, _, _)| (n, k)).collect();
         assert_eq!(pairs.len(), 260);
+        // The cache's own keys: one unit report per CONV size and per FC
+        // size (10 + 26; the two ranges do not overlap), one resolution per
+        // (N, K) pair.
+        let mut units = HashSet::new();
+        let mut resolutions = HashSet::new();
+        for &dims in &candidates {
+            let config = candidate_config(dims).unwrap();
+            units.insert(VdpUnit::conv_unit(&config).canonical_key());
+            units.insert(VdpUnit::fc_unit(&config).canonical_key());
+            resolutions.insert(ResolutionKey::from(&config));
+        }
+        assert_eq!(units.len(), 36);
+        assert_eq!(resolutions.len(), 260);
+    }
+
+    /// Every field's bits, so equality also tells `-0.0` from `0.0`.
+    fn bits(p: &DesignPoint) -> (usize, usize, usize, usize, [u64; 4], bool) {
+        (
+            p.conv_unit_size,
+            p.fc_unit_size,
+            p.conv_units,
+            p.fc_units,
+            [
+                p.avg_fps.to_bits(),
+                p.avg_epb_pj.to_bits(),
+                p.area_mm2.to_bits(),
+                p.fps_per_epb.to_bits(),
+            ],
+            p.within_area_cap,
+        )
+    }
+
+    #[test]
+    fn per_worker_memo_is_transparent_in_any_candidate_order() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        // 200 dense candidates in seeded random order, so (N, K) changes at
+        // almost every step and the memo misses...
+        let mut dense = dense_candidates();
+        let mut rng = StdRng::seed_from_u64(17);
+        for i in 0..200 {
+            let j = rng.gen_range(i..dense.len());
+            dense.swap(i, j);
+        }
+        let shuffled = dense[..200].to_vec();
+        // ...then sorted, so neighbours share N, and often (N, K): the memo
+        // hits, and misses where only K changes.
+        let mut sorted = shuffled.clone();
+        sorted.sort_unstable();
+        let (a, b) = ((10, 100, 50, 30), (20, 150, 100, 60));
+        let lists = [
+            shuffled,
+            sorted,
+            vec![a, b, a],
+            // Only N changes, then only K.
+            vec![(10, 150, 50, 30), (20, 150, 50, 30)],
+            vec![(20, 100, 50, 30), (20, 150, 50, 30)],
+        ];
+        // The per-candidate probe path the memo replaces, on its own cache.
+        let workloads = table_i_workloads().unwrap();
+        let cache = ModelCache::new();
+        for candidates in &lists {
+            let sweep = run(candidates).unwrap();
+            assert_eq!(sweep.points.len(), candidates.len());
+            for (point, &dims) in sweep.points.iter().zip(candidates) {
+                let avg = CrossLightSimulator::new(candidate_config(dims).unwrap())
+                    .evaluate_average_with(&workloads, &cache)
+                    .unwrap();
+                assert_eq!(bits(point), bits(&design_point(dims, &avg)), "{dims:?}");
+            }
+            let serial = run_streaming(candidates, 1, 5).unwrap();
+            for workers in [2, 5] {
+                let parallel = run_streaming(candidates, workers, 5).unwrap();
+                assert_eq!(serial, parallel, "{workers} workers");
+            }
+        }
     }
 }
