@@ -1,13 +1,17 @@
-//! Wire back-compat golden: version-1 request lines written **without** any
-//! architecture selector (the only form the protocol knew before the
-//! architecture-generic evaluation API) must keep producing byte-identical
-//! response lines forever.
+//! Wire back-compat goldens.
 //!
-//! The fixture under `tests/golden/wire_v1_backcompat.txt` was generated
-//! against the pre-zoo wire/runtime code; every later protocol extension is
-//! required to leave these exact bytes unchanged, so any drift — a reordered
-//! key, a float formatting change, a default that stopped meaning
-//! "crosslight" — fails here.
+//! Version-1 request lines written **without** any architecture selector
+//! (the only form the protocol knew before the architecture-generic
+//! evaluation API) must keep producing byte-identical response lines
+//! forever.  The fixture under `tests/golden/wire_v1_backcompat.txt` was
+//! generated against the pre-zoo wire/runtime code; every later protocol
+//! extension is required to leave these exact bytes unchanged, so any
+//! drift — a reordered key, a float formatting change, a default that
+//! stopped meaning "crosslight" — fails here.
+//!
+//! The telemetry frames (`metrics` in all three formats and `stats`) are
+//! locked the same way by `tests/golden/telemetry_frames.txt`, built from a
+//! hand-made registry so every byte is deterministic.
 //!
 //! To regenerate after an *intentional* protocol change (which is a breaking
 //! change and should be treated as such):
@@ -23,9 +27,11 @@ use crosslight_neural::workload::NetworkWorkload;
 use crosslight_neural::zoo::PaperModel;
 use crosslight_runtime::pool::{EvalService, RuntimeOptions};
 use crosslight_server::wire::{
-    decode_request, encode_response, peek_id, EvalFrame, Request, RequestBody, Response,
-    ResponseBody,
+    decode_request, decode_response, encode_response, peek_id, EvalFrame, MetricsFrame, Request,
+    RequestBody, Response, ResponseBody, StatsFrame, WireMetricsSnapshot, WireRuntimeStats,
+    WireServerStats,
 };
+use crosslight_telemetry::{render_text, Registry};
 
 /// The frozen v1 request corpus: every line predates the `"arch"` field and
 /// must decode — and evaluate — exactly as it did before the field existed.
@@ -52,8 +58,31 @@ const V1_LINES: &[&str] = &[
     r#"{"v":1,"id":11,"op":"ping"}"#,
 ];
 
-fn fixture_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/wire_v1_backcompat.txt")
+fn fixture_path(name: &str) -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden")
+        .join(name)
+}
+
+/// Compares `rendered` with the fixture `name`, or rewrites the fixture
+/// when `CROSSLIGHT_GOLDEN_BLESS` is set.
+fn check_fixture(name: &str, rendered: &str, drift: &str) {
+    let path = fixture_path(name);
+    if std::env::var_os("CROSSLIGHT_GOLDEN_BLESS").is_some() {
+        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+        std::fs::write(&path, rendered).unwrap();
+        return;
+    }
+    let expected = std::fs::read_to_string(&path).unwrap_or_else(|err| {
+        panic!(
+            "missing golden fixture {path:?} ({err}); run with CROSSLIGHT_GOLDEN_BLESS=1 to \
+             create it"
+        )
+    });
+    assert!(
+        rendered == expected,
+        "{drift}\n--- expected ---\n{expected}\n--- actual ---\n{rendered}"
+    );
 }
 
 /// Replays the corpus through decode → evaluate → encode exactly the way the
@@ -111,22 +140,92 @@ fn serve_corpus() -> String {
 
 #[test]
 fn v1_frames_without_arch_produce_byte_identical_responses() {
-    let rendered = serve_corpus();
-    let path = fixture_path();
-    if std::env::var_os("CROSSLIGHT_GOLDEN_BLESS").is_some() {
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, &rendered).unwrap();
-        return;
+    check_fixture(
+        "wire_v1_backcompat.txt",
+        &serve_corpus(),
+        "v1 back-compat drift: a pre-`arch` frame no longer produces the bytes it always has.",
+    );
+}
+
+/// One frame of every telemetry answer: a `metrics` scrape as a JSON
+/// snapshot, as a text page and as a span page, and a `stats` answer with a
+/// distinct value in every field.
+fn telemetry_frames() -> Vec<Response> {
+    let registry = Registry::new();
+    let help = "Requests by \"op\", under C:\\serve\nand a second line.";
+    registry
+        .counter_with("demo_requests_total", help, &[("op", "eval")])
+        .add(61);
+    registry
+        .counter_with("demo_requests_total", help, &[("op", "stats")])
+        .add(4);
+    registry.gauge("demo_queue_depth", "Queued lines.").set(-3);
+    let latency = registry.histogram("demo_latency_ns", "Request latency.");
+    for value in [1, 40, 1_000, 70_000] {
+        latency.record(value);
     }
-    let expected = std::fs::read_to_string(&path).unwrap_or_else(|err| {
-        panic!(
-            "missing golden fixture {path:?} ({err}); run with CROSSLIGHT_GOLDEN_BLESS=1 to \
-             create it"
-        )
-    });
-    assert!(
-        rendered == expected,
-        "v1 back-compat drift: a pre-`arch` frame no longer produces the bytes it always \
-         has.\n--- expected ---\n{expected}\n--- actual ---\n{rendered}"
+    registry.histogram("demo_idle_ns", "Never recorded.");
+    let snapshot = registry.snapshot();
+    let metrics = |id, frame| Response {
+        id: Some(id),
+        body: ResponseBody::Metrics(frame),
+    };
+    vec![
+        metrics(
+            1,
+            MetricsFrame::Snapshot(WireMetricsSnapshot::from(&snapshot)),
+        ),
+        metrics(2, MetricsFrame::Text(render_text(&snapshot))),
+        metrics(
+            3,
+            MetricsFrame::Spans(vec![
+                r#"{"id":7,"spans":[{"phase":"read","start_ns":0,"dur_ns":1500}]}"#.to_string(),
+                r#"{"id":8,"spans":[]}"#.to_string(),
+            ]),
+        ),
+        Response {
+            id: Some(4),
+            body: ResponseBody::Stats(StatsFrame {
+                server: WireServerStats {
+                    connections_accepted: 11,
+                    connections_active: 3,
+                    requests_total: 97,
+                    evals_ok: 61,
+                    evals_failed: 4,
+                    shed_total: 9,
+                    malformed_total: 6,
+                    oversized_total: 2,
+                    queue_capacity: 256,
+                    in_flight: 5,
+                },
+                runtime: WireRuntimeStats {
+                    submitted: 70,
+                    completed: 65,
+                    cache_hits: 23,
+                    cache_misses: 42,
+                    cached_entries: 31,
+                    prepared_configs: 8,
+                    per_worker: vec![38, 27],
+                    queue_depths: vec![1, 0],
+                },
+            }),
+        },
+    ]
+}
+
+#[test]
+fn telemetry_frames_produce_byte_identical_lines() {
+    let mut rendered = String::from("telemetry_frames/v1\n");
+    for frame in telemetry_frames() {
+        let line = encode_response(&frame);
+        assert_eq!(decode_response(&line).unwrap(), frame, "{line}");
+        rendered.push_str(&line);
+        rendered.push('\n');
+    }
+    check_fixture(
+        "telemetry_frames.txt",
+        &rendered,
+        "telemetry frame drift: a metrics or stats answer no longer encodes to the bytes it \
+         always has.",
     );
 }
