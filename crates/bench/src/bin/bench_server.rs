@@ -20,10 +20,17 @@
 //! `server_loopback_warm_mix_4conn` pipelines the same mix over four
 //! concurrent connections and is judged against this run's
 //! single-connection figure.
+//!
+//! `serial_uncached_per_req` is the pre-runtime baseline: the same mix
+//! evaluated with a fresh simulator per request on one thread, no cache.
+//! `direct_submit_batch_warm_per_req` is recorded against it, so its
+//! `speedup_vs_baseline` is the warm runtime's throughput over serial
+//! simulation.
 
 use std::sync::Arc;
 
 use crosslight_bench::{measure, print_speedups, render_trajectory_json, BenchResult};
+use crosslight_core::simulator::CrossLightSimulator;
 use crosslight_neural::workload::NetworkWorkload;
 use crosslight_neural::zoo::PaperModel;
 use crosslight_runtime::pool::{EvalService, RuntimeOptions};
@@ -33,6 +40,20 @@ use crosslight_server::server::{Server, ServerOptions};
 use crosslight_server::wire::{
     self, EvalFrame, EvalSpec, Request, RequestBody, Response, ResponseBody,
 };
+
+/// The per-request entry `name` of a measurement whose every iteration
+/// served `requests` requests.  Scaling a distribution by a constant scales
+/// its quantiles, so the percentiles divide too.
+fn per_request(name: &str, batch: &BenchResult, requests: usize) -> BenchResult {
+    let requests = requests as f64;
+    BenchResult {
+        name: name.to_string(),
+        ns_per_iter: batch.ns_per_iter / requests,
+        iterations: batch.iterations,
+        p50_ns: batch.p50_ns.map(|p| p / requests),
+        p99_ns: batch.p99_ns.map(|p| p / requests),
+    }
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -99,6 +120,23 @@ fn main() {
         wire::decode_response(&response_line).expect("sample line is valid")
     }));
 
+    // ---- serial uncached simulation over the same mix ---------------------
+    // A fresh simulator per request on this one thread: every request
+    // rebuilds its power and area models, and nothing is cached.
+    let serial = measure("serial_uncached_mix", window_ms, || {
+        requests
+            .iter()
+            .map(|request| {
+                CrossLightSimulator::new(request.config().expect("the mix is CrossLight"))
+                    .evaluate(&request.workload)
+                    .expect("mix scenarios evaluate")
+            })
+            .collect::<Vec<_>>()
+    });
+    let serial = per_request("serial_uncached_per_req", &serial, requests.len());
+    let serial_per_req_ns = serial.ns_per_iter;
+    results.push(serial);
+
     // ---- direct in-process dispatch over the warm mix ---------------------
     // Warm every scenario once so both sides measure the steady state.
     direct_service
@@ -119,16 +157,9 @@ fn main() {
             .submit_batch(requests.clone())
             .expect("dispatch succeeds")
     });
-    let batch_per_req_ns = batch.ns_per_iter / requests.len() as f64;
-    results.push(BenchResult {
-        name: "direct_submit_batch_warm_per_req".to_string(),
-        ns_per_iter: batch_per_req_ns,
-        iterations: batch.iterations,
-        // Scaling a distribution by a constant scales its quantiles, so the
-        // batch percentiles divided by the mix size are the per-request ones.
-        p50_ns: batch.p50_ns.map(|p| p / requests.len() as f64),
-        p99_ns: batch.p99_ns.map(|p| p / requests.len() as f64),
-    });
+    let batch = per_request("direct_submit_batch_warm_per_req", &batch, requests.len());
+    let batch_per_req_ns = batch.ns_per_iter;
+    results.push(batch);
 
     // ---- tracing-enabled-but-unsampled overhead ---------------------------
     // A sampling period of u64::MAX arms the tracing machinery (the sampler
@@ -153,14 +184,13 @@ fn main() {
                 .expect("dispatch succeeds")
         },
     );
-    let traced_per_req_ns = traced_batch.ns_per_iter / requests.len() as f64;
-    results.push(BenchResult {
-        name: "direct_submit_batch_warm_per_req_unsampled_trace".to_string(),
-        ns_per_iter: traced_per_req_ns,
-        iterations: traced_batch.iterations,
-        p50_ns: traced_batch.p50_ns.map(|p| p / requests.len() as f64),
-        p99_ns: traced_batch.p99_ns.map(|p| p / requests.len() as f64),
-    });
+    let traced = per_request(
+        "direct_submit_batch_warm_per_req_unsampled_trace",
+        &traced_batch,
+        requests.len(),
+    );
+    let traced_per_req_ns = traced.ns_per_iter;
+    results.push(traced);
     traced_service.shutdown();
 
     // ---- the same warm mix over loopback TCP ------------------------------
@@ -196,14 +226,9 @@ fn main() {
             .eval_pipelined(&specs, 0)
             .expect("pipelined mix succeeds")
     });
-    let per_request_ns = loopback.ns_per_iter / specs.len() as f64;
-    results.push(BenchResult {
-        name: "server_loopback_warm_mix".to_string(),
-        ns_per_iter: per_request_ns,
-        iterations: loopback.iterations,
-        p50_ns: loopback.p50_ns.map(|p| p / specs.len() as f64),
-        p99_ns: loopback.p99_ns.map(|p| p / specs.len() as f64),
-    });
+    let loopback = per_request("server_loopback_warm_mix", &loopback, specs.len());
+    let per_request_ns = loopback.ns_per_iter;
+    results.push(loopback);
 
     // ---- the same mix over four concurrent connections --------------------
     // Four connections pipeline the warm mix at once, so one event-loop
@@ -224,15 +249,13 @@ fn main() {
             }
         });
     });
-    let concurrent_requests = (CONNECTIONS * specs.len()) as f64;
-    let concurrent_per_req_ns = concurrent.ns_per_iter / concurrent_requests;
-    results.push(BenchResult {
-        name: "server_loopback_warm_mix_4conn".to_string(),
-        ns_per_iter: concurrent_per_req_ns,
-        iterations: concurrent.iterations,
-        p50_ns: concurrent.p50_ns.map(|p| p / concurrent_requests),
-        p99_ns: concurrent.p99_ns.map(|p| p / concurrent_requests),
-    });
+    let concurrent = per_request(
+        "server_loopback_warm_mix_4conn",
+        &concurrent,
+        CONNECTIONS * specs.len(),
+    );
+    let concurrent_per_req_ns = concurrent.ns_per_iter;
+    results.push(concurrent);
     drop(clients);
 
     // Multi-connection aggregate throughput, reported for context.
@@ -251,12 +274,13 @@ fn main() {
     server.shutdown();
 
     // Every ratio is recorded against a same-run baseline, so the JSON's
-    // `speedup_vs_baseline` fields *are* the ratios: loopback vs direct
-    // dispatch (≥ 0.5 ⇔ within 2×), four connections vs one (> 1 ⇔ a
-    // request is cheaper when connections share the server), and
-    // unsampled-trace vs tracing-off dispatch (≥ 0.98 ⇔ ≤ 2% tracing
-    // overhead).
+    // `speedup_vs_baseline` fields *are* the ratios: warm batched dispatch
+    // vs serial uncached simulation, loopback vs direct dispatch (≥ 0.5 ⇔
+    // within 2×), four connections vs one (> 1 ⇔ a request is cheaper when
+    // connections share the server), and unsampled-trace vs tracing-off
+    // dispatch (≥ 0.98 ⇔ ≤ 2% tracing overhead).
     let baselines: Vec<(&str, f64)> = vec![
+        ("direct_submit_batch_warm_per_req", serial_per_req_ns),
         ("server_loopback_warm_mix", direct_each_ns),
         ("server_loopback_warm_mix_4conn", per_request_ns),
         (
@@ -264,9 +288,14 @@ fn main() {
             batch_per_req_ns,
         ),
     ];
+    println!(
+        "\nwarm batched dispatch {batch_per_req_ns:.0} ns/req vs serial uncached simulation \
+         {serial_per_req_ns:.0} ns/req → {:.1}× the throughput",
+        serial_per_req_ns / batch_per_req_ns,
+    );
     let ratio = per_request_ns / direct_each_ns;
     println!(
-        "\nserver loopback {per_request_ns:.0} ns/req vs direct dispatch {direct_each_ns:.0} \
+        "server loopback {per_request_ns:.0} ns/req vs direct dispatch {direct_each_ns:.0} \
          ns/req → {ratio:.2}× direct cost (acceptance bar: ≤ 2×)"
     );
     println!(
@@ -284,10 +313,10 @@ fn main() {
         "crosslight-bench-server/v1",
         mode,
         "b2dd617 (pre-server seed: EvalService reachable in-process only; every recorded \
-         baseline is measured in this same run: server_loopback_warm_mix against \
-         direct_submit_each_warm, server_loopback_warm_mix_4conn against \
-         server_loopback_warm_mix, and the unsampled-trace entry against \
-         direct_submit_batch_warm_per_req)",
+         baseline is measured in this same run: direct_submit_batch_warm_per_req against \
+         serial_uncached_per_req, server_loopback_warm_mix against direct_submit_each_warm, \
+         server_loopback_warm_mix_4conn against server_loopback_warm_mix, and the \
+         unsampled-trace entry against direct_submit_batch_warm_per_req)",
         &baselines,
         &results,
     );

@@ -1,35 +1,31 @@
 //! # crosslight-bench
 //!
-//! Criterion benchmark harness for the CrossLight reproduction.
+//! The benchmark-trajectory harness of the CrossLight reproduction: four
+//! bins, each of which times its workloads and writes a `BENCH_*.json` at
+//! the repository root.
 //!
-//! The benches do double duty: they measure how long each experiment takes to
-//! regenerate, and (once per bench, outside the timed loop) they print the
-//! regenerated table so `cargo bench` output contains the paper-style rows.
+//! * `bench_kernels` — the neural kernels behind Fig. 5 training (matmul,
+//!   im2col, conv forward, a training epoch, a Fig. 5 cell) and the TED
+//!   solve.
+//! * `bench_sim` — the analytical simulator and the Fig. 6 and
+//!   architecture-zoo sweeps.
+//! * `bench_server` — the wire codec, direct `EvalService` dispatch, the
+//!   loopback server, and serial uncached simulation as the runtime's
+//!   baseline.
+//! * `bench_cluster` — routed against direct serving.
 //!
-//! * `benches/paper_figures.rs` — one bench per figure (device DSE, Fig. 4,
-//!   Fig. 5, Fig. 6, Fig. 7, Fig. 8, §V.B resolution analysis).
-//! * `benches/paper_tables.rs` — Table III.
-//! * `benches/kernels.rs` — microbenchmarks of the core kernels (MR
-//!   transmission, TED solve, conv forward, quantization, full simulator
-//!   evaluation).
-//!
-//! The crate also hosts the shared benchmark-trajectory harness
-//! ([`measure`], [`render_trajectory_json`]) behind the
-//! `bench_kernels` and `bench_sim` bins: each emits a `BENCH_*.json` with
-//! embedded pre-refactor baselines so every PR records a perf datapoint for
-//! both the neural-kernel and the analytical-simulator trajectories.
+//! Entries with a baseline carry it in the JSON (`baseline_ns_per_iter`,
+//! `speedup_vs_baseline`), either recorded before a refactor or measured
+//! in the same run.  The paper's figures and tables print from the
+//! examples (`thermal_tuning`, `quantization_study`, `design_space`,
+//! `accelerator_comparison`), not from here.
 
 #![warn(missing_docs)]
 
 use std::time::Instant;
 
+use crosslight_server::json::push_string_literal;
 use crosslight_telemetry::Histogram;
-
-/// Prints a named experiment table once, prefixed so it is easy to find in
-/// `cargo bench` output.
-pub fn print_table(title: &str, table: &crosslight_experiments::TextTable) {
-    println!("\n=== {title} ===\n{}", table.render());
-}
 
 /// One measured workload of a benchmark-trajectory bin (`bench_kernels`,
 /// `bench_sim`).
@@ -114,18 +110,17 @@ pub fn render_trajectory_json(
     baselines: &[(&str, f64)],
     results: &[BenchResult],
 ) -> String {
-    let mut out = String::from("{\n");
-    out.push_str(&format!("  \"schema\": \"{}\",\n", json_escape(schema)));
-    out.push_str(&format!("  \"mode\": \"{}\",\n", json_escape(mode)));
-    out.push_str(&format!(
-        "  \"baseline_commit\": \"{}\",\n",
-        json_escape(baseline_commit)
-    ));
-    out.push_str("  \"benches\": [\n");
+    let mut out = String::from("{\n  \"schema\": ");
+    push_string_literal(schema, &mut out);
+    out.push_str(",\n  \"mode\": ");
+    push_string_literal(mode, &mut out);
+    out.push_str(",\n  \"baseline_commit\": ");
+    push_string_literal(baseline_commit, &mut out);
+    out.push_str(",\n  \"benches\": [\n");
     for (i, r) in results.iter().enumerate() {
-        out.push_str("    {");
-        out.push_str(&format!("\"name\": \"{}\", ", json_escape(&r.name)));
-        out.push_str(&format!("\"ns_per_iter\": {:.1}, ", r.ns_per_iter));
+        out.push_str("    {\"name\": ");
+        push_string_literal(&r.name, &mut out);
+        out.push_str(&format!(", \"ns_per_iter\": {:.1}, ", r.ns_per_iter));
         out.push_str(&format!("\"iterations\": {}", r.iterations));
         if let Some(p50) = r.p50_ns {
             out.push_str(&format!(", \"p50_ns\": {p50:.1}"));
@@ -163,36 +158,9 @@ pub fn print_speedups(baselines: &[(&str, f64)], results: &[BenchResult]) {
     }
 }
 
-/// Minimal JSON string escaping for the hand-rolled `BENCH_*.json` reports
-/// (no serde_json in this offline workspace).
-#[must_use]
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crosslight_experiments::TextTable;
-
-    #[test]
-    fn print_table_does_not_panic() {
-        let mut table = TextTable::new(vec!["a", "b"]);
-        table.push_row(vec!["1", "2"]);
-        print_table("smoke", &table);
-    }
 
     #[test]
     fn trajectory_json_embeds_baselines_only_where_recorded() {

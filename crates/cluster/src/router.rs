@@ -77,6 +77,7 @@ use std::time::{Duration, Instant};
 use crosslight_neural::workload::NetworkWorkload;
 use crosslight_neural::zoo::PaperModel;
 use crosslight_runtime::cache::CacheKey;
+use crosslight_runtime::pool::RuntimeStats;
 use crosslight_server::frontend::{
     default_event_loops, Bound, Conn, Frontend, FrontendTelemetry, Handler,
 };
@@ -84,8 +85,7 @@ use crosslight_server::loadgen::{Client, ClientOptions};
 use crosslight_server::poller::{wake_pair, LineScanner, ScanEvent};
 use crosslight_server::wire::{
     self, ErrorFrame, ErrorKind, MetricsFormat, MetricsFrame, Request, RequestBody, Response,
-    ResponseBody, SnapshotEntry, StatsFrame, WireMetricsSnapshot, WireRuntimeStats,
-    WireServerStats, DEFAULT_MAX_LINE_BYTES,
+    ResponseBody, SnapshotEntry, StatsFrame, WireServerStats, DEFAULT_MAX_LINE_BYTES,
 };
 use crosslight_telemetry::{render_text, Counter, Gauge, Histogram, Registry, RegistrySnapshot};
 
@@ -109,8 +109,6 @@ pub struct RouterOptions {
     /// Jobs per backend — waiting for its link's window plus in flight on
     /// it — before dispatch spills to the next replica.
     pub queue_capacity: usize,
-    /// Bound on dialing a backend.
-    pub connect_timeout: Duration,
     /// How long a backend link that owes answers may read none (or may
     /// fail to write pending bytes) before it is declared dead.
     pub request_timeout: Duration,
@@ -129,10 +127,6 @@ pub struct RouterOptions {
     pub retry: RetryPolicy,
     /// Cluster-wide retry budget, in tokens (see [`RetryBudget`]).
     pub retry_budget: u64,
-    /// Maximum accepted line length in bytes (clamped to at least 1 KiB).
-    pub max_line_bytes: usize,
-    /// Bound on a stalled client-socket write.
-    pub write_timeout: Duration,
     /// Whether a readmitted backend gets a warm-state handoff (snapshot
     /// pulled from surviving replicas and restored before it takes
     /// traffic).  Off, readmission is cold — exactly the pre-handoff
@@ -195,7 +189,6 @@ impl Default for RouterOptions {
         Self {
             replication: 2,
             queue_capacity: 256,
-            connect_timeout: Duration::from_secs(1),
             request_timeout: Duration::from_secs(5),
             request_deadline: Duration::from_secs(15),
             health_interval: Duration::from_millis(50),
@@ -204,8 +197,6 @@ impl Default for RouterOptions {
             failure_threshold: 3,
             retry: RetryPolicy::default(),
             retry_budget: 128,
-            max_line_bytes: DEFAULT_MAX_LINE_BYTES,
-            write_timeout: Duration::from_secs(30),
             handoff: true,
             hedge: HedgePolicy::default(),
             faults: FaultPlan::none(),
@@ -644,6 +635,9 @@ pub struct RouterStats {
 /// shutdown waits for them to notice the flag.
 const IDLE_POLL: Duration = Duration::from_millis(20);
 
+/// Bound on dialing a backend.
+const CONNECT_TIMEOUT: Duration = Duration::from_secs(1);
+
 /// The fault-tolerant cluster router.
 ///
 /// # Example
@@ -708,7 +702,6 @@ impl Router {
         let options = RouterOptions {
             replication: options.replication.clamp(1, backends.len()),
             queue_capacity: options.queue_capacity.max(1),
-            max_line_bytes: options.max_line_bytes.max(1024),
             ..options
         };
         let workloads = PaperModel::all().map(|model| {
@@ -771,8 +764,7 @@ impl Router {
         };
         let frontend = bound.start(
             shared.telemetry.front.clone(),
-            shared.options.max_line_bytes,
-            shared.options.write_timeout,
+            DEFAULT_MAX_LINE_BYTES,
             // The router samples no phase traces of its own.
             Box::new(|_| {}),
             |_| ClientSide(Arc::clone(&shared)),
@@ -1241,7 +1233,7 @@ fn probe(shared: &Arc<ClusterShared>, backend: usize) -> bool {
     while pong.is_none() {
         match (&stream).read(&mut chunk) {
             Ok(0) | Err(_) => return false,
-            Ok(read) => scanner.push(&chunk[..read], shared.options.max_line_bytes, |event| {
+            Ok(read) => scanner.push(&chunk[..read], DEFAULT_MAX_LINE_BYTES, |event| {
                 pong = Some(event);
                 false
             }),
@@ -1363,7 +1355,7 @@ fn push_warm_state(
     garble: bool,
 ) -> Result<u64, String> {
     let options = &shared.options;
-    let budget = (options.max_line_bytes.saturating_mul(3) / 4).max(1);
+    let budget = DEFAULT_MAX_LINE_BYTES * 3 / 4;
     let checksum = wire::snapshot_checksum(&entries);
     let total = entries.len() as u64;
     let chunks = wire::chunk_snapshot_entries(entries, budget);
@@ -1448,9 +1440,7 @@ impl Handler for ClientSide {
             }
             RequestBody::Metrics { format } => fan_out(shared, conn, id, move |shared| {
                 let frame = match format {
-                    MetricsFormat::Json => {
-                        MetricsFrame::Snapshot(WireMetricsSnapshot::from(&cluster_scrape(shared)))
-                    }
+                    MetricsFormat::Json => MetricsFrame::Snapshot(cluster_scrape(shared)),
                     MetricsFormat::Text => MetricsFrame::Text(render_text(&cluster_scrape(shared))),
                     // The router itself samples no phase traces; spans live
                     // on the backends' own metrics endpoints.
@@ -1567,9 +1557,7 @@ fn metrics_from(addr: SocketAddr, timeout: Duration) -> Option<RegistrySnapshot>
     let mut client = Client::connect_with(addr, ClientOptions::with_deadline(timeout)).ok()?;
     let response = client.metrics(0, MetricsFormat::Json).ok()?;
     match response.body {
-        ResponseBody::Metrics(MetricsFrame::Snapshot(snapshot)) => {
-            Some(snapshot.to_registry_snapshot())
-        }
+        ResponseBody::Metrics(MetricsFrame::Snapshot(snapshot)) => Some(snapshot),
         _ => None,
     }
 }
@@ -1631,7 +1619,7 @@ fn merge_server_stats(total: &mut WireServerStats, part: &WireServerStats) {
     total.in_flight += part.in_flight;
 }
 
-fn merge_runtime_stats(total: &mut WireRuntimeStats, part: &WireRuntimeStats) {
+fn merge_runtime_stats(total: &mut RuntimeStats, part: &RuntimeStats) {
     total.submitted += part.submitted;
     total.completed += part.completed;
     total.cache_hits += part.cache_hits;

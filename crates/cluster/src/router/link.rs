@@ -38,7 +38,8 @@ use crosslight_server::wire::{self, AnswerPeek};
 use crosslight_telemetry::Gauge;
 
 use super::{
-    dispatch, retry_after_failure, shed, ClusterShared, ForwardJob, ShedReason, IDLE_POLL,
+    dispatch, retry_after_failure, shed, ClusterShared, ForwardJob, ShedReason, CONNECT_TIMEOUT,
+    IDLE_POLL,
 };
 use crate::backend::Transition;
 use crate::faultpoint::{FaultAction, FaultPlan, FaultPoint};
@@ -333,8 +334,7 @@ impl Link<'_> {
     fn dial(&mut self) -> std::io::Result<()> {
         let backend = &self.shared.backends[self.backend];
         let generation = backend.generation();
-        let stream =
-            TcpStream::connect_timeout(&backend.addr(), self.shared.options.connect_timeout)?;
+        let stream = TcpStream::connect_timeout(&backend.addr(), CONNECT_TIMEOUT)?;
         stream.set_nodelay(true)?;
         stream.set_nonblocking(true)?;
         self.socket = Some(Socket {
@@ -380,7 +380,6 @@ impl Link<'_> {
     /// Reads answers until the socket would block.  Bounded: past the
     /// window's answers, any further line kills the link.
     fn read(&mut self, scratch: &mut [u8]) {
-        let max_line_bytes = self.shared.options.max_line_bytes;
         while let Some(socket) = self.socket.as_mut() {
             let count = match (&socket.stream).read(scratch) {
                 Ok(0) => return self.reset(Reset::Eof),
@@ -390,7 +389,7 @@ impl Link<'_> {
                 Err(_) => return self.reset(Reset::Error),
             };
             let mut scanner = std::mem::take(&mut socket.scanner);
-            let alive = scanner.push(&scratch[..count], max_line_bytes, |event| {
+            let alive = scanner.push(&scratch[..count], wire::DEFAULT_MAX_LINE_BYTES, |event| {
                 self.on_answer(event)
             });
             // A dead link's socket is gone, and the rest of its bytes with it.

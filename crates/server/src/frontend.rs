@@ -27,8 +27,8 @@
 //!
 //! *Back-pressure:* reads pause while a connection is owed 1024 lines
 //! (queued plus in flight), so a client that stops reading caps both its
-//! memory and its work in flight.  A socket unwritable past
-//! `write_timeout` tears the connection down.  Teardown cancels the
+//! memory and its work in flight.  A socket unwritable for 30 s
+//! (`WRITE_TIMEOUT`) tears the connection down.  Teardown cancels the
 //! connection's [`CancelToken`] and moves its queued lines from
 //! `<owner>_write_queue_depth` to `<owner>_write_dropped_total`, so the
 //! gauge always returns to zero.
@@ -58,6 +58,11 @@ use crate::wire::{self, ErrorFrame, ErrorKind, Response};
 /// Lines a connection may be owed — queued plus in flight — before its
 /// loop stops reading from it.
 const WRITE_QUEUE_LINES: usize = 1024;
+
+/// How long a socket write may stall before the connection is torn down —
+/// the bound that keeps a non-reading client from pinning its write queue
+/// (and therefore shutdown) forever.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// How long an idle event loop sleeps in `poll(2)` between housekeeping
 /// sweeps (write-stall checks); wakeups cut the sleep short.
@@ -179,7 +184,6 @@ struct FrontShared {
     telemetry: FrontendTelemetry,
     wakers: Vec<Waker>,
     max_line_bytes: usize,
-    write_timeout: Duration,
     on_trace: TraceSink,
     shutting_down: AtomicBool,
 }
@@ -229,7 +233,6 @@ impl Bound {
         self,
         telemetry: FrontendTelemetry,
         max_line_bytes: usize,
-        write_timeout: Duration,
         on_trace: TraceSink,
         mut make_handler: impl FnMut(usize) -> H,
     ) -> Frontend {
@@ -238,7 +241,6 @@ impl Bound {
             telemetry,
             wakers: self.wakers,
             max_line_bytes,
-            write_timeout,
             on_trace,
             shutting_down: AtomicBool::new(false),
         });
@@ -685,7 +687,7 @@ fn event_loop<H: Handler>(
                 let state = slot.conn.write.lock().expect("write-state lock poisoned");
                 let stalled = state
                     .stalled_since
-                    .is_some_and(|since| since.elapsed() >= shared.write_timeout);
+                    .is_some_and(|since| since.elapsed() >= WRITE_TIMEOUT);
                 (state.queue.len(), state.closed, stalled)
             };
             if closed || stalled || (slot.read_closed && queued == 0 && in_flight == 0) {
@@ -828,7 +830,6 @@ mod tests {
             telemetry: FrontendTelemetry::register(&Registry::new(), "test"),
             wakers: vec![wake_pair().expect("wake pair").0],
             max_line_bytes: 1024,
-            write_timeout: Duration::from_secs(30),
             on_trace: Box::new(|_| {}),
             shutting_down: AtomicBool::new(false),
         });

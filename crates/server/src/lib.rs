@@ -53,7 +53,7 @@ pub mod server;
 pub mod wire;
 
 pub use loadgen::{Client, ClientOptions, LoadGenOptions, LoadReport};
-pub use server::{Server, ServerOptions, ServerStats};
+pub use server::{Server, ServerOptions};
 pub use wire::{
     ArchRequest, ErrorFrame, ErrorKind, EvalSpec, Request, RequestBody, Response, ResponseBody,
     RestoredFrame, SnapshotChunk, SnapshotEnd, SnapshotEntry,
@@ -62,7 +62,7 @@ pub use wire::{
 /// Convenient re-exports for downstream users.
 pub mod prelude {
     pub use crate::loadgen::{Client, ClientOptions, LoadGenOptions, LoadReport};
-    pub use crate::server::{Server, ServerOptions, ServerStats};
+    pub use crate::server::{Server, ServerOptions};
     pub use crate::wire::{
         ArchRequest, ErrorFrame, ErrorKind, EvalSpec, Request, RequestBody, Response, ResponseBody,
         RestoredFrame, SnapshotChunk, SnapshotEnd, SnapshotEntry, WorkloadRef,

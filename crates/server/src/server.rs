@@ -27,7 +27,7 @@
 //! ops (`ping`, `stats`) bypass admission so health checks still work
 //! under overload.  The front-end bounds each connection's write queue
 //! too: a client that stops reading has its reads paused, and a write
-//! stalled past `write_timeout` tears the connection down.
+//! stalled for 30 s tears the connection down.
 //!
 //! # Graceful drain
 //!
@@ -43,12 +43,12 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use crosslight_neural::workload::NetworkWorkload;
 use crosslight_neural::zoo::PaperModel;
 use crosslight_runtime::cache::CacheKey;
-use crosslight_runtime::pool::{BatchItem, EvalService, RuntimeOptions, RuntimeStats};
+use crosslight_runtime::pool::{BatchItem, EvalService, RuntimeOptions};
 use crosslight_runtime::request::EvalResponse;
 use crosslight_runtime::RuntimeError;
 use crosslight_telemetry::{
@@ -59,8 +59,7 @@ use crosslight_telemetry::{
 use crate::frontend::{default_event_loops, Bound, Conn, Frontend, FrontendTelemetry, Handler};
 use crate::wire::{
     self, ErrorFrame, ErrorKind, EvalFrame, MetricsFormat, MetricsFrame, RequestBody, Response,
-    ResponseBody, SnapshotEnd, SnapshotEntry, StatsFrame, WireMetricsSnapshot, WireRuntimeStats,
-    WireServerStats, DEFAULT_MAX_LINE_BYTES,
+    ResponseBody, SnapshotEnd, SnapshotEntry, StatsFrame, WireServerStats, DEFAULT_MAX_LINE_BYTES,
 };
 
 /// Tuning knobs of the server.
@@ -68,17 +67,11 @@ use crate::wire::{
 pub struct ServerOptions {
     /// Worker threads of the underlying [`EvalService`].
     pub workers: usize,
-    /// Cache shards of the underlying [`EvalService`].
-    pub cache_shards: usize,
     /// Maximum evals admitted concurrently; everything beyond is shed with
     /// an `overloaded` error frame (clamped to at least 1).
     pub queue_capacity: usize,
     /// Maximum accepted line length in bytes (clamped to at least 1 KiB).
     pub max_line_bytes: usize,
-    /// How long a socket write may stall before the connection is torn
-    /// down — the bound that keeps a non-reading client from pinning its
-    /// write queue (and therefore shutdown) forever.
-    pub write_timeout: Duration,
     /// Trace one eval request in every `trace_sample_every` per connection
     /// through the full phase pipeline (read → decode → admission → queue →
     /// cache lookup → prepare → evaluate → serialize → write queue → write).
@@ -113,13 +106,6 @@ impl ServerOptions {
         self
     }
 
-    /// Returns a copy with a different write-stall bound.
-    #[must_use]
-    pub fn with_write_timeout(mut self, write_timeout: Duration) -> Self {
-        self.write_timeout = write_timeout;
-        self
-    }
-
     /// Returns a copy with a different phase-trace sampling period
     /// (`0` = off, `1` = every request, `n` = one in `n`).
     #[must_use]
@@ -137,30 +123,18 @@ impl ServerOptions {
 }
 
 impl Default for ServerOptions {
-    /// Default runtime options, 256 admitted evals, 64 KiB lines, 30 s
-    /// write-stall bound, every request traced, and half the cores (at
-    /// most 4) as event loops.
+    /// One worker per core (the runtime default), 256 admitted evals,
+    /// 64 KiB lines, every request traced, and half the cores (at most 4)
+    /// as event loops.
     fn default() -> Self {
-        let runtime = RuntimeOptions::default();
         Self {
-            workers: runtime.workers,
-            cache_shards: runtime.cache_shards,
+            workers: RuntimeOptions::default().workers,
             queue_capacity: 256,
             max_line_bytes: DEFAULT_MAX_LINE_BYTES,
-            write_timeout: Duration::from_secs(30),
             trace_sample_every: 1,
             event_loops: default_event_loops(),
         }
     }
-}
-
-/// Point-in-time snapshot of the server and its evaluation pool.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ServerStats {
-    /// Front-end counters (connections, sheds, malformed frames, …).
-    pub server: WireServerStats,
-    /// Evaluation-pool counters.
-    pub runtime: RuntimeStats,
 }
 
 #[derive(Debug)]
@@ -387,7 +361,7 @@ struct Shared {
 }
 
 impl Shared {
-    fn snapshot(&self) -> ServerStats {
+    fn snapshot(&self) -> StatsFrame {
         let telemetry = &self.telemetry;
         // Read outcome counters before their causes: each outcome counter
         // increments strictly after the `requests_total` increment of the
@@ -402,7 +376,7 @@ impl Shared {
         let malformed_total = front.malformed_total.get();
         let oversized_total = front.oversized_total.get();
         let requests_total = front.requests_total.get();
-        ServerStats {
+        StatsFrame {
             server: WireServerStats {
                 connections_accepted: front.connections_accepted.get(),
                 connections_active: front.connections_active.get().max(0) as u64,
@@ -602,11 +576,7 @@ impl Server {
                 NetworkWorkload::from_spec(&model.spec()).expect("the Table I workloads are valid"),
             )
         });
-        let service = EvalService::new(
-            RuntimeOptions::default()
-                .with_workers(options.workers)
-                .with_cache_shards(options.cache_shards),
-        );
+        let service = EvalService::new(RuntimeOptions::default().with_workers(options.workers));
         let admission = Admission {
             capacity: options.queue_capacity,
             in_flight: AtomicUsize::new(0),
@@ -634,7 +604,6 @@ impl Server {
         let frontend = bound.start(
             front_telemetry,
             options.max_line_bytes,
-            options.write_timeout,
             Box::new(move |trace| trace_telemetry.finish_trace(trace)),
             |_| ServerLoop {
                 shared: Arc::clone(&shared),
@@ -659,9 +628,10 @@ impl Server {
         self.frontend.local_addr()
     }
 
-    /// Snapshot of the server and runtime counters.
+    /// Snapshot of the server and runtime counters — the in-process
+    /// equivalent of the `stats` wire op.
     #[must_use]
-    pub fn stats(&self) -> ServerStats {
+    pub fn stats(&self) -> StatsFrame {
         self.shared.snapshot()
     }
 
@@ -769,21 +739,15 @@ impl Handler for ServerLoop {
                 conn.push(line)
             }
             RequestBody::Stats => {
-                let stats = shared.snapshot();
                 let line = wire::encode_response(&Response {
                     id: Some(request.id),
-                    body: ResponseBody::Stats(StatsFrame {
-                        server: stats.server,
-                        runtime: WireRuntimeStats::from(&stats.runtime),
-                    }),
+                    body: ResponseBody::Stats(shared.snapshot()),
                 });
                 conn.push(line)
             }
             RequestBody::Metrics { format } => {
                 let frame = match format {
-                    MetricsFormat::Json => MetricsFrame::Snapshot(WireMetricsSnapshot::from(
-                        &shared.metrics_snapshot(),
-                    )),
+                    MetricsFormat::Json => MetricsFrame::Snapshot(shared.metrics_snapshot()),
                     MetricsFormat::Text => {
                         MetricsFrame::Text(render_text(&shared.metrics_snapshot()))
                     }

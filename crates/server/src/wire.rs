@@ -541,202 +541,21 @@ pub struct WireServerStats {
     pub in_flight: u64,
 }
 
-/// Runtime counters as transmitted by the `stats` endpoint (a lossless wire
-/// view of [`RuntimeStats`]).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct WireRuntimeStats {
-    /// See [`RuntimeStats::submitted`].
-    pub submitted: u64,
-    /// See [`RuntimeStats::completed`].
-    pub completed: u64,
-    /// See [`RuntimeStats::cache_hits`].
-    pub cache_hits: u64,
-    /// See [`RuntimeStats::cache_misses`].
-    pub cache_misses: u64,
-    /// See [`RuntimeStats::cached_entries`].
-    pub cached_entries: u64,
-    /// See [`RuntimeStats::prepared_configs`].
-    pub prepared_configs: u64,
-    /// See [`RuntimeStats::per_worker`].
-    pub per_worker: Vec<u64>,
-    /// See [`RuntimeStats::queue_depths`].
-    pub queue_depths: Vec<u64>,
-}
-
-impl From<&RuntimeStats> for WireRuntimeStats {
-    fn from(stats: &RuntimeStats) -> Self {
-        Self {
-            submitted: stats.submitted,
-            completed: stats.completed,
-            cache_hits: stats.cache_hits,
-            cache_misses: stats.cache_misses,
-            cached_entries: stats.cached_entries as u64,
-            prepared_configs: stats.prepared_configs as u64,
-            per_worker: stats.per_worker.clone(),
-            queue_depths: stats.queue_depths.clone(),
-        }
-    }
-}
-
 /// The payload of a successful `stats` response.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct StatsFrame {
     /// Front-end counters.
     pub server: WireServerStats,
     /// Evaluation-pool counters.
-    pub runtime: WireRuntimeStats,
-}
-
-/// One histogram distribution in wire form: occupied buckets as
-/// `(inclusive upper bound, occupancy)` pairs plus the scalar moments —
-/// exactly what [`HistogramSnapshot::le_buckets`] produces, so decoded
-/// snapshots rebuild losslessly via [`HistogramSnapshot::from_le_buckets`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct WireHistogram {
-    /// Total recorded observations.
-    pub count: u64,
-    /// Sum of all observations.
-    pub sum: u64,
-    /// Smallest observation (absent when empty).
-    pub min: Option<u64>,
-    /// Largest observation (0 when empty).
-    pub max: u64,
-    /// Occupied `(upper bound, occupancy)` buckets, ascending.
-    pub buckets: Vec<(u64, u64)>,
-}
-
-impl From<&HistogramSnapshot> for WireHistogram {
-    fn from(snapshot: &HistogramSnapshot) -> Self {
-        Self {
-            count: snapshot.count(),
-            sum: snapshot.sum(),
-            min: snapshot.min(),
-            max: snapshot.max().unwrap_or(0),
-            buckets: snapshot.le_buckets().collect(),
-        }
-    }
-}
-
-impl WireHistogram {
-    /// Rebuilds the in-process snapshot form.
-    #[must_use]
-    pub fn to_snapshot(&self) -> HistogramSnapshot {
-        HistogramSnapshot::from_le_buckets(&self.buckets, self.sum, self.min, self.max)
-    }
-}
-
-/// One series value in wire form, interpreted by the family's kind.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum WireMetricValue {
-    /// A counter reading.
-    Counter(u64),
-    /// A gauge reading (signed).
-    Gauge(i64),
-    /// A histogram distribution.
-    Histogram(WireHistogram),
-}
-
-/// One `(labels, value)` series of a family in wire form.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct WireMetricSeries {
-    /// Label key/value pairs in registration order.
-    pub labels: Vec<(String, String)>,
-    /// The reading.
-    pub value: WireMetricValue,
-}
-
-/// One metric family in wire form.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct WireMetricFamily {
-    /// Family name (e.g. `server_request_ns`).
-    pub name: String,
-    /// Help text.
-    pub help: String,
-    /// Metric kind (`counter`/`gauge`/`histogram`).
-    pub kind: MetricKind,
-    /// All label series of the family.
-    pub series: Vec<WireMetricSeries>,
-}
-
-/// The structured payload of a `metrics` scrape in `json` format: a
-/// lossless wire view of a (merged) [`RegistrySnapshot`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct WireMetricsSnapshot {
-    /// Always [`METRICS_SCHEMA`] for this protocol version.
-    pub schema: String,
-    /// Families sorted by name.
-    pub families: Vec<WireMetricFamily>,
-}
-
-impl From<&RegistrySnapshot> for WireMetricsSnapshot {
-    fn from(snapshot: &RegistrySnapshot) -> Self {
-        Self {
-            schema: METRICS_SCHEMA.to_string(),
-            families: snapshot
-                .families
-                .iter()
-                .map(|family| WireMetricFamily {
-                    name: family.name.clone(),
-                    help: family.help.clone(),
-                    kind: family.kind,
-                    series: family
-                        .series
-                        .iter()
-                        .map(|series| WireMetricSeries {
-                            labels: series.labels.clone(),
-                            value: match &series.value {
-                                SeriesValue::Counter(v) => WireMetricValue::Counter(*v),
-                                SeriesValue::Gauge(v) => WireMetricValue::Gauge(*v),
-                                SeriesValue::Histogram(h) => {
-                                    WireMetricValue::Histogram(WireHistogram::from(h))
-                                }
-                            },
-                        })
-                        .collect(),
-                })
-                .collect(),
-        }
-    }
-}
-
-impl WireMetricsSnapshot {
-    /// Rebuilds the in-process snapshot form (quantiles, merging and text
-    /// rendering all work on the result).
-    #[must_use]
-    pub fn to_registry_snapshot(&self) -> RegistrySnapshot {
-        RegistrySnapshot {
-            families: self
-                .families
-                .iter()
-                .map(|family| FamilySnapshot {
-                    name: family.name.clone(),
-                    help: family.help.clone(),
-                    kind: family.kind,
-                    series: family
-                        .series
-                        .iter()
-                        .map(|series| SeriesSnapshot {
-                            labels: series.labels.clone(),
-                            value: match &series.value {
-                                WireMetricValue::Counter(v) => SeriesValue::Counter(*v),
-                                WireMetricValue::Gauge(v) => SeriesValue::Gauge(*v),
-                                WireMetricValue::Histogram(h) => {
-                                    SeriesValue::Histogram(h.to_snapshot())
-                                }
-                            },
-                        })
-                        .collect(),
-                })
-                .collect(),
-        }
-    }
+    pub runtime: RuntimeStats,
 }
 
 /// The payload of a successful `metrics` response, by requested format.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum MetricsFrame {
-    /// Structured snapshot (`json` format).
-    Snapshot(WireMetricsSnapshot),
+    /// Structured snapshot (`json` format), tagged [`METRICS_SCHEMA`] on
+    /// the wire.
+    Snapshot(RegistrySnapshot),
     /// Prometheus-style exposition page (`text` format).
     Text(String),
     /// Drained trace-span JSON lines (`spans` format).
@@ -1228,29 +1047,28 @@ pub fn encode_request(request: &Request) -> String {
     out
 }
 
-fn encode_wire_histogram(histogram: &WireHistogram) -> Json {
+fn encode_histogram(histogram: &HistogramSnapshot) -> Json {
     let mut members = vec![
-        ("count", Json::Uint(histogram.count)),
-        ("sum", Json::Uint(histogram.sum)),
+        ("count", Json::Uint(histogram.count())),
+        ("sum", Json::Uint(histogram.sum())),
     ];
-    if let Some(min) = histogram.min {
+    if let Some(min) = histogram.min() {
         members.push(("min", Json::Uint(min)));
     }
-    members.push(("max", Json::Uint(histogram.max)));
+    members.push(("max", Json::Uint(histogram.max().unwrap_or(0))));
     members.push((
         "buckets",
         Json::Array(
             histogram
-                .buckets
-                .iter()
-                .map(|&(le, n)| Json::Array(vec![Json::Uint(le), Json::Uint(n)]))
+                .le_buckets()
+                .map(|(le, n)| Json::Array(vec![Json::Uint(le), Json::Uint(n)]))
                 .collect(),
         ),
     ));
     obj(members)
 }
 
-fn encode_metrics_snapshot(snapshot: &WireMetricsSnapshot) -> Json {
+fn encode_metrics_snapshot(snapshot: &RegistrySnapshot) -> Json {
     let families = snapshot
         .families
         .iter()
@@ -1267,12 +1085,12 @@ fn encode_metrics_snapshot(snapshot: &WireMetricsSnapshot) -> Json {
                             .collect(),
                     );
                     let value = match &series.value {
-                        WireMetricValue::Counter(v) => Json::Uint(*v),
-                        WireMetricValue::Gauge(v) => match u64::try_from(*v) {
+                        SeriesValue::Counter(v) => Json::Uint(*v),
+                        SeriesValue::Gauge(v) => match u64::try_from(*v) {
                             Ok(unsigned) => Json::Uint(unsigned),
                             Err(_) => Json::Int(*v),
                         },
-                        WireMetricValue::Histogram(h) => encode_wire_histogram(h),
+                        SeriesValue::Histogram(h) => encode_histogram(h),
                     };
                     obj(vec![("labels", labels), ("value", value)])
                 })
@@ -1291,7 +1109,7 @@ fn encode_metrics_snapshot(snapshot: &WireMetricsSnapshot) -> Json {
             "format",
             Json::Str(MetricsFormat::Json.as_str().to_string()),
         ),
-        ("schema", Json::Str(snapshot.schema.clone())),
+        ("schema", Json::Str(METRICS_SCHEMA.to_string())),
         ("families", Json::Array(families)),
     ])
 }
@@ -1314,15 +1132,18 @@ fn encode_server_stats(stats: &WireServerStats) -> Json {
     ])
 }
 
-fn encode_runtime_stats(stats: &WireRuntimeStats) -> Json {
+fn encode_runtime_stats(stats: &RuntimeStats) -> Json {
     let counts = |values: &[u64]| Json::Array(values.iter().map(|&v| Json::Uint(v)).collect());
     obj(vec![
         ("submitted", Json::Uint(stats.submitted)),
         ("completed", Json::Uint(stats.completed)),
         ("cache_hits", Json::Uint(stats.cache_hits)),
         ("cache_misses", Json::Uint(stats.cache_misses)),
-        ("cached_entries", Json::Uint(stats.cached_entries)),
-        ("prepared_configs", Json::Uint(stats.prepared_configs)),
+        ("cached_entries", Json::Uint(stats.cached_entries as u64)),
+        (
+            "prepared_configs",
+            Json::Uint(stats.prepared_configs as u64),
+        ),
         ("per_worker", counts(&stats.per_worker)),
         ("queue_depths", counts(&stats.queue_depths)),
     ])
@@ -1924,7 +1745,7 @@ fn i64_field(value: &Json, key: &str) -> Result<i64, ErrorFrame> {
     }
 }
 
-fn decode_wire_histogram(value: &Json) -> Result<WireHistogram, ErrorFrame> {
+fn decode_histogram(value: &Json) -> Result<HistogramSnapshot, ErrorFrame> {
     let buckets = field(value, "buckets")?
         .as_array()
         .ok_or_else(|| ErrorFrame::malformed("field `buckets` must be an array"))?
@@ -1942,19 +1763,18 @@ fn decode_wire_histogram(value: &Json) -> Result<WireHistogram, ErrorFrame> {
             Ok((le, n))
         })
         .collect::<Result<Vec<(u64, u64)>, ErrorFrame>>()?;
-    Ok(WireHistogram {
-        count: u64_field(value, "count")?,
-        sum: u64_field(value, "sum")?,
-        min: match value.get("min") {
-            None => None,
-            Some(_) => Some(u64_field(value, "min")?),
-        },
-        max: u64_field(value, "max")?,
-        buckets,
-    })
+    // `count` is required, but the snapshot counts its buckets itself.
+    u64_field(value, "count")?;
+    let sum = u64_field(value, "sum")?;
+    let min = match value.get("min") {
+        None => None,
+        Some(_) => Some(u64_field(value, "min")?),
+    };
+    let max = u64_field(value, "max")?;
+    Ok(HistogramSnapshot::from_le_buckets(&buckets, sum, min, max))
 }
 
-fn decode_metric_series(kind: MetricKind, value: &Json) -> Result<WireMetricSeries, ErrorFrame> {
+fn decode_metric_series(kind: MetricKind, value: &Json) -> Result<SeriesSnapshot, ErrorFrame> {
     let labels = match field(value, "labels")? {
         Json::Object(members) => members
             .iter()
@@ -1970,16 +1790,14 @@ fn decode_metric_series(kind: MetricKind, value: &Json) -> Result<WireMetricSeri
         _ => return Err(ErrorFrame::malformed("field `labels` must be an object")),
     };
     let value = match kind {
-        MetricKind::Counter => WireMetricValue::Counter(u64_field(value, "value")?),
-        MetricKind::Gauge => WireMetricValue::Gauge(i64_field(value, "value")?),
-        MetricKind::Histogram => {
-            WireMetricValue::Histogram(decode_wire_histogram(field(value, "value")?)?)
-        }
+        MetricKind::Counter => SeriesValue::Counter(u64_field(value, "value")?),
+        MetricKind::Gauge => SeriesValue::Gauge(i64_field(value, "value")?),
+        MetricKind::Histogram => SeriesValue::Histogram(decode_histogram(field(value, "value")?)?),
     };
-    Ok(WireMetricSeries { labels, value })
+    Ok(SeriesSnapshot { labels, value })
 }
 
-fn decode_metrics_snapshot(value: &Json) -> Result<WireMetricsSnapshot, ErrorFrame> {
+fn decode_metrics_snapshot(value: &Json) -> Result<RegistrySnapshot, ErrorFrame> {
     let schema = str_field(value, "schema")?;
     if schema != METRICS_SCHEMA {
         return Err(ErrorFrame::unsupported(format!(
@@ -2000,19 +1818,16 @@ fn decode_metrics_snapshot(value: &Json) -> Result<WireMetricsSnapshot, ErrorFra
                 .ok_or_else(|| ErrorFrame::malformed("field `series` must be an array"))?
                 .iter()
                 .map(|s| decode_metric_series(kind, s))
-                .collect::<Result<Vec<WireMetricSeries>, ErrorFrame>>()?;
-            Ok(WireMetricFamily {
+                .collect::<Result<Vec<SeriesSnapshot>, ErrorFrame>>()?;
+            Ok(FamilySnapshot {
                 name: str_field(family, "name")?.to_string(),
                 help: str_field(family, "help")?.to_string(),
                 kind,
                 series,
             })
         })
-        .collect::<Result<Vec<WireMetricFamily>, ErrorFrame>>()?;
-    Ok(WireMetricsSnapshot {
-        schema: schema.to_string(),
-        families,
-    })
+        .collect::<Result<Vec<FamilySnapshot>, ErrorFrame>>()?;
+    Ok(RegistrySnapshot { families })
 }
 
 fn decode_metrics_frame(ok: &Json) -> Result<MetricsFrame, ErrorFrame> {
@@ -2053,14 +1868,14 @@ fn decode_server_stats(value: &Json) -> Result<WireServerStats, ErrorFrame> {
     })
 }
 
-fn decode_runtime_stats(value: &Json) -> Result<WireRuntimeStats, ErrorFrame> {
-    Ok(WireRuntimeStats {
+fn decode_runtime_stats(value: &Json) -> Result<RuntimeStats, ErrorFrame> {
+    Ok(RuntimeStats {
         submitted: u64_field(value, "submitted")?,
         completed: u64_field(value, "completed")?,
         cache_hits: u64_field(value, "cache_hits")?,
         cache_misses: u64_field(value, "cache_misses")?,
-        cached_entries: u64_field(value, "cached_entries")?,
-        prepared_configs: u64_field(value, "prepared_configs")?,
+        cached_entries: usize_from(u64_field(value, "cached_entries")?, "cached_entries")?,
+        prepared_configs: usize_from(u64_field(value, "prepared_configs")?, "prepared_configs")?,
         per_worker: decode_counts(value, "per_worker")?,
         queue_depths: decode_counts(value, "queue_depths")?,
     })
@@ -2510,7 +2325,7 @@ mod tests {
                         queue_capacity: 256,
                         in_flight: 4,
                     },
-                    runtime: WireRuntimeStats {
+                    runtime: RuntimeStats {
                         submitted: 30,
                         completed: 30,
                         cache_hits: 12,
@@ -2637,20 +2452,17 @@ mod tests {
 
         let response = Response {
             id: Some(9),
-            body: ResponseBody::Metrics(MetricsFrame::Snapshot(WireMetricsSnapshot::from(
-                &snapshot,
-            ))),
+            body: ResponseBody::Metrics(MetricsFrame::Snapshot(snapshot.clone())),
         };
         let line = encode_response(&response);
         let decoded = decode_response(&line).unwrap();
         assert_eq!(decoded, response, "{line}");
 
-        // The decoded wire form rebuilds the registry snapshot exactly:
-        // quantiles, moments and bucket occupancy all survive the wire.
+        // The decoded snapshot is the registry snapshot exactly: quantiles,
+        // moments and bucket occupancy all survive the wire.
         match decoded.body {
-            ResponseBody::Metrics(MetricsFrame::Snapshot(wire)) => {
-                assert_eq!(wire.schema, METRICS_SCHEMA);
-                assert_eq!(wire.to_registry_snapshot(), snapshot);
+            ResponseBody::Metrics(MetricsFrame::Snapshot(decoded)) => {
+                assert_eq!(decoded, snapshot);
             }
             other => panic!("expected a metrics snapshot, got {other:?}"),
         }

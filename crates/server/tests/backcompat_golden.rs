@@ -25,11 +25,10 @@ use std::sync::Arc;
 
 use crosslight_neural::workload::NetworkWorkload;
 use crosslight_neural::zoo::PaperModel;
-use crosslight_runtime::pool::{EvalService, RuntimeOptions};
+use crosslight_runtime::pool::{EvalService, RuntimeOptions, RuntimeStats};
 use crosslight_server::wire::{
     decode_request, decode_response, encode_response, peek_id, EvalFrame, MetricsFrame, Request,
-    RequestBody, Response, ResponseBody, StatsFrame, WireMetricsSnapshot, WireRuntimeStats,
-    WireServerStats,
+    RequestBody, Response, ResponseBody, StatsFrame, WireServerStats,
 };
 use crosslight_telemetry::{render_text, Registry};
 
@@ -171,10 +170,7 @@ fn telemetry_frames() -> Vec<Response> {
         body: ResponseBody::Metrics(frame),
     };
     vec![
-        metrics(
-            1,
-            MetricsFrame::Snapshot(WireMetricsSnapshot::from(&snapshot)),
-        ),
+        metrics(1, MetricsFrame::Snapshot(snapshot.clone())),
         metrics(2, MetricsFrame::Text(render_text(&snapshot))),
         metrics(
             3,
@@ -198,7 +194,7 @@ fn telemetry_frames() -> Vec<Response> {
                     queue_capacity: 256,
                     in_flight: 5,
                 },
-                runtime: WireRuntimeStats {
+                runtime: RuntimeStats {
                     submitted: 70,
                     completed: 65,
                     cache_hits: 23,

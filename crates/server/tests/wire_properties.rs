@@ -11,12 +11,16 @@ use crosslight_neural::layers::DotProductWorkload;
 use crosslight_neural::workload::NetworkWorkload;
 use crosslight_neural::zoo::PaperModel;
 use crosslight_photonics::units::{MilliWatts, Picojoules, Seconds, SquareMillimeters, Watts};
+use crosslight_runtime::pool::RuntimeStats;
 use crosslight_server::json::Json;
 use crosslight_server::wire::{
     decode_request, decode_response, encode_request, encode_response, peek_answer,
-    splice_request_id, ErrorFrame, ErrorKind, EvalFrame, EvalSpec, MetricsFormat, Request,
-    RequestBody, Response, ResponseBody, StatsFrame, WireRuntimeStats, WireServerStats,
-    WorkloadRef,
+    splice_request_id, ErrorFrame, ErrorKind, EvalFrame, EvalSpec, MetricsFormat, MetricsFrame,
+    Request, RequestBody, Response, ResponseBody, StatsFrame, WireServerStats, WorkloadRef,
+};
+use crosslight_telemetry::{
+    FamilySnapshot, Histogram, HistogramSnapshot, MetricKind, RegistrySnapshot, SeriesSnapshot,
+    SeriesValue,
 };
 
 /// Where the id's digits start in every encoded request and answer.
@@ -82,7 +86,103 @@ fn report_from(values: &[f64; 16], bits: u32) -> SimulationReport {
     }
 }
 
+/// Text fragments for generated names, help and label values: JSON
+/// escapes, control characters, and non-ASCII text up to four UTF-8 bytes.
+const FRAGMENTS: [&str; 16] = [
+    "a", "_total", " ", "\"", "\\", "\n", "\r", "\t", "\u{0}", "\u{1f}", "\u{7f}", "é", "✓",
+    "\u{2028}", "日本", "🦀",
+];
+
+fn text() -> impl Strategy<Value = String> {
+    proptest::collection::vec(0usize..FRAGMENTS.len(), 0..8)
+        .prop_map(|picks| picks.into_iter().map(|i| FRAGMENTS[i]).collect())
+}
+
+/// Counter readings, with 0 and `u64::MAX` drawn often.
+fn counter_value() -> impl Strategy<Value = u64> {
+    (0usize..5, proptest::num::u64::ANY).prop_map(|(pick, any)| match pick {
+        0 => 0,
+        1 => u64::MAX,
+        2 => any % 1_000,
+        _ => any,
+    })
+}
+
+/// Gauge readings, with `i64::MIN`, -1, 0 and `i64::MAX` drawn often.
+fn gauge_value() -> impl Strategy<Value = i64> {
+    (0usize..6, proptest::num::u64::ANY).prop_map(|(pick, any)| match pick {
+        0 => i64::MIN,
+        1 => -1,
+        2 => 0,
+        3 => i64::MAX,
+        _ => any as i64,
+    })
+}
+
+/// Recorded histograms, empty ones included, over values spread across
+/// every octave of the bucket range up to `u64::MAX`.
+fn histogram() -> impl Strategy<Value = HistogramSnapshot> {
+    proptest::collection::vec((0u32..=64, proptest::num::u64::ANY), 0..12).prop_map(|values| {
+        let histogram = Histogram::new();
+        for (shift, any) in values {
+            histogram.record(if shift == 64 { u64::MAX } else { any >> shift });
+        }
+        histogram.snapshot()
+    })
+}
+
+fn family() -> impl Strategy<Value = FamilySnapshot> {
+    const KINDS: [MetricKind; 3] = [
+        MetricKind::Counter,
+        MetricKind::Gauge,
+        MetricKind::Histogram,
+    ];
+    (text(), text(), 0usize..3).prop_flat_map(|(name, help, kind)| {
+        let series = (
+            proptest::collection::vec(text(), 0..3),
+            counter_value(),
+            gauge_value(),
+            histogram(),
+        )
+            .prop_map(move |(values, counter, gauge, histogram)| SeriesSnapshot {
+                labels: values
+                    .into_iter()
+                    .enumerate()
+                    .map(|(i, value)| (format!("k{i}"), value))
+                    .collect(),
+                value: match KINDS[kind] {
+                    MetricKind::Counter => SeriesValue::Counter(counter),
+                    MetricKind::Gauge => SeriesValue::Gauge(gauge),
+                    MetricKind::Histogram => SeriesValue::Histogram(histogram),
+                },
+            });
+        proptest::collection::vec(series, 0..4).prop_map(move |series| FamilySnapshot {
+            name: name.clone(),
+            help: help.clone(),
+            kind: KINDS[kind],
+            series,
+        })
+    })
+}
+
 proptest! {
+    /// Metrics snapshots round-trip exactly, and a decoded frame re-encodes
+    /// to the same line.
+    #[test]
+    fn metrics_snapshot_frames_round_trip(
+        id in proptest::num::u64::ANY,
+        families in proptest::collection::vec(family(), 0..5),
+    ) {
+        let response = Response {
+            id: Some(id),
+            body: ResponseBody::Metrics(MetricsFrame::Snapshot(RegistrySnapshot { families })),
+        };
+        let line = encode_response(&response);
+        let decoded = decode_response(&line).unwrap();
+        prop_assert_eq!(&decoded, &response, "{}", line);
+        prop_assert_eq!(encode_response(&decoded), line);
+    }
+
     /// Model-referencing eval requests round-trip for every id, variant,
     /// dimension tuple and resolution.
     #[test]
@@ -199,13 +299,13 @@ proptest! {
                     queue_capacity: counters[9],
                     in_flight: counters[10],
                 },
-                runtime: WireRuntimeStats {
+                runtime: RuntimeStats {
                     submitted: counters[11],
                     completed: counters[12],
                     cache_hits: counters[13],
                     cache_misses: counters[14],
-                    cached_entries: counters[15],
-                    prepared_configs: counters[16],
+                    cached_entries: counters[15] as usize,
+                    prepared_configs: counters[16] as usize,
                     per_worker: per_worker.clone(),
                     queue_depths: per_worker.clone(),
                 },

@@ -45,9 +45,9 @@ use crosslight::server::loadgen::{Client, ClientOptions};
 use crosslight::server::server::{Server, ServerOptions};
 use crosslight::server::wire::{
     self, ArchRequest, ErrorKind, EvalFrame, EvalSpec, MetricsFormat, MetricsFrame, Request,
-    RequestBody, Response, ResponseBody, WireMetricValue, WireMetricsSnapshot, WorkloadRef,
+    RequestBody, Response, ResponseBody, WorkloadRef,
 };
-use crosslight::telemetry::validate_text;
+use crosslight::telemetry::{validate_text, RegistrySnapshot, SeriesValue};
 
 fn parse_flag(args: &[String], flag: &str, default: usize) -> usize {
     args.iter()
@@ -68,24 +68,24 @@ fn parse_path_flag(args: &[String], flag: &str) -> Option<String> {
 }
 
 /// Sums a family's series across label sets (counter values, gauge
-/// values, histogram counts) in a wire metrics snapshot.
-fn family_total(snapshot: &WireMetricsSnapshot, name: &str) -> u64 {
+/// values, histogram counts) in a metrics snapshot.
+fn family_total(snapshot: &RegistrySnapshot, name: &str) -> u64 {
     snapshot
         .families
         .iter()
         .filter(|family| family.name == name)
         .flat_map(|family| &family.series)
         .map(|series| match series.value {
-            WireMetricValue::Counter(value) => value,
-            WireMetricValue::Gauge(value) => value.max(0) as u64,
-            WireMetricValue::Histogram(ref h) => h.count,
+            SeriesValue::Counter(value) => value,
+            SeriesValue::Gauge(value) => value.max(0) as u64,
+            SeriesValue::Histogram(ref h) => h.count(),
         })
         .sum()
 }
 
 /// One JSON metrics scrape of `addr` (a backend directly, or the router
 /// for the merged cluster-wide page).
-fn scrape_json(addr: SocketAddr) -> WireMetricsSnapshot {
+fn scrape_json(addr: SocketAddr) -> RegistrySnapshot {
     let mut client =
         Client::connect_with(addr, ClientOptions::with_deadline(Duration::from_secs(10)))
             .expect("connect for a metrics scrape");

@@ -205,11 +205,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let mut scrape_id = 100;
         loop {
             let response = probe.metrics(scrape_id, MetricsFormat::Json)?;
-            let ResponseBody::Metrics(MetricsFrame::Snapshot(wire_snapshot)) = &response.body
-            else {
+            let ResponseBody::Metrics(MetricsFrame::Snapshot(scrape)) = response.body else {
                 panic!("metrics endpoint returned {response:?}");
             };
-            let scrape = wire_snapshot.to_registry_snapshot();
             let sampled = counter_value(&scrape, "server_traces_sampled_total");
             let folded = match scrape.value("server_request_ns") {
                 Some(SeriesValue::Histogram(h)) => h.count(),

@@ -21,13 +21,14 @@ use crosslight::cluster::{
 use crosslight::experiments::arch_zoo;
 use crosslight::neural::workload::NetworkWorkload;
 use crosslight::neural::zoo::PaperModel;
-use crosslight::runtime::pool::{EvalService, RuntimeOptions};
+use crosslight::runtime::pool::{EvalService, RuntimeOptions, RuntimeStats};
 use crosslight::server::loadgen::{Client, ClientOptions};
 use crosslight::server::server::{Server, ServerOptions};
 use crosslight::server::wire::{
     self, ArchRequest, ErrorKind, EvalFrame, EvalSpec, MetricsFormat, MetricsFrame, Request,
-    RequestBody, Response, ResponseBody, WireMetricsSnapshot, WorkloadRef,
+    RequestBody, Response, ResponseBody, StatsFrame, WireServerStats, WorkloadRef,
 };
+use crosslight::telemetry::RegistrySnapshot;
 
 fn workload_table() -> [Arc<NetworkWorkload>; 4] {
     PaperModel::all().map(|model| {
@@ -153,13 +154,13 @@ fn chaos_options() -> RouterOptions {
 }
 
 /// Sums one counter family (over all label sets) out of a metrics scrape.
-fn family_total(snapshot: &WireMetricsSnapshot, name: &str) -> u64 {
+fn family_total(snapshot: &RegistrySnapshot, name: &str) -> u64 {
     labelled_total(snapshot, name, &[])
 }
 
 /// Sums the series of one family that carry every given label pair.
-fn labelled_total(snapshot: &WireMetricsSnapshot, name: &str, labels: &[(&str, &str)]) -> u64 {
-    use crosslight::server::wire::WireMetricValue;
+fn labelled_total(snapshot: &RegistrySnapshot, name: &str, labels: &[(&str, &str)]) -> u64 {
+    use crosslight::telemetry::SeriesValue;
     snapshot
         .families
         .iter()
@@ -171,15 +172,15 @@ fn labelled_total(snapshot: &WireMetricsSnapshot, name: &str, labels: &[(&str, &
                 .all(|&(key, value)| series.labels.iter().any(|(k, v)| k == key && v == value))
         })
         .map(|series| match series.value {
-            WireMetricValue::Counter(value) => value,
-            WireMetricValue::Gauge(value) => value.max(0) as u64,
-            WireMetricValue::Histogram(ref h) => h.count,
+            SeriesValue::Counter(value) => value,
+            SeriesValue::Gauge(value) => value.max(0) as u64,
+            SeriesValue::Histogram(ref h) => h.count(),
         })
         .sum()
 }
 
 /// One direct metrics scrape of a backend server (not through the router).
-fn backend_scrape(addr: SocketAddr) -> WireMetricsSnapshot {
+fn backend_scrape(addr: SocketAddr) -> RegistrySnapshot {
     let mut client =
         Client::connect_with(addr, ClientOptions::with_deadline(Duration::from_secs(10)))
             .expect("connect to backend for scrape");
@@ -198,6 +199,100 @@ fn wait_for(what: &str, deadline: Duration, mut done: impl FnMut() -> bool) {
             "timed out after {deadline:?} waiting for {what}"
         );
         std::thread::sleep(Duration::from_millis(10));
+    }
+}
+
+/// One `stats` answer read over the wire from `addr`.
+fn stats_over_wire(addr: SocketAddr) -> StatsFrame {
+    let mut client =
+        Client::connect_with(addr, ClientOptions::with_deadline(Duration::from_secs(10)))
+            .expect("connect for a stats read");
+    match client.stats(0).expect("stats op").body {
+        ResponseBody::Stats(frame) => frame,
+        other => panic!("expected a stats answer, got {other:?}"),
+    }
+}
+
+#[test]
+fn router_stats_are_the_field_wise_sum_of_its_backends() {
+    let backends: Vec<Server> = [1, 2]
+        .into_iter()
+        .map(|workers| {
+            Server::bind(
+                "127.0.0.1:0",
+                ServerOptions::default()
+                    .with_workers(workers)
+                    .with_trace_sampling(0),
+            )
+            .expect("bind a loopback backend")
+        })
+        .collect();
+    let addrs: Vec<SocketAddr> = backends.iter().map(Server::local_addr).collect();
+    let router = Router::bind("127.0.0.1:0", &addrs, RouterOptions::default()).expect("bind");
+
+    let specs = mixed_sweep(32);
+    let mut client = Client::connect_with(
+        router.local_addr(),
+        ClientOptions::with_deadline(Duration::from_secs(60)),
+    )
+    .expect("connect to router");
+    assert_eq!(cluster_lines(&mut client, &specs).len(), 32);
+    // An answer can reach the client just before its backend releases the
+    // admission permit.
+    wait_for("both backends to settle", Duration::from_secs(10), || {
+        backends.iter().all(|b| b.stats().server.in_flight == 0)
+    });
+
+    let routed = match client.stats(100).expect("stats op").body {
+        ResponseBody::Stats(frame) => frame,
+        other => panic!("expected a stats answer, got {other:?}"),
+    };
+    let parts: Vec<StatsFrame> = addrs.iter().map(|&addr| stats_over_wire(addr)).collect();
+    let server = |field: fn(&WireServerStats) -> u64| -> u64 {
+        parts.iter().map(|part| field(&part.server)).sum()
+    };
+    let runtime = |field: fn(&RuntimeStats) -> u64| -> u64 {
+        parts.iter().map(|part| field(&part.runtime)).sum()
+    };
+    let expected = StatsFrame {
+        server: WireServerStats {
+            // Health probes and the fan-out's own dials move these three
+            // between the router's read and ours.
+            connections_accepted: routed.server.connections_accepted,
+            connections_active: routed.server.connections_active,
+            requests_total: routed.server.requests_total,
+            evals_ok: server(|s| s.evals_ok),
+            evals_failed: server(|s| s.evals_failed),
+            shed_total: server(|s| s.shed_total),
+            malformed_total: server(|s| s.malformed_total),
+            oversized_total: server(|s| s.oversized_total),
+            queue_capacity: server(|s| s.queue_capacity),
+            in_flight: server(|s| s.in_flight),
+        },
+        runtime: RuntimeStats {
+            submitted: runtime(|r| r.submitted),
+            completed: runtime(|r| r.completed),
+            cache_hits: runtime(|r| r.cache_hits),
+            cache_misses: runtime(|r| r.cache_misses),
+            cached_entries: parts.iter().map(|p| p.runtime.cached_entries).sum(),
+            prepared_configs: parts.iter().map(|p| p.runtime.prepared_configs).sum(),
+            per_worker: parts
+                .iter()
+                .flat_map(|p| p.runtime.per_worker.iter().copied())
+                .collect(),
+            queue_depths: parts
+                .iter()
+                .flat_map(|p| p.runtime.queue_depths.iter().copied())
+                .collect(),
+        },
+    };
+    assert_eq!(routed, expected);
+    assert_eq!(routed.server.evals_ok, 32);
+    assert_eq!(routed.runtime.per_worker.len(), 3);
+
+    router.shutdown();
+    for backend in backends {
+        backend.shutdown();
     }
 }
 
@@ -223,13 +318,13 @@ fn three_backend_cluster_is_bit_identical_to_one_eval_service() {
     assert_eq!(stats.shed_total, 0);
 
     // The healthy path also exposes its telemetry vocabulary.
-    let scrape = WireMetricsSnapshot::from(&router.metrics_snapshot());
+    let scrape = router.metrics_snapshot();
     assert_eq!(family_total(&scrape, "cluster_evals_ok_total"), 96);
     assert!(family_total(&scrape, "cluster_forwarded_total") >= 96);
     // A fast sweep can outrun the first prober tick; probes are periodic,
     // so they must show up shortly regardless.
     wait_for("the first health probe", Duration::from_secs(10), || {
-        let scrape = WireMetricsSnapshot::from(&router.metrics_snapshot());
+        let scrape = router.metrics_snapshot();
         family_total(&scrape, "cluster_health_probes_total") > 0
     });
 
@@ -299,7 +394,7 @@ fn killing_a_backend_mid_sweep_loses_zero_accepted_requests() {
         stats.failovers >= 1,
         "the kill must force at least one re-route, got {stats:?}"
     );
-    let scrape = WireMetricsSnapshot::from(&router.metrics_snapshot());
+    let scrape = router.metrics_snapshot();
     assert!(
         family_total(&scrape, "cluster_backend_failures_total") >= 1,
         "transport faults against the killed backend must be counted"
@@ -344,25 +439,19 @@ fn restarted_backend_is_readmitted_through_half_open_probing() {
         let stats = router.stats();
         stats.backend_states[1] == CircuitState::Closed && stats.readmitted[1] >= 1
     });
-    let scrape = WireMetricsSnapshot::from(&router.metrics_snapshot());
+    let scrape = router.metrics_snapshot();
     assert!(family_total(&scrape, "cluster_backend_readmitted_total") >= 1);
 
     // The readmitted backend carries real traffic again: replication 2
     // puts it back in every shard's replica set, and the sweep stays
     // bit-identical.
-    let before = family_total(
-        &WireMetricsSnapshot::from(&router.metrics_snapshot()),
-        "cluster_forwarded_total",
-    );
+    let before = family_total(&router.metrics_snapshot(), "cluster_forwarded_total");
     let specs = mixed_sweep(32);
     assert_eq!(
         sorted(cluster_lines(&mut client, &specs)),
         sorted(reference_lines(&specs))
     );
-    let after = family_total(
-        &WireMetricsSnapshot::from(&router.metrics_snapshot()),
-        "cluster_forwarded_total",
-    );
+    let after = family_total(&router.metrics_snapshot(), "cluster_forwarded_total");
     assert!(after >= before + 32);
 
     router.shutdown();
@@ -536,7 +625,7 @@ fn readmitted_backend_is_warm_restored_and_serves_its_shards_with_zero_cold_miss
         let stats = router.stats();
         stats.backend_states[1] == CircuitState::Closed && stats.readmitted[1] >= 1
     });
-    let scrape = WireMetricsSnapshot::from(&router.metrics_snapshot());
+    let scrape = router.metrics_snapshot();
     assert!(
         family_total(&scrape, "cluster_handoff_snapshots_sent_total") >= 1,
         "the donor must have been asked for a snapshot"
@@ -626,7 +715,7 @@ fn corrupted_handoff_falls_back_to_cold_readmission_without_wedging() {
         faults.injected() >= 1,
         "the garble must actually have fired"
     );
-    let scrape = WireMetricsSnapshot::from(&router.metrics_snapshot());
+    let scrape = router.metrics_snapshot();
     assert!(
         family_total(&scrape, "cluster_handoff_failed_total") >= 1,
         "the corrupted transfer must be counted as a failed handoff"
@@ -689,16 +778,13 @@ fn hedged_requests_deliver_exactly_once_and_account_every_hedge() {
 
     // Every launched hedge eventually resolves into the accounting
     // vocabulary (won, cancelled before I/O, or wasted after it).
-    let launched = family_total(
-        &WireMetricsSnapshot::from(&router.metrics_snapshot()),
-        "cluster_hedges_launched_total",
-    );
+    let launched = family_total(&router.metrics_snapshot(), "cluster_hedges_launched_total");
     assert!(launched >= 1, "hedges must actually have been launched");
     wait_for(
         "hedge accounting to settle",
         Duration::from_secs(10),
         || {
-            let scrape = WireMetricsSnapshot::from(&router.metrics_snapshot());
+            let scrape = router.metrics_snapshot();
             family_total(&scrape, "cluster_hedges_won_total")
                 + family_total(&scrape, "cluster_hedges_cancelled_total")
                 + family_total(&scrape, "cluster_hedges_wasted_total")
@@ -750,7 +836,7 @@ fn mid_frame_client_disconnects_leave_the_router_clean() {
         "router connections to drain",
         Duration::from_secs(10),
         || {
-            let scrape = WireMetricsSnapshot::from(&router.metrics_snapshot());
+            let scrape = router.metrics_snapshot();
             family_total(&scrape, "cluster_connections_active") == 0
                 && family_total(&scrape, "cluster_connections_drained_total") >= 2
         },
@@ -856,7 +942,7 @@ fn a_client_that_never_reads_cannot_stall_another_clients_evals() {
     writer.join().expect("client A's writer exits");
     drop(flood);
     wait_for("client A's teardown", Duration::from_secs(60), || {
-        let scrape = WireMetricsSnapshot::from(&router.metrics_snapshot());
+        let scrape = router.metrics_snapshot();
         family_total(&scrape, "cluster_connections_active") == 1
             && family_total(&scrape, "cluster_write_queue_depth") == 0
             && family_total(&scrape, "cluster_write_dropped_total") > 0
@@ -1146,7 +1232,7 @@ fn a_backend_that_closes_mid_window_fails_each_unanswered_eval_over_once() {
     assert_eq!(stats.evals_ok, 64);
     assert_eq!(stats.shed_total, 0);
     assert!(stats.failovers >= 1, "{stats:?}");
-    let scrape = WireMetricsSnapshot::from(&router.metrics_snapshot());
+    let scrape = router.metrics_snapshot();
     let deaths: u64 = ["eof", "error", "garbled", "unknown_id", "timeout"]
         .iter()
         .map(|reason| {
@@ -1175,7 +1261,7 @@ fn a_backend_that_closes_mid_window_fails_each_unanswered_eval_over_once() {
         "every link gauge back at zero",
         Duration::from_secs(10),
         || {
-            let scrape = WireMetricsSnapshot::from(&router.metrics_snapshot());
+            let scrape = router.metrics_snapshot();
             [
                 "cluster_queue_depth",
                 "cluster_backend_in_flight",
@@ -1232,7 +1318,7 @@ fn a_silent_backend_fails_its_whole_window_over_within_one_timeout() {
         elapsed < 2 * request_timeout,
         "64 evals behind a silent backend took {elapsed:?}"
     );
-    let scrape = WireMetricsSnapshot::from(&router.metrics_snapshot());
+    let scrape = router.metrics_snapshot();
     assert!(
         labelled_total(
             &scrape,
@@ -1286,14 +1372,14 @@ fn a_deadline_passing_on_a_slow_link_is_answered_there_and_the_late_answer_dropp
 
     // The backend's late answer lands on the link and is dropped there.
     wait_for("the late answer", Duration::from_secs(10), || {
-        let scrape = WireMetricsSnapshot::from(&router.metrics_snapshot());
+        let scrape = router.metrics_snapshot();
         family_total(&scrape, "cluster_backend_in_flight") == 0
     });
     next_line_is_pong(&mut client, 1_000);
     let stats = router.stats();
     assert_eq!(stats.evals_ok, 0);
     assert_eq!(stats.shed_total, 1);
-    let scrape = WireMetricsSnapshot::from(&router.metrics_snapshot());
+    let scrape = router.metrics_snapshot();
     assert_eq!(
         family_total(&scrape, "cluster_link_resets_total"),
         0,
@@ -1354,7 +1440,7 @@ fn a_line_at_the_length_limit_still_fits_the_backend_after_many_requests_on_its_
         canonical_line(0, frame.report),
         reference_lines(std::slice::from_ref(&spec))[0]
     );
-    let scrape = WireMetricsSnapshot::from(&router.metrics_snapshot());
+    let scrape = router.metrics_snapshot();
     assert_eq!(family_total(&scrape, "cluster_link_resets_total"), 0);
     assert_eq!(router.stats().shed_total, 0);
 
@@ -1414,7 +1500,7 @@ fn refused_dials_spend_attempts_and_shed_long_before_the_deadline() {
         elapsed < deadline / 4,
         "three refused dials must not wait for the deadline: {elapsed:?}"
     );
-    let scrape = WireMetricsSnapshot::from(&router.metrics_snapshot());
+    let scrape = router.metrics_snapshot();
     assert_eq!(
         labelled_total(&scrape, "cluster_shed_total", &[("reason", "attempts")]),
         1

@@ -345,10 +345,9 @@ fn metrics_op_exposes_consistent_scrapes_over_the_wire() {
     // JSON scrape: one merged registry with both the server_ and runtime_
     // vocabularies, consistent with the stats op.
     let response = client.metrics(1, MetricsFormat::Json).unwrap();
-    let ResponseBody::Metrics(MetricsFrame::Snapshot(snapshot)) = &response.body else {
+    let ResponseBody::Metrics(MetricsFrame::Snapshot(scrape)) = response.body else {
         panic!("expected a metrics snapshot, got {response:?}");
     };
-    let scrape = snapshot.to_registry_snapshot();
     for family in [
         "server_requests_total",
         "server_evals_ok_total",
