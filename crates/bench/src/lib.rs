@@ -1,18 +1,19 @@
 //! # crosslight-bench
 //!
 //! The benchmark-trajectory harness of the CrossLight reproduction: four
-//! bins, each of which times its workloads and writes a `BENCH_*.json` at
-//! the repository root.
+//! bins, each of which times its workloads and writes a `BENCH_*.json`
+//! (to the working directory unless `--out` names another path).
 //!
 //! * `bench_kernels` — the neural kernels behind Fig. 5 training (matmul,
 //!   im2col, conv forward, a training epoch, a Fig. 5 cell) and the TED
 //!   solve.
-//! * `bench_sim` — the analytical simulator and the Fig. 6 and
-//!   architecture-zoo sweeps.
+//! * `bench_sim` — the analytical simulator, its crosstalk and FPV
+//!   models, and the Fig. 6 and architecture-zoo sweeps.
 //! * `bench_server` — the wire codec, direct `EvalService` dispatch, the
 //!   loopback server, and serial uncached simulation as the runtime's
 //!   baseline.
-//! * `bench_cluster` — routed against direct serving.
+//! * `bench_cluster` — routing through the cluster router against direct
+//!   serving.
 //!
 //! Entries with a baseline carry it in the JSON (`baseline_ns_per_iter`,
 //! `speedup_vs_baseline`), either recorded before a refactor or measured
