@@ -125,12 +125,32 @@ impl Hash for CacheKey {
 /// stays the single writer.  `evictions` is registered alongside them and
 /// is always zero today — the cache never evicts — but reserves the family
 /// name for a future bounded-capacity policy.
+///
+/// Each entry also holds one slot for a caller's encoding of its report,
+/// filled by the first [`ShardedCache::get_encoded`] hit.  The cache never
+/// reads, exports or imports those bytes.
 #[derive(Debug)]
 pub struct ShardedCache {
-    shards: Vec<Mutex<HashMap<CacheKey, SimulationReport>>>,
+    shards: Vec<Mutex<HashMap<CacheKey, Entry>>>,
     hits: Counter,
     misses: Counter,
     evictions: Counter,
+}
+
+/// One cached report and the slot for its encoding.
+#[derive(Debug)]
+struct Entry {
+    report: SimulationReport,
+    encoded: Option<Arc<str>>,
+}
+
+impl Entry {
+    fn new(report: SimulationReport) -> Self {
+        Self {
+            report,
+            encoded: None,
+        }
+    }
 }
 
 impl ShardedCache {
@@ -146,7 +166,7 @@ impl ShardedCache {
         }
     }
 
-    fn shard(&self, key: &CacheKey) -> &Mutex<HashMap<CacheKey, SimulationReport>> {
+    fn shard(&self, key: &CacheKey) -> &Mutex<HashMap<CacheKey, Entry>> {
         let index = (key.fingerprint() % self.shards.len() as u64) as usize;
         &self.shards[index]
     }
@@ -159,7 +179,7 @@ impl ShardedCache {
             .lock()
             .expect("cache shard lock poisoned")
             .get(key)
-            .copied();
+            .map(|entry| entry.report);
         match found {
             Some(_) => self.hits.inc(),
             None => self.misses.inc(),
@@ -167,12 +187,29 @@ impl ShardedCache {
         found
     }
 
+    /// Looks up a key and returns the caller's encoding of its report,
+    /// made by `encode` under the shard lock on the entry's first such
+    /// lookup and memoized on the entry.  Counts a hit when the key is
+    /// cached, and never a miss.
+    pub fn get_encoded(
+        &self,
+        key: &CacheKey,
+        encode: impl FnOnce(&SimulationReport) -> Arc<str>,
+    ) -> Option<Arc<str>> {
+        let mut shard = self.shard(key).lock().expect("cache shard lock poisoned");
+        let entry = shard.get_mut(key)?;
+        let encoded = Arc::clone(entry.encoded.get_or_insert_with(|| encode(&entry.report)));
+        drop(shard);
+        self.hits.inc();
+        Some(encoded)
+    }
+
     /// Stores a computed report under its key.
     pub fn insert(&self, key: CacheKey, report: SimulationReport) {
         self.shard(&key)
             .lock()
             .expect("cache shard lock poisoned")
-            .insert(key, report);
+            .insert(key, Entry::new(report));
     }
 
     /// Number of cached entries across all shards.
@@ -234,7 +271,7 @@ impl ShardedCache {
                     .lock()
                     .expect("cache shard lock poisoned")
                     .iter()
-                    .map(|(k, v)| (k.clone(), *v))
+                    .map(|(k, entry)| (k.clone(), entry.report))
                     .collect::<Vec<_>>()
             })
             .collect();
@@ -255,7 +292,7 @@ impl ShardedCache {
         for (key, report) in entries {
             let mut shard = self.shard(&key).lock().expect("cache shard lock poisoned");
             if let std::collections::hash_map::Entry::Vacant(slot) = shard.entry(key) {
-                slot.insert(report);
+                slot.insert(Entry::new(report));
                 inserted += 1;
             }
         }

@@ -70,7 +70,7 @@ pub use cache::{CacheKey, ShardedCache};
 pub use error::RuntimeError;
 pub use planner::SweepPlanner;
 pub use pool::{CancelToken, EvalService, RuntimeOptions, RuntimeStats};
-pub use request::{EvalRequest, EvalResponse};
+pub use request::{EvalRequest, EvalResponse, KeyedRequest};
 
 /// Convenient re-exports for downstream users.
 pub mod prelude {

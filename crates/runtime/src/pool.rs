@@ -10,7 +10,9 @@
 //! [`BatchItem`] carries its own [`Reply`], called exactly once with the
 //! outcome.  [`EvalService::submit`] and [`EvalService::submit_batch`] are
 //! collectors over it, and the network front-end hands it each event-loop
-//! wake's admitted evals.
+//! wake's admitted evals.  Before that, the front-end offers each eval to
+//! [`EvalService::answer_cached`], which answers a result-cache hit on the
+//! calling thread and counts it as the worker its key routes to would.
 //!
 //! Two memoization layers serve the hot loop:
 //!
@@ -36,7 +38,7 @@ use std::time::Instant;
 
 use crosslight_baselines::ArchSpec;
 use crosslight_core::cache::ModelCache;
-use crosslight_core::simulator::CrossLightSimulator;
+use crosslight_core::simulator::{CrossLightSimulator, SimulationReport};
 use crosslight_telemetry::{
     Counter, Gauge, Histogram, Phase, Registry, RegistrySnapshot, RequestTrace, SpanRing,
     TraceSampler,
@@ -44,7 +46,7 @@ use crosslight_telemetry::{
 
 use crate::cache::{CacheKey, ShardedCache};
 use crate::error::{Result, RuntimeError};
-use crate::request::{EvalRequest, EvalResponse};
+use crate::request::{EvalRequest, EvalResponse, KeyedRequest};
 
 /// Tuning knobs of the evaluation service.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -186,8 +188,9 @@ struct Job {
 
 /// One request of a [`EvalService::submit_detached_batch`] submission.
 pub struct BatchItem {
-    /// The evaluation to run.
-    pub request: EvalRequest,
+    /// The evaluation to run, with its cache key (`request.into()` hashes
+    /// a plain [`EvalRequest`]).
+    pub request: KeyedRequest,
     /// Caller-built trace: the worker closes its queue, cache-lookup,
     /// prepare and evaluate spans on it (also feeding the runtime phase
     /// histograms) and hands it back on the response's `trace` field.
@@ -496,7 +499,7 @@ impl EvalService {
                         self.telemetry.traces_sampled.inc();
                         Box::new(RequestTrace::new(request.id))
                     }),
-                    request,
+                    request: request.into(),
                     cancel: None,
                     // A send error means this collector already returned on
                     // an earlier error; the answer has nowhere to go.
@@ -556,11 +559,11 @@ impl EvalService {
         }
         let mut groups: Vec<Vec<Job>> = (0..workers).map(|_| Vec::new()).collect();
         for item in items {
-            let key = item.request.key();
+            let KeyedRequest { request, key } = item.request;
             let worker = (key.fingerprint() % workers as u64) as usize;
             groups[worker].push(Job {
                 key,
-                request: item.request,
+                request,
                 trace: item.trace.map(|trace| {
                     Box::new(TracedJob {
                         trace: *trace,
@@ -594,6 +597,53 @@ impl EvalService {
             }
         }
         enqueued
+    }
+
+    /// Answers `request` from the result cache on the calling thread when
+    /// it is cached.  `None` leaves it to
+    /// [`EvalService::submit_detached_batch`], which reuses its key.
+    ///
+    /// A hit returns the caller's encoding of the report: `encode` makes
+    /// it from the report and the worker the key routes to
+    /// (`fingerprint % workers`) on the entry's first inline hit, and the
+    /// entry keeps it for every later one.  The hit counts exactly as that
+    /// worker serving it would: one cache hit, one `per_worker` request,
+    /// and `submitted` before `completed`, which [`EvalService::stats`]'s
+    /// ordered read needs.  The probe never counts a miss; the worker that
+    /// serves a miss counts its own lookup.  A shut-down pool answers
+    /// nothing here, so the request meets `WorkerLost` on the normal path.
+    ///
+    /// `trace` is a sampled request's timeline and its phase cursor: a hit
+    /// records its `cache_lookup` span from the cursor to the end of the
+    /// lookup, moves the cursor there, and feeds
+    /// `runtime_cache_lookup_ns{outcome="hit"}`.  A miss records nothing.
+    pub fn answer_cached(
+        &self,
+        request: &KeyedRequest,
+        trace: Option<(&mut RequestTrace, &mut Instant)>,
+        encode: impl FnOnce(&SimulationReport, usize) -> Arc<str>,
+    ) -> Option<Arc<str>> {
+        let workers = self.senders.len();
+        if workers == 0 {
+            return None;
+        }
+        let worker = (request.key.fingerprint() % workers as u64) as usize;
+        let encoded = self
+            .cache
+            .get_encoded(&request.key, |report| encode(report, worker))?;
+        if let Some((trace, cursor)) = trace {
+            let end = Instant::now();
+            self.telemetry
+                .cache_lookup_hit_ns
+                .record(end.saturating_duration_since(*cursor).as_nanos() as u64);
+            trace.record(Phase::CacheLookup, *cursor, end);
+            *cursor = end;
+        }
+        let telemetry = &self.telemetry;
+        telemetry.submitted.inc();
+        telemetry.per_worker[worker].inc();
+        telemetry.completed.inc();
+        Some(encoded)
     }
 
     /// Snapshot of the service counters.
@@ -941,7 +991,7 @@ mod tests {
     ) -> BatchItem {
         let tx = tx.clone();
         BatchItem {
-            request,
+            request: request.into(),
             trace: None,
             cancel: None,
             reply: Box::new(move |outcome| {
@@ -1057,6 +1107,91 @@ mod tests {
         let stats = service.stats();
         assert_eq!(stats.submitted, 0);
         assert!(stats.queue_depths.iter().all(|&d| d == 0));
+    }
+
+    #[test]
+    fn inline_hits_count_like_worker_hits_and_probes_count_no_miss() {
+        const WORKERS: u64 = 3;
+        let service = EvalService::new(RuntimeOptions::default().with_workers(WORKERS as usize));
+        let requests = paper_requests();
+        let keyed: Vec<KeyedRequest> = requests.iter().cloned().map(KeyedRequest::from).collect();
+        for request in &keyed {
+            assert!(service
+                .answer_cached(request, None, |_, _| unreachable!())
+                .is_none());
+        }
+        let cold = service.stats();
+        assert_eq!(
+            (cold.submitted, cold.cache_hits, cold.cache_misses),
+            (0, 0, 0)
+        );
+
+        let reports = service.submit_batch(requests.clone()).unwrap();
+        let mut encodings = 0;
+        for _ in 0..2 {
+            for (request, response) in keyed.iter().zip(&reports) {
+                let mut trace = RequestTrace::new(0);
+                let mut cursor = Instant::now();
+                let start = cursor;
+                let encoded = service
+                    .answer_cached(
+                        request,
+                        Some((&mut trace, &mut cursor)),
+                        |report, worker| {
+                            encodings += 1;
+                            Arc::from(format!("{worker}/{}", report.metrics.fps))
+                        },
+                    )
+                    .expect("a warm key hits");
+                let worker = request.key().fingerprint() % WORKERS;
+                assert_eq!(worker, response.worker as u64);
+                assert_eq!(
+                    &*encoded,
+                    format!("{worker}/{}", response.report.metrics.fps)
+                );
+                assert!(cursor >= start);
+                assert_eq!(trace.spans().len(), 1);
+                assert_eq!(trace.spans()[0].phase, Phase::CacheLookup);
+            }
+        }
+        assert_eq!(encodings, 16, "one encoding per entry");
+
+        let stats = service.stats();
+        assert_eq!((stats.submitted, stats.completed), (48, 48));
+        assert_eq!((stats.cache_hits, stats.cache_misses), (32, 16));
+        let mut per_worker = vec![0; WORKERS as usize];
+        for request in &requests {
+            per_worker[(request.key().fingerprint() % WORKERS) as usize] += 3;
+        }
+        assert_eq!(stats.per_worker, per_worker);
+        match service
+            .telemetry_snapshot()
+            .family("runtime_cache_lookup_ns")
+        {
+            Some(family) => match &family.series[0].value {
+                crosslight_telemetry::SeriesValue::Histogram(hits) => assert_eq!(hits.count(), 32),
+                other => panic!("unexpected {other:?}"),
+            },
+            None => panic!("runtime_cache_lookup_ns is registered"),
+        }
+    }
+
+    #[test]
+    fn a_shut_down_pool_serves_no_inline_hit() {
+        let mut service = EvalService::new(RuntimeOptions::default().with_workers(2));
+        let request = paper_requests().remove(0);
+        service.submit(request.clone()).unwrap();
+        service.shutdown_in_place();
+        let keyed = KeyedRequest::from(request.clone());
+        assert!(service
+            .answer_cached(&keyed, None, |_, _| unreachable!())
+            .is_none());
+        let (reply_tx, reply_rx) = mpsc::channel();
+        service.submit_detached_batch(vec![tagged(0, request, &reply_tx)]);
+        drop(reply_tx);
+        assert_eq!(reply_rx.recv().unwrap().1, Err(RuntimeError::WorkerLost));
+        let stats = service.stats();
+        assert_eq!((stats.submitted, stats.cache_hits), (1, 0));
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //! pool of **event loops**, each multiplexing its connections over
 //! `poll(2)` (see [`crate::poller`]): `1 + event_loops` threads, named
 //! `crosslight-<owner>-accept` and `crosslight-<owner>-loop-<i>`, however
-//! many thousand connections are open.
+//! many thousand connections are open.  Both owners default to one loop
+//! per core, at most four ([`default_event_loops`]).
 //!
 //! # The connection state machine
 //!
@@ -76,10 +77,12 @@ const MAX_READS_PER_TICK: usize = 32;
 /// this turns a write syscall per response line into one per flush.
 const FLUSH_LINES: usize = 64;
 
-/// The default event-loop count: half the cores, clamped to `1..=4`.
+/// The default event-loop count: one loop per core, clamped to `1..=4`.
+/// The server's loops answer result-cache hits themselves, so a hot mix
+/// keeps every core's loop busy.
 #[must_use]
 pub fn default_event_loops() -> usize {
-    std::thread::available_parallelism().map_or(1, |cores| (cores.get() / 2).clamp(1, 4))
+    std::thread::available_parallelism().map_or(1, |cores| cores.get().clamp(1, 4))
 }
 
 /// The protocol a [`Frontend`] serves.  Each event loop owns one handler,

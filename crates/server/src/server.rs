@@ -4,19 +4,28 @@
 //! # Thread model
 //!
 //! The front-end owns the connections: one **acceptor** and `event_loops`
-//! **event-loop** threads (independent of the connection count) with line
-//! framing, bounded write queues and the drain barrier.  This module is
-//! the protocol each loop runs: the per-op match answers `ping`, `stats`,
-//! `metrics`, snapshot and error frames inline and admits `eval`s.  The
-//! evals a loop admits during one poll wake go to the pool together, in
-//! [`EvalService::submit_detached_batch`] calls of at most 16: the wake is
-//! the batch window, so batching never waits for company.  Each eval's
-//! reply hands its outcome, with its connection, to one **responder**
-//! thread, which encodes it, queues it, flushes under the front-end's
-//! flush-then-wake rule, and releases the admission permit.  A process
-//! serving one [`Server`] therefore runs `3 + event_loops + workers`
-//! threads (main, acceptor, responder, the loops and the pool), however
-//! many thousand connections are open.
+//! **event-loop** threads (independent of the connection count; one per
+//! core by default, at most four) with line framing, bounded write queues
+//! and the drain barrier.  This module is the protocol each loop runs: the
+//! per-op match answers `ping`, `stats`, `metrics`, snapshot and error
+//! frames inline and admits `eval`s.
+//!
+//! An admitted eval whose report is in the result cache is answered on the
+//! loop that decoded it ([`EvalService::answer_cached`]): the loop queues
+//! the id head plus the answer tail memoized on the cache entry, encoded
+//! on the entry's first inline hit, and releases the admission permit on
+//! the spot.  The answer reads `"cache_hit":true` and the `worker` the key
+//! routes to, so its bytes are exactly those of a hit the pool served.
+//!
+//! The other evals a loop admits during one poll wake go to the pool
+//! together, in [`EvalService::submit_detached_batch`] calls of at most
+//! 16: the wake is the batch window, so batching never waits for company.
+//! Each such eval's reply hands its outcome, with its connection, to one
+//! **responder** thread, which encodes it, queues it, flushes under the
+//! front-end's flush-then-wake rule, and releases the admission permit.  A
+//! process serving one [`Server`] therefore runs `3 + event_loops +
+//! workers` threads (main, acceptor, responder, the loops and the pool),
+//! however many thousand connections are open.
 //!
 //! # Load shedding
 //!
@@ -45,11 +54,13 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
 
+use crosslight_core::simulator::SimulationReport;
 use crosslight_neural::workload::NetworkWorkload;
 use crosslight_neural::zoo::PaperModel;
 use crosslight_runtime::cache::CacheKey;
 use crosslight_runtime::pool::{BatchItem, EvalService, RuntimeOptions};
 use crosslight_runtime::request::EvalResponse;
+use crosslight_runtime::request::KeyedRequest;
 use crosslight_runtime::RuntimeError;
 use crosslight_telemetry::{
     render_text, Counter, Gauge, Histogram, Phase, Registry, RegistrySnapshot, RequestTrace,
@@ -77,10 +88,10 @@ pub struct ServerOptions {
     /// cache lookup → prepare → evaluate → serialize → write queue → write).
     /// `0` disables tracing entirely; `1` (the default) traces everything.
     pub trace_sample_every: u64,
-    /// Event-loop threads multiplexing the connections (clamped to at
-    /// least 1).  Connection count is unrelated: each loop polls all of
-    /// its sockets, so thousands of connections share a handful of
-    /// threads.
+    /// Event-loop threads multiplexing the connections and answering
+    /// cache hits (clamped to at least 1).  Connection count is unrelated:
+    /// each loop polls all of its sockets, so thousands of connections
+    /// share a handful of threads.
     pub event_loops: usize,
 }
 
@@ -124,8 +135,8 @@ impl ServerOptions {
 
 impl Default for ServerOptions {
     /// One worker per core (the runtime default), 256 admitted evals,
-    /// 64 KiB lines, every request traced, and half the cores (at most 4)
-    /// as event loops.
+    /// 64 KiB lines, every request traced, and one event loop per core (at
+    /// most 4), since the loops answer cache hits themselves.
     fn default() -> Self {
         Self {
             workers: RuntimeOptions::default().workers,
@@ -702,9 +713,10 @@ fn submit_admitted(shared: &Shared, admitted: &mut Vec<BatchItem>) {
 impl Handler for ServerLoop {
     type State = RestoreSession;
 
-    /// The whole per-op protocol surface.  Inline ops are answered
-    /// straight onto the write queue; admitted evals join the wake's
-    /// batch, each with a reply that routes its outcome to the responder.
+    /// The whole per-op protocol surface.  Inline ops and cache hits are
+    /// answered straight onto the write queue; other admitted evals join
+    /// the wake's batch, each with a reply that routes its outcome to the
+    /// responder.
     fn on_line(&mut self, conn: &Arc<Conn>, restore: &mut RestoreSession, line: String) -> bool {
         let Self {
             shared,
@@ -907,14 +919,17 @@ impl Handler for ServerLoop {
                 // `decode` covers frame parsing plus spec resolution.  In the
                 // reactor the wait for bytes happens inside poll(2), not in a
                 // per-request read call, so the `read` span collapses to the
-                // instant the completed line surfaced from the scanner.
-                let mut trace = read_mark.map(|mark| {
+                // instant the completed line surfaced from the scanner.  The
+                // trace travels with its cursor, the end of its latest span,
+                // where the next phase starts: a hit's phases tile its
+                // timeline from decode to flush.
+                let mut traced = read_mark.map(|mark| {
                     let mut trace = Box::new(RequestTrace::with_origin(request.id, mark));
+                    let decoded = Instant::now();
                     trace.record(Phase::Read, mark, mark);
-                    trace.record_since(Phase::Decode, mark);
-                    trace
+                    trace.record(Phase::Decode, mark, decoded);
+                    (trace, decoded)
                 });
-                let admission_start = trace.as_ref().map(|_| Instant::now());
                 if !shared.admission.try_acquire() {
                     let frame = ErrorFrame::new(
                         ErrorKind::Overloaded,
@@ -926,19 +941,39 @@ impl Handler for ServerLoop {
                     let line = wire::encode_response(&Response::error(Some(request.id), frame));
                     return conn.push(line);
                 }
-                if let (Some(trace), Some(start)) = (trace.as_mut(), admission_start) {
-                    trace.record_since(Phase::Admission, start);
-                }
-                conn.begin();
-                if trace.is_some() {
+                if let Some((trace, cursor)) = traced.as_mut() {
+                    let admitted = Instant::now();
+                    trace.record(Phase::Admission, *cursor, admitted);
+                    *cursor = admitted;
                     telemetry.traces_sampled.inc();
                 }
+                let keyed = KeyedRequest::from(eval_request);
+                let lookup = traced
+                    .as_mut()
+                    .map(|(trace, cursor)| (&mut **trace, cursor));
+                if let Some(tail) = shared.service.answer_cached(&keyed, lookup, hit_tail) {
+                    // The head is at most 32 bytes; one more for the newline
+                    // the queue appends.
+                    let mut line = String::with_capacity(tail.len() + 33);
+                    wire::push_answer_head(Some(request.id), &mut line);
+                    line.push_str(&tail);
+                    let traced = traced.map(|(mut trace, cursor)| {
+                        let serialized = Instant::now();
+                        trace.record(Phase::Serialize, cursor, serialized);
+                        (trace, serialized)
+                    });
+                    telemetry.evals_ok.inc();
+                    let queued = conn.push_traced(line, traced);
+                    shared.admission.release();
+                    return queued;
+                }
+                conn.begin();
                 let reply_conn = Arc::clone(conn);
                 let completions = completions.clone();
                 let client_id = request.id;
                 admitted.push(BatchItem {
-                    request: eval_request,
-                    trace,
+                    request: keyed,
+                    trace: traced.map(|(trace, _)| trace),
                     cancel: Some(conn.cancel_token()),
                     reply: Box::new(move |outcome| {
                         let _ = completions.send(Completion {
@@ -959,6 +994,21 @@ impl Handler for ServerLoop {
     fn end_of_wake(&mut self) {
         submit_admitted(&self.shared, &mut self.admitted);
     }
+}
+
+/// Encodes a cached report's eval-answer tail the way a pool hit on
+/// `worker` is answered, so an inline hit's line is byte-identical to it.
+fn hit_tail(report: &SimulationReport, worker: usize) -> Arc<str> {
+    let mut tail = String::with_capacity(640);
+    wire::push_eval_tail(
+        &EvalFrame {
+            report: *report,
+            cache_hit: true,
+            worker: worker as u64,
+        },
+        &mut tail,
+    );
+    Arc::from(tail)
 }
 
 /// The responder: routes each pool completion back to its owning

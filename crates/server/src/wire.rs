@@ -1149,23 +1149,39 @@ fn encode_runtime_stats(stats: &RuntimeStats) -> Json {
     ])
 }
 
+/// Appends the head every answer line starts with: `{"v":1`, then
+/// `,"id":<id>` when the id is known.
+pub fn push_answer_head(id: Option<u64>, out: &mut String) {
+    let _ = write!(out, "{{\"v\":{PROTOCOL_VERSION}");
+    if let Some(id) = id {
+        let _ = write!(out, ",\"id\":{id}");
+    }
+}
+
+/// Appends the rest of an eval answer after its head, closing the line:
+/// `,"ok":{"type":"eval","cache_hit":…,"worker":…,"report":{…}}}`.  The
+/// tail does not depend on the id, so a server can encode it once per
+/// cached report and answer each hit with a head plus those bytes.
+pub fn push_eval_tail(frame: &EvalFrame, out: &mut String) {
+    let _ = write!(
+        out,
+        ",\"ok\":{{\"type\":\"eval\",\"cache_hit\":{},\"worker\":{},\"report\":",
+        frame.cache_hit, frame.worker
+    );
+    encode_report_into(&frame.report, out);
+    out.push_str("}}");
+}
+
 /// Encodes a response as one JSON line (no trailing newline).
 #[must_use]
 pub fn encode_response(response: &Response) -> String {
     let mut out = String::with_capacity(640);
-    let _ = write!(out, "{{\"v\":{PROTOCOL_VERSION}");
-    if let Some(id) = response.id {
-        let _ = write!(out, ",\"id\":{id}");
-    }
+    push_answer_head(response.id, &mut out);
     match &response.body {
+        // The eval tail closes the line itself.
         ResponseBody::Eval(frame) => {
-            let _ = write!(
-                out,
-                ",\"ok\":{{\"type\":\"eval\",\"cache_hit\":{},\"worker\":{},\"report\":",
-                frame.cache_hit, frame.worker
-            );
-            encode_report_into(&frame.report, &mut out);
-            out.push('}');
+            push_eval_tail(frame, &mut out);
+            return out;
         }
         ResponseBody::Stats(frame) => {
             out.push_str(",\"ok\":");

@@ -15,8 +15,9 @@ use crosslight_runtime::pool::RuntimeStats;
 use crosslight_server::json::Json;
 use crosslight_server::wire::{
     decode_request, decode_response, encode_request, encode_response, peek_answer,
-    splice_request_id, ErrorFrame, ErrorKind, EvalFrame, EvalSpec, MetricsFormat, MetricsFrame,
-    Request, RequestBody, Response, ResponseBody, StatsFrame, WireServerStats, WorkloadRef,
+    push_answer_head, push_eval_tail, splice_request_id, ErrorFrame, ErrorKind, EvalFrame,
+    EvalSpec, MetricsFormat, MetricsFrame, Request, RequestBody, Response, ResponseBody,
+    StatsFrame, WireServerStats, WorkloadRef,
 };
 use crosslight_telemetry::{
     FamilySnapshot, Histogram, HistogramSnapshot, MetricKind, RegistrySnapshot, SeriesSnapshot,
@@ -128,6 +129,31 @@ fn histogram() -> impl Strategy<Value = HistogramSnapshot> {
             histogram.record(if shift == 64 { u64::MAX } else { any >> shift });
         }
         histogram.snapshot()
+    })
+}
+
+/// Report floats: NaN, ±inf, ±0.0, subnormals and the extremes drawn
+/// often, then any subnormal, then any bit pattern at all.
+fn report_value() -> impl Strategy<Value = f64> {
+    const SPECIAL: [f64; 11] = [
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        0.0,
+        -0.0,
+        5e-324,
+        -5e-324,
+        f64::from_bits(0x000F_FFFF_FFFF_FFFF),
+        f64::MIN_POSITIVE,
+        f64::MAX,
+        -f64::MAX,
+    ];
+    (0usize..3, 0usize..SPECIAL.len(), proptest::num::u64::ANY).prop_map(|(pick, special, bits)| {
+        match pick {
+            0 => SPECIAL[special],
+            1 => f64::from_bits(bits & 0x800F_FFFF_FFFF_FFFF),
+            _ => f64::from_bits(bits),
+        }
     })
 }
 
@@ -274,6 +300,35 @@ proptest! {
                 b.report.power.laser.value().to_bits()
             );
         }
+    }
+
+    /// An eval answer's head plus its tail is the line `encode_response`
+    /// writes, for every id, worker and `cache_hit`, and for reports full
+    /// of special floats; that line decodes and re-encodes to itself.
+    #[test]
+    fn eval_answer_head_plus_tail_is_the_encoded_line(
+        id in counter_value(),
+        worker in counter_value(),
+        cache_hit in 0u32..2,
+        values in proptest::collection::vec(report_value(), 16),
+        bits in proptest::num::u32::ANY,
+    ) {
+        let values: [f64; 16] = values.try_into().unwrap();
+        let frame = EvalFrame {
+            report: report_from(&values, bits),
+            cache_hit: cache_hit == 1,
+            worker,
+        };
+        let mut split = String::new();
+        push_answer_head(Some(id), &mut split);
+        push_eval_tail(&frame, &mut split);
+        let line = encode_response(&Response {
+            id: Some(id),
+            body: ResponseBody::Eval(frame),
+        });
+        prop_assert_eq!(&split, &line);
+        let decoded = decode_response(&line).unwrap();
+        prop_assert_eq!(encode_response(&decoded), line);
     }
 
     /// Stats and error responses round-trip for arbitrary counter values.

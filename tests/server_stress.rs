@@ -1012,3 +1012,269 @@ fn snapshot_transfers_honor_the_smaller_peer_line_budget() {
     assert_eq!(typed_entries, full_entries);
     server.shutdown();
 }
+
+/// The eval lines of `specs` under ids `base..`, newline-terminated.
+fn eval_lines(specs: &[EvalSpec], base: u64) -> Vec<String> {
+    specs
+        .iter()
+        .enumerate()
+        .map(|(i, spec)| {
+            let mut line = crosslight::server::wire::encode_request(&Request {
+                id: base + i as u64,
+                body: RequestBody::Eval(spec.clone()),
+            });
+            line.push('\n');
+            line
+        })
+        .collect()
+}
+
+/// Sends `lines` on a fresh raw connection, one request at a time or all
+/// pipelined in one write, and returns the answer lines in arrival order.
+fn raw_exchange(addr: std::net::SocketAddr, lines: &[String], pipelined: bool) -> Vec<String> {
+    use std::io::{BufRead as _, BufReader, Write as _};
+
+    let mut stream = std::net::TcpStream::connect(addr).expect("connect raw");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone the stream"));
+    let mut read_answer = || {
+        let mut answer = String::new();
+        let n = reader.read_line(&mut answer).expect("read answer line");
+        assert!(n > 0, "server closed before answering every request");
+        answer
+    };
+    if pipelined {
+        stream
+            .write_all(lines.concat().as_bytes())
+            .expect("pipeline the block");
+        (0..lines.len()).map(|_| read_answer()).collect()
+    } else {
+        lines
+            .iter()
+            .map(|line| {
+                stream.write_all(line.as_bytes()).expect("send one request");
+                read_answer()
+            })
+            .collect()
+    }
+}
+
+/// Waits, bounded, until no eval is admitted, queued on a worker or
+/// waiting in a write queue, then returns the server's stats.
+fn quiesced_stats(server: &Server) -> crosslight::server::wire::StatsFrame {
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+    loop {
+        let stats = server.stats();
+        let queued_lines = server
+            .metrics_snapshot()
+            .value("server_write_queue_depth")
+            .cloned();
+        if stats.server.in_flight == 0
+            && stats.runtime.queue_depths.iter().all(|&d| d == 0)
+            && queued_lines == Some(SeriesValue::Gauge(0))
+        {
+            return stats;
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "the server did not quiesce: {stats:?}, write queue {queued_lines:?}"
+        );
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
+}
+
+#[test]
+fn cache_hits_answered_on_the_event_loop_match_pool_hits_byte_for_byte() {
+    use crosslight::server::wire::{encode_response, EvalFrame, Response};
+    use std::sync::Arc;
+
+    const WORKERS: u64 = 3;
+    let options = ServerOptions::default()
+        .with_workers(WORKERS as usize)
+        .with_event_loops(2)
+        .with_queue_capacity(1_000);
+    let specs = LoadGenOptions::paper_mix(1, 1, 0).scenarios;
+    assert_eq!(specs.len(), 64);
+    let table =
+        PaperModel::all().map(|model| Arc::new(NetworkWorkload::from_spec(&model.spec()).unwrap()));
+    let fingerprints: Vec<u64> = specs
+        .iter()
+        .map(|spec| {
+            let request = spec
+                .to_eval_request(0, &table)
+                .expect("paper specs resolve");
+            request.key().fingerprint()
+        })
+        .collect();
+    let serial: Vec<SimulationReport> = specs.iter().map(serial_report).collect();
+    // The answers a pool worker gives the block under ids `base..`: the
+    // worker is the one the key routes to, hit or miss.
+    let pool_answers = |base: u64, cache_hit: bool| -> Vec<String> {
+        let mut lines: Vec<String> = (0..specs.len())
+            .map(|i| {
+                let mut line = encode_response(&Response {
+                    id: Some(base + i as u64),
+                    body: ResponseBody::Eval(EvalFrame {
+                        report: serial[i],
+                        cache_hit,
+                        worker: fingerprints[i] % WORKERS,
+                    }),
+                });
+                line.push('\n');
+                line
+            })
+            .collect();
+        lines.sort();
+        lines
+    };
+    let sorted = |mut lines: Vec<String>| {
+        lines.sort();
+        lines
+    };
+
+    let server = Server::bind("127.0.0.1:0", options).expect("bind loopback server");
+    let addr = server.local_addr();
+    // Warm: every key misses once, on the pool.
+    let warm = raw_exchange(addr, &eval_lines(&specs, 0), true);
+    assert_eq!(sorted(warm), pool_answers(0, false));
+    // Every later answer is a hit on the event loop, byte-identical to a
+    // hit the pool served: one request at a time, then pipelined.
+    for (base, pipelined) in [(1_000, false), (2_000, true)] {
+        let hits = raw_exchange(addr, &eval_lines(&specs, base), pipelined);
+        assert_eq!(
+            sorted(hits),
+            pool_answers(base, true),
+            "pipelined: {pipelined}"
+        );
+    }
+
+    let stats = quiesced_stats(&server);
+    assert_eq!(stats.runtime.submitted, 192);
+    assert_eq!(stats.runtime.completed, 192);
+    assert_eq!(stats.runtime.cache_hits, 128);
+    assert_eq!(stats.runtime.cache_misses, 64);
+    let mut routed = vec![0u64; WORKERS as usize];
+    for fingerprint in &fingerprints {
+        routed[(fingerprint % WORKERS) as usize] += 1;
+    }
+    let per_worker: Vec<u64> = routed.iter().map(|keys| 3 * keys).collect();
+    assert_eq!(stats.runtime.per_worker, per_worker);
+    assert!(stats.runtime.queue_depths.iter().all(|&d| d == 0));
+    assert_eq!(
+        server.metrics_snapshot().value("server_evals_ok_total"),
+        Some(&SeriesValue::Counter(192))
+    );
+
+    // Restored entries carry no encoding: the first hits on a fresh
+    // server encode their tails, the second reuse them, and both give the
+    // same bytes as the pool.
+    let entries = Client::connect(addr)
+        .expect("connect")
+        .snapshot_entries(7)
+        .expect("snapshot the warm server");
+    server.shutdown();
+    let fresh = Server::bind("127.0.0.1:0", options).expect("bind a fresh server");
+    Client::connect(fresh.local_addr())
+        .expect("connect")
+        .restore_entries(8, entries, 48 * 1024)
+        .expect("restore into the fresh server");
+    let lines = eval_lines(&specs, 1_000);
+    let first = raw_exchange(fresh.local_addr(), &lines, false);
+    let second = raw_exchange(fresh.local_addr(), &lines, false);
+    assert_eq!(first, second);
+    assert_eq!(sorted(first), pool_answers(1_000, true));
+    let stats = quiesced_stats(&fresh);
+    assert_eq!(
+        (stats.runtime.cache_hits, stats.runtime.cache_misses),
+        (128, 0)
+    );
+    fresh.shutdown();
+}
+
+#[test]
+fn inline_hit_traces_tile_from_decode_to_flush() {
+    use crosslight::server::json::Json;
+
+    // Every request is traced by default.
+    let server = Server::bind(
+        "127.0.0.1:0",
+        ServerOptions::default()
+            .with_workers(2)
+            .with_queue_capacity(1_000),
+    )
+    .expect("bind loopback server");
+    let addr = server.local_addr();
+    let specs = LoadGenOptions::paper_mix(1, 1, 0).scenarios;
+    let mut client = Client::connect(addr).expect("connect");
+    let mut drain_spans = |id: u64| -> Vec<String> {
+        match client.metrics(id, MetricsFormat::Spans).unwrap().body {
+            ResponseBody::Metrics(MetricsFrame::Spans(spans)) => spans,
+            other => panic!("expected span lines, got {other:?}"),
+        }
+    };
+
+    // Warm the cache, and wait until its timelines are folded and drained.
+    raw_exchange(addr, &eval_lines(&specs, 0), true);
+    let mut warm = 0;
+    let mut scrape_id = 1;
+    while warm < specs.len() {
+        warm += drain_spans(scrape_id).len();
+        scrape_id += 1;
+    }
+    // Hit the cache one request at a time, then pipelined.
+    raw_exchange(addr, &eval_lines(&specs, 1_000), false);
+    raw_exchange(addr, &eval_lines(&specs, 2_000), true);
+    // A timeline is exported just after its line's flush, so the last
+    // ones may trail the client's reads.
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+    let mut timelines = Vec::new();
+    while timelines.len() < 2 * specs.len() {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "hit timelines never arrived"
+        );
+        timelines.extend(drain_spans(scrape_id));
+        scrape_id += 1;
+    }
+    assert_eq!(timelines.len(), 2 * specs.len());
+
+    for line in &timelines {
+        let timeline = Json::parse(line).expect("span lines are JSON");
+        assert!(timeline.get("id").and_then(Json::as_u64).unwrap() >= 1_000);
+        let spans: Vec<(&str, u64, u64)> = timeline
+            .get("spans")
+            .and_then(Json::as_array)
+            .expect("a spans array")
+            .iter()
+            .map(|span| {
+                let field = |key: &str| span.get(key).and_then(Json::as_u64).unwrap();
+                let phase = span.get("phase").and_then(Json::as_str).unwrap();
+                (phase, field("start_ns"), field("dur_ns"))
+            })
+            .collect();
+        let phases: Vec<&str> = spans.iter().map(|&(phase, _, _)| phase).collect();
+        assert_eq!(
+            phases,
+            [
+                "read",
+                "decode",
+                "admission",
+                "cache_lookup",
+                "serialize",
+                "write_queue",
+                "write"
+            ],
+            "a hit never waits in a worker's queue: {line}"
+        );
+        // Each phase starts where the previous one ended, so the phases
+        // after `read` cover decode start to flush exactly.
+        let decode_start = spans[1].1;
+        let latest_end = spans
+            .iter()
+            .map(|&(_, start, dur)| start + dur)
+            .max()
+            .unwrap();
+        let covered: u64 = spans[1..].iter().map(|&(_, _, dur)| dur).sum();
+        assert_eq!(covered, latest_end - decode_start, "{line}");
+    }
+    server.shutdown();
+}
