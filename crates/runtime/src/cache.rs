@@ -127,8 +127,10 @@ impl Hash for CacheKey {
 /// name for a future bounded-capacity policy.
 ///
 /// Each entry also holds one slot for a caller's encoding of its report,
-/// filled by the first [`ShardedCache::get_encoded`] hit.  The cache never
-/// reads, exports or imports those bytes.
+/// filled on the entry's first inline hit (`EvalService::answer_cached`).
+/// The slot is one thin pointer, so an entry that is never hit that way
+/// costs 8 bytes more; the cache never reads, exports or imports the
+/// bytes.
 #[derive(Debug)]
 pub struct ShardedCache {
     shards: Vec<Mutex<HashMap<CacheKey, Entry>>>,
@@ -141,7 +143,7 @@ pub struct ShardedCache {
 #[derive(Debug)]
 struct Entry {
     report: SimulationReport,
-    encoded: Option<Arc<str>>,
+    encoded: Option<Arc<String>>,
 }
 
 impl Entry {
@@ -191,11 +193,11 @@ impl ShardedCache {
     /// made by `encode` under the shard lock on the entry's first such
     /// lookup and memoized on the entry.  Counts a hit when the key is
     /// cached, and never a miss.
-    pub fn get_encoded(
+    pub(crate) fn get_encoded(
         &self,
         key: &CacheKey,
-        encode: impl FnOnce(&SimulationReport) -> Arc<str>,
-    ) -> Option<Arc<str>> {
+        encode: impl FnOnce(&SimulationReport) -> Arc<String>,
+    ) -> Option<Arc<String>> {
         let mut shard = self.shard(key).lock().expect("cache shard lock poisoned");
         let entry = shard.get_mut(key)?;
         let encoded = Arc::clone(entry.encoded.get_or_insert_with(|| encode(&entry.report)));

@@ -621,8 +621,8 @@ impl EvalService {
         &self,
         request: &KeyedRequest,
         trace: Option<(&mut RequestTrace, &mut Instant)>,
-        encode: impl FnOnce(&SimulationReport, usize) -> Arc<str>,
-    ) -> Option<Arc<str>> {
+        encode: impl FnOnce(&SimulationReport, usize) -> Arc<String>,
+    ) -> Option<Arc<String>> {
         let workers = self.senders.len();
         if workers == 0 {
             return None;
@@ -1139,14 +1139,14 @@ mod tests {
                         Some((&mut trace, &mut cursor)),
                         |report, worker| {
                             encodings += 1;
-                            Arc::from(format!("{worker}/{}", report.metrics.fps))
+                            Arc::new(format!("{worker}/{}", report.metrics.fps))
                         },
                     )
                     .expect("a warm key hits");
-                let worker = request.key().fingerprint() % WORKERS;
+                let worker = request.key.fingerprint() % WORKERS;
                 assert_eq!(worker, response.worker as u64);
                 assert_eq!(
-                    &*encoded,
+                    *encoded,
                     format!("{worker}/{}", response.report.metrics.fps)
                 );
                 assert!(cursor >= start);
@@ -1160,8 +1160,8 @@ mod tests {
         assert_eq!((stats.submitted, stats.completed), (48, 48));
         assert_eq!((stats.cache_hits, stats.cache_misses), (32, 16));
         let mut per_worker = vec![0; WORKERS as usize];
-        for request in &requests {
-            per_worker[(request.key().fingerprint() % WORKERS) as usize] += 3;
+        for request in &keyed {
+            per_worker[(request.key.fingerprint() % WORKERS) as usize] += 3;
         }
         assert_eq!(stats.per_worker, per_worker);
         match service

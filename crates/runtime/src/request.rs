@@ -71,28 +71,14 @@ impl EvalRequest {
     }
 }
 
-/// An [`EvalRequest`] with its cache key, hashed once.  This is the form a
-/// `BatchItem` carries, and what `EvalService::answer_cached` hands back on
-/// a miss, so a probed request is not hashed again on its way to a worker.
-/// The key is private: it always belongs to the request beside it.
+/// An [`EvalRequest`] with its cache key, hashed once by `From`.  This is
+/// what `EvalService::answer_cached` probes and what a `BatchItem` carries,
+/// so a probed request that misses is not hashed again on its way to a
+/// worker.  The key is private: it always belongs to the request beside it.
 #[derive(Debug, Clone)]
 pub struct KeyedRequest {
     pub(crate) request: EvalRequest,
     pub(crate) key: CacheKey,
-}
-
-impl KeyedRequest {
-    /// The request.
-    #[must_use]
-    pub fn request(&self) -> &EvalRequest {
-        &self.request
-    }
-
-    /// The request's cache key.
-    #[must_use]
-    pub fn key(&self) -> &CacheKey {
-        &self.key
-    }
 }
 
 impl From<EvalRequest> for KeyedRequest {

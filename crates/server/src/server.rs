@@ -196,7 +196,8 @@ struct ServerTelemetry {
     /// Admitted evals skipped because their connection died first.
     evals_cancelled: Counter,
     bytes_read: Counter,
-    /// Pool submissions: one per event-loop wake that admitted evals.
+    /// Pool submissions: one per slice of at most 16 admitted evals that
+    /// missed the cache during one event-loop wake.
     batches_total: Counter,
     /// Admitted evals per pool submission.
     batch_size: Histogram,
@@ -998,7 +999,7 @@ impl Handler for ServerLoop {
 
 /// Encodes a cached report's eval-answer tail the way a pool hit on
 /// `worker` is answered, so an inline hit's line is byte-identical to it.
-fn hit_tail(report: &SimulationReport, worker: usize) -> Arc<str> {
+fn hit_tail(report: &SimulationReport, worker: usize) -> Arc<String> {
     let mut tail = String::with_capacity(640);
     wire::push_eval_tail(
         &EvalFrame {
@@ -1008,7 +1009,7 @@ fn hit_tail(report: &SimulationReport, worker: usize) -> Arc<str> {
         },
         &mut tail,
     );
-    Arc::from(tail)
+    Arc::new(tail)
 }
 
 /// The responder: routes each pool completion back to its owning
