@@ -4,7 +4,7 @@
 //!
 //! Clients live on the [`Server`](crosslight_server::server::Server)'s
 //! reactor ([`crosslight_server::frontend`]): one **acceptor** and a fixed
-//! pool of **event loops** (half the cores, clamped to 1..=4) frame each
+//! pool of **event loops** (one per core, clamped to 1..=4) frame each
 //! client's lines, answer local ops and dispatch evals.  Each backend gets
 //! one **link** thread, owning one pipelined socket with at most
 //! [`link::WINDOW`] requests in flight, plus one **health prober**; one

@@ -1132,7 +1132,6 @@ mod tests {
             for (request, response) in keyed.iter().zip(&reports) {
                 let mut trace = RequestTrace::new(0);
                 let mut cursor = Instant::now();
-                let start = cursor;
                 let encoded = service
                     .answer_cached(
                         request,
@@ -1149,7 +1148,6 @@ mod tests {
                     *encoded,
                     format!("{worker}/{}", response.report.metrics.fps)
                 );
-                assert!(cursor >= start);
                 assert_eq!(trace.spans().len(), 1);
                 assert_eq!(trace.spans()[0].phase, Phase::CacheLookup);
             }
@@ -1164,15 +1162,15 @@ mod tests {
             per_worker[(request.key.fingerprint() % WORKERS) as usize] += 3;
         }
         assert_eq!(stats.per_worker, per_worker);
+        // The first `runtime_cache_lookup_ns` series is `outcome="hit"`.
         match service
             .telemetry_snapshot()
-            .family("runtime_cache_lookup_ns")
+            .value("runtime_cache_lookup_ns")
         {
-            Some(family) => match &family.series[0].value {
-                crosslight_telemetry::SeriesValue::Histogram(hits) => assert_eq!(hits.count(), 32),
-                other => panic!("unexpected {other:?}"),
-            },
-            None => panic!("runtime_cache_lookup_ns is registered"),
+            Some(crosslight_telemetry::SeriesValue::Histogram(hits)) => {
+                assert_eq!(hits.count(), 32)
+            }
+            other => panic!("unexpected {other:?}"),
         }
     }
 

@@ -59,8 +59,7 @@ use crosslight_neural::workload::NetworkWorkload;
 use crosslight_neural::zoo::PaperModel;
 use crosslight_runtime::cache::CacheKey;
 use crosslight_runtime::pool::{BatchItem, EvalService, RuntimeOptions};
-use crosslight_runtime::request::EvalResponse;
-use crosslight_runtime::request::KeyedRequest;
+use crosslight_runtime::request::{EvalResponse, KeyedRequest};
 use crosslight_runtime::RuntimeError;
 use crosslight_telemetry::{
     render_text, Counter, Gauge, Histogram, Phase, Registry, RegistrySnapshot, RequestTrace,
