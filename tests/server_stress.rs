@@ -1205,36 +1205,37 @@ fn inline_hit_traces_tile_from_decode_to_flush() {
     let addr = server.local_addr();
     let specs = LoadGenOptions::paper_mix(1, 1, 0).scenarios;
     let mut client = Client::connect(addr).expect("connect");
-    let mut drain_spans = |id: u64| -> Vec<String> {
-        match client.metrics(id, MetricsFormat::Spans).unwrap().body {
-            ResponseBody::Metrics(MetricsFrame::Spans(spans)) => spans,
-            other => panic!("expected span lines, got {other:?}"),
+    let mut scrape_id = 0;
+    // A timeline is exported just after its line's flush, so the last
+    // ones may trail the client's reads: drain until `count` arrived.
+    let mut drain_until = |count: usize| -> Vec<String> {
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+        let mut timelines = Vec::new();
+        while timelines.len() < count {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "timelines never arrived"
+            );
+            scrape_id += 1;
+            match client
+                .metrics(scrape_id, MetricsFormat::Spans)
+                .unwrap()
+                .body
+            {
+                ResponseBody::Metrics(MetricsFrame::Spans(spans)) => timelines.extend(spans),
+                other => panic!("expected span lines, got {other:?}"),
+            }
         }
+        timelines
     };
 
-    // Warm the cache, and wait until its timelines are folded and drained.
+    // Warm the cache and drain its timelines.
     raw_exchange(addr, &eval_lines(&specs, 0), true);
-    let mut warm = 0;
-    let mut scrape_id = 1;
-    while warm < specs.len() {
-        warm += drain_spans(scrape_id).len();
-        scrape_id += 1;
-    }
+    assert_eq!(drain_until(specs.len()).len(), specs.len());
     // Hit the cache one request at a time, then pipelined.
     raw_exchange(addr, &eval_lines(&specs, 1_000), false);
     raw_exchange(addr, &eval_lines(&specs, 2_000), true);
-    // A timeline is exported just after its line's flush, so the last
-    // ones may trail the client's reads.
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-    let mut timelines = Vec::new();
-    while timelines.len() < 2 * specs.len() {
-        assert!(
-            std::time::Instant::now() < deadline,
-            "hit timelines never arrived"
-        );
-        timelines.extend(drain_spans(scrape_id));
-        scrape_id += 1;
-    }
+    let timelines = drain_until(2 * specs.len());
     assert_eq!(timelines.len(), 2 * specs.len());
 
     for line in &timelines {
