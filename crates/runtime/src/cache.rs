@@ -16,6 +16,7 @@
 
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crosslight_telemetry::Counter;
@@ -127,9 +128,14 @@ impl Hash for CacheKey {
 /// name for a future bounded-capacity policy.
 ///
 /// Each entry also holds one slot for a caller's encoding of its report,
-/// filled on the entry's first inline hit (`EvalService::answer_cached`).
-/// The slot is one thin pointer, so an entry that is never hit that way
-/// costs 8 bytes more; the cache never reads, exports or imports the
+/// filled on the entry's first inline hit (`EvalService::answer_cached`)
+/// while the encodings held fit in `MEMO_BUDGET_BYTES`.  An empty slot is
+/// one thin pointer, 8 bytes.  A filled one holds a server's eval-answer
+/// tail: 570–649 bytes for the dense Fig. 6 sweep's reports, about 700
+/// bytes of resident memory with its allocations, so the budget fills at
+/// about 14 000 entries.  Re-serving 150 000 sweep keys to a warm server
+/// on a 2-core x86-64 host grew its resident memory by 9.1 MiB, against
+/// 97 MiB with no budget.  The cache never reads, exports or imports the
 /// bytes.
 #[derive(Debug)]
 pub struct ShardedCache {
@@ -137,6 +143,23 @@ pub struct ShardedCache {
     hits: Counter,
     misses: Counter,
     evictions: Counter,
+    /// Bytes of memoized encodings held, at most `MEMO_BUDGET_BYTES`.
+    memo_bytes: AtomicUsize,
+}
+
+/// The most bytes of callers' encodings one cache memoizes.  The cache
+/// never evicts, so without a bound a warm server re-serving a long sweep
+/// would keep an encoding for every entry; past the budget, a hit on an
+/// entry without one is encoded afresh each time.
+pub(crate) const MEMO_BUDGET_BYTES: usize = 8 << 20;
+
+/// What [`ShardedCache::get_inline`] finds for a cached key.
+#[derive(Debug)]
+pub(crate) enum Cached {
+    /// The caller's encoding, memoized on the entry.
+    Encoded(Arc<String>),
+    /// The report, before its first encoding is memoized.
+    Report(SimulationReport),
 }
 
 /// One cached report and the slot for its encoding.
@@ -165,6 +188,7 @@ impl ShardedCache {
             hits: Counter::new(),
             misses: Counter::new(),
             evictions: Counter::new(),
+            memo_bytes: AtomicUsize::new(0),
         }
     }
 
@@ -189,29 +213,55 @@ impl ShardedCache {
         found
     }
 
-    /// Looks up a key and returns the caller's encoding of its report,
-    /// made by `encode` under the shard lock on the entry's first such
-    /// lookup and memoized on the entry.  Counts a hit when the key is
-    /// cached, and never a miss.
-    pub(crate) fn get_encoded(
-        &self,
-        key: &CacheKey,
-        encode: impl FnOnce(&SimulationReport) -> Arc<String>,
-    ) -> Option<Arc<String>> {
-        let mut shard = self.shard(key).lock().expect("cache shard lock poisoned");
-        let entry = shard.get_mut(key)?;
-        let encoded = Arc::clone(entry.encoded.get_or_insert_with(|| encode(&entry.report)));
-        drop(shard);
+    /// Looks up a key for an answer off the pool: the encoding memoized on
+    /// its entry, or its report while none is stored.  Counts a hit when
+    /// the key is cached, and never a miss.
+    pub(crate) fn get_inline(&self, key: &CacheKey) -> Option<Cached> {
+        let found = {
+            let shard = self.shard(key).lock().expect("cache shard lock poisoned");
+            let entry = shard.get(key)?;
+            match &entry.encoded {
+                Some(encoded) => Cached::Encoded(Arc::clone(encoded)),
+                None => Cached::Report(entry.report),
+            }
+        };
         self.hits.inc();
-        Some(encoded)
+        Some(found)
+    }
+
+    /// Memoizes a caller's encoding on the entry of `key`, unless the entry
+    /// already holds one or the encoding would overrun `MEMO_BUDGET_BYTES`.
+    pub(crate) fn memoize(&self, key: &CacheKey, encoded: &Arc<String>) {
+        let cost = encoded.len();
+        let reserved = self
+            .memo_bytes
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |held| {
+                (held + cost <= MEMO_BUDGET_BYTES).then_some(held + cost)
+            });
+        if reserved.is_err() {
+            return;
+        }
+        let mut shard = self.shard(key).lock().expect("cache shard lock poisoned");
+        match shard.get_mut(key) {
+            Some(entry) if entry.encoded.is_none() => entry.encoded = Some(Arc::clone(encoded)),
+            _ => {
+                self.memo_bytes.fetch_sub(cost, Ordering::Relaxed);
+            }
+        }
     }
 
     /// Stores a computed report under its key.
     pub fn insert(&self, key: CacheKey, report: SimulationReport) {
-        self.shard(&key)
+        let replaced = self
+            .shard(&key)
             .lock()
             .expect("cache shard lock poisoned")
             .insert(key, Entry::new(report));
+        // Same-wake duplicates each insert; a dropped encoding frees its
+        // share of the budget.
+        if let Some(encoded) = replaced.and_then(|entry| entry.encoded) {
+            self.memo_bytes.fetch_sub(encoded.len(), Ordering::Relaxed);
+        }
     }
 
     /// Number of cached entries across all shards.
@@ -348,6 +398,49 @@ mod tests {
         assert_eq!(cache.get(&key), Some(report));
         assert_eq!(cache.hits(), 1);
         assert_eq!(cache.misses(), 1);
+    }
+
+    #[test]
+    fn memoized_encodings_stay_within_the_budget() {
+        let cache = ShardedCache::new(4);
+        let w = workload(PaperModel::CnnCifar10);
+        let report = CrossLightSimulator::new(CrossLightConfig::paper_best())
+            .evaluate(&w)
+            .unwrap();
+        let keys: Vec<CacheKey> = (1..=12)
+            .map(|units| {
+                let mut config = CrossLightConfig::paper_best();
+                config.conv_units = units;
+                CacheKey::new(&config, Arc::clone(&w))
+            })
+            .collect();
+        let quarter = Arc::new("x".repeat(MEMO_BUDGET_BYTES / 4));
+        for key in &keys {
+            cache.insert(key.clone(), report);
+            assert!(matches!(cache.get_inline(key), Some(Cached::Report(_))));
+            cache.memoize(key, &quarter);
+        }
+        let memoized = keys
+            .iter()
+            .filter(|key| matches!(cache.get_inline(key), Some(Cached::Encoded(_))))
+            .count();
+        assert_eq!(memoized, 4, "the budget holds four quarters");
+        assert_eq!(cache.memo_bytes.load(Ordering::Relaxed), MEMO_BUDGET_BYTES);
+        assert_eq!((cache.hits(), cache.misses()), (24, 0));
+
+        // Re-inserting a memoized key drops its encoding and frees its
+        // bytes for another entry.
+        cache.insert(keys[0].clone(), report);
+        assert!(matches!(
+            cache.get_inline(&keys[0]),
+            Some(Cached::Report(_))
+        ));
+        cache.memoize(&keys[11], &quarter);
+        assert!(matches!(
+            cache.get_inline(&keys[11]),
+            Some(Cached::Encoded(_))
+        ));
+        assert_eq!(cache.memo_bytes.load(Ordering::Relaxed), MEMO_BUDGET_BYTES);
     }
 
     #[test]

@@ -44,7 +44,7 @@ use crosslight_telemetry::{
     TraceSampler,
 };
 
-use crate::cache::{CacheKey, ShardedCache};
+use crate::cache::{CacheKey, Cached, ShardedCache};
 use crate::error::{Result, RuntimeError};
 use crate::request::{EvalRequest, EvalResponse, KeyedRequest};
 
@@ -606,17 +606,21 @@ impl EvalService {
     /// A hit returns the caller's encoding of the report: `encode` makes
     /// it from the report and the worker the key routes to
     /// (`fingerprint % workers`) on the entry's first inline hit, and the
-    /// entry keeps it for every later one.  The hit counts exactly as that
-    /// worker serving it would: one cache hit, one `per_worker` request,
-    /// and `submitted` before `completed`, which [`EvalService::stats`]'s
-    /// ordered read needs.  The probe never counts a miss; the worker that
-    /// serves a miss counts its own lookup.  A shut-down pool answers
-    /// nothing here, so the request meets `WorkerLost` on the normal path.
+    /// entry keeps it for every later one while the cache's memo budget
+    /// lasts (past it, a hit on an entry without one is encoded afresh).
+    /// The hit counts exactly as that worker serving it would: one cache
+    /// hit, one `per_worker` request, and `submitted` before `completed`,
+    /// which [`EvalService::stats`]'s ordered read needs.  The probe never
+    /// counts a miss; the worker that serves a miss counts its own lookup.
+    /// A shut-down pool answers nothing here, so the request meets
+    /// `WorkerLost` on the normal path.
     ///
     /// `trace` is a sampled request's timeline and its phase cursor: a hit
     /// records its `cache_lookup` span from the cursor to the end of the
-    /// lookup, moves the cursor there, and feeds
-    /// `runtime_cache_lookup_ns{outcome="hit"}`.  A miss records nothing.
+    /// probe, moves the cursor there, and feeds
+    /// `runtime_cache_lookup_ns{outcome="hit"}`.  A first hit's `encode`
+    /// runs after that, so the caller's next span carries it.  A miss
+    /// records nothing.
     pub fn answer_cached(
         &self,
         request: &KeyedRequest,
@@ -627,10 +631,7 @@ impl EvalService {
         if workers == 0 {
             return None;
         }
-        let worker = (request.key.fingerprint() % workers as u64) as usize;
-        let encoded = self
-            .cache
-            .get_encoded(&request.key, |report| encode(report, worker))?;
+        let cached = self.cache.get_inline(&request.key)?;
         if let Some((trace, cursor)) = trace {
             let end = Instant::now();
             self.telemetry
@@ -639,6 +640,15 @@ impl EvalService {
             trace.record(Phase::CacheLookup, *cursor, end);
             *cursor = end;
         }
+        let worker = (request.key.fingerprint() % workers as u64) as usize;
+        let encoded = match cached {
+            Cached::Encoded(encoded) => encoded,
+            Cached::Report(report) => {
+                let encoded = encode(&report, worker);
+                self.cache.memoize(&request.key, &encoded);
+                encoded
+            }
+        };
         let telemetry = &self.telemetry;
         telemetry.submitted.inc();
         telemetry.per_worker[worker].inc();
@@ -1132,16 +1142,21 @@ mod tests {
             for (request, response) in keyed.iter().zip(&reports) {
                 let mut trace = RequestTrace::new(0);
                 let mut cursor = Instant::now();
+                let mut encoded_at = None;
                 let encoded = service
                     .answer_cached(
                         request,
                         Some((&mut trace, &mut cursor)),
                         |report, worker| {
                             encodings += 1;
+                            encoded_at = Some(Instant::now());
                             Arc::new(format!("{worker}/{}", report.metrics.fps))
                         },
                     )
                     .expect("a warm key hits");
+                // The cursor ends the `cache_lookup` span; a first hit's
+                // encoding comes after it.
+                assert!(encoded_at.is_none_or(|at| at >= cursor));
                 let worker = request.key.fingerprint() % WORKERS;
                 assert_eq!(worker, response.worker as u64);
                 assert_eq!(

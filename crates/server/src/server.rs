@@ -268,7 +268,7 @@ impl ServerTelemetry {
             ),
             batches_total: registry.counter(
                 "server_batches_total",
-                "Pool submissions, one per event-loop wake that admitted evals.",
+                "Pool submissions, each of at most 16 evals one event-loop wake admitted that missed the cache.",
             ),
             batch_size: registry
                 .histogram("server_batch_size", "Admitted evals per pool submission."),
@@ -907,8 +907,8 @@ impl Handler for ServerLoop {
                     let line = wire::encode_response(&Response::error(Some(request.id), frame));
                     return conn.push(line);
                 }
-                let eval_request = match spec.to_eval_request(request.id, &shared.workloads) {
-                    Ok(eval_request) => eval_request,
+                let keyed = match spec.to_eval_request(request.id, &shared.workloads) {
+                    Ok(eval_request) => KeyedRequest::from(eval_request),
                     Err(frame) => {
                         telemetry.evals_failed.inc();
                         let line = wire::encode_response(&Response::error(Some(request.id), frame));
@@ -916,13 +916,14 @@ impl Handler for ServerLoop {
                     }
                 };
                 // Only successfully decoded evals grow into full traces;
-                // `decode` covers frame parsing plus spec resolution.  In the
-                // reactor the wait for bytes happens inside poll(2), not in a
-                // per-request read call, so the `read` span collapses to the
-                // instant the completed line surfaced from the scanner.  The
-                // trace travels with its cursor, the end of its latest span,
-                // where the next phase starts: a hit's phases tile its
-                // timeline from decode to flush.
+                // `decode` covers frame parsing, spec resolution and the
+                // cache key's hash.  In the reactor the wait for bytes
+                // happens inside poll(2), not in a per-request read call, so
+                // the `read` span collapses to the instant the completed line
+                // surfaced from the scanner.  The trace travels with its
+                // cursor, the end of its latest span, where the next phase
+                // starts: a hit's phases tile its timeline from decode to
+                // flush.
                 let mut traced = read_mark.map(|mark| {
                     let mut trace = Box::new(RequestTrace::with_origin(request.id, mark));
                     let decoded = Instant::now();
@@ -947,13 +948,14 @@ impl Handler for ServerLoop {
                     *cursor = admitted;
                     telemetry.traces_sampled.inc();
                 }
-                let keyed = KeyedRequest::from(eval_request);
                 let lookup = traced
                     .as_mut()
                     .map(|(trace, cursor)| (&mut **trace, cursor));
                 if let Some(tail) = shared.service.answer_cached(&keyed, lookup, hit_tail) {
                     // The head is at most 32 bytes; one more for the newline
-                    // the queue appends.
+                    // the queue appends.  `serialize` covers the head and the
+                    // copy, and the tail's encoding on an entry's first
+                    // inline hit.
                     let mut line = String::with_capacity(tail.len() + 33);
                     wire::push_answer_head(Some(request.id), &mut line);
                     line.push_str(&tail);
@@ -998,6 +1000,7 @@ impl Handler for ServerLoop {
 
 /// Encodes a cached report's eval-answer tail the way a pool hit on
 /// `worker` is answered, so an inline hit's line is byte-identical to it.
+/// A memoized tail stays for good, so it holds no spare capacity.
 fn hit_tail(report: &SimulationReport, worker: usize) -> Arc<String> {
     let mut tail = String::with_capacity(640);
     wire::push_eval_tail(
@@ -1008,6 +1011,7 @@ fn hit_tail(report: &SimulationReport, worker: usize) -> Arc<String> {
         },
         &mut tail,
     );
+    tail.shrink_to_fit();
     Arc::new(tail)
 }
 

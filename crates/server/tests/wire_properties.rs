@@ -15,9 +15,8 @@ use crosslight_runtime::pool::RuntimeStats;
 use crosslight_server::json::Json;
 use crosslight_server::wire::{
     decode_request, decode_response, encode_request, encode_response, peek_answer,
-    push_answer_head, push_eval_tail, splice_request_id, ErrorFrame, ErrorKind, EvalFrame,
-    EvalSpec, MetricsFormat, MetricsFrame, Request, RequestBody, Response, ResponseBody,
-    StatsFrame, WireServerStats, WorkloadRef,
+    splice_request_id, ErrorFrame, ErrorKind, EvalFrame, EvalSpec, MetricsFormat, MetricsFrame,
+    Request, RequestBody, Response, ResponseBody, StatsFrame, WireServerStats, WorkloadRef,
 };
 use crosslight_telemetry::{
     FamilySnapshot, Histogram, HistogramSnapshot, MetricKind, RegistrySnapshot, SeriesSnapshot,
@@ -85,6 +84,28 @@ fn report_from(values: &[f64; 16], bits: u32) -> SimulationReport {
         },
         resolution_bits: bits,
     }
+}
+
+/// The sixteen floats of a report, in `report_from`'s order.
+fn report_values(report: &SimulationReport) -> [f64; 16] {
+    [
+        report.power.laser.value(),
+        report.power.tuning.value(),
+        report.power.detection.value(),
+        report.power.conversion.value(),
+        report.power.control.value(),
+        report.area.mr_banks.value(),
+        report.area.arm_devices.value(),
+        report.area.unit_electronics.value(),
+        report.metrics.latency.conv_time.value(),
+        report.metrics.latency.fc_time.value(),
+        report.metrics.latency.electronic_time.value(),
+        report.metrics.fps,
+        report.metrics.energy_per_inference.value(),
+        report.metrics.energy_per_bit_pj,
+        report.metrics.kfps_per_watt,
+        report.metrics.power.value(),
+    ]
 }
 
 /// Text fragments for generated names, help and label values: JSON
@@ -262,20 +283,27 @@ proptest! {
         prop_assert_eq!(decode_request(&line).unwrap(), request);
     }
 
-    /// Eval responses round-trip bit-exactly for arbitrary finite float
-    /// reports spanning many orders of magnitude.
+    /// Eval responses round-trip bit-exactly for any id and worker, and for
+    /// reports spanning many orders of magnitude with NaN, ±inf, −0.0,
+    /// subnormals and arbitrary bit patterns mixed in.
     #[test]
     fn eval_responses_round_trip_bit_exactly(
-        id in 0u64..u64::MAX,
+        id in counter_value(),
         cache_hit in 0u32..2,
-        worker in 0u64..64,
+        worker in counter_value(),
         mantissas in proptest::collection::vec(-1.0f64..1.0, 16),
         scales in proptest::collection::vec(-300.0f64..300.0, 16),
+        specials in proptest::collection::vec((0u32..4, report_value()), 16),
         bits in 1u32..64,
     ) {
+        // A quarter of the fields are special floats, the rest spread
+        // across the normal exponent range.
         let mut values = [0.0f64; 16];
         for i in 0..16 {
-            values[i] = mantissas[i] * 10f64.powf(scales[i] / 2.0);
+            values[i] = match specials[i] {
+                (0, special) => special,
+                _ => mantissas[i] * 10f64.powf(scales[i] / 2.0),
+            };
         }
         let response = Response {
             id: Some(id),
@@ -287,48 +315,22 @@ proptest! {
         };
         let line = encode_response(&response);
         let decoded = decode_response(&line).unwrap();
-        prop_assert_eq!(&decoded, &response);
-        // PartialEq on f64 is value equality; additionally pin the bit
-        // patterns of a representative field.
-        if let (ResponseBody::Eval(a), ResponseBody::Eval(b)) = (&decoded.body, &response.body) {
-            prop_assert_eq!(
-                a.report.metrics.fps.to_bits(),
-                b.report.metrics.fps.to_bits()
-            );
-            prop_assert_eq!(
-                a.report.power.laser.value().to_bits(),
-                b.report.power.laser.value().to_bits()
-            );
-        }
-    }
-
-    /// An eval answer's head plus its tail is the line `encode_response`
-    /// writes, for every id, worker and `cache_hit`, and for reports full
-    /// of special floats; that line decodes and re-encodes to itself.
-    #[test]
-    fn eval_answer_head_plus_tail_is_the_encoded_line(
-        id in counter_value(),
-        worker in counter_value(),
-        cache_hit in 0u32..2,
-        values in proptest::collection::vec(report_value(), 16),
-        bits in proptest::num::u32::ANY,
-    ) {
-        let values: [f64; 16] = values.try_into().unwrap();
-        let frame = EvalFrame {
-            report: report_from(&values, bits),
-            cache_hit: cache_hit == 1,
-            worker,
-        };
-        let mut split = String::new();
-        push_answer_head(Some(id), &mut split);
-        push_eval_tail(&frame, &mut split);
-        let line = encode_response(&Response {
-            id: Some(id),
-            body: ResponseBody::Eval(frame),
-        });
-        prop_assert_eq!(&split, &line);
-        let decoded = decode_response(&line).unwrap();
         prop_assert_eq!(encode_response(&decoded), line);
+        let ResponseBody::Eval(frame) = decoded.body else {
+            panic!("expected an eval frame");
+        };
+        prop_assert_eq!(decoded.id, Some(id));
+        prop_assert_eq!((frame.cache_hit, frame.worker), (cache_hit == 1, worker));
+        prop_assert_eq!(frame.report.resolution_bits, bits);
+        // PartialEq on f64 is value equality and NaN equals nothing, so
+        // compare bit patterns; any NaN decodes to a NaN.
+        for (expected, actual) in values.iter().zip(report_values(&frame.report)) {
+            if expected.is_nan() {
+                prop_assert!(actual.is_nan());
+            } else {
+                prop_assert_eq!(expected.to_bits(), actual.to_bits());
+            }
+        }
     }
 
     /// Stats and error responses round-trip for arbitrary counter values.
@@ -627,24 +629,7 @@ fn special_float_values_round_trip_through_reports() {
     let ResponseBody::Eval(frame) = decoded.body else {
         panic!("expected eval frame");
     };
-    let got = [
-        frame.report.power.laser.value(),
-        frame.report.power.tuning.value(),
-        frame.report.power.detection.value(),
-        frame.report.power.conversion.value(),
-        frame.report.power.control.value(),
-        frame.report.area.mr_banks.value(),
-        frame.report.area.arm_devices.value(),
-        frame.report.area.unit_electronics.value(),
-        frame.report.metrics.latency.conv_time.value(),
-        frame.report.metrics.latency.fc_time.value(),
-        frame.report.metrics.latency.electronic_time.value(),
-        frame.report.metrics.fps,
-        frame.report.metrics.energy_per_inference.value(),
-        frame.report.metrics.energy_per_bit_pj,
-        frame.report.metrics.kfps_per_watt,
-        frame.report.metrics.power.value(),
-    ];
+    let got = report_values(&frame.report);
     for (i, (expected, actual)) in values.iter().zip(&got).enumerate() {
         if expected.is_nan() {
             assert!(actual.is_nan(), "field {i}");
