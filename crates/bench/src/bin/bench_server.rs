@@ -26,6 +26,11 @@
 //! `direct_submit_batch_warm_per_req` is recorded against it, so its
 //! `speedup_vs_baseline` is the warm runtime's throughput over serial
 //! simulation.
+//!
+//! `wire_decode_request` and `wire_decode_response` decode the encoder's
+//! own lines, which the exact-layout reader takes.  Each is recorded
+//! against a `_tree` sibling that decodes the same line behind one leading
+//! space, which that reader declines, so it measures the `Json` tree.
 
 use std::sync::Arc;
 
@@ -98,6 +103,14 @@ fn main() {
     results.push(measure("wire_decode_request", window_ms, || {
         wire::decode_request(&request_line).expect("sample line is valid")
     }));
+    // The same frame through the `Json` tree: a leading space is valid
+    // JSON, but the exact-layout reader declines it.
+    let spaced_request_line = format!(" {request_line}");
+    let request_tree = measure("wire_decode_request_tree", window_ms, || {
+        wire::decode_request(&spaced_request_line).expect("sample line is valid")
+    });
+    let request_tree_ns = request_tree.ns_per_iter;
+    results.push(request_tree);
 
     let direct_service = EvalService::new(RuntimeOptions::default().with_workers(workers));
     let sample_report = direct_service
@@ -119,6 +132,12 @@ fn main() {
     results.push(measure("wire_decode_response", window_ms, || {
         wire::decode_response(&response_line).expect("sample line is valid")
     }));
+    let spaced_response_line = format!(" {response_line}");
+    let response_tree = measure("wire_decode_response_tree", window_ms, || {
+        wire::decode_response(&spaced_response_line).expect("sample line is valid")
+    });
+    let response_tree_ns = response_tree.ns_per_iter;
+    results.push(response_tree);
 
     // ---- serial uncached simulation over the same mix ---------------------
     // A fresh simulator per request on this one thread: every request
@@ -274,12 +293,15 @@ fn main() {
     server.shutdown();
 
     // Every ratio is recorded against a same-run baseline, so the JSON's
-    // `speedup_vs_baseline` fields *are* the ratios: warm batched dispatch
+    // `speedup_vs_baseline` fields *are* the ratios: the exact-layout
+    // decoders vs the tree decoders on the same frame, warm batched dispatch
     // vs serial uncached simulation, loopback vs direct dispatch (≥ 0.5 ⇔
     // within 2×), four connections vs one (> 1 ⇔ a request is cheaper when
     // connections share the server), and unsampled-trace vs tracing-off
     // dispatch (≥ 0.98 ⇔ ≤ 2% tracing overhead).
     let baselines: Vec<(&str, f64)> = vec![
+        ("wire_decode_request", request_tree_ns),
+        ("wire_decode_response", response_tree_ns),
         ("direct_submit_batch_warm_per_req", serial_per_req_ns),
         ("server_loopback_warm_mix", direct_each_ns),
         ("server_loopback_warm_mix_4conn", per_request_ns),
@@ -313,7 +335,8 @@ fn main() {
         "crosslight-bench-server/v1",
         mode,
         "b2dd617 (pre-server seed: EvalService reachable in-process only; every recorded \
-         baseline is measured in this same run: direct_submit_batch_warm_per_req against \
+         baseline is measured in this same run: wire_decode_request and wire_decode_response \
+         against their _tree siblings, direct_submit_batch_warm_per_req against \
          serial_uncached_per_req, server_loopback_warm_mix against direct_submit_each_warm, \
          server_loopback_warm_mix_4conn against server_loopback_warm_mix, and the \
          unsampled-trace entry against direct_submit_batch_warm_per_req)",

@@ -18,6 +18,13 @@
 //!   `(key, value)` vectors, so encoding is deterministic — identical
 //!   requests always serialize to identical bytes, which the loadgen relies
 //!   on for reproducible traffic.
+//!
+//! The two hot frames, the eval request and the eval answer, usually skip
+//! this tree: `crate::wire` reads them straight from the line's bytes in
+//! the encoder's exact layout and hands every other line to [`Json::parse`].
+//! That reader splits numbers with this parser's own `number_token` and
+//! parses them with the same `str::parse` calls, so the two readers cannot
+//! disagree on a number.
 
 use std::fmt::Write as _;
 
@@ -269,6 +276,27 @@ fn write_f64(value: f64, out: &mut String) {
     }
 }
 
+/// Splits off the number token `bytes` starts with, as the parser splits
+/// it: an optional `-`, then every digit, `.`, `e`, `E`, `+` and `-` that
+/// follows.  Returns the token's length and whether it is integral (no
+/// byte after the sign is one of `.eE+-`).  The caller has checked that
+/// the token starts with `-` or a digit; the parser rejects any other
+/// first byte, so `.5` is never a number.
+pub(crate) fn number_token(bytes: &[u8]) -> (usize, bool) {
+    let sign = usize::from(bytes.first() == Some(&b'-'));
+    let mut integral = true;
+    let mut len = sign;
+    for &b in &bytes[sign..] {
+        match b {
+            b'0'..=b'9' => {}
+            b'.' | b'e' | b'E' | b'+' | b'-' => integral = false,
+            _ => break,
+        }
+        len += 1;
+    }
+    (len, integral)
+}
+
 fn write_string(s: &str, out: &mut String) {
     out.push('"');
     for c in s.chars() {
@@ -486,20 +514,8 @@ impl Parser<'_> {
 
     fn number(&mut self) -> Result<Json, JsonError> {
         let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        let mut integral = true;
-        while let Some(b) = self.peek() {
-            match b {
-                b'0'..=b'9' => self.pos += 1,
-                b'.' | b'e' | b'E' | b'+' | b'-' => {
-                    integral = false;
-                    self.pos += 1;
-                }
-                _ => break,
-            }
-        }
+        let (len, integral) = number_token(&self.bytes[start..]);
+        self.pos += len;
         let text = std::str::from_utf8(&self.bytes[start..self.pos])
             .map_err(|_| self.err("invalid number"))?;
         if integral {

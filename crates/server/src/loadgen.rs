@@ -68,6 +68,9 @@ pub struct Client {
     options: ClientOptions,
     reader: BufReader<TcpStream>,
     writer: BufWriter<TcpStream>,
+    /// The line buffer every [`Client::recv`] reads into, kept across
+    /// answers so a warm answer allocates no line of its own.
+    line: String,
 }
 
 impl Client {
@@ -102,6 +105,7 @@ impl Client {
             options,
             reader,
             writer: BufWriter::new(stream),
+            line: String::new(),
         })
     }
 
@@ -180,23 +184,21 @@ impl Client {
     /// on a *complete* line is returned as a typed [`ErrorFrame`]
     /// response so callers see exactly what the server sent.
     pub fn recv(&mut self) -> std::io::Result<Response> {
-        let mut line = String::new();
-        if self.reader.read_line(&mut line)? == 0 {
+        self.line.clear();
+        if self.reader.read_line(&mut self.line)? == 0 {
             return Err(std::io::Error::new(
                 std::io::ErrorKind::UnexpectedEof,
                 "server closed the connection",
             ));
         }
-        if !line.ends_with('\n') {
+        if !self.line.ends_with('\n') {
             return Err(std::io::Error::new(
                 std::io::ErrorKind::UnexpectedEof,
                 "server closed the connection mid-frame",
             ));
         }
-        while line.ends_with('\n') || line.ends_with('\r') {
-            line.pop();
-        }
-        Ok(wire::decode_response(&line).unwrap_or_else(|frame| Response::error(None, frame)))
+        let line = self.line.trim_end_matches(['\n', '\r']);
+        Ok(wire::decode_response(line).unwrap_or_else(|frame| Response::error(None, frame)))
     }
 
     /// Sends a request and waits for the next response line.

@@ -42,6 +42,15 @@
 //! Decoding is total: any malformed, truncated or unsupported input maps to
 //! an [`ErrorFrame`] (never a panic), which the server sends back with the
 //! offending request's id when it could be parsed.
+//!
+//! The two hot frames — a CrossLight eval request naming a Table I model,
+//! and an eval answer with an id — are read straight from the line's bytes
+//! when they are exactly in the layout [`encode_request`] and
+//! [`encode_response`] write: no [`Json`] tree, no allocation.  That reader
+//! declines at the first byte that differs and hands the line to the tree
+//! decoder, which reads every other frame and produces every error.  It
+//! never disagrees with the tree: a line it accepts decodes through the
+//! tree to the same value, every float bit for bit.
 
 use std::fmt::Write as _;
 use std::ops::Range;
@@ -706,73 +715,89 @@ fn encode_workload_into(workload: &NetworkWorkload, out: &mut String) {
     out.push('}');
 }
 
+/// The members of the report's power object, each key with the byte that
+/// precedes it.  The encoders and the exact-layout reader share these
+/// tables, so the two cannot drift apart.
+const POWER_KEYS: [&str; 5] = [
+    "{\"laser\":",
+    ",\"tuning\":",
+    ",\"detection\":",
+    ",\"conversion\":",
+    ",\"control\":",
+];
+
+/// The members of the report's area object, as [`POWER_KEYS`].
+const AREA_KEYS: [&str; 3] = [
+    "{\"mr_banks\":",
+    ",\"arm_devices\":",
+    ",\"unit_electronics\":",
+];
+
+/// The members of the report's metrics object, as [`POWER_KEYS`].
+const METRICS_KEYS: [&str; 8] = [
+    "{\"conv_time_s\":",
+    ",\"fc_time_s\":",
+    ",\"electronic_time_s\":",
+    ",\"fps\":",
+    ",\"energy_per_inference_pj\":",
+    ",\"energy_per_bit_pj\":",
+    ",\"kfps_per_watt\":",
+    ",\"power_w\":",
+];
+
+/// Appends an object of floats: each key fragment followed by its value.
+fn push_floats(keys: &[&str], values: &[f64], out: &mut String) {
+    for (key, &value) in keys.iter().zip(values) {
+        out.push_str(key);
+        json::push_f64(value, out);
+    }
+    out.push('}');
+}
+
 /// Appends the power object (`{"laser":…,…,"control":…}`) to the line.
 fn encode_power_into(power: &crosslight_core::power::AcceleratorPower, out: &mut String) {
-    let f = |label: &str, value: f64, out: &mut String| {
-        out.push_str(label);
-        json::push_f64(value, out);
-    };
-    f("{\"laser\":", power.laser.value(), out);
-    f(",\"tuning\":", power.tuning.value(), out);
-    f(",\"detection\":", power.detection.value(), out);
-    f(",\"conversion\":", power.conversion.value(), out);
-    f(",\"control\":", power.control.value(), out);
-    out.push('}');
+    let values = [
+        power.laser.value(),
+        power.tuning.value(),
+        power.detection.value(),
+        power.conversion.value(),
+        power.control.value(),
+    ];
+    push_floats(&POWER_KEYS, &values, out);
 }
 
 /// Appends the area object (`{"mr_banks":…,…}`) to the line.
 fn encode_area_into(area: &crosslight_core::area::AcceleratorArea, out: &mut String) {
-    let f = |label: &str, value: f64, out: &mut String| {
-        out.push_str(label);
-        json::push_f64(value, out);
-    };
-    f("{\"mr_banks\":", area.mr_banks.value(), out);
-    f(",\"arm_devices\":", area.arm_devices.value(), out);
-    f(",\"unit_electronics\":", area.unit_electronics.value(), out);
-    out.push('}');
+    let values = [
+        area.mr_banks.value(),
+        area.arm_devices.value(),
+        area.unit_electronics.value(),
+    ];
+    push_floats(&AREA_KEYS, &values, out);
 }
 
 /// Appends the report object to the line being built.  Frames are encoded by
 /// direct string writing (not via a [`Json`] tree) because this runs once
 /// per response on the serving hot path.
 fn encode_report_into(report: &SimulationReport, out: &mut String) {
-    let f = |label: &str, value: f64, out: &mut String| {
-        out.push_str(label);
-        json::push_f64(value, out);
-    };
+    let metrics = &report.metrics;
     out.push_str("{\"power_mw\":");
     encode_power_into(&report.power, out);
     out.push_str(",\"area_mm2\":");
     encode_area_into(&report.area, out);
-    f(
-        ",\"metrics\":{\"conv_time_s\":",
-        report.metrics.latency.conv_time.value(),
-        out,
-    );
-    f(
-        ",\"fc_time_s\":",
-        report.metrics.latency.fc_time.value(),
-        out,
-    );
-    f(
-        ",\"electronic_time_s\":",
-        report.metrics.latency.electronic_time.value(),
-        out,
-    );
-    f(",\"fps\":", report.metrics.fps, out);
-    f(
-        ",\"energy_per_inference_pj\":",
-        report.metrics.energy_per_inference.value(),
-        out,
-    );
-    f(
-        ",\"energy_per_bit_pj\":",
-        report.metrics.energy_per_bit_pj,
-        out,
-    );
-    f(",\"kfps_per_watt\":", report.metrics.kfps_per_watt, out);
-    f(",\"power_w\":", report.metrics.power.value(), out);
-    let _ = write!(out, "}},\"resolution_bits\":{}}}", report.resolution_bits);
+    out.push_str(",\"metrics\":");
+    let values = [
+        metrics.latency.conv_time.value(),
+        metrics.latency.fc_time.value(),
+        metrics.latency.electronic_time.value(),
+        metrics.fps,
+        metrics.energy_per_inference.value(),
+        metrics.energy_per_bit_pj,
+        metrics.kfps_per_watt,
+        metrics.power.value(),
+    ];
+    push_floats(&METRICS_KEYS, &values, out);
+    let _ = write!(out, ",\"resolution_bits\":{}}}", report.resolution_bits);
 }
 
 /// Appends the `config` object of an eval request to the line being built.
@@ -1462,6 +1487,15 @@ fn decode_eval_spec(value: &Json) -> Result<EvalSpec, ErrorFrame> {
 /// Returns a typed [`ErrorFrame`] (with the parsed id when available via
 /// [`peek_id`]) for malformed or unsupported frames.  Never panics.
 pub fn decode_request(line: &str) -> Result<Request, ErrorFrame> {
+    match exact_eval_request(line) {
+        Some(request) => Ok(request),
+        None => decode_request_tree(line),
+    }
+}
+
+/// [`decode_request`] through a [`Json`] tree: any member order and
+/// spacing, every op, and every error frame.
+fn decode_request_tree(line: &str) -> Result<Request, ErrorFrame> {
     let value = Json::parse(line)?;
     check_version(&value)?;
     let id = u64_field(&value, "id")?;
@@ -1539,8 +1573,7 @@ impl AnswerPeek {
 /// unknown kind — is `None`.  The rest of the line is not inspected.
 #[must_use]
 pub fn peek_answer(line: &str) -> Option<AnswerPeek> {
-    const HEAD: &str = "{\"v\":1,\"id\":";
-    let rest = line.strip_prefix(HEAD)?;
+    let rest = line.strip_prefix(ID_HEAD)?;
     let digits = rest.bytes().take_while(u8::is_ascii_digit).count();
     let id = rest[..digits].parse::<u64>().ok()?;
     let body = rest[digits..].strip_prefix(',')?;
@@ -1553,7 +1586,7 @@ pub fn peek_answer(line: &str) -> Option<AnswerPeek> {
     Some(AnswerPeek {
         id,
         error,
-        id_span: HEAD.len()..HEAD.len() + digits,
+        id_span: ID_HEAD.len()..ID_HEAD.len() + digits,
     })
 }
 
@@ -1904,6 +1937,14 @@ fn decode_runtime_stats(value: &Json) -> Result<RuntimeStats, ErrorFrame> {
 /// Returns a typed [`ErrorFrame`] for malformed or unsupported frames.
 /// Never panics.
 pub fn decode_response(line: &str) -> Result<Response, ErrorFrame> {
+    match exact_eval_answer(line) {
+        Some(response) => Ok(response),
+        None => decode_response_tree(line),
+    }
+}
+
+/// [`decode_response`] through a [`Json`] tree, as [`decode_request_tree`].
+fn decode_response_tree(line: &str) -> Result<Response, ErrorFrame> {
     let value = Json::parse(line)?;
     check_version(&value)?;
     let id =
@@ -1961,10 +2002,204 @@ pub fn decode_response(line: &str) -> Result<Response, ErrorFrame> {
     Ok(Response { id, body })
 }
 
+// ---------------------------------------------------------------------------
+// The hot frames in the encoder's exact layout
+// ---------------------------------------------------------------------------
+
+/// How every request and every answer with an id begins.
+const ID_HEAD: &str = "{\"v\":1,\"id\":";
+
+/// A reader that follows a line only through the exact bytes the encoders
+/// write.  Each step returns `None` at the first byte that differs; the
+/// caller then hands the whole line to the tree decoder.  So this reader
+/// needs no errors of its own, and whatever it accepts, the tree decodes
+/// to the same value.
+struct Exact<'a> {
+    line: &'a str,
+    pos: usize,
+}
+
+impl<'a> Exact<'a> {
+    /// Steps over `fragment`, which must come next.
+    fn lit(&mut self, fragment: &str) -> Option<()> {
+        let matched = self.line.as_bytes()[self.pos..].starts_with(fragment.as_bytes());
+        matched.then(|| self.pos += fragment.len())
+    }
+
+    /// The number token at the cursor and whether it is integral, split
+    /// by the tree parser's own tokenizer.  Like that parser, it needs a
+    /// `-` or a digit first: `str::parse` would read `.5`, which the tree
+    /// rejects.
+    fn number(&mut self) -> Option<(&'a str, bool)> {
+        let rest = &self.line.as_bytes()[self.pos..];
+        if !matches!(rest.first(), Some(b'-' | b'0'..=b'9')) {
+            return None;
+        }
+        let (len, integral) = json::number_token(rest);
+        let token = self.line.get(self.pos..self.pos + len)?;
+        self.pos += len;
+        Some((token, integral))
+    }
+
+    /// An integer the tree reads as `Json::Uint`: a token that parses as a
+    /// `u64`, which only an integral one without a sign does.
+    fn u64(&mut self) -> Option<u64> {
+        self.number()?.0.parse().ok()
+    }
+
+    /// A report float as `Json::as_f64` reads it, minus the integral
+    /// tokens the encoder never writes (`1` for `1.0`).
+    fn f64(&mut self) -> Option<f64> {
+        if self.line.as_bytes().get(self.pos) == Some(&b'"') {
+            return [
+                ("\"NaN\"", f64::NAN),
+                ("\"inf\"", f64::INFINITY),
+                ("\"-inf\"", f64::NEG_INFINITY),
+            ]
+            .into_iter()
+            .find_map(|(text, value)| self.lit(text).map(|()| value));
+        }
+        let (token, integral) = self.number()?;
+        if integral {
+            return None;
+        }
+        token.parse().ok()
+    }
+
+    /// The raw text up to the next `"`, stepping past that quote.  It is
+    /// only ever matched against names without a `\`, so an escaped name
+    /// matches none of them.
+    fn name(&mut self) -> Option<&'a str> {
+        let rest = self.line.get(self.pos..)?;
+        let len = rest.find('"')?;
+        self.pos += len + 1;
+        Some(&rest[..len])
+    }
+
+    /// An object of floats as [`push_floats`] writes it with `keys`.
+    fn floats<const N: usize>(&mut self, keys: &[&str; N]) -> Option<[f64; N]> {
+        let mut values = [0.0; N];
+        for (key, value) in keys.iter().zip(&mut values) {
+            self.lit(key)?;
+            *value = self.f64()?;
+        }
+        self.lit("}")?;
+        Some(values)
+    }
+
+    /// A report object as [`encode_report_into`] writes it.
+    fn report(&mut self) -> Option<SimulationReport> {
+        self.lit("{\"power_mw\":")?;
+        let [laser, tuning, detection, conversion, control] = self.floats(&POWER_KEYS)?;
+        self.lit(",\"area_mm2\":")?;
+        let [mr_banks, arm_devices, unit_electronics] = self.floats(&AREA_KEYS)?;
+        self.lit(",\"metrics\":")?;
+        let [conv_time, fc_time, electronic_time, fps, energy, energy_per_bit_pj, kfps_per_watt, watts] =
+            self.floats(&METRICS_KEYS)?;
+        self.lit(",\"resolution_bits\":")?;
+        let resolution_bits = u32::try_from(self.u64()?).ok()?;
+        self.lit("}")?;
+        Some(SimulationReport {
+            power: crosslight_core::power::AcceleratorPower {
+                laser: MilliWatts::new(laser),
+                tuning: MilliWatts::new(tuning),
+                detection: MilliWatts::new(detection),
+                conversion: MilliWatts::new(conversion),
+                control: MilliWatts::new(control),
+            },
+            area: crosslight_core::area::AcceleratorArea {
+                mr_banks: SquareMillimeters::new(mr_banks),
+                arm_devices: SquareMillimeters::new(arm_devices),
+                unit_electronics: SquareMillimeters::new(unit_electronics),
+            },
+            metrics: InferenceMetrics {
+                latency: InferenceLatency {
+                    conv_time: Seconds::new(conv_time),
+                    fc_time: Seconds::new(fc_time),
+                    electronic_time: Seconds::new(electronic_time),
+                },
+                fps,
+                energy_per_inference: Picojoules::new(energy),
+                energy_per_bit_pj,
+                kfps_per_watt,
+                power: Watts::new(watts),
+            },
+            resolution_bits,
+        })
+    }
+
+    /// Succeeds when the whole line has been read.
+    fn end(&self) -> Option<()> {
+        (self.pos == self.line.len()).then_some(())
+    }
+}
+
+/// The request `line` holds when it is exactly what [`encode_request`]
+/// writes for a CrossLight design point on a Table I model; `None` for any
+/// other line.
+fn exact_eval_request(line: &str) -> Option<Request> {
+    let mut at = Exact { line, pos: 0 };
+    at.lit(ID_HEAD)?;
+    let id = at.u64()?;
+    at.lit(",\"op\":\"eval\",\"config\":{\"variant\":\"")?;
+    let variant = CrossLightVariant::from_label(at.name()?)?;
+    at.lit(",\"dims\":[")?;
+    let mut dims = [0usize; 4];
+    for (i, dim) in dims.iter_mut().enumerate() {
+        if i > 0 {
+            at.lit(",")?;
+        }
+        *dim = usize::try_from(at.u64()?).ok()?;
+    }
+    at.lit("],\"resolution_bits\":")?;
+    let resolution_bits = u32::try_from(at.u64()?).ok()?;
+    at.lit("},\"model\":\"")?;
+    let model = PaperModel::from_wire_name(at.name()?)?;
+    at.lit("}")?;
+    at.end()?;
+    Some(Request {
+        id,
+        body: RequestBody::Eval(EvalSpec::crosslight(
+            variant,
+            (dims[0], dims[1], dims[2], dims[3]),
+            resolution_bits,
+            WorkloadRef::Model(model),
+        )),
+    })
+}
+
+/// The answer `line` holds when it is exactly what [`encode_response`]
+/// writes for an eval answer with an id; `None` for any other line.
+fn exact_eval_answer(line: &str) -> Option<Response> {
+    let mut at = Exact { line, pos: 0 };
+    at.lit(ID_HEAD)?;
+    let id = at.u64()?;
+    at.lit(",\"ok\":{\"type\":\"eval\",\"cache_hit\":")?;
+    let cache_hit = match at.lit("true") {
+        Some(()) => true,
+        None => at.lit("false").map(|()| false)?,
+    };
+    at.lit(",\"worker\":")?;
+    let worker = at.u64()?;
+    at.lit(",\"report\":")?;
+    let report = at.report()?;
+    at.lit("}}")?;
+    at.end()?;
+    Some(Response {
+        id: Some(id),
+        body: ResponseBody::Eval(EvalFrame {
+            report,
+            cache_hit,
+            worker,
+        }),
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crosslight_core::simulator::CrossLightSimulator;
+    use proptest::prelude::*;
 
     fn paper_workloads() -> [Arc<NetworkWorkload>; 4] {
         PaperModel::all().map(|m| Arc::new(NetworkWorkload::from_spec(&m.spec()).unwrap()))
@@ -2642,5 +2877,451 @@ mod tests {
         ] {
             assert_eq!(peek_answer(&line), None, "{line}");
         }
+    }
+
+    // ---- the exact-layout reader against the tree --------------------------
+
+    /// The sixteen floats of a report, in the encoder's order.
+    fn report_values(report: &SimulationReport) -> [f64; 16] {
+        let (p, a, m) = (&report.power, &report.area, &report.metrics);
+        [
+            p.laser.value(),
+            p.tuning.value(),
+            p.detection.value(),
+            p.conversion.value(),
+            p.control.value(),
+            a.mr_banks.value(),
+            a.arm_devices.value(),
+            a.unit_electronics.value(),
+            m.latency.conv_time.value(),
+            m.latency.fc_time.value(),
+            m.latency.electronic_time.value(),
+            m.fps,
+            m.energy_per_inference.value(),
+            m.energy_per_bit_pj,
+            m.kfps_per_watt,
+            m.power.value(),
+        ]
+    }
+
+    /// The report holding `v`, in [`report_values`]' order.
+    fn report_from(v: [f64; 16], resolution_bits: u32) -> SimulationReport {
+        SimulationReport {
+            power: crosslight_core::power::AcceleratorPower {
+                laser: MilliWatts::new(v[0]),
+                tuning: MilliWatts::new(v[1]),
+                detection: MilliWatts::new(v[2]),
+                conversion: MilliWatts::new(v[3]),
+                control: MilliWatts::new(v[4]),
+            },
+            area: crosslight_core::area::AcceleratorArea {
+                mr_banks: SquareMillimeters::new(v[5]),
+                arm_devices: SquareMillimeters::new(v[6]),
+                unit_electronics: SquareMillimeters::new(v[7]),
+            },
+            metrics: InferenceMetrics {
+                latency: InferenceLatency {
+                    conv_time: Seconds::new(v[8]),
+                    fc_time: Seconds::new(v[9]),
+                    electronic_time: Seconds::new(v[10]),
+                },
+                fps: v[11],
+                energy_per_inference: Picojoules::new(v[12]),
+                energy_per_bit_pj: v[13],
+                kfps_per_watt: v[14],
+                power: Watts::new(v[15]),
+            },
+            resolution_bits,
+        }
+    }
+
+    /// Everything an eval answer carries, floats as bits.
+    fn answer_bits(response: &Response) -> (Option<u64>, bool, u64, u32, [u64; 16]) {
+        let ResponseBody::Eval(frame) = &response.body else {
+            panic!("expected an eval answer, got {response:?}");
+        };
+        (
+            response.id,
+            frame.cache_hit,
+            frame.worker,
+            frame.report.resolution_bits,
+            report_values(&frame.report).map(f64::to_bits),
+        )
+    }
+
+    /// Fails unless the exact reader declines `line` or returns what the
+    /// tree returns, every float bit for bit.  Returns whether it accepted.
+    fn exact_agrees(line: &str) -> bool {
+        if let Some(exact) = exact_eval_request(line) {
+            assert_eq!(decode_request_tree(line), Ok(exact), "{line}");
+            return true;
+        }
+        if let Some(exact) = exact_eval_answer(line) {
+            let tree = decode_response_tree(line).unwrap_or_else(|err| panic!("{line}: {err:?}"));
+            assert_eq!(answer_bits(&exact), answer_bits(&tree), "{line}");
+            return true;
+        }
+        false
+    }
+
+    /// Ids, workers and dims, with 0 and `u64::MAX` drawn often.
+    fn counter_value() -> impl Strategy<Value = u64> {
+        (0usize..5, proptest::num::u64::ANY).prop_map(|(pick, any)| match pick {
+            0 => 0,
+            1 => u64::MAX,
+            2 => any % 1_000,
+            _ => any,
+        })
+    }
+
+    /// Resolutions, with 0 and `u32::MAX` drawn often.
+    fn bits_value() -> impl Strategy<Value = u32> {
+        (0usize..4, proptest::num::u32::ANY).prop_map(|(pick, any)| match pick {
+            0 => 0,
+            1 => u32::MAX,
+            2 => any % 33,
+            _ => any,
+        })
+    }
+
+    /// Report floats: NaN, ±inf, ±0.0, subnormals and the extremes drawn
+    /// often, then any subnormal, then any bit pattern at all.
+    fn report_value() -> impl Strategy<Value = f64> {
+        const SPECIAL: [f64; 11] = [
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            0.0,
+            -0.0,
+            5e-324,
+            -5e-324,
+            f64::from_bits(0x000F_FFFF_FFFF_FFFF),
+            f64::MIN_POSITIVE,
+            f64::MAX,
+            -f64::MAX,
+        ];
+        (0usize..3, 0usize..SPECIAL.len(), proptest::num::u64::ANY).prop_map(
+            |(pick, special, bits)| match pick {
+                0 => SPECIAL[special],
+                1 => f64::from_bits(bits & 0x800F_FFFF_FFFF_FFFF),
+                _ => f64::from_bits(bits),
+            },
+        )
+    }
+
+    /// Report floats of a size a simulator reports, with one in four drawn
+    /// from [`report_value`].  `f64`'s `Display` writes no exponent, so an
+    /// arbitrary bit pattern is hundreds of digits long; mostly-plain
+    /// reports keep every truncation of a line cheap to check.
+    fn mostly_plain_value() -> impl Strategy<Value = f64> {
+        (0u32..4, report_value(), -1.0f64..1.0, -15i32..15).prop_map(
+            |(pick, special, mantissa, decade)| match pick {
+                0 => special,
+                _ => mantissa * 10f64.powi(decade),
+            },
+        )
+    }
+
+    /// A CrossLight eval request on a Table I model, as every load
+    /// generator sends one.
+    fn eval_request() -> impl Strategy<Value = Request> {
+        (
+            counter_value(),
+            0usize..4,
+            proptest::collection::vec(counter_value(), 4),
+            bits_value(),
+            0usize..4,
+        )
+            .prop_map(|(id, variant, dims, bits, model)| {
+                let dim = |i: usize| usize::try_from(dims[i]).unwrap_or(usize::MAX);
+                Request {
+                    id,
+                    body: RequestBody::Eval(EvalSpec::crosslight(
+                        CrossLightVariant::all()[variant],
+                        (dim(0), dim(1), dim(2), dim(3)),
+                        bits,
+                        WorkloadRef::Model(PaperModel::all()[model]),
+                    )),
+                }
+            })
+    }
+
+    /// An eval answer with any id, worker and hit flag, its report's floats
+    /// drawn from `float`.
+    fn eval_answer(float: impl Strategy<Value = f64>) -> impl Strategy<Value = Response> {
+        (
+            counter_value(),
+            counter_value(),
+            0u32..2,
+            proptest::collection::vec(float, 16),
+            bits_value(),
+        )
+            .prop_map(|(id, worker, cache_hit, values, bits)| Response {
+                id: Some(id),
+                body: ResponseBody::Eval(EvalFrame {
+                    report: report_from(values.try_into().unwrap(), bits),
+                    cache_hit: cache_hit == 1,
+                    worker,
+                }),
+            })
+    }
+
+    /// The bytes the single-byte edits delete, replace and insert with.
+    const PROBES: &[u8; 12] = b" \"\\,:}]09-.e";
+
+    /// Number texts that replace one number of a line: integers where the
+    /// encoder writes floats, texts only the tree's tokenizer splits right,
+    /// values past every integer type, and the extremes that still fit.
+    const NUMBERS: [&str; 22] = [
+        "1",
+        "-1",
+        "0",
+        "-0",
+        ".5",
+        "-.5",
+        "5.",
+        "1e400",
+        "-1e400",
+        "1e-400",
+        "1E5",
+        "1.0e+2",
+        "1.0.0",
+        "--3",
+        "1-2",
+        "007",
+        "+1.0",
+        "4294967295",
+        "4294967296",
+        "18446744073709551615",
+        "18446744073709551616",
+        "99999999999999999999.5",
+    ];
+
+    /// Members that join an object: duplicates of the encoder's own keys,
+    /// keys it never writes, and the `arch` and `workload` members of the
+    /// requests the exact reader leaves to the tree.
+    const MEMBERS: [&str; 10] = [
+        "\"v\":1",
+        "\"id\":5",
+        "\"op\":\"ping\"",
+        "\"arch\":\"crosslight\"",
+        "\"workload\":{}",
+        "\"model\":\"cnn_cifar10\"",
+        "\"cache_hit\":false",
+        "\"laser\":1.5",
+        "\"resolution_bits\":8",
+        "\"x\":null",
+    ];
+
+    /// The byte ranges of a line's number tokens.
+    fn number_spans(line: &str) -> Vec<Range<usize>> {
+        let bytes = line.as_bytes();
+        let mut spans = Vec::new();
+        let mut i = 0;
+        while i < bytes.len() {
+            if matches!(bytes[i], b'-' | b'0'..=b'9') && i > 0 && b":[,".contains(&bytes[i - 1]) {
+                let (len, _) = json::number_token(&bytes[i..]);
+                spans.push(i..i + len);
+                i += len;
+            } else {
+                i += 1;
+            }
+        }
+        spans
+    }
+
+    /// The byte offsets where a key or a string value opens.
+    fn string_starts(line: &str) -> Vec<usize> {
+        let bytes = line.as_bytes();
+        (1..bytes.len())
+            .filter(|&i| bytes[i] == b'"' && b"{,:".contains(&bytes[i - 1]))
+            .collect()
+    }
+
+    /// The lines one structural mutation of `line` gives, each site picked
+    /// by the next word of `picks`.  Truncations are left to the caller,
+    /// which checks every one as a borrowed prefix.
+    fn mutations(line: &str, picks: &[u64]) -> Vec<String> {
+        let mut picks = picks.iter().map(|&p| p as usize).cycle();
+        let mut pick = |n: usize| picks.next().unwrap() % n.max(1);
+        let splice = |at: Range<usize>, with: &str| {
+            format!("{}{with}{}", &line[..at.start], &line[at.end..])
+        };
+        let mut out = Vec::new();
+        // Single-byte edits at random sites.
+        for _ in 0..12 {
+            let at = pick(line.len());
+            let probe = char::from(PROBES[pick(PROBES.len())]).to_string();
+            out.push(splice(at..at + 1, ""));
+            out.push(splice(at..at + 1, &probe));
+            out.push(splice(at..at, &probe));
+        }
+        // Whitespace, inside, before and after.
+        for ws in [" ", "\t", "\n", "\r"] {
+            let at = pick(line.len() + 1);
+            out.push(splice(at..at, ws));
+        }
+        out.push(format!(" {line}"));
+        // Trailing bytes.
+        for tail in [" ", "\n", "}", ",", "x", "0"] {
+            out.push(format!("{line}{tail}"));
+        }
+        // A number replaced, twice per text.
+        let spans = number_spans(line);
+        for text in NUMBERS {
+            for _ in 0..2 {
+                out.push(splice(spans[pick(spans.len())].clone(), text));
+            }
+        }
+        // `1.0` written as `1`: a float's `.0` dropped.
+        for span in &spans {
+            if line[span.clone()].ends_with(".0") {
+                out.push(splice(span.end - 2..span.end, ""));
+            }
+        }
+        // A key or a string value spelled with a `\u` escape.
+        let starts = string_starts(line);
+        for _ in 0..4 {
+            let at = starts[pick(starts.len())] + 1;
+            let escaped = format!("\\u{:04x}", line.as_bytes()[at]);
+            out.push(splice(at..at + 1, &escaped));
+        }
+        // Members reordered: two neighbouring strings swapped, which swaps
+        // two keys (and so their members' order) or a key and a value.
+        for _ in 0..4 {
+            let i = pick(starts.len());
+            let (a, b) = (starts[i], starts[(i + 1) % starts.len()]);
+            let key = |at: usize| &line[at..=at + line[at + 1..].find('"').unwrap() + 1];
+            let (first, second) = (key(a.min(b)), key(a.max(b)));
+            out.push(
+                line.replacen(first, "\u{0}", 1)
+                    .replacen(second, first, 1)
+                    .replacen("\u{0}", second, 1),
+            );
+        }
+        // A duplicate or extra member after an opening brace or a comma.
+        let opens: Vec<usize> = (0..line.len())
+            .filter(|&i| matches!(line.as_bytes()[i], b'{' | b','))
+            .collect();
+        for member in MEMBERS {
+            let at = opens[pick(opens.len())] + 1;
+            out.push(splice(at..at, &format!("{member},")));
+        }
+        // Byte soup: slices of the line glued in random order, and random
+        // bytes from the JSON alphabet and beyond.
+        for _ in 0..4 {
+            let mut soup = String::new();
+            for _ in 0..1 + pick(6) {
+                let start = pick(line.len());
+                let end = start + pick(line.len() - start + 1);
+                soup.push_str(&line[start..end]);
+            }
+            out.push(soup);
+            let soup: String = (0..pick(64))
+                .map(|_| char::from_u32(pick(0x250) as u32).unwrap_or('?'))
+                .collect();
+            out.push(soup);
+        }
+        out
+    }
+
+    proptest! {
+        /// (a) Every eval request and answer the encoders write — any id
+        /// and worker, both hit flags, any report float — is read by the
+        /// exact reader, bit for bit the value encoded and the value the
+        /// tree reads.
+        #[test]
+        fn exact_reader_accepts_every_encoded_hot_frame(
+            request in eval_request(),
+            answer in eval_answer(report_value()),
+        ) {
+            let line = encode_request(&request);
+            prop_assert_eq!(exact_eval_request(&line), Some(request), "{}", line);
+            prop_assert!(exact_agrees(&line));
+
+            let line = encode_response(&answer);
+            let exact = exact_eval_answer(&line).unwrap_or_else(|| panic!("declined {line}"));
+            prop_assert!(exact_agrees(&line));
+            let (id, cache_hit, worker, bits, floats) = answer_bits(&answer);
+            let (exact_id, exact_hit, exact_worker, exact_bits, exact_floats) = answer_bits(&exact);
+            prop_assert_eq!((exact_id, exact_hit, exact_worker, exact_bits), (id, cache_hit, worker, bits));
+            for (sent, read) in floats.into_iter().zip(exact_floats) {
+                // The wire carries every NaN as `"NaN"`, read as `f64::NAN`.
+                if f64::from_bits(sent).is_nan() {
+                    prop_assert_eq!(read, f64::NAN.to_bits());
+                } else {
+                    prop_assert_eq!(read, sent);
+                }
+            }
+        }
+
+        /// (b) Whatever a mutated line is — truncated, edited, spaced,
+        /// escaped, reordered, padded with members or numbers the encoder
+        /// never writes, or byte soup — the exact reader declines it or
+        /// reads what the tree reads.
+        #[test]
+        fn exact_reader_declines_or_agrees_with_the_tree(
+            request in eval_request(),
+            answer in eval_answer(mostly_plain_value()),
+            picks in proptest::collection::vec(proptest::num::u64::ANY, 64),
+        ) {
+            for line in [encode_request(&request), encode_response(&answer)] {
+                for end in 0..line.len() {
+                    prop_assert!(!exact_agrees(&line[..end]), "accepted {}", &line[..end]);
+                }
+                for mutated in mutations(&line, &picks) {
+                    exact_agrees(&mutated);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn exact_reader_agrees_on_every_single_byte_edit_of_sample_frames() {
+        let request = encode_request(&Request {
+            id: 7,
+            body: RequestBody::Eval(EvalSpec::paper(
+                CrossLightVariant::OptTed,
+                PaperModel::Lenet5SignMnist,
+            )),
+        });
+        let mut values = report_values(
+            &CrossLightSimulator::new(CrossLightConfig::paper_best())
+                .evaluate(&paper_workloads()[0])
+                .unwrap(),
+        );
+        values[..4].copy_from_slice(&[f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.0]);
+        let answer = encode_response(&Response {
+            id: Some(12),
+            body: ResponseBody::Eval(EvalFrame {
+                report: report_from(values, 16),
+                cache_hit: true,
+                worker: 1,
+            }),
+        });
+        let (mut edits, mut accepted) = (0, 0);
+        for line in [request, answer] {
+            for at in 0..=line.len() {
+                let (head, tail) = line.split_at(at);
+                let mut edited = vec![head.to_string()];
+                if !tail.is_empty() {
+                    edited.push(format!("{head}{}", &tail[1..]));
+                }
+                for &probe in PROBES {
+                    let probe = char::from(probe);
+                    edited.push(format!("{head}{probe}{tail}"));
+                    if !tail.is_empty() {
+                        edited.push(format!("{head}{probe}{}", &tail[1..]));
+                    }
+                }
+                for line in edited {
+                    edits += 1;
+                    accepted += usize::from(exact_agrees(&line));
+                }
+            }
+        }
+        // Edits that keep the layout (a digit for a digit, say) are read;
+        // the count shows the check is not vacuous.
+        assert!(accepted > edits / 50, "{accepted} of {edits} accepted");
     }
 }

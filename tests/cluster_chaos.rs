@@ -202,6 +202,26 @@ fn wait_for(what: &str, deadline: Duration, mut done: impl FnMut() -> bool) {
     }
 }
 
+/// `n` addresses that refuse every dial for as long as the returned
+/// listeners live.  Each listener holds a port `P` on `127.0.0.1`, and the
+/// address handed out is `127.0.0.2:P`, where nothing listens.  A dropped
+/// listener's port could be handed to another test's listener; a held one
+/// cannot, and no code binds a wildcard address that would cover
+/// `127.0.0.2:P`.
+fn refusing_addrs(n: usize) -> (Vec<TcpListener>, Vec<SocketAddr>) {
+    let holders: Vec<TcpListener> = (0..n)
+        .map(|_| TcpListener::bind("127.0.0.1:0").expect("reserve a port"))
+        .collect();
+    let addrs = holders
+        .iter()
+        .map(|holder| {
+            let port = holder.local_addr().expect("reserved port").port();
+            SocketAddr::from(([127, 0, 0, 2], port))
+        })
+        .collect();
+    (holders, addrs)
+}
+
 /// One `stats` answer read over the wire from `addr`.
 fn stats_over_wire(addr: SocketAddr) -> StatsFrame {
     let mut client =
@@ -458,13 +478,7 @@ fn restarted_backend_is_readmitted_through_half_open_probing() {
 
 #[test]
 fn all_backends_down_degrades_to_bounded_retryable_unavailable() {
-    // Bind-then-drop three listeners: live addresses nobody answers on.
-    let addrs: Vec<SocketAddr> = (0..3)
-        .map(|_| {
-            let listener = TcpListener::bind("127.0.0.1:0").expect("bind throwaway listener");
-            listener.local_addr().expect("throwaway listener addr")
-        })
-        .collect();
+    let (_reserved, addrs) = refusing_addrs(3);
     let options = chaos_options()
         .with_request_deadline(Duration::from_secs(2))
         .with_retry(RetryPolicy {
@@ -1448,13 +1462,7 @@ fn a_line_at_the_length_limit_still_fits_the_backend_after_many_requests_on_its_
 
 #[test]
 fn refused_dials_spend_attempts_and_shed_long_before_the_deadline() {
-    // Bind-then-drop: addresses that refuse every dial.
-    let addrs: Vec<SocketAddr> = (0..2)
-        .map(|_| {
-            let listener = TcpListener::bind("127.0.0.1:0").expect("bind throwaway listener");
-            listener.local_addr().expect("throwaway listener addr")
-        })
-        .collect();
+    let (_reserved, addrs) = refusing_addrs(2);
     let deadline = Duration::from_secs(20);
     // No breaker opens and no probe runs during the test: the dials alone
     // must use up the eval's attempts.
