@@ -6,15 +6,16 @@
 //!
 //! * **Closed** — healthy; eligible for dispatch.
 //! * **Open** — `failure_threshold` consecutive failures tripped it; no
-//!   requests are routed here.  After `open_cooldown` the health prober
+//!   requests are routed here.  After `open_cooldown` the backend's link
 //!   moves it to half-open.
-//! * **Half-open** — still excluded from dispatch, but the prober sends
-//!   trial pings; one success closes the breaker (readmission), one
-//!   failure re-opens it and restarts the cooldown.
+//! * **Half-open** — still excluded from dispatch, but the link dials
+//!   and sends a trial ping; its pong closes the breaker (readmission,
+//!   through *warming* when a warm handoff runs first), a failure re-opens
+//!   it and restarts the cooldown.
 //!
-//! Requests never probe an open circuit themselves — only the prober
-//! does — so a dead backend costs the cluster one ping per
-//! `health_interval` instead of one timeout per request.
+//! Requests never probe an open circuit themselves — only the backend's
+//! link does — so a dead backend costs the cluster one trial per
+//! `open_cooldown` instead of one timeout per request.
 //!
 //! # Rendezvous placement
 //!
@@ -215,8 +216,7 @@ impl BackendState {
     /// Claims a successful half-open probe for a warm handoff: half-open
     /// becomes warming, and the backend keeps taking no traffic until
     /// [`BackendState::complete_warming`].  Returns `false` if the
-    /// breaker was not half-open (e.g. a concurrent probe already
-    /// readmitted it).
+    /// breaker was not half-open.
     pub fn begin_warming(&self) -> bool {
         self.state
             .compare_exchange(
@@ -248,7 +248,7 @@ impl BackendState {
     }
 
     /// Moves an open breaker whose cooldown has elapsed into half-open;
-    /// called by the health prober each tick.
+    /// called by the backend's link on each pass of its loop.
     pub fn tick_probation(&self) -> Transition {
         if self.state() == CircuitState::Open {
             let opened_at = *self

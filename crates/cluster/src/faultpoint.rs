@@ -2,7 +2,7 @@
 //!
 //! The chaos suite needs to break the router's view of its backends at
 //! precise moments — a connection that dies mid-exchange, a response that
-//! arrives corrupted, a health probe that stalls — and needs the breakage
+//! arrives corrupted, a health ping that stalls — and needs the breakage
 //! to be *reproducible* so a failing run can be replayed from its seed.
 //!
 //! A [`FaultPlan`] is a list of [`FaultRule`]s, each naming an injection
@@ -30,9 +30,13 @@ use crosslight_neural::fingerprint::fingerprint;
 pub enum FaultPoint {
     /// Once per request a backend link writes, before it is staged.
     BackendSend,
-    /// Once per answer line a backend link reads.
+    /// Once per answer line a backend link reads, pongs included.
     BackendRecv,
-    /// Immediately before a health probe dials a backend.
+    /// Once per ping a backend link sends, before it dials (when it has
+    /// no socket) and writes the ping; `backend.send` never sees a ping.
+    /// `Kill` fails the ping, `Stall` sleeps and then fails it, `Slow`
+    /// sleeps and `Garble` corrupts the ping line.  A failed ping is a
+    /// link death like any other.
     HealthProbe,
     /// Immediately before the router starts a warm-state handoff to a
     /// rejoining backend.  `Kill`/`Stall` abort the transfer outright;
@@ -68,7 +72,7 @@ impl FaultPoint {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultAction {
     /// Kill the backend link, as if the peer died mid-burst.  At
-    /// `health.probe` the probe is failed outright.
+    /// `health.probe` the ping fails outright, which kills the link too.
     Kill,
     /// Sleep this many milliseconds *and then fail* the operation — a peer
     /// that hangs past its deadline.  The router's per-hop timeouts bound

@@ -7,14 +7,14 @@
 //! pool of **event loops** (one per core, clamped to 1..=4) frame each
 //! client's lines, answer local ops and dispatch evals.  Each backend gets
 //! one **link** thread, owning one pipelined socket with at most
-//! [`link::WINDOW`] requests in flight, plus one **health prober**; one
-//! **retry timer** holds backed-off jobs.  A router therefore runs
-//! `2 + event_loops + 2 × backends` threads at any client count.  Links,
-//! the timer and the shed paths answer through the client's connection
-//! handle under the front-end's flush-then-wake rule, so they never block
-//! on a slow client.  `stats` and `metrics` block on every backend, so
-//! each runs on a short-lived thread that answers through the same handle
-//! and counts in its drain barrier.
+//! [`link::WINDOW`] requests in flight, over which it also checks the
+//! backend's health; one **retry timer** holds backed-off jobs.  A router
+//! therefore runs `2 + event_loops + backends` threads at any client
+//! count.  Links, the timer and the shed paths answer through the
+//! client's connection handle under the front-end's flush-then-wake rule,
+//! so they never block on a slow client.  `stats` and `metrics` block on
+//! every backend, so each runs on a short-lived thread that answers
+//! through the same handle and counts in its drain barrier.
 //!
 //! # Bit-identical forwarding
 //!
@@ -55,7 +55,7 @@
 //!
 //! A backend readmitted through half-open probing can receive a **warm
 //! handoff** (`RouterOptions::handoff`, on by default): while the breaker
-//! sits in the `warming` state — still excluded from routing — the router
+//! sits in the `warming` state — still excluded from routing — its link
 //! pulls `snapshot` streams from the surviving replicas, keeps the
 //! entries whose shard includes the rejoining backend (plus all
 //! shard-agnostic model-cache entries), and `restore`s them, so the first
@@ -66,8 +66,7 @@
 //! exactly once and the loser is cancelled or discarded, never delivered.
 
 use std::collections::HashSet;
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex};
@@ -82,14 +81,14 @@ use crosslight_server::frontend::{
     default_event_loops, Bound, Conn, Frontend, FrontendTelemetry, Handler,
 };
 use crosslight_server::loadgen::{Client, ClientOptions};
-use crosslight_server::poller::{wake_pair, LineScanner, ScanEvent};
+use crosslight_server::poller::wake_pair;
 use crosslight_server::wire::{
     self, ErrorFrame, ErrorKind, MetricsFormat, MetricsFrame, Request, RequestBody, Response,
     ResponseBody, SnapshotEntry, StatsFrame, WireServerStats, DEFAULT_MAX_LINE_BYTES,
 };
 use crosslight_telemetry::{render_text, Counter, Gauge, Histogram, Registry, RegistrySnapshot};
 
-use crate::backend::{rendezvous_order, BackendState, CircuitState, Transition};
+use crate::backend::{rendezvous_order, BackendState, CircuitState};
 use crate::faultpoint::{FaultAction, FaultPlan, FaultPoint};
 use crate::retry::{RetryBudget, RetryPolicy};
 
@@ -115,11 +114,15 @@ pub struct RouterOptions {
     /// End-to-end deadline of one client request, covering every retry
     /// and backoff; expiry sheds the request with `unavailable`.
     pub request_deadline: Duration,
-    /// Period of per-backend health probes.
+    /// How long a backend link may read nothing before it pings its
+    /// closed backend.
     pub health_interval: Duration,
-    /// Bound on one health probe (connect + ping + pong).
+    /// How long a link waits for any answer after a ping before it is
+    /// declared dead; also bounds each backend's part of a `stats` or
+    /// `metrics` fan-out.
     pub health_timeout: Duration,
-    /// How long an open breaker cools down before half-open probing.
+    /// How long an open breaker cools down before the link's half-open
+    /// trial (a fresh dial and a ping).
     pub open_cooldown: Duration,
     /// Consecutive failures that trip a backend's breaker.
     pub failure_threshold: u32,
@@ -326,6 +329,7 @@ struct ClusterTelemetry {
     hedges_wasted: Counter,
     forwarded: Vec<Counter>,
     backend_failures: Vec<Counter>,
+    /// Set from the breakers at each scrape.
     backend_state: Vec<Gauge>,
     circuit_opened: Vec<Counter>,
     readmitted: Vec<Counter>,
@@ -521,10 +525,6 @@ impl ClusterTelemetry {
             registry,
         }
     }
-
-    fn sync_state_gauge(&self, backend: usize, state: CircuitState) {
-        self.backend_state[backend].set(state.as_gauge());
-    }
 }
 
 /// One admitted eval in flight through the cluster: the client's raw
@@ -597,7 +597,7 @@ impl ClusterShared {
             .set(self.budget.balance_tenths() as i64);
         telemetry.faults_injected.store(self.faults().injected());
         for backend in &self.backends {
-            telemetry.sync_state_gauge(backend.index, backend.state());
+            telemetry.backend_state[backend.index].set(backend.state().as_gauge());
         }
         telemetry.registry.snapshot()
     }
@@ -631,8 +631,9 @@ pub struct RouterStats {
     pub readmitted: Vec<u64>,
 }
 
-/// Poll period of the link/retry/prober loops when idle; bounds how long
-/// shutdown waits for them to notice the flag.
+/// Longest sleep of the link and retry loops: bounds how late a link
+/// notices its breaker's cooldown elapse, and how long shutdown waits for
+/// the retry timer to notice the flag.
 const IDLE_POLL: Duration = Duration::from_millis(20);
 
 /// Bound on dialing a backend.
@@ -667,7 +668,6 @@ pub struct Router {
     shared: Arc<ClusterShared>,
     frontend: Frontend,
     link_threads: Vec<JoinHandle<()>>,
-    prober_threads: Vec<JoinHandle<()>>,
     retry_thread: Option<JoinHandle<()>>,
 }
 
@@ -746,15 +746,6 @@ impl Router {
                     .expect("spawning a backend link succeeds")
             })
             .collect();
-        let prober_threads = (0..shared.backends.len())
-            .map(|index| {
-                let shared = Arc::clone(&shared);
-                std::thread::Builder::new()
-                    .name(format!("crosslight-cluster-probe-{index}"))
-                    .spawn(move || prober_loop(&shared, index))
-                    .expect("spawning a health prober succeeds")
-            })
-            .collect();
         let retry_thread = {
             let shared = Arc::clone(&shared);
             std::thread::Builder::new()
@@ -773,7 +764,6 @@ impl Router {
             shared,
             frontend,
             link_threads,
-            prober_threads,
             retry_thread: Some(retry_thread),
         })
     }
@@ -849,7 +839,7 @@ impl Router {
             let _ = handle.join();
         }
         // No unresolved job exists now; retire the retry timer, then the
-        // links and probers.
+        // links.
         drop(
             self.shared
                 .retry_tx
@@ -865,9 +855,6 @@ impl Router {
             link.wake();
         }
         for handle in self.link_threads.drain(..) {
-            let _ = handle.join();
-        }
-        for handle in self.prober_threads.drain(..) {
             let _ = handle.join();
         }
     }
@@ -1130,129 +1117,11 @@ fn fire_due(shared: &Arc<ClusterShared>, parked: &mut Vec<Parked>, fire_all: boo
 }
 
 // ---------------------------------------------------------------------------
-// Health probing
-// ---------------------------------------------------------------------------
-
-fn prober_loop(shared: &Arc<ClusterShared>, backend: usize) {
-    loop {
-        // Sleep one health interval in short slices so shutdown is never
-        // blocked behind a long interval.
-        let mut remaining = shared.options.health_interval;
-        while !remaining.is_zero() {
-            if shared.shutting_down.load(Ordering::SeqCst) {
-                return;
-            }
-            let slice = remaining.min(IDLE_POLL);
-            std::thread::sleep(slice);
-            remaining = remaining.saturating_sub(slice);
-        }
-        if shared.shutting_down.load(Ordering::SeqCst) {
-            return;
-        }
-        if shared.backends[backend].tick_probation() == Transition::Probation {
-            shared
-                .telemetry
-                .sync_state_gauge(backend, CircuitState::HalfOpen);
-        }
-        // Open circuits cool down untouched; closed ones get a liveness
-        // watch and half-open ones a readmission trial.
-        if shared.backends[backend].state() == CircuitState::Open {
-            continue;
-        }
-        if probe(shared, backend) {
-            shared.telemetry.probes_ok[backend].inc();
-            if shared.options.handoff
-                && shared.backends[backend].state() == CircuitState::HalfOpen
-                && shared.backends[backend].begin_warming()
-            {
-                // Readmission with warm state: the backend stays out of
-                // the routing set (warming) while surviving replicas'
-                // snapshots are restored into it, so its first routed
-                // request already hits a warm cache.  Any handoff failure
-                // degrades to the plain cold readmission below.
-                shared
-                    .telemetry
-                    .sync_state_gauge(backend, CircuitState::Warming);
-                attempt_handoff(shared, backend);
-                if shared.backends[backend].complete_warming() == Transition::Readmitted {
-                    shared.telemetry.readmitted[backend].inc();
-                }
-            } else if shared.backends[backend].record_success() == Transition::Readmitted {
-                shared.telemetry.readmitted[backend].inc();
-            }
-        } else {
-            shared.telemetry.probes_failed[backend].inc();
-            if shared.backends[backend].record_failure() == Transition::Opened {
-                shared.telemetry.circuit_opened[backend].inc();
-            }
-        }
-        shared
-            .telemetry
-            .sync_state_gauge(backend, shared.backends[backend].state());
-    }
-}
-
-/// One ping/pong with a deadline; `false` on any deviation.
-fn probe(shared: &Arc<ClusterShared>, backend: usize) -> bool {
-    let timeout = shared.options.health_timeout;
-    let mut garble = false;
-    match shared.faults().check(FaultPoint::HealthProbe, backend) {
-        Some(FaultAction::Kill) => return false,
-        Some(FaultAction::Stall(ms)) => {
-            std::thread::sleep(Duration::from_millis(ms));
-            return false;
-        }
-        Some(FaultAction::Slow(ms)) => std::thread::sleep(Duration::from_millis(ms)),
-        Some(FaultAction::Garble) => garble = true,
-        None => {}
-    }
-    let addr = shared.backends[backend].addr();
-    let Ok(stream) = TcpStream::connect_timeout(&addr, timeout) else {
-        return false;
-    };
-    if stream.set_read_timeout(Some(timeout)).is_err()
-        || stream.set_write_timeout(Some(timeout)).is_err()
-        || stream.set_nodelay(true).is_err()
-    {
-        return false;
-    }
-    let mut ping = wire::encode_request(&Request {
-        id: 0,
-        body: RequestBody::Ping,
-    });
-    if garble {
-        ping = FaultPlan::garble_line(&ping);
-    }
-    ping.push('\n');
-    if (&stream).write_all(ping.as_bytes()).is_err() {
-        return false;
-    }
-    let mut scanner = LineScanner::new();
-    let mut chunk = [0u8; 1024];
-    let mut pong = None;
-    while pong.is_none() {
-        match (&stream).read(&mut chunk) {
-            Ok(0) | Err(_) => return false,
-            Ok(read) => scanner.push(&chunk[..read], DEFAULT_MAX_LINE_BYTES, |event| {
-                pong = Some(event);
-                false
-            }),
-        };
-    }
-    matches!(pong, Some(ScanEvent::Line(line)) if matches!(
-        wire::decode_response(&line),
-        Ok(Response {
-            id: Some(0),
-            body: ResponseBody::Pong,
-        })
-    ))
-}
-
-// ---------------------------------------------------------------------------
 // Warm-state handoff
 // ---------------------------------------------------------------------------
 
-/// One warm-state handoff into a rejoining backend, with telemetry: pull
+/// One warm-state handoff into a rejoining backend, run by its link while
+/// the backend is warming, with telemetry: pull
 /// snapshots from the surviving replicas, keep the entries the rejoining
 /// backend is responsible for, restore them, and time the whole thing.
 /// Failure is never fatal — the backend is readmitted cold.
@@ -1388,7 +1257,15 @@ fn push_warm_state(
     client
         .send_raw(&end)
         .map_err(|err| format!("send restore end: {err}"))?;
-    match client.recv() {
+    // A line the backend cannot decode is answered at once and without an
+    // id; the answer to `restore_end` is its verdict on the whole stream.
+    let verdict = loop {
+        match client.recv() {
+            Ok(Response { id: None, .. }) => {}
+            verdict => break verdict,
+        }
+    };
+    match verdict {
         Ok(Response {
             body: ResponseBody::Restored(frame),
             ..

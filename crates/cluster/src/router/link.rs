@@ -1,5 +1,6 @@
 //! One pipelined link per backend: a persistent socket, owned by one
-//! thread, that carries many clients' requests at once.
+//! thread, that carries many clients' requests at once and checks the
+//! backend's health.
 //!
 //! Dispatching threads append jobs to the link's [`Backlog`] and wake the
 //! link thread only when they make the backlog non-empty, so a burst costs
@@ -20,10 +21,23 @@
 //! `backend.send` `Kill`/`Stall` names goes through
 //! [`retry_after_failure`]; every other outstanding or queued job fails
 //! over without spending an attempt or a budget token.  A link from before
-//! the backend's last outage or re-address is dropped the same way, with
-//! no failure booked against the live backend.  A dial that fails wrote
-//! nothing, so it is one failure and each job it strands is charged an
-//! attempt, as any failed I/O is.
+//! the backend's last re-address is dropped the same way, with no failure
+//! booked against the live backend.  A dial that fails wrote nothing, so
+//! it is one failure and each job it strands is charged an attempt, as any
+//! failed I/O is.
+//!
+//! # Health
+//!
+//! Any answer is proof of life.  A link that read nothing for
+//! `health_interval` pings its closed backend under [`PING_ID`], dialing
+//! first if it has no socket; a ping takes no slot or backlog place and
+//! moves no load gauge.  Nothing read for `health_timeout` after it kills
+//! the link as `timeout`.  A failed ping is a link death like any other,
+//! and a failed health probe too.  Once an open breaker cools down, the
+//! link's half-open trial is a fresh dial and a ping: the pong readmits
+//! the backend, after a warm handoff run here when `handoff` is on, and a
+//! failure re-opens the breaker.  An idle router holds one connection per
+//! closed backend and dials no other.
 
 use std::collections::VecDeque;
 use std::io::{ErrorKind as IoErrorKind, Read, Write};
@@ -38,10 +52,10 @@ use crosslight_server::wire::{self, AnswerPeek};
 use crosslight_telemetry::Gauge;
 
 use super::{
-    dispatch, retry_after_failure, shed, ClusterShared, ForwardJob, ShedReason, CONNECT_TIMEOUT,
-    IDLE_POLL,
+    attempt_handoff, dispatch, retry_after_failure, shed, ClusterShared, ForwardJob, ShedReason,
+    CONNECT_TIMEOUT, IDLE_POLL,
 };
-use crate::backend::Transition;
+use crate::backend::{CircuitState, Transition};
 use crate::faultpoint::{FaultAction, FaultPlan, FaultPoint};
 
 /// Most requests one link keeps in flight; jobs beyond it wait in the
@@ -59,19 +73,25 @@ pub(super) const WINDOW: usize = 8;
 // could send is one the backend accepts.
 const _: () = assert!(WINDOW <= 10, "slot ids must stay one digit");
 
+/// The id a link's ping goes out under: no window slot uses it, so its
+/// pong never names a job.
+const PING_ID: u64 = WINDOW as u64;
+
 /// Why a link was torn down: the `reason` label of
 /// `cluster_link_resets_total`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(super) enum Reset {
     /// The backend closed the connection.
     Eof,
-    /// A socket error, a failed dial, or an injected kill.
+    /// A socket error, a failed dial, an error answer to a ping, or an
+    /// injected kill.
     Error,
     /// A line that is not a well-formed answer of a known kind.
     Garbled,
     /// An answer whose id is not in flight on this link.
     UnknownId,
-    /// No answer read, or no byte written, for `request_timeout`.
+    /// No answer read, or no byte written, for `request_timeout`; or no
+    /// answer read for `health_timeout` after a ping.
     Timeout,
     /// The backend's generation moved on: an outage or re-address.
     Stale,
@@ -165,6 +185,11 @@ struct Link<'a> {
     /// When the link last read an answer, or went from idle to
     /// outstanding: the liveness clock.
     progress: Instant,
+    /// When the link last read an answer, wrote a ping or died: the
+    /// health clock.
+    quiet_since: Instant,
+    /// Whether a ping awaits its pong.
+    pinged: bool,
     /// Client connections that got answers since the last flush.
     touched: Vec<Arc<Conn>>,
 }
@@ -177,6 +202,8 @@ pub(super) fn run(shared: &Arc<ClusterShared>, backend: usize, wake: &WakeReceiv
         socket: None,
         slots: std::array::from_fn(|_| None),
         progress: Instant::now(),
+        quiet_since: Instant::now(),
+        pinged: false,
         touched: Vec::new(),
     };
     let mut poll_set = PollSet::new();
@@ -184,6 +211,7 @@ pub(super) fn run(shared: &Arc<ClusterShared>, backend: usize, wake: &WakeReceiv
     while !shared.retired.load(Ordering::SeqCst) {
         link.drop_stale();
         link.admit();
+        link.check_health();
         link.write();
         // Answers read on the last pass reach their clients after the
         // window was refilled, so the backend starts on the next burst
@@ -218,8 +246,7 @@ pub(super) fn run(shared: &Arc<ClusterShared>, backend: usize, wake: &WakeReceiv
 }
 
 impl Link<'_> {
-    /// Drops a socket dialed before the backend's last outage or
-    /// re-address.
+    /// Drops a socket dialed before the backend's last re-address.
     fn drop_stale(&mut self) {
         let generation = self.shared.backends[self.backend].generation();
         if self
@@ -330,6 +357,69 @@ impl Link<'_> {
         }
     }
 
+    /// Runs the breaker's clock, then pings when one is due: at once for
+    /// a half-open backend (its readmission trial), after `health_interval`
+    /// of quiet for a closed one.
+    fn check_health(&mut self) {
+        let (shared, backend) = (self.shared, self.backend);
+        let state = &shared.backends[backend];
+        state.tick_probation();
+        let due = match state.state() {
+            CircuitState::Closed => self.quiet_since.elapsed() >= shared.options.health_interval,
+            CircuitState::HalfOpen => true,
+            CircuitState::Open | CircuitState::Warming => false,
+        };
+        if due && !self.pinged {
+            self.ping();
+        }
+    }
+
+    /// Stages one ping, dialing first if the link has no socket.  A
+    /// `health.probe` fault or a failed dial fails it at once.
+    fn ping(&mut self) {
+        // In flight from here, so a failure below books a failed probe.
+        self.pinged = true;
+        self.quiet_since = Instant::now();
+        let garble = match self.fault(FaultPoint::HealthProbe) {
+            Ok(garble) => garble,
+            Err(reason) => return self.reset(reason),
+        };
+        if self.socket.is_none() && self.dial().is_err() {
+            return self.reset(Reset::Error);
+        }
+        let mut line = wire::encode_request(&wire::Request {
+            id: PING_ID,
+            body: wire::RequestBody::Ping,
+        });
+        if garble {
+            line = FaultPlan::garble_line(&line);
+        }
+        let socket = self.socket.as_mut().expect("the ping dialed the link");
+        socket.out.extend_from_slice(line.as_bytes());
+        socket.out.push(b'\n');
+    }
+
+    /// The pong: the backend is alive, and a half-open one is readmitted,
+    /// warm when `handoff` is on.
+    fn pong(&mut self) {
+        let (shared, backend) = (self.shared, self.backend);
+        let telemetry = &shared.telemetry;
+        let state = &shared.backends[backend];
+        self.pinged = false;
+        telemetry.probes_ok[backend].inc();
+        let transition = if shared.options.handoff && state.begin_warming() {
+            // Warming keeps the backend out of the routing set until the
+            // handoff is done or has fallen back cold.
+            attempt_handoff(shared, backend);
+            state.complete_warming()
+        } else {
+            state.record_success()
+        };
+        if transition == Transition::Readmitted {
+            telemetry.readmitted[backend].inc();
+        }
+    }
+
     /// Dials the backend.
     fn dial(&mut self) -> std::io::Result<()> {
         let backend = &self.shared.backends[self.backend];
@@ -417,6 +507,16 @@ impl Link<'_> {
             self.reset(Reset::Garbled);
             return false;
         };
+        let now = Instant::now();
+        self.quiet_since = now;
+        if peek.id == PING_ID {
+            if peek.error.is_some() {
+                self.reset(Reset::Error);
+                return false;
+            }
+            self.pong();
+            return true;
+        }
         let slot = usize::try_from(peek.id)
             .ok()
             .and_then(|id| self.slots.get_mut(id));
@@ -425,7 +525,7 @@ impl Link<'_> {
             return false;
         };
         self.publish_in_flight();
-        self.progress = Instant::now();
+        self.progress = now;
         if !outstanding.shed {
             self.resolve(outstanding, &peek, &line);
         }
@@ -445,10 +545,9 @@ impl Link<'_> {
             return retry_after_failure(shared, backend, job, Some(answer), detail);
         }
         telemetry.hop_ns.record(written.elapsed().as_nanos() as u64);
-        if shared.backends[backend].record_success() == Transition::Readmitted {
-            telemetry.readmitted[backend].inc();
-        }
-        telemetry.sync_state_gauge(backend, shared.backends[backend].state());
+        // Only a closed backend's link carries evals: readmission is the
+        // pong's.
+        shared.backends[backend].record_success();
         shared.budget.deposit();
         if !job.claim() {
             // The other copy answered first.
@@ -470,17 +569,21 @@ impl Link<'_> {
         }
     }
 
-    /// Kills a link that made no progress for `request_timeout`, and sheds
-    /// outstanding jobs whose deadline passed.
+    /// Kills a link that made no progress for `request_timeout` or left a
+    /// ping unanswered for `health_timeout`, and sheds outstanding jobs
+    /// whose deadline passed.
     fn expire(&mut self) {
         let now = Instant::now();
-        let timeout = self.shared.options.request_timeout;
+        let options = &self.shared.options;
+        let timeout = options.request_timeout;
         if let Some(socket) = &self.socket {
             let stalled = socket
                 .stalled_since
                 .is_some_and(|since| now.duration_since(since) >= timeout);
             let silent = self.in_flight() > 0 && now.duration_since(self.progress) >= timeout;
-            if stalled || silent {
+            let unanswered =
+                self.pinged && now.duration_since(self.quiet_since) >= options.health_timeout;
+            if stalled || silent || unanswered {
                 return self.reset(Reset::Timeout);
             }
         }
@@ -501,13 +604,20 @@ impl Link<'_> {
         }
     }
 
-    /// How long the next poll may sleep: until the liveness bound or the
-    /// next outstanding deadline, and at most [`IDLE_POLL`].
+    /// How long the next poll may sleep: until the liveness bound, the
+    /// next ping or its timeout, or the next outstanding deadline, and at
+    /// most [`IDLE_POLL`].
     fn poll_timeout(&self) -> Duration {
         let now = Instant::now();
+        let options = &self.shared.options;
         let mut wake_at = now + IDLE_POLL;
         if self.in_flight() > 0 {
-            wake_at = wake_at.min(self.progress + self.shared.options.request_timeout);
+            wake_at = wake_at.min(self.progress + options.request_timeout);
+        }
+        if self.pinged {
+            wake_at = wake_at.min(self.quiet_since + options.health_timeout);
+        } else if self.shared.backends[self.backend].available() {
+            wake_at = wake_at.min(self.quiet_since + options.health_interval);
         }
         for outstanding in self.slots.iter().flatten().filter(|o| !o.shed) {
             wake_at = wake_at.min(outstanding.job.deadline);
@@ -515,18 +625,23 @@ impl Link<'_> {
         wake_at.saturating_duration_since(now)
     }
 
-    /// Drops the socket and books why: one failure unless it is `stale`.
+    /// Drops the socket and books why: one failure unless it is `stale`,
+    /// and a failed health probe too when a ping was unanswered.
     fn close(&mut self, reason: Reset) {
         let (shared, backend) = (self.shared, self.backend);
         let telemetry = &shared.telemetry;
         self.socket = None;
+        self.quiet_since = Instant::now();
+        let pinged = std::mem::take(&mut self.pinged);
         telemetry.link_resets[backend][reason as usize].inc();
         if reason != Reset::Stale {
+            if pinged {
+                telemetry.probes_failed[backend].inc();
+            }
             telemetry.backend_failures[backend].inc();
             if shared.backends[backend].record_failure() == Transition::Opened {
                 telemetry.circuit_opened[backend].inc();
             }
-            telemetry.sync_state_gauge(backend, shared.backends[backend].state());
         }
     }
 

@@ -70,7 +70,7 @@ fn connect_and_eval(addr: SocketAddr, id: u64) -> Client {
 }
 
 #[test]
-fn a_router_runs_exactly_acceptor_loops_links_probers_and_retry_timer() {
+fn a_router_runs_exactly_acceptor_loops_links_and_retry_timer() {
     let backends: Vec<Server> = (0..2)
         .map(|_| {
             Server::bind(
@@ -83,9 +83,8 @@ fn a_router_runs_exactly_acceptor_loops_links_probers_and_retry_timer() {
     let addrs: Vec<SocketAddr> = backends.iter().map(Server::local_addr).collect();
     let router =
         Router::bind("127.0.0.1:0", &addrs, RouterOptions::default()).expect("bind router");
-    // Acceptor, retry timer, event loops, and a link and a prober per
-    // backend.
-    let expected = 2 + default_event_loops() + 2 * addrs.len();
+    // Acceptor, retry timer, event loops, and a link per backend.
+    let expected = 2 + default_event_loops() + addrs.len();
 
     let first = connect_and_eval(router.local_addr(), 0);
     let names = threads_settled_at("crosslight-clus", expected);

@@ -48,13 +48,14 @@ use crate::cache::{CacheKey, Cached, ShardedCache};
 use crate::error::{Result, RuntimeError};
 use crate::request::{EvalRequest, EvalResponse, KeyedRequest};
 
+/// Independent shards of the result cache.
+const CACHE_SHARDS: usize = 16;
+
 /// Tuning knobs of the evaluation service.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RuntimeOptions {
     /// Number of worker threads (clamped to at least 1).
     pub workers: usize,
-    /// Number of independent cache shards (clamped to at least 1).
-    pub cache_shards: usize,
     /// Trace every `n`-th request submitted through `submit`/`submit_batch`
     /// (`0` disables sampling, `1` traces everything).  Items passed to
     /// `submit_detached_batch` carry their own traces and ignore this knob.
@@ -69,13 +70,6 @@ impl RuntimeOptions {
         self
     }
 
-    /// Returns a copy with a different shard count.
-    #[must_use]
-    pub fn with_cache_shards(mut self, cache_shards: usize) -> Self {
-        self.cache_shards = cache_shards;
-        self
-    }
-
     /// Returns a copy with a different trace sampling period.
     #[must_use]
     pub fn with_trace_sampling(mut self, every: u64) -> Self {
@@ -85,14 +79,13 @@ impl RuntimeOptions {
 }
 
 impl Default for RuntimeOptions {
-    /// One worker per available core (falling back to 4), 16 cache shards,
-    /// trace sampling off.
+    /// One worker per available core (falling back to 4), trace sampling
+    /// off.
     fn default() -> Self {
         Self {
             workers: std::thread::available_parallelism()
                 .map(std::num::NonZeroUsize::get)
                 .unwrap_or(4),
-            cache_shards: 16,
             trace_sample_every: 0,
         }
     }
@@ -415,7 +408,7 @@ impl EvalService {
     #[must_use]
     pub fn with_model_cache(options: RuntimeOptions, model_cache: Arc<ModelCache>) -> Self {
         let workers = options.workers.max(1);
-        let cache = Arc::new(ShardedCache::new(options.cache_shards));
+        let cache = Arc::new(ShardedCache::new(CACHE_SHARDS));
         let telemetry = Arc::new(Telemetry::new(workers, &cache, &options));
         let mut senders = Vec::with_capacity(workers);
         let mut handles = Vec::with_capacity(workers);
@@ -1388,7 +1381,6 @@ mod tests {
     fn zero_workers_is_clamped_to_one() {
         let service = EvalService::new(RuntimeOptions {
             workers: 0,
-            cache_shards: 0,
             trace_sample_every: 0,
         });
         assert_eq!(service.workers(), 1);

@@ -157,9 +157,7 @@ proptest! {
             })
             .collect();
 
-        let service = EvalService::new(
-            RuntimeOptions::default().with_workers(workers).with_cache_shards(4),
-        );
+        let service = EvalService::new(RuntimeOptions::default().with_workers(workers));
 
         // Random partition into consecutive batches.
         let mut responses = Vec::with_capacity(universe.len());

@@ -23,8 +23,10 @@
 //! this tree: `crate::wire` reads them straight from the line's bytes in
 //! the encoder's exact layout and hands every other line to [`Json::parse`].
 //! That reader splits numbers with this parser's own `number_token` and
-//! parses them with the same `str::parse` calls, so the two readers cannot
-//! disagree on a number.
+//! parses them with the same `str::parse` calls and `parse_float`, so the
+//! two readers cannot disagree on a number.  Both accept only JSON's
+//! number grammar: `007`, `5.`, `-.5` and `1.e5` are malformed, and so is
+//! a float too large for an `f64` (`1e400`), rather than infinite.
 
 use std::fmt::Write as _;
 
@@ -277,24 +279,50 @@ fn write_f64(value: f64, out: &mut String) {
 }
 
 /// Splits off the number token `bytes` starts with, as the parser splits
-/// it: an optional `-`, then every digit, `.`, `e`, `E`, `+` and `-` that
-/// follows.  Returns the token's length and whether it is integral (no
-/// byte after the sign is one of `.eE+-`).  The caller has checked that
-/// the token starts with `-` or a digit; the parser rejects any other
-/// first byte, so `.5` is never a number.
-pub(crate) fn number_token(bytes: &[u8]) -> (usize, bool) {
-    let sign = usize::from(bytes.first() == Some(&b'-'));
-    let mut integral = true;
-    let mut len = sign;
-    for &b in &bytes[sign..] {
-        match b {
-            b'0'..=b'9' => {}
-            b'.' | b'e' | b'E' | b'+' | b'-' => integral = false,
-            _ => break,
-        }
-        len += 1;
+/// it: every byte up to the first that is none of `0-9.eE+-`.  Returns
+/// the token's length and whether it is integral (no fraction and no
+/// exponent), or `None` unless the token is a JSON number,
+/// `-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?`.
+pub(crate) fn number_token(bytes: &[u8]) -> Option<(usize, bool)> {
+    let digits = |from: usize| {
+        bytes.get(from..).map_or(0, |rest| {
+            rest.iter().take_while(|b| b.is_ascii_digit()).count()
+        })
+    };
+    let mut len = usize::from(bytes.first() == Some(&b'-'));
+    let whole = digits(len);
+    if whole == 0 || (whole > 1 && bytes[len] == b'0') {
+        return None;
     }
-    (len, integral)
+    len += whole;
+    let mut integral = true;
+    if bytes.get(len) == Some(&b'.') {
+        let fraction = digits(len + 1);
+        if fraction == 0 {
+            return None;
+        }
+        len += 1 + fraction;
+        integral = false;
+    }
+    if matches!(bytes.get(len), Some(b'e' | b'E')) {
+        len += 1 + usize::from(matches!(bytes.get(len + 1), Some(b'+' | b'-')));
+        let exponent = digits(len);
+        if exponent == 0 {
+            return None;
+        }
+        len += exponent;
+        integral = false;
+    }
+    match bytes.get(len) {
+        Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-') => None,
+        _ => Some((len, integral)),
+    }
+}
+
+/// A float token's value, or `None` when it is too large for an `f64`:
+/// JSON has no infinite number, though `str::parse` reads one.
+pub(crate) fn parse_float(token: &str) -> Option<f64> {
+    token.parse::<f64>().ok().filter(|value| value.is_finite())
 }
 
 fn write_string(s: &str, out: &mut String) {
@@ -514,10 +542,14 @@ impl Parser<'_> {
 
     fn number(&mut self) -> Result<Json, JsonError> {
         let start = self.pos;
-        let (len, integral) = number_token(&self.bytes[start..]);
+        let invalid = || JsonError {
+            offset: start,
+            message: "invalid number".to_string(),
+        };
+        let (len, integral) = number_token(&self.bytes[start..]).ok_or_else(invalid)?;
         self.pos += len;
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("invalid number"))?;
+        // The token is ASCII: the grammar admits no other byte.
+        let text = std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|_| invalid())?;
         if integral {
             if let Ok(v) = text.parse::<u64>() {
                 return Ok(Json::Uint(v));
@@ -526,10 +558,7 @@ impl Parser<'_> {
                 return Ok(Json::Int(v));
             }
         }
-        text.parse::<f64>().map(Json::Float).map_err(|_| JsonError {
-            offset: start,
-            message: "invalid number".to_string(),
-        })
+        parse_float(text).map(Json::Float).ok_or_else(invalid)
     }
 }
 
@@ -613,6 +642,16 @@ mod tests {
             "1 2",
             "--3",
             "1.2.3",
+            // Texts `str::parse` reads but JSON's number grammar forbids,
+            // and floats past the largest `f64`.
+            "007",
+            "-01",
+            "5.",
+            "-.5",
+            "01.5",
+            "1.e5",
+            "1e400",
+            "-1e400",
             "[1]]",
             "{\"a\":1,}",
             "\u{1}",

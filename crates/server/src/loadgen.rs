@@ -443,13 +443,6 @@ pub struct LoadGenOptions {
     pub seed: u64,
     /// The scenario pool each client draws from uniformly.
     pub scenarios: Vec<EvalSpec>,
-    /// How many times a response whose error frame is
-    /// [retryable](ErrorKind::retryable) is re-sent (0 disables the retry
-    /// loop; non-retryable errors are never re-sent).
-    pub retries: u32,
-    /// Base delay between retry rounds; round `n` (1-based) waits
-    /// `retry_backoff * n` — linear backoff, bounded by `retries`.
-    pub retry_backoff: Duration,
 }
 
 impl LoadGenOptions {
@@ -477,18 +470,7 @@ impl LoadGenOptions {
             requests_per_client: requests_per_client.max(1),
             seed,
             scenarios,
-            retries: 0,
-            retry_backoff: Duration::from_millis(10),
         }
-    }
-
-    /// Returns a copy that retries retryable error responses up to
-    /// `retries` times with linear `retry_backoff` between rounds.
-    #[must_use]
-    pub fn with_retries(mut self, retries: u32, retry_backoff: Duration) -> Self {
-        self.retries = retries;
-        self.retry_backoff = retry_backoff;
-        self
     }
 
     /// The deterministic spec sequence of one client (what [`run`] sends).
@@ -516,9 +498,6 @@ pub struct LoadReport {
     pub ok: u64,
     /// Responses shed with `overloaded`.
     pub shed: u64,
-    /// Individual re-sends performed by the retry loop (0 when
-    /// [`LoadGenOptions::retries`] is 0 or nothing needed retrying).
-    pub retried: u64,
     /// Any other error responses (by kind name), including id-less error
     /// frames (e.g. `oversized` rejections, which cannot echo an id).
     pub errors: Vec<(ErrorKind, u64)>,
@@ -558,7 +537,7 @@ impl LoadReport {
 /// Panics if a client thread itself panicked.
 pub fn run(addr: SocketAddr, options: &LoadGenOptions) -> std::io::Result<LoadReport> {
     let start = Instant::now();
-    let outcomes: Vec<std::io::Result<(Vec<Response>, HistogramSnapshot, u64)>> =
+    let outcomes: Vec<std::io::Result<(Vec<Response>, HistogramSnapshot)>> =
         std::thread::scope(|scope| {
             let handles: Vec<_> = (0..options.clients)
                 .map(|client| {
@@ -567,16 +546,9 @@ pub fn run(addr: SocketAddr, options: &LoadGenOptions) -> std::io::Result<LoadRe
                         let base_id = options.request_id(client, 0);
                         let mut connection = Client::connect(addr)?;
                         let latency = Histogram::new();
-                        let mut responses =
+                        let responses =
                             connection.eval_pipelined_timed(&specs, base_id, &latency)?;
-                        let retried = retry_retryable(
-                            &mut connection,
-                            &specs,
-                            base_id,
-                            &mut responses,
-                            options,
-                        )?;
-                        Ok((responses, latency.snapshot(), retried))
+                        Ok((responses, latency.snapshot()))
                     })
                 })
                 .collect();
@@ -589,14 +561,12 @@ pub fn run(addr: SocketAddr, options: &LoadGenOptions) -> std::io::Result<LoadRe
 
     let mut ok = 0u64;
     let mut shed = 0u64;
-    let mut retried = 0u64;
     let mut errors: Vec<(ErrorKind, u64)> = Vec::new();
     let mut responses: Vec<(u64, Response)> = Vec::new();
     let mut latency = HistogramSnapshot::empty();
     for outcome in outcomes {
-        let (client_responses, client_latency, client_retried) = outcome?;
+        let (client_responses, client_latency) = outcome?;
         latency = latency.merge(&client_latency);
-        retried += client_retried;
         for response in client_responses {
             match &response.body {
                 ResponseBody::Eval(_) => ok += 1,
@@ -627,63 +597,11 @@ pub fn run(addr: SocketAddr, options: &LoadGenOptions) -> std::io::Result<LoadRe
         sent: (options.clients * options.requests_per_client) as u64,
         ok,
         shed,
-        retried,
         errors,
         elapsed,
         latency,
         responses,
     })
-}
-
-/// The client-side retry loop: re-sends every response whose error frame
-/// is [retryable](ErrorKind::retryable) — and only those — for up to
-/// `options.retries` rounds with linear backoff, replacing the failed
-/// response in place.  Returns how many individual re-sends happened.
-/// A connection that died in the meantime is re-established through
-/// [`Client::reconnect`].
-fn retry_retryable(
-    connection: &mut Client,
-    specs: &[EvalSpec],
-    base_id: u64,
-    responses: &mut [Response],
-    options: &LoadGenOptions,
-) -> std::io::Result<u64> {
-    let mut retried = 0u64;
-    for round in 1..=options.retries {
-        // Correlate by id (pipelined responses arrive out of order); only
-        // id-carrying retryable error frames can be mapped back to a spec.
-        let pending: Vec<usize> = responses
-            .iter()
-            .enumerate()
-            .filter_map(|(index, response)| match (&response.body, response.id) {
-                (ResponseBody::Error(frame), Some(id)) if frame.kind.retryable() => {
-                    let offset = id.checked_sub(base_id)?;
-                    (offset < specs.len() as u64).then_some(index)
-                }
-                _ => None,
-            })
-            .collect();
-        if pending.is_empty() {
-            break;
-        }
-        std::thread::sleep(options.retry_backoff * round);
-        for index in pending {
-            let id = responses[index].id.expect("filtered on id presence");
-            let spec = &specs[(id - base_id) as usize];
-            retried += 1;
-            let replacement = match connection.eval(id, spec) {
-                Ok(response) => response,
-                Err(_) => {
-                    // The peer vanished mid-retry: dial again, then re-send
-                    // (evals are idempotent, so a duplicate is harmless).
-                    connection.reconnect()?;
-                    connection.eval(id, spec)?
-                }
-            };
-            responses[index] = replacement;
-        }
-    }
-    Ok(retried)
 }
 
 #[cfg(test)]
@@ -712,7 +630,6 @@ mod tests {
             sent: 0,
             ok: 0,
             shed: 0,
-            retried: 0,
             errors: vec![],
             elapsed: Duration::ZERO,
             latency: HistogramSnapshot::empty(),

@@ -2027,15 +2027,9 @@ impl<'a> Exact<'a> {
     }
 
     /// The number token at the cursor and whether it is integral, split
-    /// by the tree parser's own tokenizer.  Like that parser, it needs a
-    /// `-` or a digit first: `str::parse` would read `.5`, which the tree
-    /// rejects.
+    /// and checked by the tree parser's own tokenizer.
     fn number(&mut self) -> Option<(&'a str, bool)> {
-        let rest = &self.line.as_bytes()[self.pos..];
-        if !matches!(rest.first(), Some(b'-' | b'0'..=b'9')) {
-            return None;
-        }
-        let (len, integral) = json::number_token(rest);
+        let (len, integral) = json::number_token(&self.line.as_bytes()[self.pos..])?;
         let token = self.line.get(self.pos..self.pos + len)?;
         self.pos += len;
         Some((token, integral))
@@ -2063,7 +2057,7 @@ impl<'a> Exact<'a> {
         if integral {
             return None;
         }
-        token.parse().ok()
+        json::parse_float(token)
     }
 
     /// The raw text up to the next `"`, stepping past that quote.  It is
@@ -3120,7 +3114,7 @@ mod tests {
         let mut i = 0;
         while i < bytes.len() {
             if matches!(bytes[i], b'-' | b'0'..=b'9') && i > 0 && b":[,".contains(&bytes[i - 1]) {
-                let (len, _) = json::number_token(&bytes[i..]);
+                let (len, _) = json::number_token(&bytes[i..]).expect("encoded numbers are valid");
                 spans.push(i..i + len);
                 i += len;
             } else {
@@ -3273,6 +3267,34 @@ mod tests {
                     exact_agrees(&mutated);
                 }
             }
+        }
+    }
+
+    #[test]
+    fn number_texts_json_forbids_are_malformed_to_both_readers() {
+        let request = encode_request(&Request {
+            id: 7,
+            body: RequestBody::Eval(EvalSpec::paper(
+                CrossLightVariant::OptTed,
+                PaperModel::Lenet5SignMnist,
+            )),
+        });
+        let answer = encode_response(&Response {
+            id: Some(12),
+            body: ResponseBody::Eval(EvalFrame {
+                report: report_from([1.5; 16], 16),
+                cache_hit: true,
+                worker: 1,
+            }),
+        });
+        let malformed = Some(ErrorKind::Malformed);
+        for text in ["007", "-01", "5.", "-.5", "01.5", "1.e5", "1e400", "-1e400"] {
+            let request = request.replacen("\"id\":7,", &format!("\"id\":{text},"), 1);
+            assert_eq!(exact_eval_request(&request), None, "{request}");
+            assert_eq!(decode_request(&request).err().map(|f| f.kind), malformed);
+            let answer = answer.replacen("\"laser\":1.5", &format!("\"laser\":{text}"), 1);
+            assert!(exact_eval_answer(&answer).is_none(), "{answer}");
+            assert_eq!(decode_response(&answer).err().map(|f| f.kind), malformed);
         }
     }
 

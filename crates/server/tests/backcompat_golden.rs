@@ -92,7 +92,6 @@ fn serve_corpus() -> String {
         PaperModel::all().map(|m| Arc::new(NetworkWorkload::from_spec(&m.spec()).unwrap()));
     let service = EvalService::new(RuntimeOptions {
         workers: 1,
-        cache_shards: 1,
         trace_sample_every: 0,
     });
     let mut out = String::from("wire_v1_backcompat/v1\n");

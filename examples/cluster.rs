@@ -20,8 +20,8 @@
 //!    lost, the answers stay bit-identical, and the re-routing is
 //!    observable (nonzero failovers, nonzero backend transport faults).
 //! 3. **Warm readmission** — the killed backend restarts on a new
-//!    ephemeral port and rejoins through half-open probing *warm*: the
-//!    prober hands its shards back from the surviving replicas before
+//!    ephemeral port and rejoins through half-open probing *warm*: its
+//!    link hands its shards back from the surviving replicas before
 //!    traffic returns (observable in `cluster_handoff_*`), the final
 //!    sweep serves across all three backends again, and the reborn
 //!    backend answers it with **zero** result-cache misses.  The
@@ -280,7 +280,8 @@ fn main() {
     );
 
     // ---- Phase 3: restart + warm readmission via half-open probing ---------
-    // First let the prober notice the corpse and trip the breaker.
+    // First let backend 1's link notice the corpse (its socket closes, then
+    // its pings' dials are refused) and trip the breaker.
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
         let stats = router.stats();
@@ -289,7 +290,7 @@ fn main() {
         }
         assert!(
             Instant::now() < deadline,
-            "the prober never tripped the breaker on dead backend 1: {stats:?}"
+            "the link never tripped the breaker on dead backend 1: {stats:?}"
         );
         std::thread::sleep(Duration::from_millis(10));
     }
@@ -318,7 +319,7 @@ fn main() {
     let reborn_addr = reborn.local_addr();
     backends[1] = Some(reborn);
 
-    // The readmission must have been *warm*: the prober pulled backend 1's
+    // The readmission must have been *warm*: backend 1's link pulled its
     // shards from the surviving replicas and restored them before closing
     // the breaker.
     let router_scrape = scrape_json(router.local_addr());

@@ -273,9 +273,11 @@ fn router_stats_are_the_field_wise_sum_of_its_backends() {
     };
     let expected = StatsFrame {
         server: WireServerStats {
-            // Health probes and the fan-out's own dials move these three
-            // between the router's read and ours.
-            connections_accepted: routed.server.connections_accepted,
+            // Each read dials every backend once; the router's links hold
+            // one connection each and dial no other.
+            connections_accepted: server(|s| s.connections_accepted) - parts.len() as u64,
+            // The links' pings and the fan-out's closing connection move
+            // these two between the router's read and ours.
             connections_active: routed.server.connections_active,
             requests_total: routed.server.requests_total,
             evals_ok: server(|s| s.evals_ok),
@@ -338,8 +340,8 @@ fn three_backend_cluster_is_bit_identical_to_one_eval_service() {
     let scrape = router.metrics_snapshot();
     assert_eq!(family_total(&scrape, "cluster_evals_ok_total"), 96);
     assert!(family_total(&scrape, "cluster_forwarded_total") >= 96);
-    // A fast sweep can outrun the first prober tick; probes are periodic,
-    // so they must show up shortly regardless.
+    // A link pings only once it has been quiet for an interval, so the
+    // first ping follows the sweep.
     wait_for("the first health probe", Duration::from_secs(10), || {
         let scrape = router.metrics_snapshot();
         family_total(&scrape, "cluster_health_probes_total") > 0
@@ -432,7 +434,8 @@ fn restarted_backend_is_readmitted_through_half_open_probing() {
         .expect("bind router");
 
     doomed.shutdown();
-    // The prober notices within a couple of intervals and trips the breaker.
+    // The link reads the close, and its next ping's refused dial trips the
+    // breaker.
     wait_for("the breaker to open", Duration::from_secs(10), || {
         router.stats().backend_states[1] == CircuitState::Open
     });
@@ -474,6 +477,155 @@ fn restarted_backend_is_readmitted_through_half_open_probing() {
     router.shutdown();
     healthy.shutdown();
     reborn.shutdown();
+}
+
+/// [`chaos_options`] with a ping timeout no starved test thread reaches,
+/// so every link death an idle-router test sees is one it caused.
+fn idle_options() -> RouterOptions {
+    chaos_options().with_health(
+        Duration::from_millis(20),
+        Duration::from_secs(10),
+        Duration::from_millis(100),
+    )
+}
+
+/// One backend's `cluster_health_probes_total` series for `outcome`.
+fn probes(scrape: &RegistrySnapshot, backend: &str, outcome: &str) -> u64 {
+    labelled_total(
+        scrape,
+        "cluster_health_probes_total",
+        &[("backend", backend), ("outcome", outcome)],
+    )
+}
+
+#[test]
+fn health_probe_faults_fail_pings_through_the_link_like_any_link_death() {
+    // Backend 0's first two pings are killed, which trips its breaker
+    // (threshold 2); backend 1's first ping is garbled, one failure short
+    // of tripping.
+    let faults = FaultPlan::new(vec![
+        FaultRule::once(FaultPoint::HealthProbe, Some(0), 0, FaultAction::Kill),
+        FaultRule::once(FaultPoint::HealthProbe, Some(0), 1, FaultAction::Kill),
+        FaultRule::once(FaultPoint::HealthProbe, Some(1), 0, FaultAction::Garble),
+    ]);
+    let backends = [bind_backend(), bind_backend()];
+    let addrs: Vec<SocketAddr> = backends.iter().map(Server::local_addr).collect();
+    let router = Router::bind(
+        "127.0.0.1:0",
+        &addrs,
+        idle_options().with_faults(Arc::clone(&faults)),
+    )
+    .expect("bind router");
+
+    wait_for(
+        "backend 0's breaker to open",
+        Duration::from_secs(10),
+        || router.stats().backend_states[0] == CircuitState::Open,
+    );
+    let scrape = router.metrics_snapshot();
+    assert_eq!(probes(&scrape, "0", "failed"), 2);
+    let backend_0 = [("backend", "0")];
+    assert_eq!(
+        labelled_total(&scrape, "cluster_backend_failures_total", &backend_0),
+        2
+    );
+    assert_eq!(
+        labelled_total(&scrape, "cluster_circuit_opened_total", &backend_0),
+        1
+    );
+    assert_eq!(
+        labelled_total(
+            &scrape,
+            "cluster_link_resets_total",
+            &[("backend", "0"), ("reason", "error")]
+        ),
+        2
+    );
+
+    // The rules are spent, so the half-open trial's pong readmits it.
+    wait_for("backend 0's readmission", Duration::from_secs(10), || {
+        let stats = router.stats();
+        stats.backend_states[0] == CircuitState::Closed && stats.readmitted[0] == 1
+    });
+    wait_for("backend 1's garbled ping", Duration::from_secs(10), || {
+        let scrape = router.metrics_snapshot();
+        labelled_total(
+            &scrape,
+            "cluster_link_resets_total",
+            &[("backend", "1"), ("reason", "garbled")],
+        ) == 1
+    });
+    let scrape = router.metrics_snapshot();
+    assert_eq!(probes(&scrape, "0", "failed"), 2);
+    assert_eq!(probes(&scrape, "1", "failed"), 1);
+    assert_eq!(
+        labelled_total(
+            &scrape,
+            "cluster_backend_failures_total",
+            &[("backend", "1")]
+        ),
+        1
+    );
+    assert_eq!(family_total(&scrape, "cluster_link_resets_total"), 3);
+    assert_eq!(router.stats().backend_states[1], CircuitState::Closed);
+    assert_eq!(faults.injected(), 3);
+    // Both links go on pinging.
+    let ok: Vec<u64> = ["0", "1"].map(|b| probes(&scrape, b, "ok")).to_vec();
+    wait_for("more pongs on both links", Duration::from_secs(10), || {
+        let scrape = router.metrics_snapshot();
+        ["0", "1"]
+            .iter()
+            .zip(&ok)
+            .all(|(b, &before)| probes(&scrape, b, "ok") > before)
+    });
+
+    router.shutdown();
+    for backend in backends {
+        backend.shutdown();
+    }
+}
+
+#[test]
+fn an_idle_router_holds_one_connection_per_backend_and_dials_no_other() {
+    let backends = [bind_backend(), bind_backend()];
+    let addrs: Vec<SocketAddr> = backends.iter().map(Server::local_addr).collect();
+    let options = idle_options();
+    let interval = options.health_interval;
+    let router = Router::bind("127.0.0.1:0", &addrs, options).expect("bind router");
+
+    // Each link dials once, for its first ping.
+    wait_for("each link's first dial", Duration::from_secs(10), || {
+        backends
+            .iter()
+            .all(|b| b.stats().server.connections_accepted == 1)
+    });
+    let pongs = || family_total(&router.metrics_snapshot(), "cluster_health_probes_total");
+    let before = pongs();
+    let watched = Instant::now();
+    while watched.elapsed() < 25 * interval {
+        for (index, backend) in backends.iter().enumerate() {
+            let server = backend.stats().server;
+            assert_eq!(
+                (server.connections_accepted, server.connections_active),
+                (1, 1),
+                "backend {index} after {:?}",
+                watched.elapsed()
+            );
+        }
+        std::thread::sleep(interval / 2);
+    }
+    // Every ping went over those two connections.
+    assert!(pongs() >= before + 5, "the links must keep pinging");
+    let scrape = router.metrics_snapshot();
+    assert_eq!(
+        probes(&scrape, "0", "failed") + probes(&scrape, "1", "failed"),
+        0
+    );
+
+    router.shutdown();
+    for backend in backends {
+        backend.shutdown();
+    }
 }
 
 #[test]
