@@ -180,38 +180,6 @@ fn main() {
     let batch_per_req_ns = batch.ns_per_iter;
     results.push(batch);
 
-    // ---- tracing-enabled-but-unsampled overhead ---------------------------
-    // A sampling period of u64::MAX arms the tracing machinery (the sampler
-    // runs on every submit) while never actually tracing a request — the
-    // steady-state cost every untraced request pays.  Its baseline is the
-    // tracing-off per-request figure from this same run, so the JSON's
-    // `speedup_vs_baseline` is the overhead ratio (≥ 0.98 ⇔ ≤ 2% overhead).
-    let traced_service = EvalService::new(
-        RuntimeOptions::default()
-            .with_workers(workers)
-            .with_trace_sampling(u64::MAX),
-    );
-    traced_service
-        .submit_batch(requests.clone())
-        .expect("warm-up succeeds");
-    let traced_batch = measure(
-        "direct_submit_batch_warm_mix_unsampled_trace",
-        window_ms,
-        || {
-            traced_service
-                .submit_batch(requests.clone())
-                .expect("dispatch succeeds")
-        },
-    );
-    let traced = per_request(
-        "direct_submit_batch_warm_per_req_unsampled_trace",
-        &traced_batch,
-        requests.len(),
-    );
-    let traced_per_req_ns = traced.ns_per_iter;
-    results.push(traced);
-    traced_service.shutdown();
-
     // ---- the same warm mix over loopback TCP ------------------------------
     let server = Server::bind(
         "127.0.0.1:0",
@@ -296,19 +264,14 @@ fn main() {
     // `speedup_vs_baseline` fields *are* the ratios: the exact-layout
     // decoders vs the tree decoders on the same frame, warm batched dispatch
     // vs serial uncached simulation, loopback vs direct dispatch (≥ 0.5 ⇔
-    // within 2×), four connections vs one (> 1 ⇔ a request is cheaper when
-    // connections share the server), and unsampled-trace vs tracing-off
-    // dispatch (≥ 0.98 ⇔ ≤ 2% tracing overhead).
+    // within 2×), and four connections vs one (> 1 ⇔ a request is cheaper
+    // when connections share the server).
     let baselines: Vec<(&str, f64)> = vec![
         ("wire_decode_request", request_tree_ns),
         ("wire_decode_response", response_tree_ns),
         ("direct_submit_batch_warm_per_req", serial_per_req_ns),
         ("server_loopback_warm_mix", direct_each_ns),
         ("server_loopback_warm_mix_4conn", per_request_ns),
-        (
-            "direct_submit_batch_warm_per_req_unsampled_trace",
-            batch_per_req_ns,
-        ),
     ];
     println!(
         "\nwarm batched dispatch {batch_per_req_ns:.0} ns/req vs serial uncached simulation \
@@ -325,11 +288,6 @@ fn main() {
          {per_request_ns:.0} ns/req → {:.2}×",
         per_request_ns / concurrent_per_req_ns,
     );
-    let overhead = traced_per_req_ns / batch_per_req_ns;
-    println!(
-        "unsampled tracing {traced_per_req_ns:.0} ns/req vs tracing off {batch_per_req_ns:.0} \
-         ns/req → {overhead:.3}× (acceptance bar: ≤ 1.02×)"
-    );
 
     let json = render_trajectory_json(
         "crosslight-bench-server/v1",
@@ -338,8 +296,7 @@ fn main() {
          baseline is measured in this same run: wire_decode_request and wire_decode_response \
          against their _tree siblings, direct_submit_batch_warm_per_req against \
          serial_uncached_per_req, server_loopback_warm_mix against direct_submit_each_warm, \
-         server_loopback_warm_mix_4conn against server_loopback_warm_mix, and the \
-         unsampled-trace entry against direct_submit_batch_warm_per_req)",
+         and server_loopback_warm_mix_4conn against server_loopback_warm_mix)",
         &baselines,
         &results,
     );

@@ -12,9 +12,11 @@
 //! therefore runs `2 + event_loops + backends` threads at any client
 //! count.  Links, the timer and the shed paths answer through the
 //! client's connection handle under the front-end's flush-then-wake rule,
-//! so they never block on a slow client.  `stats` and `metrics` block on
-//! every backend, so each runs on a short-lived thread that answers
-//! through the same handle and counts in its drain barrier.
+//! so they never block on a slow client.  `stats` and `metrics` travel
+//! over the links too: the link of every closed backend writes the
+//! request on its own socket, the link that delivers the last answer
+//! answers the client through the same handle, and the request counts in
+//! the connection's drain barrier until then.
 //!
 //! # Bit-identical forwarding
 //!
@@ -76,7 +78,6 @@ use std::time::{Duration, Instant};
 use crosslight_neural::workload::NetworkWorkload;
 use crosslight_neural::zoo::PaperModel;
 use crosslight_runtime::cache::CacheKey;
-use crosslight_runtime::pool::RuntimeStats;
 use crosslight_server::frontend::{
     default_event_loops, Bound, Conn, Frontend, FrontendTelemetry, Handler,
 };
@@ -84,7 +85,7 @@ use crosslight_server::loadgen::{Client, ClientOptions};
 use crosslight_server::poller::wake_pair;
 use crosslight_server::wire::{
     self, ErrorFrame, ErrorKind, MetricsFormat, MetricsFrame, Request, RequestBody, Response,
-    ResponseBody, SnapshotEntry, StatsFrame, WireServerStats, DEFAULT_MAX_LINE_BYTES,
+    ResponseBody, SnapshotEntry, StatsFrame, DEFAULT_MAX_LINE_BYTES,
 };
 use crosslight_telemetry::{render_text, Counter, Gauge, Histogram, Registry, RegistrySnapshot};
 
@@ -117,9 +118,9 @@ pub struct RouterOptions {
     /// How long a backend link may read nothing before it pings its
     /// closed backend.
     pub health_interval: Duration,
-    /// How long a link waits for any answer after a ping before it is
-    /// declared dead; also bounds each backend's part of a `stats` or
-    /// `metrics` fan-out.
+    /// How long a link waits for any answer after a ping, or after the
+    /// first `stats` or `metrics` request it owes, before it is declared
+    /// dead; so it also bounds each backend's part of such a request.
     pub health_timeout: Duration,
     /// How long an open breaker cools down before the link's half-open
     /// trial (a fresh dial and a ping).
@@ -299,6 +300,11 @@ enum ShedReason {
     Shutdown,
 }
 
+impl ShedReason {
+    /// The label value of each reason, indexed by the reason.
+    const LABELS: [&'static str; 4] = ["deadline", "attempts", "budget", "shutdown"];
+}
+
 /// Counter handles of the router, registered under the `cluster_` prefix.
 #[derive(Debug)]
 struct ClusterTelemetry {
@@ -311,10 +317,8 @@ struct ClusterTelemetry {
     evals_failed: Counter,
     failovers: Counter,
     retries: Counter,
-    shed_deadline: Counter,
-    shed_attempts: Counter,
-    shed_budget: Counter,
-    shed_shutdown: Counter,
+    /// One counter per [`ShedReason`], in label order.
+    shed: [Counter; 4],
     retry_budget_tenths: Gauge,
     faults_injected: Counter,
     hop_ns: Histogram,
@@ -327,27 +331,31 @@ struct ClusterTelemetry {
     hedges_won: Counter,
     hedges_cancelled: Counter,
     hedges_wasted: Counter,
-    forwarded: Vec<Counter>,
-    backend_failures: Vec<Counter>,
-    /// Set from the breakers at each scrape.
-    backend_state: Vec<Gauge>,
-    circuit_opened: Vec<Counter>,
-    readmitted: Vec<Counter>,
-    probes_ok: Vec<Counter>,
-    probes_failed: Vec<Counter>,
-    queue_depth: Vec<Gauge>,
-    in_flight: Vec<Gauge>,
-    /// Per backend, one counter per [`link::Reset`] reason, in label order.
-    link_resets: Vec<Vec<Counter>>,
+    /// Indexed like the router's backends.
+    backends: Vec<BackendTelemetry>,
+}
+
+/// One backend's series, each labelled with its index.
+#[derive(Debug)]
+struct BackendTelemetry {
+    forwarded: Counter,
+    failures: Counter,
+    /// Set from the breaker at each scrape.
+    state: Gauge,
+    circuit_opened: Counter,
+    readmitted: Counter,
+    probes_ok: Counter,
+    probes_failed: Counter,
+    queue_depth: Gauge,
+    in_flight: Gauge,
+    /// One counter per [`link::Reset`] reason, in label order.
+    link_resets: Vec<Counter>,
 }
 
 impl ClusterTelemetry {
     fn new(backends: usize) -> Self {
         let registry = Registry::new();
         let shed_help = "Requests answered with an explicit shed error instead of a report.";
-        let per_backend = |f: &dyn Fn(&str) -> Counter| -> Vec<Counter> {
-            (0..backends).map(|b| f(&b.to_string())).collect()
-        };
         Self {
             front: FrontendTelemetry::register(&registry, "cluster"),
             evals_routed: registry.counter(
@@ -370,26 +378,9 @@ impl ClusterTelemetry {
                 "cluster_retries_total",
                 "Retry attempts that consumed a retry-budget token.",
             ),
-            shed_deadline: registry.counter_with(
-                "cluster_shed_total",
-                shed_help,
-                &[("reason", "deadline")],
-            ),
-            shed_attempts: registry.counter_with(
-                "cluster_shed_total",
-                shed_help,
-                &[("reason", "attempts")],
-            ),
-            shed_budget: registry.counter_with(
-                "cluster_shed_total",
-                shed_help,
-                &[("reason", "budget")],
-            ),
-            shed_shutdown: registry.counter_with(
-                "cluster_shed_total",
-                shed_help,
-                &[("reason", "shutdown")],
-            ),
+            shed: ShedReason::LABELS.map(|reason| {
+                registry.counter_with("cluster_shed_total", shed_help, &[("reason", reason)])
+            }),
             retry_budget_tenths: registry.gauge(
                 "cluster_retry_budget_tenths",
                 "Remaining retry budget, in tenths of a token.",
@@ -439,90 +430,58 @@ impl ClusterTelemetry {
                 "cluster_hedges_wasted_total",
                 "Hedge or primary attempts whose outcome lost the race and was discarded.",
             ),
-            forwarded: per_backend(&|b| {
-                registry.counter_with(
-                    "cluster_forwarded_total",
-                    "Jobs handed to a backend queue.",
-                    &[("backend", b)],
-                )
-            }),
-            backend_failures: per_backend(&|b| {
-                registry.counter_with(
-                    "cluster_backend_failures_total",
-                    "Transport faults observed talking to a backend.",
-                    &[("backend", b)],
-                )
-            }),
-            backend_state: (0..backends)
-                .map(|b| {
-                    registry.gauge_with(
-                        "cluster_backend_state",
-                        "Circuit state per backend: 0 closed, 1 open, 2 half-open, 3 warming.",
-                        &[("backend", &b.to_string())],
-                    )
-                })
-                .collect(),
-            circuit_opened: per_backend(&|b| {
-                registry.counter_with(
-                    "cluster_circuit_opened_total",
-                    "Times a backend's circuit breaker tripped open.",
-                    &[("backend", b)],
-                )
-            }),
-            readmitted: per_backend(&|b| {
-                registry.counter_with(
-                    "cluster_backend_readmitted_total",
-                    "Times a backend passed half-open probing and rejoined.",
-                    &[("backend", b)],
-                )
-            }),
-            probes_ok: per_backend(&|b| {
-                registry.counter_with(
-                    "cluster_health_probes_total",
-                    "Health probes by outcome.",
-                    &[("backend", b), ("outcome", "ok")],
-                )
-            }),
-            probes_failed: per_backend(&|b| {
-                registry.counter_with(
-                    "cluster_health_probes_total",
-                    "Health probes by outcome.",
-                    &[("backend", b), ("outcome", "failed")],
-                )
-            }),
-            queue_depth: (0..backends)
-                .map(|b| {
-                    registry.gauge_with(
-                        "cluster_queue_depth",
-                        "Jobs waiting for a backend link's window.",
-                        &[("backend", &b.to_string())],
-                    )
-                })
-                .collect(),
-            in_flight: (0..backends)
-                .map(|b| {
-                    registry.gauge_with(
-                        "cluster_backend_in_flight",
-                        "Requests written on a backend link and not yet answered.",
-                        &[("backend", &b.to_string())],
-                    )
-                })
-                .collect(),
-            link_resets: (0..backends)
-                .map(|b| {
-                    link::Reset::LABELS
-                        .iter()
-                        .map(|reason| {
-                            registry.counter_with(
-                                "cluster_link_resets_total",
-                                "Backend link teardowns by reason.",
-                                &[("backend", &b.to_string()), ("reason", reason)],
-                            )
-                        })
-                        .collect()
-                })
+            backends: (0..backends)
+                .map(|index| BackendTelemetry::register(&registry, &index.to_string()))
                 .collect(),
             registry,
+        }
+    }
+}
+
+impl BackendTelemetry {
+    fn register(registry: &Registry, backend: &str) -> Self {
+        let counter = |name, help| registry.counter_with(name, help, &[("backend", backend)]);
+        let gauge = |name, help| registry.gauge_with(name, help, &[("backend", backend)]);
+        let labelled =
+            |name, help, label| registry.counter_with(name, help, &[("backend", backend), label]);
+        let probes = |outcome| {
+            let help = "Health probes by outcome.";
+            labelled("cluster_health_probes_total", help, ("outcome", outcome))
+        };
+        Self {
+            forwarded: counter("cluster_forwarded_total", "Jobs handed to a backend queue."),
+            failures: counter(
+                "cluster_backend_failures_total",
+                "Transport faults observed talking to a backend.",
+            ),
+            state: gauge(
+                "cluster_backend_state",
+                "Circuit state per backend: 0 closed, 1 open, 2 half-open, 3 warming.",
+            ),
+            circuit_opened: counter(
+                "cluster_circuit_opened_total",
+                "Times a backend's circuit breaker tripped open.",
+            ),
+            readmitted: counter(
+                "cluster_backend_readmitted_total",
+                "Times a backend passed half-open probing and rejoined.",
+            ),
+            probes_ok: probes("ok"),
+            probes_failed: probes("failed"),
+            queue_depth: gauge(
+                "cluster_queue_depth",
+                "Jobs waiting for a backend link's window.",
+            ),
+            in_flight: gauge(
+                "cluster_backend_in_flight",
+                "Requests written on a backend link and not yet answered.",
+            ),
+            link_resets: (link::Reset::LABELS.iter())
+                .map(|&reason| {
+                    let help = "Backend link teardowns by reason.";
+                    labelled("cluster_link_resets_total", help, ("reason", reason))
+                })
+                .collect(),
         }
     }
 }
@@ -579,8 +538,6 @@ struct ClusterShared {
     /// Set once every client connection drained and the retry timer
     /// exited: the links account what is left and exit.
     retired: AtomicBool,
-    /// Running `stats`/`metrics` fan-out threads, joined at shutdown.
-    fan_outs: Mutex<Vec<JoinHandle<()>>>,
     /// Prebuilt Table I workloads, indexed as [`PaperModel::all`].
     workloads: [Arc<NetworkWorkload>; 4],
 }
@@ -597,7 +554,9 @@ impl ClusterShared {
             .set(self.budget.balance_tenths() as i64);
         telemetry.faults_injected.store(self.faults().injected());
         for backend in &self.backends {
-            telemetry.backend_state[backend.index].set(backend.state().as_gauge());
+            telemetry.backends[backend.index]
+                .state
+                .set(backend.state().as_gauge());
         }
         telemetry.registry.snapshot()
     }
@@ -722,17 +681,15 @@ impl Router {
             })
             .collect();
         let (retry_tx, retry_rx) = mpsc::channel::<(Instant, ForwardJob)>();
-        let retry_budget = options.retry_budget;
         let shared = Arc::new(ClusterShared {
             telemetry: ClusterTelemetry::new(backends.len()),
-            budget: RetryBudget::new(retry_budget),
+            budget: RetryBudget::new(options.retry_budget),
             options,
             backends: backend_states,
             links: link_wakers.into_iter().map(link::Backlog::new).collect(),
             retry_tx: Mutex::new(Some(retry_tx)),
             shutting_down: AtomicBool::new(false),
             retired: AtomicBool::new(false),
-            fan_outs: Mutex::new(Vec::new()),
             workloads,
         });
         let link_threads = link_wakes
@@ -796,10 +753,7 @@ impl Router {
             evals_failed: telemetry.evals_failed.get(),
             failovers: telemetry.failovers.get(),
             retries: telemetry.retries.get(),
-            shed_total: telemetry.shed_deadline.get()
-                + telemetry.shed_attempts.get()
-                + telemetry.shed_budget.get()
-                + telemetry.shed_shutdown.get(),
+            shed_total: telemetry.shed.iter().map(Counter::get).sum(),
             faults_injected: self.shared.faults().injected(),
             backend_states: self
                 .shared
@@ -807,7 +761,11 @@ impl Router {
                 .iter()
                 .map(BackendState::state)
                 .collect(),
-            readmitted: telemetry.readmitted.iter().map(Counter::get).collect(),
+            readmitted: telemetry
+                .backends
+                .iter()
+                .map(|b| b.readmitted.get())
+                .collect(),
         }
     }
 
@@ -830,14 +788,9 @@ impl Router {
         }
         // Stop accepting and half-close client reads: the loops take no
         // more input and close each connection once its in-flight jobs and
-        // fan-outs resolved (answered, failed over, or shed) — the links
+        // scrapes resolved (answered, failed over, or shed) — the links
         // and the retry timer are still running.
         self.frontend.shutdown();
-        let fan_outs =
-            std::mem::take(&mut *self.shared.fan_outs.lock().expect("fan-out list lock"));
-        for handle in fan_outs {
-            let _ = handle.join();
-        }
         // No unresolved job exists now; retire the retry timer, then the
         // links.
         drop(
@@ -893,10 +846,10 @@ fn dispatch(shared: &Arc<ClusterShared>, mut job: ForwardJob) {
         if job.tried & (1u64 << backend) != 0 || !shared.backends[backend].available() {
             continue;
         }
-        let depth = &shared.telemetry.queue_depth[backend];
+        let depth = &shared.telemetry.backends[backend].queue_depth;
         match shared.links[backend].offer(job, shared.options.queue_capacity, depth) {
             Ok(()) => {
-                shared.telemetry.forwarded[backend].inc();
+                shared.telemetry.backends[backend].forwarded.inc();
                 return;
             }
             Err(returned) => job = returned,
@@ -936,36 +889,27 @@ fn schedule_retry(shared: &Arc<ClusterShared>, mut job: ForwardJob) {
     }
 }
 
-/// Builds the hedge copy of a freshly admitted job, when the policy
-/// allows one.  The hedge pre-marks the primary's preferred replica as
-/// tried, so with replication > 1 the two attempts land on different
-/// backends.
-fn hedge_copy(shared: &Arc<ClusterShared>, job: &ForwardJob) -> Option<ForwardJob> {
-    if !shared.options.hedge.enabled || shared.options.replication < 2 {
-        return None;
-    }
-    let mut copy = job.clone();
-    copy.hedge = true;
-    let order = rendezvous_order(copy.fingerprint, shared.backends.len());
-    copy.tried = 1u64 << order[0];
-    Some(copy)
-}
-
-/// Parks a hedge on the retry timer until its p99-derived delay elapses.
-/// A hedge that cannot be parked (deadline too close, router draining) is
+/// Parks a hedge copy of a freshly admitted job on the retry timer until
+/// its p99-derived delay elapses, when the policy allows one.  The hedge
+/// pre-marks the primary's preferred replica as tried, so with
+/// replication > 1 the two attempts land on different backends.  A hedge
+/// that cannot be parked (deadline too close, router draining) is
 /// cancelled — it never answers the client.
-fn park_hedge(shared: &Arc<ClusterShared>, job: ForwardJob) {
-    let delay = shared
-        .options
-        .hedge
-        .delay(shared.telemetry.hop_ns.snapshot().p99());
-    let due = Instant::now() + delay;
+fn launch_hedge(shared: &Arc<ClusterShared>, job: &ForwardJob) {
+    let hedge = &shared.options.hedge;
+    if !hedge.enabled || shared.options.replication < 2 {
+        return;
+    }
+    let due = Instant::now() + hedge.delay(shared.telemetry.hop_ns.snapshot().p99());
     if due >= job.deadline || shared.shutting_down.load(Ordering::SeqCst) {
         shared.telemetry.hedges_cancelled.inc();
         return;
     }
+    let mut copy = job.clone();
+    copy.hedge = true;
+    copy.tried = 1u64 << rendezvous_order(copy.fingerprint, shared.backends.len())[0];
     let lane = shared.retry_tx.lock().expect("retry lane lock poisoned");
-    match lane.as_ref().map(|tx| tx.send((due, job))) {
+    match lane.as_ref().map(|tx| tx.send((due, copy))) {
         Some(Ok(())) => shared.telemetry.hedges_launched.inc(),
         _ => shared.telemetry.hedges_cancelled.inc(),
     }
@@ -983,49 +927,18 @@ fn retry_after_failure(
 ) {
     job.tried |= 1u64 << backend;
     job.attempts += 1;
-    if job.attempts >= shared.options.retry.max_attempts.max(1) {
-        exhaust(shared, &job, fallback, ShedReason::Attempts, detail);
-        return;
-    }
-    if !shared.budget.try_withdraw() {
-        exhaust(shared, &job, fallback, ShedReason::Budget, detail);
-        return;
-    }
-    shared.telemetry.retries.inc();
-    shared.telemetry.failovers.inc();
-    dispatch(shared, job);
-}
-
-/// Final answer for a job whose retries ran out: forward the backend's
-/// own (retryable) error line when one exists, else shed `unavailable`.
-fn exhaust(
-    shared: &Arc<ClusterShared>,
-    job: &ForwardJob,
-    fallback: Option<String>,
-    reason: ShedReason,
-    detail: &str,
-) {
+    let (reason, exhausted) = if job.attempts >= shared.options.retry.max_attempts.max(1) {
+        (ShedReason::Attempts, "retry attempts exhausted")
+    } else if !shared.budget.try_withdraw() {
+        (ShedReason::Budget, "retry budget exhausted")
+    } else {
+        shared.telemetry.retries.inc();
+        shared.telemetry.failovers.inc();
+        return dispatch(shared, job);
+    };
     match fallback {
-        Some(line) => {
-            if job.hedge {
-                shared.telemetry.hedges_wasted.inc();
-                return;
-            }
-            if !job.claim() {
-                return;
-            }
-            shared.telemetry.evals_failed.inc();
-            job.reply.answer(line);
-        }
-        None => {
-            let reason_name = match reason {
-                ShedReason::Attempts => "retry attempts exhausted",
-                ShedReason::Budget => "retry budget exhausted",
-                ShedReason::Deadline => "request deadline exceeded",
-                ShedReason::Shutdown => "router is draining",
-            };
-            shed(shared, job, reason, &format!("{reason_name}: {detail}"));
-        }
+        Some(line) => fail(shared, &job, None, line),
+        None => shed(shared, &job, reason, &format!("{exhausted}: {detail}")),
     }
 }
 
@@ -1033,6 +946,17 @@ fn exhaust(
 /// Shutdown sheds speak `shutting_down`; everything else is the retryable
 /// `unavailable`.
 fn shed(shared: &Arc<ClusterShared>, job: &ForwardJob, reason: ShedReason, detail: &str) {
+    let kind = match reason {
+        ShedReason::Shutdown => ErrorKind::ShuttingDown,
+        _ => ErrorKind::Unavailable,
+    };
+    let response = Response::error(Some(job.id), ErrorFrame::new(kind, detail));
+    let counter = &shared.telemetry.shed[reason as usize];
+    fail(shared, job, Some(counter), wire::encode_response(&response));
+}
+
+/// Answers a job with an error line, counted under `shed` when it is one.
+fn fail(shared: &Arc<ClusterShared>, job: &ForwardJob, shed: Option<&Counter>, line: String) {
     // A hedge is an optimization, not a second chance to fail: its own
     // exhaustion is discarded while the primary still owns the request.
     if job.hedge {
@@ -1043,76 +967,49 @@ fn shed(shared: &Arc<ClusterShared>, job: &ForwardJob, reason: ShedReason, detai
     if !job.claim() {
         return;
     }
-    let (kind, counter) = match reason {
-        ShedReason::Deadline => (ErrorKind::Unavailable, &shared.telemetry.shed_deadline),
-        ShedReason::Attempts => (ErrorKind::Unavailable, &shared.telemetry.shed_attempts),
-        ShedReason::Budget => (ErrorKind::Unavailable, &shared.telemetry.shed_budget),
-        ShedReason::Shutdown => (ErrorKind::ShuttingDown, &shared.telemetry.shed_shutdown),
-    };
-    counter.inc();
+    if let Some(counter) = shed {
+        counter.inc();
+    }
     shared.telemetry.evals_failed.inc();
-    let response = Response::error(Some(job.id), ErrorFrame::new(kind, detail));
-    job.reply.answer(wire::encode_response(&response));
+    job.reply.answer(line);
 }
 
 // ---------------------------------------------------------------------------
 // Retry timer
 // ---------------------------------------------------------------------------
 
-/// A parked job ordered by due time (earliest first out).
-#[derive(Debug)]
-struct Parked {
-    due: Instant,
-    seq: u64,
-    job: ForwardJob,
-}
-
 fn retry_loop(shared: &Arc<ClusterShared>, rx: &Receiver<(Instant, ForwardJob)>) {
-    let mut parked: Vec<Parked> = Vec::new();
-    let mut seq: u64 = 0;
+    // Earliest due first, and equal dues in arrival order, so retry order
+    // is deterministic.
+    let mut parked: Vec<(Instant, ForwardJob)> = Vec::new();
     loop {
-        let now = Instant::now();
-        let wait = parked
-            .iter()
-            .map(|entry| entry.due.saturating_duration_since(now))
-            .min()
-            .unwrap_or(IDLE_POLL)
-            .min(IDLE_POLL);
-        match rx.recv_timeout(wait) {
-            Ok((due, job)) => {
-                parked.push(Parked { due, seq, job });
-                seq += 1;
+        let wait = parked.first().map_or(IDLE_POLL, |(due, _)| {
+            due.saturating_duration_since(Instant::now()).min(IDLE_POLL)
+        });
+        let lane_open = match rx.recv_timeout(wait) {
+            Ok(entry) => {
+                let at = parked.partition_point(|(due, _)| *due <= entry.0);
+                parked.insert(at, entry);
+                true
             }
-            Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => {
-                // Shutdown: the lane is gone; nothing new can arrive.
-                fire_due(shared, &mut parked, true);
-                return;
-            }
-        }
+            Err(RecvTimeoutError::Timeout) => true,
+            // Shutdown: the lane is gone; nothing new can arrive.
+            Err(RecvTimeoutError::Disconnected) => false,
+        };
         // During shutdown, waiting out backoffs would stall the drain;
         // fire everything immediately (dispatch still answers each job).
-        let fire_all = shared.shutting_down.load(Ordering::SeqCst);
-        fire_due(shared, &mut parked, fire_all);
-    }
-}
-
-/// Dispatches every parked job that is due (or all of them), oldest
-/// first so retry order is deterministic.
-fn fire_due(shared: &Arc<ClusterShared>, parked: &mut Vec<Parked>, fire_all: bool) {
-    let now = Instant::now();
-    let mut due: Vec<Parked> = Vec::new();
-    let mut index = 0;
-    while index < parked.len() {
-        if fire_all || parked[index].due <= now {
-            due.push(parked.swap_remove(index));
+        let now = Instant::now();
+        let due = if lane_open && !shared.shutting_down.load(Ordering::SeqCst) {
+            parked.partition_point(|(due, _)| *due <= now)
         } else {
-            index += 1;
+            parked.len()
+        };
+        for (_, job) in parked.drain(..due) {
+            dispatch(shared, job);
         }
-    }
-    due.sort_by_key(|entry| (entry.due, entry.seq));
-    for entry in due {
-        dispatch(shared, entry.job);
+        if !lane_open {
+            return;
+        }
     }
 }
 
@@ -1182,13 +1079,10 @@ fn pull_warm_state(
             continue;
         }
         donors += 1;
-        let Ok(mut client) = Client::connect_with(
-            donor.addr(),
-            ClientOptions::with_deadline(shared.options.request_timeout),
-        ) else {
-            continue;
-        };
-        let Ok(entries) = client.snapshot_entries(0) else {
+        let deadline = ClientOptions::with_deadline(shared.options.request_timeout);
+        let pulled_entries = Client::connect_with(donor.addr(), deadline)
+            .and_then(|mut client| client.snapshot_entries(0));
+        let Ok(entries) = pulled_entries else {
             continue;
         };
         pulled += 1;
@@ -1312,22 +1206,16 @@ impl Handler for ClientSide {
                 id: Some(id),
                 body: ResponseBody::Pong,
             })),
-            RequestBody::Stats => {
-                fan_out(shared, conn, id, move |shared| aggregate_stats(shared, id))
-            }
-            RequestBody::Metrics { format } => fan_out(shared, conn, id, move |shared| {
-                let frame = match format {
-                    MetricsFormat::Json => MetricsFrame::Snapshot(cluster_scrape(shared)),
-                    MetricsFormat::Text => MetricsFrame::Text(render_text(&cluster_scrape(shared))),
-                    // The router itself samples no phase traces; spans live
-                    // on the backends' own metrics endpoints.
-                    MetricsFormat::Spans => MetricsFrame::Spans(Vec::new()),
-                };
-                Response {
-                    id: Some(id),
-                    body: ResponseBody::Metrics(frame),
-                }
-            }),
+            RequestBody::Stats => scrape(shared, conn, id, None),
+            // The router itself samples no phase traces; spans live on the
+            // backends' own metrics endpoints.
+            RequestBody::Metrics {
+                format: MetricsFormat::Spans,
+            } => conn.push(wire::encode_response(&Response {
+                id: Some(id),
+                body: ResponseBody::Metrics(MetricsFrame::Spans(Vec::new())),
+            })),
+            RequestBody::Metrics { format } => scrape(shared, conn, id, Some(format)),
             // The router holds no caches of its own: warm state lives on the
             // backends, and the router moves it between them during handoff.
             // Clients wanting a snapshot talk to a backend directly.
@@ -1366,145 +1254,155 @@ impl Handler for ClientSide {
                     delivered: Arc::new(AtomicBool::new(false)),
                     reply: Arc::clone(conn),
                 };
-                let hedge = hedge_copy(shared, &job);
+                launch_hedge(shared, &job);
                 dispatch(shared, job);
-                if let Some(copy) = hedge {
-                    park_hedge(shared, copy);
-                }
                 true
             }
         }
     }
 }
 
-/// Answers a request whose response needs blocking calls to every backend
-/// (`stats`, `metrics`) on a short-lived thread, so a slow or silent
-/// backend never stalls an event loop.  The thread counts in the
-/// connection's drain barrier, and shutdown joins it.
-fn fan_out(
-    shared: &Arc<ClusterShared>,
+/// Hands a `stats` (`format` `None`) or `metrics` request to the link of
+/// every closed backend as one [`Gather`]; with none closed it is answered
+/// at once.
+fn scrape(
+    shared: &ClusterShared,
     conn: &Arc<Conn>,
     id: u64,
-    respond: impl FnOnce(&ClusterShared) -> Response + Send + 'static,
+    format: Option<MetricsFormat>,
 ) -> bool {
+    let closed: Vec<&BackendState> = shared.backends.iter().filter(|b| b.available()).collect();
+    // The router renders the text page itself, from the backends' JSON.
+    let body = format.map_or(RequestBody::Stats, |_| RequestBody::Metrics {
+        format: MetricsFormat::Json,
+    });
+    let gather = Arc::new(Gather {
+        id,
+        format,
+        line: wire::encode_request(&Request {
+            id: link::CONTROL_ID,
+            body,
+        }),
+        reply: Arc::clone(conn),
+        parts: Mutex::new((vec![None; shared.backends.len()], closed.len())),
+    });
+    if closed.is_empty() {
+        return conn.push(wire::encode_response(&gather.response(shared, Vec::new())));
+    }
     conn.begin();
-    let (owner, reply) = (Arc::clone(shared), Arc::clone(conn));
-    let spawned = std::thread::Builder::new()
-        .name("crosslight-cluster-fanout".to_string())
-        .spawn(move || reply.answer(wire::encode_response(&respond(&owner))));
-    let mut fan_outs = shared.fan_outs.lock().expect("fan-out list lock");
-    fan_outs.retain(|handle| !handle.is_finished());
-    match spawned {
-        Ok(handle) => fan_outs.push(handle),
-        Err(err) => conn.answer(wire::encode_response(&Response::error(
-            Some(id),
-            ErrorFrame::new(ErrorKind::Unavailable, format!("fan-out thread: {err}")),
-        ))),
+    for backend in closed {
+        let link = &shared.links[backend.index];
+        let mut scrapes = link.scrapes.lock().expect("scrape lock poisoned");
+        scrapes.push(Arc::clone(&gather));
+        drop(scrapes);
+        link.wake();
     }
     true
 }
 
-// ---------------------------------------------------------------------------
-// Metrics aggregation
-// ---------------------------------------------------------------------------
-
-/// One cluster-wide scrape: the router's own `cluster_*` families merged
-/// with the `server_*`/`runtime_*` families of every healthy backend,
-/// summed across backends (counters/gauges add, histograms merge).  With
-/// no backend reachable the router's own families still answer.
-fn cluster_scrape(shared: &ClusterShared) -> RegistrySnapshot {
-    let own = shared.metrics_snapshot();
-    let parts: Vec<RegistrySnapshot> = shared
-        .backends
-        .iter()
-        .filter(|backend| backend.state() == CircuitState::Closed)
-        .filter_map(|backend| metrics_from(backend.addr(), shared.options.health_timeout))
-        .collect();
-    if parts.is_empty() {
-        return own;
-    }
-    let aggregated = RegistrySnapshot::aggregated(parts);
-    // The `cluster_` prefix is disjoint from the backends' families by
-    // construction; a collision would mean a misconfigured peer, in which
-    // case the router's own surface wins.
-    RegistrySnapshot::merged(vec![own, aggregated]).unwrap_or_else(|_| shared.metrics_snapshot())
+/// One `stats` or `metrics` request gathered over the links: each closed
+/// backend's link writes `line` and delivers the backend's answer as its
+/// part, `None` when the link died, failed to dial or read nothing for
+/// `health_timeout`.  The last part delivered answers the client.
+#[derive(Debug)]
+struct Gather {
+    id: u64,
+    format: Option<MetricsFormat>,
+    line: String,
+    reply: Arc<Conn>,
+    /// Each backend's part, and how many are still owed.
+    parts: Mutex<(Vec<Option<ResponseBody>>, usize)>,
 }
 
-fn metrics_from(addr: SocketAddr, timeout: Duration) -> Option<RegistrySnapshot> {
-    let mut client = Client::connect_with(addr, ClientOptions::with_deadline(timeout)).ok()?;
-    let response = client.metrics(0, MetricsFormat::Json).ok()?;
-    match response.body {
-        ResponseBody::Metrics(MetricsFrame::Snapshot(snapshot)) => Some(snapshot),
-        _ => None,
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Stats aggregation
-// ---------------------------------------------------------------------------
-
-/// Fans a `stats` request out to every backend (bounded by the health
-/// timeout each) and sums the answers; per-worker vectors concatenate in
-/// backend order.  With zero reachable backends the op itself degrades
-/// to `unavailable`.
-fn aggregate_stats(shared: &ClusterShared, id: u64) -> Response {
-    let mut merged: Option<StatsFrame> = None;
-    for backend in &shared.backends {
-        let Some(frame) = stats_from(backend.addr(), shared.options.health_timeout) else {
-            continue;
-        };
-        merged = Some(match merged {
-            None => frame,
-            Some(mut total) => {
-                merge_server_stats(&mut total.server, &frame.server);
-                merge_runtime_stats(&mut total.runtime, &frame.runtime);
-                total
+impl Gather {
+    fn deliver(&self, shared: &ClusterShared, backend: usize, part: Option<ResponseBody>) {
+        let parts = {
+            let mut state = self.parts.lock().expect("gather lock poisoned");
+            state.0[backend] = part;
+            state.1 -= 1;
+            if state.1 > 0 {
+                return;
             }
-        });
+            std::mem::take(&mut state.0)
+        };
+        let response = self.response(shared, parts);
+        self.reply.answer(wire::encode_response(&response));
     }
-    match merged {
-        Some(frame) => Response {
-            id: Some(id),
-            body: ResponseBody::Stats(frame),
-        },
-        None => Response::error(
-            Some(id),
-            ErrorFrame::new(ErrorKind::Unavailable, "no backend reachable for stats"),
-        ),
+
+    /// Sums the `stats` parts (per-worker vectors concatenate in backend
+    /// order; no part is `unavailable`), or merges the router's own
+    /// `cluster_*` families with the backends' `server_*`/`runtime_*`
+    /// families summed across the parts.
+    fn response(&self, shared: &ClusterShared, parts: Vec<Option<ResponseBody>>) -> Response {
+        let parts = parts.into_iter().flatten();
+        let body = match self.format {
+            None => match parts.filter_map(as_stats).reduce(merge_stats) {
+                Some(frame) => ResponseBody::Stats(frame),
+                None => {
+                    let detail = "no backend reachable for stats";
+                    let frame = ErrorFrame::new(ErrorKind::Unavailable, detail);
+                    return Response::error(Some(self.id), frame);
+                }
+            },
+            Some(format) => {
+                let parts = RegistrySnapshot::aggregated(parts.filter_map(as_snapshot).collect());
+                // The `cluster_` prefix is disjoint from the backends'
+                // families by construction; a collision would mean a
+                // misconfigured peer, and the router's own surface wins.
+                let scrape = RegistrySnapshot::merged(vec![shared.metrics_snapshot(), parts])
+                    .unwrap_or_else(|_| shared.metrics_snapshot());
+                ResponseBody::Metrics(match format {
+                    MetricsFormat::Text => MetricsFrame::Text(render_text(&scrape)),
+                    _ => MetricsFrame::Snapshot(scrape),
+                })
+            }
+        };
+        Response {
+            id: Some(self.id),
+            body,
+        }
     }
 }
 
-fn stats_from(addr: SocketAddr, timeout: Duration) -> Option<StatsFrame> {
-    let mut client = Client::connect_with(addr, ClientOptions::with_deadline(timeout)).ok()?;
-    let response = client.stats(0).ok()?;
-    match response.body {
+fn as_stats(part: ResponseBody) -> Option<StatsFrame> {
+    match part {
         ResponseBody::Stats(frame) => Some(frame),
         _ => None,
     }
 }
 
-fn merge_server_stats(total: &mut WireServerStats, part: &WireServerStats) {
-    total.connections_accepted += part.connections_accepted;
-    total.connections_active += part.connections_active;
-    total.requests_total += part.requests_total;
-    total.evals_ok += part.evals_ok;
-    total.evals_failed += part.evals_failed;
-    total.shed_total += part.shed_total;
-    total.malformed_total += part.malformed_total;
-    total.oversized_total += part.oversized_total;
-    total.queue_capacity += part.queue_capacity;
-    total.in_flight += part.in_flight;
+fn as_snapshot(part: ResponseBody) -> Option<RegistrySnapshot> {
+    match part {
+        ResponseBody::Metrics(MetricsFrame::Snapshot(snapshot)) => Some(snapshot),
+        _ => None,
+    }
 }
 
-fn merge_runtime_stats(total: &mut RuntimeStats, part: &RuntimeStats) {
-    total.submitted += part.submitted;
-    total.completed += part.completed;
-    total.cache_hits += part.cache_hits;
-    total.cache_misses += part.cache_misses;
-    total.cached_entries += part.cached_entries;
-    total.prepared_configs += part.prepared_configs;
-    total.per_worker.extend_from_slice(&part.per_worker);
-    total.queue_depths.extend_from_slice(&part.queue_depths);
+fn merge_stats(mut total: StatsFrame, part: StatsFrame) -> StatsFrame {
+    let (server, runtime) = (&mut total.server, &mut total.runtime);
+    server.connections_accepted += part.server.connections_accepted;
+    server.connections_active += part.server.connections_active;
+    server.requests_total += part.server.requests_total;
+    server.evals_ok += part.server.evals_ok;
+    server.evals_failed += part.server.evals_failed;
+    server.shed_total += part.server.shed_total;
+    server.malformed_total += part.server.malformed_total;
+    server.oversized_total += part.server.oversized_total;
+    server.queue_capacity += part.server.queue_capacity;
+    server.in_flight += part.server.in_flight;
+    runtime.submitted += part.runtime.submitted;
+    runtime.completed += part.runtime.completed;
+    runtime.cache_hits += part.runtime.cache_hits;
+    runtime.cache_misses += part.runtime.cache_misses;
+    runtime.cached_entries += part.runtime.cached_entries;
+    runtime.prepared_configs += part.runtime.prepared_configs;
+    runtime
+        .per_worker
+        .extend_from_slice(&part.runtime.per_worker);
+    runtime
+        .queue_depths
+        .extend_from_slice(&part.runtime.queue_depths);
+    total
 }
 
 #[cfg(test)]

@@ -1,6 +1,7 @@
 //! One pipelined link per backend: a persistent socket, owned by one
-//! thread, that carries many clients' requests at once and checks the
-//! backend's health.
+//! thread, that carries many clients' requests at once, carries the
+//! router's `stats` and `metrics` scrapes, and checks the backend's
+//! health.
 //!
 //! Dispatching threads append jobs to the link's [`Backlog`] and wake the
 //! link thread only when they make the backlog non-empty, so a burst costs
@@ -26,18 +27,25 @@
 //! it is one failure and each job it strands is charged an attempt, as any
 //! failed I/O is.
 //!
-//! # Health
+//! # Scrapes and health
+//!
+//! Pings and the router's scrapes go out under [`CONTROL_ID`], take no
+//! slot or backlog place and move no load gauge.  The backend answers them
+//! in order, so each such answer settles the oldest one owed; a scrape's
+//! is decoded and handed to its [`Gather`], and a link that dies gives
+//! each scrape it owes a `None` part.
 //!
 //! Any answer is proof of life.  A link that read nothing for
-//! `health_interval` pings its closed backend under [`PING_ID`], dialing
-//! first if it has no socket; a ping takes no slot or backlog place and
-//! moves no load gauge.  Nothing read for `health_timeout` after it kills
-//! the link as `timeout`.  A failed ping is a link death like any other,
-//! and a failed health probe too.  Once an open breaker cools down, the
-//! link's half-open trial is a fresh dial and a ping: the pong readmits
-//! the backend, after a warm handoff run here when `handoff` is on, and a
-//! failure re-opens the breaker.  An idle router holds one connection per
-//! closed backend and dials no other.
+//! `health_interval` and owes no control answer pings its closed backend,
+//! dialing first if it has no socket, as a scrape does.  Nothing read for
+//! `health_timeout` after the ping, or after the first scrape it owes,
+//! kills the link as `timeout`.  A failed ping is a link death like any
+//! other, and a failed health probe too.  Once an open
+//! breaker cools down, the link's half-open trial is a fresh dial and a
+//! ping: the pong readmits the backend, after a warm handoff run here when
+//! `handoff` is on, and a failure re-opens the breaker.  An idle router
+//! holds one connection per closed backend, however often it is scraped,
+//! and dials no other.
 
 use std::collections::VecDeque;
 use std::io::{ErrorKind as IoErrorKind, Read, Write};
@@ -52,8 +60,8 @@ use crosslight_server::wire::{self, AnswerPeek};
 use crosslight_telemetry::Gauge;
 
 use super::{
-    attempt_handoff, dispatch, retry_after_failure, shed, ClusterShared, ForwardJob, ShedReason,
-    CONNECT_TIMEOUT, IDLE_POLL,
+    attempt_handoff, dispatch, retry_after_failure, shed, ClusterShared, ForwardJob, Gather,
+    ShedReason, CONNECT_TIMEOUT, IDLE_POLL,
 };
 use crate::backend::{CircuitState, Transition};
 use crate::faultpoint::{FaultAction, FaultPlan, FaultPoint};
@@ -73,9 +81,14 @@ pub(super) const WINDOW: usize = 8;
 // could send is one the backend accepts.
 const _: () = assert!(WINDOW <= 10, "slot ids must stay one digit");
 
-/// The id a link's ping goes out under: no window slot uses it, so its
-/// pong never names a job.
-const PING_ID: u64 = WINDOW as u64;
+/// The id a link's control requests (pings and scrapes) go out under: no
+/// window slot uses it, so their answers never name a job.
+pub(super) const CONTROL_ID: u64 = WINDOW as u64;
+
+/// Longest answer line a link reads, sized for a full JSON `metrics` page:
+/// a default backend's 17 histogram series of up to 976 buckets, each at
+/// most 44 bytes (`[le,n],`), take about 730 KB; the rest is headroom.
+const MAX_ANSWER_BYTES: usize = 4 << 20;
 
 /// Why a link was torn down: the `reason` label of
 /// `cluster_link_resets_total`.
@@ -83,15 +96,17 @@ const PING_ID: u64 = WINDOW as u64;
 pub(super) enum Reset {
     /// The backend closed the connection.
     Eof,
-    /// A socket error, a failed dial, an error answer to a ping, or an
-    /// injected kill.
+    /// A socket error, a failed dial, an error answer to a control
+    /// request, or an injected kill.
     Error,
     /// A line that is not a well-formed answer of a known kind.
     Garbled,
-    /// An answer whose id is not in flight on this link.
+    /// An answer whose id is not in flight on this link, or a control
+    /// answer while none is owed.
     UnknownId,
     /// No answer read, or no byte written, for `request_timeout`; or no
-    /// answer read for `health_timeout` after a ping.
+    /// answer read for `health_timeout` after a ping or a first owed
+    /// scrape.
     Timeout,
     /// The backend's generation moved on: an outage or re-address.
     Stale,
@@ -110,6 +125,8 @@ pub(super) struct Backlog {
     jobs: Mutex<VecDeque<ForwardJob>>,
     /// Requests in flight on the link, as its thread last published.
     in_flight: AtomicUsize,
+    /// Scrapes waiting for the link to write them.
+    pub(super) scrapes: Mutex<Vec<Arc<Gather>>>,
     waker: Waker,
 }
 
@@ -118,6 +135,7 @@ impl Backlog {
         Self {
             jobs: Mutex::new(VecDeque::new()),
             in_flight: AtomicUsize::new(0),
+            scrapes: Mutex::new(Vec::new()),
             waker,
         }
     }
@@ -174,6 +192,12 @@ struct Outstanding {
     shed: bool,
 }
 
+/// A request written under [`CONTROL_ID`] and not yet answered.
+enum Control {
+    Ping,
+    Scrape(Arc<Gather>),
+}
+
 /// The link thread's state.
 struct Link<'a> {
     shared: &'a Arc<ClusterShared>,
@@ -185,11 +209,11 @@ struct Link<'a> {
     /// When the link last read an answer, or went from idle to
     /// outstanding: the liveness clock.
     progress: Instant,
-    /// When the link last read an answer, wrote a ping or died: the
-    /// health clock.
+    /// When the link last read an answer, wrote a ping or a first owed
+    /// scrape, or died: the health clock.
     quiet_since: Instant,
-    /// Whether a ping awaits its pong.
-    pinged: bool,
+    /// Control requests written and not yet answered, oldest first.
+    control: VecDeque<Control>,
     /// Client connections that got answers since the last flush.
     touched: Vec<Arc<Conn>>,
 }
@@ -203,7 +227,7 @@ pub(super) fn run(shared: &Arc<ClusterShared>, backend: usize, wake: &WakeReceiv
         slots: std::array::from_fn(|_| None),
         progress: Instant::now(),
         quiet_since: Instant::now(),
-        pinged: false,
+        control: VecDeque::new(),
         touched: Vec::new(),
     };
     let mut poll_set = PollSet::new();
@@ -211,6 +235,7 @@ pub(super) fn run(shared: &Arc<ClusterShared>, backend: usize, wake: &WakeReceiv
     while !shared.retired.load(Ordering::SeqCst) {
         link.drop_stale();
         link.admit();
+        link.scrape();
         link.check_health();
         link.write();
         // Answers read on the last pass reach their clients after the
@@ -357,6 +382,41 @@ impl Link<'_> {
         }
     }
 
+    /// Writes the scrapes handed to this link, dialing first if it has no
+    /// socket.  A backend whose breaker left the closed state since gets
+    /// no request, and a failed dial kills the link: either way each part
+    /// is `None`.
+    fn scrape(&mut self) {
+        let (shared, backend) = (self.shared, self.backend);
+        let scrapes = &shared.links[backend].scrapes;
+        let gathers = std::mem::take(&mut *scrapes.lock().expect("scrape lock poisoned"));
+        if gathers.is_empty() {
+            return;
+        }
+        if !shared.backends[backend].available() {
+            for gather in gathers {
+                gather.deliver(shared, backend, None);
+            }
+            return;
+        }
+        let dialed = self.socket.is_some() || self.dial().is_ok();
+        // The first scrape owed starts the health wait; later ones do not
+        // extend it, so a stream of scrapes cannot keep a silent link up.
+        if !self.control.iter().any(|c| matches!(c, Control::Scrape(_))) {
+            self.quiet_since = Instant::now();
+        }
+        for gather in gathers {
+            if let Some(socket) = self.socket.as_mut() {
+                socket.out.extend_from_slice(gather.line.as_bytes());
+                socket.out.push(b'\n');
+            }
+            self.control.push_back(Control::Scrape(gather));
+        }
+        if !dialed {
+            self.reset(Reset::Error);
+        }
+    }
+
     /// Runs the breaker's clock, then pings when one is due: at once for
     /// a half-open backend (its readmission trial), after `health_interval`
     /// of quiet for a closed one.
@@ -369,7 +429,7 @@ impl Link<'_> {
             CircuitState::HalfOpen => true,
             CircuitState::Open | CircuitState::Warming => false,
         };
-        if due && !self.pinged {
+        if due && self.control.is_empty() {
             self.ping();
         }
     }
@@ -377,8 +437,8 @@ impl Link<'_> {
     /// Stages one ping, dialing first if the link has no socket.  A
     /// `health.probe` fault or a failed dial fails it at once.
     fn ping(&mut self) {
-        // In flight from here, so a failure below books a failed probe.
-        self.pinged = true;
+        // Owed from here, so a failure below books a failed probe.
+        self.control.push_back(Control::Ping);
         self.quiet_since = Instant::now();
         let garble = match self.fault(FaultPoint::HealthProbe) {
             Ok(garble) => garble,
@@ -388,7 +448,7 @@ impl Link<'_> {
             return self.reset(Reset::Error);
         }
         let mut line = wire::encode_request(&wire::Request {
-            id: PING_ID,
+            id: CONTROL_ID,
             body: wire::RequestBody::Ping,
         });
         if garble {
@@ -405,8 +465,7 @@ impl Link<'_> {
         let (shared, backend) = (self.shared, self.backend);
         let telemetry = &shared.telemetry;
         let state = &shared.backends[backend];
-        self.pinged = false;
-        telemetry.probes_ok[backend].inc();
+        telemetry.backends[backend].probes_ok.inc();
         let transition = if shared.options.handoff && state.begin_warming() {
             // Warming keeps the backend out of the routing set until the
             // handoff is done or has fallen back cold.
@@ -416,7 +475,7 @@ impl Link<'_> {
             state.record_success()
         };
         if transition == Transition::Readmitted {
-            telemetry.readmitted[backend].inc();
+            telemetry.backends[backend].readmitted.inc();
         }
     }
 
@@ -479,7 +538,7 @@ impl Link<'_> {
                 Err(_) => return self.reset(Reset::Error),
             };
             let mut scanner = std::mem::take(&mut socket.scanner);
-            let alive = scanner.push(&scratch[..count], wire::DEFAULT_MAX_LINE_BYTES, |event| {
+            let alive = scanner.push(&scratch[..count], MAX_ANSWER_BYTES, |event| {
                 self.on_answer(event)
             });
             // A dead link's socket is gone, and the rest of its bytes with it.
@@ -509,13 +568,8 @@ impl Link<'_> {
         };
         let now = Instant::now();
         self.quiet_since = now;
-        if peek.id == PING_ID {
-            if peek.error.is_some() {
-                self.reset(Reset::Error);
-                return false;
-            }
-            self.pong();
-            return true;
+        if peek.id == CONTROL_ID {
+            return self.control_answer(&peek, &line);
         }
         let slot = usize::try_from(peek.id)
             .ok()
@@ -530,6 +584,35 @@ impl Link<'_> {
             self.resolve(outstanding, &peek, &line);
         }
         true
+    }
+
+    /// Settles the oldest control request owed with its answer; `false`
+    /// when the answer killed the link.
+    fn control_answer(&mut self, peek: &AnswerPeek, line: &str) -> bool {
+        let reason = match (self.control.pop_front(), peek.error) {
+            (None, _) => Reset::UnknownId,
+            (Some(control), Some(_)) => {
+                // Still owed when the link dies below.
+                self.control.push_front(control);
+                Reset::Error
+            }
+            (Some(Control::Ping), None) => {
+                self.pong();
+                return true;
+            }
+            (Some(Control::Scrape(gather)), None) => match wire::decode_response(line) {
+                Ok(response) => {
+                    gather.deliver(self.shared, self.backend, Some(response.body));
+                    return true;
+                }
+                Err(_) => {
+                    self.control.push_front(Control::Scrape(gather));
+                    Reset::Garbled
+                }
+            },
+        };
+        self.reset(reason);
+        false
     }
 
     /// Delivers (or fails over) one answered job.
@@ -569,9 +652,9 @@ impl Link<'_> {
         }
     }
 
-    /// Kills a link that made no progress for `request_timeout` or left a
-    /// ping unanswered for `health_timeout`, and sheds outstanding jobs
-    /// whose deadline passed.
+    /// Kills a link that made no progress for `request_timeout` or read
+    /// nothing for `health_timeout` while it owed a control answer, and
+    /// sheds outstanding jobs whose deadline passed.
     fn expire(&mut self) {
         let now = Instant::now();
         let options = &self.shared.options;
@@ -581,8 +664,8 @@ impl Link<'_> {
                 .stalled_since
                 .is_some_and(|since| now.duration_since(since) >= timeout);
             let silent = self.in_flight() > 0 && now.duration_since(self.progress) >= timeout;
-            let unanswered =
-                self.pinged && now.duration_since(self.quiet_since) >= options.health_timeout;
+            let unanswered = !self.control.is_empty()
+                && now.duration_since(self.quiet_since) >= options.health_timeout;
             if stalled || silent || unanswered {
                 return self.reset(Reset::Timeout);
             }
@@ -605,8 +688,8 @@ impl Link<'_> {
     }
 
     /// How long the next poll may sleep: until the liveness bound, the
-    /// next ping or its timeout, or the next outstanding deadline, and at
-    /// most [`IDLE_POLL`].
+    /// next ping or the control timeout, or the next outstanding deadline,
+    /// and at most [`IDLE_POLL`].
     fn poll_timeout(&self) -> Duration {
         let now = Instant::now();
         let options = &self.shared.options;
@@ -614,7 +697,7 @@ impl Link<'_> {
         if self.in_flight() > 0 {
             wake_at = wake_at.min(self.progress + options.request_timeout);
         }
-        if self.pinged {
+        if !self.control.is_empty() {
             wake_at = wake_at.min(self.quiet_since + options.health_timeout);
         } else if self.shared.backends[self.backend].available() {
             wake_at = wake_at.min(self.quiet_since + options.health_interval);
@@ -626,21 +709,27 @@ impl Link<'_> {
     }
 
     /// Drops the socket and books why: one failure unless it is `stale`,
-    /// and a failed health probe too when a ping was unanswered.
+    /// and a failed health probe too when a ping was unanswered.  Each
+    /// scrape still owed gets its `None` part.
     fn close(&mut self, reason: Reset) {
         let (shared, backend) = (self.shared, self.backend);
-        let telemetry = &shared.telemetry;
+        let telemetry = &shared.telemetry.backends[backend];
         self.socket = None;
         self.quiet_since = Instant::now();
-        let pinged = std::mem::take(&mut self.pinged);
-        telemetry.link_resets[backend][reason as usize].inc();
+        let control = std::mem::take(&mut self.control);
+        telemetry.link_resets[reason as usize].inc();
         if reason != Reset::Stale {
-            if pinged {
-                telemetry.probes_failed[backend].inc();
+            if control.iter().any(|c| matches!(c, Control::Ping)) {
+                telemetry.probes_failed.inc();
             }
-            telemetry.backend_failures[backend].inc();
+            telemetry.failures.inc();
             if shared.backends[backend].record_failure() == Transition::Opened {
-                telemetry.circuit_opened[backend].inc();
+                telemetry.circuit_opened.inc();
+            }
+        }
+        for control in control {
+            if let Control::Scrape(gather) = control {
+                gather.deliver(shared, backend, None);
             }
         }
     }
@@ -669,7 +758,9 @@ impl Link<'_> {
             .lock()
             .expect("link backlog lock poisoned");
         let count = limit.min(jobs.len());
-        self.shared.telemetry.queue_depth[self.backend].sub(count as i64);
+        self.shared.telemetry.backends[self.backend]
+            .queue_depth
+            .sub(count as i64);
         jobs.drain(..count).collect()
     }
 
@@ -696,7 +787,9 @@ impl Link<'_> {
         self.shared.links[self.backend]
             .in_flight
             .store(count, Ordering::Release);
-        self.shared.telemetry.in_flight[self.backend].set(count as i64);
+        self.shared.telemetry.backends[self.backend]
+            .in_flight
+            .set(count as i64);
     }
 
     /// Flushes every connection answered since the last flush, once.

@@ -9,16 +9,22 @@
 
 #![cfg(target_os = "linux")]
 
-use std::net::SocketAddr;
+use std::collections::BTreeSet;
+use std::net::{SocketAddr, TcpListener};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use crosslight_cluster::backend::rendezvous_order;
 use crosslight_cluster::router::{Router, RouterOptions};
 use crosslight_core::variants::CrossLightVariant;
+use crosslight_neural::workload::NetworkWorkload;
 use crosslight_neural::zoo::PaperModel;
 use crosslight_server::frontend::default_event_loops;
 use crosslight_server::loadgen::{Client, ClientOptions};
 use crosslight_server::server::{Server, ServerOptions};
-use crosslight_server::wire::{EvalSpec, ResponseBody};
+use crosslight_server::wire::{
+    EvalSpec, MetricsFormat, MetricsFrame, Request, RequestBody, ResponseBody,
+};
 
 /// `errno` for "too many open files".
 const EMFILE: i32 = 24;
@@ -56,12 +62,18 @@ fn threads_settled_at(prefix: &str, count: usize) -> Vec<String> {
     }
 }
 
+fn eval_spec() -> EvalSpec {
+    EvalSpec::paper(CrossLightVariant::OptTed, PaperModel::Lenet5SignMnist)
+}
+
+fn connect(addr: SocketAddr) -> Client {
+    Client::connect_with(addr, ClientOptions::with_deadline(Duration::from_secs(60)))
+        .expect("connect to the router")
+}
+
 fn connect_and_eval(addr: SocketAddr, id: u64) -> Client {
-    let mut client =
-        Client::connect_with(addr, ClientOptions::with_deadline(Duration::from_secs(60)))
-            .expect("connect to the router");
-    let spec = EvalSpec::paper(CrossLightVariant::OptTed, PaperModel::Lenet5SignMnist);
-    let response = client.eval(id, &spec).expect("eval answered");
+    let mut client = connect(addr);
+    let response = client.eval(id, &eval_spec()).expect("eval answered");
     assert!(
         matches!(response.body, ResponseBody::Eval(_)),
         "{response:?}"
@@ -80,9 +92,36 @@ fn a_router_runs_exactly_acceptor_loops_links_and_retry_timer() {
             .expect("bind a loopback backend")
         })
         .collect();
-    let addrs: Vec<SocketAddr> = backends.iter().map(Server::local_addr).collect();
-    let router =
-        Router::bind("127.0.0.1:0", &addrs, RouterOptions::default()).expect("bind router");
+    let mut addrs: Vec<SocketAddr> = backends.iter().map(Server::local_addr).collect();
+    // A third backend accepts connections and never reads from them.  It
+    // goes where the eval's fingerprint ranks it last, so with the default
+    // two replicas no eval is routed to it; every scrape waits on it.
+    let silent = TcpListener::bind("127.0.0.1:0").expect("bind the silent backend");
+    let table = PaperModel::all().map(|model| {
+        Arc::new(NetworkWorkload::from_spec(&model.spec()).expect("Table I workloads are valid"))
+    });
+    let eval = eval_spec()
+        .to_eval_request(0, &table)
+        .expect("a valid spec");
+    let silent_at = rendezvous_order(eval.key().fingerprint(), 3)[2];
+    addrs.insert(
+        silent_at,
+        silent.local_addr().expect("silent backend address"),
+    );
+    // Detached: it blocks in `accept` until the test process exits.
+    std::thread::spawn(move || {
+        let held: Vec<_> = silent.incoming().collect();
+        drop(held);
+    });
+    let health_timeout = Duration::from_secs(2);
+    let options = RouterOptions::default()
+        .with_failure_threshold(1_000)
+        .with_health(
+            Duration::from_millis(50),
+            health_timeout,
+            Duration::from_millis(250),
+        );
+    let router = Router::bind("127.0.0.1:0", &addrs, options).expect("bind router");
     // Acceptor, retry timer, event loops, and a link per backend.
     let expected = 2 + default_event_loops() + addrs.len();
 
@@ -101,7 +140,55 @@ fn a_router_runs_exactly_acceptor_loops_links_and_retry_timer() {
         "threads grew with the client count: {names:?}"
     );
 
-    drop((first, more));
+    // 32 `stats` and 32 `metrics` requests, pipelined: each waits on the
+    // silent backend's link, and none adds a thread.
+    let mut scraper = connect(router.local_addr());
+    let sent = Instant::now();
+    for id in 0..64 {
+        let body = match id % 2 {
+            0 => RequestBody::Stats,
+            _ => RequestBody::Metrics {
+                format: MetricsFormat::Json,
+            },
+        };
+        scraper.send(&Request { id, body }).expect("send a scrape");
+    }
+    scraper.flush().expect("flush the scrapes");
+    while router.stats().requests_total < 51 + 64 {
+        assert!(
+            sent.elapsed() < Duration::from_secs(10),
+            "the router never read the scrapes"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let names = threads_named("crosslight-clus");
+    assert!(
+        sent.elapsed() < health_timeout,
+        "the count must be taken while the scrapes are outstanding"
+    );
+    assert_eq!(
+        names.len(),
+        expected,
+        "threads grew with the scrape count: {names:?}"
+    );
+    let mut answered = BTreeSet::new();
+    for _ in 0..64 {
+        let response = scraper.recv().expect("every scrape is answered");
+        let id = response.id.expect("scrape answers carry their id");
+        match (id % 2, &response.body) {
+            (0, ResponseBody::Stats(_)) | (1, ResponseBody::Metrics(MetricsFrame::Snapshot(_))) => {
+            }
+            _ => panic!("scrape {id}: unexpected answer {response:?}"),
+        }
+        answered.insert(id);
+    }
+    assert_eq!(answered, (0..64).collect());
+    assert!(
+        sent.elapsed() >= health_timeout,
+        "a scrape was answered before the silent backend's part timed out"
+    );
+
+    drop((first, more, scraper));
     router.shutdown();
     let left = threads_settled_at("crosslight-clus", 0);
     assert!(left.is_empty(), "threads outlived shutdown: {left:?}");

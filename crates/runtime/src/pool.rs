@@ -40,8 +40,7 @@ use crosslight_baselines::ArchSpec;
 use crosslight_core::cache::ModelCache;
 use crosslight_core::simulator::{CrossLightSimulator, SimulationReport};
 use crosslight_telemetry::{
-    Counter, Gauge, Histogram, Phase, Registry, RegistrySnapshot, RequestTrace, SpanRing,
-    TraceSampler,
+    Counter, Gauge, Histogram, Phase, Registry, RegistrySnapshot, RequestTrace,
 };
 
 use crate::cache::{CacheKey, Cached, ShardedCache};
@@ -56,10 +55,6 @@ const CACHE_SHARDS: usize = 16;
 pub struct RuntimeOptions {
     /// Number of worker threads (clamped to at least 1).
     pub workers: usize,
-    /// Trace every `n`-th request submitted through `submit`/`submit_batch`
-    /// (`0` disables sampling, `1` traces everything).  Items passed to
-    /// `submit_detached_batch` carry their own traces and ignore this knob.
-    pub trace_sample_every: u64,
 }
 
 impl RuntimeOptions {
@@ -69,24 +64,15 @@ impl RuntimeOptions {
         self.workers = workers;
         self
     }
-
-    /// Returns a copy with a different trace sampling period.
-    #[must_use]
-    pub fn with_trace_sampling(mut self, every: u64) -> Self {
-        self.trace_sample_every = every;
-        self
-    }
 }
 
 impl Default for RuntimeOptions {
-    /// One worker per available core (falling back to 4), trace sampling
-    /// off.
+    /// One worker per available core (falling back to 4).
     fn default() -> Self {
         Self {
             workers: std::thread::available_parallelism()
                 .map(std::num::NonZeroUsize::get)
                 .unwrap_or(4),
-            trace_sample_every: 0,
         }
     }
 }
@@ -227,20 +213,16 @@ struct Telemetry {
     cache_lookup_miss_ns: Histogram,
     prepare_ns: Histogram,
     evaluate_ns: Histogram,
-    traces_sampled: Counter,
     // Scrape-time mirrors of state owned by layers without registry access
     // (see `EvalService::telemetry_snapshot`).
     result_cache_entries: Gauge,
     model_cache_hits: Counter,
     model_cache_misses: Counter,
     model_cache_entries: Gauge,
-    spans_dropped: Counter,
-    sampler: TraceSampler,
-    spans: SpanRing,
 }
 
 impl Telemetry {
-    fn new(workers: usize, cache: &ShardedCache, options: &RuntimeOptions) -> Self {
+    fn new(workers: usize, cache: &ShardedCache) -> Self {
         let registry = Arc::new(Registry::new());
         let mut per_worker = Vec::with_capacity(workers);
         let mut queued = Vec::with_capacity(workers);
@@ -325,10 +307,6 @@ impl Telemetry {
                 "runtime_evaluate_ns",
                 "Simulator evaluation time for traced cache misses.",
             ),
-            traces_sampled: registry.counter(
-                "runtime_traces_sampled_total",
-                "Requests submitted through submit or submit_batch that carried a sampled trace.",
-            ),
             result_cache_entries: registry.gauge(
                 "runtime_result_cache_entries",
                 "Distinct (architecture, workload) reports currently cached.",
@@ -345,12 +323,6 @@ impl Telemetry {
                 "runtime_model_cache_entries",
                 "Distinct configurations with memoized analytical models.",
             ),
-            spans_dropped: registry.counter(
-                "runtime_trace_spans_dropped_total",
-                "Trace exports evicted from the runtime span ring before being drained.",
-            ),
-            sampler: TraceSampler::new(options.trace_sample_every),
-            spans: SpanRing::default(),
             registry,
         }
     }
@@ -409,7 +381,7 @@ impl EvalService {
     pub fn with_model_cache(options: RuntimeOptions, model_cache: Arc<ModelCache>) -> Self {
         let workers = options.workers.max(1);
         let cache = Arc::new(ShardedCache::new(CACHE_SHARDS));
-        let telemetry = Arc::new(Telemetry::new(workers, &cache, &options));
+        let telemetry = Arc::new(Telemetry::new(workers, &cache));
         let mut senders = Vec::with_capacity(workers);
         let mut handles = Vec::with_capacity(workers);
         for worker in 0..workers {
@@ -488,10 +460,7 @@ impl EvalService {
             .map(|(index, request)| {
                 let reply_tx = reply_tx.clone();
                 BatchItem {
-                    trace: self.telemetry.sampler.sample().then(|| {
-                        self.telemetry.traces_sampled.inc();
-                        Box::new(RequestTrace::new(request.id))
-                    }),
+                    trace: None,
                     request: request.into(),
                     cancel: None,
                     // A send error means this collector already returned on
@@ -514,18 +483,10 @@ impl EvalService {
         if received != expected {
             return Err(RuntimeError::WorkerLost);
         }
-        let responses: Vec<EvalResponse> = responses
+        Ok(responses
             .into_iter()
             .map(|r| r.expect("every index answered exactly once"))
-            .collect();
-        // Export the sampled timelines; batch callers rarely look at the
-        // traces on the responses themselves.
-        for response in &responses {
-            if let Some(trace) = &response.trace {
-                self.telemetry.spans.push(trace.to_json_line());
-            }
-        }
-        Ok(responses)
+            .collect())
     }
 
     /// Routes a batch of requests to their fingerprint-sharded workers
@@ -687,17 +648,11 @@ impl EvalService {
         &self.telemetry.registry
     }
 
-    /// The ring of sampled trace exports from batch submissions.
-    #[must_use]
-    pub fn span_ring(&self) -> &SpanRing {
-        &self.telemetry.spans
-    }
-
     /// Scrape-consistent snapshot of every runtime metric family.
     ///
     /// Before snapshotting, the mirrors for state owned outside the
-    /// registry (result-cache entry count, core `ModelCache` totals, span
-    /// ring drops) are synced, so a scrape always sees current values.
+    /// registry (result-cache entry count, core `ModelCache` totals) are
+    /// synced, so a scrape always sees current values.
     #[must_use]
     pub fn telemetry_snapshot(&self) -> RegistrySnapshot {
         let telemetry = &self.telemetry;
@@ -708,7 +663,6 @@ impl EvalService {
         telemetry
             .model_cache_entries
             .set(model_stats.prepared_configs as i64);
-        telemetry.spans_dropped.store(telemetry.spans.dropped());
         telemetry.registry.snapshot()
     }
 
@@ -1229,17 +1183,28 @@ mod tests {
 
     #[test]
     fn sampled_traces_cover_the_worker_phases_and_feed_the_registry() {
-        let service = EvalService::new(
-            RuntimeOptions::default()
-                .with_workers(2)
-                .with_trace_sampling(1),
-        );
-        let requests = paper_requests();
-        let first = service.submit_batch(requests.clone()).unwrap();
-        let second = service.submit_batch(requests).unwrap();
+        let service = EvalService::new(RuntimeOptions::default().with_workers(2));
+        // One pass of the paper requests, each carrying a trace, answered
+        // in submission order.
+        let traced_pass = || -> Vec<EvalResponse> {
+            let (reply_tx, reply_rx) = mpsc::channel();
+            let items = (paper_requests().into_iter().enumerate())
+                .map(|(i, request)| BatchItem {
+                    trace: Some(Box::new(RequestTrace::new(i as u64))),
+                    ..tagged(i as u64, request, &reply_tx)
+                })
+                .collect();
+            service.submit_detached_batch(items);
+            drop(reply_tx);
+            let mut answered: Vec<(u64, Result<EvalResponse>)> = reply_rx.iter().collect();
+            answered.sort_by_key(|(tag, _)| *tag);
+            answered.into_iter().map(|(_, r)| r.unwrap()).collect()
+        };
+        let first = traced_pass();
+        let second = traced_pass();
         // Every response carries a trace; misses add prepare/evaluate spans.
         for response in first.iter().chain(&second) {
-            let trace = response.trace.as_ref().expect("sampling every request");
+            let trace = response.trace.as_ref().expect("every item carried one");
             assert!(trace.phase_ns(Phase::Queue).is_some());
             assert!(trace.phase_ns(Phase::CacheLookup).is_some());
             assert_eq!(
@@ -1272,10 +1237,6 @@ mod tests {
             Some(crosslight_telemetry::SeriesValue::Counter(16)) => {}
             other => panic!("unexpected {other:?}"),
         }
-        // Every sampled trace was exported to the ring.
-        assert_eq!(service.span_ring().len(), 32);
-        let line = service.span_ring().drain().remove(0);
-        assert!(line.contains("\"phase\":\"queue\""));
         // Traced and untraced results are the same reports.
         let untraced = EvalService::new(RuntimeOptions::default().with_workers(2));
         let plain = untraced.submit_batch(paper_requests()).unwrap();
@@ -1379,10 +1340,7 @@ mod tests {
 
     #[test]
     fn zero_workers_is_clamped_to_one() {
-        let service = EvalService::new(RuntimeOptions {
-            workers: 0,
-            trace_sample_every: 0,
-        });
+        let service = EvalService::new(RuntimeOptions { workers: 0 });
         assert_eq!(service.workers(), 1);
         let workload = Arc::new(NetworkWorkload::from_spec(&PaperModel::CnnStl10.spec()).unwrap());
         let response = service

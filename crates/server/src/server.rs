@@ -763,14 +763,9 @@ impl Handler for ServerLoop {
                     MetricsFormat::Text => {
                         MetricsFrame::Text(render_text(&shared.metrics_snapshot()))
                     }
-                    MetricsFormat::Spans => {
-                        // Draining hands each exported timeline to exactly
-                        // one scraper; server and runtime rings append into
-                        // one page.
-                        let mut spans = telemetry.spans.drain();
-                        spans.extend(shared.service.span_ring().drain());
-                        MetricsFrame::Spans(spans)
-                    }
+                    // Draining hands each exported timeline to exactly one
+                    // scraper.
+                    MetricsFormat::Spans => MetricsFrame::Spans(telemetry.spans.drain()),
                 };
                 let line = wire::encode_response(&Response {
                     id: Some(request.id),

@@ -90,10 +90,7 @@ fn check_fixture(name: &str, rendered: &str, drift: &str) {
 fn serve_corpus() -> String {
     let workloads: [Arc<NetworkWorkload>; 4] =
         PaperModel::all().map(|m| Arc::new(NetworkWorkload::from_spec(&m.spec()).unwrap()));
-    let service = EvalService::new(RuntimeOptions {
-        workers: 1,
-        trace_sample_every: 0,
-    });
+    let service = EvalService::new(RuntimeOptions { workers: 1 });
     let mut out = String::from("wire_v1_backcompat/v1\n");
     for line in V1_LINES {
         let response = match decode_request(line) {

@@ -28,7 +28,7 @@ use crosslight::server::wire::{
     self, ArchRequest, ErrorKind, EvalFrame, EvalSpec, MetricsFormat, MetricsFrame, Request,
     RequestBody, Response, ResponseBody, StatsFrame, WireServerStats, WorkloadRef,
 };
-use crosslight::telemetry::RegistrySnapshot;
+use crosslight::telemetry::{Registry, RegistrySnapshot};
 
 fn workload_table() -> [Arc<NetworkWorkload>; 4] {
     PaperModel::all().map(|model| {
@@ -273,12 +273,11 @@ fn router_stats_are_the_field_wise_sum_of_its_backends() {
     };
     let expected = StatsFrame {
         server: WireServerStats {
-            // Each read dials every backend once; the router's links hold
-            // one connection each and dial no other.
+            // Each of our reads adds one connection to its backend; the
+            // router read over its links, which hold one connection each.
             connections_accepted: server(|s| s.connections_accepted) - parts.len() as u64,
-            // The links' pings and the fan-out's closing connection move
-            // these two between the router's read and ours.
-            connections_active: routed.server.connections_active,
+            connections_active: server(|s| s.connections_active) - parts.len() as u64,
+            // The links' pings move it between the router's read and ours.
             requests_total: routed.server.requests_total,
             evals_ok: server(|s| s.evals_ok),
             evals_failed: server(|s| s.evals_failed),
@@ -622,6 +621,39 @@ fn an_idle_router_holds_one_connection_per_backend_and_dials_no_other() {
         0
     );
 
+    // Scraping the router every half-interval rides the same two
+    // connections: no scrape dials a backend.
+    let mut client = router_client(&router);
+    let watched = Instant::now();
+    while watched.elapsed() < 25 * interval {
+        let stats = client.stats(1).expect("stats answered");
+        assert!(matches!(stats.body, ResponseBody::Stats(_)), "{stats:?}");
+        let metrics = client
+            .metrics(2, MetricsFormat::Json)
+            .expect("metrics answered");
+        assert!(
+            matches!(
+                metrics.body,
+                ResponseBody::Metrics(MetricsFrame::Snapshot(ref page))
+                    if page.family("server_requests_total").is_some()
+            ),
+            "{metrics:?}"
+        );
+        for (index, backend) in backends.iter().enumerate() {
+            let server = backend.stats().server;
+            assert_eq!(
+                (server.connections_accepted, server.connections_active),
+                (1, 1),
+                "backend {index} after {:?} of scraping",
+                watched.elapsed()
+            );
+        }
+        std::thread::sleep(interval / 2);
+    }
+    let scrape = router.metrics_snapshot();
+    assert_eq!(family_total(&scrape, "cluster_link_resets_total"), 0);
+
+    drop(client);
     router.shutdown();
     for backend in backends {
         backend.shutdown();
@@ -1142,6 +1174,9 @@ fn a_stats_fan_out_waiting_on_a_silent_backend_never_stalls_a_ping() {
     let mut stats_client = Client::connect_with(router.local_addr(), deadline).expect("connect");
     let mut ping_client = Client::connect_with(router.local_addr(), deadline).expect("connect");
 
+    // Read before the send: the silent backend's wait starts when its link
+    // writes the request, which may come before `flush` returns.
+    let stats_sent = Instant::now();
     stats_client
         .send(&Request {
             id: 1,
@@ -1149,15 +1184,14 @@ fn a_stats_fan_out_waiting_on_a_silent_backend_never_stalls_a_ping() {
         })
         .expect("send stats");
     stats_client.flush().expect("flush stats");
-    let stats_sent = Instant::now();
     wait_for(
         "the router to take the stats request",
         Duration::from_secs(10),
         || router.stats().requests_total >= 1,
     );
 
-    // The stats fan-out now waits out the silent backend's health timeout;
-    // the loop it came in on still answers a ping at once.
+    // The stats request now waits on the silent backend's link for its
+    // health timeout; the loop it came in on still answers a ping at once.
     let ping_sent = Instant::now();
     let pong = ping_client
         .call(&Request {
@@ -1327,6 +1361,45 @@ fn next_line_is_pong(client: &mut Client, id: u64) {
         },
         "an answer arrived that nobody was owed"
     );
+}
+
+/// A backend that answers each ping with a pong and each `metrics`
+/// request with `page`, and serves nothing else.
+fn metrics_only_backend(page: RegistrySnapshot) -> SocketAddr {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind a metrics-only backend");
+    let addr = listener.local_addr().expect("metrics-only backend address");
+    let page = Arc::new(page);
+    // Detached, like `fake_backend`'s threads.
+    std::thread::spawn(move || {
+        for stream in listener.incoming() {
+            let Ok(stream) = stream else { continue };
+            let page = Arc::clone(&page);
+            std::thread::spawn(move || serve_metrics_only(stream, &page));
+        }
+    });
+    addr
+}
+
+fn serve_metrics_only(stream: TcpStream, page: &RegistrySnapshot) -> std::io::Result<()> {
+    use std::io::{BufRead, BufReader};
+
+    let mut writer = stream.try_clone()?;
+    for line in BufReader::new(stream).lines() {
+        let request = wire::decode_request(&line?).expect("the router's requests decode");
+        let body = match request.body {
+            RequestBody::Ping => ResponseBody::Pong,
+            RequestBody::Metrics { .. } => {
+                ResponseBody::Metrics(MetricsFrame::Snapshot(page.clone()))
+            }
+            other => panic!("a metrics-only backend got {other:?}"),
+        };
+        let answer = wire::encode_response(&Response {
+            id: Some(request.id),
+            body,
+        });
+        writer.write_all(format!("{answer}\n").as_bytes())?;
+    }
+    Ok(())
 }
 
 fn router_client(router: &Router) -> Client {
@@ -1662,6 +1735,61 @@ fn refused_dials_spend_attempts_and_shed_long_before_the_deadline() {
         labelled_total(&scrape, "cluster_shed_total", &[("reason", "attempts")]),
         1
     );
+
+    drop(client);
+    router.shutdown();
+}
+
+#[test]
+fn a_metrics_page_past_the_request_line_limit_is_merged_without_resetting_the_link() {
+    // Eight histogram series, each spanning 944 of the 976 buckets.
+    let registry = Registry::new();
+    for series in 0..8 {
+        let histogram = registry.histogram_with(
+            "server_wide_ns",
+            "A histogram spanning most buckets.",
+            &[("series", &series.to_string())],
+        );
+        for shift in 0..59 {
+            for mantissa in 16..32u64 {
+                histogram.record(mantissa << shift);
+            }
+        }
+    }
+    let page = registry.snapshot();
+    let line = wire::encode_response(&Response {
+        id: Some(8),
+        body: ResponseBody::Metrics(MetricsFrame::Snapshot(page.clone())),
+    });
+    assert!(
+        line.len() > wire::DEFAULT_MAX_LINE_BYTES,
+        "the backend's page is only {} bytes",
+        line.len()
+    );
+    let router = Router::bind(
+        "127.0.0.1:0",
+        &[metrics_only_backend(page.clone())],
+        chaos_options(),
+    )
+    .expect("bind router");
+
+    let mut client = router_client(&router);
+    for id in 0..3 {
+        let response = client
+            .metrics(id, MetricsFormat::Json)
+            .expect("the merged page");
+        let ResponseBody::Metrics(MetricsFrame::Snapshot(merged)) = response.body else {
+            panic!("expected a metrics snapshot, got {response:?}");
+        };
+        assert_eq!(
+            merged.family("server_wide_ns"),
+            page.family("server_wide_ns")
+        );
+        assert_eq!(family_total(&merged, "cluster_link_resets_total"), 0);
+    }
+    let scrape = router.metrics_snapshot();
+    assert_eq!(family_total(&scrape, "cluster_link_resets_total"), 0);
+    assert_eq!(family_total(&scrape, "cluster_backend_failures_total"), 0);
 
     drop(client);
     router.shutdown();
