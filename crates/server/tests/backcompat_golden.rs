@@ -11,7 +11,10 @@
 //!
 //! The telemetry frames (`metrics` in all three formats and `stats`) are
 //! locked the same way by `tests/golden/telemetry_frames.txt`, built from a
-//! hand-made registry so every byte is deterministic.
+//! hand-made registry so every byte is deterministic.  The remaining
+//! frames — every other request op, an eval request per zoo architecture,
+//! the snapshot and restore streams and an error of every kind — are
+//! locked by `tests/golden/cold_frames.txt`, built from fixed values.
 //!
 //! To regenerate after an *intentional* protocol change (which is a breaking
 //! change and should be treated as such):
@@ -23,12 +26,23 @@
 use std::path::PathBuf;
 use std::sync::Arc;
 
+use crosslight_baselines::electronic::EDGE_TPU;
+use crosslight_core::cache::ModelCacheEntry;
+use crosslight_core::canonical::{ArchKey, BackendKey, ResolutionKey, VdpUnitKey};
+use crosslight_core::config::CrossLightConfig;
+use crosslight_core::performance::{InferenceLatency, InferenceMetrics};
+use crosslight_core::simulator::SimulationReport;
+use crosslight_core::vdp::VdpUnitReport;
+use crosslight_neural::layers::DotProductWorkload;
 use crosslight_neural::workload::NetworkWorkload;
 use crosslight_neural::zoo::PaperModel;
+use crosslight_photonics::units::{MilliWatts, Picojoules, Seconds, SquareMillimeters, Watts};
 use crosslight_runtime::pool::{EvalService, RuntimeOptions, RuntimeStats};
 use crosslight_server::wire::{
-    decode_request, decode_response, encode_response, peek_id, EvalFrame, MetricsFrame, Request,
-    RequestBody, Response, ResponseBody, StatsFrame, WireServerStats,
+    decode_request, decode_response, encode_request, encode_response, peek_id, snapshot_checksum,
+    ArchRequest, ErrorFrame, ErrorKind, EvalFrame, EvalSpec, MetricsFormat, MetricsFrame, Request,
+    RequestBody, Response, ResponseBody, RestoredFrame, SnapshotChunk, SnapshotEnd, SnapshotEntry,
+    StatsFrame, WireServerStats, WorkloadRef,
 };
 use crosslight_telemetry::{render_text, Registry};
 
@@ -219,5 +233,235 @@ fn telemetry_frames_produce_byte_identical_lines() {
         &rendered,
         "telemetry frame drift: a metrics or stats answer no longer encodes to the bytes it \
          always has.",
+    );
+}
+
+/// An inline workload whose name needs every kind of escaping.
+fn escaped_workload() -> NetworkWorkload {
+    let layer = |dot_length, dot_count| DotProductWorkload {
+        dot_length,
+        dot_count,
+    };
+    NetworkWorkload {
+        name: "cold \"net\"\n\t\\ ✓".to_string(),
+        towers: 2,
+        conv_layers: vec![layer(9, 1024), layer(25, 256)],
+        fc_layers: vec![layer(128, 10)],
+    }
+}
+
+/// One snapshot entry of every kind, from fixed canonical words and
+/// floats (an infinity, a negative zero and a subnormal among them).
+fn cold_entries() -> Vec<SnapshotEntry> {
+    let spacing = 5.0f64.to_bits();
+    let geometry = [0.45f64, 0.4, 5.0, 0.2, 0.22].map(f64::to_bits);
+    let [g0, g1, g2, g3, g4] = geometry;
+    let config = CrossLightConfig::from_canonical_words([
+        20, 150, 100, 60, 15, 16, g0, g1, g2, g3, g4, 1, 0, 1, spacing,
+    ])
+    .unwrap();
+    let report = SimulationReport {
+        power: crosslight_core::power::AcceleratorPower {
+            laser: MilliWatts::new(19510.5),
+            tuning: MilliWatts::new(12103.25),
+            detection: MilliWatts::new(10128.0),
+            conversion: MilliWatts::new(373.5),
+            control: MilliWatts::new(3600.0),
+        },
+        area: crosslight_core::area::AcceleratorArea {
+            mr_banks: SquareMillimeters::new(1.2),
+            arm_devices: SquareMillimeters::new(6.4),
+            unit_electronics: SquareMillimeters::new(14.399999999999999),
+        },
+        metrics: InferenceMetrics {
+            latency: InferenceLatency {
+                conv_time: Seconds::new(1.5e-6),
+                fc_time: Seconds::new(2.5e-7),
+                electronic_time: Seconds::new(0.0),
+            },
+            fps: 3.0e5,
+            energy_per_inference: Picojoules::new(-0.0),
+            energy_per_bit_pj: 5e-324,
+            kfps_per_watt: f64::INFINITY,
+            power: Watts::new(f64::NEG_INFINITY),
+        },
+        resolution_bits: 16,
+    };
+    vec![
+        SnapshotEntry::Result {
+            arch: ArchKey::CrossLight(config.canonical_key()),
+            workload: escaped_workload(),
+            report,
+        },
+        SnapshotEntry::Result {
+            arch: ArchKey::Backend(BackendKey::new(3, [9, 0, u64::MAX, 17])),
+            workload: escaped_workload(),
+            report,
+        },
+        SnapshotEntry::Model(ModelCacheEntry::Unit {
+            key: VdpUnitKey::from_words([150, 15, g0, g1, g2, g3, g4, 1, 0, 1, spacing]).unwrap(),
+            report: VdpUnitReport {
+                arms: 150,
+                pass_latency: Seconds::new(1.25e-10),
+                laser_power: MilliWatts::new(2.5),
+                tuning_power: MilliWatts::new(0.125),
+                detection_power: MilliWatts::new(3.0),
+                conversion_power: MilliWatts::new(1e300),
+            },
+        }),
+        SnapshotEntry::Model(ModelCacheEntry::Resolution {
+            key: ResolutionKey::from(&config),
+            bits: 12,
+        }),
+        SnapshotEntry::Model(ModelCacheEntry::Prepared {
+            config,
+            power: report.power,
+            area: report.area,
+            resolution_bits: 16,
+        }),
+    ]
+}
+
+/// One request of every op but the CrossLight eval on a Table I model
+/// (which `wire_v1_backcompat.txt` locks), one eval request per zoo
+/// architecture and one zoo eval on an inline workload.
+fn cold_requests() -> Vec<Request> {
+    let entries = cold_entries();
+    let eval = |arch, workload| RequestBody::Eval(EvalSpec::for_arch(arch, workload));
+    let model = WorkloadRef::Model;
+    let bodies = vec![
+        RequestBody::Stats,
+        RequestBody::Ping,
+        RequestBody::Metrics {
+            format: MetricsFormat::Json,
+        },
+        RequestBody::Metrics {
+            format: MetricsFormat::Text,
+        },
+        RequestBody::Metrics {
+            format: MetricsFormat::Spans,
+        },
+        RequestBody::Snapshot {
+            max_chunk_bytes: None,
+        },
+        RequestBody::Snapshot {
+            max_chunk_bytes: Some(4096),
+        },
+        RequestBody::Restore(SnapshotChunk {
+            seq: 0,
+            entries: entries.clone(),
+        }),
+        RequestBody::RestoreEnd(SnapshotEnd {
+            chunks: 1,
+            entries: entries.len() as u64,
+            checksum: snapshot_checksum(&entries),
+        }),
+        eval(ArchRequest::DeapCnn, model(PaperModel::Lenet5SignMnist)),
+        eval(
+            ArchRequest::HolyLight { units: 250 },
+            model(PaperModel::CnnCifar10),
+        ),
+        eval(
+            ArchRequest::Electronic { platform: EDGE_TPU },
+            model(PaperModel::CnnStl10),
+        ),
+        eval(
+            ArchRequest::SymmetricCrossbar {
+                dims: (64, 32),
+                resolution_bits: 8,
+            },
+            model(PaperModel::SiameseOmniglot),
+        ),
+        eval(
+            ArchRequest::LiteCon {
+                dims: (16, 128),
+                resolution_bits: 6,
+            },
+            model(PaperModel::Lenet5SignMnist),
+        ),
+        eval(
+            ArchRequest::LiteCon {
+                dims: (16, 128),
+                resolution_bits: 6,
+            },
+            WorkloadRef::Inline(escaped_workload()),
+        ),
+    ];
+    let ids = [u64::MAX, 0].into_iter().chain(2..);
+    ids.zip(bodies)
+        .map(|(id, body)| Request { id, body })
+        .collect()
+}
+
+/// The snapshot stream's answers (a chunk holding every entry kind and its
+/// terminal frame), a `restored` answer and an error of every kind, one of
+/// them without an id.
+fn cold_answers() -> Vec<Response> {
+    let entries = cold_entries();
+    let count = entries.len() as u64;
+    let mut answers = vec![
+        Response {
+            id: Some(20),
+            body: ResponseBody::Snapshot(SnapshotChunk { seq: 3, entries }),
+        },
+        Response {
+            id: Some(21),
+            body: ResponseBody::SnapshotEnd(SnapshotEnd {
+                chunks: 4,
+                entries: count,
+                checksum: 0x0000_ffff_0000_beef,
+            }),
+        },
+        Response {
+            id: Some(22),
+            body: ResponseBody::Restored(RestoredFrame {
+                entries: 5,
+                results: 2,
+                model: 3,
+            }),
+        },
+    ];
+    let kinds = [
+        ErrorKind::Malformed,
+        ErrorKind::UnsupportedVersion,
+        ErrorKind::Oversized,
+        ErrorKind::Overloaded,
+        ErrorKind::Evaluation,
+        ErrorKind::ShuttingDown,
+        ErrorKind::Unsupported,
+        ErrorKind::Unavailable,
+    ];
+    for (id, kind) in (23..).zip(kinds) {
+        let detail = format!("{} \"detail\"\n\\ ✓", kind.as_str());
+        let id = (kind != ErrorKind::Malformed).then_some(id);
+        answers.push(Response::error(id, ErrorFrame::new(kind, detail)));
+    }
+    answers
+}
+
+#[test]
+fn cold_frames_produce_byte_identical_lines() {
+    let mut rendered = String::from("cold_frames/v1\n");
+    for request in cold_requests() {
+        let line = encode_request(&request);
+        let decoded = decode_request(&line).unwrap();
+        assert_eq!(decoded, request, "{line}");
+        assert_eq!(encode_request(&decoded), line);
+        rendered.push_str(&line);
+        rendered.push('\n');
+    }
+    for answer in cold_answers() {
+        let line = encode_response(&answer);
+        let decoded = decode_response(&line).unwrap();
+        assert_eq!(decoded, answer, "{line}");
+        assert_eq!(encode_response(&decoded), line);
+        rendered.push_str(&line);
+        rendered.push('\n');
+    }
+    check_fixture(
+        "cold_frames.txt",
+        &rendered,
+        "cold frame drift: a request op, a zoo eval request, a snapshot or restore frame or an \
+         error no longer encodes to the bytes it always has.",
     );
 }
