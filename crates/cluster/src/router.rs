@@ -1378,24 +1378,35 @@ fn as_snapshot(part: ResponseBody) -> Option<RegistrySnapshot> {
     }
 }
 
+/// Sums two backends' `stats` field by field.  The counters saturate at
+/// their maximum, as the merged `metrics` families do: a backend's decoded
+/// answer may hold any values.
 fn merge_stats(mut total: StatsFrame, part: StatsFrame) -> StatsFrame {
     let (server, runtime) = (&mut total.server, &mut total.runtime);
-    server.connections_accepted += part.server.connections_accepted;
-    server.connections_active += part.server.connections_active;
-    server.requests_total += part.server.requests_total;
-    server.evals_ok += part.server.evals_ok;
-    server.evals_failed += part.server.evals_failed;
-    server.shed_total += part.server.shed_total;
-    server.malformed_total += part.server.malformed_total;
-    server.oversized_total += part.server.oversized_total;
-    server.queue_capacity += part.server.queue_capacity;
-    server.in_flight += part.server.in_flight;
-    runtime.submitted += part.runtime.submitted;
-    runtime.completed += part.runtime.completed;
-    runtime.cache_hits += part.runtime.cache_hits;
-    runtime.cache_misses += part.runtime.cache_misses;
-    runtime.cached_entries += part.runtime.cached_entries;
-    runtime.prepared_configs += part.runtime.prepared_configs;
+    let add = |sum: &mut u64, part: u64| *sum = sum.saturating_add(part);
+    add(
+        &mut server.connections_accepted,
+        part.server.connections_accepted,
+    );
+    add(
+        &mut server.connections_active,
+        part.server.connections_active,
+    );
+    add(&mut server.requests_total, part.server.requests_total);
+    add(&mut server.evals_ok, part.server.evals_ok);
+    add(&mut server.evals_failed, part.server.evals_failed);
+    add(&mut server.shed_total, part.server.shed_total);
+    add(&mut server.malformed_total, part.server.malformed_total);
+    add(&mut server.oversized_total, part.server.oversized_total);
+    add(&mut server.queue_capacity, part.server.queue_capacity);
+    add(&mut server.in_flight, part.server.in_flight);
+    add(&mut runtime.submitted, part.runtime.submitted);
+    add(&mut runtime.completed, part.runtime.completed);
+    add(&mut runtime.cache_hits, part.runtime.cache_hits);
+    add(&mut runtime.cache_misses, part.runtime.cache_misses);
+    let add = |sum: &mut usize, part: usize| *sum = sum.saturating_add(part);
+    add(&mut runtime.cached_entries, part.runtime.cached_entries);
+    add(&mut runtime.prepared_configs, part.runtime.prepared_configs);
     runtime
         .per_worker
         .extend_from_slice(&part.runtime.per_worker);
@@ -1420,6 +1431,42 @@ mod tests {
             .map(|i| format!("127.0.0.1:{}", 1000 + i).parse().unwrap())
             .collect();
         assert!(Router::bind("127.0.0.1:0", &too_many, options).is_err());
+    }
+
+    #[test]
+    fn merged_stats_saturate_instead_of_overflowing() {
+        use crosslight_runtime::pool::RuntimeStats;
+        use crosslight_server::wire::WireServerStats;
+
+        let frame = |counter: u64, size: usize| StatsFrame {
+            server: WireServerStats {
+                connections_accepted: counter,
+                connections_active: counter,
+                requests_total: counter,
+                evals_ok: counter,
+                evals_failed: counter,
+                shed_total: counter,
+                malformed_total: counter,
+                oversized_total: counter,
+                queue_capacity: counter,
+                in_flight: counter,
+            },
+            runtime: RuntimeStats {
+                submitted: counter,
+                completed: counter,
+                cache_hits: counter,
+                cache_misses: counter,
+                cached_entries: size,
+                prepared_configs: size,
+                per_worker: vec![counter],
+                queue_depths: vec![counter],
+            },
+        };
+        let merged = merge_stats(frame(u64::MAX - 1, usize::MAX - 1), frame(2, 2));
+        let mut expected = frame(u64::MAX, usize::MAX);
+        expected.runtime.per_worker = vec![u64::MAX - 1, 2];
+        expected.runtime.queue_depths = vec![u64::MAX - 1, 2];
+        assert_eq!(merged, expected);
     }
 
     #[test]

@@ -1,8 +1,11 @@
-//! Minimal JSON tree, parser and writer for the wire protocol.
+//! Minimal JSON tree and parser for the wire protocol, plus the two push
+//! helpers its encoders write floats and strings with.
 //!
 //! The offline workspace has no `serde_json`, so the JSON-lines protocol is
-//! implemented on this self-contained module.  Design points that matter for
-//! the protocol guarantees:
+//! implemented on this self-contained module.  `crate::wire` writes every
+//! frame straight into the line with [`push_f64`] and
+//! [`push_string_literal`]; the tree is only ever read.  Design points that
+//! matter for the protocol guarantees:
 //!
 //! * **Exact floats.**  Finite `f64`s are written with Rust's shortest
 //!   round-trip formatting and parsed with the standard correctly-rounding
@@ -15,9 +18,8 @@
 //!   by an explicit nesting-depth limit, so adversarial input cannot blow
 //!   the stack.
 //! * **Order-preserving objects.** Objects are stored as insertion-ordered
-//!   `(key, value)` vectors, so encoding is deterministic — identical
-//!   requests always serialize to identical bytes, which the loadgen relies
-//!   on for reproducible traffic.
+//!   `(key, value)` vectors: [`Json::get`] returns the first of duplicate
+//!   keys, and a metric series' labels keep the order they were sent in.
 //!
 //! The two hot frames, the eval request and the eval answer, usually skip
 //! this tree: `crate::wire` reads them straight from the line's bytes in
@@ -136,67 +138,6 @@ impl Json {
         }
     }
 
-    /// Wraps a float in its wire encoding (number when finite, tagged string
-    /// otherwise).
-    #[must_use]
-    pub fn from_f64(value: f64) -> Json {
-        if value.is_finite() {
-            Json::Float(value)
-        } else if value.is_nan() {
-            Json::Str("NaN".to_string())
-        } else if value > 0.0 {
-            Json::Str("inf".to_string())
-        } else {
-            Json::Str("-inf".to_string())
-        }
-    }
-
-    /// Serializes the value to a single-line JSON string.
-    #[must_use]
-    pub fn encode(&self) -> String {
-        let mut out = String::with_capacity(64);
-        self.write(&mut out);
-        out
-    }
-
-    fn write(&self, out: &mut String) {
-        match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(true) => out.push_str("true"),
-            Json::Bool(false) => out.push_str("false"),
-            Json::Uint(v) => {
-                let _ = write!(out, "{v}");
-            }
-            Json::Int(v) => {
-                let _ = write!(out, "{v}");
-            }
-            Json::Float(v) => write_f64(*v, out),
-            Json::Str(s) => write_string(s, out),
-            Json::Array(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    item.write(out);
-                }
-                out.push(']');
-            }
-            Json::Object(members) => {
-                out.push('{');
-                for (i, (key, value)) in members.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    write_string(key, out);
-                    out.push(':');
-                    value.write(out);
-                }
-                out.push('}');
-            }
-        }
-    }
-
     /// Parses one JSON value from `input`, requiring it to span the whole
     /// string (surrounding whitespace allowed).
     ///
@@ -249,33 +190,44 @@ pub(crate) fn first_member_span(input: &str, key: &str) -> Option<std::ops::Rang
     }
 }
 
-/// Appends the wire encoding of one `f64` to `out` — the allocation-free
-/// building block of the hot-path frame encoders in `crate::wire`.
-pub fn push_f64(value: f64, out: &mut String) {
-    write_f64(value, out);
-}
-
-/// Appends a JSON string literal (with escaping) to `out`.
-pub fn push_string_literal(s: &str, out: &mut String) {
-    write_string(s, out);
-}
-
-/// Writes a finite float in shortest-round-trip form; non-finite values fall
-/// back to their tagged-string encoding so the output stays valid JSON.
+/// Appends the wire encoding of one `f64` to `out`: a finite float in
+/// shortest-round-trip form, a non-finite one as its tagged string
+/// (`"NaN"`, `"inf"` or `"-inf"`), so the output stays valid JSON.
 ///
 /// Integral values get an explicit `.0` so the reader classifies them as
 /// floats again — without it `-0.0` would serialize as `-0`, parse as the
 /// integer `0`, and silently drop its sign bit.
-fn write_f64(value: f64, out: &mut String) {
-    if value.is_finite() {
+pub fn push_f64(value: f64, out: &mut String) {
+    if value.is_nan() {
+        out.push_str("\"NaN\"");
+    } else if value.is_infinite() {
+        out.push_str(if value > 0.0 { "\"inf\"" } else { "\"-inf\"" });
+    } else {
         let start = out.len();
         let _ = write!(out, "{value}");
         if !out[start..].contains(['.', 'e', 'E']) {
             out.push_str(".0");
         }
-    } else {
-        Json::from_f64(value).write(out);
     }
+}
+
+/// Appends a JSON string literal (with escaping) to `out`.
+pub fn push_string_literal(s: &str, out: &mut String) {
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
 }
 
 /// Splits off the number token `bytes` starts with, as the parser splits
@@ -323,24 +275,6 @@ pub(crate) fn number_token(bytes: &[u8]) -> Option<(usize, bool)> {
 /// JSON has no infinite number, though `str::parse` reads one.
 pub(crate) fn parse_float(token: &str) -> Option<f64> {
     token.parse::<f64>().ok().filter(|value| value.is_finite())
-}
-
-fn write_string(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 struct Parser<'a> {
@@ -567,13 +501,19 @@ mod tests {
     use super::*;
 
     #[test]
-    fn scalars_round_trip() {
-        for input in [
-            "null", "true", "false", "0", "-7", "42", "1.5", "-0.125", "1e300",
+    fn scalars_parse_to_their_values() {
+        for (input, expected) in [
+            ("null", Json::Null),
+            ("true", Json::Bool(true)),
+            ("false", Json::Bool(false)),
+            ("0", Json::Uint(0)),
+            ("-7", Json::Int(-7)),
+            ("42", Json::Uint(42)),
+            ("1.5", Json::Float(1.5)),
+            ("-0.125", Json::Float(-0.125)),
+            ("1e300", Json::Float(1e300)),
         ] {
-            let parsed = Json::parse(input).unwrap();
-            let reparsed = Json::parse(&parsed.encode()).unwrap();
-            assert_eq!(parsed, reparsed, "{input}");
+            assert_eq!(Json::parse(input).unwrap(), expected, "{input}");
         }
     }
 
@@ -589,7 +529,8 @@ mod tests {
             1.797e308,
             -123.456_789_012_345_67,
         ] {
-            let encoded = Json::from_f64(value).encode();
+            let mut encoded = String::new();
+            push_f64(value, &mut encoded);
             let decoded = Json::parse(&encoded).unwrap().as_f64().unwrap();
             assert_eq!(decoded.to_bits(), value.to_bits(), "{value} via {encoded}");
         }
@@ -597,9 +538,15 @@ mod tests {
 
     #[test]
     fn non_finite_floats_use_tagged_strings() {
-        assert_eq!(Json::from_f64(f64::NAN).encode(), "\"NaN\"");
-        assert_eq!(Json::from_f64(f64::INFINITY).encode(), "\"inf\"");
-        assert_eq!(Json::from_f64(f64::NEG_INFINITY).encode(), "\"-inf\"");
+        for (value, tagged) in [
+            (f64::NAN, "\"NaN\""),
+            (f64::INFINITY, "\"inf\""),
+            (f64::NEG_INFINITY, "\"-inf\""),
+        ] {
+            let mut encoded = String::new();
+            push_f64(value, &mut encoded);
+            assert_eq!(encoded, tagged);
+        }
         assert!(Json::parse("\"NaN\"").unwrap().as_f64().unwrap().is_nan());
         assert_eq!(
             Json::parse("\"-inf\"").unwrap().as_f64(),
@@ -612,9 +559,16 @@ mod tests {
         let parsed = Json::parse(r#"{"b": 1, "a": [true, "x\n"], "c": {"d": null}}"#).unwrap();
         assert_eq!(parsed.get("b").and_then(Json::as_u64), Some(1));
         assert_eq!(parsed.get("missing"), None);
-        let encoded = parsed.encode();
-        assert_eq!(encoded, r#"{"b":1,"a":[true,"x\n"],"c":{"d":null}}"#);
-        assert_eq!(Json::parse(&encoded).unwrap(), parsed);
+        let members = |pairs: Vec<(&str, Json)>| {
+            Json::Object(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+        };
+        let array = Json::Array(vec![Json::Bool(true), Json::Str("x\n".to_string())]);
+        let expected = members(vec![
+            ("b", Json::Uint(1)),
+            ("a", array),
+            ("c", members(vec![("d", Json::Null)])),
+        ]);
+        assert_eq!(parsed, expected);
     }
 
     #[test]
@@ -622,8 +576,14 @@ mod tests {
         let parsed = Json::parse(r#""quote \" slash \\ tab \t unicode é 😀""#);
         let s = parsed.unwrap();
         assert_eq!(s.as_str(), Some("quote \" slash \\ tab \t unicode é 😀"));
-        let roundtrip = Json::parse(&s.encode()).unwrap();
-        assert_eq!(roundtrip, s);
+        let mut encoded = String::new();
+        push_string_literal(s.as_str().unwrap(), &mut encoded);
+        assert_eq!(Json::parse(&encoded).unwrap(), s);
+        // Every control character is escaped, so the literal parses back.
+        let controls: String = (0u8..0x20).map(char::from).collect();
+        encoded.clear();
+        push_string_literal(&controls, &mut encoded);
+        assert_eq!(Json::parse(&encoded).unwrap().as_str(), Some(&*controls));
     }
 
     #[test]

@@ -51,6 +51,16 @@
 //! decoder, which reads every other frame and produces every error.  It
 //! never disagrees with the tree: a line it accepts decodes through the
 //! tree to the same value, every float bit for bit.
+//!
+//! Every value has one wire form, the private `Wire` trait: how the
+//! encoders append it, how the tree decoder reads it and how the exact
+//! reader reads it.  Each struct that travels as an object — the stats,
+//! restored and eval frames, the report with its power, area and metrics
+//! objects, the VDP unit report and the workload — gets all three from one
+//! member table (`wire_object!`) that spells each key once, in wire order.
+//! The kind-tagged values (architecture keys, snapshot entries, metric
+//! families and histograms) implement the trait by hand, and the eval
+//! request's `config` stays hand-written.
 
 use std::fmt::Write as _;
 use std::ops::Range;
@@ -68,13 +78,12 @@ use crosslight_baselines::symmetric_crossbar::{
 use crosslight_baselines::{
     ArchSpec, DeapCnn, ElectronicPlatform, HolyLight, LiteCon, SymmetricCrossbar,
 };
+use crosslight_core::area::AcceleratorArea;
 use crosslight_core::cache::ModelCacheEntry;
-use crosslight_core::canonical::{
-    ArchKey, BackendKey, ConfigKey, ResolutionKey, VdpUnitKey, CONFIG_KEY_WORDS,
-    RESOLUTION_KEY_WORDS, VDP_UNIT_KEY_WORDS,
-};
+use crosslight_core::canonical::{ArchKey, BackendKey, ConfigKey, ResolutionKey, VdpUnitKey};
 use crosslight_core::config::CrossLightConfig;
 use crosslight_core::performance::{InferenceLatency, InferenceMetrics};
+use crosslight_core::power::AcceleratorPower;
 use crosslight_core::simulator::SimulationReport;
 use crosslight_core::variants::CrossLightVariant;
 use crosslight_core::vdp::VdpUnitReport;
@@ -682,123 +691,589 @@ impl Response {
 }
 
 // ---------------------------------------------------------------------------
-// Encoding
+// One wire form per value
 // ---------------------------------------------------------------------------
 
-fn obj(members: Vec<(&str, Json)>) -> Json {
-    Json::Object(
-        members
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    )
-}
+/// A value's one wire form: how the encoders append it to the line, how the
+/// tree decoders read it from a [`Json`] tree, and how the exact-layout
+/// reader reads it back from the bytes [`Wire::encode`] wrote.
+trait Wire: Sized {
+    /// Appends the value to the line.
+    fn encode(&self, out: &mut String);
 
-/// Appends the workload object to the line being built.
-fn encode_workload_into(workload: &NetworkWorkload, out: &mut String) {
-    let layers = |layers: &[DotProductWorkload], out: &mut String| {
-        out.push('[');
-        for (i, l) in layers.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "[{},{}]", l.dot_length, l.dot_count);
-        }
-        out.push(']');
-    };
-    out.push_str("{\"name\":");
-    json::push_string_literal(&workload.name, out);
-    let _ = write!(out, ",\"towers\":{},\"conv_layers\":", workload.towers);
-    layers(&workload.conv_layers, out);
-    out.push_str(",\"fc_layers\":");
-    layers(&workload.fc_layers, out);
-    out.push('}');
-}
+    /// Reads the value from the tree; `key` names it in error details.
+    fn decode(json: &Json, key: &str) -> Result<Self, ErrorFrame>;
 
-/// The members of the report's power object, each key with the byte that
-/// precedes it.  The encoders and the exact-layout reader share these
-/// tables, so the two cannot drift apart.
-const POWER_KEYS: [&str; 5] = [
-    "{\"laser\":",
-    ",\"tuning\":",
-    ",\"detection\":",
-    ",\"conversion\":",
-    ",\"control\":",
-];
-
-/// The members of the report's area object, as [`POWER_KEYS`].
-const AREA_KEYS: [&str; 3] = [
-    "{\"mr_banks\":",
-    ",\"arm_devices\":",
-    ",\"unit_electronics\":",
-];
-
-/// The members of the report's metrics object, as [`POWER_KEYS`].
-const METRICS_KEYS: [&str; 8] = [
-    "{\"conv_time_s\":",
-    ",\"fc_time_s\":",
-    ",\"electronic_time_s\":",
-    ",\"fps\":",
-    ",\"energy_per_inference_pj\":",
-    ",\"energy_per_bit_pj\":",
-    ",\"kfps_per_watt\":",
-    ",\"power_w\":",
-];
-
-/// Appends an object of floats: each key fragment followed by its value.
-fn push_floats(keys: &[&str], values: &[f64], out: &mut String) {
-    for (key, &value) in keys.iter().zip(values) {
-        out.push_str(key);
-        json::push_f64(value, out);
+    /// Reads the value exactly as [`Wire::encode`] writes it, or `None` at
+    /// the first byte that differs.  Only what an eval request or answer
+    /// carries is read this way; every other value declines, which hands
+    /// the line to the tree.
+    fn read(_at: &mut Exact<'_>) -> Option<Self> {
+        None
     }
-    out.push('}');
 }
 
-/// Appends the power object (`{"laser":…,…,"control":…}`) to the line.
-fn encode_power_into(power: &crosslight_core::power::AcceleratorPower, out: &mut String) {
-    let values = [
-        power.laser.value(),
-        power.tuning.value(),
-        power.detection.value(),
-        power.conversion.value(),
-        power.control.value(),
-    ];
-    push_floats(&POWER_KEYS, &values, out);
+/// A `malformed` error about the field `key`.
+fn bad(key: &str, what: &str) -> ErrorFrame {
+    ErrorFrame::malformed(format!("field `{key}` {what}"))
 }
 
-/// Appends the area object (`{"mr_banks":…,…}`) to the line.
-fn encode_area_into(area: &crosslight_core::area::AcceleratorArea, out: &mut String) {
-    let values = [
-        area.mr_banks.value(),
-        area.arm_devices.value(),
-        area.unit_electronics.value(),
-    ];
-    push_floats(&AREA_KEYS, &values, out);
+impl Wire for u64 {
+    fn encode(&self, out: &mut String) {
+        let _ = write!(out, "{self}");
+    }
+
+    fn decode(json: &Json, key: &str) -> Result<Self, ErrorFrame> {
+        json.as_u64()
+            .ok_or_else(|| bad(key, "must be a non-negative integer"))
+    }
+
+    fn read(at: &mut Exact<'_>) -> Option<Self> {
+        at.u64()
+    }
 }
 
-/// Appends the report object to the line being built.  Frames are encoded by
-/// direct string writing (not via a [`Json`] tree) because this runs once
-/// per response on the serving hot path.
-fn encode_report_into(report: &SimulationReport, out: &mut String) {
-    let metrics = &report.metrics;
-    out.push_str("{\"power_mw\":");
-    encode_power_into(&report.power, out);
-    out.push_str(",\"area_mm2\":");
-    encode_area_into(&report.area, out);
-    out.push_str(",\"metrics\":");
-    let values = [
-        metrics.latency.conv_time.value(),
-        metrics.latency.fc_time.value(),
-        metrics.latency.electronic_time.value(),
-        metrics.fps,
-        metrics.energy_per_inference.value(),
-        metrics.energy_per_bit_pj,
-        metrics.kfps_per_watt,
-        metrics.power.value(),
-    ];
-    push_floats(&METRICS_KEYS, &values, out);
-    let _ = write!(out, ",\"resolution_bits\":{}}}", report.resolution_bits);
+/// The narrower unsigned integers travel as a `u64` that must fit them.
+macro_rules! narrow_wire {
+    ($($ty:ty),+) => {$(
+        impl Wire for $ty {
+            fn encode(&self, out: &mut String) {
+                let _ = write!(out, "{self}");
+            }
+
+            fn decode(json: &Json, key: &str) -> Result<Self, ErrorFrame> {
+                <$ty>::try_from(u64::decode(json, key)?).map_err(|_| bad(key, "out of range"))
+            }
+
+            fn read(at: &mut Exact<'_>) -> Option<Self> {
+                <$ty>::try_from(at.u64()?).ok()
+            }
+        }
+    )+};
 }
+
+narrow_wire!(u8, u32, usize);
+
+impl Wire for i64 {
+    fn encode(&self, out: &mut String) {
+        let _ = write!(out, "{self}");
+    }
+
+    fn decode(json: &Json, key: &str) -> Result<Self, ErrorFrame> {
+        match *json {
+            Json::Uint(v) => i64::try_from(v).map_err(|_| bad(key, "out of range")),
+            Json::Int(v) => Ok(v),
+            _ => Err(bad(key, "must be an integer")),
+        }
+    }
+}
+
+impl Wire for f64 {
+    fn encode(&self, out: &mut String) {
+        json::push_f64(*self, out);
+    }
+
+    fn decode(json: &Json, key: &str) -> Result<Self, ErrorFrame> {
+        json.as_f64().ok_or_else(|| bad(key, "must be a number"))
+    }
+
+    /// A float as [`Json::as_f64`] reads it, minus the integral tokens the
+    /// encoder never writes (`1` for `1.0`).
+    fn read(at: &mut Exact<'_>) -> Option<Self> {
+        if at.line.as_bytes().get(at.pos) == Some(&b'"') {
+            return [
+                ("\"NaN\"", f64::NAN),
+                ("\"inf\"", f64::INFINITY),
+                ("\"-inf\"", f64::NEG_INFINITY),
+            ]
+            .into_iter()
+            .find_map(|(text, value)| at.lit(text).map(|()| value));
+        }
+        let (token, integral) = at.number()?;
+        if integral {
+            return None;
+        }
+        json::parse_float(token)
+    }
+}
+
+/// The photonics unit newtypes travel as their `f64` value.
+macro_rules! unit_wire {
+    ($($ty:ty),+) => {$(
+        impl Wire for $ty {
+            fn encode(&self, out: &mut String) {
+                json::push_f64(self.value(), out);
+            }
+
+            fn decode(json: &Json, key: &str) -> Result<Self, ErrorFrame> {
+                f64::decode(json, key).map(<$ty>::new)
+            }
+
+            fn read(at: &mut Exact<'_>) -> Option<Self> {
+                f64::read(at).map(<$ty>::new)
+            }
+        }
+    )+};
+}
+
+unit_wire!(MilliWatts, Picojoules, Seconds, SquareMillimeters, Watts);
+
+impl Wire for bool {
+    fn encode(&self, out: &mut String) {
+        let _ = write!(out, "{self}");
+    }
+
+    fn decode(json: &Json, key: &str) -> Result<Self, ErrorFrame> {
+        json.as_bool().ok_or_else(|| bad(key, "must be a bool"))
+    }
+
+    fn read(at: &mut Exact<'_>) -> Option<Self> {
+        match at.lit("true") {
+            Some(()) => Some(true),
+            None => at.lit("false").map(|()| false),
+        }
+    }
+}
+
+impl Wire for String {
+    fn encode(&self, out: &mut String) {
+        json::push_string_literal(self, out);
+    }
+
+    fn decode(json: &Json, key: &str) -> Result<Self, ErrorFrame> {
+        json.as_str()
+            .map(str::to_string)
+            .ok_or_else(|| bad(key, "must be a string"))
+    }
+}
+
+/// Appends `items` as an array.
+fn encode_items<T: Wire>(items: &[T], out: &mut String) {
+    out.push('[');
+    for (i, item) in items.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        item.encode(out);
+    }
+    out.push(']');
+}
+
+impl<T: Wire> Wire for Vec<T> {
+    fn encode(&self, out: &mut String) {
+        encode_items(self, out);
+    }
+
+    fn decode(json: &Json, key: &str) -> Result<Self, ErrorFrame> {
+        let items = json
+            .as_array()
+            .ok_or_else(|| bad(key, "must be an array"))?;
+        items.iter().map(|item| T::decode(item, key)).collect()
+    }
+}
+
+impl<T: Wire + Copy + Default, const N: usize> Wire for [T; N] {
+    fn encode(&self, out: &mut String) {
+        encode_items(self, out);
+    }
+
+    fn decode(json: &Json, key: &str) -> Result<Self, ErrorFrame> {
+        let items = json
+            .as_array()
+            .filter(|items| items.len() == N)
+            .ok_or_else(|| bad(key, &format!("must be a {N}-element array")))?;
+        let mut array = [T::default(); N];
+        for (slot, item) in array.iter_mut().zip(items) {
+            *slot = T::decode(item, key)?;
+        }
+        Ok(array)
+    }
+
+    fn read(at: &mut Exact<'_>) -> Option<Self> {
+        let mut array = [T::default(); N];
+        at.lit("[")?;
+        for (i, slot) in array.iter_mut().enumerate() {
+            if i > 0 {
+                at.lit(",")?;
+            }
+            *slot = T::read(at)?;
+        }
+        at.lit("]")?;
+        Some(array)
+    }
+}
+
+/// A layer travels as its `[length, count]` pair.
+impl Wire for DotProductWorkload {
+    fn encode(&self, out: &mut String) {
+        [self.dot_length, self.dot_count].encode(out);
+    }
+
+    fn decode(json: &Json, key: &str) -> Result<Self, ErrorFrame> {
+        let [dot_length, dot_count] = Wire::decode(json, key)?;
+        Ok(Self {
+            dot_length,
+            dot_count,
+        })
+    }
+}
+
+/// Gives a struct its wire form from one member table: an object that
+/// opens with `$open` (a brace, or a brace and a fixed `type` member), then
+/// holds each `"key"` in the table's order.  Each member is written from
+/// `$get` (on the value `$v`), read into the local `$local`, and `$build`
+/// makes the value from those locals.  The short form maps each key to the
+/// struct field it names.
+macro_rules! wire_object {
+    ($ty:ty, $open:literal, |$v:ident|
+        $key0:literal: $local0:ident = $get0:expr $(, $key:literal: $local:ident = $get:expr)*
+        => $build:expr
+    ) => {
+        impl Wire for $ty {
+            fn encode(&self, out: &mut String) {
+                let $v = self;
+                out.push_str(concat!($open, "\"", $key0, "\":"));
+                Wire::encode(&$get0, out);
+                $(
+                    out.push_str(concat!(",\"", $key, "\":"));
+                    Wire::encode(&$get, out);
+                )*
+                out.push('}');
+            }
+
+            fn decode(json: &Json, _: &str) -> Result<Self, ErrorFrame> {
+                let $local0 = member(json, $key0)?;
+                $(let $local = member(json, $key)?;)*
+                Ok($build)
+            }
+
+            fn read(at: &mut Exact<'_>) -> Option<Self> {
+                at.lit(concat!($open, "\"", $key0, "\":"))?;
+                let $local0 = Wire::read(at)?;
+                $(
+                    at.lit(concat!(",\"", $key, "\":"))?;
+                    let $local = Wire::read(at)?;
+                )*
+                at.lit("}")?;
+                Some($build)
+            }
+        }
+    };
+    ($ty:ty, $open:literal { $($key:literal: $field:ident),+ $(,)? }) => {
+        wire_object!($ty, $open, |v| $($key: $field = v.$field),+ => Self { $($field),+ });
+    };
+}
+
+wire_object!(WireServerStats, "{" {
+    "connections_accepted": connections_accepted,
+    "connections_active": connections_active,
+    "requests_total": requests_total,
+    "evals_ok": evals_ok,
+    "evals_failed": evals_failed,
+    "shed_total": shed_total,
+    "malformed_total": malformed_total,
+    "oversized_total": oversized_total,
+    "queue_capacity": queue_capacity,
+    "in_flight": in_flight,
+});
+
+wire_object!(RuntimeStats, "{" {
+    "submitted": submitted,
+    "completed": completed,
+    "cache_hits": cache_hits,
+    "cache_misses": cache_misses,
+    "cached_entries": cached_entries,
+    "prepared_configs": prepared_configs,
+    "per_worker": per_worker,
+    "queue_depths": queue_depths,
+});
+
+wire_object!(StatsFrame, "{\"type\":\"stats\"," {
+    "server": server,
+    "runtime": runtime,
+});
+
+wire_object!(RestoredFrame, "{\"type\":\"restored\"," {
+    "entries": entries,
+    "results": results,
+    "model": model,
+});
+
+wire_object!(EvalFrame, "{\"type\":\"eval\"," {
+    "cache_hit": cache_hit,
+    "worker": worker,
+    "report": report,
+});
+
+wire_object!(SimulationReport, "{" {
+    "power_mw": power,
+    "area_mm2": area,
+    "metrics": metrics,
+    "resolution_bits": resolution_bits,
+});
+
+wire_object!(AcceleratorPower, "{" {
+    "laser": laser,
+    "tuning": tuning,
+    "detection": detection,
+    "conversion": conversion,
+    "control": control,
+});
+
+wire_object!(AcceleratorArea, "{" {
+    "mr_banks": mr_banks,
+    "arm_devices": arm_devices,
+    "unit_electronics": unit_electronics,
+});
+
+// The latency's three times sit flat among the other metrics.
+wire_object!(InferenceMetrics, "{", |m|
+    "conv_time_s": conv_time = m.latency.conv_time,
+    "fc_time_s": fc_time = m.latency.fc_time,
+    "electronic_time_s": electronic_time = m.latency.electronic_time,
+    "fps": fps = m.fps,
+    "energy_per_inference_pj": energy_per_inference = m.energy_per_inference,
+    "energy_per_bit_pj": energy_per_bit_pj = m.energy_per_bit_pj,
+    "kfps_per_watt": kfps_per_watt = m.kfps_per_watt,
+    "power_w": power = m.power
+    => InferenceMetrics {
+        latency: InferenceLatency { conv_time, fc_time, electronic_time },
+        fps,
+        energy_per_inference,
+        energy_per_bit_pj,
+        kfps_per_watt,
+        power,
+    }
+);
+
+wire_object!(VdpUnitReport, "{" {
+    "arms": arms,
+    "pass_latency_s": pass_latency,
+    "laser_mw": laser_power,
+    "tuning_mw": tuning_power,
+    "detection_mw": detection_power,
+    "conversion_mw": conversion_power,
+});
+
+wire_object!(NetworkWorkload, "{" {
+    "name": name,
+    "towers": towers,
+    "conv_layers": conv_layers,
+    "fc_layers": fc_layers,
+});
+
+/// Maps a core canonical-codec rejection into a typed malformed frame.
+fn snapshot_entry_error(err: &dyn std::fmt::Display) -> ErrorFrame {
+    ErrorFrame::malformed(format!("invalid snapshot entry: {err}"))
+}
+
+impl Wire for ArchKey {
+    fn encode(&self, out: &mut String) {
+        match self {
+            ArchKey::CrossLight(key) => {
+                out.push_str("{\"kind\":\"crosslight\",\"words\":");
+                key.to_words().encode(out);
+            }
+            ArchKey::Backend(key) => {
+                let tag = key.arch_tag();
+                let _ = write!(out, "{{\"kind\":\"backend\",\"tag\":{tag},\"params\":");
+                key.params().encode(out);
+            }
+        }
+        out.push('}');
+    }
+
+    fn decode(json: &Json, _: &str) -> Result<Self, ErrorFrame> {
+        match str_field(json, "kind")? {
+            "crosslight" => ConfigKey::from_words(member(json, "words")?)
+                .map(ArchKey::CrossLight)
+                .map_err(|err| snapshot_entry_error(&err)),
+            "backend" => {
+                let tag = member(json, "tag")?;
+                Ok(ArchKey::Backend(BackendKey::new(
+                    tag,
+                    member(json, "params")?,
+                )))
+            }
+            other => Err(ErrorFrame::malformed(format!(
+                "unknown arch key kind `{other}`"
+            ))),
+        }
+    }
+}
+
+/// One snapshot entry's object.  This encoding is the canonical checksum
+/// domain: it is deterministic (keys in fixed order, exact-f64 numbers), so
+/// [`snapshot_checksum`] agrees between the exporter and a receiver that
+/// re-encodes what it decoded.
+impl Wire for SnapshotEntry {
+    fn encode(&self, out: &mut String) {
+        match self {
+            SnapshotEntry::Result {
+                arch,
+                workload,
+                report,
+            } => {
+                out.push_str("{\"kind\":\"result\",\"arch\":");
+                arch.encode(out);
+                out.push_str(",\"workload\":");
+                workload.encode(out);
+                out.push_str(",\"report\":");
+                report.encode(out);
+            }
+            SnapshotEntry::Model(ModelCacheEntry::Unit { key, report }) => {
+                out.push_str("{\"kind\":\"unit\",\"key\":");
+                key.to_words().encode(out);
+                out.push_str(",\"report\":");
+                report.encode(out);
+            }
+            SnapshotEntry::Model(ModelCacheEntry::Resolution { key, bits }) => {
+                out.push_str("{\"kind\":\"resolution\",\"key\":");
+                key.to_words().encode(out);
+                let _ = write!(out, ",\"bits\":{bits}");
+            }
+            SnapshotEntry::Model(ModelCacheEntry::Prepared {
+                config,
+                power,
+                area,
+                resolution_bits,
+            }) => {
+                out.push_str("{\"kind\":\"prepared\",\"config\":");
+                config.to_canonical_words().encode(out);
+                out.push_str(",\"power_mw\":");
+                power.encode(out);
+                out.push_str(",\"area_mm2\":");
+                area.encode(out);
+                let _ = write!(out, ",\"resolution_bits\":{resolution_bits}");
+            }
+        }
+        out.push('}');
+    }
+
+    fn decode(json: &Json, _: &str) -> Result<Self, ErrorFrame> {
+        let model = |entry| Ok(SnapshotEntry::Model(entry));
+        match str_field(json, "kind")? {
+            "result" => Ok(SnapshotEntry::Result {
+                arch: member(json, "arch")?,
+                workload: member(json, "workload")?,
+                report: member(json, "report")?,
+            }),
+            "unit" => model(ModelCacheEntry::Unit {
+                key: VdpUnitKey::from_words(member(json, "key")?)
+                    .map_err(|err| snapshot_entry_error(&err))?,
+                report: member(json, "report")?,
+            }),
+            "resolution" => model(ModelCacheEntry::Resolution {
+                key: ResolutionKey::from_words(member(json, "key")?)
+                    .map_err(|err| snapshot_entry_error(&err))?,
+                bits: member(json, "bits")?,
+            }),
+            "prepared" => model(ModelCacheEntry::Prepared {
+                config: CrossLightConfig::from_canonical_words(member(json, "config")?)
+                    .map_err(|err| snapshot_entry_error(&err))?,
+                power: member(json, "power_mw")?,
+                area: member(json, "area_mm2")?,
+                resolution_bits: member(json, "resolution_bits")?,
+            }),
+            other => Err(ErrorFrame::malformed(format!(
+                "unknown snapshot entry kind `{other}`"
+            ))),
+        }
+    }
+}
+
+impl Wire for HistogramSnapshot {
+    fn encode(&self, out: &mut String) {
+        let _ = write!(out, "{{\"count\":{},\"sum\":{}", self.count(), self.sum());
+        if let Some(min) = self.min() {
+            let _ = write!(out, ",\"min\":{min}");
+        }
+        let _ = write!(out, ",\"max\":{},\"buckets\":", self.max().unwrap_or(0));
+        let buckets: Vec<[u64; 2]> = self.le_buckets().map(|(le, n)| [le, n]).collect();
+        buckets.encode(out);
+        out.push('}');
+    }
+
+    fn decode(json: &Json, _: &str) -> Result<Self, ErrorFrame> {
+        let buckets: Vec<[u64; 2]> = member(json, "buckets")?;
+        let buckets: Vec<(u64, u64)> = buckets.into_iter().map(|[le, n]| (le, n)).collect();
+        // `count` is required, but the snapshot counts its buckets itself.
+        member::<u64>(json, "count")?;
+        let (sum, min) = (member(json, "sum")?, optional(json, "min")?);
+        let max = member(json, "max")?;
+        Ok(HistogramSnapshot::from_le_buckets(&buckets, sum, min, max))
+    }
+}
+
+/// A metric family; each series' value is read as the family's kind.
+impl Wire for FamilySnapshot {
+    fn encode(&self, out: &mut String) {
+        out.push_str("{\"name\":");
+        self.name.encode(out);
+        out.push_str(",\"help\":");
+        self.help.encode(out);
+        let _ = write!(out, ",\"kind\":\"{}\",\"series\":[", self.kind.as_str());
+        for (i, series) in self.series.iter().enumerate() {
+            out.push_str(if i == 0 {
+                "{\"labels\":{"
+            } else {
+                ",{\"labels\":{"
+            });
+            for (j, (key, value)) in series.labels.iter().enumerate() {
+                if j > 0 {
+                    out.push(',');
+                }
+                key.encode(out);
+                out.push(':');
+                value.encode(out);
+            }
+            out.push_str("},\"value\":");
+            match &series.value {
+                SeriesValue::Counter(value) => value.encode(out),
+                SeriesValue::Gauge(value) => value.encode(out),
+                SeriesValue::Histogram(histogram) => histogram.encode(out),
+            }
+            out.push('}');
+        }
+        out.push_str("]}");
+    }
+
+    fn decode(json: &Json, _: &str) -> Result<Self, ErrorFrame> {
+        let kind_name = str_field(json, "kind")?;
+        let kind = MetricKind::from_wire_name(kind_name)
+            .ok_or_else(|| ErrorFrame::malformed(format!("unknown metric kind `{kind_name}`")))?;
+        let series = field(json, "series")?
+            .as_array()
+            .ok_or_else(|| bad("series", "must be an array"))?
+            .iter()
+            .map(|series| {
+                let Json::Object(labels) = field(series, "labels")? else {
+                    return Err(bad("labels", "must be an object"));
+                };
+                let labels = labels
+                    .iter()
+                    .map(|(key, value)| Ok((key.clone(), String::decode(value, key)?)))
+                    .collect::<Result<_, ErrorFrame>>()?;
+                let value = match kind {
+                    MetricKind::Counter => SeriesValue::Counter(member(series, "value")?),
+                    MetricKind::Gauge => SeriesValue::Gauge(member(series, "value")?),
+                    MetricKind::Histogram => SeriesValue::Histogram(member(series, "value")?),
+                };
+                Ok(SeriesSnapshot { labels, value })
+            })
+            .collect::<Result<_, ErrorFrame>>()?;
+        Ok(FamilySnapshot {
+            name: member(json, "name")?,
+            help: member(json, "help")?,
+            kind,
+            series,
+        })
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Encoding
+// ---------------------------------------------------------------------------
 
 /// Appends the `config` object of an eval request to the line being built.
 /// CrossLight requests are encoded exactly as protocol version 1 always
@@ -849,100 +1324,12 @@ fn encode_arch_request_into(arch: &ArchRequest, out: &mut String) {
     }
 }
 
-/// Appends a canonical-word array (`[w0,w1,…]`) to the line.
-fn encode_words_into(words: &[u64], out: &mut String) {
-    out.push('[');
-    for (i, word) in words.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "{word}");
-    }
-    out.push(']');
-}
-
-/// Appends a canonical architecture key to the line.
-fn encode_arch_key_into(arch: &ArchKey, out: &mut String) {
-    match arch {
-        ArchKey::CrossLight(key) => {
-            out.push_str("{\"kind\":\"crosslight\",\"words\":");
-            encode_words_into(&key.to_words(), out);
-            out.push('}');
-        }
-        ArchKey::Backend(key) => {
-            let _ = write!(
-                out,
-                "{{\"kind\":\"backend\",\"tag\":{},\"params\":",
-                key.arch_tag()
-            );
-            encode_words_into(&key.params(), out);
-            out.push('}');
-        }
-    }
-}
-
-/// Appends one snapshot entry object to the line.  This encoding is the
-/// canonical checksum domain: it is deterministic (keys in fixed order,
-/// exact-f64 numbers), so [`snapshot_checksum`] agrees between the exporter
-/// and a receiver that re-encodes what it decoded.
-fn encode_snapshot_entry_into(entry: &SnapshotEntry, out: &mut String) {
-    match entry {
-        SnapshotEntry::Result {
-            arch,
-            workload,
-            report,
-        } => {
-            out.push_str("{\"kind\":\"result\",\"arch\":");
-            encode_arch_key_into(arch, out);
-            out.push_str(",\"workload\":");
-            encode_workload_into(workload, out);
-            out.push_str(",\"report\":");
-            encode_report_into(report, out);
-            out.push('}');
-        }
-        SnapshotEntry::Model(ModelCacheEntry::Unit { key, report }) => {
-            out.push_str("{\"kind\":\"unit\",\"key\":");
-            encode_words_into(&key.to_words(), out);
-            let f = |label: &str, value: f64, out: &mut String| {
-                out.push_str(label);
-                json::push_f64(value, out);
-            };
-            let _ = write!(out, ",\"report\":{{\"arms\":{}", report.arms);
-            f(",\"pass_latency_s\":", report.pass_latency.value(), out);
-            f(",\"laser_mw\":", report.laser_power.value(), out);
-            f(",\"tuning_mw\":", report.tuning_power.value(), out);
-            f(",\"detection_mw\":", report.detection_power.value(), out);
-            f(",\"conversion_mw\":", report.conversion_power.value(), out);
-            out.push_str("}}");
-        }
-        SnapshotEntry::Model(ModelCacheEntry::Resolution { key, bits }) => {
-            out.push_str("{\"kind\":\"resolution\",\"key\":");
-            encode_words_into(&key.to_words(), out);
-            let _ = write!(out, ",\"bits\":{bits}}}");
-        }
-        SnapshotEntry::Model(ModelCacheEntry::Prepared {
-            config,
-            power,
-            area,
-            resolution_bits,
-        }) => {
-            out.push_str("{\"kind\":\"prepared\",\"config\":");
-            encode_words_into(&config.to_canonical_words(), out);
-            out.push_str(",\"power_mw\":");
-            encode_power_into(power, out);
-            out.push_str(",\"area_mm2\":");
-            encode_area_into(area, out);
-            let _ = write!(out, ",\"resolution_bits\":{resolution_bits}}}");
-        }
-    }
-}
-
 /// The canonical encoding of one snapshot entry, as it appears inside a
 /// chunk's `entries` array.
 #[must_use]
 pub fn encode_snapshot_entry(entry: &SnapshotEntry) -> String {
     let mut out = String::with_capacity(256);
-    encode_snapshot_entry_into(entry, &mut out);
+    entry.encode(&mut out);
     out
 }
 
@@ -956,7 +1343,7 @@ pub fn snapshot_checksum(entries: &[SnapshotEntry]) -> u64 {
     let mut buf = String::with_capacity(512);
     for entry in entries {
         buf.clear();
-        encode_snapshot_entry_into(entry, &mut buf);
+        entry.encode(&mut buf);
         std::hash::Hasher::write(&mut hasher, buf.as_bytes());
     }
     std::hash::Hasher::finish(&hasher)
@@ -1000,17 +1387,10 @@ pub fn chunk_snapshot_entries(
 fn encode_snapshot_chunk_into(chunk: &SnapshotChunk, out: &mut String) {
     let _ = write!(
         out,
-        "\"schema\":\"{SNAPSHOT_SCHEMA}\",\"seq\":{}",
+        "\"schema\":\"{SNAPSHOT_SCHEMA}\",\"seq\":{},\"entries\":",
         chunk.seq
     );
-    out.push_str(",\"entries\":[");
-    for (i, entry) in chunk.entries.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        encode_snapshot_entry_into(entry, out);
-    }
-    out.push(']');
+    chunk.entries.encode(out);
 }
 
 fn encode_snapshot_end_into(end: &SnapshotEnd, out: &mut String) {
@@ -1036,7 +1416,7 @@ pub fn encode_request(request: &Request) -> String {
                 }
                 WorkloadRef::Inline(workload) => {
                     out.push_str(",\"workload\":");
-                    encode_workload_into(workload, &mut out);
+                    workload.encode(&mut out);
                 }
             }
         }
@@ -1072,108 +1452,6 @@ pub fn encode_request(request: &Request) -> String {
     out
 }
 
-fn encode_histogram(histogram: &HistogramSnapshot) -> Json {
-    let mut members = vec![
-        ("count", Json::Uint(histogram.count())),
-        ("sum", Json::Uint(histogram.sum())),
-    ];
-    if let Some(min) = histogram.min() {
-        members.push(("min", Json::Uint(min)));
-    }
-    members.push(("max", Json::Uint(histogram.max().unwrap_or(0))));
-    members.push((
-        "buckets",
-        Json::Array(
-            histogram
-                .le_buckets()
-                .map(|(le, n)| Json::Array(vec![Json::Uint(le), Json::Uint(n)]))
-                .collect(),
-        ),
-    ));
-    obj(members)
-}
-
-fn encode_metrics_snapshot(snapshot: &RegistrySnapshot) -> Json {
-    let families = snapshot
-        .families
-        .iter()
-        .map(|family| {
-            let series = family
-                .series
-                .iter()
-                .map(|series| {
-                    let labels = Json::Object(
-                        series
-                            .labels
-                            .iter()
-                            .map(|(k, v)| (k.clone(), Json::Str(v.clone())))
-                            .collect(),
-                    );
-                    let value = match &series.value {
-                        SeriesValue::Counter(v) => Json::Uint(*v),
-                        SeriesValue::Gauge(v) => match u64::try_from(*v) {
-                            Ok(unsigned) => Json::Uint(unsigned),
-                            Err(_) => Json::Int(*v),
-                        },
-                        SeriesValue::Histogram(h) => encode_histogram(h),
-                    };
-                    obj(vec![("labels", labels), ("value", value)])
-                })
-                .collect();
-            obj(vec![
-                ("name", Json::Str(family.name.clone())),
-                ("help", Json::Str(family.help.clone())),
-                ("kind", Json::Str(family.kind.as_str().to_string())),
-                ("series", Json::Array(series)),
-            ])
-        })
-        .collect();
-    obj(vec![
-        ("type", Json::Str("metrics".to_string())),
-        (
-            "format",
-            Json::Str(MetricsFormat::Json.as_str().to_string()),
-        ),
-        ("schema", Json::Str(METRICS_SCHEMA.to_string())),
-        ("families", Json::Array(families)),
-    ])
-}
-
-fn encode_server_stats(stats: &WireServerStats) -> Json {
-    obj(vec![
-        (
-            "connections_accepted",
-            Json::Uint(stats.connections_accepted),
-        ),
-        ("connections_active", Json::Uint(stats.connections_active)),
-        ("requests_total", Json::Uint(stats.requests_total)),
-        ("evals_ok", Json::Uint(stats.evals_ok)),
-        ("evals_failed", Json::Uint(stats.evals_failed)),
-        ("shed_total", Json::Uint(stats.shed_total)),
-        ("malformed_total", Json::Uint(stats.malformed_total)),
-        ("oversized_total", Json::Uint(stats.oversized_total)),
-        ("queue_capacity", Json::Uint(stats.queue_capacity)),
-        ("in_flight", Json::Uint(stats.in_flight)),
-    ])
-}
-
-fn encode_runtime_stats(stats: &RuntimeStats) -> Json {
-    let counts = |values: &[u64]| Json::Array(values.iter().map(|&v| Json::Uint(v)).collect());
-    obj(vec![
-        ("submitted", Json::Uint(stats.submitted)),
-        ("completed", Json::Uint(stats.completed)),
-        ("cache_hits", Json::Uint(stats.cache_hits)),
-        ("cache_misses", Json::Uint(stats.cache_misses)),
-        ("cached_entries", Json::Uint(stats.cached_entries as u64)),
-        (
-            "prepared_configs",
-            Json::Uint(stats.prepared_configs as u64),
-        ),
-        ("per_worker", counts(&stats.per_worker)),
-        ("queue_depths", counts(&stats.queue_depths)),
-    ])
-}
-
 /// Appends the head every answer line starts with: `{"v":1`, then
 /// `,"id":<id>` when the id is known.
 pub fn push_answer_head(id: Option<u64>, out: &mut String) {
@@ -1188,13 +1466,9 @@ pub fn push_answer_head(id: Option<u64>, out: &mut String) {
 /// tail does not depend on the id, so a server can encode it once per
 /// cached report and answer each hit with a head plus those bytes.
 pub fn push_eval_tail(frame: &EvalFrame, out: &mut String) {
-    let _ = write!(
-        out,
-        ",\"ok\":{{\"type\":\"eval\",\"cache_hit\":{},\"worker\":{},\"report\":",
-        frame.cache_hit, frame.worker
-    );
-    encode_report_into(&frame.report, out);
-    out.push_str("}}");
+    out.push_str(",\"ok\":");
+    frame.encode(out);
+    out.push('}');
 }
 
 /// Encodes a response as one JSON line (no trailing newline).
@@ -1210,38 +1484,28 @@ pub fn encode_response(response: &Response) -> String {
         }
         ResponseBody::Stats(frame) => {
             out.push_str(",\"ok\":");
-            let body = obj(vec![
-                ("type", Json::Str("stats".to_string())),
-                ("server", encode_server_stats(&frame.server)),
-                ("runtime", encode_runtime_stats(&frame.runtime)),
-            ]);
-            out.push_str(&body.encode());
+            frame.encode(&mut out);
         }
         ResponseBody::Metrics(frame) => {
-            out.push_str(",\"ok\":");
-            let body = match frame {
-                MetricsFrame::Snapshot(snapshot) => encode_metrics_snapshot(snapshot),
-                MetricsFrame::Text(page) => obj(vec![
-                    ("type", Json::Str("metrics".to_string())),
-                    (
-                        "format",
-                        Json::Str(MetricsFormat::Text.as_str().to_string()),
-                    ),
-                    ("page", Json::Str(page.clone())),
-                ]),
-                MetricsFrame::Spans(lines) => obj(vec![
-                    ("type", Json::Str("metrics".to_string())),
-                    (
-                        "format",
-                        Json::Str(MetricsFormat::Spans.as_str().to_string()),
-                    ),
-                    (
-                        "spans",
-                        Json::Array(lines.iter().map(|l| Json::Str(l.clone())).collect()),
-                    ),
-                ]),
-            };
-            out.push_str(&body.encode());
+            out.push_str(",\"ok\":{\"type\":\"metrics\",\"format\":");
+            match frame {
+                MetricsFrame::Snapshot(snapshot) => {
+                    let _ = write!(
+                        out,
+                        "\"json\",\"schema\":\"{METRICS_SCHEMA}\",\"families\":"
+                    );
+                    snapshot.families.encode(&mut out);
+                }
+                MetricsFrame::Text(page) => {
+                    out.push_str("\"text\",\"page\":");
+                    page.encode(&mut out);
+                }
+                MetricsFrame::Spans(lines) => {
+                    out.push_str("\"spans\",\"spans\":");
+                    lines.encode(&mut out);
+                }
+            }
+            out.push('}');
         }
         ResponseBody::Snapshot(chunk) => {
             out.push_str(",\"ok\":{\"type\":\"snapshot\",");
@@ -1254,11 +1518,8 @@ pub fn encode_response(response: &Response) -> String {
             out.push('}');
         }
         ResponseBody::Restored(frame) => {
-            let _ = write!(
-                out,
-                ",\"ok\":{{\"type\":\"restored\",\"entries\":{},\"results\":{},\"model\":{}}}",
-                frame.entries, frame.results, frame.model
-            );
+            out.push_str(",\"ok\":");
+            frame.encode(&mut out);
         }
         ResponseBody::Pong => out.push_str(",\"ok\":{\"type\":\"pong\"}"),
         ResponseBody::Error(frame) => {
@@ -1290,32 +1551,26 @@ fn field<'a>(value: &'a Json, key: &str) -> Result<&'a Json, ErrorFrame> {
         .ok_or_else(|| ErrorFrame::malformed(format!("missing field `{key}`")))
 }
 
-fn u64_field(value: &Json, key: &str) -> Result<u64, ErrorFrame> {
-    field(value, key)?.as_u64().ok_or_else(|| {
-        ErrorFrame::malformed(format!("field `{key}` must be a non-negative integer"))
-    })
+/// The member `key` of the object `value`, read in its wire form.
+fn member<T: Wire>(value: &Json, key: &str) -> Result<T, ErrorFrame> {
+    T::decode(field(value, key)?, key)
 }
 
-fn f64_field(value: &Json, key: &str) -> Result<f64, ErrorFrame> {
-    field(value, key)?
-        .as_f64()
-        .ok_or_else(|| ErrorFrame::malformed(format!("field `{key}` must be a number")))
+/// The member `key` of the object `value` when it is present.
+fn optional<T: Wire>(value: &Json, key: &str) -> Result<Option<T>, ErrorFrame> {
+    value.get(key).map(|json| T::decode(json, key)).transpose()
 }
 
 fn str_field<'a>(value: &'a Json, key: &str) -> Result<&'a str, ErrorFrame> {
     field(value, key)?
         .as_str()
-        .ok_or_else(|| ErrorFrame::malformed(format!("field `{key}` must be a string")))
-}
-
-fn usize_from(value: u64, key: &str) -> Result<usize, ErrorFrame> {
-    usize::try_from(value).map_err(|_| ErrorFrame::malformed(format!("field `{key}` out of range")))
+        .ok_or_else(|| bad(key, "must be a string"))
 }
 
 /// Checks the envelope version and extracts the id, shared by request and
 /// response decoding.
 fn check_version(value: &Json) -> Result<(), ErrorFrame> {
-    let version = u64_field(value, "v")?;
+    let version: u64 = member(value, "v")?;
     if version != PROTOCOL_VERSION {
         return Err(ErrorFrame::new(
             ErrorKind::UnsupportedVersion,
@@ -1327,92 +1582,23 @@ fn check_version(value: &Json) -> Result<(), ErrorFrame> {
     Ok(())
 }
 
-fn decode_layers(value: &Json, key: &str) -> Result<Vec<DotProductWorkload>, ErrorFrame> {
-    let items = field(value, key)?
-        .as_array()
-        .ok_or_else(|| ErrorFrame::malformed(format!("field `{key}` must be an array")))?;
-    items
-        .iter()
-        .map(|item| {
-            let pair = item.as_array().filter(|a| a.len() == 2).ok_or_else(|| {
-                ErrorFrame::malformed(format!("entries of `{key}` must be [length, count] pairs"))
-            })?;
-            let dot_length = pair[0]
-                .as_u64()
-                .ok_or_else(|| ErrorFrame::malformed("dot_length must be an integer"))?;
-            let dot_count = pair[1]
-                .as_u64()
-                .ok_or_else(|| ErrorFrame::malformed("dot_count must be an integer"))?;
-            Ok(DotProductWorkload {
-                dot_length: usize_from(dot_length, "dot_length")?,
-                dot_count: usize_from(dot_count, "dot_count")?,
-            })
-        })
-        .collect()
-}
-
-fn decode_workload(value: &Json) -> Result<NetworkWorkload, ErrorFrame> {
-    Ok(NetworkWorkload {
-        name: str_field(value, "name")?.to_string(),
-        towers: usize_from(u64_field(value, "towers")?, "towers")?,
-        conv_layers: decode_layers(value, "conv_layers")?,
-        fc_layers: decode_layers(value, "fc_layers")?,
-    })
-}
-
 fn decode_crosslight_arch(config: &Json) -> Result<ArchRequest, ErrorFrame> {
     let label = str_field(config, "variant")?;
     let variant = CrossLightVariant::from_label(label)
         .ok_or_else(|| ErrorFrame::unsupported(format!("unknown variant `{label}`")))?;
-    let dims_json = field(config, "dims")?
-        .as_array()
-        .filter(|a| a.len() == 4)
-        .ok_or_else(|| ErrorFrame::malformed("field `dims` must be a 4-element array"))?;
-    let mut dims = [0usize; 4];
-    for (slot, item) in dims.iter_mut().zip(dims_json) {
-        *slot = usize_from(
-            item.as_u64()
-                .ok_or_else(|| ErrorFrame::malformed("`dims` entries must be integers"))?,
-            "dims",
-        )?;
-    }
-    let resolution_bits = u32::try_from(u64_field(config, "resolution_bits")?)
-        .map_err(|_| ErrorFrame::malformed("field `resolution_bits` out of range"))?;
+    let [n, k, conv_units, fc_units] = member(config, "dims")?;
     Ok(ArchRequest::CrossLight {
         variant,
-        dims: (dims[0], dims[1], dims[2], dims[3]),
-        resolution_bits,
+        dims: (n, k, conv_units, fc_units),
+        resolution_bits: member(config, "resolution_bits")?,
     })
 }
 
 /// Decodes an optional `(a, b)` integer-pair field, falling back to the
 /// backend's published default when absent.
-fn decode_dims_pair(config: &Json, default: (usize, usize)) -> Result<(usize, usize), ErrorFrame> {
-    let Some(json) = config.get("dims") else {
-        return Ok(default);
-    };
-    let pair = json
-        .as_array()
-        .filter(|a| a.len() == 2)
-        .ok_or_else(|| ErrorFrame::malformed("field `dims` must be a 2-element array"))?;
-    let mut dims = [0usize; 2];
-    for (slot, item) in dims.iter_mut().zip(pair) {
-        *slot = usize_from(
-            item.as_u64()
-                .ok_or_else(|| ErrorFrame::malformed("`dims` entries must be integers"))?,
-            "dims",
-        )?;
-    }
-    Ok((dims[0], dims[1]))
-}
-
-/// Decodes an optional `resolution_bits` field with a backend default.
-fn decode_resolution_bits(config: &Json, default: u32) -> Result<u32, ErrorFrame> {
-    if config.get("resolution_bits").is_none() {
-        return Ok(default);
-    }
-    u32::try_from(u64_field(config, "resolution_bits")?)
-        .map_err(|_| ErrorFrame::malformed("field `resolution_bits` out of range"))
+fn decode_dims_pair(config: &Json, (a, b): (usize, usize)) -> Result<(usize, usize), ErrorFrame> {
+    let [a, b] = optional(config, "dims")?.unwrap_or([a, b]);
+    Ok((a, b))
 }
 
 /// Decodes the `config` object of an eval request.  An absent `"arch"`
@@ -1425,16 +1611,13 @@ fn decode_arch_request(config: &Json) -> Result<ArchRequest, ErrorFrame> {
             .as_str()
             .ok_or_else(|| ErrorFrame::malformed("field `arch` must be a string"))?,
     };
+    let bits = |default| optional(config, "resolution_bits").map(|bits| bits.unwrap_or(default));
     match arch_name {
         "crosslight" => decode_crosslight_arch(config),
         "deap-cnn" => Ok(ArchRequest::DeapCnn),
-        "holylight" => {
-            let units = match config.get("units") {
-                None => HOLYLIGHT_UNITS,
-                Some(_) => usize_from(u64_field(config, "units")?, "units")?,
-            };
-            Ok(ArchRequest::HolyLight { units })
-        }
+        "holylight" => Ok(ArchRequest::HolyLight {
+            units: optional(config, "units")?.unwrap_or(HOLYLIGHT_UNITS),
+        }),
         "electronic" => {
             let name = str_field(config, "platform")?;
             let platform = crosslight_baselines::electronic::all_platforms()
@@ -1445,11 +1628,11 @@ fn decode_arch_request(config: &Json) -> Result<ArchRequest, ErrorFrame> {
         }
         "symmetric-crossbar" => Ok(ArchRequest::SymmetricCrossbar {
             dims: decode_dims_pair(config, (SYMMETRIC_DEFAULT_ROWS, SYMMETRIC_DEFAULT_COLS))?,
-            resolution_bits: decode_resolution_bits(config, SYMMETRIC_DEFAULT_BITS)?,
+            resolution_bits: bits(SYMMETRIC_DEFAULT_BITS)?,
         }),
         "litecon" => Ok(ArchRequest::LiteCon {
             dims: decode_dims_pair(config, (LITECON_DEFAULT_UNITS, LITECON_DEFAULT_UNIT_SIZE))?,
-            resolution_bits: decode_resolution_bits(config, LITECON_DEFAULT_BITS)?,
+            resolution_bits: bits(LITECON_DEFAULT_BITS)?,
         }),
         other => Err(ErrorFrame::unsupported(format!(
             "unknown architecture `{other}`"
@@ -1470,7 +1653,7 @@ fn decode_eval_spec(value: &Json) -> Result<EvalSpec, ErrorFrame> {
                     .ok_or_else(|| ErrorFrame::malformed(format!("unknown model `{name}`")))?,
             )
         }
-        (None, Some(inline)) => WorkloadRef::Inline(decode_workload(inline)?),
+        (None, Some(inline)) => WorkloadRef::Inline(Wire::decode(inline, "workload")?),
         _ => {
             return Err(ErrorFrame::malformed(
                 "eval requests need exactly one of `model` or `workload`",
@@ -1498,7 +1681,7 @@ pub fn decode_request(line: &str) -> Result<Request, ErrorFrame> {
 fn decode_request_tree(line: &str) -> Result<Request, ErrorFrame> {
     let value = Json::parse(line)?;
     check_version(&value)?;
-    let id = u64_field(&value, "id")?;
+    let id = member(&value, "id")?;
     let body = match str_field(&value, "op")? {
         "eval" => RequestBody::Eval(decode_eval_spec(&value)?),
         "stats" => RequestBody::Stats,
@@ -1515,10 +1698,7 @@ fn decode_request_tree(line: &str) -> Result<Request, ErrorFrame> {
             },
         },
         "snapshot" => RequestBody::Snapshot {
-            max_chunk_bytes: match value.get("max_chunk_bytes") {
-                None => None,
-                Some(_) => Some(u64_field(&value, "max_chunk_bytes")?),
-            },
+            max_chunk_bytes: optional(&value, "max_chunk_bytes")?,
         },
         "restore" => RequestBody::Restore(decode_snapshot_chunk(&value)?),
         "restore_end" => RequestBody::RestoreEnd(decode_snapshot_end(&value)?),
@@ -1598,285 +1778,38 @@ fn splice_id(line: &str, span: Range<usize>, id: u64) -> String {
     out
 }
 
-fn decode_power(power: &Json) -> Result<crosslight_core::power::AcceleratorPower, ErrorFrame> {
-    Ok(crosslight_core::power::AcceleratorPower {
-        laser: MilliWatts::new(f64_field(power, "laser")?),
-        tuning: MilliWatts::new(f64_field(power, "tuning")?),
-        detection: MilliWatts::new(f64_field(power, "detection")?),
-        conversion: MilliWatts::new(f64_field(power, "conversion")?),
-        control: MilliWatts::new(f64_field(power, "control")?),
-    })
-}
-
-fn decode_area(area: &Json) -> Result<crosslight_core::area::AcceleratorArea, ErrorFrame> {
-    Ok(crosslight_core::area::AcceleratorArea {
-        mr_banks: SquareMillimeters::new(f64_field(area, "mr_banks")?),
-        arm_devices: SquareMillimeters::new(f64_field(area, "arm_devices")?),
-        unit_electronics: SquareMillimeters::new(f64_field(area, "unit_electronics")?),
-    })
-}
-
-fn decode_report(value: &Json) -> Result<SimulationReport, ErrorFrame> {
-    let metrics = field(value, "metrics")?;
-    Ok(SimulationReport {
-        power: decode_power(field(value, "power_mw")?)?,
-        area: decode_area(field(value, "area_mm2")?)?,
-        metrics: InferenceMetrics {
-            latency: InferenceLatency {
-                conv_time: Seconds::new(f64_field(metrics, "conv_time_s")?),
-                fc_time: Seconds::new(f64_field(metrics, "fc_time_s")?),
-                electronic_time: Seconds::new(f64_field(metrics, "electronic_time_s")?),
-            },
-            fps: f64_field(metrics, "fps")?,
-            energy_per_inference: Picojoules::new(f64_field(metrics, "energy_per_inference_pj")?),
-            energy_per_bit_pj: f64_field(metrics, "energy_per_bit_pj")?,
-            kfps_per_watt: f64_field(metrics, "kfps_per_watt")?,
-            power: Watts::new(f64_field(metrics, "power_w")?),
-        },
-        resolution_bits: u32::try_from(u64_field(value, "resolution_bits")?)
-            .map_err(|_| ErrorFrame::malformed("field `resolution_bits` out of range"))?,
-    })
-}
-
-/// Decodes a fixed-length canonical-word array.
-fn decode_words<const N: usize>(value: &Json, key: &str) -> Result<[u64; N], ErrorFrame> {
-    let items = field(value, key)?
-        .as_array()
-        .filter(|a| a.len() == N)
-        .ok_or_else(|| {
-            ErrorFrame::malformed(format!("field `{key}` must be a {N}-element integer array"))
-        })?;
-    let mut words = [0u64; N];
-    for (slot, item) in words.iter_mut().zip(items) {
-        *slot = item
-            .as_u64()
-            .ok_or_else(|| ErrorFrame::malformed(format!("`{key}` entries must be integers")))?;
-    }
-    Ok(words)
-}
-
-/// Maps a core canonical-codec rejection into a typed malformed frame.
-fn snapshot_entry_error(err: &dyn std::fmt::Display) -> ErrorFrame {
-    ErrorFrame::malformed(format!("invalid snapshot entry: {err}"))
-}
-
-fn decode_arch_key(value: &Json) -> Result<ArchKey, ErrorFrame> {
-    match str_field(value, "kind")? {
-        "crosslight" => {
-            let words: [u64; CONFIG_KEY_WORDS] = decode_words(value, "words")?;
-            ConfigKey::from_words(words)
-                .map(ArchKey::CrossLight)
-                .map_err(|err| snapshot_entry_error(&err))
-        }
-        "backend" => {
-            let tag = u8::try_from(u64_field(value, "tag")?)
-                .map_err(|_| ErrorFrame::malformed("field `tag` out of range"))?;
-            let params: [u64; 4] = decode_words(value, "params")?;
-            Ok(ArchKey::Backend(BackendKey::new(tag, params)))
-        }
-        other => Err(ErrorFrame::malformed(format!(
-            "unknown arch key kind `{other}`"
-        ))),
-    }
-}
-
-fn decode_snapshot_entry(value: &Json) -> Result<SnapshotEntry, ErrorFrame> {
-    match str_field(value, "kind")? {
-        "result" => Ok(SnapshotEntry::Result {
-            arch: decode_arch_key(field(value, "arch")?)?,
-            workload: decode_workload(field(value, "workload")?)?,
-            report: decode_report(field(value, "report")?)?,
-        }),
-        "unit" => {
-            let words: [u64; VDP_UNIT_KEY_WORDS] = decode_words(value, "key")?;
-            let key = VdpUnitKey::from_words(words).map_err(|err| snapshot_entry_error(&err))?;
-            let report = field(value, "report")?;
-            Ok(SnapshotEntry::Model(ModelCacheEntry::Unit {
-                key,
-                report: VdpUnitReport {
-                    arms: usize_from(u64_field(report, "arms")?, "arms")?,
-                    pass_latency: Seconds::new(f64_field(report, "pass_latency_s")?),
-                    laser_power: MilliWatts::new(f64_field(report, "laser_mw")?),
-                    tuning_power: MilliWatts::new(f64_field(report, "tuning_mw")?),
-                    detection_power: MilliWatts::new(f64_field(report, "detection_mw")?),
-                    conversion_power: MilliWatts::new(f64_field(report, "conversion_mw")?),
-                },
-            }))
-        }
-        "resolution" => {
-            let words: [u64; RESOLUTION_KEY_WORDS] = decode_words(value, "key")?;
-            let key = ResolutionKey::from_words(words).map_err(|err| snapshot_entry_error(&err))?;
-            let bits = u32::try_from(u64_field(value, "bits")?)
-                .map_err(|_| ErrorFrame::malformed("field `bits` out of range"))?;
-            Ok(SnapshotEntry::Model(ModelCacheEntry::Resolution {
-                key,
-                bits,
-            }))
-        }
-        "prepared" => {
-            let words: [u64; CONFIG_KEY_WORDS] = decode_words(value, "config")?;
-            let config = CrossLightConfig::from_canonical_words(words)
-                .map_err(|err| snapshot_entry_error(&err))?;
-            Ok(SnapshotEntry::Model(ModelCacheEntry::Prepared {
-                config,
-                power: decode_power(field(value, "power_mw")?)?,
-                area: decode_area(field(value, "area_mm2")?)?,
-                resolution_bits: u32::try_from(u64_field(value, "resolution_bits")?)
-                    .map_err(|_| ErrorFrame::malformed("field `resolution_bits` out of range"))?,
-            }))
-        }
-        other => Err(ErrorFrame::malformed(format!(
-            "unknown snapshot entry kind `{other}`"
-        ))),
-    }
-}
-
-/// Checks the snapshot schema tag; a mismatch is a typed `unsupported`
-/// error — the frame is well-formed, this build just speaks a different
-/// snapshot format.
-fn check_snapshot_schema(value: &Json) -> Result<(), ErrorFrame> {
+/// Checks a frame's `schema` tag; a mismatch is a typed `unsupported`
+/// error — the frame is well-formed, this build just speaks another
+/// format.
+fn check_schema(value: &Json, expected: &str) -> Result<(), ErrorFrame> {
     let schema = str_field(value, "schema")?;
-    if schema != SNAPSHOT_SCHEMA {
+    if schema != expected {
         return Err(ErrorFrame::unsupported(format!(
-            "unknown snapshot schema `{schema}` (this build speaks {SNAPSHOT_SCHEMA})"
+            "unknown schema `{schema}` (this build speaks {expected})"
         )));
     }
     Ok(())
 }
 
 fn decode_snapshot_chunk(value: &Json) -> Result<SnapshotChunk, ErrorFrame> {
-    check_snapshot_schema(value)?;
-    let entries = field(value, "entries")?
-        .as_array()
-        .ok_or_else(|| ErrorFrame::malformed("field `entries` must be an array"))?
-        .iter()
-        .map(decode_snapshot_entry)
-        .collect::<Result<Vec<SnapshotEntry>, ErrorFrame>>()?;
+    check_schema(value, SNAPSHOT_SCHEMA)?;
+    let entries = member(value, "entries")?;
     Ok(SnapshotChunk {
-        seq: u64_field(value, "seq")?,
+        seq: member(value, "seq")?,
         entries,
     })
 }
 
 fn decode_snapshot_end(value: &Json) -> Result<SnapshotEnd, ErrorFrame> {
-    check_snapshot_schema(value)?;
+    check_schema(value, SNAPSHOT_SCHEMA)?;
     let checksum = str_field(value, "checksum")?;
     let checksum = u64::from_str_radix(checksum, 16)
-        .map_err(|_| ErrorFrame::malformed("field `checksum` must be a 64-bit hex string"))?;
+        .map_err(|_| bad("checksum", "must be a 64-bit hex string"))?;
     Ok(SnapshotEnd {
-        chunks: u64_field(value, "chunks")?,
-        entries: u64_field(value, "entries")?,
+        chunks: member(value, "chunks")?,
+        entries: member(value, "entries")?,
         checksum,
     })
-}
-
-fn decode_counts(value: &Json, key: &str) -> Result<Vec<u64>, ErrorFrame> {
-    field(value, key)?
-        .as_array()
-        .ok_or_else(|| ErrorFrame::malformed(format!("field `{key}` must be an array")))?
-        .iter()
-        .map(|item| {
-            item.as_u64()
-                .ok_or_else(|| ErrorFrame::malformed(format!("`{key}` entries must be integers")))
-        })
-        .collect()
-}
-
-fn i64_field(value: &Json, key: &str) -> Result<i64, ErrorFrame> {
-    let json = field(value, key)?;
-    match *json {
-        Json::Uint(v) => i64::try_from(v)
-            .map_err(|_| ErrorFrame::malformed(format!("field `{key}` out of range"))),
-        Json::Int(v) => Ok(v),
-        _ => Err(ErrorFrame::malformed(format!(
-            "field `{key}` must be an integer"
-        ))),
-    }
-}
-
-fn decode_histogram(value: &Json) -> Result<HistogramSnapshot, ErrorFrame> {
-    let buckets = field(value, "buckets")?
-        .as_array()
-        .ok_or_else(|| ErrorFrame::malformed("field `buckets` must be an array"))?
-        .iter()
-        .map(|item| {
-            let pair = item.as_array().filter(|a| a.len() == 2).ok_or_else(|| {
-                ErrorFrame::malformed("histogram buckets must be [upper_bound, count] pairs")
-            })?;
-            let le = pair[0]
-                .as_u64()
-                .ok_or_else(|| ErrorFrame::malformed("bucket bounds must be integers"))?;
-            let n = pair[1]
-                .as_u64()
-                .ok_or_else(|| ErrorFrame::malformed("bucket counts must be integers"))?;
-            Ok((le, n))
-        })
-        .collect::<Result<Vec<(u64, u64)>, ErrorFrame>>()?;
-    // `count` is required, but the snapshot counts its buckets itself.
-    u64_field(value, "count")?;
-    let sum = u64_field(value, "sum")?;
-    let min = match value.get("min") {
-        None => None,
-        Some(_) => Some(u64_field(value, "min")?),
-    };
-    let max = u64_field(value, "max")?;
-    Ok(HistogramSnapshot::from_le_buckets(&buckets, sum, min, max))
-}
-
-fn decode_metric_series(kind: MetricKind, value: &Json) -> Result<SeriesSnapshot, ErrorFrame> {
-    let labels = match field(value, "labels")? {
-        Json::Object(members) => members
-            .iter()
-            .map(|(key, v)| {
-                Ok((
-                    key.clone(),
-                    v.as_str()
-                        .ok_or_else(|| ErrorFrame::malformed("label values must be strings"))?
-                        .to_string(),
-                ))
-            })
-            .collect::<Result<Vec<(String, String)>, ErrorFrame>>()?,
-        _ => return Err(ErrorFrame::malformed("field `labels` must be an object")),
-    };
-    let value = match kind {
-        MetricKind::Counter => SeriesValue::Counter(u64_field(value, "value")?),
-        MetricKind::Gauge => SeriesValue::Gauge(i64_field(value, "value")?),
-        MetricKind::Histogram => SeriesValue::Histogram(decode_histogram(field(value, "value")?)?),
-    };
-    Ok(SeriesSnapshot { labels, value })
-}
-
-fn decode_metrics_snapshot(value: &Json) -> Result<RegistrySnapshot, ErrorFrame> {
-    let schema = str_field(value, "schema")?;
-    if schema != METRICS_SCHEMA {
-        return Err(ErrorFrame::unsupported(format!(
-            "unknown metrics schema `{schema}` (this client speaks {METRICS_SCHEMA})"
-        )));
-    }
-    let families = field(value, "families")?
-        .as_array()
-        .ok_or_else(|| ErrorFrame::malformed("field `families` must be an array"))?
-        .iter()
-        .map(|family| {
-            let kind_name = str_field(family, "kind")?;
-            let kind = MetricKind::from_wire_name(kind_name).ok_or_else(|| {
-                ErrorFrame::malformed(format!("unknown metric kind `{kind_name}`"))
-            })?;
-            let series = field(family, "series")?
-                .as_array()
-                .ok_or_else(|| ErrorFrame::malformed("field `series` must be an array"))?
-                .iter()
-                .map(|s| decode_metric_series(kind, s))
-                .collect::<Result<Vec<SeriesSnapshot>, ErrorFrame>>()?;
-            Ok(FamilySnapshot {
-                name: str_field(family, "name")?.to_string(),
-                help: str_field(family, "help")?.to_string(),
-                kind,
-                series,
-            })
-        })
-        .collect::<Result<Vec<FamilySnapshot>, ErrorFrame>>()?;
-    Ok(RegistrySnapshot { families })
 }
 
 fn decode_metrics_frame(ok: &Json) -> Result<MetricsFrame, ErrorFrame> {
@@ -1884,49 +1817,14 @@ fn decode_metrics_frame(ok: &Json) -> Result<MetricsFrame, ErrorFrame> {
     let format = MetricsFormat::from_wire_name(format_name)
         .ok_or_else(|| ErrorFrame::malformed(format!("unknown metrics format `{format_name}`")))?;
     Ok(match format {
-        MetricsFormat::Json => MetricsFrame::Snapshot(decode_metrics_snapshot(ok)?),
-        MetricsFormat::Text => MetricsFrame::Text(str_field(ok, "page")?.to_string()),
-        MetricsFormat::Spans => MetricsFrame::Spans(
-            field(ok, "spans")?
-                .as_array()
-                .ok_or_else(|| ErrorFrame::malformed("field `spans` must be an array"))?
-                .iter()
-                .map(|line| {
-                    Ok(line
-                        .as_str()
-                        .ok_or_else(|| ErrorFrame::malformed("span lines must be strings"))?
-                        .to_string())
-                })
-                .collect::<Result<Vec<String>, ErrorFrame>>()?,
-        ),
-    })
-}
-
-fn decode_server_stats(value: &Json) -> Result<WireServerStats, ErrorFrame> {
-    Ok(WireServerStats {
-        connections_accepted: u64_field(value, "connections_accepted")?,
-        connections_active: u64_field(value, "connections_active")?,
-        requests_total: u64_field(value, "requests_total")?,
-        evals_ok: u64_field(value, "evals_ok")?,
-        evals_failed: u64_field(value, "evals_failed")?,
-        shed_total: u64_field(value, "shed_total")?,
-        malformed_total: u64_field(value, "malformed_total")?,
-        oversized_total: u64_field(value, "oversized_total")?,
-        queue_capacity: u64_field(value, "queue_capacity")?,
-        in_flight: u64_field(value, "in_flight")?,
-    })
-}
-
-fn decode_runtime_stats(value: &Json) -> Result<RuntimeStats, ErrorFrame> {
-    Ok(RuntimeStats {
-        submitted: u64_field(value, "submitted")?,
-        completed: u64_field(value, "completed")?,
-        cache_hits: u64_field(value, "cache_hits")?,
-        cache_misses: u64_field(value, "cache_misses")?,
-        cached_entries: usize_from(u64_field(value, "cached_entries")?, "cached_entries")?,
-        prepared_configs: usize_from(u64_field(value, "prepared_configs")?, "prepared_configs")?,
-        per_worker: decode_counts(value, "per_worker")?,
-        queue_depths: decode_counts(value, "queue_depths")?,
+        MetricsFormat::Json => {
+            check_schema(ok, METRICS_SCHEMA)?;
+            MetricsFrame::Snapshot(RegistrySnapshot {
+                families: member(ok, "families")?,
+            })
+        }
+        MetricsFormat::Text => MetricsFrame::Text(member(ok, "page")?),
+        MetricsFormat::Spans => MetricsFrame::Spans(member(ok, "spans")?),
     })
 }
 
@@ -1947,35 +1845,16 @@ pub fn decode_response(line: &str) -> Result<Response, ErrorFrame> {
 fn decode_response_tree(line: &str) -> Result<Response, ErrorFrame> {
     let value = Json::parse(line)?;
     check_version(&value)?;
-    let id =
-        match value.get("id") {
-            None => None,
-            Some(json) => Some(json.as_u64().ok_or_else(|| {
-                ErrorFrame::malformed("field `id` must be a non-negative integer")
-            })?),
-        };
+    let id = optional(&value, "id")?;
     let body = match (value.get("ok"), value.get("err")) {
         (Some(ok), None) => match str_field(ok, "type")? {
-            "eval" => ResponseBody::Eval(EvalFrame {
-                report: decode_report(field(ok, "report")?)?,
-                cache_hit: field(ok, "cache_hit")?
-                    .as_bool()
-                    .ok_or_else(|| ErrorFrame::malformed("field `cache_hit` must be a bool"))?,
-                worker: u64_field(ok, "worker")?,
-            }),
-            "stats" => ResponseBody::Stats(StatsFrame {
-                server: decode_server_stats(field(ok, "server")?)?,
-                runtime: decode_runtime_stats(field(ok, "runtime")?)?,
-            }),
+            "eval" => ResponseBody::Eval(Wire::decode(ok, "ok")?),
+            "stats" => ResponseBody::Stats(Wire::decode(ok, "ok")?),
             "metrics" => ResponseBody::Metrics(decode_metrics_frame(ok)?),
             "pong" => ResponseBody::Pong,
             "snapshot" => ResponseBody::Snapshot(decode_snapshot_chunk(ok)?),
             "snapshot_end" => ResponseBody::SnapshotEnd(decode_snapshot_end(ok)?),
-            "restored" => ResponseBody::Restored(RestoredFrame {
-                entries: u64_field(ok, "entries")?,
-                results: u64_field(ok, "results")?,
-                model: u64_field(ok, "model")?,
-            }),
+            "restored" => ResponseBody::Restored(Wire::decode(ok, "ok")?),
             other => return Err(ErrorFrame::malformed(format!("unknown ok type `{other}`"))),
         },
         (None, Some(err)) => {
@@ -1986,11 +1865,7 @@ fn decode_response_tree(line: &str) -> Result<Response, ErrorFrame> {
             // `retryable` is derived from the kind, never stored: the field
             // is validated when present (it must be a bool) and otherwise
             // ignored, so frames with and without it decode identically.
-            if let Some(flag) = err.get("retryable") {
-                if flag.as_bool().is_none() {
-                    return Err(ErrorFrame::malformed("field `retryable` must be a bool"));
-                }
-            }
+            optional::<bool>(err, "retryable")?;
             ResponseBody::Error(ErrorFrame::new(kind, str_field(err, "detail")?))
         }
         _ => {
@@ -2041,25 +1916,6 @@ impl<'a> Exact<'a> {
         self.number()?.0.parse().ok()
     }
 
-    /// A report float as `Json::as_f64` reads it, minus the integral
-    /// tokens the encoder never writes (`1` for `1.0`).
-    fn f64(&mut self) -> Option<f64> {
-        if self.line.as_bytes().get(self.pos) == Some(&b'"') {
-            return [
-                ("\"NaN\"", f64::NAN),
-                ("\"inf\"", f64::INFINITY),
-                ("\"-inf\"", f64::NEG_INFINITY),
-            ]
-            .into_iter()
-            .find_map(|(text, value)| self.lit(text).map(|()| value));
-        }
-        let (token, integral) = self.number()?;
-        if integral {
-            return None;
-        }
-        json::parse_float(token)
-    }
-
     /// The raw text up to the next `"`, stepping past that quote.  It is
     /// only ever matched against names without a `\`, so an escaped name
     /// matches none of them.
@@ -2068,58 +1924,6 @@ impl<'a> Exact<'a> {
         let len = rest.find('"')?;
         self.pos += len + 1;
         Some(&rest[..len])
-    }
-
-    /// An object of floats as [`push_floats`] writes it with `keys`.
-    fn floats<const N: usize>(&mut self, keys: &[&str; N]) -> Option<[f64; N]> {
-        let mut values = [0.0; N];
-        for (key, value) in keys.iter().zip(&mut values) {
-            self.lit(key)?;
-            *value = self.f64()?;
-        }
-        self.lit("}")?;
-        Some(values)
-    }
-
-    /// A report object as [`encode_report_into`] writes it.
-    fn report(&mut self) -> Option<SimulationReport> {
-        self.lit("{\"power_mw\":")?;
-        let [laser, tuning, detection, conversion, control] = self.floats(&POWER_KEYS)?;
-        self.lit(",\"area_mm2\":")?;
-        let [mr_banks, arm_devices, unit_electronics] = self.floats(&AREA_KEYS)?;
-        self.lit(",\"metrics\":")?;
-        let [conv_time, fc_time, electronic_time, fps, energy, energy_per_bit_pj, kfps_per_watt, watts] =
-            self.floats(&METRICS_KEYS)?;
-        self.lit(",\"resolution_bits\":")?;
-        let resolution_bits = u32::try_from(self.u64()?).ok()?;
-        self.lit("}")?;
-        Some(SimulationReport {
-            power: crosslight_core::power::AcceleratorPower {
-                laser: MilliWatts::new(laser),
-                tuning: MilliWatts::new(tuning),
-                detection: MilliWatts::new(detection),
-                conversion: MilliWatts::new(conversion),
-                control: MilliWatts::new(control),
-            },
-            area: crosslight_core::area::AcceleratorArea {
-                mr_banks: SquareMillimeters::new(mr_banks),
-                arm_devices: SquareMillimeters::new(arm_devices),
-                unit_electronics: SquareMillimeters::new(unit_electronics),
-            },
-            metrics: InferenceMetrics {
-                latency: InferenceLatency {
-                    conv_time: Seconds::new(conv_time),
-                    fc_time: Seconds::new(fc_time),
-                    electronic_time: Seconds::new(electronic_time),
-                },
-                fps,
-                energy_per_inference: Picojoules::new(energy),
-                energy_per_bit_pj,
-                kfps_per_watt,
-                power: Watts::new(watts),
-            },
-            resolution_bits,
-        })
     }
 
     /// Succeeds when the whole line has been read.
@@ -2137,16 +1941,10 @@ fn exact_eval_request(line: &str) -> Option<Request> {
     let id = at.u64()?;
     at.lit(",\"op\":\"eval\",\"config\":{\"variant\":\"")?;
     let variant = CrossLightVariant::from_label(at.name()?)?;
-    at.lit(",\"dims\":[")?;
-    let mut dims = [0usize; 4];
-    for (i, dim) in dims.iter_mut().enumerate() {
-        if i > 0 {
-            at.lit(",")?;
-        }
-        *dim = usize::try_from(at.u64()?).ok()?;
-    }
-    at.lit("],\"resolution_bits\":")?;
-    let resolution_bits = u32::try_from(at.u64()?).ok()?;
+    at.lit(",\"dims\":")?;
+    let [n, k, conv_units, fc_units] = Wire::read(&mut at)?;
+    at.lit(",\"resolution_bits\":")?;
+    let resolution_bits = Wire::read(&mut at)?;
     at.lit("},\"model\":\"")?;
     let model = PaperModel::from_wire_name(at.name()?)?;
     at.lit("}")?;
@@ -2155,7 +1953,7 @@ fn exact_eval_request(line: &str) -> Option<Request> {
         id,
         body: RequestBody::Eval(EvalSpec::crosslight(
             variant,
-            (dims[0], dims[1], dims[2], dims[3]),
+            (n, k, conv_units, fc_units),
             resolution_bits,
             WorkloadRef::Model(model),
         )),
@@ -2168,24 +1966,13 @@ fn exact_eval_answer(line: &str) -> Option<Response> {
     let mut at = Exact { line, pos: 0 };
     at.lit(ID_HEAD)?;
     let id = at.u64()?;
-    at.lit(",\"ok\":{\"type\":\"eval\",\"cache_hit\":")?;
-    let cache_hit = match at.lit("true") {
-        Some(()) => true,
-        None => at.lit("false").map(|()| false)?,
-    };
-    at.lit(",\"worker\":")?;
-    let worker = at.u64()?;
-    at.lit(",\"report\":")?;
-    let report = at.report()?;
-    at.lit("}}")?;
+    at.lit(",\"ok\":")?;
+    let frame = Wire::read(&mut at)?;
+    at.lit("}")?;
     at.end()?;
     Some(Response {
         id: Some(id),
-        body: ResponseBody::Eval(EvalFrame {
-            report,
-            cache_hit,
-            worker,
-        }),
+        body: ResponseBody::Eval(frame),
     })
 }
 
@@ -2734,6 +2521,46 @@ mod tests {
             decode_response(&foreign).unwrap_err().kind,
             ErrorKind::Unsupported
         );
+    }
+
+    #[test]
+    fn huge_bucket_counts_saturate_through_decode_aggregate_and_render() {
+        use crosslight_telemetry::render_text;
+
+        let page = |buckets: &str| {
+            format!(
+                r#"{{"v":1,"id":1,"ok":{{"type":"metrics","format":"json","schema":"{METRICS_SCHEMA}","families":[{{"name":"a","help":"h","kind":"histogram","series":[{{"labels":{{}},"value":{{"count":0,"sum":0,"max":2,"buckets":{buckets}}}}}]}}]}}}}"#
+            )
+        };
+        let count = |snapshot: &RegistrySnapshot| match &snapshot.families[0].series[0].value {
+            SeriesValue::Histogram(histogram) => (histogram.count(), histogram.p99()),
+            other => panic!("expected a histogram, got {other:?}"),
+        };
+        // A duplicate bound whose occupancies add past `u64::MAX`, and two
+        // bounds whose occupancies do.
+        let pages: Vec<RegistrySnapshot> = [
+            "[[1,18446744073709551615],[1,1]]",
+            "[[1,18446744073709551614],[2,5]]",
+        ]
+        .into_iter()
+        .map(
+            |buckets| match decode_response(&page(buckets)).unwrap().body {
+                ResponseBody::Metrics(MetricsFrame::Snapshot(snapshot)) => snapshot,
+                other => panic!("expected a metrics snapshot, got {other:?}"),
+            },
+        )
+        .collect();
+        for snapshot in &pages {
+            assert_eq!(count(snapshot).0, u64::MAX);
+        }
+        let total = RegistrySnapshot::aggregated(pages);
+        assert_eq!(count(&total), (u64::MAX, 1));
+        let text = render_text(&total);
+        assert!(
+            text.contains("a_bucket{le=\"2\"} 18446744073709551615\n"),
+            "{text}"
+        );
+        assert!(text.contains("a_count 18446744073709551615\n"), "{text}");
     }
 
     const ALL_ERROR_KINDS: [ErrorKind; 8] = [

@@ -16,7 +16,8 @@ use crosslight_server::json::Json;
 use crosslight_server::wire::{
     decode_request, decode_response, encode_request, encode_response, peek_answer,
     splice_request_id, ErrorFrame, ErrorKind, EvalFrame, EvalSpec, MetricsFormat, MetricsFrame,
-    Request, RequestBody, Response, ResponseBody, StatsFrame, WireServerStats, WorkloadRef,
+    Request, RequestBody, Response, ResponseBody, RestoredFrame, StatsFrame, WireServerStats,
+    WorkloadRef,
 };
 use crosslight_telemetry::{
     FamilySnapshot, Histogram, HistogramSnapshot, MetricKind, RegistrySnapshot, SeriesSnapshot,
@@ -333,13 +334,16 @@ proptest! {
         }
     }
 
-    /// Stats and error responses round-trip for arbitrary counter values.
+    /// Stats, restored and error responses round-trip for arbitrary
+    /// counter values, and a decoded stats or restored frame re-encodes to
+    /// the same line.
     #[test]
     fn stats_and_error_responses_round_trip(
         counters in proptest::collection::vec(0u64..u64::MAX, 18),
         per_worker in proptest::collection::vec(0u64..1_000_000, 0..8),
         kind in 0usize..7,
         detail_tag in 0u32..1000,
+        restored in (counter_value(), counter_value(), counter_value(), counter_value()),
     ) {
         let stats = Response {
             id: Some(counters[0]),
@@ -369,7 +373,19 @@ proptest! {
             }),
         };
         let line = encode_response(&stats);
-        prop_assert_eq!(decode_response(&line).unwrap(), stats);
+        let decoded = decode_response(&line).unwrap();
+        prop_assert_eq!(&decoded, &stats);
+        prop_assert_eq!(encode_response(&decoded), line);
+
+        let (id, entries, results, model) = restored;
+        let restored = Response {
+            id: Some(id),
+            body: ResponseBody::Restored(RestoredFrame { entries, results, model }),
+        };
+        let line = encode_response(&restored);
+        let decoded = decode_response(&line).unwrap();
+        prop_assert_eq!(&decoded, &restored);
+        prop_assert_eq!(encode_response(&decoded), line);
 
         let kinds = [
             ErrorKind::Malformed,

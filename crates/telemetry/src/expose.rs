@@ -68,7 +68,7 @@ pub fn render_text(snapshot: &RegistrySnapshot) -> String {
                 SeriesValue::Histogram(histogram) => {
                     let mut cumulative = 0u64;
                     for (le, count) in histogram.le_buckets() {
-                        cumulative += count;
+                        cumulative = cumulative.saturating_add(count);
                         let _ = writeln!(
                             out,
                             "{}_bucket{} {cumulative}",

@@ -301,7 +301,7 @@ impl HistogramSnapshot {
         let rank = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
         let mut seen = 0u64;
         for &(index, n) in &self.buckets {
-            seen += n;
+            seen = seen.saturating_add(n);
             if seen >= rank {
                 return bucket_bounds(index).1.min(self.max);
             }
@@ -330,7 +330,8 @@ impl HistogramSnapshot {
     }
 
     /// Combines two snapshots as if every observation had been recorded
-    /// into a single histogram.
+    /// into a single histogram.  Occupancies and the count saturate at
+    /// `u64::MAX`.
     pub fn merge(&self, other: &Self) -> Self {
         let mut merged: Vec<(usize, u64)> = Vec::with_capacity(self.buckets.len());
         let (mut a, mut b) = (
@@ -347,7 +348,7 @@ impl HistogramSnapshot {
                         merged.push((ib, nb));
                         b.next();
                     } else {
-                        merged.push((ia, na + nb));
+                        merged.push((ia, na.saturating_add(nb)));
                         a.next();
                         b.next();
                     }
@@ -364,7 +365,7 @@ impl HistogramSnapshot {
             }
         }
         Self {
-            count: self.count + other.count,
+            count: self.count.saturating_add(other.count),
             // The live accumulator is a wrapping atomic add, so merging
             // wraps the same way instead of panicking in debug builds.
             sum: self.sum.wrapping_add(other.sum),
@@ -385,6 +386,8 @@ impl HistogramSnapshot {
     /// Rebuilds a snapshot from its wire form: `(upper bound, occupancy)`
     /// pairs as produced by [`Self::le_buckets`] plus the `sum`/`min`/`max`
     /// scalars.  Pairs may arrive in any order; duplicates accumulate.
+    /// Occupancies and the count saturate at `u64::MAX`, as merges do: a
+    /// peer's page may hold any counts.
     pub fn from_le_buckets(pairs: &[(u64, u64)], sum: u64, min: Option<u64>, max: u64) -> Self {
         let mut by_index: Vec<(usize, u64)> = Vec::with_capacity(pairs.len());
         for &(le, n) in pairs {
@@ -393,11 +396,13 @@ impl HistogramSnapshot {
             }
             let index = bucket_index(le);
             match by_index.binary_search_by_key(&index, |&(i, _)| i) {
-                Ok(pos) => by_index[pos].1 += n,
+                Ok(pos) => by_index[pos].1 = by_index[pos].1.saturating_add(n),
                 Err(pos) => by_index.insert(pos, (index, n)),
             }
         }
-        let count = by_index.iter().map(|&(_, n)| n).sum();
+        let count = by_index
+            .iter()
+            .fold(0u64, |sum, &(_, n)| sum.saturating_add(n));
         Self {
             count,
             sum,
