@@ -19,7 +19,11 @@
 //! `server_loopback_warm_mix` (a value ≥ 0.5 means within 2×).
 //! `server_loopback_warm_mix_4conn` pipelines the same mix over four
 //! concurrent connections and is judged against this run's
-//! single-connection figure.
+//! single-connection figure.  `server_loopback_warm_mix_untraced` runs
+//! the single-connection mix on a second server that traces nothing, in
+//! turns with `server_loopback_warm_mix`, and is recorded against it, so
+//! its `speedup_vs_baseline` is what default tracing (one line in 16 per
+//! event loop) costs.
 //!
 //! `serial_uncached_per_req` is the pre-runtime baseline: the same mix
 //! evaluated with a fresh simulator per request on one thread, no cache.
@@ -34,7 +38,9 @@
 
 use std::sync::Arc;
 
-use crosslight_bench::{measure, print_speedups, render_trajectory_json, BenchResult};
+use crosslight_bench::{
+    measure, measure_interleaved, print_speedups, render_trajectory_json, BenchResult,
+};
 use crosslight_core::simulator::CrossLightSimulator;
 use crosslight_neural::workload::NetworkWorkload;
 use crosslight_neural::zoo::PaperModel;
@@ -208,14 +214,47 @@ fn main() {
         );
     }
 
-    let loopback = measure("server_loopback_warm_mix_batch", window_ms, || {
-        client
-            .eval_pipelined(&specs, 0)
-            .expect("pipelined mix succeeds")
-    });
+    // ---- the same warm mix on a server that traces nothing ----------------
+    // The two servers take turns, one pipelined mix each, so host drift
+    // lands on both and their ratio is the cost of default tracing.
+    let untraced_server = Server::bind(
+        "127.0.0.1:0",
+        ServerOptions::default()
+            .with_workers(workers)
+            .with_queue_capacity(16 * 1024)
+            .with_trace_sampling(0),
+    )
+    .expect("bind untraced loopback server");
+    let mut untraced_client =
+        Client::connect(untraced_server.local_addr()).expect("connect to untraced server");
+    untraced_client
+        .eval_pipelined(&specs, 0)
+        .expect("warm pass succeeds");
+    let [loopback, untraced] = measure_interleaved(
+        [
+            "server_loopback_warm_mix_batch",
+            "server_loopback_warm_mix_untraced_batch",
+        ],
+        window_ms,
+        || {
+            client
+                .eval_pipelined(&specs, 0)
+                .expect("pipelined mix succeeds")
+        },
+        || {
+            untraced_client
+                .eval_pipelined(&specs, 0)
+                .expect("pipelined mix succeeds")
+        },
+    );
+    drop(untraced_client);
+    untraced_server.shutdown();
     let loopback = per_request("server_loopback_warm_mix", &loopback, specs.len());
     let per_request_ns = loopback.ns_per_iter;
     results.push(loopback);
+    let untraced = per_request("server_loopback_warm_mix_untraced", &untraced, specs.len());
+    let untraced_per_request_ns = untraced.ns_per_iter;
+    results.push(untraced);
 
     // ---- the same mix over four concurrent connections --------------------
     // Four connections pipeline the warm mix at once, so one event-loop
@@ -264,14 +303,16 @@ fn main() {
     // `speedup_vs_baseline` fields *are* the ratios: the exact-layout
     // decoders vs the tree decoders on the same frame, warm batched dispatch
     // vs serial uncached simulation, loopback vs direct dispatch (≥ 0.5 ⇔
-    // within 2×), and four connections vs one (> 1 ⇔ a request is cheaper
-    // when connections share the server).
+    // within 2×), four connections vs one (> 1 ⇔ a request is cheaper
+    // when connections share the server), and untraced vs default tracing
+    // (the cost of default tracing; the bar is ≤ 1.05).
     let baselines: Vec<(&str, f64)> = vec![
         ("wire_decode_request", request_tree_ns),
         ("wire_decode_response", response_tree_ns),
         ("direct_submit_batch_warm_per_req", serial_per_req_ns),
         ("server_loopback_warm_mix", direct_each_ns),
         ("server_loopback_warm_mix_4conn", per_request_ns),
+        ("server_loopback_warm_mix_untraced", per_request_ns),
     ];
     println!(
         "\nwarm batched dispatch {batch_per_req_ns:.0} ns/req vs serial uncached simulation \
@@ -288,6 +329,11 @@ fn main() {
          {per_request_ns:.0} ns/req → {:.2}×",
         per_request_ns / concurrent_per_req_ns,
     );
+    println!(
+        "default tracing {per_request_ns:.0} ns/req vs untraced {untraced_per_request_ns:.0} \
+         ns/req → {:.3}× the untraced cost (bar: ≤ 1.05×)",
+        per_request_ns / untraced_per_request_ns,
+    );
 
     let json = render_trajectory_json(
         "crosslight-bench-server/v1",
@@ -296,7 +342,8 @@ fn main() {
          baseline is measured in this same run: wire_decode_request and wire_decode_response \
          against their _tree siblings, direct_submit_batch_warm_per_req against \
          serial_uncached_per_req, server_loopback_warm_mix against direct_submit_each_warm, \
-         and server_loopback_warm_mix_4conn against server_loopback_warm_mix)",
+         and server_loopback_warm_mix_4conn and server_loopback_warm_mix_untraced against \
+         server_loopback_warm_mix)",
         &baselines,
         &results,
     );

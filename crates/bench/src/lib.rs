@@ -75,6 +75,50 @@ pub fn measure<O, F: FnMut() -> O>(name: &str, window_ms: u64, mut routine: F) -
         }
     };
     let ns_per_iter = end.duration_since(start).as_nanos() as f64 / iterations as f64;
+    report(name, ns_per_iter, iterations, &histogram)
+}
+
+/// [`measure`] for two routines that take turns, one iteration each, until
+/// each has had about `window_ms`: drift on the host lands on both alike,
+/// so the ratio of the two results is an interleaved same-run comparison.
+/// Each iteration is timed from the clock read that ended the one before.
+pub fn measure_interleaved<A, B>(
+    names: [&str; 2],
+    window_ms: u64,
+    mut first: impl FnMut() -> A,
+    mut second: impl FnMut() -> B,
+) -> [BenchResult; 2] {
+    for _ in 0..2 {
+        std::hint::black_box(first());
+        std::hint::black_box(second());
+    }
+    let window = std::time::Duration::from_millis(2 * window_ms);
+    let histograms = [Histogram::new(), Histogram::new()];
+    let mut busy_ns = [0u64; 2];
+    let start = Instant::now();
+    let mut previous = start;
+    let mut iterations = 0u64;
+    while previous.duration_since(start) < window {
+        std::hint::black_box(first());
+        let turn = Instant::now();
+        std::hint::black_box(second());
+        let now = Instant::now();
+        for (side, elapsed) in [turn - previous, now - turn].into_iter().enumerate() {
+            let ns = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
+            histograms[side].record(ns);
+            busy_ns[side] = busy_ns[side].saturating_add(ns);
+        }
+        iterations += 1;
+        previous = now;
+    }
+    [0, 1].map(|side| {
+        let ns_per_iter = busy_ns[side] as f64 / iterations as f64;
+        report(names[side], ns_per_iter, iterations, &histograms[side])
+    })
+}
+
+/// Prints one measured workload's line and builds its [`BenchResult`].
+fn report(name: &str, ns_per_iter: f64, iterations: u64, histogram: &Histogram) -> BenchResult {
     let snapshot = histogram.snapshot();
     let (p50, p99) = (snapshot.p50(), snapshot.p99());
     println!(
@@ -162,6 +206,30 @@ pub fn print_speedups(baselines: &[(&str, f64)], results: &[BenchResult]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
+
+    #[test]
+    fn interleaved_routines_take_turns_and_keep_their_own_times() {
+        let (first_calls, second_calls) = (Cell::new(0u64), Cell::new(0u64));
+        let [heavy, light] = measure_interleaved(
+            ["heavy", "light"],
+            5,
+            || {
+                first_calls.set(first_calls.get() + 1);
+                (0..20_000u64).map(std::hint::black_box).sum::<u64>()
+            },
+            || second_calls.set(second_calls.get() + 1),
+        );
+        assert_eq!(
+            (heavy.name.as_str(), light.name.as_str()),
+            ("heavy", "light")
+        );
+        assert_eq!(heavy.iterations, light.iterations);
+        // Two warm-up turns each, then one timed turn each per iteration.
+        assert_eq!(first_calls.get(), heavy.iterations + 2);
+        assert_eq!(second_calls.get(), light.iterations + 2);
+        assert!(heavy.ns_per_iter > light.ns_per_iter);
+    }
 
     #[test]
     fn trajectory_json_embeds_baselines_only_where_recorded() {

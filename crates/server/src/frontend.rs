@@ -178,9 +178,9 @@ impl FrontendTelemetry {
     }
 }
 
-/// Finishes the phase timeline of a traced response line once it reached
-/// the socket.
-pub type TraceSink = Box<dyn Fn(&RequestTrace) + Send + Sync>;
+/// Takes the finished phase timeline of a traced response line once the
+/// line reached the socket.
+pub type TraceSink = Box<dyn Fn(Box<RequestTrace>) + Send + Sync>;
 
 /// State every connection handle shares with its front-end.
 struct FrontShared {
@@ -599,7 +599,7 @@ impl Conn {
             let flushed = Instant::now();
             for (mut trace, write_start) in finished {
                 trace.record(Phase::Write, write_start, flushed);
-                (self.shared.on_trace)(&trace);
+                (self.shared.on_trace)(trace);
             }
         }
         if failed {

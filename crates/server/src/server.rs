@@ -63,7 +63,7 @@ use crosslight_runtime::request::{EvalResponse, KeyedRequest};
 use crosslight_runtime::RuntimeError;
 use crosslight_telemetry::{
     render_text, Counter, Gauge, Histogram, Phase, Registry, RegistrySnapshot, RequestTrace,
-    SpanRing, TraceSampler,
+    SpanRing,
 };
 
 use crate::frontend::{default_event_loops, Bound, Conn, Frontend, FrontendTelemetry, Handler};
@@ -82,10 +82,13 @@ pub struct ServerOptions {
     pub queue_capacity: usize,
     /// Maximum accepted line length in bytes (clamped to at least 1 KiB).
     pub max_line_bytes: usize,
-    /// Trace one eval request in every `trace_sample_every` per connection
-    /// through the full phase pipeline (read → decode → admission → queue →
-    /// cache lookup → prepare → evaluate → serialize → write queue → write).
-    /// `0` disables tracing entirely; `1` (the default) traces everything.
+    /// Trace one request line in every `trace_sample_every` per event loop
+    /// (each loop counts its own lines: its first, then every
+    /// `trace_sample_every`-th) through the full phase pipeline (read →
+    /// decode → admission → queue → cache lookup → prepare → evaluate →
+    /// serialize → write queue → write); a sampled line that is not an eval
+    /// carries no trace.  `0` disables tracing entirely, `1` traces every
+    /// eval, and the default is 16.
     pub trace_sample_every: u64,
     /// Event-loop threads multiplexing the connections and answering
     /// cache hits (clamped to at least 1).  Connection count is unrelated:
@@ -117,7 +120,7 @@ impl ServerOptions {
     }
 
     /// Returns a copy with a different phase-trace sampling period
-    /// (`0` = off, `1` = every request, `n` = one in `n`).
+    /// (`0` = off, `1` = every eval, `n` = one line in `n` per event loop).
     #[must_use]
     pub fn with_trace_sampling(mut self, trace_sample_every: u64) -> Self {
         self.trace_sample_every = trace_sample_every;
@@ -134,14 +137,15 @@ impl ServerOptions {
 
 impl Default for ServerOptions {
     /// One worker per core (the runtime default), 256 admitted evals,
-    /// 64 KiB lines, every request traced, and one event loop per core (at
-    /// most 4), since the loops answer cache hits themselves.
+    /// 64 KiB lines, one line in 16 traced on each event loop, and one
+    /// event loop per core (at most 4), since the loops answer cache hits
+    /// themselves.
     fn default() -> Self {
         Self {
             workers: RuntimeOptions::default().workers,
             queue_capacity: 256,
             max_line_bytes: DEFAULT_MAX_LINE_BYTES,
-            trace_sample_every: 1,
+            trace_sample_every: 16,
             event_loops: default_event_loops(),
         }
     }
@@ -223,7 +227,6 @@ struct ServerTelemetry {
     restore_failed_total: Counter,
     /// Scrape-time mirror of the span ring's drop count.
     spans_dropped: Counter,
-    sampler: TraceSampler,
     spans: SpanRing,
 }
 
@@ -323,7 +326,6 @@ impl ServerTelemetry {
                 "server_trace_spans_dropped_total",
                 "Trace timelines evicted from the span ring before export.",
             ),
-            sampler: TraceSampler::new(options.trace_sample_every),
             spans: SpanRing::default(),
             registry,
         };
@@ -333,19 +335,22 @@ impl ServerTelemetry {
         telemetry
     }
 
-    /// Folds a completed per-request timeline into the phase and
-    /// end-to-end histograms and queues its JSON line for span export.
-    fn finish_trace(&self, trace: &RequestTrace) {
+    /// Folds a completed per-request timeline into the phase histograms,
+    /// keeps it in the ring for span export, and records its end-to-end
+    /// latency last: a scrape that counts the latency finds the timeline.
+    fn finish_trace(&self, trace: Box<RequestTrace>) {
         for phase in Phase::ALL {
             if let Some(ns) = trace.phase_ns(phase) {
                 self.phase_ns[phase.index()].record(ns);
             }
         }
-        if let Some(start) = trace.first_start_ns(Phase::Decode) {
-            self.request_ns
-                .record(trace.latest_end_ns().saturating_sub(start));
+        let request_ns = trace
+            .first_start_ns(Phase::Decode)
+            .map(|start| trace.latest_end_ns().saturating_sub(start));
+        self.spans.push(trace);
+        if let Some(ns) = request_ns {
+            self.request_ns.record(ns);
         }
-        self.spans.push(trace.to_json_line());
     }
 }
 
@@ -620,6 +625,7 @@ impl Server {
                 shared: Arc::clone(&shared),
                 completions: completions_tx.clone(),
                 admitted: Vec::new(),
+                lines: 0,
             },
         );
         // The loops and the replies of in-flight evals now hold the only
@@ -687,7 +693,8 @@ impl Drop for Server {
 const MAX_BATCH: usize = 16;
 
 /// The server protocol as one event loop runs it: the per-op match, with
-/// the evals admitted during the current wake waiting in `admitted`.
+/// the evals admitted during the current wake waiting in `admitted` and
+/// the loop's own line count picking the lines it traces.
 ///
 /// Eval replies capture only their connection and the responder's
 /// channel, never `Shared`: `Shared` owns the pool, and a last
@@ -696,6 +703,7 @@ struct ServerLoop {
     shared: Arc<Shared>,
     completions: Sender<Completion>,
     admitted: Vec<BatchItem>,
+    lines: u64,
 }
 
 /// Hands the evals admitted so far to the pool in one submission.
@@ -722,16 +730,15 @@ impl Handler for ServerLoop {
             shared,
             completions,
             admitted,
+            lines,
         } = self;
         let telemetry = &shared.telemetry;
         // Decide up front whether this request is traced: an untraced
         // request must never read the clock, so the sampling decision
         // precedes any timestamp.
-        let read_mark = if telemetry.sampler.sample() {
-            Some(Instant::now())
-        } else {
-            None
-        };
+        let every = shared.options.trace_sample_every;
+        let read_mark = (every != 0 && lines.is_multiple_of(every)).then(Instant::now);
+        *lines += 1;
         telemetry.bytes_read.add(line.len() as u64 + 1);
         let request = match wire::decode_request(&line) {
             Ok(request) => request,
@@ -763,7 +770,7 @@ impl Handler for ServerLoop {
                     MetricsFormat::Text => {
                         MetricsFrame::Text(render_text(&shared.metrics_snapshot()))
                     }
-                    // Draining hands each exported timeline to exactly one
+                    // Draining renders each kept timeline for exactly one
                     // scraper.
                     MetricsFormat::Spans => MetricsFrame::Spans(telemetry.spans.drain()),
                 };

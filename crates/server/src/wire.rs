@@ -2563,6 +2563,25 @@ mod tests {
         assert!(text.contains("a_count 18446744073709551615\n"), "{text}");
     }
 
+    #[test]
+    fn a_peer_max_below_its_buckets_cannot_pull_quantiles_under_them() {
+        let line = format!(
+            r#"{{"v":1,"id":1,"ok":{{"type":"metrics","format":"json","schema":"{METRICS_SCHEMA}","families":[{{"name":"a","help":"h","kind":"histogram","series":[{{"labels":{{}},"value":{{"count":2,"sum":3,"min":1,"max":0,"buckets":[[1,1],[2,1]]}}}}]}}]}}}}"#
+        );
+        let ResponseBody::Metrics(MetricsFrame::Snapshot(page)) =
+            decode_response(&line).unwrap().body
+        else {
+            panic!("expected a metrics snapshot");
+        };
+        let total = RegistrySnapshot::aggregated(vec![page]);
+        let SeriesValue::Histogram(histogram) = &total.families[0].series[0].value else {
+            panic!("expected a histogram");
+        };
+        for quantile in [histogram.p50(), histogram.p99()] {
+            assert!((1..=2).contains(&quantile), "{quantile}");
+        }
+    }
+
     const ALL_ERROR_KINDS: [ErrorKind; 8] = [
         ErrorKind::Malformed,
         ErrorKind::UnsupportedVersion,

@@ -41,7 +41,7 @@ static GLOBAL: CountingAllocator = CountingAllocator;
 const ROUNDS: usize = 200;
 
 /// The allocation budget of one warm answer.
-const BUDGET: f64 = 12.0;
+const BUDGET: f64 = 4.0;
 
 /// Pipelines one round of `specs` and checks every answer is a cache hit.
 fn warm_round(client: &mut Client, specs: &[EvalSpec]) -> Vec<Response> {

@@ -8,9 +8,10 @@
 //!
 //! 1. **Primitives** ([`metrics`]) — [`Counter`], [`Gauge`] and a log-linear
 //!    bucketed [`Histogram`], all cheap cloneable handles over shared atomic
-//!    cores.  Hot paths pay a single atomic RMW per update; no locks, no
+//!    cores.  A counter or gauge update is a single atomic RMW and a
+//!    histogram record four (bucket, sum, min and max); no locks, no
 //!    allocation.  Histogram snapshots are order-independent and mergeable,
-//!    so per-worker shards can be combined at scrape time.
+//!    so snapshots of separate histograms combine at scrape time.
 //! 2. **Registry** ([`registry`]) — a [`Registry`] maps stable
 //!    Prometheus-style family names (plus optional labels) to metric
 //!    handles.  Registration is startup-time and lock-guarded; the handles
@@ -23,9 +24,9 @@
 //!    renders a snapshot in the Prometheus text format (`# HELP`/`# TYPE`,
 //!    cumulative `_bucket`/`_sum`/`_count` series), [`validate_text`] checks
 //!    a rendered page for unregistered or duplicated names, and
-//!    [`RequestTrace`]/[`TraceSampler`]/[`SpanRing`] implement sampled
-//!    per-request phase timelines exported as JSON lines through a bounded
-//!    in-memory ring.
+//!    [`RequestTrace`]/[`SpanRing`] implement sampled per-request phase
+//!    timelines, kept in a bounded in-memory ring and exported as JSON
+//!    lines when it is drained.
 //!
 //! The crate is dependency-free (std only) in keeping with the repository's
 //! offline-compat policy, and is consumed by the runtime, server, bench and
@@ -61,12 +62,12 @@ pub use registry::{
     FamilySnapshot, MetricKind, Registry, RegistryError, RegistrySnapshot, SeriesSnapshot,
     SeriesValue,
 };
-pub use trace::{Phase, RequestTrace, Span, SpanRing, TraceSampler};
+pub use trace::{Phase, RequestTrace, Span, SpanRing};
 
 /// Convenience re-exports for `use crosslight_telemetry::prelude::*`.
 pub mod prelude {
     pub use crate::expose::{render_text, validate_text};
     pub use crate::metrics::{Counter, Gauge, Histogram, HistogramSnapshot};
     pub use crate::registry::{MetricKind, Registry, RegistrySnapshot, SeriesValue};
-    pub use crate::trace::{Phase, RequestTrace, SpanRing, TraceSampler};
+    pub use crate::trace::{Phase, RequestTrace, SpanRing};
 }

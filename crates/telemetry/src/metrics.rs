@@ -3,9 +3,9 @@
 //!
 //! All three are cheap cloneable handles (`Arc` over atomic cores): cloning
 //! shares the underlying series, so the same counter can live in a registry
-//! *and* in the hot path that increments it.  Updates are single atomic RMW
-//! operations — no locks, no allocation — which keeps the instrumented fast
-//! paths within the ≤2% overhead budget the bench suite enforces.
+//! *and* in the hot path that increments it.  A counter or gauge update is
+//! one atomic RMW and a histogram record four; none takes a lock or
+//! allocates.
 //!
 //! ## Memory ordering
 //!
@@ -154,11 +154,12 @@ pub(crate) fn bucket_bounds(index: usize) -> (u64, u64) {
 
 /// A lock-free log-linear histogram handle.
 ///
-/// Recording is three relaxed atomic RMWs (bucket, sum, min/max are two
-/// conditional RMWs that almost always no-op after warm-up); snapshotting
-/// walks the bucket array without stopping writers.  Relative quantile
-/// error is bounded by the 6.25% bucket width.  Clones share the same
-/// cells, which is how per-worker recording into one series works.
+/// Recording is four relaxed atomic RMWs: the bucket, the sum, and a
+/// `fetch_min` and `fetch_max` (on x86 each of those two is a locked
+/// compare-exchange loop, run even when the value changes nothing).
+/// Snapshotting walks the bucket array without stopping writers.  Relative
+/// quantile error is bounded by the 6.25% bucket width.  Clones share the
+/// same cells, which is how per-worker recording into one series works.
 #[derive(Debug, Clone)]
 pub struct Histogram {
     core: Arc<HistogramCore>,
@@ -292,7 +293,10 @@ impl HistogramSnapshot {
 
     /// The value at quantile `q` in `[0, 1]`: the inclusive upper bound of
     /// the bucket holding the `⌈q·count⌉`-th smallest observation (so the
-    /// true quantile is overestimated by at most the 6.25% bucket width).
+    /// true quantile is overestimated by at most the 6.25% bucket width),
+    /// capped at `max` but never below that bucket's lower bound — a `max`
+    /// that lags the buckets (a live snapshot racing writers, or a peer's
+    /// page) cannot pull a quantile under the observations it counts.
     /// Returns `0` when empty.
     pub fn quantile(&self, q: f64) -> u64 {
         if self.count == 0 {
@@ -303,7 +307,8 @@ impl HistogramSnapshot {
         for &(index, n) in &self.buckets {
             seen = seen.saturating_add(n);
             if seen >= rank {
-                return bucket_bounds(index).1.min(self.max);
+                let (lower, upper) = bucket_bounds(index);
+                return upper.min(self.max).max(lower);
             }
         }
         self.max

@@ -8,11 +8,13 @@
 //! synchronizes between threads; only the finished trace is folded into
 //! shared histograms and the export ring by whichever thread finishes it.
 //!
-//! [`TraceSampler`] decides cheaply (one relaxed `fetch_add`) which
-//! requests carry a trace; unsampled requests pay nothing else — not even a
-//! clock read.  Finished traces export as single-line JSON into a bounded
-//! [`SpanRing`], drained by the `metrics` wire op's `spans` format.
+//! The caller decides which requests carry a trace; an untraced request
+//! pays nothing — not even a clock read.  A bounded [`SpanRing`] keeps the
+//! finished timelines as they are and renders each as one JSON line only
+//! when the `metrics` wire op's `spans` format drains it, so no request
+//! formats text for its span.
 
+use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -208,53 +210,15 @@ impl RequestTrace {
     }
 }
 
-/// Decides which requests carry a trace: every `every`-th one, `0` = none.
-///
-/// The decision is one relaxed `fetch_add` plus a branch — cheap enough to
-/// sit on the per-request hot path even when sampling is off.
-#[derive(Debug)]
-pub struct TraceSampler {
-    every: u64,
-    counter: AtomicU64,
-}
-
-impl TraceSampler {
-    /// Creates a sampler tracing every `every`-th request (`0` disables,
-    /// `1` traces everything).
-    pub fn new(every: u64) -> Self {
-        Self {
-            every,
-            counter: AtomicU64::new(0),
-        }
-    }
-
-    /// The configured period.
-    pub fn every(&self) -> u64 {
-        self.every
-    }
-
-    /// Should this request be traced?
-    #[inline]
-    pub fn sample(&self) -> bool {
-        match self.every {
-            0 => false,
-            1 => true,
-            every => self
-                .counter
-                .fetch_add(1, Ordering::Relaxed)
-                .is_multiple_of(every),
-        }
-    }
-}
-
 /// Default capacity of the span export ring.
 pub const SPAN_RING_CAPACITY: usize = 1024;
 
-/// A bounded drop-oldest ring of exported trace lines.
+/// A bounded drop-oldest ring of finished timelines, rendered as JSON
+/// lines only when drained.
 #[derive(Debug)]
 pub struct SpanRing {
     capacity: usize,
-    lines: Mutex<std::collections::VecDeque<String>>,
+    traces: Mutex<VecDeque<Box<RequestTrace>>>,
     dropped: AtomicU64,
 }
 
@@ -265,34 +229,36 @@ impl Default for SpanRing {
 }
 
 impl SpanRing {
-    /// Creates a ring holding at most `capacity` lines (clamped to ≥ 1).
+    /// Creates a ring holding at most `capacity` timelines (clamped to ≥ 1).
     pub fn new(capacity: usize) -> Self {
         Self {
             capacity: capacity.max(1),
-            lines: Mutex::new(std::collections::VecDeque::new()),
+            traces: Mutex::new(VecDeque::new()),
             dropped: AtomicU64::new(0),
         }
     }
 
-    /// Appends a line, evicting the oldest when full.
-    pub fn push(&self, line: String) {
-        let mut lines = self.lines.lock().expect("span ring lock poisoned");
-        if lines.len() == self.capacity {
-            lines.pop_front();
+    /// Appends a finished timeline, evicting the oldest when full.
+    pub fn push(&self, trace: Box<RequestTrace>) {
+        let mut traces = self.traces.lock().expect("span ring lock poisoned");
+        if traces.len() == self.capacity {
+            traces.pop_front();
             self.dropped.fetch_add(1, Ordering::Relaxed);
         }
-        lines.push_back(line);
+        traces.push_back(trace);
     }
 
-    /// Removes and returns all buffered lines, oldest first.
+    /// Removes every buffered timeline and returns each one's
+    /// [`RequestTrace::to_json_line`], oldest first.  The lines are
+    /// rendered after the lock is released.
     pub fn drain(&self) -> Vec<String> {
-        let mut lines = self.lines.lock().expect("span ring lock poisoned");
-        lines.drain(..).collect()
+        let traces = std::mem::take(&mut *self.traces.lock().expect("span ring lock poisoned"));
+        traces.iter().map(|trace| trace.to_json_line()).collect()
     }
 
-    /// Number of buffered lines.
+    /// Number of buffered timelines.
     pub fn len(&self) -> usize {
-        self.lines.lock().expect("span ring lock poisoned").len()
+        self.traces.lock().expect("span ring lock poisoned").len()
     }
 
     /// Whether the ring is empty.
@@ -300,7 +266,7 @@ impl SpanRing {
         self.len() == 0
     }
 
-    /// Lines evicted because the ring was full.
+    /// Timelines evicted because the ring was full.
     pub fn dropped(&self) -> u64 {
         self.dropped.load(Ordering::Relaxed)
     }
@@ -364,25 +330,29 @@ mod tests {
     }
 
     #[test]
-    fn sampler_period_is_respected() {
-        assert!(!TraceSampler::new(0).sample());
-        let always = TraceSampler::new(1);
-        assert!(always.sample() && always.sample());
-        let every4 = TraceSampler::new(4);
-        let hits = (0..16).filter(|_| every4.sample()).count();
-        assert_eq!(hits, 4);
-    }
-
-    #[test]
     fn ring_drops_oldest_and_counts() {
+        let origin = Instant::now();
+        let timeline = |id: u64| {
+            let mut trace = RequestTrace::with_origin(id, origin);
+            trace.record(
+                Phase::Decode,
+                origin + Duration::from_nanos(id),
+                origin + Duration::from_nanos(10 * id),
+            );
+            Box::new(trace)
+        };
         let ring = SpanRing::new(2);
-        ring.push("a".into());
-        ring.push("b".into());
-        ring.push("c".into());
+        for id in 1..=3 {
+            ring.push(timeline(id));
+        }
         assert_eq!(ring.dropped(), 1);
         assert_eq!(ring.len(), 2);
-        assert_eq!(ring.drain(), vec!["b".to_string(), "c".to_string()]);
+        assert_eq!(
+            ring.drain(),
+            vec![timeline(2).to_json_line(), timeline(3).to_json_line()]
+        );
         assert!(ring.is_empty());
+        assert!(ring.drain().is_empty());
         assert_eq!(ring.capacity(), 2);
     }
 }

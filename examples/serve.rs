@@ -357,7 +357,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
     assert!(
         !spans.is_empty(),
-        "tracing at 1:1 must export span timelines"
+        "each event loop traces its first line, an eval here, so the drain must export \
+         span timelines"
     );
     assert!(spans.iter().all(|line| line.starts_with("{\"id\":")));
     println!(

@@ -390,7 +390,10 @@ fn metrics_op_exposes_consistent_scrapes_over_the_wire() {
     let ResponseBody::Metrics(MetricsFrame::Spans(spans)) = &response.body else {
         panic!("expected span lines, got {response:?}");
     };
-    assert!(!spans.is_empty(), "1:1 sampling must export timelines");
+    assert!(
+        !spans.is_empty(),
+        "each event loop traces its first line, an eval here, so the drain exports timelines"
+    );
     assert!(spans.iter().all(|line| line.starts_with("{\"id\":")));
     let response = client.metrics(4, MetricsFormat::Spans).unwrap();
     let ResponseBody::Metrics(MetricsFrame::Spans(drained)) = &response.body else {
@@ -1194,12 +1197,13 @@ fn cache_hits_answered_on_the_event_loop_match_pool_hits_byte_for_byte() {
 fn inline_hit_traces_tile_from_decode_to_flush() {
     use crosslight::server::json::Json;
 
-    // Every request is traced by default.
+    // Every request is traced.
     let server = Server::bind(
         "127.0.0.1:0",
         ServerOptions::default()
             .with_workers(2)
-            .with_queue_capacity(1_000),
+            .with_queue_capacity(1_000)
+            .with_trace_sampling(1),
     )
     .expect("bind loopback server");
     let addr = server.local_addr();
@@ -1278,4 +1282,47 @@ fn inline_hit_traces_tile_from_decode_to_flush() {
         assert_eq!(covered, latest_end - decode_start, "{line}");
     }
     server.shutdown();
+}
+
+#[test]
+fn default_options_trace_one_line_in_sixteen_on_each_event_loop() {
+    let specs = LoadGenOptions::paper_mix(1, 1, 0).scenarios;
+    let specs: Vec<EvalSpec> = specs.iter().cycle().take(160).cloned().collect();
+    let lines = eval_lines(&specs, 0);
+    // The default traces lines 0, 16, …, 144 of the one loop's 160.
+    for (options, traced) in [
+        (ServerOptions::default(), 10),
+        (ServerOptions::default().with_trace_sampling(1), 160),
+        (ServerOptions::default().with_trace_sampling(0), 0),
+    ] {
+        let server =
+            Server::bind("127.0.0.1:0", options.with_event_loops(1)).expect("bind loopback server");
+        assert_eq!(raw_exchange(server.local_addr(), &lines, true).len(), 160);
+        let counter = |name: &str| match server.metrics_snapshot().value(name) {
+            Some(SeriesValue::Counter(value)) => *value,
+            other => panic!("{name} is not a counter: {other:?}"),
+        };
+        let folded = || match server.metrics_snapshot().value("server_request_ns") {
+            Some(SeriesValue::Histogram(histogram)) => histogram.count(),
+            other => panic!("server_request_ns is not a histogram: {other:?}"),
+        };
+        // A timeline folds just after its line's flush, so the last one may
+        // trail the client's read.
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+        while folded() < traced {
+            assert!(std::time::Instant::now() < deadline, "traces never folded");
+            std::thread::sleep(std::time::Duration::from_millis(5));
+        }
+        assert_eq!(counter("server_traces_sampled_total"), traced);
+        assert_eq!(folded(), traced);
+        let mut client = Client::connect(server.local_addr()).expect("connect");
+        let ResponseBody::Metrics(MetricsFrame::Spans(spans)) =
+            client.metrics(1, MetricsFormat::Spans).unwrap().body
+        else {
+            panic!("expected span lines");
+        };
+        assert_eq!(spans.len() as u64, traced);
+        drop(client);
+        server.shutdown();
+    }
 }
