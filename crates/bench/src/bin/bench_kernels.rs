@@ -1,6 +1,6 @@
-//! Benchmark-trajectory harness: runs the hot-kernel workloads and emits a
-//! machine-readable `BENCH_kernels.json` so every PR can record a perf
-//! datapoint and future sessions can track the trajectory.
+//! Kernel-trajectory benchmark: times the neural kernels behind Fig. 5
+//! training and the TED solve, and emits a machine-readable
+//! `BENCH_kernels.json` on the shared trajectory harness.
 //!
 //! ```sh
 //! cargo run --release -p crosslight-bench --bin bench_kernels            # full run
@@ -8,14 +8,15 @@
 //! cargo run --release -p crosslight-bench --bin bench_kernels -- --out path.json
 //! ```
 //!
-//! Each entry carries the pre-refactor baseline (measured at commit
-//! `e4efd69`, naive kernels, default `target-cpu`) next to the current
-//! number, so `speedup_vs_baseline` is the before/after record the
-//! acceptance criteria ask for.  The `*_naive` entries re-measure the
-//! preserved reference kernels on the *same* machine and flags, isolating
-//! the algorithmic win from compiler/flag effects.
+//! `matmul_96x288x96` and `im2col_3x32x32_k3` take turns with their
+//! `_naive` siblings, the preserved reference kernels, so each records its
+//! speed-up over the naive kernel measured in the same run on the same
+//! machine and flags.  The other entries have no sibling and record their
+//! absolute times.
 
-use crosslight_bench::{measure, print_speedups, render_trajectory_json};
+use std::process::ExitCode;
+
+use crosslight_bench::{finish, measure, measure_pair, Args};
 use crosslight_neural::datasets::generate_synthetic;
 use crosslight_neural::layers::{Conv2d, Layer};
 use crosslight_neural::quant::QuantConfig;
@@ -28,28 +29,9 @@ use crosslight_tuning::ted::{TedSolver, TedWorkspace};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// Pre-refactor baselines in ns/iter, measured at commit e4efd69 (the seed
-/// of this PR) with the then-current naive kernels and default codegen.
-const BASELINES_NS: &[(&str, f64)] = &[
-    ("matmul_96x288x96", 361_468.0),
-    ("im2col_3x32x32_k3", 44_469.0),
-    ("conv2d_forward_3x32x32_to_16ch", 150_971.0),
-    ("train_epoch_cifar10_surrogate", 5_228_967.0),
-    ("fig5_cell_cifar10_8bit", 22_174_703.0),
-    ("ted_solve_15_mr_bank", 991.0),
-];
-
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_kernels.json".to_string());
-    let window_ms: u64 = if quick { 60 } else { 400 };
-    let mode = if quick { "quick" } else { "full" };
+fn main() -> ExitCode {
+    let args = Args::parse("BENCH_kernels.json");
+    let window_ms: u64 = if args.quick { 60 } else { 400 };
     let mut results = Vec::new();
 
     // --- blocked vs naive matmul -----------------------------------------
@@ -57,13 +39,15 @@ fn main() {
     let a = Tensor::random_uniform(vec![96, 288], 1.0, &mut rng);
     let b = Tensor::random_uniform(vec![288, 96], 1.0, &mut rng);
     let mut out = Tensor::default();
-    results.push(measure("matmul_96x288x96", window_ms, || {
-        a.matmul_into(&b, &mut out).expect("valid shapes");
-        out.as_slice()[0]
-    }));
-    results.push(measure("matmul_96x288x96_naive", window_ms, || {
-        reference::matmul_naive(&a, &b).expect("valid shapes")
-    }));
+    results.extend(measure_pair(
+        ["matmul_96x288x96", "matmul_96x288x96_naive"],
+        window_ms,
+        || {
+            a.matmul_into(&b, &mut out).expect("valid shapes");
+            out.as_slice()[0]
+        },
+        || reference::matmul_naive(&a, &b).expect("valid shapes"),
+    ));
 
     // --- im2col, blocked (buffer-reusing) vs naive -----------------------
     let input = Tensor::random_uniform(vec![3, 32, 32], 1.0, &mut rng);
@@ -74,13 +58,15 @@ fn main() {
         kernel: 3,
         stride: 1,
     };
-    results.push(measure("im2col_3x32x32_k3", window_ms, || {
-        im2col_into(&input, &spec, &mut out).expect("valid shapes");
-        out.as_slice()[0]
-    }));
-    results.push(measure("im2col_3x32x32_k3_naive", window_ms, || {
-        reference::im2col_naive(&input, &spec).expect("valid shapes")
-    }));
+    results.extend(measure_pair(
+        ["im2col_3x32x32_k3", "im2col_3x32x32_k3_naive"],
+        window_ms,
+        || {
+            im2col_into(&input, &spec, &mut out).expect("valid shapes");
+            out.as_slice()[0]
+        },
+        || reference::im2col_naive(&input, &spec).expect("valid shapes"),
+    ));
 
     // --- conv forward (allocation-free steady state) ---------------------
     let mut conv_rng = StdRng::seed_from_u64(1);
@@ -143,14 +129,5 @@ fn main() {
             .total_power
     }));
 
-    let json = render_trajectory_json(
-        "crosslight-bench-kernels/v1",
-        mode,
-        "e4efd69 (pre blocked-kernel refactor, naive kernels, default target-cpu)",
-        BASELINES_NS,
-        &results,
-    );
-    std::fs::write(&out_path, &json).expect("writing the JSON report succeeds");
-    println!("\nwrote {out_path} ({mode} mode)");
-    print_speedups(BASELINES_NS, &results);
+    finish(&args, "crosslight-bench-kernels/v2", &results)
 }

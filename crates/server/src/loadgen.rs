@@ -34,29 +34,25 @@ use crate::wire::{
     ResponseBody,
 };
 
-/// Socket-deadline knobs of a [`Client`].  The defaults (`None`
-/// everywhere) preserve the original fully-blocking behaviour; any bound
-/// turns the corresponding blocking call into a typed
+/// The socket deadline of a [`Client`].  The default (`None`) keeps the
+/// fully-blocking behaviour; a bound applies to connecting and to each
+/// blocking read and write alike, turning an indefinite hang on a vanished
+/// or wedged peer into a typed
 /// [`std::io::ErrorKind::WouldBlock`]/[`std::io::ErrorKind::TimedOut`]
-/// error instead of an indefinite hang on a vanished or wedged peer.
+/// error.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ClientOptions {
-    /// Bound on establishing the TCP connection.
-    pub connect_timeout: Option<Duration>,
-    /// Bound on each blocking read (one response line may span several).
-    pub read_timeout: Option<Duration>,
-    /// Bound on each blocking write.
-    pub write_timeout: Option<Duration>,
+    /// Bound on establishing the TCP connection, on each blocking read (one
+    /// response line may span several) and on each blocking write.
+    pub deadline: Option<Duration>,
 }
 
 impl ClientOptions {
-    /// One bound for connect, read and write alike — the common case.
+    /// One bound for connect, read and write alike.
     #[must_use]
     pub fn with_deadline(timeout: Duration) -> Self {
         Self {
-            connect_timeout: Some(timeout),
-            read_timeout: Some(timeout),
-            write_timeout: Some(timeout),
+            deadline: Some(timeout),
         }
     }
 }
@@ -85,20 +81,20 @@ impl Client {
         Self::connect_with(addr, ClientOptions::default())
     }
 
-    /// Connects to a server with explicit connect/read/write deadlines.
+    /// Connects to a server with an explicit socket deadline.
     ///
     /// # Errors
     ///
     /// Propagates socket errors; a connect that exceeds
-    /// `options.connect_timeout` fails with a timeout error.
+    /// `options.deadline` fails with a timeout error.
     pub fn connect_with(addr: SocketAddr, options: ClientOptions) -> std::io::Result<Self> {
-        let stream = match options.connect_timeout {
-            Some(timeout) => TcpStream::connect_timeout(&addr, timeout)?,
+        let stream = match options.deadline {
+            Some(deadline) => TcpStream::connect_timeout(&addr, deadline)?,
             None => TcpStream::connect(addr)?,
         };
         stream.set_nodelay(true)?;
-        stream.set_read_timeout(options.read_timeout)?;
-        stream.set_write_timeout(options.write_timeout)?;
+        stream.set_read_timeout(options.deadline)?;
+        stream.set_write_timeout(options.deadline)?;
         let reader = BufReader::new(stream.try_clone()?);
         Ok(Self {
             addr,
@@ -334,8 +330,10 @@ impl Client {
 
     /// Pushes a warm-state snapshot into the peer: chunks the entries
     /// under `max_chunk_bytes`, pipelines every `restore` frame plus the
-    /// `restore_end` terminal, and waits for the single `restored`
-    /// response.
+    /// `restore_end` terminal, and waits for the answer to `restore_end`.
+    /// A line the peer cannot decode (a chunk over its line limit, say) is
+    /// answered at once and without an id; those answers are skipped, and
+    /// the answer to `restore_end` is the peer's verdict on the stream.
     ///
     /// # Errors
     ///
@@ -368,7 +366,13 @@ impl Client {
             }),
         })?;
         self.flush()?;
-        match self.recv()?.body {
+        let verdict = loop {
+            let response = self.recv()?;
+            if response.id.is_some() {
+                break response;
+            }
+        };
+        match verdict.body {
             ResponseBody::Restored(frame) => Ok(frame),
             ResponseBody::Error(frame) => Err(std::io::Error::new(
                 std::io::ErrorKind::InvalidData,

@@ -406,3 +406,41 @@ fn empty_restore_streams_are_valid() {
     );
     server.shutdown();
 }
+
+#[test]
+fn an_oversized_chunk_leaves_the_verdict_to_restore_end_and_the_next_call_its_answer() {
+    let donor = Server::bind("127.0.0.1:0", ServerOptions::default().with_workers(1)).unwrap();
+    let mut warm = Client::connect(donor.local_addr()).unwrap();
+    for (id, spec) in warm_specs().iter().enumerate() {
+        warm.eval(id as u64, spec).unwrap();
+    }
+    let mut entries = warm.snapshot_entries(100).unwrap();
+    entries.truncate(8);
+    assert_eq!(entries.len(), 8);
+    donor.shutdown();
+
+    // One chunk of all eight entries is far over this server's line limit,
+    // so it is answered at once and without an id, and `restore_end` then
+    // finds no chunk: that answer is the verdict.
+    let server = Server::bind(
+        "127.0.0.1:0",
+        ServerOptions::default()
+            .with_workers(1)
+            .with_max_line_bytes(1024),
+    )
+    .unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let message = client
+        .restore_entries(7, entries, 1 << 20)
+        .unwrap_err()
+        .to_string();
+    assert!(
+        message.contains("restore rejected (malformed)") && message.contains("got 0 chunks"),
+        "{message}"
+    );
+    // The same client's next call reads its own answer.
+    let stats = client.stats(8).unwrap();
+    assert_eq!(stats.id, Some(8));
+    assert!(matches!(stats.body, ResponseBody::Stats(_)), "{stats:?}");
+    server.shutdown();
+}
