@@ -14,8 +14,11 @@
 //!
 //! * `wire_decode_request` and `wire_decode_response` decode the
 //!   encoder's own lines, which the exact-layout reader takes, against
-//!   `_tree` siblings that decode the same line behind one leading space,
-//!   which that reader declines, so they measure the `Json` tree.
+//!   `_reordered` siblings that decode the same frame with its members in
+//!   reverse order at every level, which that reader declines, so they
+//!   measure the wire reader.  `wire_decode_metrics_json` (absolute time
+//!   only) decodes the JSON `metrics` answer of a server that has served
+//!   the paper mix.
 //! * `direct_submit_batch_warm_per_req` (the mix as one `submit_batch` to
 //!   a warmed pool) against `serial_uncached_per_req` (a fresh simulator
 //!   per request on one thread, no cache) is the warm runtime's
@@ -44,10 +47,11 @@ use crosslight_neural::workload::NetworkWorkload;
 use crosslight_neural::zoo::PaperModel;
 use crosslight_runtime::pool::{EvalService, RuntimeOptions};
 use crosslight_runtime::request::EvalRequest;
+use crosslight_server::json::{push_f64, push_string_literal, Json};
 use crosslight_server::loadgen::{Client, LoadGenOptions};
 use crosslight_server::server::{Server, ServerOptions};
 use crosslight_server::wire::{
-    self, EvalFrame, EvalSpec, Request, RequestBody, Response, ResponseBody,
+    self, EvalFrame, EvalSpec, MetricsFormat, Request, RequestBody, Response, ResponseBody,
 };
 
 /// Warm batched dispatch serves the mix at least 10× faster than serial
@@ -89,14 +93,15 @@ fn main() -> ExitCode {
     results.push(measure("wire_encode_request", window_ms, || {
         wire::encode_request(&sample_request)
     }));
-    // The `_tree` siblings decode the same frame through the `Json` tree: a
-    // leading space is valid JSON, but the exact-layout reader declines it.
-    let spaced_request_line = format!(" {request_line}");
+    // The `_reordered` siblings decode the same frame with its members in
+    // reverse order at every level: the exact-layout reader declines it, so
+    // they measure the wire reader.
+    let reordered_request_line = reversed(&request_line);
     results.extend(measure_pair(
-        ["wire_decode_request", "wire_decode_request_tree"],
+        ["wire_decode_request", "wire_decode_request_reordered"],
         window_ms,
         || wire::decode_request(&request_line).expect("sample line is valid"),
-        || wire::decode_request(&spaced_request_line).expect("sample line is valid"),
+        || wire::decode_request(&reordered_request_line).expect("sample line is valid"),
     ));
 
     let direct_service = EvalService::new(RuntimeOptions::default().with_workers(workers));
@@ -116,12 +121,12 @@ fn main() -> ExitCode {
     results.push(measure("wire_encode_response", window_ms, || {
         wire::encode_response(&sample_response)
     }));
-    let spaced_response_line = format!(" {response_line}");
+    let reordered_response_line = reversed(&response_line);
     results.extend(measure_pair(
-        ["wire_decode_response", "wire_decode_response_tree"],
+        ["wire_decode_response", "wire_decode_response_reordered"],
         window_ms,
         || wire::decode_response(&response_line).expect("sample line is valid"),
-        || wire::decode_response(&spaced_response_line).expect("sample line is valid"),
+        || wire::decode_response(&reordered_response_line).expect("sample line is valid"),
     ));
 
     // ---- warm batched dispatch vs serial uncached simulation -------------
@@ -185,6 +190,15 @@ fn main() -> ExitCode {
             "wire response diverged from direct dispatch"
         );
     }
+    // The JSON metrics page of a server that has served the paper mix.
+    let page = wire::encode_response(
+        &client
+            .metrics(u64::MAX, MetricsFormat::Json)
+            .expect("metrics scrape succeeds"),
+    );
+    results.push(measure("wire_decode_metrics_json", window_ms, || {
+        wire::decode_response(&page).expect("the page decodes")
+    }));
 
     // ---- the same warm mix on a server that traces nothing ----------------
     let untraced_server = Server::bind(
@@ -254,4 +268,44 @@ fn main() -> ExitCode {
     drop(client);
     server.shutdown();
     finish(&args, "crosslight-bench-server/v2", &results)
+}
+
+/// `line` written again with every object's members in reverse order, at
+/// every level; arrays keep their order.
+fn reversed(line: &str) -> String {
+    fn write(value: &Json, out: &mut String) {
+        match value {
+            Json::Object(members) => {
+                out.push('{');
+                for (i, (key, value)) in members.iter().rev().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    push_string_literal(key, out);
+                    out.push(':');
+                    write(value, out);
+                }
+                out.push('}');
+            }
+            Json::Array(items) => {
+                out.push('[');
+                for (i, item) in items.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    write(item, out);
+                }
+                out.push(']');
+            }
+            Json::Null => out.push_str("null"),
+            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            Json::Uint(v) => out.push_str(&v.to_string()),
+            Json::Int(v) => out.push_str(&v.to_string()),
+            Json::Float(v) => push_f64(*v, out),
+            Json::Str(s) => push_string_literal(s, out),
+        }
+    }
+    let mut out = String::with_capacity(line.len());
+    write(&Json::parse(line).expect("encoded lines parse"), &mut out);
+    out
 }

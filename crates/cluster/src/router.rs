@@ -81,7 +81,7 @@ use crosslight_runtime::cache::CacheKey;
 use crosslight_server::frontend::{
     default_event_loops, Bound, Conn, Frontend, FrontendTelemetry, Handler,
 };
-use crosslight_server::loadgen::{Client, ClientOptions};
+use crosslight_server::loadgen::{restore_stream, Client, ClientOptions};
 use crosslight_server::poller::wake_pair;
 use crosslight_server::wire::{
     self, ErrorFrame, ErrorKind, MetricsFormat, MetricsFrame, Request, RequestBody, Response,
@@ -1107,74 +1107,29 @@ fn pull_warm_state(
     Ok(collected)
 }
 
-/// Streams a restore into the rejoining backend.  The frames are built
-/// here (not via [`Client::restore_entries`]) so the `Garble` fault can
-/// corrupt a line in flight — the backend must then answer with a typed
-/// rejection, which surfaces as a handoff failure and a cold fallback.
+/// Streams a restore into the rejoining backend over the client's one
+/// restore stream; the `Garble` fault corrupts its first line in flight,
+/// so the backend must answer with a typed rejection, which surfaces as a
+/// handoff failure and a cold fallback.
 fn push_warm_state(
     shared: &Arc<ClusterShared>,
     backend: usize,
     entries: Vec<SnapshotEntry>,
     garble: bool,
 ) -> Result<u64, String> {
-    let options = &shared.options;
-    let budget = DEFAULT_MAX_LINE_BYTES * 3 / 4;
-    let checksum = wire::snapshot_checksum(&entries);
-    let total = entries.len() as u64;
-    let chunks = wire::chunk_snapshot_entries(entries, budget);
+    let mut lines = restore_stream(0, entries, DEFAULT_MAX_LINE_BYTES * 3 / 4);
+    if garble {
+        lines[0] = FaultPlan::garble_line(&lines[0]);
+    }
     let mut client = Client::connect_with(
         shared.backends[backend].addr(),
-        ClientOptions::with_deadline(options.request_timeout),
+        ClientOptions::with_deadline(shared.options.request_timeout),
     )
     .map_err(|err| format!("connect to rejoining backend: {err}"))?;
-    let chunk_count = chunks.len() as u64;
-    for (index, chunk) in chunks.into_iter().enumerate() {
-        let mut line = wire::encode_request(&Request {
-            id: 0,
-            body: RequestBody::Restore(chunk),
-        });
-        if garble && index == 0 {
-            line = FaultPlan::garble_line(&line);
-        }
-        client
-            .send_raw(&line)
-            .map_err(|err| format!("send restore chunk: {err}"))?;
-    }
-    let end = wire::encode_request(&Request {
-        id: 0,
-        body: RequestBody::RestoreEnd(wire::SnapshotEnd {
-            chunks: chunk_count,
-            entries: total,
-            checksum,
-        }),
-    });
     client
-        .send_raw(&end)
-        .map_err(|err| format!("send restore end: {err}"))?;
-    // A line the backend cannot decode is answered at once and without an
-    // id; the answer to `restore_end` is its verdict on the whole stream.
-    let verdict = loop {
-        match client.recv() {
-            Ok(Response { id: None, .. }) => {}
-            verdict => break verdict,
-        }
-    };
-    match verdict {
-        Ok(Response {
-            body: ResponseBody::Restored(frame),
-            ..
-        }) => Ok(frame.entries),
-        Ok(Response {
-            body: ResponseBody::Error(frame),
-            ..
-        }) => Err(format!(
-            "rejoining backend rejected the restore ({}): {}",
-            frame.kind.as_str(),
-            frame.detail
-        )),
-        Ok(_) => Err("unexpected frame answering the restore stream".to_string()),
-        Err(err) => Err(format!("read restore acknowledgement: {err}")),
-    }
+        .restore(&lines)
+        .map(|frame| frame.entries)
+        .map_err(|err| format!("restore into rejoining backend: {err}"))
 }
 
 // ---------------------------------------------------------------------------

@@ -72,14 +72,6 @@ pub fn photodetector_sensitivity() -> Dbm {
     Dbm::new(-20.0)
 }
 
-/// Mach–Zehnder modulator used to imprint activations onto wavelengths at the
-/// input of the accelerator.  Modelled with the same modulation loss as the
-/// MR modulation path and a 0.5 mW drive power at the Table II data rates.
-#[must_use]
-pub fn mzm() -> DeviceSpec {
-    DeviceSpec::new(Seconds::from_picos(20.0), MilliWatts::new(0.5))
-}
-
 /// ADC/DAC-based transceiver from the paper's reference [37]: a 1-to-56 Gb/s
 /// PAM-4 transceiver consuming below 250 mW at the maximum rate.
 ///

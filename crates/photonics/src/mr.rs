@@ -174,20 +174,6 @@ impl Microring {
         }
     }
 
-    /// Creates an MR with explicit spectral parameters.
-    #[must_use]
-    pub fn with_spectral(
-        geometry: MrGeometry,
-        spectral: MrSpectral,
-        resonance: Nanometers,
-    ) -> Self {
-        Self {
-            geometry,
-            spectral,
-            resonance,
-        }
-    }
-
     /// Returns the device geometry.
     #[must_use]
     pub fn geometry(&self) -> &MrGeometry {

@@ -241,12 +241,6 @@ impl Nanometers {
     pub fn to_micrometers(self) -> Micrometers {
         Micrometers::new(self.value() / 1e3)
     }
-
-    /// Converts this length to metres.
-    #[must_use]
-    pub fn to_meters(self) -> f64 {
-        self.value() * 1e-9
-    }
 }
 
 impl Micrometers {
@@ -254,12 +248,6 @@ impl Micrometers {
     #[must_use]
     pub fn to_nanometers(self) -> Nanometers {
         Nanometers::new(self.value() * 1e3)
-    }
-
-    /// Converts this length to millimetres.
-    #[must_use]
-    pub fn to_millimeters(self) -> Millimeters {
-        Millimeters::new(self.value() / 1e3)
     }
 
     /// Converts this length to centimetres (propagation losses are quoted per
@@ -324,12 +312,6 @@ impl MilliWatts {
     #[must_use]
     pub fn from_microwatts(uw: f64) -> Self {
         Self::new(uw * 1e-3)
-    }
-
-    /// Creates a power from a value expressed in watts.
-    #[must_use]
-    pub fn from_watts(w: f64) -> Self {
-        Self::new(w * 1e3)
     }
 }
 
@@ -428,12 +410,6 @@ impl Picojoules {
     pub fn from_power_time(power: MilliWatts, time: Seconds) -> Self {
         // mW * s = mJ; 1 mJ = 1e9 pJ.
         Self::new(power.value() * time.value() * 1e9)
-    }
-
-    /// Converts this energy to joules.
-    #[must_use]
-    pub fn to_joules(self) -> f64 {
-        self.value() * 1e-12
     }
 }
 

@@ -405,12 +405,6 @@ impl EvalService {
         }
     }
 
-    /// Spawns a pool with the default options.
-    #[must_use]
-    pub fn with_defaults() -> Self {
-        Self::new(RuntimeOptions::default())
-    }
-
     /// The pool-wide cache of workload-independent analytical models.
     #[must_use]
     pub fn model_cache(&self) -> &Arc<ModelCache> {

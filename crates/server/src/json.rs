@@ -1,10 +1,14 @@
-//! Minimal JSON tree and parser for the wire protocol, plus the two push
-//! helpers its encoders write floats and strings with.
+//! JSON for the wire protocol: one pull reader over a line's bytes, the
+//! [`Json`] value for callers that want a tree, and the two push helpers
+//! the encoders write floats and strings with.
 //!
 //! The offline workspace has no `serde_json`, so the JSON-lines protocol is
 //! implemented on this self-contained module.  `crate::wire` writes every
 //! frame straight into the line with [`push_f64`] and
-//! [`push_string_literal`]; the tree is only ever read.  Design points that
+//! [`push_string_literal`], and reads every frame it does not take in the
+//! encoder's exact layout with the crate's `Reader`, which pulls one
+//! value, key or item at a time and builds nothing it is not asked for.
+//! [`Json::parse`] is one generic read on that reader.  Design points that
 //! matter for the protocol guarantees:
 //!
 //! * **Exact floats.**  Finite `f64`s are written with Rust's shortest
@@ -13,26 +17,20 @@
 //!   finite `f64` (including `-0.0` and subnormals).  Non-finite values are
 //!   encoded as the strings `"NaN"`, `"inf"` and `"-inf"` (JSON has no
 //!   literal for them) and accepted back by [`Json::as_f64`].
-//! * **Typed errors, no panics.**  The parser returns [`JsonError`] with a
+//! * **Typed errors, no panics.**  The reader returns [`JsonError`] with a
 //!   byte offset for every malformed input; it never panics and is bounded
 //!   by an explicit nesting-depth limit, so adversarial input cannot blow
-//!   the stack.
+//!   the stack.  It accepts only JSON's number grammar: `007`, `5.`, `-.5`
+//!   and `1.e5` are malformed, and so is a float too large for an `f64`
+//!   (`1e400`), rather than infinite.
 //! * **Order-preserving objects.** Objects are stored as insertion-ordered
 //!   `(key, value)` vectors: [`Json::get`] returns the first of duplicate
 //!   keys, and a metric series' labels keep the order they were sent in.
-//!
-//! The two hot frames, the eval request and the eval answer, usually skip
-//! this tree: `crate::wire` reads them straight from the line's bytes in
-//! the encoder's exact layout and hands every other line to [`Json::parse`].
-//! That reader splits numbers with this parser's own `number_token` and
-//! parses them with the same `str::parse` calls and `parse_float`, so the
-//! two readers cannot disagree on a number.  Both accept only JSON's
-//! number grammar: `007`, `5.`, `-.5` and `1.e5` are malformed, and so is
-//! a float too large for an `f64` (`1e400`), rather than infinite.
 
+use std::borrow::Cow;
 use std::fmt::Write as _;
 
-/// Maximum nesting depth the parser accepts (arrays + objects combined).
+/// Maximum nesting depth the reader accepts (arrays + objects combined).
 pub const MAX_DEPTH: usize = 64;
 
 /// A parsed JSON value.
@@ -146,47 +144,36 @@ impl Json {
     /// Returns a [`JsonError`] for any syntactically invalid input, trailing
     /// garbage, or nesting deeper than [`MAX_DEPTH`].
     pub fn parse(input: &str) -> Result<Json, JsonError> {
-        let mut parser = Parser {
-            bytes: input.as_bytes(),
-            pos: 0,
-        };
-        parser.skip_ws();
-        let value = parser.value(0)?;
-        parser.skip_ws();
-        if parser.pos != parser.bytes.len() {
-            return Err(parser.err("trailing characters after JSON value"));
-        }
+        let mut reader = Reader::new(input);
+        let value = Json::read(&mut reader)?;
+        reader.end()?;
         Ok(value)
     }
-}
 
-/// The byte range of the value of the first member named `key` in the
-/// object `input` opens with: the member [`Json::get`] returns, matched on
-/// the decoded key text.  The scan stops at that member, so only the
-/// members before it have to parse.  `None` when `input` does not open
-/// with an object, a member before the match does not parse, or no member
-/// matches.
-#[must_use]
-pub(crate) fn first_member_span(input: &str, key: &str) -> Option<std::ops::Range<usize>> {
-    let mut parser = Parser {
-        bytes: input.as_bytes(),
-        pos: 0,
-    };
-    parser.skip_ws();
-    parser.expect(b'{').ok()?;
-    loop {
-        parser.skip_ws();
-        let name = parser.string().ok()?;
-        parser.skip_ws();
-        parser.expect(b':').ok()?;
-        parser.skip_ws();
-        let start = parser.pos;
-        parser.value(1).ok()?;
-        if name == key {
-            return Some(start..parser.pos);
-        }
-        parser.skip_ws();
-        parser.expect(b',').ok()?;
+    fn read(r: &mut Reader<'_>) -> Result<Json, Syntax> {
+        Ok(match r.value()? {
+            Token::Null => Json::Null,
+            Token::True => Json::Bool(true),
+            Token::False => Json::Bool(false),
+            Token::Number(Number::Uint(v)) => Json::Uint(v),
+            Token::Number(Number::Int(v)) => Json::Int(v),
+            Token::Number(Number::Float(v)) => Json::Float(v),
+            Token::Str(text) => Json::Str(text.unescaped().into_owned()),
+            Token::Array => {
+                let mut items = Vec::new();
+                while r.item()? {
+                    items.push(Json::read(r)?);
+                }
+                Json::Array(items)
+            }
+            Token::Object => {
+                let mut members = Vec::new();
+                while let Some(key) = r.key()? {
+                    members.push((key.unescaped().into_owned(), Json::read(r)?));
+                }
+                Json::Object(members)
+            }
+        })
     }
 }
 
@@ -230,7 +217,7 @@ pub fn push_string_literal(s: &str, out: &mut String) {
     out.push('"');
 }
 
-/// Splits off the number token `bytes` starts with, as the parser splits
+/// Splits off the number token `bytes` starts with, as the reader splits
 /// it: every byte up to the first that is none of `0-9.eE+-`.  Returns
 /// the token's length and whether it is integral (no fraction and no
 /// exponent), or `None` unless the token is a JSON number,
@@ -277,21 +264,126 @@ pub(crate) fn parse_float(token: &str) -> Option<f64> {
     token.parse::<f64>().ok().filter(|value| value.is_finite())
 }
 
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
+/// A syntax error as the reader reports it; it becomes a [`JsonError`].
+/// Boxed, so the results the reader returns on its hot path stay small.
+#[derive(Debug)]
+pub(crate) struct Syntax(Box<(usize, &'static str)>);
 
-impl Parser<'_> {
-    fn err(&self, message: &str) -> JsonError {
+impl From<Syntax> for JsonError {
+    fn from(err: Syntax) -> Self {
+        let (offset, message) = *err.0;
         JsonError {
-            offset: self.pos,
+            offset,
             message: message.to_string(),
         }
     }
+}
+
+/// A string literal as the line spells it.  Its escapes are checked when
+/// it is read and decoded only when its text is asked for.
+#[derive(Clone, Copy, PartialEq)]
+pub(crate) enum Text<'a> {
+    /// The text between the quotes, which holds no escape.
+    Plain(&'a str),
+    /// The whole literal, quotes included, which holds an escape.
+    Escaped(&'a str),
+}
+
+impl<'a> Text<'a> {
+    /// The decoded text, borrowed from the line unless it holds an escape.
+    pub(crate) fn unescaped(self) -> Cow<'a, str> {
+        match self {
+            Text::Plain(text) => Cow::Borrowed(text),
+            Text::Escaped(literal) => {
+                let mut out = String::with_capacity(literal.len());
+                let mut reader = Reader::new(literal);
+                reader.pos = 1;
+                let _ = reader.escaped(0, Some(&mut out));
+                Cow::Owned(out)
+            }
+        }
+    }
+
+    /// Whether the decoded text is `text`.
+    pub(crate) fn is(self, text: &str) -> bool {
+        match self {
+            Text::Plain(plain) => plain == text,
+            Text::Escaped(_) => self.unescaped() == text,
+        }
+    }
+}
+
+/// A number as [`Json`] holds it: a non-negative integer, a negative one,
+/// or any other number.
+#[derive(Clone, Copy, PartialEq)]
+pub(crate) enum Number {
+    Uint(u64),
+    Int(i64),
+    Float(f64),
+}
+
+/// What the value at a [`Reader`]'s cursor is: a scalar, read whole, or
+/// the opening of a container, whose items the caller then reads with
+/// [`Reader::item`] or [`Reader::key`].
+#[derive(Clone, Copy, PartialEq)]
+pub(crate) enum Token<'a> {
+    Null,
+    // Each bool its own variant: no payload byte sits beside the tag.
+    True,
+    False,
+    Number(Number),
+    Str(Text<'a>),
+    Array,
+    Object,
+}
+
+/// A pull reader over one line: every step reads the next value, item or
+/// member key and checks its syntax, so a read that reaches the end of the
+/// line has checked all of it, left to right.  A copy is a bookmark: it
+/// reads on from where it was taken.
+#[derive(Clone, Copy)]
+pub(crate) struct Reader<'a> {
+    line: &'a str,
+    pos: usize,
+    /// Containers open around the cursor.
+    depth: usize,
+    /// Whether the innermost container has just opened, so no `,` is due.
+    fresh: bool,
+}
+
+impl<'a> Reader<'a> {
+    pub(crate) fn new(line: &'a str) -> Self {
+        Self {
+            line,
+            pos: 0,
+            depth: 0,
+            fresh: false,
+        }
+    }
+
+    /// A reader at byte `pos` of this line, where a value this reader has
+    /// already read starts.
+    pub(crate) fn at(&self, pos: usize) -> Self {
+        Self { pos, ..*self }
+    }
+
+    /// The byte offset of the cursor.
+    pub(crate) fn pos(&self) -> usize {
+        self.pos
+    }
+
+    #[cold]
+    fn err(&self, message: &'static str) -> Syntax {
+        Syntax(Box::new((self.pos, message)))
+    }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.rest().first().copied()
+    }
+
+    /// The bytes from the cursor on.
+    fn rest(&self) -> &'a [u8] {
+        &self.line.as_bytes()[self.pos..]
     }
 
     fn skip_ws(&mut self) {
@@ -300,199 +392,338 @@ impl Parser<'_> {
         }
     }
 
-    fn expect(&mut self, byte: u8) -> Result<(), JsonError> {
-        if self.peek() == Some(byte) {
-            self.pos += 1;
+    /// Succeeds when only whitespace is left.
+    pub(crate) fn end(&mut self) -> Result<(), Syntax> {
+        self.skip_ws();
+        if self.pos == self.line.len() {
             Ok(())
         } else {
-            Err(self.err(&format!("expected `{}`", byte as char)))
+            Err(self.err("trailing characters after JSON value"))
         }
     }
 
-    fn literal(&mut self, word: &str, value: Json) -> Result<Json, JsonError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(value)
-        } else {
-            Err(self.err(&format!("invalid literal (expected `{word}`)")))
-        }
-    }
-
-    fn value(&mut self, depth: usize) -> Result<Json, JsonError> {
-        if depth > MAX_DEPTH {
+    /// Reads the value at the cursor: a scalar whole, a container only up
+    /// to its opening bracket.
+    pub(crate) fn value(&mut self) -> Result<Token<'a>, Syntax> {
+        self.skip_ws();
+        if self.depth > MAX_DEPTH {
             return Err(self.err("nesting too deep"));
         }
+        Ok(match self.peek() {
+            Some(b'"') => Token::Str(self.string()?),
+            Some(b'-' | b'0'..=b'9') => Token::Number(self.number()?),
+            Some(b'{') => self.open(Token::Object),
+            Some(b'[') => self.open(Token::Array),
+            Some(b'n') => self.literal("null", "invalid literal (expected `null`)", Token::Null)?,
+            Some(b't') => self.literal("true", "invalid literal (expected `true`)", Token::True)?,
+            Some(b'f') => {
+                self.literal("false", "invalid literal (expected `false`)", Token::False)?
+            }
+            Some(_) => return Err(self.err("unexpected character")),
+            None => return Err(self.err("unexpected end of input")),
+        })
+    }
+
+    fn open(&mut self, token: Token<'a>) -> Token<'a> {
+        self.pos += 1;
+        self.depth += 1;
+        self.fresh = true;
+        token
+    }
+
+    /// Reads the value at the cursor whole; a container's items are read
+    /// and dropped.
+    pub(crate) fn scalar(&mut self) -> Result<Token<'a>, Syntax> {
+        let token = self.value()?;
+        self.drain(token)?;
+        Ok(token)
+    }
+
+    /// Reads the rest of the container `token` opened; nothing for a
+    /// scalar.
+    fn drain(&mut self, token: Token<'a>) -> Result<(), Syntax> {
+        match token {
+            Token::Array => {
+                while self.item()? {
+                    self.skip()?;
+                }
+            }
+            Token::Object => {
+                while self.key()?.is_some() {
+                    self.skip()?;
+                }
+            }
+            _ => {}
+        }
+        Ok(())
+    }
+
+    /// Reads past the value at the cursor.
+    pub(crate) fn skip(&mut self) -> Result<(), Syntax> {
+        self.scalar().map(drop)
+    }
+
+    /// Steps into the value at the cursor when it is an object, read with
+    /// [`Reader::key`] or [`Reader::member`]; any other value is read past,
+    /// and the answer is `false`.
+    pub(crate) fn object(&mut self) -> Result<bool, Syntax> {
+        self.enter(Token::Object)
+    }
+
+    /// [`Reader::object`] for an array, read with [`Reader::item`].
+    pub(crate) fn array(&mut self) -> Result<bool, Syntax> {
+        self.enter(Token::Array)
+    }
+
+    fn enter(&mut self, open: Token<'a>) -> Result<bool, Syntax> {
+        let token = self.value()?;
+        if token == open {
+            return Ok(true);
+        }
+        self.drain(token)?;
+        Ok(false)
+    }
+
+    /// Steps over the `,` before the next item of the innermost container
+    /// or over its closing `close`: whether an item follows.
+    fn more(&mut self, close: u8) -> Result<bool, Syntax> {
+        self.skip_ws();
+        let fresh = std::mem::replace(&mut self.fresh, false);
         match self.peek() {
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(depth),
-            Some(b'{') => self.object(depth),
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            Some(_) => Err(self.err("unexpected character")),
-            None => Err(self.err("unexpected end of input")),
-        }
-    }
-
-    fn array(&mut self, depth: usize) -> Result<Json, JsonError> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Array(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value(depth + 1)?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Array(items));
-                }
-                _ => return Err(self.err("expected `,` or `]` in array")),
+            Some(byte) if byte == close => {
+                self.pos += 1;
+                self.depth -= 1;
+                Ok(false)
             }
-        }
-    }
-
-    fn object(&mut self, depth: usize) -> Result<Json, JsonError> {
-        self.expect(b'{')?;
-        let mut members = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Object(members));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.value(depth + 1)?;
-            members.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Object(members));
-                }
-                _ => return Err(self.err("expected `,` or `}` in object")),
+            Some(b',') if !fresh => {
+                self.pos += 1;
+                self.skip_ws();
+                Ok(true)
             }
+            _ if fresh => Ok(true),
+            _ if close == b']' => Err(self.err("expected `,` or `]` in array")),
+            _ => Err(self.err("expected `,` or `}` in object")),
         }
     }
 
-    fn string(&mut self) -> Result<String, JsonError> {
-        self.expect(b'"')?;
-        let mut out = String::new();
+    /// Whether the array being read has another item, with the cursor at
+    /// it.
+    pub(crate) fn item(&mut self) -> Result<bool, Syntax> {
+        self.more(b']')
+    }
+
+    /// The next member's key in the object being read, with the cursor at
+    /// its value; `None` past the closing brace.
+    pub(crate) fn key(&mut self) -> Result<Option<Text<'a>>, Syntax> {
+        if !self.more(b'}')? {
+            return Ok(None);
+        }
+        if self.peek() != Some(b'"') {
+            return Err(self.err("expected `\"`"));
+        }
+        let key = self.string()?;
+        self.skip_ws();
+        if self.peek() != Some(b':') {
+            return Err(self.err("expected `:`"));
+        }
+        self.pos += 1;
+        self.skip_ws();
+        Ok(Some(key))
+    }
+
+    /// [`Reader::key`] matched against a table of keys, each given as the
+    /// bytes `,"key":` that introduce it after another member: the index
+    /// of the next member's key, `keys.len()` for a key not among them.
+    /// `next` is the index expected next, the one after the last match:
+    /// when exactly its bytes come next, as the encoders write them, one
+    /// comparison matches it.  Otherwise keys match on their decoded text,
+    /// so an escaped key matches too.
+    pub(crate) fn member(
+        &mut self,
+        keys: &[&str],
+        next: &mut usize,
+    ) -> Result<Option<usize>, Syntax> {
+        // First in an object, the member has no `,` before it.
+        let head = keys.get(*next).map(|key| &key[usize::from(self.fresh)..]);
+        if let Some(head) = head.filter(|head| self.rest().starts_with(head.as_bytes())) {
+            self.pos += head.len();
+            self.fresh = false;
+            *next += 1;
+            return Ok(Some(*next - 1));
+        }
+        let Some(key) = self.key()? else {
+            return Ok(None);
+        };
+        let at = keys
+            .iter()
+            .position(|k| key.is(&k[2..k.len() - 2]))
+            .unwrap_or(keys.len());
+        if at < keys.len() {
+            *next = at + 1;
+        }
+        Ok(Some(at))
+    }
+
+    fn literal(
+        &mut self,
+        word: &str,
+        message: &'static str,
+        token: Token<'a>,
+    ) -> Result<Token<'a>, Syntax> {
+        if self.rest().starts_with(word.as_bytes()) {
+            self.pos += word.len();
+            Ok(token)
+        } else {
+            Err(self.err(message))
+        }
+    }
+
+    /// Reads the string literal at the cursor's `"`.
+    fn string(&mut self) -> Result<Text<'a>, Syntax> {
+        let start = self.pos;
+        self.pos += 1;
+        self.run();
+        if self.peek() != Some(b'"') {
+            return self.escaped(start, None);
+        }
+        self.pos += 1;
+        Ok(Text::Plain(&self.line[start + 1..self.pos - 1]))
+    }
+
+    /// Reads on through a string literal that opened at `start` and holds
+    /// an escape, a control byte or no closing quote at the cursor,
+    /// appending its decoded text to `out` when one is given.
+    #[cold]
+    fn escaped(&mut self, start: usize, mut out: Option<&mut String>) -> Result<Text<'a>, Syntax> {
+        let mut push = |text: &str| {
+            if let Some(out) = out.as_deref_mut() {
+                out.push_str(text);
+            }
+        };
+        push(&self.line[start + 1..self.pos]);
         loop {
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
-                    return Ok(out);
+                    return Ok(Text::Escaped(&self.line[start..self.pos]));
                 }
                 Some(b'\\') => {
                     self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
+                    let c = match self.peek() {
+                        Some(b'"') => '"',
+                        Some(b'\\') => '\\',
+                        Some(b'/') => '/',
+                        Some(b'b') => '\u{8}',
+                        Some(b'f') => '\u{c}',
+                        Some(b'n') => '\n',
+                        Some(b'r') => '\r',
+                        Some(b't') => '\t',
                         Some(b'u') => {
                             self.pos += 1;
-                            let first = self.hex4()?;
-                            let c = if (0xD800..0xDC00).contains(&first) {
-                                // High surrogate: require the low half.
-                                if !self.bytes[self.pos..].starts_with(b"\\u") {
-                                    return Err(self.err("unpaired surrogate"));
-                                }
-                                self.pos += 2;
-                                let second = self.hex4()?;
-                                if !(0xDC00..0xE000).contains(&second) {
-                                    return Err(self.err("invalid low surrogate"));
-                                }
-                                let combined =
-                                    0x10000 + ((first - 0xD800) << 10) + (second - 0xDC00);
-                                char::from_u32(combined)
-                            } else {
-                                char::from_u32(first)
-                            };
-                            match c {
-                                Some(c) => out.push(c),
-                                None => return Err(self.err("invalid unicode escape")),
-                            }
-                            // hex4 advanced past the digits already.
+                            let c = self.unicode_escape()?;
+                            push(c.encode_utf8(&mut [0; 4]));
+                            // The escape's digits are read already.
                             continue;
                         }
                         _ => return Err(self.err("invalid escape sequence")),
-                    }
+                    };
+                    push(c.encode_utf8(&mut [0; 4]));
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Bulk-copy up to the next quote, backslash or control
-                    // byte.  Those are all ASCII, so `stop` always lands on
-                    // a character boundary of the (already valid UTF-8)
-                    // input — this keeps parsing O(n) on long strings.
-                    let rest = &self.bytes[self.pos..];
-                    let stop = rest
-                        .iter()
-                        .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
-                        .unwrap_or(rest.len());
-                    if stop == 0 {
-                        // Quote/backslash are handled above, so this byte
-                        // is an unescaped control character.
+                    let from = self.pos;
+                    self.run();
+                    if self.pos == from {
+                        // Quote and backslash are handled above, so this
+                        // byte is an unescaped control character.
                         return Err(self.err("unescaped control character in string"));
                     }
-                    let chunk = std::str::from_utf8(&rest[..stop])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    out.push_str(chunk);
-                    self.pos += stop;
+                    push(&self.line[from..self.pos]);
                 }
             }
         }
     }
 
-    fn hex4(&mut self) -> Result<u32, JsonError> {
+    /// The character a `\u` escape names, its digits at the cursor; a high
+    /// surrogate must be followed by the low one.
+    fn unicode_escape(&mut self) -> Result<char, Syntax> {
+        let first = self.hex4()?;
+        let c = if (0xD800..0xDC00).contains(&first) {
+            if !self.rest().starts_with(b"\\u") {
+                return Err(self.err("unpaired surrogate"));
+            }
+            self.pos += 2;
+            let second = self.hex4()?;
+            if !(0xDC00..0xE000).contains(&second) {
+                return Err(self.err("invalid low surrogate"));
+            }
+            char::from_u32(0x10000 + ((first - 0xD800) << 10) + (second - 0xDC00))
+        } else {
+            char::from_u32(first)
+        };
+        c.ok_or_else(|| self.err("invalid unicode escape"))
+    }
+
+    /// Steps up to the next quote, backslash or control byte, eight bytes
+    /// at a time while none is among them.  Those are all ASCII, so the
+    /// cursor stays on a character boundary.
+    fn run(&mut self) {
+        const ONES: u64 = 0x0101_0101_0101_0101;
+        const HIGHS: u64 = 0x8080_8080_8080_8080;
+        let bytes = self.line.as_bytes();
+        let mut at = self.pos;
+        while let Some(chunk) = bytes.get(at..at + 8) {
+            let word = u64::from_le_bytes(chunk.try_into().unwrap_or_default());
+            let zero = |v: u64| v.wrapping_sub(ONES) & !v;
+            let quote = zero(word ^ (ONES * u64::from(b'"')));
+            let backslash = zero(word ^ (ONES * u64::from(b'\\')));
+            let control = word.wrapping_sub(ONES * 0x20) & !word;
+            if (quote | backslash | control) & HIGHS != 0 {
+                break;
+            }
+            at += 8;
+        }
+        while bytes
+            .get(at)
+            .is_some_and(|&b| b != b'"' && b != b'\\' && b >= 0x20)
+        {
+            at += 1;
+        }
+        self.pos = at;
+    }
+
+    fn hex4(&mut self) -> Result<u32, Syntax> {
         let end = self.pos + 4;
         let digits = self
-            .bytes
+            .line
+            .as_bytes()
             .get(self.pos..end)
             .ok_or_else(|| self.err("truncated unicode escape"))?;
-        let s = std::str::from_utf8(digits).map_err(|_| self.err("invalid unicode escape"))?;
-        let value =
-            u32::from_str_radix(s, 16).map_err(|_| self.err("invalid unicode escape digits"))?;
+        let digits = std::str::from_utf8(digits).map_err(|_| self.err("invalid unicode escape"))?;
+        let value = u32::from_str_radix(digits, 16)
+            .map_err(|_| self.err("invalid unicode escape digits"))?;
         self.pos = end;
         Ok(value)
     }
 
-    fn number(&mut self) -> Result<Json, JsonError> {
-        let start = self.pos;
-        let invalid = || JsonError {
-            offset: start,
-            message: "invalid number".to_string(),
-        };
-        let (len, integral) = number_token(&self.bytes[start..]).ok_or_else(invalid)?;
-        self.pos += len;
+    fn number(&mut self) -> Result<Number, Syntax> {
+        let (len, integral) =
+            number_token(self.rest()).ok_or_else(|| self.err("invalid number"))?;
         // The token is ASCII: the grammar admits no other byte.
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|_| invalid())?;
-        if integral {
-            if let Ok(v) = text.parse::<u64>() {
-                return Ok(Json::Uint(v));
-            }
-            if let Ok(v) = text.parse::<i64>() {
-                return Ok(Json::Int(v));
-            }
-        }
-        parse_float(text).map(Json::Float).ok_or_else(invalid)
+        let text = &self.line[self.pos..self.pos + len];
+        let number = if integral {
+            text.parse()
+                .map(Number::Uint)
+                .or_else(|_| text.parse().map(Number::Int))
+                .ok()
+        } else {
+            None
+        };
+        let number = number.or_else(|| parse_float(text).map(Number::Float));
+        let number = number.ok_or_else(|| self.err("invalid number"))?;
+        self.pos += len;
+        Ok(number)
     }
 }
 
@@ -618,21 +849,6 @@ mod tests {
         ] {
             let outcome = Json::parse(input);
             assert!(outcome.is_err(), "`{input}` should fail, got {outcome:?}");
-        }
-    }
-
-    #[test]
-    fn first_member_span_finds_the_member_get_returns() {
-        fn span(input: &str) -> Option<&str> {
-            first_member_span(input, "id").map(|range| &input[range])
-        }
-        assert_eq!(span(r#"{"v":1,"id":7,"op":"ping"}"#), Some("7"));
-        assert_eq!(span(r#" { "v" : [1, {"id": 2}] , "id" : 9 } "#), Some("9"));
-        // Keys compare decoded, and the first of duplicates wins.
-        assert_eq!(span(r#"{"id":3,"id":4}"#), Some("3"));
-        assert_eq!(span(r#"{"id":"x\"y","id":4}"#), Some(r#""x\"y""#));
-        for miss in ["", "[1]", "{}", r#"{"v":1}"#, r#"{"v":,"id":1}"#, "{\"id\""] {
-            assert_eq!(span(miss), None, "{miss}");
         }
     }
 

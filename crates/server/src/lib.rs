@@ -8,9 +8,11 @@
 //!
 //! Layering:
 //!
-//! * [`json`] — self-contained JSON tree and parser, plus the helpers that
-//!   write `f64`s (round-tripping exactly) and string literals (the
-//!   workspace is offline, so no `serde_json`).
+//! * [`json`] — self-contained JSON: the pull reader that decodes every
+//!   frame the exact-layout reader declines, the `Json` value it reads for
+//!   callers that want a tree, and the helpers that write `f64`s
+//!   (round-tripping exactly) and string literals (the workspace is
+//!   offline, so no `serde_json`).
 //! * [`wire`] — the versioned frame vocabulary: `eval`/`stats`/`ping`
 //!   requests, `ok`/`err` responses, typed [`ErrorKind`]s, and the exact
 //!   report encoding, proven bit-identical to in-process evaluation.

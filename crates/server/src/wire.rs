@@ -46,22 +46,33 @@
 //! The two hot frames — a CrossLight eval request naming a Table I model,
 //! and an eval answer with an id — are read straight from the line's bytes
 //! when they are exactly in the layout [`encode_request`] and
-//! [`encode_response`] write: no [`Json`] tree, no allocation.  That reader
-//! declines at the first byte that differs and hands the line to the tree
-//! decoder, which reads every other frame and produces every error.  It
-//! never disagrees with the tree: a line it accepts decodes through the
-//! tree to the same value, every float bit for bit.
+//! [`encode_response`] write: one pass, no allocation.  That reader
+//! declines at the first byte that differs and hands the line to the wire
+//! reader, one pull reader over the line's bytes (`crate::json`'s
+//! `Reader`) that reads every other frame and produces every error.  The
+//! exact reader never disagrees with it: a line it accepts reads to the
+//! same value, every float bit for bit.  No frame is decoded through a
+//! [`Json`](crate::json::Json) tree.  A syntax error anywhere in a line
+//! wins over any other error, so a line
+//! [`Json::parse`](crate::json::Json::parse) rejects decodes to
+//! `malformed` "invalid JSON: …" with the same text.
 //!
 //! Every value has one wire form, the private `Wire` trait: how the
-//! encoders append it, how the tree decoder reads it and how the exact
+//! encoders append it, how the wire reader reads it and how the exact
 //! reader reads it.  Each struct that travels as an object — the stats,
 //! restored and eval frames, the report with its power, area and metrics
 //! objects, the VDP unit report and the workload — gets all three from one
 //! member table (`wire_object!`) that spells each key once, in wire order.
+//! The wire reader reads a table's members in any order into one slot per
+//! key: it tries the key the encoder writes next first, reads past unknown
+//! members and keeps the first of duplicate keys, as
+//! [`Json::get`](crate::json::Json::get) does.  Slots are taken in the
+//! table's order, so errors come in the order the protocol checks them.
 //! The kind-tagged values (architecture keys, snapshot entries, metric
 //! families and histograms) implement the trait by hand, and the eval
 //! request's `config` stays hand-written.
 
+use std::borrow::Cow;
 use std::fmt::Write as _;
 use std::ops::Range;
 use std::sync::Arc;
@@ -98,7 +109,7 @@ use crosslight_telemetry::{
     FamilySnapshot, HistogramSnapshot, MetricKind, RegistrySnapshot, SeriesSnapshot, SeriesValue,
 };
 
-use crate::json::{self, Json, JsonError};
+use crate::json::{self, JsonError, Number, Reader, Syntax, Token};
 
 /// The protocol version this build speaks.
 pub const PROTOCOL_VERSION: u64 = 1;
@@ -224,6 +235,12 @@ impl ErrorFrame {
 impl From<JsonError> for ErrorFrame {
     fn from(err: JsonError) -> Self {
         Self::malformed(format!("invalid JSON: {err}"))
+    }
+}
+
+impl From<Syntax> for ErrorFrame {
+    fn from(err: Syntax) -> Self {
+        JsonError::from(err).into()
     }
 }
 
@@ -694,41 +711,84 @@ impl Response {
 // One wire form per value
 // ---------------------------------------------------------------------------
 
-/// A value's one wire form: how the encoders append it to the line, how the
-/// tree decoders read it from a [`Json`] tree, and how the exact-layout
-/// reader reads it back from the bytes [`Wire::encode`] wrote.
-trait Wire: Sized {
+/// Why a value could not be read.  A syntax error ends the read of the
+/// whole line; a bad value spoils only its own member, and the reader is
+/// past it, so the object around it reads on.
+enum Fault {
+    Syntax(Syntax),
+    Bad(Box<ErrorFrame>),
+}
+
+impl From<Syntax> for Fault {
+    fn from(err: Syntax) -> Self {
+        Self::Syntax(err)
+    }
+}
+
+impl From<ErrorFrame> for Fault {
+    #[cold]
+    fn from(frame: ErrorFrame) -> Self {
+        Self::Bad(Box::new(frame))
+    }
+}
+
+impl From<Fault> for ErrorFrame {
+    fn from(fault: Fault) -> Self {
+        match fault {
+            Fault::Syntax(err) => err.into(),
+            Fault::Bad(frame) => *frame,
+        }
+    }
+}
+
+/// Splits a read's outcome: a syntax error goes up, a bad value stays with
+/// its member.
+fn settle<T>(read: Result<T, Fault>) -> Result<Result<T, Fault>, Syntax> {
+    match read {
+        Err(Fault::Syntax(err)) => Err(err),
+        read => Ok(read),
+    }
+}
+
+/// A value's one wire form: how the encoders append it to the line, how
+/// the wire reader reads it back and how the exact reader reads it.  `'a`
+/// is the line's lifetime, so a read value may borrow from the line.
+trait Wire<'a>: Sized {
     /// Appends the value to the line.
     fn encode(&self, out: &mut String);
 
-    /// Reads the value from the tree; `key` names it in error details.
-    fn decode(json: &Json, key: &str) -> Result<Self, ErrorFrame>;
+    /// Reads the value at the reader's cursor; `key` names it in error
+    /// details.  On a bad value the reader is past it.
+    fn read(r: &mut Reader<'a>, key: &str) -> Result<Self, Fault>;
 
     /// Reads the value exactly as [`Wire::encode`] writes it, or `None` at
     /// the first byte that differs.  Only what an eval request or answer
     /// carries is read this way; every other value declines, which hands
-    /// the line to the tree.
-    fn read(_at: &mut Exact<'_>) -> Option<Self> {
+    /// the line to [`Wire::read`].
+    fn read_exact(_at: &mut Exact<'_>) -> Option<Self> {
         None
     }
 }
 
 /// A `malformed` error about the field `key`.
+#[cold]
 fn bad(key: &str, what: &str) -> ErrorFrame {
     ErrorFrame::malformed(format!("field `{key}` {what}"))
 }
 
-impl Wire for u64 {
+impl Wire<'_> for u64 {
     fn encode(&self, out: &mut String) {
         let _ = write!(out, "{self}");
     }
 
-    fn decode(json: &Json, key: &str) -> Result<Self, ErrorFrame> {
-        json.as_u64()
-            .ok_or_else(|| bad(key, "must be a non-negative integer"))
+    fn read(r: &mut Reader<'_>, key: &str) -> Result<Self, Fault> {
+        match r.scalar()? {
+            Token::Number(Number::Uint(v)) => Ok(v),
+            _ => Err(bad(key, "must be a non-negative integer").into()),
+        }
     }
 
-    fn read(at: &mut Exact<'_>) -> Option<Self> {
+    fn read_exact(at: &mut Exact<'_>) -> Option<Self> {
         at.u64()
     }
 }
@@ -736,16 +796,16 @@ impl Wire for u64 {
 /// The narrower unsigned integers travel as a `u64` that must fit them.
 macro_rules! narrow_wire {
     ($($ty:ty),+) => {$(
-        impl Wire for $ty {
+        impl Wire<'_> for $ty {
             fn encode(&self, out: &mut String) {
                 let _ = write!(out, "{self}");
             }
 
-            fn decode(json: &Json, key: &str) -> Result<Self, ErrorFrame> {
-                <$ty>::try_from(u64::decode(json, key)?).map_err(|_| bad(key, "out of range"))
+            fn read(r: &mut Reader<'_>, key: &str) -> Result<Self, Fault> {
+                <$ty>::try_from(u64::read(r, key)?).map_err(|_| bad(key, "out of range").into())
             }
 
-            fn read(at: &mut Exact<'_>) -> Option<Self> {
+            fn read_exact(at: &mut Exact<'_>) -> Option<Self> {
                 <$ty>::try_from(at.u64()?).ok()
             }
         }
@@ -754,32 +814,44 @@ macro_rules! narrow_wire {
 
 narrow_wire!(u8, u32, usize);
 
-impl Wire for i64 {
+impl Wire<'_> for i64 {
     fn encode(&self, out: &mut String) {
         let _ = write!(out, "{self}");
     }
 
-    fn decode(json: &Json, key: &str) -> Result<Self, ErrorFrame> {
-        match *json {
-            Json::Uint(v) => i64::try_from(v).map_err(|_| bad(key, "out of range")),
-            Json::Int(v) => Ok(v),
-            _ => Err(bad(key, "must be an integer")),
+    fn read(r: &mut Reader<'_>, key: &str) -> Result<Self, Fault> {
+        match r.scalar()? {
+            Token::Number(Number::Uint(v)) => {
+                i64::try_from(v).map_err(|_| bad(key, "out of range").into())
+            }
+            Token::Number(Number::Int(v)) => Ok(v),
+            _ => Err(bad(key, "must be an integer").into()),
         }
     }
 }
 
-impl Wire for f64 {
+impl Wire<'_> for f64 {
     fn encode(&self, out: &mut String) {
         json::push_f64(*self, out);
     }
 
-    fn decode(json: &Json, key: &str) -> Result<Self, ErrorFrame> {
-        json.as_f64().ok_or_else(|| bad(key, "must be a number"))
+    /// Any number, or a non-finite value's tagged string, as
+    /// [`Json::as_f64`](crate::json::Json::as_f64) reads it.
+    fn read(r: &mut Reader<'_>, key: &str) -> Result<Self, Fault> {
+        Ok(match r.scalar()? {
+            Token::Number(Number::Uint(v)) => v as f64,
+            Token::Number(Number::Int(v)) => v as f64,
+            Token::Number(Number::Float(v)) => v,
+            Token::Str(text) if text.is("NaN") => f64::NAN,
+            Token::Str(text) if text.is("inf") => f64::INFINITY,
+            Token::Str(text) if text.is("-inf") => f64::NEG_INFINITY,
+            _ => return Err(bad(key, "must be a number").into()),
+        })
     }
 
-    /// A float as [`Json::as_f64`] reads it, minus the integral tokens the
+    /// A float as [`Wire::read`] reads it, minus the integral tokens the
     /// encoder never writes (`1` for `1.0`).
-    fn read(at: &mut Exact<'_>) -> Option<Self> {
+    fn read_exact(at: &mut Exact<'_>) -> Option<Self> {
         if at.line.as_bytes().get(at.pos) == Some(&b'"') {
             return [
                 ("\"NaN\"", f64::NAN),
@@ -800,17 +872,17 @@ impl Wire for f64 {
 /// The photonics unit newtypes travel as their `f64` value.
 macro_rules! unit_wire {
     ($($ty:ty),+) => {$(
-        impl Wire for $ty {
+        impl Wire<'_> for $ty {
             fn encode(&self, out: &mut String) {
                 json::push_f64(self.value(), out);
             }
 
-            fn decode(json: &Json, key: &str) -> Result<Self, ErrorFrame> {
-                f64::decode(json, key).map(<$ty>::new)
+            fn read(r: &mut Reader<'_>, key: &str) -> Result<Self, Fault> {
+                f64::read(r, key).map(<$ty>::new)
             }
 
-            fn read(at: &mut Exact<'_>) -> Option<Self> {
-                f64::read(at).map(<$ty>::new)
+            fn read_exact(at: &mut Exact<'_>) -> Option<Self> {
+                f64::read_exact(at).map(<$ty>::new)
             }
         }
     )+};
@@ -818,16 +890,20 @@ macro_rules! unit_wire {
 
 unit_wire!(MilliWatts, Picojoules, Seconds, SquareMillimeters, Watts);
 
-impl Wire for bool {
+impl Wire<'_> for bool {
     fn encode(&self, out: &mut String) {
         let _ = write!(out, "{self}");
     }
 
-    fn decode(json: &Json, key: &str) -> Result<Self, ErrorFrame> {
-        json.as_bool().ok_or_else(|| bad(key, "must be a bool"))
+    fn read(r: &mut Reader<'_>, key: &str) -> Result<Self, Fault> {
+        match r.scalar()? {
+            Token::True => Ok(true),
+            Token::False => Ok(false),
+            _ => Err(bad(key, "must be a bool").into()),
+        }
     }
 
-    fn read(at: &mut Exact<'_>) -> Option<Self> {
+    fn read_exact(at: &mut Exact<'_>) -> Option<Self> {
         match at.lit("true") {
             Some(()) => Some(true),
             None => at.lit("false").map(|()| false),
@@ -835,20 +911,33 @@ impl Wire for bool {
     }
 }
 
-impl Wire for String {
+/// A string borrowed from the line when it holds no escape: the names an
+/// object is read by cost no allocation.
+impl<'a> Wire<'a> for Cow<'a, str> {
     fn encode(&self, out: &mut String) {
         json::push_string_literal(self, out);
     }
 
-    fn decode(json: &Json, key: &str) -> Result<Self, ErrorFrame> {
-        json.as_str()
-            .map(str::to_string)
-            .ok_or_else(|| bad(key, "must be a string"))
+    fn read(r: &mut Reader<'a>, key: &str) -> Result<Self, Fault> {
+        match r.scalar()? {
+            Token::Str(text) => Ok(text.unescaped()),
+            _ => Err(bad(key, "must be a string").into()),
+        }
+    }
+}
+
+impl Wire<'_> for String {
+    fn encode(&self, out: &mut String) {
+        json::push_string_literal(self, out);
+    }
+
+    fn read(r: &mut Reader<'_>, key: &str) -> Result<Self, Fault> {
+        Cow::read(r, key).map(Cow::into_owned)
     }
 }
 
 /// Appends `items` as an array.
-fn encode_items<T: Wire>(items: &[T], out: &mut String) {
+fn encode_items<'a, T: Wire<'a>>(items: &[T], out: &mut String) {
     out.push('[');
     for (i, item) in items.iter().enumerate() {
         if i > 0 {
@@ -859,58 +948,99 @@ fn encode_items<T: Wire>(items: &[T], out: &mut String) {
     out.push(']');
 }
 
-impl<T: Wire> Wire for Vec<T> {
+/// Reads the array at the cursor with `read` per item.  The first bad
+/// item's error wins once the array is read through.
+fn read_items<'a, T>(
+    r: &mut Reader<'a>,
+    key: &str,
+    mut read: impl FnMut(&mut Reader<'a>) -> Result<T, Fault>,
+) -> Result<Vec<T>, Fault> {
+    if !r.array()? {
+        return Err(bad(key, "must be an array").into());
+    }
+    let (mut items, mut first_bad) = (Vec::new(), None);
+    while r.item()? {
+        match settle(read(r))? {
+            Ok(item) => items.push(item),
+            Err(frame) => {
+                first_bad.get_or_insert(frame);
+            }
+        }
+    }
+    first_bad.map_or(Ok(items), Err)
+}
+
+impl<'a, T: Wire<'a>> Wire<'a> for Vec<T> {
     fn encode(&self, out: &mut String) {
         encode_items(self, out);
     }
 
-    fn decode(json: &Json, key: &str) -> Result<Self, ErrorFrame> {
-        let items = json
-            .as_array()
-            .ok_or_else(|| bad(key, "must be an array"))?;
-        items.iter().map(|item| T::decode(item, key)).collect()
+    fn read(r: &mut Reader<'a>, key: &str) -> Result<Self, Fault> {
+        read_items(r, key, |r| T::read(r, key))
     }
 }
 
-impl<T: Wire + Copy + Default, const N: usize> Wire for [T; N] {
+/// A fixed-length array, read without allocating: its length is checked
+/// before its items, as it is counted.
+impl<'a, T: Wire<'a> + Copy + Default, const N: usize> Wire<'a> for [T; N] {
     fn encode(&self, out: &mut String) {
         encode_items(self, out);
     }
 
-    fn decode(json: &Json, key: &str) -> Result<Self, ErrorFrame> {
-        let items = json
-            .as_array()
-            .filter(|items| items.len() == N)
-            .ok_or_else(|| bad(key, &format!("must be a {N}-element array")))?;
+    fn read(r: &mut Reader<'a>, key: &str) -> Result<Self, Fault> {
         let mut array = [T::default(); N];
-        for (slot, item) in array.iter_mut().zip(items) {
-            *slot = T::decode(item, key)?;
+        let (mut len, mut first_bad) = (0, None);
+        let is_array = r.array()?;
+        while is_array && r.item()? {
+            match (array.get_mut(len), settle(T::read(r, key))?) {
+                (Some(slot), Ok(item)) => *slot = item,
+                (Some(_), Err(frame)) => {
+                    first_bad.get_or_insert(frame);
+                }
+                (None, _) => {}
+            }
+            len += 1;
         }
-        Ok(array)
+        if !is_array || len != N {
+            return Err(bad(key, &format!("must be a {N}-element array")).into());
+        }
+        first_bad.map_or(Ok(array), Err)
     }
 
-    fn read(at: &mut Exact<'_>) -> Option<Self> {
+    fn read_exact(at: &mut Exact<'_>) -> Option<Self> {
         let mut array = [T::default(); N];
         at.lit("[")?;
         for (i, slot) in array.iter_mut().enumerate() {
             if i > 0 {
                 at.lit(",")?;
             }
-            *slot = T::read(at)?;
+            *slot = T::read_exact(at)?;
         }
         at.lit("]")?;
         Some(array)
     }
 }
 
+/// A histogram bucket travels as its `[upper_bound, count]` pair.
+impl Wire<'_> for (u64, u64) {
+    fn encode(&self, out: &mut String) {
+        [self.0, self.1].encode(out);
+    }
+
+    fn read(r: &mut Reader<'_>, key: &str) -> Result<Self, Fault> {
+        let [le, n] = Wire::read(r, key)?;
+        Ok((le, n))
+    }
+}
+
 /// A layer travels as its `[length, count]` pair.
-impl Wire for DotProductWorkload {
+impl Wire<'_> for DotProductWorkload {
     fn encode(&self, out: &mut String) {
         [self.dot_length, self.dot_count].encode(out);
     }
 
-    fn decode(json: &Json, key: &str) -> Result<Self, ErrorFrame> {
-        let [dot_length, dot_count] = Wire::decode(json, key)?;
+    fn read(r: &mut Reader<'_>, key: &str) -> Result<Self, Fault> {
+        let [dot_length, dot_count] = Wire::read(r, key)?;
         Ok(Self {
             dot_length,
             dot_count,
@@ -918,18 +1048,157 @@ impl Wire for DotProductWorkload {
     }
 }
 
+/// One member of an object being read: where its value starts and what it
+/// read as, kept until the object's members are taken in the order the
+/// protocol checks them.
+struct Slot<T> {
+    key: &'static str,
+    /// Where the value starts.
+    at: usize,
+    /// Never a syntax fault: that ends the read of the line.
+    read: Option<Result<T, Fault>>,
+}
+
+impl<T> Slot<T> {
+    fn new(key: &'static str) -> Self {
+        Self {
+            key,
+            at: 0,
+            read: None,
+        }
+    }
+
+    /// Reads the member's value.  A later duplicate is only read past: the
+    /// first of duplicate keys counts, the one
+    /// [`Json::get`](crate::json::Json::get) finds.
+    fn fill<'a>(&mut self, r: &mut Reader<'a>) -> Result<(), Syntax>
+    where
+        T: Wire<'a>,
+    {
+        self.fill_with(r, T::read)
+    }
+
+    /// [`Slot::fill`] with `read` instead of the type's own reader.
+    fn fill_with<'a>(
+        &mut self,
+        r: &mut Reader<'a>,
+        read: impl FnOnce(&mut Reader<'a>, &str) -> Result<T, Fault>,
+    ) -> Result<(), Syntax> {
+        if self.read.is_some() {
+            return r.skip();
+        }
+        self.at = r.pos();
+        match read(r, self.key) {
+            Err(Fault::Syntax(err)) => Err(err),
+            value => {
+                self.read = Some(value);
+                Ok(())
+            }
+        }
+    }
+
+    fn present(&self) -> bool {
+        self.read.is_some()
+    }
+
+    /// The member's value; a missing member is malformed.
+    fn take(self) -> Result<T, Fault> {
+        match self.read {
+            Some(value) => value,
+            None => Err(ErrorFrame::malformed(format!("missing field `{}`", self.key)).into()),
+        }
+    }
+
+    /// The member's value, when it is present.
+    fn optional(self) -> Result<Option<T>, Fault> {
+        match self.read {
+            Some(_) => self.take().map(Some),
+            None => Ok(None),
+        }
+    }
+
+    /// The member read again as a `U` from the line `r` reads: how a member
+    /// whose meaning depends on another one is read once that one is known.
+    fn reread<'a, U: Wire<'a>>(&self, r: &Reader<'a>) -> Slot<U> {
+        let mut slot = Slot::new(self.key);
+        if self.read.is_some() {
+            // The value was read once, so it holds no syntax error.
+            let _ = slot.fill(&mut r.at(self.at));
+        }
+        slot
+    }
+}
+
+/// Declares a [`Slot`] per `"key" => slot` and reads the object at the
+/// reader's cursor into them, its members in any order: each key is tried
+/// against the one after the last match first, unknown members are read
+/// past and the first of duplicate keys counts.  A value that is no object
+/// fills no slot.  A member `with` a function is read by it instead of its
+/// type's [`Wire::read`].
+macro_rules! read_members {
+    ($r:ident, $($key:literal => $slot:ident $(with $read:expr)?),+ $(,)?) => {
+        $(let mut $slot = Slot::new($key);)+
+        if $r.object()? {
+            let mut next = 0;
+            while let Some(at) = $r.member(&[$(concat!(",\"", $key, "\":")),+], &mut next)? {
+                let mut index = 0..;
+                $(if index.next() == Some(at) {
+                    read_members!(@fill $r, $slot $(, $read)?);
+                } else)+ {
+                    $r.skip()?;
+                }
+            }
+        }
+    };
+    (@fill $r:ident, $slot:ident) => { $slot.fill($r)? };
+    (@fill $r:ident, $slot:ident, $read:expr) => { $slot.fill_with($r, $read)? };
+}
+
+/// Reads past a member whose meaning depends on another one: its slot
+/// keeps where it starts, to be read once that one is known
+/// ([`Slot::reread`]).
+fn later(r: &mut Reader<'_>, _: &str) -> Result<(), Fault> {
+    Ok(r.skip()?)
+}
+
+/// The string member of the object at the cursor that `member` (its bytes
+/// `,"key":`) introduces, which says how to read the rest of it.  It is
+/// found by reading ahead, so the cursor stays at the object.  When it is
+/// missing or no string, that is the object's error, and the object is
+/// read past.
+fn tag<'a>(r: &mut Reader<'a>, member: &'static str) -> Result<Cow<'a, str>, Fault> {
+    let mut ahead = *r;
+    let mut tag = Slot::new(&member[2..member.len() - 2]);
+    if ahead.object()? {
+        let mut next = 0;
+        while !tag.present() {
+            match ahead.member(&[member], &mut next)? {
+                Some(0) => tag.fill(&mut ahead)?,
+                Some(_) => ahead.skip()?,
+                None => break,
+            }
+        }
+    }
+    let tag = tag.take();
+    if tag.is_err() {
+        r.skip()?;
+    }
+    tag
+}
+
 /// Gives a struct its wire form from one member table: an object that
 /// opens with `$open` (a brace, or a brace and a fixed `type` member), then
 /// holds each `"key"` in the table's order.  Each member is written from
-/// `$get` (on the value `$v`), read into the local `$local`, and `$build`
-/// makes the value from those locals.  The short form maps each key to the
-/// struct field it names.
+/// `$get` (on the value `$v`) and read, in any order, into the local
+/// `$local`; the locals are taken in the table's order, and `$build` makes
+/// the value from them.  The short form maps each key to the struct field
+/// it names.
 macro_rules! wire_object {
     ($ty:ty, $open:literal, |$v:ident|
         $key0:literal: $local0:ident = $get0:expr $(, $key:literal: $local:ident = $get:expr)*
         => $build:expr
     ) => {
-        impl Wire for $ty {
+        impl<'a> Wire<'a> for $ty {
             fn encode(&self, out: &mut String) {
                 let $v = self;
                 out.push_str(concat!($open, "\"", $key0, "\":"));
@@ -941,18 +1210,19 @@ macro_rules! wire_object {
                 out.push('}');
             }
 
-            fn decode(json: &Json, _: &str) -> Result<Self, ErrorFrame> {
-                let $local0 = member(json, $key0)?;
-                $(let $local = member(json, $key)?;)*
+            fn read(r: &mut Reader<'a>, _: &str) -> Result<Self, Fault> {
+                read_members!(r, $key0 => $local0 $(, $key => $local)*);
+                let $local0 = $local0.take()?;
+                $(let $local = $local.take()?;)*
                 Ok($build)
             }
 
-            fn read(at: &mut Exact<'_>) -> Option<Self> {
+            fn read_exact(at: &mut Exact<'_>) -> Option<Self> {
                 at.lit(concat!($open, "\"", $key0, "\":"))?;
-                let $local0 = Wire::read(at)?;
+                let $local0 = Wire::read_exact(at)?;
                 $(
                     at.lit(concat!(",\"", $key, "\":"))?;
-                    let $local = Wire::read(at)?;
+                    let $local = Wire::read_exact(at)?;
                 )*
                 at.lit("}")?;
                 Some($build)
@@ -1067,12 +1337,35 @@ fn snapshot_entry_error(err: &dyn std::fmt::Display) -> ErrorFrame {
     ErrorFrame::malformed(format!("invalid snapshot entry: {err}"))
 }
 
-impl Wire for ArchKey {
+/// The canonical keys travel as their words; words the core codec rejects
+/// are a malformed snapshot entry.
+macro_rules! words_wire {
+    ($($ty:ty: $to:ident, $from:ident);+ $(;)?) => {$(
+        impl Wire<'_> for $ty {
+            fn encode(&self, out: &mut String) {
+                self.$to().encode(out);
+            }
+
+            fn read(r: &mut Reader<'_>, key: &str) -> Result<Self, Fault> {
+                <$ty>::$from(Wire::read(r, key)?).map_err(|err| snapshot_entry_error(&err).into())
+            }
+        }
+    )+};
+}
+
+words_wire!(
+    ConfigKey: to_words, from_words;
+    VdpUnitKey: to_words, from_words;
+    ResolutionKey: to_words, from_words;
+    CrossLightConfig: to_canonical_words, from_canonical_words;
+);
+
+impl Wire<'_> for ArchKey {
     fn encode(&self, out: &mut String) {
         match self {
             ArchKey::CrossLight(key) => {
                 out.push_str("{\"kind\":\"crosslight\",\"words\":");
-                key.to_words().encode(out);
+                key.encode(out);
             }
             ArchKey::Backend(key) => {
                 let tag = key.arch_tag();
@@ -1083,22 +1376,20 @@ impl Wire for ArchKey {
         out.push('}');
     }
 
-    fn decode(json: &Json, _: &str) -> Result<Self, ErrorFrame> {
-        match str_field(json, "kind")? {
-            "crosslight" => ConfigKey::from_words(member(json, "words")?)
-                .map(ArchKey::CrossLight)
-                .map_err(|err| snapshot_entry_error(&err)),
+    fn read(r: &mut Reader<'_>, _: &str) -> Result<Self, Fault> {
+        read_members!(r, "kind" => kind, "words" => words, "tag" => tag, "params" => params);
+        let kind: Cow<str> = kind.take()?;
+        Ok(match &*kind {
+            "crosslight" => ArchKey::CrossLight(words.take()?),
             "backend" => {
-                let tag = member(json, "tag")?;
-                Ok(ArchKey::Backend(BackendKey::new(
-                    tag,
-                    member(json, "params")?,
-                )))
+                let tag = tag.take()?;
+                ArchKey::Backend(BackendKey::new(tag, params.take()?))
             }
-            other => Err(ErrorFrame::malformed(format!(
-                "unknown arch key kind `{other}`"
-            ))),
-        }
+            other => {
+                let detail = format!("unknown arch key kind `{other}`");
+                return Err(ErrorFrame::malformed(detail).into());
+            }
+        })
     }
 }
 
@@ -1106,7 +1397,7 @@ impl Wire for ArchKey {
 /// domain: it is deterministic (keys in fixed order, exact-f64 numbers), so
 /// [`snapshot_checksum`] agrees between the exporter and a receiver that
 /// re-encodes what it decoded.
-impl Wire for SnapshotEntry {
+impl Wire<'_> for SnapshotEntry {
     fn encode(&self, out: &mut String) {
         match self {
             SnapshotEntry::Result {
@@ -1123,13 +1414,13 @@ impl Wire for SnapshotEntry {
             }
             SnapshotEntry::Model(ModelCacheEntry::Unit { key, report }) => {
                 out.push_str("{\"kind\":\"unit\",\"key\":");
-                key.to_words().encode(out);
+                key.encode(out);
                 out.push_str(",\"report\":");
                 report.encode(out);
             }
             SnapshotEntry::Model(ModelCacheEntry::Resolution { key, bits }) => {
                 out.push_str("{\"kind\":\"resolution\",\"key\":");
-                key.to_words().encode(out);
+                key.encode(out);
                 let _ = write!(out, ",\"bits\":{bits}");
             }
             SnapshotEntry::Model(ModelCacheEntry::Prepared {
@@ -1139,7 +1430,7 @@ impl Wire for SnapshotEntry {
                 resolution_bits,
             }) => {
                 out.push_str("{\"kind\":\"prepared\",\"config\":");
-                config.to_canonical_words().encode(out);
+                config.encode(out);
                 out.push_str(",\"power_mw\":");
                 power.encode(out);
                 out.push_str(",\"area_mm2\":");
@@ -1150,63 +1441,99 @@ impl Wire for SnapshotEntry {
         out.push('}');
     }
 
-    fn decode(json: &Json, _: &str) -> Result<Self, ErrorFrame> {
-        let model = |entry| Ok(SnapshotEntry::Model(entry));
-        match str_field(json, "kind")? {
-            "result" => Ok(SnapshotEntry::Result {
-                arch: member(json, "arch")?,
-                workload: member(json, "workload")?,
-                report: member(json, "report")?,
-            }),
-            "unit" => model(ModelCacheEntry::Unit {
-                key: VdpUnitKey::from_words(member(json, "key")?)
-                    .map_err(|err| snapshot_entry_error(&err))?,
-                report: member(json, "report")?,
-            }),
-            "resolution" => model(ModelCacheEntry::Resolution {
-                key: ResolutionKey::from_words(member(json, "key")?)
-                    .map_err(|err| snapshot_entry_error(&err))?,
-                bits: member(json, "bits")?,
-            }),
-            "prepared" => model(ModelCacheEntry::Prepared {
-                config: CrossLightConfig::from_canonical_words(member(json, "config")?)
-                    .map_err(|err| snapshot_entry_error(&err))?,
-                power: member(json, "power_mw")?,
-                area: member(json, "area_mm2")?,
-                resolution_bits: member(json, "resolution_bits")?,
-            }),
-            other => Err(ErrorFrame::malformed(format!(
-                "unknown snapshot entry kind `{other}`"
-            ))),
-        }
+    fn read(r: &mut Reader<'_>, _: &str) -> Result<Self, Fault> {
+        let model = SnapshotEntry::Model;
+        Ok(match &*tag(r, ",\"kind\":")? {
+            "result" => {
+                read_members!(r, "arch" => arch, "workload" => workload, "report" => report);
+                SnapshotEntry::Result {
+                    arch: arch.take()?,
+                    workload: workload.take()?,
+                    report: report.take()?,
+                }
+            }
+            "unit" => {
+                read_members!(r, "key" => key, "report" => report);
+                model(ModelCacheEntry::Unit {
+                    key: key.take()?,
+                    report: report.take()?,
+                })
+            }
+            "resolution" => {
+                read_members!(r, "key" => key, "bits" => bits);
+                model(ModelCacheEntry::Resolution {
+                    key: key.take()?,
+                    bits: bits.take()?,
+                })
+            }
+            "prepared" => {
+                read_members!(r, "config" => config, "power_mw" => power, "area_mm2" => area,
+                    "resolution_bits" => resolution_bits);
+                model(ModelCacheEntry::Prepared {
+                    config: config.take()?,
+                    power: power.take()?,
+                    area: area.take()?,
+                    resolution_bits: resolution_bits.take()?,
+                })
+            }
+            other => {
+                let detail = format!("unknown snapshot entry kind `{other}`");
+                r.skip()?;
+                return Err(ErrorFrame::malformed(detail).into());
+            }
+        })
     }
 }
 
-impl Wire for HistogramSnapshot {
+impl Wire<'_> for HistogramSnapshot {
     fn encode(&self, out: &mut String) {
         let _ = write!(out, "{{\"count\":{},\"sum\":{}", self.count(), self.sum());
         if let Some(min) = self.min() {
             let _ = write!(out, ",\"min\":{min}");
         }
         let _ = write!(out, ",\"max\":{},\"buckets\":", self.max().unwrap_or(0));
-        let buckets: Vec<[u64; 2]> = self.le_buckets().map(|(le, n)| [le, n]).collect();
+        let buckets: Vec<(u64, u64)> = self.le_buckets().collect();
         buckets.encode(out);
         out.push('}');
     }
 
-    fn decode(json: &Json, _: &str) -> Result<Self, ErrorFrame> {
-        let buckets: Vec<[u64; 2]> = member(json, "buckets")?;
-        let buckets: Vec<(u64, u64)> = buckets.into_iter().map(|[le, n]| (le, n)).collect();
+    fn read(r: &mut Reader<'_>, _: &str) -> Result<Self, Fault> {
+        read_members!(r, "count" => count, "sum" => sum, "min" => min, "max" => max,
+            "buckets" => buckets);
+        let buckets: Vec<(u64, u64)> = buckets.take()?;
         // `count` is required, but the snapshot counts its buckets itself.
-        member::<u64>(json, "count")?;
-        let (sum, min) = (member(json, "sum")?, optional(json, "min")?);
-        let max = member(json, "max")?;
-        Ok(HistogramSnapshot::from_le_buckets(&buckets, sum, min, max))
+        let _: u64 = count.take()?;
+        let (sum, min) = (sum.take()?, min.optional()?);
+        Ok(HistogramSnapshot::from_le_buckets(
+            &buckets,
+            sum,
+            min,
+            max.take()?,
+        ))
     }
 }
 
+/// A series' labels: every member of the object, in order, each value a
+/// string.
+fn read_labels(r: &mut Reader<'_>, key: &str) -> Result<Vec<(String, String)>, Fault> {
+    if !r.object()? {
+        return Err(bad(key, "must be an object").into());
+    }
+    let (mut labels, mut first_bad) = (Vec::new(), None);
+    while let Some(name) = r.key()? {
+        let name = name.unescaped();
+        match settle(String::read(r, &name))? {
+            Ok(value) => labels.push((name.into_owned(), value)),
+            Err(frame) => {
+                first_bad.get_or_insert(frame);
+            }
+        }
+    }
+    first_bad.map_or(Ok(labels), Err)
+}
+
 /// A metric family; each series' value is read as the family's kind.
-impl Wire for FamilySnapshot {
+impl Wire<'_> for FamilySnapshot {
     fn encode(&self, out: &mut String) {
         out.push_str("{\"name\":");
         self.name.encode(out);
@@ -1238,37 +1565,62 @@ impl Wire for FamilySnapshot {
         out.push_str("]}");
     }
 
-    fn decode(json: &Json, _: &str) -> Result<Self, ErrorFrame> {
-        let kind_name = str_field(json, "kind")?;
-        let kind = MetricKind::from_wire_name(kind_name)
-            .ok_or_else(|| ErrorFrame::malformed(format!("unknown metric kind `{kind_name}`")))?;
-        let series = field(json, "series")?
-            .as_array()
-            .ok_or_else(|| bad("series", "must be an array"))?
-            .iter()
-            .map(|series| {
-                let Json::Object(labels) = field(series, "labels")? else {
-                    return Err(bad("labels", "must be an object"));
-                };
-                let labels = labels
-                    .iter()
-                    .map(|(key, value)| Ok((key.clone(), String::decode(value, key)?)))
-                    .collect::<Result<_, ErrorFrame>>()?;
-                let value = match kind {
-                    MetricKind::Counter => SeriesValue::Counter(member(series, "value")?),
-                    MetricKind::Gauge => SeriesValue::Gauge(member(series, "value")?),
-                    MetricKind::Histogram => SeriesValue::Histogram(member(series, "value")?),
-                };
-                Ok(SeriesSnapshot { labels, value })
-            })
-            .collect::<Result<_, ErrorFrame>>()?;
+    fn read(r: &mut Reader<'_>, _: &str) -> Result<Self, Fault> {
+        // Each series' value is read as the kind.  The encoder writes the
+        // kind first, so the series are read at once; after them, they are
+        // read again once it is known.
+        let known = |kind: &Slot<Cow<str>>| match &kind.read {
+            Some(Ok(name)) => MetricKind::from_wire_name(name),
+            _ => None,
+        };
+        read_members!(r, "name" => name, "help" => help, "kind" => kind,
+            "series" => series with |r, key| read_series(r, key, known(&kind)));
+        let kind_name: Cow<str> = kind.take()?;
+        let Some(kind) = MetricKind::from_wire_name(&kind_name) else {
+            let detail = format!("unknown metric kind `{kind_name}`");
+            return Err(ErrorFrame::malformed(detail).into());
+        };
+        let at = series.at;
+        let series = match series.take()? {
+            Some(series) => series,
+            None => read_series(&mut r.at(at), "series", Some(kind))?.unwrap_or_default(),
+        };
         Ok(FamilySnapshot {
-            name: member(json, "name")?,
-            help: member(json, "help")?,
+            name: name.take()?,
+            help: help.take()?,
             kind,
             series,
         })
     }
+}
+
+/// A family's series, their values read as `kind`; `None`, the series
+/// read past, while the kind is not known.
+fn read_series(
+    r: &mut Reader<'_>,
+    key: &str,
+    kind: Option<MetricKind>,
+) -> Result<Option<Vec<SeriesSnapshot>>, Fault> {
+    let Some(kind) = kind else {
+        r.skip()?;
+        return Ok(None);
+    };
+    let read_value = |r: &mut Reader<'_>, key: &str| -> Result<SeriesValue, Fault> {
+        Ok(match kind {
+            MetricKind::Counter => SeriesValue::Counter(Wire::read(r, key)?),
+            MetricKind::Gauge => SeriesValue::Gauge(Wire::read(r, key)?),
+            MetricKind::Histogram => SeriesValue::Histogram(Wire::read(r, key)?),
+        })
+    };
+    read_items(r, key, |r| {
+        read_members!(r, "labels" => labels with read_labels, "value" => value with read_value);
+        let labels = labels.take()?;
+        Ok(SeriesSnapshot {
+            labels,
+            value: value.take()?,
+        })
+    })
+    .map(Some)
 }
 
 // ---------------------------------------------------------------------------
@@ -1545,122 +1897,195 @@ pub fn encode_response(response: &Response) -> String {
 // Decoding
 // ---------------------------------------------------------------------------
 
-fn field<'a>(value: &'a Json, key: &str) -> Result<&'a Json, ErrorFrame> {
-    value
-        .get(key)
-        .ok_or_else(|| ErrorFrame::malformed(format!("missing field `{key}`")))
+/// Reads one line with `read`.  A syntax error anywhere in the line wins
+/// over any other error, and the value must span the line.
+fn read_line<'a, T>(
+    line: &'a str,
+    read: impl FnOnce(&mut Reader<'a>) -> Result<T, Fault>,
+) -> Result<T, ErrorFrame> {
+    let mut r = Reader::new(line);
+    match read(&mut r) {
+        Err(Fault::Syntax(err)) => Err(err.into()),
+        value => {
+            r.end()?;
+            value.map_err(ErrorFrame::from)
+        }
+    }
 }
 
-/// The member `key` of the object `value`, read in its wire form.
-fn member<T: Wire>(value: &Json, key: &str) -> Result<T, ErrorFrame> {
-    T::decode(field(value, key)?, key)
-}
-
-/// The member `key` of the object `value` when it is present.
-fn optional<T: Wire>(value: &Json, key: &str) -> Result<Option<T>, ErrorFrame> {
-    value.get(key).map(|json| T::decode(json, key)).transpose()
-}
-
-fn str_field<'a>(value: &'a Json, key: &str) -> Result<&'a str, ErrorFrame> {
-    field(value, key)?
-        .as_str()
-        .ok_or_else(|| bad(key, "must be a string"))
-}
-
-/// Checks the envelope version and extracts the id, shared by request and
-/// response decoding.
-fn check_version(value: &Json) -> Result<(), ErrorFrame> {
-    let version: u64 = member(value, "v")?;
+fn check_version(version: u64) -> Result<(), Fault> {
     if version != PROTOCOL_VERSION {
-        return Err(ErrorFrame::new(
-            ErrorKind::UnsupportedVersion,
-            format!(
-                "protocol version {version} not supported (this server speaks {PROTOCOL_VERSION})"
-            ),
-        ));
+        let detail = format!(
+            "protocol version {version} not supported (this server speaks {PROTOCOL_VERSION})"
+        );
+        return Err(ErrorFrame::new(ErrorKind::UnsupportedVersion, detail).into());
     }
     Ok(())
 }
 
-fn decode_crosslight_arch(config: &Json) -> Result<ArchRequest, ErrorFrame> {
-    let label = str_field(config, "variant")?;
-    let variant = CrossLightVariant::from_label(label)
-        .ok_or_else(|| ErrorFrame::unsupported(format!("unknown variant `{label}`")))?;
-    let [n, k, conv_units, fc_units] = member(config, "dims")?;
-    Ok(ArchRequest::CrossLight {
-        variant,
-        dims: (n, k, conv_units, fc_units),
-        resolution_bits: member(config, "resolution_bits")?,
-    })
+/// Checks a frame's `schema` tag; a mismatch is a typed `unsupported`
+/// error — the frame is well-formed, this build just speaks another
+/// format.
+fn check_schema(schema: Slot<Cow<'_, str>>, expected: &str) -> Result<(), Fault> {
+    let schema = schema.take()?;
+    if schema != expected {
+        let detail = format!("unknown schema `{schema}` (this build speaks {expected})");
+        return Err(ErrorFrame::unsupported(detail).into());
+    }
+    Ok(())
 }
 
-/// Decodes an optional `(a, b)` integer-pair field, falling back to the
-/// backend's published default when absent.
-fn decode_dims_pair(config: &Json, (a, b): (usize, usize)) -> Result<(usize, usize), ErrorFrame> {
-    let [a, b] = optional(config, "dims")?.unwrap_or([a, b]);
+/// The `dims` pair of a backend that takes two, read again from the
+/// member CrossLight reads as four; a backend's published default when
+/// absent.
+fn dims_pair(
+    dims: &Slot<[usize; 4]>,
+    r: &Reader<'_>,
+    (a, b): (usize, usize),
+) -> Result<(usize, usize), Fault> {
+    let [a, b] = dims.reread(r).optional()?.unwrap_or([a, b]);
     Ok((a, b))
 }
 
-/// Decodes the `config` object of an eval request.  An absent `"arch"`
-/// field means CrossLight — the protocol's original vocabulary — so every
+/// Reads the `config` object of an eval request.  An absent `"arch"`
+/// member means CrossLight — the protocol's original vocabulary — so every
 /// pre-zoo frame decodes unchanged.
-fn decode_arch_request(config: &Json) -> Result<ArchRequest, ErrorFrame> {
-    let arch_name = match config.get("arch") {
-        None => return decode_crosslight_arch(config),
-        Some(json) => json
-            .as_str()
-            .ok_or_else(|| ErrorFrame::malformed("field `arch` must be a string"))?,
-    };
-    let bits = |default| optional(config, "resolution_bits").map(|bits| bits.unwrap_or(default));
-    match arch_name {
-        "crosslight" => decode_crosslight_arch(config),
-        "deap-cnn" => Ok(ArchRequest::DeapCnn),
-        "holylight" => Ok(ArchRequest::HolyLight {
-            units: optional(config, "units")?.unwrap_or(HOLYLIGHT_UNITS),
-        }),
-        "electronic" => {
-            let name = str_field(config, "platform")?;
+fn read_arch_request(r: &mut Reader<'_>, _: &str) -> Result<ArchRequest, Fault> {
+    // In the order a CrossLight config spells its members, the hot one;
+    // the zoo's members are read once `arch` is known.
+    read_members!(r, "variant" => variant, "dims" => dims, "resolution_bits" => bits,
+        "arch" => arch with later, "units" => units with later,
+        "platform" => platform with later);
+    let arch: Option<Cow<str>> = arch.reread(r).optional()?;
+    Ok(match arch.as_deref() {
+        None | Some("crosslight") => {
+            let label: Cow<str> = variant.take()?;
+            let variant = CrossLightVariant::from_label(&label)
+                .ok_or_else(|| ErrorFrame::unsupported(format!("unknown variant `{label}`")))?;
+            let [n, k, conv_units, fc_units] = dims.take()?;
+            ArchRequest::CrossLight {
+                variant,
+                dims: (n, k, conv_units, fc_units),
+                resolution_bits: bits.take()?,
+            }
+        }
+        Some("deap-cnn") => ArchRequest::DeapCnn,
+        Some("holylight") => ArchRequest::HolyLight {
+            units: units.reread(r).optional()?.unwrap_or(HOLYLIGHT_UNITS),
+        },
+        Some("electronic") => {
+            let name: Cow<str> = platform.reread(r).take()?;
             let platform = crosslight_baselines::electronic::all_platforms()
                 .into_iter()
                 .find(|p| p.name == name)
                 .ok_or_else(|| ErrorFrame::unsupported(format!("unknown platform `{name}`")))?;
-            Ok(ArchRequest::Electronic { platform })
+            ArchRequest::Electronic { platform }
         }
-        "symmetric-crossbar" => Ok(ArchRequest::SymmetricCrossbar {
-            dims: decode_dims_pair(config, (SYMMETRIC_DEFAULT_ROWS, SYMMETRIC_DEFAULT_COLS))?,
-            resolution_bits: bits(SYMMETRIC_DEFAULT_BITS)?,
-        }),
-        "litecon" => Ok(ArchRequest::LiteCon {
-            dims: decode_dims_pair(config, (LITECON_DEFAULT_UNITS, LITECON_DEFAULT_UNIT_SIZE))?,
-            resolution_bits: bits(LITECON_DEFAULT_BITS)?,
-        }),
-        other => Err(ErrorFrame::unsupported(format!(
-            "unknown architecture `{other}`"
-        ))),
-    }
+        Some("symmetric-crossbar") => ArchRequest::SymmetricCrossbar {
+            dims: dims_pair(&dims, r, (SYMMETRIC_DEFAULT_ROWS, SYMMETRIC_DEFAULT_COLS))?,
+            resolution_bits: bits.optional()?.unwrap_or(SYMMETRIC_DEFAULT_BITS),
+        },
+        Some("litecon") => ArchRequest::LiteCon {
+            dims: dims_pair(&dims, r, (LITECON_DEFAULT_UNITS, LITECON_DEFAULT_UNIT_SIZE))?,
+            resolution_bits: bits.optional()?.unwrap_or(LITECON_DEFAULT_BITS),
+        },
+        Some(other) => {
+            let detail = format!("unknown architecture `{other}`");
+            return Err(ErrorFrame::unsupported(detail).into());
+        }
+    })
 }
 
-fn decode_eval_spec(value: &Json) -> Result<EvalSpec, ErrorFrame> {
-    let config = field(value, "config")?;
-    let arch = decode_arch_request(config)?;
-    let workload = match (value.get("model"), value.get("workload")) {
-        (Some(model), None) => {
-            let name = model
-                .as_str()
-                .ok_or_else(|| ErrorFrame::malformed("field `model` must be a string"))?;
-            WorkloadRef::Model(
-                PaperModel::from_wire_name(name)
-                    .ok_or_else(|| ErrorFrame::malformed(format!("unknown model `{name}`")))?,
-            )
+fn snapshot_chunk(
+    schema: Slot<Cow<'_, str>>,
+    seq: Slot<u64>,
+    entries: Slot<Vec<SnapshotEntry>>,
+) -> Result<SnapshotChunk, Fault> {
+    check_schema(schema, SNAPSHOT_SCHEMA)?;
+    let entries = entries.take()?;
+    Ok(SnapshotChunk {
+        seq: seq.take()?,
+        entries,
+    })
+}
+
+fn snapshot_end(
+    schema: Slot<Cow<'_, str>>,
+    checksum: Slot<Cow<'_, str>>,
+    chunks: Slot<u64>,
+    entries: Slot<u64>,
+) -> Result<SnapshotEnd, Fault> {
+    check_schema(schema, SNAPSHOT_SCHEMA)?;
+    let checksum = u64::from_str_radix(&checksum.take()?, 16)
+        .map_err(|_| bad("checksum", "must be a 64-bit hex string"))?;
+    Ok(SnapshotEnd {
+        chunks: chunks.take()?,
+        entries: entries.take()?,
+        checksum,
+    })
+}
+
+/// Reads a request object.  Its members are read in any order; `entries`,
+/// a count in `restore_end`, is read again as the chunk's entries in
+/// `restore`.
+fn read_request(r: &mut Reader<'_>) -> Result<Request, Fault> {
+    read_members!(r, "v" => v, "id" => id, "op" => op, "config" => config with read_arch_request,
+        "model" => model, "workload" => workload with later, "format" => format with later,
+        "max_chunk_bytes" => max_chunk_bytes with later, "schema" => schema with later,
+        "seq" => seq with later, "entries" => entries with later, "chunks" => chunks with later,
+        "checksum" => checksum with later);
+    check_version(v.take()?)?;
+    let id = id.take()?;
+    let op: Cow<str> = op.take()?;
+    let body = match &*op {
+        "eval" => {
+            let arch = config.take()?;
+            let workload =
+                match (model.present(), workload.present()) {
+                    (true, false) => {
+                        let name: Cow<str> = model.take()?;
+                        WorkloadRef::Model(PaperModel::from_wire_name(&name).ok_or_else(|| {
+                            ErrorFrame::malformed(format!("unknown model `{name}`"))
+                        })?)
+                    }
+                    (false, true) => WorkloadRef::Inline(workload.reread(r).take()?),
+                    _ => {
+                        let detail = "eval requests need exactly one of `model` or `workload`";
+                        return Err(ErrorFrame::malformed(detail).into());
+                    }
+                };
+            RequestBody::Eval(EvalSpec { arch, workload })
         }
-        (None, Some(inline)) => WorkloadRef::Inline(Wire::decode(inline, "workload")?),
-        _ => {
-            return Err(ErrorFrame::malformed(
-                "eval requests need exactly one of `model` or `workload`",
-            ))
+        "stats" => RequestBody::Stats,
+        "ping" => RequestBody::Ping,
+        "metrics" => {
+            let format: Option<Cow<str>> = format.reread(r).optional()?;
+            RequestBody::Metrics {
+                format: match format {
+                    None => MetricsFormat::Json,
+                    Some(name) => MetricsFormat::from_wire_name(&name).ok_or_else(|| {
+                        ErrorFrame::unsupported(format!("unknown metrics format `{name}`"))
+                    })?,
+                },
+            }
         }
+        "snapshot" => RequestBody::Snapshot {
+            max_chunk_bytes: max_chunk_bytes.reread(r).optional()?,
+        },
+        "restore" => RequestBody::Restore(snapshot_chunk(
+            schema.reread(r),
+            seq.reread(r),
+            entries.reread(r),
+        )?),
+        "restore_end" => RequestBody::RestoreEnd(snapshot_end(
+            schema.reread(r),
+            checksum.reread(r),
+            chunks.reread(r),
+            entries.reread(r),
+        )?),
+        other => return Err(ErrorFrame::malformed(format!("unknown op `{other}`")).into()),
     };
-    Ok(EvalSpec { arch, workload })
+    Ok(Request { id, body })
 }
 
 /// Decodes one request line.
@@ -1672,58 +2097,42 @@ fn decode_eval_spec(value: &Json) -> Result<EvalSpec, ErrorFrame> {
 pub fn decode_request(line: &str) -> Result<Request, ErrorFrame> {
     match exact_eval_request(line) {
         Some(request) => Ok(request),
-        None => decode_request_tree(line),
+        None => read_line(line, read_request),
     }
-}
-
-/// [`decode_request`] through a [`Json`] tree: any member order and
-/// spacing, every op, and every error frame.
-fn decode_request_tree(line: &str) -> Result<Request, ErrorFrame> {
-    let value = Json::parse(line)?;
-    check_version(&value)?;
-    let id = member(&value, "id")?;
-    let body = match str_field(&value, "op")? {
-        "eval" => RequestBody::Eval(decode_eval_spec(&value)?),
-        "stats" => RequestBody::Stats,
-        "ping" => RequestBody::Ping,
-        "metrics" => RequestBody::Metrics {
-            format: match value.get("format") {
-                None => MetricsFormat::Json,
-                Some(_) => {
-                    let name = str_field(&value, "format")?;
-                    MetricsFormat::from_wire_name(name).ok_or_else(|| {
-                        ErrorFrame::unsupported(format!("unknown metrics format `{name}`"))
-                    })?
-                }
-            },
-        },
-        "snapshot" => RequestBody::Snapshot {
-            max_chunk_bytes: optional(&value, "max_chunk_bytes")?,
-        },
-        "restore" => RequestBody::Restore(decode_snapshot_chunk(&value)?),
-        "restore_end" => RequestBody::RestoreEnd(decode_snapshot_end(&value)?),
-        other => return Err(ErrorFrame::malformed(format!("unknown op `{other}`"))),
-    };
-    Ok(Request { id, body })
 }
 
 /// Best-effort extraction of the id from a (possibly malformed) request
 /// line, so error responses can still be correlated.
 #[must_use]
 pub fn peek_id(line: &str) -> Option<u64> {
-    Json::parse(line).ok()?.get("id")?.as_u64()
+    let read = |r: &mut Reader<'_>| {
+        read_members!(r, "id" => id);
+        id.take()
+    };
+    read_line(line, read).ok()
 }
 
 /// The request line with the value of its first top-level `id` member —
 /// the one [`decode_request`] reads — replaced by `id`; every other byte
 /// is unchanged.  This is how a router multiplexes many clients' requests
 /// over one backend connection without re-encoding them.  Keys match as
-/// [`Json::get`] matches them: decoded text, first occurrence.  `None`
+/// [`Json::get`](crate::json::Json::get) matches them: decoded text, first occurrence.  `None`
 /// when the line does not open with an object whose members up to that
 /// one parse.
 #[must_use]
 pub fn splice_request_id(line: &str, id: u64) -> Option<String> {
-    json::first_member_span(line, "id").map(|span| splice_id(line, span, id))
+    let mut r = Reader::new(line);
+    if !matches!(r.value().ok()?, Token::Object) {
+        return None;
+    }
+    while let Some(key) = r.key().ok()? {
+        let start = r.pos();
+        r.skip().ok()?;
+        if key.is("id") {
+            return Some(splice_id(line, start..r.pos(), id));
+        }
+    }
+    None
 }
 
 /// What a peek at the head of an answer line tells: whose answer it is
@@ -1778,54 +2187,79 @@ fn splice_id(line: &str, span: Range<usize>, id: u64) -> String {
     out
 }
 
-/// Checks a frame's `schema` tag; a mismatch is a typed `unsupported`
-/// error — the frame is well-formed, this build just speaks another
-/// format.
-fn check_schema(value: &Json, expected: &str) -> Result<(), ErrorFrame> {
-    let schema = str_field(value, "schema")?;
-    if schema != expected {
-        return Err(ErrorFrame::unsupported(format!(
-            "unknown schema `{schema}` (this build speaks {expected})"
-        )));
-    }
-    Ok(())
-}
-
-fn decode_snapshot_chunk(value: &Json) -> Result<SnapshotChunk, ErrorFrame> {
-    check_schema(value, SNAPSHOT_SCHEMA)?;
-    let entries = member(value, "entries")?;
-    Ok(SnapshotChunk {
-        seq: member(value, "seq")?,
-        entries,
-    })
-}
-
-fn decode_snapshot_end(value: &Json) -> Result<SnapshotEnd, ErrorFrame> {
-    check_schema(value, SNAPSHOT_SCHEMA)?;
-    let checksum = str_field(value, "checksum")?;
-    let checksum = u64::from_str_radix(checksum, 16)
-        .map_err(|_| bad("checksum", "must be a 64-bit hex string"))?;
-    Ok(SnapshotEnd {
-        chunks: member(value, "chunks")?,
-        entries: member(value, "entries")?,
-        checksum,
-    })
-}
-
-fn decode_metrics_frame(ok: &Json) -> Result<MetricsFrame, ErrorFrame> {
-    let format_name = str_field(ok, "format")?;
-    let format = MetricsFormat::from_wire_name(format_name)
-        .ok_or_else(|| ErrorFrame::malformed(format!("unknown metrics format `{format_name}`")))?;
-    Ok(match format {
-        MetricsFormat::Json => {
-            check_schema(ok, METRICS_SCHEMA)?;
-            MetricsFrame::Snapshot(RegistrySnapshot {
-                families: member(ok, "families")?,
+/// Reads the `ok` object of an answer by its `type`.
+fn read_ok(r: &mut Reader<'_>, key: &str) -> Result<ResponseBody, Fault> {
+    Ok(match &*tag(r, ",\"type\":")? {
+        "eval" => ResponseBody::Eval(Wire::read(r, key)?),
+        "stats" => ResponseBody::Stats(Wire::read(r, key)?),
+        "restored" => ResponseBody::Restored(Wire::read(r, key)?),
+        "metrics" => {
+            read_members!(r, "format" => format, "schema" => schema, "families" => families,
+                "page" => page, "spans" => spans);
+            let name: Cow<str> = format.take()?;
+            ResponseBody::Metrics(match MetricsFormat::from_wire_name(&name) {
+                Some(MetricsFormat::Json) => {
+                    check_schema(schema, METRICS_SCHEMA)?;
+                    MetricsFrame::Snapshot(RegistrySnapshot {
+                        families: families.take()?,
+                    })
+                }
+                Some(MetricsFormat::Text) => MetricsFrame::Text(page.take()?),
+                Some(MetricsFormat::Spans) => MetricsFrame::Spans(spans.take()?),
+                None => {
+                    let detail = format!("unknown metrics format `{name}`");
+                    return Err(ErrorFrame::malformed(detail).into());
+                }
             })
         }
-        MetricsFormat::Text => MetricsFrame::Text(member(ok, "page")?),
-        MetricsFormat::Spans => MetricsFrame::Spans(member(ok, "spans")?),
+        "pong" => {
+            r.skip()?;
+            ResponseBody::Pong
+        }
+        "snapshot" => {
+            read_members!(r, "schema" => schema, "seq" => seq, "entries" => entries);
+            ResponseBody::Snapshot(snapshot_chunk(schema, seq, entries)?)
+        }
+        "snapshot_end" => {
+            read_members!(r, "schema" => schema, "chunks" => chunks, "entries" => entries,
+                "checksum" => checksum);
+            ResponseBody::SnapshotEnd(snapshot_end(schema, checksum, chunks, entries)?)
+        }
+        other => {
+            let detail = format!("unknown ok type `{other}`");
+            r.skip()?;
+            return Err(ErrorFrame::malformed(detail).into());
+        }
     })
+}
+
+/// Reads the `err` object of an answer.
+fn read_error(r: &mut Reader<'_>, _: &str) -> Result<ErrorFrame, Fault> {
+    read_members!(r, "kind" => kind, "detail" => detail, "retryable" => retryable);
+    let name: Cow<str> = kind.take()?;
+    let kind = ErrorKind::from_wire_name(&name)
+        .ok_or_else(|| ErrorFrame::malformed(format!("unknown error kind `{name}`")))?;
+    // `retryable` is derived from the kind, never stored: the field is
+    // validated when present (it must be a bool) and otherwise ignored, so
+    // frames with and without it decode identically.
+    let _: Option<bool> = retryable.optional()?;
+    let detail: String = detail.take()?;
+    Ok(ErrorFrame::new(kind, detail))
+}
+
+fn read_response(r: &mut Reader<'_>) -> Result<Response, Fault> {
+    read_members!(r, "v" => v, "id" => id, "ok" => ok with read_ok, "err" => err with read_error);
+    check_version(v.take()?)?;
+    let id = id.optional()?;
+    let body = match (ok.present(), err.present()) {
+        (true, false) => ok.take()?,
+        (false, true) => ResponseBody::Error(err.take()?),
+        _ => {
+            let detail = "responses need exactly one of `ok` or `err`";
+            return Err(ErrorFrame::malformed(detail).into());
+        }
+    };
+    Ok(Response { id, body })
 }
 
 /// Decodes one response line.
@@ -1837,44 +2271,8 @@ fn decode_metrics_frame(ok: &Json) -> Result<MetricsFrame, ErrorFrame> {
 pub fn decode_response(line: &str) -> Result<Response, ErrorFrame> {
     match exact_eval_answer(line) {
         Some(response) => Ok(response),
-        None => decode_response_tree(line),
+        None => read_line(line, read_response),
     }
-}
-
-/// [`decode_response`] through a [`Json`] tree, as [`decode_request_tree`].
-fn decode_response_tree(line: &str) -> Result<Response, ErrorFrame> {
-    let value = Json::parse(line)?;
-    check_version(&value)?;
-    let id = optional(&value, "id")?;
-    let body = match (value.get("ok"), value.get("err")) {
-        (Some(ok), None) => match str_field(ok, "type")? {
-            "eval" => ResponseBody::Eval(Wire::decode(ok, "ok")?),
-            "stats" => ResponseBody::Stats(Wire::decode(ok, "ok")?),
-            "metrics" => ResponseBody::Metrics(decode_metrics_frame(ok)?),
-            "pong" => ResponseBody::Pong,
-            "snapshot" => ResponseBody::Snapshot(decode_snapshot_chunk(ok)?),
-            "snapshot_end" => ResponseBody::SnapshotEnd(decode_snapshot_end(ok)?),
-            "restored" => ResponseBody::Restored(Wire::decode(ok, "ok")?),
-            other => return Err(ErrorFrame::malformed(format!("unknown ok type `{other}`"))),
-        },
-        (None, Some(err)) => {
-            let kind_name = str_field(err, "kind")?;
-            let kind = ErrorKind::from_wire_name(kind_name).ok_or_else(|| {
-                ErrorFrame::malformed(format!("unknown error kind `{kind_name}`"))
-            })?;
-            // `retryable` is derived from the kind, never stored: the field
-            // is validated when present (it must be a bool) and otherwise
-            // ignored, so frames with and without it decode identically.
-            optional::<bool>(err, "retryable")?;
-            ResponseBody::Error(ErrorFrame::new(kind, str_field(err, "detail")?))
-        }
-        _ => {
-            return Err(ErrorFrame::malformed(
-                "responses need exactly one of `ok` or `err`",
-            ))
-        }
-    };
-    Ok(Response { id, body })
 }
 
 // ---------------------------------------------------------------------------
@@ -1886,9 +2284,9 @@ const ID_HEAD: &str = "{\"v\":1,\"id\":";
 
 /// A reader that follows a line only through the exact bytes the encoders
 /// write.  Each step returns `None` at the first byte that differs; the
-/// caller then hands the whole line to the tree decoder.  So this reader
-/// needs no errors of its own, and whatever it accepts, the tree decodes
-/// to the same value.
+/// caller then hands the whole line to the [`Reader`].  So this reader
+/// needs no errors of its own, and whatever it accepts, the [`Reader`]
+/// reads to the same value.
 struct Exact<'a> {
     line: &'a str,
     pos: usize,
@@ -1902,7 +2300,7 @@ impl<'a> Exact<'a> {
     }
 
     /// The number token at the cursor and whether it is integral, split
-    /// and checked by the tree parser's own tokenizer.
+    /// and checked by the [`Reader`]'s own tokenizer.
     fn number(&mut self) -> Option<(&'a str, bool)> {
         let (len, integral) = json::number_token(&self.line.as_bytes()[self.pos..])?;
         let token = self.line.get(self.pos..self.pos + len)?;
@@ -1910,8 +2308,8 @@ impl<'a> Exact<'a> {
         Some((token, integral))
     }
 
-    /// An integer the tree reads as `Json::Uint`: a token that parses as a
-    /// `u64`, which only an integral one without a sign does.
+    /// An integer the [`Reader`] reads as a `u64`: a token that parses as
+    /// one, which only an integral one without a sign does.
     fn u64(&mut self) -> Option<u64> {
         self.number()?.0.parse().ok()
     }
@@ -1942,9 +2340,9 @@ fn exact_eval_request(line: &str) -> Option<Request> {
     at.lit(",\"op\":\"eval\",\"config\":{\"variant\":\"")?;
     let variant = CrossLightVariant::from_label(at.name()?)?;
     at.lit(",\"dims\":")?;
-    let [n, k, conv_units, fc_units] = Wire::read(&mut at)?;
+    let [n, k, conv_units, fc_units] = Wire::read_exact(&mut at)?;
     at.lit(",\"resolution_bits\":")?;
-    let resolution_bits = Wire::read(&mut at)?;
+    let resolution_bits = Wire::read_exact(&mut at)?;
     at.lit("},\"model\":\"")?;
     let model = PaperModel::from_wire_name(at.name()?)?;
     at.lit("}")?;
@@ -1967,7 +2365,7 @@ fn exact_eval_answer(line: &str) -> Option<Response> {
     at.lit(ID_HEAD)?;
     let id = at.u64()?;
     at.lit(",\"ok\":")?;
-    let frame = Wire::read(&mut at)?;
+    let frame = Wire::read_exact(&mut at)?;
     at.lit("}")?;
     at.end()?;
     Some(Response {
@@ -1979,6 +2377,7 @@ fn exact_eval_answer(line: &str) -> Option<Response> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::Json;
     use crosslight_core::simulator::CrossLightSimulator;
     use proptest::prelude::*;
 
@@ -2677,7 +3076,34 @@ mod tests {
                 }
             );
         }
-        for line in [r#"{"v":1,"op":"ping"}"#, "[7]", "not json", ""] {
+        // The id the splice replaces is the first top-level member named
+        // `id`, whatever its value and whatever follows it.
+        for (line, expected) in [
+            (
+                r#"{"v":1,"id":7,"op":"ping"}"#,
+                r#"{"v":1,"id":42,"op":"ping"}"#,
+            ),
+            (
+                r#" { "v" : [1, {"id": 2}] , "id" : 9 } "#,
+                r#" { "v" : [1, {"id": 2}] , "id" : 42 } "#,
+            ),
+            (r#"{"id":3,"id":4}"#, r#"{"id":42,"id":4}"#),
+            (r#"{"id":"x\"y","id":4}"#, r#"{"id":42,"id":4}"#),
+        ] {
+            assert_eq!(splice_request_id(line, 42).as_deref(), Some(expected));
+        }
+        // No object, no `id`, or a member before it that does not parse.
+        for line in [
+            r#"{"v":1,"op":"ping"}"#,
+            "[7]",
+            "[1]",
+            "{}",
+            r#"{"v":1}"#,
+            r#"{"v":,"id":1}"#,
+            "{\"id\"",
+            "not json",
+            "",
+        ] {
             assert_eq!(splice_request_id(line, 42), None, "{line}");
         }
     }
@@ -2719,9 +3145,8 @@ mod tests {
         }
     }
 
-    // ---- the exact-layout reader against the tree --------------------------
+    // ---- the exact reader and the wire reader: generated and mutated frames --
 
-    /// The sixteen floats of a report, in the encoder's order.
     fn report_values(report: &SimulationReport) -> [f64; 16] {
         let (p, a, m) = (&report.power, &report.area, &report.metrics);
         [
@@ -2790,15 +3215,16 @@ mod tests {
     }
 
     /// Fails unless the exact reader declines `line` or returns what the
-    /// tree returns, every float bit for bit.  Returns whether it accepted.
+    /// wire reader returns, every float bit for bit.  Returns whether it
+    /// accepted.
     fn exact_agrees(line: &str) -> bool {
         if let Some(exact) = exact_eval_request(line) {
-            assert_eq!(decode_request_tree(line), Ok(exact), "{line}");
+            assert_eq!(read_line(line, read_request), Ok(exact), "{line}");
             return true;
         }
         if let Some(exact) = exact_eval_answer(line) {
-            let tree = decode_response_tree(line).unwrap_or_else(|err| panic!("{line}: {err:?}"));
-            assert_eq!(answer_bits(&exact), answer_bits(&tree), "{line}");
+            let read = read_line(line, read_response).unwrap_or_else(|e| panic!("{line}: {e:?}"));
+            assert_eq!(answer_bits(&exact), answer_bits(&read), "{line}");
             return true;
         }
         false
@@ -2862,6 +3288,25 @@ mod tests {
         )
     }
 
+    /// An eval answer to truncate everywhere: in one case in 16 its floats
+    /// are drawn from [`report_value`], extremes hundreds of digits long
+    /// included; otherwise they are short, with one in four a non-finite
+    /// value or a signed zero, so a line stays cheap to check at every
+    /// length.
+    fn truncatable_answer() -> impl Strategy<Value = Response> {
+        const SPECIAL: [f64; 5] = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -0.0];
+        let short = (0usize..4 * SPECIAL.len(), -1.0f64..1.0, -15i32..15).prop_map(
+            |(pick, mantissa, decade)| match SPECIAL.get(pick) {
+                Some(&special) => special,
+                None => mantissa * 10f64.powi(decade),
+            },
+        );
+        (0u32..16).prop_flat_map(move |pick| {
+            let float = (report_value(), short.clone());
+            eval_answer(float.prop_map(move |(any, short)| if pick == 0 { any } else { short }))
+        })
+    }
+
     /// A CrossLight eval request on a Table I model, as every load
     /// generator sends one.
     fn eval_request() -> impl Strategy<Value = Request> {
@@ -2910,7 +3355,7 @@ mod tests {
     const PROBES: &[u8; 12] = b" \"\\,:}]09-.e";
 
     /// Number texts that replace one number of a line: integers where the
-    /// encoder writes floats, texts only the tree's tokenizer splits right,
+    /// encoder writes floats, texts only the reader's tokenizer splits right,
     /// values past every integer type, and the extremes that still fit.
     const NUMBERS: [&str; 22] = [
         "1",
@@ -2939,7 +3384,7 @@ mod tests {
 
     /// Members that join an object: duplicates of the encoder's own keys,
     /// keys it never writes, and the `arch` and `workload` members of the
-    /// requests the exact reader leaves to the tree.
+    /// requests the exact reader leaves to the wire reader.
     const MEMBERS: [&str; 10] = [
         "\"v\":1",
         "\"id\":5",
@@ -3065,11 +3510,242 @@ mod tests {
         out
     }
 
+    /// The sample snapshot stream, built once: warming its model cache runs
+    /// eigensolves every case would otherwise repeat.
+    fn snapshot_entries() -> &'static [SnapshotEntry] {
+        static ENTRIES: std::sync::OnceLock<Vec<SnapshotEntry>> = std::sync::OnceLock::new();
+        ENTRIES.get_or_init(sample_snapshot_entries)
+    }
+
+    /// A registry snapshot holding a series of every metric kind, one with
+    /// labels.
+    fn sample_registry() -> RegistrySnapshot {
+        let registry = crosslight_telemetry::Registry::new();
+        registry
+            .counter("requests_total", "Frames \"received\".")
+            .add(41);
+        registry.gauge("queue_depth", "Queued lines.").set(-2);
+        let latency = registry.histogram("request_ns", "End-to-end latency.");
+        for v in [5u64, 120, 7_000, 1 << 33] {
+            latency.record(v);
+        }
+        let mut snapshot = registry.snapshot();
+        snapshot.families[0].series[0].labels = vec![
+            ("b".to_string(), "2".to_string()),
+            ("a".to_string(), "1".to_string()),
+        ];
+        snapshot
+    }
+
+    /// One line of every frame kind, `request` and `answer` among them,
+    /// each with whether it is a request: an eval on a model and on an
+    /// inline workload, one per zoo config, every other op, and every
+    /// answer type and error kind.
+    fn every_frame(request: &Request, answer: &Response) -> Vec<(String, bool)> {
+        let id = request.id;
+        let entries = snapshot_entries().to_vec();
+        let end = SnapshotEnd {
+            chunks: 1,
+            entries: entries.len() as u64,
+            checksum: snapshot_checksum(&entries),
+        };
+        let chunk = SnapshotChunk { seq: id, entries };
+        let inline = WorkloadRef::Inline((*paper_workloads()[1]).clone());
+        let mut bodies = vec![
+            request.body.clone(),
+            RequestBody::Eval(EvalSpec::paper(
+                CrossLightVariant::Base,
+                PaperModel::CnnStl10,
+            )),
+            RequestBody::Eval(EvalSpec::for_arch(ArchRequest::DeapCnn, inline)),
+            RequestBody::Stats,
+            RequestBody::Ping,
+            RequestBody::Snapshot {
+                max_chunk_bytes: None,
+            },
+            RequestBody::Snapshot {
+                max_chunk_bytes: Some(id),
+            },
+            RequestBody::Restore(chunk.clone()),
+            RequestBody::RestoreEnd(end),
+        ];
+        for spec in ArchSpec::zoo_defaults() {
+            let arch = ArchRequest::for_spec(&spec).expect("zoo specs use named variants");
+            let workload = WorkloadRef::Model(PaperModel::CnnCifar10);
+            bodies.push(RequestBody::Eval(EvalSpec::for_arch(arch, workload)));
+        }
+        let formats = [
+            MetricsFormat::Json,
+            MetricsFormat::Text,
+            MetricsFormat::Spans,
+        ];
+        bodies.extend(formats.map(|format| RequestBody::Metrics { format }));
+        let stats = StatsFrame {
+            server: WireServerStats {
+                connections_accepted: id,
+                connections_active: 1,
+                requests_total: 40,
+                evals_ok: 30,
+                evals_failed: 2,
+                shed_total: 5,
+                malformed_total: 2,
+                oversized_total: 1,
+                queue_capacity: 256,
+                in_flight: 4,
+            },
+            runtime: RuntimeStats {
+                submitted: 30,
+                completed: 30,
+                cache_hits: 12,
+                cache_misses: 18,
+                cached_entries: 18,
+                prepared_configs: 4,
+                per_worker: vec![10, id],
+                queue_depths: vec![0, 0],
+            },
+        };
+        let mut answers = vec![
+            answer.body.clone(),
+            ResponseBody::Stats(stats),
+            ResponseBody::Metrics(MetricsFrame::Snapshot(sample_registry())),
+            ResponseBody::Metrics(MetricsFrame::Text("# TYPE a counter\na 1\n".to_string())),
+            ResponseBody::Metrics(MetricsFrame::Spans(vec!["{\"id\":7}".to_string()])),
+            ResponseBody::Snapshot(chunk),
+            ResponseBody::SnapshotEnd(end),
+            ResponseBody::Restored(RestoredFrame {
+                entries: 12,
+                results: id,
+                model: 5,
+            }),
+            ResponseBody::Pong,
+        ];
+        answers.extend(
+            ALL_ERROR_KINDS.map(|kind| ResponseBody::Error(ErrorFrame::new(kind, "d\"\\\n"))),
+        );
+        let requests = bodies
+            .into_iter()
+            .map(|body| (encode_request(&Request { id, body }), true));
+        let ids = [answer.id, None].into_iter().cycle();
+        let answers = answers
+            .into_iter()
+            .zip(ids)
+            .map(|(body, id)| (encode_response(&Response { id, body }), false));
+        requests.chain(answers).collect()
+    }
+
+    /// `line` written again with every object's members reordered, an
+    /// unknown member added to each object and a duplicate of one of its
+    /// members appended, some keys' first letter escaped and whitespace
+    /// between tokens; every choice is the next word of `picks`.  A series'
+    /// labels keep their members: their order is part of the value.
+    fn shake(line: &str, picks: &[u64]) -> String {
+        const JUNK: [&str; 6] = [
+            "null",
+            "[1,{\"a\":\"b\"}]",
+            "\"s\"",
+            "-5",
+            "1.5e3",
+            "{\"type\":7}",
+        ];
+        fn write(
+            value: &Json,
+            labels: bool,
+            pick: &mut dyn FnMut(usize) -> usize,
+            out: &mut String,
+        ) {
+            out.push_str(["", " ", "\t", "\n\r ", ""][pick(5)]);
+            match value {
+                Json::Object(members) if !labels => {
+                    let mut members: Vec<(&str, Option<&Json>)> = members
+                        .iter()
+                        .rev()
+                        .map(|(k, v)| (k.as_str(), Some(v)))
+                        .collect();
+                    let turn = pick(members.len() + 1) % members.len().max(1);
+                    members.rotate_left(turn);
+                    members.insert(pick(members.len() + 1), ("zz", None));
+                    let duplicate = members[pick(members.len())].0;
+                    members.push((duplicate, None));
+                    out.push('{');
+                    for (i, (key, value)) in members.into_iter().enumerate() {
+                        if i > 0 {
+                            out.push(',');
+                        }
+                        let mut key_text = String::new();
+                        json::push_string_literal(key, &mut key_text);
+                        if pick(3) == 0 {
+                            let escaped = format!("\\u{:04x}", key_text.as_bytes()[1]);
+                            key_text.replace_range(1..2, &escaped);
+                        }
+                        out.push_str(&key_text);
+                        out.push_str([":", " : ", ":\t"][pick(3)]);
+                        match value {
+                            Some(value) => write(value, key == "labels", pick, out),
+                            None => out.push_str(JUNK[pick(JUNK.len())]),
+                        }
+                    }
+                    out.push('}');
+                }
+                Json::Object(members) => {
+                    out.push('{');
+                    for (i, (key, value)) in members.iter().enumerate() {
+                        if i > 0 {
+                            out.push(',');
+                        }
+                        json::push_string_literal(key, out);
+                        out.push(':');
+                        write(value, false, pick, out);
+                    }
+                    out.push('}');
+                }
+                Json::Array(items) => {
+                    out.push('[');
+                    for (i, item) in items.iter().enumerate() {
+                        if i > 0 {
+                            out.push_str([",", " , "][pick(2)]);
+                        }
+                        write(item, false, pick, out);
+                    }
+                    out.push(']');
+                }
+                Json::Null => out.push_str("null"),
+                Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+                Json::Uint(v) => out.push_str(&v.to_string()),
+                Json::Int(v) => out.push_str(&v.to_string()),
+                Json::Float(v) => json::push_f64(*v, out),
+                Json::Str(s) => json::push_string_literal(s, out),
+            }
+            out.push_str(["", " ", "", "\n"][pick(4)]);
+        }
+        let mut words = picks.iter().map(|&p| p as usize).cycle();
+        let mut pick = |n: usize| words.next().unwrap() % n.max(1);
+        let mut out = String::new();
+        write(&Json::parse(line).unwrap(), false, &mut pick, &mut out);
+        out
+    }
+
+    /// Fails unless `line` decodes to an "invalid JSON" error exactly when
+    /// [`Json::parse`] rejects it, with the same text.
+    fn syntax_errors_agree(line: &str, is_request: bool) {
+        let expected = Json::parse(line)
+            .err()
+            .map(|err| ErrorFrame::from(err).detail);
+        let decoded = if is_request {
+            decode_request(line).err()
+        } else {
+            decode_response(line).err()
+        };
+        let invalid = decoded
+            .filter(|f| f.kind == ErrorKind::Malformed && f.detail.starts_with("invalid JSON: "))
+            .map(|f| f.detail);
+        assert_eq!(invalid, expected, "{line}");
+    }
+
     proptest! {
         /// (a) Every eval request and answer the encoders write — any id
         /// and worker, both hit flags, any report float — is read by the
         /// exact reader, bit for bit the value encoded and the value the
-        /// tree reads.
+        /// wire reader reads.
         #[test]
         fn exact_reader_accepts_every_encoded_hot_frame(
             request in eval_request(),
@@ -3098,9 +3774,9 @@ mod tests {
         /// (b) Whatever a mutated line is — truncated, edited, spaced,
         /// escaped, reordered, padded with members or numbers the encoder
         /// never writes, or byte soup — the exact reader declines it or
-        /// reads what the tree reads.
+        /// reads what the wire reader reads.
         #[test]
-        fn exact_reader_declines_or_agrees_with_the_tree(
+        fn exact_reader_declines_or_agrees_with_the_wire_reader(
             request in eval_request(),
             answer in eval_answer(mostly_plain_value()),
             picks in proptest::collection::vec(proptest::num::u64::ANY, 64),
@@ -3111,6 +3787,53 @@ mod tests {
                 }
                 for mutated in mutations(&line, &picks) {
                     exact_agrees(&mutated);
+                }
+            }
+        }
+
+        /// Reordering every object's members, whitespace, escaped keys,
+        /// unknown members and appended duplicates never change what a frame
+        /// of any kind decodes to: the value re-encodes to the line the
+        /// encoder wrote, every float bit for bit.
+        #[test]
+        fn wire_reader_values_ignore_member_order_spacing_and_extra_members(
+            request in eval_request(),
+            answer in eval_answer(report_value()),
+            picks in proptest::collection::vec(proptest::num::u64::ANY, 64),
+        ) {
+            for (line, is_request) in every_frame(&request, &answer) {
+                let shaken = shake(&line, &picks);
+                let encoded = if is_request {
+                    decode_request(&line).map(|r| encode_request(&r))
+                } else {
+                    decode_response(&line).map(|r| encode_response(&r))
+                };
+                prop_assert_eq!(encoded.as_deref(), Ok(line.as_str()));
+                let decoded = if is_request {
+                    decode_request(&shaken).map(|r| encode_request(&r))
+                } else {
+                    decode_response(&shaken).map(|r| encode_response(&r))
+                };
+                prop_assert_eq!(decoded.as_deref(), Ok(line.as_str()), "{}", shaken);
+            }
+        }
+
+        /// Whatever a hot frame becomes — truncated anywhere, edited, spaced,
+        /// escaped, reordered, padded with members or numbers the encoder
+        /// never writes, or byte soup — it decodes to an "invalid JSON"
+        /// error exactly when [`Json::parse`] rejects it, and never panics.
+        #[test]
+        fn wire_reader_rejects_exactly_the_lines_json_parse_rejects(
+            request in eval_request(),
+            answer in truncatable_answer(),
+            picks in proptest::collection::vec(proptest::num::u64::ANY, 64),
+        ) {
+            for (line, is_request) in [(encode_request(&request), true), (encode_response(&answer), false)] {
+                for end in 0..line.len() {
+                    syntax_errors_agree(&line[..end], is_request);
+                }
+                for mutated in mutations(&line, &picks) {
+                    syntax_errors_agree(&mutated, is_request);
                 }
             }
         }

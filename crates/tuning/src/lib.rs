@@ -20,8 +20,6 @@
 //!   thermal crosstalk at much lower power (paper Fig. 4).
 //! * [`power`] — bank-level tuning-power accounting used by the architecture
 //!   simulator.
-//! * [`schedule`] — the boot-time / runtime tuning workflow described at the
-//!   end of §IV.B.
 //!
 //! # Example
 //!
@@ -46,7 +44,6 @@ pub mod eo;
 pub mod error;
 pub mod hybrid;
 pub mod power;
-pub mod schedule;
 pub mod ted;
 pub mod to;
 
