@@ -76,13 +76,6 @@ pub fn all_platforms() -> [ElectronicPlatform; 6] {
     [P100, IXP_9282, AMD_TR, DADIANNAO, EDGE_TPU, NULL_HOP]
 }
 
-/// The subset the paper calls edge/mobile electronic accelerators (whose
-/// power CrossLight does not undercut, per the Fig. 7 discussion).
-#[must_use]
-pub fn edge_accelerators() -> [ElectronicPlatform; 2] {
-    [EDGE_TPU, NULL_HOP]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -105,13 +98,6 @@ mod tests {
             assert!(P100.avg_kfps_per_watt > cpu.avg_kfps_per_watt);
             assert!(EDGE_TPU.avg_kfps_per_watt > cpu.avg_kfps_per_watt);
             assert!(P100.avg_epb_pj < cpu.avg_epb_pj);
-        }
-    }
-
-    #[test]
-    fn edge_accelerators_draw_single_digit_watts() {
-        for p in edge_accelerators() {
-            assert!(p.power_watts < 10.0);
         }
     }
 }

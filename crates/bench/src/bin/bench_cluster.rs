@@ -29,9 +29,11 @@
 //! time, the first sweep after a backend is killed, restarted and
 //! readmitted, cold (it recomputes its shards) or warm (its caches are
 //! restored from the surviving replica first), against the same cycle's
-//! steady-state sweep, `_steady`.  A round is one such cycle, and the
-//! recovery's speed-up compares p99s; the warm recovery's bar is its p99
-//! within 2× of the steady p99, a speed-up ≥ 0.5.
+//! steady-state sweep, `_steady`.  A sweep is `FAILOVER_SPECS` distinct
+//! design points, so each p99 rests on about 500 samples rather than
+//! being a sweep's maximum.  A round is one such cycle, and the recovery's
+//! speed-up compares p99s; the warm recovery's bar is its p99 within 2×
+//! of the steady p99, a speed-up ≥ 0.5.
 
 use std::net::SocketAddr;
 use std::process::ExitCode;
@@ -40,13 +42,18 @@ use std::time::{Duration, Instant};
 use crosslight_bench::{finish, measure, measure_turns, Args, Bar, BenchResult, Figure, ROUNDS};
 use crosslight_cluster::backend::rendezvous_order;
 use crosslight_cluster::{CircuitState, Router, RouterOptions};
+use crosslight_core::variants::CrossLightVariant;
+use crosslight_neural::zoo::PaperModel;
 use crosslight_server::loadgen::{Client, LoadGenOptions};
 use crosslight_server::server::{Server, ServerOptions};
-use crosslight_server::wire::{EvalSpec, ResponseBody};
+use crosslight_server::wire::{EvalSpec, ResponseBody, WorkloadRef};
 use crosslight_telemetry::{Histogram, HistogramSnapshot};
 
 /// Warm recovery's p99 is at most 2× the steady p99 of the same cycle.
 const WARM_RECOVERY_OVER_STEADY: Bar = Bar::AtLeast(0.5);
+
+/// Distinct design points in one failover sweep.
+const FAILOVER_SPECS: usize = 512;
 
 fn main() -> ExitCode {
     let args = Args::parse("BENCH_cluster.json");
@@ -155,8 +162,18 @@ fn main() -> ExitCode {
     solo.shutdown();
 
     // ---- failover recovery: cold vs warm readmission ----------------------
-    // One cycle yields ~62 recovery samples, so its p99 is about its max:
-    // each of the rounds is a full cycle on a fresh cluster.
+    // Each of the rounds is a full cycle on a fresh cluster, timing
+    // `FAILOVER_SPECS` distinct paper-variant design points per sweep.
+    let specs: Vec<EvalSpec> = (0..FAILOVER_SPECS)
+        .map(|i| {
+            EvalSpec::crosslight(
+                CrossLightVariant::all()[i % 4],
+                (20, 150 + i / 16, 100, 60),
+                16,
+                WorkloadRef::Model(PaperModel::all()[i / 4 % 4]),
+            )
+        })
+        .collect();
     for (name, handoff) in [
         ("cluster_failover_cold_recovery", false),
         ("cluster_failover_warm_recovery", true),

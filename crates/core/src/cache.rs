@@ -11,7 +11,10 @@
 //! (10 CONV plus 26 FC sizes) and 260 resolutions.  [`ModelCache`] memoizes
 //! those results by their canonical sub-config keys ([`crate::canonical`]),
 //! so a sweep pays for each distinct sub-model once instead of once per grid
-//! point.
+//! point.  Below the unit reports it memoizes each bank design's tuning
+//! power — nearly all of a unit report's cost, and independent of the unit
+//! size — so the dense grid pays one eigensolve, not 36.  The bank memo is
+//! internal: it moves no counter and is not exported.
 //!
 //! The cache is transparent: every model is deterministic, so a hit returns
 //! exactly the value a fresh computation would produce and cached evaluation
@@ -30,8 +33,10 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
+use crosslight_photonics::units::MilliWatts;
+
 use crate::area::{accelerator_area, AcceleratorArea};
-use crate::canonical::{ConfigKey, ResolutionKey, VdpUnitKey};
+use crate::canonical::{ConfigKey, DesignKey, ResolutionKey, VdpUnitKey};
 use crate::config::CrossLightConfig;
 use crate::error::{ArchitectureError, Result};
 use crate::power::{accelerator_power_from_unit_reports, AcceleratorPower};
@@ -112,6 +117,9 @@ impl ModelCacheStats {
 /// sub-config key; see the module docs.
 #[derive(Debug, Default)]
 pub struct ModelCache {
+    /// Per-bank tuning power by `(mrs_per_bank, design)`, what
+    /// [`VdpUnit::report`]'s eigensolve reads.
+    banks: Mutex<HashMap<(usize, DesignKey), MilliWatts>>,
     units: Mutex<HashMap<VdpUnitKey, VdpUnitReport>>,
     resolutions: Mutex<HashMap<ResolutionKey, u32>>,
     prepared: Mutex<HashMap<ConfigKey, PreparedSimulator>>,
@@ -136,7 +144,8 @@ impl ModelCache {
 
     /// Memoized [`VdpUnit::report`]: the unit key only involves the unit size,
     /// bank size and design choices, so every grid point sharing a `(N or K,
-    /// design)` sub-configuration shares one report.
+    /// design)` sub-configuration shares one report.  A missed report is
+    /// built around its bank design's memoized tuning power.
     ///
     /// # Errors
     ///
@@ -152,7 +161,25 @@ impl ModelCache {
             self.record(true);
             return Ok(*report);
         }
-        let report = unit.report()?;
+        let bank_key = (unit.mrs_per_bank, unit.design.canonical_key());
+        let memoized = self
+            .banks
+            .lock()
+            .expect("bank cache lock poisoned")
+            .get(&bank_key)
+            .copied();
+        let bank_tuning_power = match memoized {
+            Some(power) => power,
+            None => {
+                let power = unit.bank_tuning_power()?;
+                self.banks
+                    .lock()
+                    .expect("bank cache lock poisoned")
+                    .insert(bank_key, power);
+                power
+            }
+        };
+        let report = unit.report_with_bank(bank_tuning_power)?;
         self.units
             .lock()
             .expect("unit-report cache lock poisoned")
@@ -436,6 +463,27 @@ mod tests {
         assert_eq!(stats.unit_reports, 2);
         assert_eq!(stats.resolutions, 1);
         assert_eq!(stats.prepared_configs, 3);
+    }
+
+    #[test]
+    fn a_dense_grid_pays_one_bank_eigensolve() {
+        let cache = ModelCache::new();
+        let design = CrossLightConfig::paper_best().design;
+        for n_size in (2..=20).step_by(2) {
+            for k_size in (50..=300).step_by(10) {
+                for n_units in (10..=150).step_by(10) {
+                    for m_units in (10..=150).step_by(10) {
+                        let config =
+                            CrossLightConfig::new(n_size, k_size, n_units, m_units, design)
+                                .unwrap();
+                        cache.prepare(&config).unwrap();
+                    }
+                }
+            }
+        }
+        // 10 CONV sizes and 26 FC sizes share one bank design.
+        assert_eq!(cache.stats().unit_reports, 36);
+        assert_eq!(cache.banks.lock().unwrap().len(), 1);
     }
 
     #[test]

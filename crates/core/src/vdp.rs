@@ -169,6 +169,13 @@ impl VdpUnit {
     ///
     /// Propagates tuning-model errors (which do not occur for valid units).
     pub fn tuning_power(&self) -> Result<MilliWatts> {
+        Ok(self.bank_tuning_power()? * (2 * self.arms()) as f64)
+    }
+
+    /// Tuning power of one of the unit's MR banks: a function of the bank
+    /// size and the design alone (the 15×15 TED eigendecomposition), not of
+    /// the unit size.
+    pub(crate) fn bank_tuning_power(&self) -> Result<MilliWatts> {
         let bank_config = BankTuningConfig {
             mr_count: self.mrs_per_bank,
             spacing: self.design.mr_spacing,
@@ -176,8 +183,7 @@ impl VdpUnit {
             compensation: self.design.compensation,
             value_tuning: self.design.value_tuning,
         };
-        let per_bank = estimate_bank_tuning_power(&bank_config)?;
-        Ok(per_bank.total() * (2 * self.arms()) as f64)
+        Ok(estimate_bank_tuning_power(&bank_config)?.total())
     }
 
     /// Photodetector, TIA and VCSEL power of the unit.
@@ -211,11 +217,17 @@ impl VdpUnit {
     /// Propagates laser/tuning model errors (which do not occur for valid
     /// units).
     pub fn report(&self) -> Result<VdpUnitReport> {
+        self.report_with_bank(self.bank_tuning_power()?)
+    }
+
+    /// [`VdpUnit::report`] around a known [`VdpUnit::bank_tuning_power`],
+    /// with the same float operations, so the report is bit-identical.
+    pub(crate) fn report_with_bank(&self, bank_tuning_power: MilliWatts) -> Result<VdpUnitReport> {
         Ok(VdpUnitReport {
             arms: self.arms(),
             pass_latency: self.pass_latency(),
             laser_power: self.laser_power()?,
-            tuning_power: self.tuning_power()?,
+            tuning_power: bank_tuning_power * (2 * self.arms()) as f64,
             detection_power: self.detection_power(),
             conversion_power: self.conversion_power(),
         })

@@ -285,13 +285,6 @@ impl Tensor {
         Ok(())
     }
 
-    /// In-place scalar multiplication (`self *= factor`), allocation-free.
-    pub fn scale_assign(&mut self, factor: f32) {
-        for v in &mut self.data {
-            *v *= factor;
-        }
-    }
-
     /// Multiplies every element by a scalar.
     #[must_use]
     pub fn scale(&self, factor: f32) -> Tensor {
@@ -920,8 +913,6 @@ mod tests {
         let mut acc = a.clone();
         acc.add_assign(&b).unwrap();
         assert_eq!(acc, a.add(&b).unwrap());
-        acc.scale_assign(0.5);
-        assert_eq!(acc.as_slice(), a.add(&b).unwrap().scale(0.5).as_slice());
         assert!(acc.add_assign(&Tensor::zeros(vec![2])).is_err());
         let mut out = Tensor::default();
         a.zip_with_into(&b, &mut out, |x, y| x * y).unwrap();

@@ -144,12 +144,6 @@ impl DataRate {
             bits_per_symbol,
         }
     }
-
-    /// Effective bit rate in Gb/s.
-    #[must_use]
-    pub fn gbps(&self) -> f64 {
-        self.rate.value() * f64::from(self.bits_per_symbol)
-    }
 }
 
 #[cfg(test)]
@@ -193,11 +187,5 @@ mod tests {
         // Because power scales linearly with rate, pJ/bit is constant within
         // the supported range.
         assert!((t.energy_per_bit_pj(10.0) - t.energy_per_bit_pj(56.0)).abs() < 1e-9);
-    }
-
-    #[test]
-    fn data_rate_bit_rate() {
-        let r = DataRate::new(GigaHertz::new(5.0), 16);
-        assert!((r.gbps() - 80.0).abs() < 1e-12);
     }
 }

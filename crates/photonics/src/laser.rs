@@ -15,7 +15,6 @@ use serde::{Deserialize, Serialize};
 
 use crate::devices::photodetector_sensitivity;
 use crate::error::{PhotonicsError, Result};
-use crate::loss::LossBudget;
 use crate::units::{Dbm, DecibelLoss, MilliWatts};
 
 /// Wall-plug efficiency of the laser source: electrical power divided into
@@ -99,19 +98,6 @@ impl LaserPowerModel {
         ))
     }
 
-    /// Minimum optical laser power for a path described by a [`LossBudget`].
-    ///
-    /// # Errors
-    ///
-    /// Same as [`LaserPowerModel::required_optical_power`].
-    pub fn required_optical_power_for_budget(
-        &self,
-        budget: &LossBudget,
-        wavelength_count: usize,
-    ) -> Result<Dbm> {
-        self.required_optical_power(budget.total(), wavelength_count)
-    }
-
     /// Electrical power drawn by the laser source to emit the required
     /// optical power, accounting for wall-plug efficiency.
     ///
@@ -164,8 +150,6 @@ impl Default for LaserPowerModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::loss::LossModel;
-    use crate::units::Micrometers;
 
     #[test]
     fn eq7_zero_loss_single_wavelength_equals_sensitivity() {
@@ -219,23 +203,6 @@ mod tests {
         assert!(
             (electrical.value() - optical.value() / DEFAULT_WALL_PLUG_EFFICIENCY).abs() < 1e-12
         );
-    }
-
-    #[test]
-    fn budget_wrapper_matches_direct_call() {
-        let model = LaserPowerModel::paper();
-        let mut budget = LossBudget::new(LossModel::paper());
-        budget
-            .add_propagation(Micrometers::new(10_000.0))
-            .add_splitters(3)
-            .add_mr_modulation(1);
-        let from_budget = model
-            .required_optical_power_for_budget(&budget, 15)
-            .expect("valid");
-        let direct = model
-            .required_optical_power(budget.total(), 15)
-            .expect("valid");
-        assert!((from_budget.value() - direct.value()).abs() < 1e-12);
     }
 
     #[test]

@@ -149,18 +149,6 @@ impl LossBudget {
         self
     }
 
-    /// Adds electro-optic tuning loss over `length` of tuned waveguide.
-    pub fn add_eo_tuning(&mut self, length: Micrometers) -> &mut Self {
-        self.tuning += DecibelLoss::new(self.model.eo_tuning_db_per_cm * length.to_centimeters());
-        self
-    }
-
-    /// Adds thermo-optic tuning loss over `length` of tuned waveguide.
-    pub fn add_to_tuning(&mut self, length: Micrometers) -> &mut Self {
-        self.tuning += DecibelLoss::new(self.model.to_tuning_db_per_cm * length.to_centimeters());
-        self
-    }
-
     /// Total accumulated optical loss.
     #[must_use]
     pub fn total(&self) -> DecibelLoss {
@@ -256,10 +244,8 @@ mod tests {
             .add_combiners(1) // 0.9 dB
             .add_mr_through(14) // 0.28 dB
             .add_mr_modulation(1) // 0.72 dB
-            .add_microdisks(0)
-            .add_eo_tuning(Micrometers::new(100.0)) // 0.06 dB
-            .add_to_tuning(Micrometers::new(100.0)); // 0.01 dB
-        let expected = 0.5 + 0.52 + 0.9 + 0.28 + 0.72 + 0.06 + 0.01;
+            .add_microdisks(0);
+        let expected = 0.5 + 0.52 + 0.9 + 0.28 + 0.72;
         assert!((budget.total().value() - expected).abs() < 1e-9);
         let breakdown = budget.breakdown();
         assert!((breakdown.total().value() - expected).abs() < 1e-9);

@@ -244,12 +244,6 @@ impl Nanometers {
 }
 
 impl Micrometers {
-    /// Converts this length to nanometres.
-    #[must_use]
-    pub fn to_nanometers(self) -> Nanometers {
-        Nanometers::new(self.value() * 1e3)
-    }
-
     /// Converts this length to centimetres (propagation losses are quoted per
     /// centimetre).
     #[must_use]
@@ -269,14 +263,6 @@ impl Millimeters {
     #[must_use]
     pub fn to_centimeters(self) -> f64 {
         self.value() / 10.0
-    }
-}
-
-impl SquareMillimeters {
-    /// Computes the area of a rectangle given two side lengths.
-    #[must_use]
-    pub fn from_sides(a: Millimeters, b: Millimeters) -> Self {
-        Self::new(a.value() * b.value())
     }
 }
 
@@ -328,12 +314,6 @@ impl Dbm {
     #[must_use]
     pub fn to_milliwatts(self) -> MilliWatts {
         MilliWatts::new(10f64.powf(self.value() / 10.0))
-    }
-
-    /// Adds an optical loss, reducing the power level.
-    #[must_use]
-    pub fn attenuate(self, loss: DecibelLoss) -> Dbm {
-        Dbm::new(self.value() - loss.value())
     }
 }
 
@@ -429,7 +409,6 @@ mod tests {
     fn nanometer_micrometer_roundtrip() {
         let wl = Nanometers::new(1550.0);
         assert!((wl.to_micrometers().value() - 1.55).abs() < 1e-12);
-        assert!((wl.to_micrometers().to_nanometers().value() - 1550.0).abs() < 1e-9);
     }
 
     #[test]
@@ -438,13 +417,6 @@ mod tests {
         let back = p.to_dbm().to_milliwatts();
         assert!((back.value() - 2.5).abs() < 1e-9);
         assert!((MilliWatts::new(1.0).to_dbm().value()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn dbm_attenuation_halves_power_at_3db() {
-        let p = MilliWatts::new(10.0).to_dbm();
-        let attenuated = p.attenuate(DecibelLoss::new(3.0103));
-        assert!((attenuated.to_milliwatts().value() - 5.0).abs() < 1e-3);
     }
 
     #[test]
@@ -502,11 +474,5 @@ mod tests {
     fn display_includes_unit() {
         assert_eq!(Nanometers::new(1550.0).to_string(), "1550 nm");
         assert_eq!(MilliWatts::new(0.66).to_string(), "0.66 mW");
-    }
-
-    #[test]
-    fn area_from_sides() {
-        let area = SquareMillimeters::from_sides(Millimeters::new(1.5), Millimeters::new(0.6));
-        assert!((area.value() - 0.9).abs() < 1e-12);
     }
 }

@@ -160,13 +160,6 @@ impl WdmGrid {
     pub fn iter(&self) -> std::slice::Iter<'_, Nanometers> {
         self.channels.iter()
     }
-
-    /// Minimum pairwise separation between distinct channels, i.e. the
-    /// spacing; exposed for the crosstalk/resolution analysis.
-    #[must_use]
-    pub fn min_separation(&self) -> Nanometers {
-        self.spacing
-    }
 }
 
 impl<'a> IntoIterator for &'a WdmGrid {
@@ -254,7 +247,6 @@ mod tests {
         assert_eq!(grid.iter().count(), 4);
         assert_eq!((&grid).into_iter().count(), 4);
         assert_eq!(grid.first(), Nanometers::new(1550.0));
-        assert_eq!(grid.min_separation(), Nanometers::new(1.0));
     }
 
     #[test]

@@ -128,7 +128,7 @@ impl Hash for CacheKey {
 /// name for a future bounded-capacity policy.
 ///
 /// Each entry also holds one slot for a caller's encoding of its report,
-/// filled on the entry's first inline hit (`EvalService::answer_cached`)
+/// filled on the entry's first inline hit (`EvalService::answer`)
 /// while the encodings held fit in `MEMO_BUDGET_BYTES`.  An empty slot is
 /// one thin pointer, 8 bytes.  A filled one holds a server's eval-answer
 /// tail: 570–649 bytes for the dense Fig. 6 sweep's reports, about 700
@@ -214,19 +214,23 @@ impl ShardedCache {
     }
 
     /// Looks up a key for an answer off the pool: the encoding memoized on
-    /// its entry, or its report while none is stored.  Counts a hit when
-    /// the key is cached, and never a miss.
+    /// its entry, or its report while none is stored.  Counts the outcome
+    /// as a hit or miss, as [`ShardedCache::get`] does.
     pub(crate) fn get_inline(&self, key: &CacheKey) -> Option<Cached> {
-        let found = {
-            let shard = self.shard(key).lock().expect("cache shard lock poisoned");
-            let entry = shard.get(key)?;
-            match &entry.encoded {
+        let found = self
+            .shard(key)
+            .lock()
+            .expect("cache shard lock poisoned")
+            .get(key)
+            .map(|entry| match &entry.encoded {
                 Some(encoded) => Cached::Encoded(Arc::clone(encoded)),
                 None => Cached::Report(entry.report),
-            }
-        };
-        self.hits.inc();
-        Some(found)
+            });
+        match found {
+            Some(_) => self.hits.inc(),
+            None => self.misses.inc(),
+        }
+        found
     }
 
     /// Memoizes a caller's encoding on the entry of `key`, unless the entry

@@ -14,12 +14,12 @@ pub enum RuntimeError {
     Evaluation(ArchitectureError),
     /// A sweep scenario could not be expanded into requests.
     Scenario(String),
-    /// A worker thread disappeared before answering (only possible if a
-    /// worker panicked).
+    /// No worker could answer: the pool was shut down, or a worker thread
+    /// died outside the contained evaluation.
     WorkerLost,
-    /// The request's [`CancelToken`](crate::pool::CancelToken) was cancelled
-    /// before a worker picked the job up; the evaluation was skipped.
-    Cancelled,
+    /// The evaluation panicked; the panic was contained and its message is
+    /// carried here.
+    Panicked(String),
 }
 
 impl fmt::Display for RuntimeError {
@@ -28,7 +28,7 @@ impl fmt::Display for RuntimeError {
             Self::Evaluation(err) => write!(f, "evaluation failed: {err}"),
             Self::Scenario(reason) => write!(f, "invalid sweep scenario: {reason}"),
             Self::WorkerLost => write!(f, "a runtime worker exited before answering"),
-            Self::Cancelled => write!(f, "the request was cancelled before evaluation"),
+            Self::Panicked(message) => write!(f, "evaluation panicked: {message}"),
         }
     }
 }
@@ -65,7 +65,8 @@ mod tests {
         assert!(RuntimeError::Scenario("empty".into())
             .to_string()
             .contains("empty"));
-        assert!(RuntimeError::Cancelled.to_string().contains("cancelled"));
-        assert!(RuntimeError::Cancelled.source().is_none());
+        assert!(RuntimeError::Panicked("boom".into())
+            .to_string()
+            .contains("panicked: boom"));
     }
 }

@@ -23,6 +23,12 @@
 //! 4. **collect** — responses return in request order, each tagged with the
 //!    serving worker and hit/miss provenance.
 //!
+//! [`EvalService::answer`](pool::EvalService::answer) is the other entry
+//! point: it answers one request on the calling thread — a hit from the
+//! cache, a miss evaluated right there — and counts it as the worker its
+//! key routes to would.  The network front-end's event loops answer every
+//! eval through it.
+//!
 //! The service is *transparent*: reports are bit-identical to serial
 //! [`CrossLightSimulator`](crosslight_core::simulator::CrossLightSimulator)
 //! evaluation for every worker count, batch partitioning and cache state.
@@ -69,7 +75,7 @@ pub mod request;
 pub use cache::{CacheKey, ShardedCache};
 pub use error::RuntimeError;
 pub use planner::SweepPlanner;
-pub use pool::{CancelToken, EvalService, RuntimeOptions, RuntimeStats};
+pub use pool::{Answer, EvalService, RuntimeOptions, RuntimeStats};
 pub use request::{EvalRequest, EvalResponse, KeyedRequest};
 
 /// Convenient re-exports for downstream users.
@@ -77,6 +83,6 @@ pub mod prelude {
     pub use crate::cache::CacheKey;
     pub use crate::error::RuntimeError;
     pub use crate::planner::SweepPlanner;
-    pub use crate::pool::{CancelToken, EvalService, RuntimeOptions, RuntimeStats};
+    pub use crate::pool::{EvalService, RuntimeOptions, RuntimeStats};
     pub use crate::request::{EvalRequest, EvalResponse};
 }

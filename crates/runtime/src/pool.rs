@@ -1,18 +1,20 @@
-//! The sharded worker pool behind the evaluation service.
+//! The sharded worker pool behind the evaluation service, and the answer
+//! path that needs no worker.
 //!
 //! [`EvalService`] owns `N` OS threads, each with its own job channel.
-//! Requests are dispatched to workers by the platform-stable fingerprint of
-//! their cache key, so identical requests always land on the same worker —
-//! within one batch the first occurrence computes and every later duplicate
-//! is a cache hit, never a redundant recomputation racing on another thread.
+//! [`EvalService::submit_batch`] routes each request to a worker by the
+//! platform-stable fingerprint of its cache key, so identical requests
+//! always land on the same worker — within one batch the first occurrence
+//! computes and every later duplicate is a cache hit, never a redundant
+//! recomputation racing on another thread.  [`EvalService::submit`] is a
+//! one-request batch.
 //!
-//! There is one routing path, [`EvalService::submit_detached_batch`]: every
-//! [`BatchItem`] carries its own [`Reply`], called exactly once with the
-//! outcome.  [`EvalService::submit`] and [`EvalService::submit_batch`] are
-//! collectors over it, and the network front-end hands it each event-loop
-//! wake's admitted evals.  Before that, the front-end offers each eval to
-//! [`EvalService::answer_cached`], which answers a result-cache hit on the
-//! calling thread and counts it as the worker its key routes to would.
+//! [`EvalService::answer`] serves one request on the calling thread
+//! instead; the network front-end's event loops answer every eval through
+//! it.  A hit returns the caller's encoding memoized on the cache entry, a
+//! miss is prepared, evaluated and cached right there, and either counts
+//! as the worker its key routes to would, so answers and counters read the
+//! same as the pool's.
 //!
 //! Two memoization layers serve the hot loop:
 //!
@@ -29,8 +31,8 @@
 //! are bit-identical to serial `CrossLightSimulator::evaluate` calls
 //! regardless of worker count, batch partitioning, or hit pattern.
 
-use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::any::Any;
+use std::panic::AssertUnwindSafe;
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -80,7 +82,7 @@ impl Default for RuntimeOptions {
 /// Point-in-time snapshot of the service counters.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RuntimeStats {
-    /// Requests that reached a worker's queue, by any submission method.
+    /// Requests accepted, by any submission method.
     pub submitted: u64,
     /// Requests fully answered.
     pub completed: u64,
@@ -120,81 +122,22 @@ impl RuntimeStats {
     }
 }
 
-/// A shared cancellation flag travelling with detached submissions.
-///
-/// Cancellation is *advisory and queue-level*: a worker checks the token
-/// once, at pickup.  A cancelled job is answered with
-/// [`RuntimeError::Cancelled`] instead of being evaluated — the hook the
-/// network front-end uses to stop burning worker time on requests whose
-/// connection already died.  A job that a worker already started is never
-/// interrupted (evaluations are short and side-effect-free), so results
-/// remain bit-identical whether or not a token races the worker.
-#[derive(Debug, Clone, Default)]
-pub struct CancelToken(Arc<AtomicBool>);
-
-impl CancelToken {
-    /// A fresh, un-cancelled token.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Flags every job carrying this token for cancellation.
-    pub fn cancel(&self) {
-        self.0.store(true, Ordering::Release);
-    }
-
-    /// Whether the token has been cancelled.
-    #[must_use]
-    pub fn is_cancelled(&self) -> bool {
-        self.0.load(Ordering::Acquire)
-    }
-}
-
-/// Where one request's outcome goes: called exactly once, on the worker
-/// that served it, or on the submitting thread with
-/// [`RuntimeError::WorkerLost`] when no worker can take it.
-pub type Reply = Box<dyn FnOnce(Result<EvalResponse>) + Send>;
-
+/// One request of a [`EvalService::submit_batch`] on its way to a worker,
+/// with its position in the batch and the channel its outcome goes back on.
 struct Job {
+    index: usize,
     key: CacheKey,
     request: EvalRequest,
-    /// Present only for sampled requests; untraced jobs pay one `None`.
-    trace: Option<Box<TracedJob>>,
-    cancel: Option<CancelToken>,
-    reply: Reply,
+    reply: Sender<(usize, Result<EvalResponse>)>,
 }
 
-/// One request of a [`EvalService::submit_detached_batch`] submission.
-pub struct BatchItem {
-    /// The evaluation to run, with its cache key (`request.into()` hashes
-    /// a plain [`EvalRequest`]).
-    pub request: KeyedRequest,
-    /// Caller-built trace: the worker closes its queue, cache-lookup,
-    /// prepare and evaluate spans on it (also feeding the runtime phase
-    /// histograms) and hands it back on the response's `trace` field.
-    pub trace: Option<Box<RequestTrace>>,
-    /// Advisory cancellation token, checked once at pickup.
-    pub cancel: Option<CancelToken>,
-    /// Receives the outcome.
-    pub reply: Reply,
-}
-
-impl fmt::Debug for BatchItem {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("BatchItem")
-            .field("request", &self.request)
-            .field("trace", &self.trace)
-            .field("cancel", &self.cancel)
-            .finish_non_exhaustive()
-    }
-}
-
-/// A trace travelling with a job, plus the enqueue instant the worker needs
-/// to close the queue-wait span.
-struct TracedJob {
-    trace: RequestTrace,
-    enqueued: Instant,
+/// What [`EvalService::answer`] gives back for one request.
+#[derive(Debug)]
+pub enum Answer {
+    /// A result-cache hit: the caller's encoding of the cached report.
+    Hit(Arc<String>),
+    /// A miss, evaluated and cached on the calling thread.
+    Miss(EvalResponse),
 }
 
 /// The service's metric handles, registered once at construction; the hot
@@ -204,11 +147,9 @@ struct Telemetry {
     registry: Arc<Registry>,
     submitted: Counter,
     completed: Counter,
-    cancelled: Counter,
+    panics: Counter,
     per_worker: Vec<Counter>,
     queued: Vec<Gauge>,
-    worker_busy_ns: Vec<Counter>,
-    queue_wait_ns: Histogram,
     cache_lookup_hit_ns: Histogram,
     cache_lookup_miss_ns: Histogram,
     prepare_ns: Histogram,
@@ -226,7 +167,6 @@ impl Telemetry {
         let registry = Arc::new(Registry::new());
         let mut per_worker = Vec::with_capacity(workers);
         let mut queued = Vec::with_capacity(workers);
-        let mut worker_busy_ns = Vec::with_capacity(workers);
         for worker in 0..workers {
             let label = worker.to_string();
             per_worker.push(registry.counter_with(
@@ -239,11 +179,12 @@ impl Telemetry {
                 "Jobs dispatched to each worker's channel but not yet picked up.",
                 &[("worker", &label)],
             ));
-            worker_busy_ns.push(registry.counter_with(
+            registry.counter_with(
                 "runtime_worker_busy_ns_total",
-                "Nanoseconds each worker spent serving traced requests.",
+                "Nanoseconds each worker spent serving traced requests (always \
+                 zero: only `EvalService::answer` traces, and it needs no worker).",
                 &[("worker", &label)],
-            ));
+            );
         }
         registry
             .register_counter(
@@ -272,23 +213,20 @@ impl Telemetry {
         registry
             .gauge("runtime_workers", "Number of worker threads.")
             .set(workers as i64);
+        registry.histogram(
+            "runtime_queue_wait_ns",
+            "Time traced requests spent waiting in a worker's queue (always \
+             empty: only `EvalService::answer` traces, and it queues nothing).",
+        );
         Self {
-            submitted: registry.counter(
-                "runtime_submitted_total",
-                "Requests that reached a worker's queue.",
-            ),
+            submitted: registry.counter("runtime_submitted_total", "Requests accepted."),
             completed: registry.counter("runtime_completed_total", "Requests fully answered."),
-            cancelled: registry.counter(
-                "runtime_cancelled_total",
-                "Jobs answered with Cancelled because their token fired before pickup.",
+            panics: registry.counter(
+                "runtime_worker_panics_total",
+                "Evaluations that panicked, each answered with an evaluation error.",
             ),
             per_worker,
             queued,
-            worker_busy_ns,
-            queue_wait_ns: registry.histogram(
-                "runtime_queue_wait_ns",
-                "Time traced requests spent waiting in a worker's queue.",
-            ),
             cache_lookup_hit_ns: registry.histogram_with(
                 "runtime_cache_lookup_ns",
                 "Result-cache probe latency for traced requests, split by outcome.",
@@ -305,7 +243,7 @@ impl Telemetry {
             ),
             evaluate_ns: registry.histogram(
                 "runtime_evaluate_ns",
-                "Simulator evaluation time for traced cache misses.",
+                "Simulator evaluation and result-cache insert time for traced cache misses.",
             ),
             result_cache_entries: registry.gauge(
                 "runtime_result_cache_entries",
@@ -419,10 +357,11 @@ impl EvalService {
         &self.cache
     }
 
-    /// Number of worker threads.
+    /// Number of workers: the pool's threads, and the worker ids answers
+    /// name.
     #[must_use]
     pub fn workers(&self) -> usize {
-        self.senders.len()
+        self.telemetry.per_worker.len()
     }
 
     /// Evaluates one request (sugar for a one-element batch).
@@ -437,36 +376,50 @@ impl EvalService {
     }
 
     /// Fans a batch across the workers and returns the responses in request
-    /// order.  Results are bit-identical to evaluating each request serially
-    /// with [`CrossLightSimulator::evaluate`], for any worker count and any
+    /// order.  Jobs are grouped by target worker, so each worker is woken
+    /// by one channel send per batch.  Results are bit-identical to
+    /// evaluating each request serially with
+    /// [`CrossLightSimulator::evaluate`], for any worker count and any
     /// partitioning of the stream into batches.
     ///
     /// # Errors
     ///
     /// Returns the first evaluation error, or
-    /// [`RuntimeError::WorkerLost`] if a worker thread died mid-batch.
+    /// [`RuntimeError::WorkerLost`] if the pool was shut down or a worker
+    /// thread died mid-batch.
     pub fn submit_batch(&self, requests: Vec<EvalRequest>) -> Result<Vec<EvalResponse>> {
         let expected = requests.len();
         let (reply_tx, reply_rx) = mpsc::channel();
-        let items = requests
-            .into_iter()
-            .enumerate()
-            .map(|(index, request)| {
-                let reply_tx = reply_tx.clone();
-                BatchItem {
-                    trace: None,
-                    request: request.into(),
-                    cancel: None,
-                    // A send error means this collector already returned on
-                    // an earlier error; the answer has nowhere to go.
-                    reply: Box::new(move |outcome| {
-                        let _ = reply_tx.send((index, outcome));
-                    }),
-                }
-            })
-            .collect();
+        let mut groups: Vec<Vec<Job>> = self.senders.iter().map(|_| Vec::new()).collect();
+        for (index, request) in requests.into_iter().enumerate() {
+            let KeyedRequest { request, key } = request.into();
+            let worker = (key.fingerprint() % self.workers() as u64) as usize;
+            // A shut-down pool has no group to take the job; dropping it
+            // leaves its index unanswered.
+            if let Some(group) = groups.get_mut(worker) {
+                group.push(Job {
+                    index,
+                    key,
+                    request,
+                    reply: reply_tx.clone(),
+                });
+            }
+        }
         drop(reply_tx);
-        self.submit_detached_batch(items);
+        for (worker, group) in groups.into_iter().enumerate() {
+            if group.is_empty() {
+                continue;
+            }
+            let n = group.len();
+            self.telemetry.submitted.add(n as u64);
+            self.telemetry.queued[worker].add(n as i64);
+            if self.senders[worker].send(group).is_err() {
+                // The group never reached the worker: roll the counters
+                // back so the gauges cannot drift on a dying pool.
+                self.telemetry.queued[worker].sub(n as i64);
+                self.telemetry.submitted.sub(n as u64);
+            }
+        }
 
         let mut responses: Vec<Option<EvalResponse>> = vec![None; expected];
         let mut received = 0;
@@ -483,125 +436,74 @@ impl EvalService {
             .collect())
     }
 
-    /// Routes a batch of requests to their fingerprint-sharded workers
-    /// without waiting for the answers: the service's one routing path.
-    /// Jobs are grouped by target worker, so each worker is woken by a
-    /// single channel send per call however many items it serves.  Routing,
-    /// caching, tracing and counters do not depend on how a request stream
-    /// is cut into calls, so responses are bit-identical for any
-    /// partitioning.
-    ///
-    /// Every item's [`Reply`] is called exactly once: by its worker (with
-    /// [`RuntimeError::Cancelled`] if the item's token fired before
-    /// pickup), or — when the pool is shut down or a worker died — right
-    /// here with [`RuntimeError::WorkerLost`].  Returns the number of items
-    /// that reached a live worker's queue.
-    pub fn submit_detached_batch(&self, items: Vec<BatchItem>) -> usize {
-        let workers = self.senders.len();
-        if workers == 0 {
-            // The pool has been shut down in place.
-            for item in items {
-                (item.reply)(Err(RuntimeError::WorkerLost));
-            }
-            return 0;
-        }
-        let mut groups: Vec<Vec<Job>> = (0..workers).map(|_| Vec::new()).collect();
-        for item in items {
-            let KeyedRequest { request, key } = item.request;
-            let worker = (key.fingerprint() % workers as u64) as usize;
-            groups[worker].push(Job {
-                key,
-                request,
-                trace: item.trace.map(|trace| {
-                    Box::new(TracedJob {
-                        trace: *trace,
-                        enqueued: Instant::now(),
-                    })
-                }),
-                cancel: item.cancel,
-                reply: item.reply,
-            });
-        }
-        let mut enqueued = 0;
-        for (worker, group) in groups.into_iter().enumerate() {
-            if group.is_empty() {
-                continue;
-            }
-            let n = group.len();
-            self.telemetry.submitted.add(n as u64);
-            self.telemetry.queued[worker].add(n as i64);
-            match self.senders[worker].send(group) {
-                Ok(()) => enqueued += n,
-                Err(mpsc::SendError(jobs)) => {
-                    // The group never reached the worker: roll the counters
-                    // back so the gauges cannot drift on a dying pool, and
-                    // answer each job so the caller's accounting settles.
-                    self.telemetry.queued[worker].sub(n as i64);
-                    self.telemetry.submitted.sub(n as u64);
-                    for job in jobs {
-                        (job.reply)(Err(RuntimeError::WorkerLost));
-                    }
-                }
-            }
-        }
-        enqueued
-    }
-
-    /// Answers `request` from the result cache on the calling thread when
-    /// it is cached.  `None` leaves it to
-    /// [`EvalService::submit_detached_batch`], which reuses its key.
+    /// Answers `request` on the calling thread, with no worker involved.
     ///
     /// A hit returns the caller's encoding of the report: `encode` makes
     /// it from the report and the worker the key routes to
-    /// (`fingerprint % workers`) on the entry's first inline hit, and the
+    /// (`fingerprint % workers`) on the entry's first hit here, and the
     /// entry keeps it for every later one while the cache's memo budget
     /// lasts (past it, a hit on an entry without one is encoded afresh).
-    /// The hit counts exactly as that worker serving it would: one cache
-    /// hit, one `per_worker` request, and `submitted` before `completed`,
-    /// which [`EvalService::stats`]'s ordered read needs.  The probe never
-    /// counts a miss; the worker that serves a miss counts its own lookup.
-    /// A shut-down pool answers nothing here, so the request meets
-    /// `WorkerLost` on the normal path.
+    /// A miss is prepared, evaluated and cached here, with the code a
+    /// worker runs; a panic in it is answered with
+    /// [`RuntimeError::Panicked`] and counted in
+    /// `runtime_worker_panics_total`, and the calling thread lives on.
     ///
-    /// `trace` is a sampled request's timeline and its phase cursor: a hit
-    /// records its `cache_lookup` span from the cursor to the end of the
-    /// probe, moves the cursor there, and feeds
-    /// `runtime_cache_lookup_ns{outcome="hit"}`.  A first hit's `encode`
-    /// runs after that, so the caller's next span carries it.  A miss
-    /// records nothing.
-    pub fn answer_cached(
+    /// Either counts exactly as the worker the key routes to would: one
+    /// cache hit or miss, one `per_worker` request, and `submitted` before
+    /// `completed`, which [`EvalService::stats`]'s ordered read needs.
+    ///
+    /// `trace` is a sampled request's timeline and its phase cursor.  Each
+    /// span runs from the cursor to its own end, where it moves the cursor:
+    /// `cache_lookup` (feeding `runtime_cache_lookup_ns`), then on a miss
+    /// `prepare` (CrossLight only) and `evaluate`, which covers the cache
+    /// insert.  A first hit's `encode` runs after them, so the caller's
+    /// next span carries it.
+    ///
+    /// # Errors
+    ///
+    /// The request's evaluation error, or [`RuntimeError::Panicked`].
+    pub fn answer(
         &self,
         request: &KeyedRequest,
-        trace: Option<(&mut RequestTrace, &mut Instant)>,
+        mut trace: Option<(&mut RequestTrace, &mut Instant)>,
         encode: impl FnOnce(&SimulationReport, usize) -> Arc<String>,
-    ) -> Option<Arc<String>> {
-        let workers = self.senders.len();
-        if workers == 0 {
-            return None;
-        }
-        let cached = self.cache.get_inline(&request.key)?;
-        if let Some((trace, cursor)) = trace {
-            let end = Instant::now();
-            self.telemetry
-                .cache_lookup_hit_ns
-                .record(end.saturating_duration_since(*cursor).as_nanos() as u64);
-            trace.record(Phase::CacheLookup, *cursor, end);
-            *cursor = end;
-        }
-        let worker = (request.key.fingerprint() % workers as u64) as usize;
-        let encoded = match cached {
-            Cached::Encoded(encoded) => encoded,
-            Cached::Report(report) => {
+    ) -> Result<Answer> {
+        let telemetry = &*self.telemetry;
+        let cached = self.cache.get_inline(&request.key);
+        let lookup_ns = match cached {
+            Some(_) => &telemetry.cache_lookup_hit_ns,
+            None => &telemetry.cache_lookup_miss_ns,
+        };
+        close_span(&mut trace, Phase::CacheLookup, lookup_ns);
+        telemetry.submitted.inc();
+        let worker = (request.key.fingerprint() % self.workers() as u64) as usize;
+        let answer = match cached {
+            Some(Cached::Encoded(encoded)) => Ok(Answer::Hit(encoded)),
+            Some(Cached::Report(report)) => {
                 let encoded = encode(&report, worker);
                 self.cache.memoize(&request.key, &encoded);
-                encoded
+                Ok(Answer::Hit(encoded))
             }
+            None => evaluate_miss(
+                &request.request,
+                &request.key,
+                &self.cache,
+                &self.model_cache,
+                telemetry,
+                trace,
+            )
+            .map(|report| {
+                Answer::Miss(EvalResponse {
+                    id: request.request.id,
+                    report,
+                    cache_hit: false,
+                    worker,
+                })
+            }),
         };
-        let telemetry = &self.telemetry;
-        telemetry.submitted.inc();
         telemetry.per_worker[worker].inc();
         telemetry.completed.inc();
-        Some(encoded)
+        answer
     }
 
     /// Snapshot of the service counters.
@@ -687,140 +589,110 @@ fn worker_loop(
     telemetry: &Telemetry,
 ) {
     while let Ok(group) = jobs.recv() {
-        for job in group {
-            run_job(worker, job, cache, models, telemetry);
+        for Job {
+            index,
+            key,
+            request,
+            reply,
+        } in group
+        {
+            telemetry.queued[worker].sub(1);
+            let outcome = match cache.get(&key) {
+                Some(report) => Ok((report, true)),
+                None => evaluate_miss(&request, &key, cache, models, telemetry, None)
+                    .map(|report| (report, false)),
+            };
+            telemetry.per_worker[worker].inc();
+            telemetry.completed.inc();
+            // A send error means the batch's collector already returned on
+            // an earlier error.
+            let _ = reply.send((
+                index,
+                outcome.map(|(report, cache_hit)| EvalResponse {
+                    id: request.id,
+                    report,
+                    cache_hit,
+                    worker,
+                }),
+            ));
         }
     }
 }
 
-fn run_job(
-    worker: usize,
-    mut job: Job,
-    cache: &ShardedCache,
-    models: &ModelCache,
-    telemetry: &Telemetry,
+/// Ends a traced request's next span: `phase` from the cursor to now, fed
+/// to `histogram`, with the cursor moved to its end.  Untraced requests
+/// never read the clock.
+fn close_span(
+    trace: &mut Option<(&mut RequestTrace, &mut Instant)>,
+    phase: Phase,
+    histogram: &Histogram,
 ) {
-    telemetry.queued[worker].sub(1);
-    // Cancellation is checked exactly once, at pickup: queued work for
-    // a peer that already vanished is skipped without touching the
-    // simulator, and the (cheap) answer still flows through the job's
-    // reply so completion accounting stays exact.
-    if job.cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
-        telemetry.cancelled.inc();
-        telemetry.per_worker[worker].inc();
-        telemetry.completed.inc();
-        (job.reply)(Err(RuntimeError::Cancelled));
-        return;
+    if let Some((trace, cursor)) = trace {
+        let end = Instant::now();
+        histogram.record(end.saturating_duration_since(**cursor).as_nanos() as u64);
+        trace.record(phase, **cursor, end);
+        **cursor = end;
     }
-    // Untraced jobs never read the clock: the trace check is the only
-    // per-job overhead on the hot path.
-    let picked_up = job.trace.as_ref().map(|_| Instant::now());
-    if let (Some(traced), Some(now)) = (job.trace.as_mut(), picked_up) {
-        telemetry
-            .queue_wait_ns
-            .record(now.saturating_duration_since(traced.enqueued).as_nanos() as u64);
-        traced.trace.record(Phase::Queue, traced.enqueued, now);
-    }
-    let outcome = serve(worker, &mut job, cache, models, telemetry);
-    if let Some(picked_up) = picked_up {
-        telemetry.worker_busy_ns[worker].add(picked_up.elapsed().as_nanos() as u64);
-    }
-    telemetry.per_worker[worker].inc();
-    telemetry.completed.inc();
-    (job.reply)(outcome);
 }
 
-/// Moves the finished trace out of the job and into the response.
-fn take_trace(job: &mut Job) -> Option<Box<RequestTrace>> {
-    job.trace.take().map(|traced| Box::new(traced.trace))
-}
-
-fn serve(
-    worker: usize,
-    job: &mut Job,
+/// The work of a result-cache miss, on a worker or on the caller's thread:
+/// prepares and evaluates the request and caches its report.  It runs under
+/// `catch_unwind`, and no lock is held across simulator code, so a panic
+/// poisons nothing: it is counted and answered with
+/// [`RuntimeError::Panicked`].  `trace` gets the spans
+/// [`EvalService::answer`] documents.
+fn evaluate_miss(
+    request: &EvalRequest,
+    key: &CacheKey,
     cache: &ShardedCache,
     models: &ModelCache,
     telemetry: &Telemetry,
-) -> Result<EvalResponse> {
-    let lookup_start = job.trace.as_ref().map(|_| Instant::now());
-    let cached = cache.get(&job.key);
-    if let Some(start) = lookup_start {
-        let end = Instant::now();
-        let lookup_ns = end.saturating_duration_since(start).as_nanos() as u64;
-        if cached.is_some() {
-            telemetry.cache_lookup_hit_ns.record(lookup_ns);
-        } else {
-            telemetry.cache_lookup_miss_ns.record(lookup_ns);
-        }
-        if let Some(traced) = job.trace.as_mut() {
-            traced.trace.record(Phase::CacheLookup, start, end);
-        }
-    }
-    if let Some(report) = cached {
-        return Ok(EvalResponse {
-            id: job.request.id,
-            report,
-            cache_hit: true,
-            worker,
-            trace: take_trace(job),
-        });
-    }
-    let report = match job.request.arch {
-        // The pool-wide ModelCache shares the workload-independent breakdowns
-        // (and their sub-config unit reports) across all workers, so only the
-        // per-workload inference metrics remain per-request work.
-        ArchSpec::CrossLight(config) => {
-            let prepare_start = job.trace.as_ref().map(|_| Instant::now());
-            let prepared = CrossLightSimulator::new(config).prepare_with(models)?;
-            let evaluate_start = prepare_start.map(|start| {
-                let end = Instant::now();
-                telemetry
-                    .prepare_ns
-                    .record(end.saturating_duration_since(start).as_nanos() as u64);
-                if let Some(traced) = job.trace.as_mut() {
-                    traced.trace.record(Phase::Prepare, start, end);
-                }
-                end
-            });
-            let report = prepared.evaluate(&job.request.workload)?;
-            if let Some(start) = evaluate_start {
-                let end = Instant::now();
-                telemetry
-                    .evaluate_ns
-                    .record(end.saturating_duration_since(start).as_nanos() as u64);
-                if let Some(traced) = job.trace.as_mut() {
-                    traced.trace.record(Phase::Evaluate, start, end);
-                }
+    mut trace: Option<(&mut RequestTrace, &mut Instant)>,
+) -> Result<SimulationReport> {
+    let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| -> Result<SimulationReport> {
+        panic_if_armed();
+        let report = match request.arch {
+            // The pool-wide ModelCache shares the workload-independent
+            // breakdowns (and their sub-config unit reports) across every
+            // caller, so only the per-workload inference metrics remain
+            // per-request work.
+            ArchSpec::CrossLight(config) => {
+                let prepared = CrossLightSimulator::new(config).prepare_with(models)?;
+                close_span(&mut trace, Phase::Prepare, &telemetry.prepare_ns);
+                prepared.evaluate(&request.workload)?
             }
-            report
-        }
-        // The zoo backends are closed-form analytical models; their
-        // workload-independent parts are cheap enough that the result cache
-        // alone carries the memoization.
-        spec => {
-            let evaluate_start = job.trace.as_ref().map(|_| Instant::now());
-            let report = spec.simulate(&job.request.workload)?;
-            if let Some(start) = evaluate_start {
-                let end = Instant::now();
-                telemetry
-                    .evaluate_ns
-                    .record(end.saturating_duration_since(start).as_nanos() as u64);
-                if let Some(traced) = job.trace.as_mut() {
-                    traced.trace.record(Phase::Evaluate, start, end);
-                }
-            }
-            report
-        }
-    };
-    cache.insert(job.key.clone(), report);
-    Ok(EvalResponse {
-        id: job.request.id,
-        report,
-        cache_hit: false,
-        worker,
-        trace: take_trace(job),
+            // The zoo backends are closed-form analytical models; their
+            // workload-independent parts are cheap enough that the result
+            // cache alone carries the memoization.
+            spec => spec.simulate(&request.workload)?,
+        };
+        cache.insert(key.clone(), report);
+        close_span(&mut trace, Phase::Evaluate, &telemetry.evaluate_ns);
+        Ok(report)
+    }));
+    outcome.unwrap_or_else(|payload| {
+        telemetry.panics.inc();
+        Err(RuntimeError::Panicked(panic_message(payload.as_ref())))
     })
 }
+
+/// The text a panic was raised with (empty when it carries none).
+fn panic_message(payload: &(dyn Any + Send)) -> String {
+    match payload.downcast_ref::<&str>() {
+        Some(text) => (*text).to_string(),
+        None => payload
+            .downcast_ref::<String>()
+            .cloned()
+            .unwrap_or_default(),
+    }
+}
+
+/// The containment test's fault hook: a no-op outside the unit tests.
+#[cfg(not(test))]
+fn panic_if_armed() {}
+
+#[cfg(test)]
+use tests::panic_if_armed;
 
 #[cfg(test)]
 mod tests {
@@ -829,6 +701,19 @@ mod tests {
     use crosslight_core::variants::CrossLightVariant;
     use crosslight_neural::workload::NetworkWorkload;
     use crosslight_neural::zoo::PaperModel;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Makes the next miss evaluated on this thread panic.
+        static PANIC_NEXT_MISS: Cell<bool> = const { Cell::new(false) };
+    }
+
+    /// Panics when [`PANIC_NEXT_MISS`] is armed on this thread.
+    pub(super) fn panic_if_armed() {
+        if PANIC_NEXT_MISS.take() {
+            panic!("forced");
+        }
+    }
 
     fn paper_requests() -> Vec<EvalRequest> {
         let mut requests = Vec::new();
@@ -934,158 +819,94 @@ mod tests {
         assert!(service.model_cache().stats().hits > 0);
     }
 
-    /// A batch item whose reply sends `(tag, outcome)` on `tx`.
-    fn tagged(
-        tag: u64,
-        request: EvalRequest,
-        tx: &Sender<(u64, Result<EvalResponse>)>,
-    ) -> BatchItem {
-        let tx = tx.clone();
-        BatchItem {
-            request: request.into(),
-            trace: None,
-            cancel: None,
-            reply: Box::new(move |outcome| {
-                let _ = tx.send((tag, outcome));
-            }),
-        }
-    }
-
     #[test]
-    fn one_item_detached_submissions_match_serial_and_settle_queue_gauges() {
+    fn one_item_batches_match_serial_and_settle_queue_gauges() {
         let service = EvalService::new(RuntimeOptions::default().with_workers(3));
-        let requests = paper_requests();
-        let serial: Vec<_> = requests
-            .iter()
-            .map(|r| {
-                CrossLightSimulator::new(r.config().unwrap())
-                    .evaluate(&r.workload)
-                    .unwrap()
-            })
-            .collect();
-        let (reply_tx, reply_rx) = mpsc::channel();
-        for (i, request) in requests.into_iter().enumerate() {
-            let item = tagged(1_000 + i as u64, request, &reply_tx);
-            assert_eq!(service.submit_detached_batch(vec![item]), 1);
+        for request in paper_requests() {
+            let serial = CrossLightSimulator::new(request.config().unwrap())
+                .evaluate(&request.workload)
+                .unwrap();
+            assert_eq!(service.submit(request).unwrap().report, serial);
         }
-        drop(reply_tx);
-        let mut answered = 0;
-        while let Ok((tag, outcome)) = reply_rx.recv() {
-            let index = (tag - 1_000) as usize;
-            assert_eq!(outcome.unwrap().report, serial[index]);
-            answered += 1;
-        }
-        assert_eq!(answered, serial.len());
         let stats = service.stats();
         assert_eq!(stats.submitted, 16);
         assert_eq!(stats.completed, 16);
         assert_eq!(stats.in_flight(), 0);
-        // Once every reply has been received, no job is waiting anywhere.
+        // Once every answer has been received, no job is waiting anywhere.
         assert_eq!(stats.queue_depths.len(), 3);
         assert!(stats.queue_depths.iter().all(|&d| d == 0));
     }
 
     #[test]
-    fn detached_batches_match_serial_and_carry_their_traces() {
-        let requests = paper_requests();
-        let serial: Vec<_> = requests
-            .iter()
-            .map(|r| {
-                CrossLightSimulator::new(r.config().unwrap())
-                    .evaluate(&r.workload)
-                    .unwrap()
-            })
-            .collect();
-        for workers in [1, 3] {
-            let service = EvalService::new(RuntimeOptions::default().with_workers(workers));
-            let (reply_tx, reply_rx) = mpsc::channel();
-            let items: Vec<BatchItem> = requests
-                .iter()
-                .cloned()
-                .enumerate()
-                .map(|(i, request)| BatchItem {
-                    trace: Some(Box::new(RequestTrace::new(i as u64))),
-                    cancel: Some(CancelToken::new()),
-                    ..tagged(i as u64, request, &reply_tx)
-                })
-                .collect();
-            let enqueued = service.submit_detached_batch(items);
-            assert_eq!(enqueued, requests.len());
-            drop(reply_tx);
-            let mut answered: Vec<Option<EvalResponse>> = vec![None; requests.len()];
-            while let Ok((tag, outcome)) = reply_rx.recv() {
-                let previous = answered[tag as usize].replace(outcome.unwrap());
-                assert!(previous.is_none(), "tag {tag} answered twice");
-            }
-            for (response, expected) in answered.iter().zip(&serial) {
-                let response = response.as_ref().expect("every tag answered");
-                assert_eq!(response.report, *expected);
-                // The worker closed the queue-wait span on the carried trace.
-                let trace = response.trace.as_ref().expect("trace travels with job");
-                assert!(trace.phase_ns(Phase::Queue).is_some());
-            }
-            let stats = service.stats();
-            assert_eq!(stats.submitted, 16);
-            assert_eq!(stats.completed, 16);
-            assert!(stats.queue_depths.iter().all(|&d| d == 0));
-            service.shutdown();
-        }
-    }
-
-    #[test]
-    fn a_shut_down_pool_answers_every_item_with_worker_lost() {
+    fn a_shut_down_pool_answers_every_batch_with_worker_lost() {
         let mut service = EvalService::new(RuntimeOptions::default().with_workers(2));
         service.shutdown_in_place();
-        let workload =
-            Arc::new(NetworkWorkload::from_spec(&PaperModel::Lenet5SignMnist.spec()).unwrap());
-        let request = EvalRequest::new(CrossLightConfig::paper_best(), workload);
-        let (reply_tx, reply_rx) = mpsc::channel();
-        let items: Vec<BatchItem> = (0..3)
-            .map(|tag| tagged(tag, request.clone(), &reply_tx))
-            .collect();
-        let enqueued = service.submit_detached_batch(items);
-        assert_eq!(enqueued, 0);
-        drop(reply_tx);
-        let mut tags = Vec::new();
-        while let Ok((tag, outcome)) = reply_rx.recv() {
-            assert_eq!(outcome, Err(RuntimeError::WorkerLost));
-            tags.push(tag);
-        }
-        tags.sort_unstable();
-        assert_eq!(tags, [0, 1, 2]);
-        // The collectors over the same path report the loss as an error.
+        let request = paper_requests().remove(0);
+        assert_eq!(
+            service.submit_batch(vec![request.clone(); 3]),
+            Err(RuntimeError::WorkerLost)
+        );
         assert_eq!(service.submit(request), Err(RuntimeError::WorkerLost));
         let stats = service.stats();
         assert_eq!(stats.submitted, 0);
         assert!(stats.queue_depths.iter().all(|&d| d == 0));
     }
 
-    #[test]
-    fn inline_hits_count_like_worker_hits_and_probes_count_no_miss() {
-        const WORKERS: u64 = 3;
-        let service = EvalService::new(RuntimeOptions::default().with_workers(WORKERS as usize));
-        let requests = paper_requests();
-        let keyed: Vec<KeyedRequest> = requests.iter().cloned().map(KeyedRequest::from).collect();
-        for request in &keyed {
-            assert!(service
-                .answer_cached(request, None, |_, _| unreachable!())
-                .is_none());
+    /// The phases of a trace that started at `origin`, checked to tile its
+    /// timeline up to `cursor`: each span starts where the previous one
+    /// ended.
+    fn tiled_phases(trace: &RequestTrace, origin: Instant, cursor: Instant) -> Vec<Phase> {
+        let mut end = 0;
+        for span in trace.spans() {
+            assert_eq!(span.start_ns, end, "{:?} leaves a gap", span.phase);
+            end = span.end_ns;
         }
-        let cold = service.stats();
-        assert_eq!(
-            (cold.submitted, cold.cache_hits, cold.cache_misses),
-            (0, 0, 0)
-        );
+        assert_eq!(end, cursor.duration_since(origin).as_nanos() as u64);
+        trace.spans().iter().map(|span| span.phase).collect()
+    }
 
-        let reports = service.submit_batch(requests.clone()).unwrap();
+    #[test]
+    fn answers_count_and_trace_like_the_pool() {
+        const WORKERS: u64 = 3;
+        let options = RuntimeOptions::default().with_workers(WORKERS as usize);
+        let service = EvalService::new(options);
+        let requests = paper_requests();
+        let pool = EvalService::new(options)
+            .submit_batch(requests.clone())
+            .unwrap();
+        let keyed: Vec<KeyedRequest> = requests.iter().cloned().map(KeyedRequest::from).collect();
+
+        // First pass: every answer is a miss evaluated on this thread, the
+        // pool's response exactly.
+        for (request, expected) in keyed.iter().zip(&pool) {
+            let origin = Instant::now();
+            let mut trace = RequestTrace::with_origin(0, origin);
+            let mut cursor = origin;
+            let answer = service
+                .answer(request, Some((&mut trace, &mut cursor)), |_, _| {
+                    unreachable!("a miss encodes nothing")
+                })
+                .unwrap();
+            let Answer::Miss(response) = answer else {
+                panic!("a cold key misses: {answer:?}");
+            };
+            assert_eq!(response, *expected);
+            assert_eq!(
+                tiled_phases(&trace, origin, cursor),
+                [Phase::CacheLookup, Phase::Prepare, Phase::Evaluate]
+            );
+        }
+
+        // Then hits: one encoding per entry, on its first hit.
         let mut encodings = 0;
         for _ in 0..2 {
-            for (request, response) in keyed.iter().zip(&reports) {
-                let mut trace = RequestTrace::new(0);
-                let mut cursor = Instant::now();
+            for (request, response) in keyed.iter().zip(&pool) {
+                let origin = Instant::now();
+                let mut trace = RequestTrace::with_origin(0, origin);
+                let mut cursor = origin;
                 let mut encoded_at = None;
-                let encoded = service
-                    .answer_cached(
+                let answer = service
+                    .answer(
                         request,
                         Some((&mut trace, &mut cursor)),
                         |report, worker| {
@@ -1094,7 +915,10 @@ mod tests {
                             Arc::new(format!("{worker}/{}", report.metrics.fps))
                         },
                     )
-                    .expect("a warm key hits");
+                    .unwrap();
+                let Answer::Hit(encoded) = answer else {
+                    panic!("a warm key hits: {answer:?}");
+                };
                 // The cursor ends the `cache_lookup` span; a first hit's
                 // encoding comes after it.
                 assert!(encoded_at.is_none_or(|at| at >= cursor));
@@ -1104,8 +928,7 @@ mod tests {
                     *encoded,
                     format!("{worker}/{}", response.report.metrics.fps)
                 );
-                assert_eq!(trace.spans().len(), 1);
-                assert_eq!(trace.spans()[0].phase, Phase::CacheLookup);
+                assert_eq!(tiled_phases(&trace, origin, cursor), [Phase::CacheLookup]);
             }
         }
         assert_eq!(encodings, 16, "one encoding per entry");
@@ -1118,34 +941,67 @@ mod tests {
             per_worker[(request.key.fingerprint() % WORKERS) as usize] += 3;
         }
         assert_eq!(stats.per_worker, per_worker);
-        // The first `runtime_cache_lookup_ns` series is `outcome="hit"`.
-        match service
-            .telemetry_snapshot()
-            .value("runtime_cache_lookup_ns")
-        {
-            Some(crosslight_telemetry::SeriesValue::Histogram(hits)) => {
-                assert_eq!(hits.count(), 32)
-            }
-            other => panic!("unexpected {other:?}"),
-        }
+        assert!(stats.queue_depths.iter().all(|&d| d == 0));
+
+        let snapshot = service.telemetry_snapshot();
+        let histogram_count = |name: &str| match snapshot.value(name) {
+            Some(crosslight_telemetry::SeriesValue::Histogram(h)) => h.count(),
+            other => panic!("{name}: unexpected {other:?}"),
+        };
+        assert_eq!(histogram_count("runtime_prepare_ns"), 16);
+        assert_eq!(histogram_count("runtime_evaluate_ns"), 16);
+        assert_eq!(histogram_count("runtime_queue_wait_ns"), 0);
+        // The hit/miss lookup split matches the cache counters.
+        let lookups = snapshot.family("runtime_cache_lookup_ns").unwrap();
+        let by_outcome: Vec<(String, u64)> = lookups
+            .series
+            .iter()
+            .map(|s| match &s.value {
+                crosslight_telemetry::SeriesValue::Histogram(h) => {
+                    (s.labels[0].1.clone(), h.count())
+                }
+                other => panic!("unexpected {other:?}"),
+            })
+            .collect();
+        assert_eq!(by_outcome, [("hit".into(), 32), ("miss".into(), 16)]);
     }
 
     #[test]
-    fn a_shut_down_pool_serves_no_inline_hit() {
-        let mut service = EvalService::new(RuntimeOptions::default().with_workers(2));
-        let request = paper_requests().remove(0);
-        service.submit(request.clone()).unwrap();
-        service.shutdown_in_place();
-        let keyed = KeyedRequest::from(request.clone());
-        assert!(service
-            .answer_cached(&keyed, None, |_, _| unreachable!())
-            .is_none());
-        let (reply_tx, reply_rx) = mpsc::channel();
-        service.submit_detached_batch(vec![tagged(0, request, &reply_tx)]);
-        drop(reply_tx);
-        assert_eq!(reply_rx.recv().unwrap().1, Err(RuntimeError::WorkerLost));
+    fn a_panicking_miss_is_an_evaluation_error_and_the_thread_lives_on() {
+        let service = EvalService::new(RuntimeOptions::default().with_workers(2));
+        let request = KeyedRequest::from(paper_requests().remove(0));
+        PANIC_NEXT_MISS.set(true);
+        let outcome = service.answer(&request, None, |_, _| unreachable!());
+        assert!(
+            matches!(&outcome, Err(RuntimeError::Panicked(message)) if message == "forced"),
+            "{outcome:?}"
+        );
+        let panics = || match service
+            .telemetry_snapshot()
+            .value("runtime_worker_panics_total")
+        {
+            Some(crosslight_telemetry::SeriesValue::Counter(n)) => *n,
+            other => panic!("unexpected {other:?}"),
+        };
+        assert_eq!(panics(), 1);
         let stats = service.stats();
-        assert_eq!((stats.submitted, stats.cache_hits), (1, 0));
+        assert_eq!((stats.submitted, stats.completed), (1, 1));
+        assert_eq!(stats.cached_entries, 0, "a panicked miss caches nothing");
+
+        // The next call on this thread evaluates the same key.
+        let Answer::Miss(response) = service
+            .answer(&request, None, |_, _| unreachable!())
+            .unwrap()
+        else {
+            panic!("the key is still cold");
+        };
+        let serial = CrossLightSimulator::new(request.request.config().unwrap())
+            .evaluate(&request.request.workload)
+            .unwrap();
+        assert_eq!(response.report, serial);
+        assert_eq!(panics(), 1);
+        let stats = service.stats();
+        assert_eq!((stats.submitted, stats.completed), (2, 2));
     }
 
     #[test]
@@ -1173,69 +1029,6 @@ mod tests {
             assert!(again.iter().all(|r| r.cache_hit));
             service.shutdown();
         }
-    }
-
-    #[test]
-    fn sampled_traces_cover_the_worker_phases_and_feed_the_registry() {
-        let service = EvalService::new(RuntimeOptions::default().with_workers(2));
-        // One pass of the paper requests, each carrying a trace, answered
-        // in submission order.
-        let traced_pass = || -> Vec<EvalResponse> {
-            let (reply_tx, reply_rx) = mpsc::channel();
-            let items = (paper_requests().into_iter().enumerate())
-                .map(|(i, request)| BatchItem {
-                    trace: Some(Box::new(RequestTrace::new(i as u64))),
-                    ..tagged(i as u64, request, &reply_tx)
-                })
-                .collect();
-            service.submit_detached_batch(items);
-            drop(reply_tx);
-            let mut answered: Vec<(u64, Result<EvalResponse>)> = reply_rx.iter().collect();
-            answered.sort_by_key(|(tag, _)| *tag);
-            answered.into_iter().map(|(_, r)| r.unwrap()).collect()
-        };
-        let first = traced_pass();
-        let second = traced_pass();
-        // Every response carries a trace; misses add prepare/evaluate spans.
-        for response in first.iter().chain(&second) {
-            let trace = response.trace.as_ref().expect("every item carried one");
-            assert!(trace.phase_ns(Phase::Queue).is_some());
-            assert!(trace.phase_ns(Phase::CacheLookup).is_some());
-            assert_eq!(
-                trace.phase_ns(Phase::Evaluate).is_some(),
-                !response.cache_hit
-            );
-        }
-        let snapshot = service.telemetry_snapshot();
-        let histogram_count = |name: &str| match snapshot.value(name) {
-            Some(crosslight_telemetry::SeriesValue::Histogram(h)) => h.count(),
-            other => panic!("{name}: unexpected {other:?}"),
-        };
-        assert_eq!(histogram_count("runtime_queue_wait_ns"), 32);
-        assert_eq!(histogram_count("runtime_evaluate_ns"), 16);
-        assert_eq!(histogram_count("runtime_prepare_ns"), 16);
-        // The hit/miss lookup split matches the cache counters.
-        let lookups = snapshot.family("runtime_cache_lookup_ns").unwrap();
-        let by_outcome: Vec<(String, u64)> = lookups
-            .series
-            .iter()
-            .map(|s| match &s.value {
-                crosslight_telemetry::SeriesValue::Histogram(h) => {
-                    (s.labels[0].1.clone(), h.count())
-                }
-                other => panic!("unexpected {other:?}"),
-            })
-            .collect();
-        assert_eq!(by_outcome, [("hit".into(), 16), ("miss".into(), 16)]);
-        match snapshot.value("runtime_result_cache_hits_total") {
-            Some(crosslight_telemetry::SeriesValue::Counter(16)) => {}
-            other => panic!("unexpected {other:?}"),
-        }
-        // Traced and untraced results are the same reports.
-        let untraced = EvalService::new(RuntimeOptions::default().with_workers(2));
-        let plain = untraced.submit_batch(paper_requests()).unwrap();
-        assert_eq!(first, plain);
-        assert!(plain.iter().all(|r| r.trace.is_none()));
     }
 
     #[test]
@@ -1270,66 +1063,6 @@ mod tests {
         }
         stop.store(true, std::sync::atomic::Ordering::Relaxed);
         submitter.join().unwrap();
-    }
-
-    #[test]
-    fn cancelled_tokens_skip_queued_jobs_and_keep_accounting_exact() {
-        let service = EvalService::new(RuntimeOptions::default().with_workers(1));
-        let workload =
-            Arc::new(NetworkWorkload::from_spec(&PaperModel::Lenet5SignMnist.spec()).unwrap());
-        let request = EvalRequest::new(CrossLightConfig::paper_best(), Arc::clone(&workload));
-        let (reply_tx, reply_rx) = mpsc::channel();
-
-        // A pre-cancelled token: every job carrying it is answered with
-        // Cancelled, never evaluated.
-        let cancelled = CancelToken::new();
-        cancelled.cancel();
-        assert!(cancelled.is_cancelled());
-        let mut items: Vec<BatchItem> = (0..4)
-            .map(|tag| BatchItem {
-                cancel: Some(cancelled.clone()),
-                ..tagged(tag, request.clone(), &reply_tx)
-            })
-            .collect();
-        // A live token evaluates normally.
-        let live = CancelToken::new();
-        items.push(BatchItem {
-            cancel: Some(live.clone()),
-            ..tagged(99, request.clone(), &reply_tx)
-        });
-        assert_eq!(service.submit_detached_batch(items), 5);
-        drop(reply_tx);
-
-        let mut cancelled_seen = 0;
-        let mut ok_seen = 0;
-        while let Ok((tag, outcome)) = reply_rx.recv() {
-            match outcome {
-                Err(RuntimeError::Cancelled) => {
-                    assert!(tag < 4);
-                    cancelled_seen += 1;
-                }
-                Ok(response) => {
-                    assert_eq!(tag, 99);
-                    assert_eq!(
-                        response.report,
-                        CrossLightSimulator::new(CrossLightConfig::paper_best())
-                            .evaluate(&workload)
-                            .unwrap()
-                    );
-                    ok_seen += 1;
-                }
-                Err(other) => panic!("unexpected error {other}"),
-            }
-        }
-        assert_eq!((cancelled_seen, ok_seen), (4, 1));
-        assert!(!live.is_cancelled());
-        let stats = service.stats();
-        // Cancelled jobs still count as completed, so in_flight settles.
-        assert_eq!(stats.submitted, 5);
-        assert_eq!(stats.completed, 5);
-        assert_eq!(stats.in_flight(), 0);
-        // Nothing cancelled ever touched the caches.
-        assert_eq!(stats.cache_misses, 1);
     }
 
     #[test]

@@ -16,7 +16,6 @@ use crosslight_baselines::ArchSpec;
 use crosslight_core::config::CrossLightConfig;
 use crosslight_core::simulator::SimulationReport;
 use crosslight_neural::workload::NetworkWorkload;
-use crosslight_telemetry::RequestTrace;
 
 use crate::cache::CacheKey;
 
@@ -72,9 +71,9 @@ impl EvalRequest {
 }
 
 /// An [`EvalRequest`] with its cache key, hashed once by `From`.  This is
-/// what `EvalService::answer_cached` probes and what a `BatchItem` carries,
-/// so a probed request that misses is not hashed again on its way to a
-/// worker.  The key is private: it always belongs to the request beside it.
+/// what `EvalService::answer` takes, so a caller that hashed a request to
+/// route it does not hash it again.  The key is private: it always belongs
+/// to the request beside it.
 #[derive(Debug, Clone)]
 pub struct KeyedRequest {
     pub(crate) request: EvalRequest,
@@ -89,7 +88,7 @@ impl From<EvalRequest> for KeyedRequest {
 }
 
 /// The service's answer to one [`EvalRequest`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EvalResponse {
     /// Correlation id copied from the request.
     pub id: u64,
@@ -99,24 +98,9 @@ pub struct EvalResponse {
     pub report: SimulationReport,
     /// Whether the report was served from the memoizing cache.
     pub cache_hit: bool,
-    /// Index of the worker that served the request.
+    /// Index of the worker that served the request, or that its key routes
+    /// to when it was answered off the pool.
     pub worker: usize,
-    /// The sampled phase timeline, present only when the request carried a
-    /// trace (see `BatchItem::trace`).  Boxed so the untraced common case
-    /// pays one pointer of space.
-    pub trace: Option<Box<RequestTrace>>,
-}
-
-impl PartialEq for EvalResponse {
-    /// Traces are timing provenance, not part of the result: two responses
-    /// compare equal when the simulation outcome does, which keeps
-    /// "traced == untraced" equivalence assertions meaningful.
-    fn eq(&self, other: &Self) -> bool {
-        self.id == other.id
-            && self.report == other.report
-            && self.cache_hit == other.cache_hit
-            && self.worker == other.worker
-    }
 }
 
 #[cfg(test)]

@@ -29,10 +29,9 @@
 //! *Back-pressure:* reads pause while a connection is owed 1024 lines
 //! (queued plus in flight), so a client that stops reading caps both its
 //! memory and its work in flight.  A socket unwritable for 30 s
-//! (`WRITE_TIMEOUT`) tears the connection down.  Teardown cancels the
-//! connection's [`CancelToken`] and moves its queued lines from
-//! `<owner>_write_queue_depth` to `<owner>_write_dropped_total`, so the
-//! gauge always returns to zero.
+//! (`WRITE_TIMEOUT`) tears the connection down.  Teardown moves its queued
+//! lines from `<owner>_write_queue_depth` to `<owner>_write_dropped_total`,
+//! so the gauge always returns to zero.
 //!
 //! *Drain barrier:* work answered by another thread is bracketed by
 //! [`Conn::begin`] and [`Conn::finish`] (or [`Conn::answer`]).  A
@@ -50,7 +49,6 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crosslight_runtime::pool::CancelToken;
 use crosslight_telemetry::{Counter, Gauge, Phase, Registry, RequestTrace};
 
 use crate::poller::{fd_of, wake_pair, LineScanner, PollSet, ScanEvent, WakeReceiver, Waker};
@@ -99,7 +97,8 @@ pub trait Handler: Send + 'static {
     fn on_line(&mut self, conn: &Arc<Conn>, state: &mut Self::State, line: String) -> bool;
 
     /// Runs once at the end of every poll wake, after every ready
-    /// connection was serviced.
+    /// connection was read and before the lines those reads queued are
+    /// flushed.
     fn end_of_wake(&mut self) {}
 }
 
@@ -396,9 +395,6 @@ pub struct Conn {
     loop_id: usize,
     stream: TcpStream,
     write: Mutex<WriteState>,
-    /// Cancelled when the connection tears down, so work queued for it
-    /// elsewhere can be skipped.
-    cancel: CancelToken,
     /// Work handed to other threads and not yet answered — the graceful
     /// close barrier.
     in_flight: AtomicUsize,
@@ -425,17 +421,10 @@ impl Conn {
             loop_id,
             stream,
             write: Mutex::new(WriteState::default()),
-            cancel: CancelToken::new(),
             in_flight: AtomicUsize::new(0),
             read_paused: AtomicBool::new(false),
             draining: AtomicBool::new(false),
         }
-    }
-
-    /// The token cancelled when this connection tears down.
-    #[must_use]
-    pub(crate) fn cancel_token(&self) -> CancelToken {
-        self.cancel.clone()
     }
 
     /// Counts one piece of work answered later by another thread.
@@ -604,9 +593,8 @@ impl Conn {
         }
         if failed {
             // No answer can ever be delivered again: the unwritten lines
-            // (and their traces) are dropped, and queued work for this
-            // connection is pure waste.
-            self.close(true);
+            // (and their traces) are dropped.
+            self.close();
         }
         residual
     }
@@ -614,9 +602,8 @@ impl Conn {
     /// Marks the connection torn down and closes the socket, moving every
     /// queued line from the depth gauge to the dropped count — the
     /// complement of [`Conn::push_traced`]'s increment, which keeps the
-    /// gauge returning to zero.  `cancel` also cancels the work queued for
-    /// it (aborts do; graceful closes have nothing left).  Idempotent.
-    fn close(&self, cancel: bool) {
+    /// gauge returning to zero.  Idempotent.
+    fn close(&self) {
         {
             let mut state = self.write.lock().expect("write-state lock poisoned");
             let dropped = state.queue.len();
@@ -628,9 +615,6 @@ impl Conn {
             state.queue.clear();
             state.front_written = 0;
             state.closed = true;
-        }
-        if cancel {
-            self.cancel.cancel();
         }
         let _ = self.stream.shutdown(Shutdown::Both);
     }
@@ -694,7 +678,7 @@ fn event_loop<H: Handler>(
                 (state.queue.len(), state.closed, stalled)
             };
             if closed || stalled || (slot.read_closed && queued == 0 && in_flight == 0) {
-                slot.conn.close(stalled);
+                slot.conn.close();
                 telemetry.connections_active.sub(1);
                 telemetry.connections_drained.inc();
                 // The last slot moves here and is visited next.
@@ -730,7 +714,7 @@ fn event_loop<H: Handler>(
             let readiness = poll_set.readiness(poll_slot + 1);
             let slot = &mut slots[index];
             if readiness.error {
-                slot.conn.close(true);
+                slot.conn.close();
                 continue;
             }
             if readiness.writable {
@@ -738,12 +722,17 @@ fn event_loop<H: Handler>(
             }
             if readiness.readable {
                 service_read(slot, &mut handler, &mut scratch);
-                // Flush whatever the burst of inline answers queued
-                // before going back to sleep.
-                slot.conn.flush();
             }
         }
+        // The handler settles the wake before any answer it queued reaches
+        // a client; then the burst of answers is flushed before the loop
+        // goes back to sleep.
         handler.end_of_wake();
+        for (poll_slot, &index) in polled.iter().enumerate() {
+            if poll_set.readiness(poll_slot + 1).readable {
+                slots[index].conn.flush();
+            }
+        }
     }
 }
 
@@ -767,7 +756,7 @@ fn service_read<H: Handler>(slot: &mut Slot<H::State>, handler: &mut H, scratch:
             Ok(read) => read,
             Err(ref e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
             Err(ref e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(_) => return slot.conn.close(true),
+            Err(_) => return slot.conn.close(),
         };
         let Slot {
             conn,
@@ -846,7 +835,7 @@ mod tests {
         assert!(conn.push(r#"{"id":1}"#.to_string()));
         assert!(conn.push(r#"{"id":2}"#.to_string()));
         assert_eq!(telemetry.write_queue_depth.get(), 2);
-        conn.close(true);
+        conn.close();
         // Every queued line was subtracted from the gauge and counted
         // dropped — the teardown leak this regression test guards.
         assert_eq!(telemetry.write_queue_depth.get(), 0);
@@ -855,10 +844,8 @@ mod tests {
         assert!(!conn.push(r#"{"id":3}"#.to_string()));
         assert_eq!(telemetry.write_queue_depth.get(), 0);
         assert_eq!(telemetry.write_dropped.get(), 3);
-        // Queued work of the dead connection was cancelled.
-        assert!(conn.cancel.is_cancelled());
         // Closing twice is safe and counts nothing extra.
-        conn.close(true);
+        conn.close();
         assert_eq!(telemetry.write_dropped.get(), 3);
     }
 
@@ -879,7 +866,6 @@ mod tests {
         assert!(conn.write.lock().unwrap().closed);
         assert_eq!(telemetry.write_queue_depth.get(), 0);
         assert_eq!(telemetry.write_dropped.get(), 3);
-        assert!(conn.cancel.is_cancelled());
     }
 
     #[test]

@@ -26,11 +26,11 @@
 //!   fixed pool of event-loop threads multiplexing all connections, line
 //!   framing, bounded write queues with back-pressure, and the drain
 //!   barrier; the protocol plugs in as a [`Handler`].
-//! * [`server`] — the evaluation protocol on that front-end: each wake's
-//!   admitted evals go to the pool as one batch and one responder writes
-//!   the answers back; bounded admission with explicit `overloaded`
-//!   shedding, a `stats` endpoint exposing [`RuntimeStats`] plus queue
-//!   depths and shed counts, and graceful drain-on-shutdown.
+//! * [`server`] — the evaluation protocol on that front-end: every
+//!   admitted eval is answered on the event loop that read it, through
+//!   [`EvalService::answer`]; bounded admission with explicit
+//!   `overloaded` shedding, a `stats` endpoint exposing [`RuntimeStats`]
+//!   plus queue depths and shed counts, and graceful drain-on-shutdown.
 //! * [`loadgen`] — the reference [`Client`], a deterministic seeded
 //!   multi-connection load generator behind `examples/serve.rs`,
 //!   `bench_server` and the stress tests, and a poll-driven connection
@@ -40,6 +40,7 @@
 //! the protocol specification and an example transcript.
 //!
 //! [`EvalService`]: crosslight_runtime::EvalService
+//! [`EvalService::answer`]: crosslight_runtime::EvalService::answer
 //! [`RuntimeStats`]: crosslight_runtime::RuntimeStats
 //! [`ErrorKind`]: wire::ErrorKind
 //! [`Client`]: loadgen::Client

@@ -10,31 +10,26 @@
 //! per-op match answers `ping`, `stats`, `metrics`, snapshot and error
 //! frames inline and admits `eval`s.
 //!
-//! An admitted eval whose report is in the result cache is answered on the
-//! loop that decoded it ([`EvalService::answer_cached`]): the loop queues
-//! the id head plus the answer tail memoized on the cache entry, encoded
-//! on the entry's first inline hit, and releases the admission permit on
-//! the spot.  The answer reads `"cache_hit":true` and the `worker` the key
-//! routes to, so its bytes are exactly those of a hit the pool served.
-//!
-//! The other evals a loop admits during one poll wake go to the pool
-//! together, in [`EvalService::submit_detached_batch`] calls of at most
-//! 16: the wake is the batch window, so batching never waits for company.
-//! Each such eval's reply hands its outcome, with its connection, to one
-//! **responder** thread, which encodes it, queues it, flushes under the
-//! front-end's flush-then-wake rule, and releases the admission permit.  A
-//! process serving one [`Server`] therefore runs `3 + event_loops +
-//! workers` threads (main, acceptor, responder, the loops and the pool),
-//! however many thousand connections are open.
+//! The loop answers every admitted eval itself, through
+//! [`EvalService::answer`]: a hit queues the id head plus the answer tail
+//! memoized on the cache entry, encoded on the entry's first hit, and a
+//! miss is prepared, evaluated, cached and encoded on the spot.  Either
+//! answer reads the `worker` the key routes to, so its bytes are exactly
+//! those the pool would give, and a connection's answers come back in
+//! request order.  A process serving one [`Server`] therefore runs
+//! `2 + event_loops + workers` threads (main, acceptor, the loops and the
+//! pool, whose threads a server never uses), however many thousand
+//! connections are open.
 //!
 //! # Load shedding
 //!
 //! Admission is a server-wide counting semaphore of `queue_capacity`
-//! permits.  An `eval` frame that cannot take a permit is answered
-//! *immediately* with an `overloaded` error — the connection never blocks
-//! on evaluation and the server never buffers unbounded work.  Non-eval
-//! ops (`ping`, `stats`) bypass admission so health checks still work
-//! under overload.  The front-end bounds each connection's write queue
+//! permits.  An eval holds its permit from admission to the end of the
+//! poll wake that admitted it, so `queue_capacity` bounds the evals the
+//! loops run between two polls.  An `eval` frame that cannot take a permit
+//! is answered *immediately* with an `overloaded` error.  Non-eval ops
+//! (`ping`, `stats`) bypass admission so health checks still work under
+//! overload.  The front-end bounds each connection's write queue
 //! too: a client that stops reading has its reads paused, and a write
 //! stalled for 30 s tears the connection down.
 //!
@@ -42,25 +37,21 @@
 //!
 //! [`Server::shutdown`] stops the acceptor and half-closes every live
 //! connection's read side: the loops see EOF and stop accepting input,
-//! in-flight evaluations complete, the responder drains every completion,
-//! the loops flush and close each connection once nothing is in flight,
-//! and only then does the underlying [`EvalService`] shut down.  No
-//! admitted request is ever dropped.
+//! flush and close each connection once its answers are written, and only
+//! then does the underlying [`EvalService`] shut down.  No admitted
+//! request is ever dropped.
 
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Instant;
 
 use crosslight_core::simulator::SimulationReport;
 use crosslight_neural::workload::NetworkWorkload;
 use crosslight_neural::zoo::PaperModel;
 use crosslight_runtime::cache::CacheKey;
-use crosslight_runtime::pool::{BatchItem, EvalService, RuntimeOptions};
-use crosslight_runtime::request::{EvalResponse, KeyedRequest};
-use crosslight_runtime::RuntimeError;
+use crosslight_runtime::pool::{Answer, EvalService, RuntimeOptions};
+use crosslight_runtime::request::KeyedRequest;
 use crosslight_telemetry::{
     render_text, Counter, Gauge, Histogram, Phase, Registry, RegistrySnapshot, RequestTrace,
     SpanRing,
@@ -75,23 +66,28 @@ use crate::wire::{
 /// Tuning knobs of the server.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServerOptions {
-    /// Worker threads of the underlying [`EvalService`].
+    /// Workers of the underlying [`EvalService`]: the `worker` an answer
+    /// names is its key's fingerprint modulo this count, and `stats`
+    /// reports `per_worker` with this many entries.  The event loops answer
+    /// every eval themselves, so the pool's threads sit idle.
     pub workers: usize,
-    /// Maximum evals admitted concurrently; everything beyond is shed with
-    /// an `overloaded` error frame (clamped to at least 1).
+    /// Maximum evals the event loops admit between two polls (an eval holds
+    /// its permit until the end of the wake that admitted it); everything
+    /// beyond is shed with an `overloaded` error frame (clamped to at
+    /// least 1).
     pub queue_capacity: usize,
     /// Maximum accepted line length in bytes (clamped to at least 1 KiB).
     pub max_line_bytes: usize,
     /// Trace one request line in every `trace_sample_every` per event loop
     /// (each loop counts its own lines: its first, then every
     /// `trace_sample_every`-th) through the full phase pipeline (read →
-    /// decode → admission → queue → cache lookup → prepare → evaluate →
-    /// serialize → write queue → write); a sampled line that is not an eval
-    /// carries no trace.  `0` disables tracing entirely, `1` traces every
+    /// decode → admission → cache lookup → prepare → evaluate → serialize →
+    /// write queue → write); a sampled line that is not an eval carries no
+    /// trace.  `0` disables tracing entirely, `1` traces every
     /// eval, and the default is 16.
     pub trace_sample_every: u64,
     /// Event-loop threads multiplexing the connections and answering
-    /// cache hits (clamped to at least 1).  Connection count is unrelated:
+    /// every eval (clamped to at least 1).  Connection count is unrelated:
     /// each loop polls all of its sockets, so thousands of connections
     /// share a handful of threads.
     pub event_loops: usize,
@@ -138,7 +134,7 @@ impl ServerOptions {
 impl Default for ServerOptions {
     /// One worker per core (the runtime default), 256 admitted evals,
     /// 64 KiB lines, one line in 16 traced on each event loop, and one
-    /// event loop per core (at most 4), since the loops answer cache hits
+    /// event loop per core (at most 4), since the loops answer every eval
     /// themselves.
     fn default() -> Self {
         Self {
@@ -179,8 +175,10 @@ impl Admission {
         }
     }
 
-    fn release(&self) {
-        self.in_flight.fetch_sub(1, Ordering::AcqRel);
+    fn release(&self, permits: usize) {
+        if permits > 0 {
+            self.in_flight.fetch_sub(permits, Ordering::AcqRel);
+        }
     }
 }
 
@@ -196,14 +194,7 @@ struct ServerTelemetry {
     front: FrontendTelemetry,
     evals_ok: Counter,
     evals_failed: Counter,
-    /// Admitted evals skipped because their connection died first.
-    evals_cancelled: Counter,
     bytes_read: Counter,
-    /// Pool submissions: one per slice of at most 16 admitted evals that
-    /// missed the cache during one event-loop wake.
-    batches_total: Counter,
-    /// Admitted evals per pool submission.
-    batch_size: Histogram,
     /// Scrape-time mirrors of the admission semaphore.
     admission_in_flight: Gauge,
     admission_capacity: Gauge,
@@ -242,6 +233,14 @@ impl ServerTelemetry {
             )
             .expect("the server metric vocabulary has no duplicates");
         let front = FrontendTelemetry::register(&registry, "server");
+        registry.counter(
+            "server_batches_total",
+            "Pool submissions (always zero: the event loops answer every eval).",
+        );
+        registry.histogram(
+            "server_batch_size",
+            "Evals per pool submission (always empty: the event loops answer every eval).",
+        );
         registry
             .register_counter(
                 "server_bytes_written_total",
@@ -260,24 +259,13 @@ impl ServerTelemetry {
                 "server_evals_failed_total",
                 "Eval requests answered with an error frame.",
             ),
-            evals_cancelled: registry.counter(
-                "server_evals_cancelled_total",
-                "Admitted evals skipped because their connection died before \
-                 a worker picked them up.",
-            ),
             bytes_read: registry.counter(
                 "server_bytes_read_total",
                 "Bytes of accepted request lines, including newlines.",
             ),
-            batches_total: registry.counter(
-                "server_batches_total",
-                "Pool submissions, each of at most 16 evals one event-loop wake admitted that missed the cache.",
-            ),
-            batch_size: registry
-                .histogram("server_batch_size", "Admitted evals per pool submission."),
             admission_in_flight: registry.gauge(
                 "server_admission_in_flight",
-                "Admission permits currently held by in-flight evals.",
+                "Admission permits held by the evals of the current poll wakes.",
             ),
             admission_capacity: registry.gauge(
                 "server_admission_capacity",
@@ -352,15 +340,6 @@ impl ServerTelemetry {
             self.request_ns.record(ns);
         }
     }
-}
-
-/// One eval outcome on its way from the pool to the responder, with the
-/// connection its response line belongs to and the client's own request id
-/// to echo.
-struct Completion {
-    conn: Arc<Conn>,
-    client_id: u64,
-    outcome: Result<EvalResponse, RuntimeError>,
 }
 
 #[derive(Debug)]
@@ -566,12 +545,11 @@ enum RestoreSession {
 pub struct Server {
     shared: Arc<Shared>,
     frontend: Frontend,
-    responder: Option<JoinHandle<()>>,
 }
 
 impl Server {
-    /// Binds the listener and spawns the acceptor, event loops, responder,
-    /// and evaluation pool.
+    /// Binds the listener and spawns the acceptor, event loops and
+    /// evaluation pool.
     ///
     /// # Errors
     ///
@@ -609,34 +587,17 @@ impl Server {
             shutting_down: AtomicBool::new(false),
             workloads,
         });
-        let (completions_tx, completions_rx) = mpsc::channel::<Completion>();
-        let responder = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("crosslight-server-respond".to_string())
-                .spawn(move || respond_loop(&shared, &completions_rx))
-                .expect("spawning the responder thread succeeds")
-        };
         let frontend = bound.start(
             front_telemetry,
             options.max_line_bytes,
             Box::new(move |trace| trace_telemetry.finish_trace(trace)),
             |_| ServerLoop {
                 shared: Arc::clone(&shared),
-                completions: completions_tx.clone(),
-                admitted: Vec::new(),
+                held: 0,
                 lines: 0,
             },
         );
-        // The loops and the replies of in-flight evals now hold the only
-        // completion senders: once the loops have exited and the pool has
-        // answered every eval, the responder sees the channel close.
-        drop(completions_tx);
-        Ok(Self {
-            shared,
-            frontend,
-            responder: Some(responder),
-        })
+        Ok(Self { shared, frontend })
     }
 
     /// The bound address (useful with port 0).
@@ -669,13 +630,7 @@ impl Server {
         if self.shared.shutting_down.swap(true, Ordering::SeqCst) {
             return;
         }
-        // The loops drain in-flight work while the responder still runs.
         self.frontend.shutdown();
-        // Late completions of cancelled evals still flow from the pool's
-        // workers; the responder exits after delivering the last one.
-        if let Some(handle) = self.responder.take() {
-            let _ = handle.join();
-        }
         // Dropping the service inside `self.shared` when the last Arc goes
         // away also joins the pool; nothing in-flight remains at this point.
     }
@@ -687,49 +642,24 @@ impl Drop for Server {
     }
 }
 
-/// Most admitted evals one pool submission carries.  A wake that admits
-/// more submits them in slices of this size as it reads, so the workers
-/// start on the first evals while the loop is still decoding the rest.
-const MAX_BATCH: usize = 16;
-
-/// The server protocol as one event loop runs it: the per-op match, with
-/// the evals admitted during the current wake waiting in `admitted` and
-/// the loop's own line count picking the lines it traces.
-///
-/// Eval replies capture only their connection and the responder's
-/// channel, never `Shared`: `Shared` owns the pool, and a last
-/// `Arc<Shared>` dropped on a worker would make it join itself.
+/// The server protocol as one event loop runs it: the per-op match, the
+/// admission permits held by the evals of the current wake, and the
+/// loop's own line count picking the lines it traces.
 struct ServerLoop {
     shared: Arc<Shared>,
-    completions: Sender<Completion>,
-    admitted: Vec<BatchItem>,
+    held: usize,
     lines: u64,
-}
-
-/// Hands the evals admitted so far to the pool in one submission.
-fn submit_admitted(shared: &Shared, admitted: &mut Vec<BatchItem>) {
-    if admitted.is_empty() {
-        return;
-    }
-    shared.telemetry.batches_total.inc();
-    shared.telemetry.batch_size.record(admitted.len() as u64);
-    shared
-        .service
-        .submit_detached_batch(std::mem::take(admitted));
 }
 
 impl Handler for ServerLoop {
     type State = RestoreSession;
 
-    /// The whole per-op protocol surface.  Inline ops and cache hits are
-    /// answered straight onto the write queue; other admitted evals join
-    /// the wake's batch, each with a reply that routes its outcome to the
-    /// responder.
+    /// The whole per-op protocol surface, every answer queued straight
+    /// onto the connection's write queue.
     fn on_line(&mut self, conn: &Arc<Conn>, restore: &mut RestoreSession, line: String) -> bool {
         let Self {
             shared,
-            completions,
-            admitted,
+            held,
             lines,
         } = self;
         let telemetry = &shared.telemetry;
@@ -924,7 +854,7 @@ impl Handler for ServerLoop {
                 // the `read` span collapses to the instant the completed line
                 // surfaced from the scanner.  The trace travels with its
                 // cursor, the end of its latest span, where the next phase
-                // starts: a hit's phases tile its timeline from decode to
+                // starts: an eval's phases tile its timeline from decode to
                 // flush.
                 let mut traced = read_mark.map(|mark| {
                     let mut trace = Box::new(RequestTrace::with_origin(request.id, mark));
@@ -944,6 +874,8 @@ impl Handler for ServerLoop {
                     let line = wire::encode_response(&Response::error(Some(request.id), frame));
                     return conn.push(line);
                 }
+                // The permit is released when this wake ends.
+                *held += 1;
                 if let Some((trace, cursor)) = traced.as_mut() {
                     let admitted = Instant::now();
                     trace.record(Phase::Admission, *cursor, admitted);
@@ -953,55 +885,56 @@ impl Handler for ServerLoop {
                 let lookup = traced
                     .as_mut()
                     .map(|(trace, cursor)| (&mut **trace, cursor));
-                if let Some(tail) = shared.service.answer_cached(&keyed, lookup, hit_tail) {
+                let line = match shared.service.answer(&keyed, lookup, hit_tail) {
                     // The head is at most 32 bytes; one more for the newline
-                    // the queue appends.  `serialize` covers the head and the
-                    // copy, and the tail's encoding on an entry's first
-                    // inline hit.
-                    let mut line = String::with_capacity(tail.len() + 33);
-                    wire::push_answer_head(Some(request.id), &mut line);
-                    line.push_str(&tail);
-                    let traced = traced.map(|(mut trace, cursor)| {
-                        let serialized = Instant::now();
-                        trace.record(Phase::Serialize, cursor, serialized);
-                        (trace, serialized)
-                    });
-                    telemetry.evals_ok.inc();
-                    let queued = conn.push_traced(line, traced);
-                    shared.admission.release();
-                    return queued;
-                }
-                conn.begin();
-                let reply_conn = Arc::clone(conn);
-                let completions = completions.clone();
-                let client_id = request.id;
-                admitted.push(BatchItem {
-                    request: keyed,
-                    trace: traced.map(|(trace, _)| trace),
-                    cancel: Some(conn.cancel_token()),
-                    reply: Box::new(move |outcome| {
-                        let _ = completions.send(Completion {
-                            conn: reply_conn,
-                            client_id,
-                            outcome,
-                        });
+                    // the queue appends.
+                    Ok(Answer::Hit(tail)) => {
+                        let mut line = String::with_capacity(tail.len() + 33);
+                        wire::push_answer_head(Some(request.id), &mut line);
+                        line.push_str(&tail);
+                        line
+                    }
+                    Ok(Answer::Miss(eval)) => wire::encode_response(&Response {
+                        id: Some(request.id),
+                        body: ResponseBody::Eval(EvalFrame {
+                            report: eval.report,
+                            cache_hit: eval.cache_hit,
+                            worker: eval.worker as u64,
+                        }),
                     }),
+                    // A failed eval's trace ends here: error paths are not
+                    // part of the latency story.
+                    Err(err) => {
+                        telemetry.evals_failed.inc();
+                        let frame = ErrorFrame::new(ErrorKind::Evaluation, err.to_string());
+                        let line = wire::encode_response(&Response::error(Some(request.id), frame));
+                        return conn.push(line);
+                    }
+                };
+                // `serialize` covers the line's encoding: a hit's head and
+                // copy (and its tail's encoding on an entry's first hit), or
+                // a miss's whole answer.
+                let traced = traced.map(|(mut trace, cursor)| {
+                    let serialized = Instant::now();
+                    trace.record(Phase::Serialize, cursor, serialized);
+                    (trace, serialized)
                 });
-                if admitted.len() >= MAX_BATCH {
-                    submit_admitted(shared, admitted);
-                }
-                true
+                telemetry.evals_ok.inc();
+                conn.push_traced(line, traced)
             }
         }
     }
 
+    /// Releases the admission permits of the evals this wake answered.
     fn end_of_wake(&mut self) {
-        submit_admitted(&self.shared, &mut self.admitted);
+        self.shared
+            .admission
+            .release(std::mem::take(&mut self.held));
     }
 }
 
 /// Encodes a cached report's eval-answer tail the way a pool hit on
-/// `worker` is answered, so an inline hit's line is byte-identical to it.
+/// `worker` is answered, so a hit's line is byte-identical to it.
 /// A memoized tail stays for good, so it holds no spare capacity.
 fn hit_tail(report: &SimulationReport, worker: usize) -> Arc<String> {
     let mut tail = String::with_capacity(640);
@@ -1015,101 +948,6 @@ fn hit_tail(report: &SimulationReport, worker: usize) -> Arc<String> {
     );
     tail.shrink_to_fit();
     Arc::new(tail)
-}
-
-/// The responder: routes each pool completion back to its owning
-/// connection, encodes the response line, flushes under the front-end's
-/// flush-then-wake rule, and releases the admission permit.
-///
-/// Completions are drained greedily before flushing: under a pipelined
-/// burst they arrive back to back, and flushing once per *connection* per
-/// drain instead of once per completion turns a write syscall per
-/// response into one per burst.
-fn respond_loop(shared: &Shared, completions: &Receiver<Completion>) {
-    // Bounds one drain so a saturating completion stream cannot starve
-    // the flush (and thus the client) indefinitely.
-    const DRAIN_MAX: usize = 256;
-    let mut touched: Vec<Arc<Conn>> = Vec::new();
-    while let Ok(first) = completions.recv() {
-        let mut drained = 0usize;
-        let mut next = Some(first);
-        while let Some(completion) = next {
-            let conn = deliver_completion(shared, completion);
-            if !touched.iter().any(|seen| Arc::ptr_eq(seen, &conn)) {
-                touched.push(conn);
-            }
-            drained += 1;
-            next = if drained < DRAIN_MAX {
-                completions.try_recv().ok()
-            } else {
-                None
-            };
-        }
-        for conn in touched.drain(..) {
-            conn.flush_and_wake();
-        }
-    }
-}
-
-/// Handles one pool completion: encodes and enqueues the response line
-/// (or accounts for a cancelled/failed eval) and releases the admission
-/// permit.  Returns the owning connection so the caller can flush and
-/// re-arm its event loop once per drain.
-fn deliver_completion(shared: &Shared, completion: Completion) -> Arc<Conn> {
-    let telemetry = &shared.telemetry;
-    let Completion {
-        conn,
-        client_id,
-        outcome,
-    } = completion;
-    match outcome {
-        // A cancelled job means this connection already tore down:
-        // there is nowhere to send a response, so just release the
-        // permit and account for the skip.  Not an eval failure — the
-        // request was never evaluated.
-        Err(RuntimeError::Cancelled) => {
-            telemetry.evals_cancelled.inc();
-        }
-        Ok(mut eval) => {
-            telemetry.evals_ok.inc();
-            let trace = eval.trace.take();
-            let response = Response {
-                id: Some(client_id),
-                body: ResponseBody::Eval(EvalFrame {
-                    report: eval.report,
-                    cache_hit: eval.cache_hit,
-                    worker: eval.worker as u64,
-                }),
-            };
-            let serialize_start = trace.as_ref().map(|_| Instant::now());
-            let line = wire::encode_response(&response);
-            let traced = match (trace, serialize_start) {
-                (Some(mut trace), Some(start)) => {
-                    trace.record_since(Phase::Serialize, start);
-                    Some((trace, Instant::now()))
-                }
-                _ => None,
-            };
-            conn.push_traced(line, traced);
-        }
-        Err(err) => {
-            // The runtime reports failures without the response object,
-            // so a failed eval's trace ends here — error paths are not
-            // part of the latency story.
-            telemetry.evals_failed.inc();
-            let response = Response::error(
-                Some(client_id),
-                ErrorFrame::new(ErrorKind::Evaluation, err.to_string()),
-            );
-            conn.push(wire::encode_response(&response));
-        }
-    }
-    // Release the permit only after the line is queued: a non-reading
-    // client therefore caps both the write queue and the number of
-    // evals in flight.
-    conn.finish();
-    shared.admission.release();
-    conn
 }
 
 #[cfg(test)]
@@ -1128,7 +966,7 @@ mod tests {
         assert!(!admission.try_acquire());
         assert!(!admission.try_acquire());
         assert_eq!(admission.shed.get(), 2);
-        admission.release();
+        admission.release(1);
         assert!(admission.try_acquire());
         assert_eq!(admission.in_flight.load(Ordering::Relaxed), 2);
     }

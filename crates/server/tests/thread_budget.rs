@@ -53,17 +53,16 @@ fn crosslight_threads_after_exit() -> Vec<String> {
 }
 
 #[test]
-fn a_server_runs_exactly_acceptor_responder_loops_and_workers() {
+fn a_server_runs_exactly_acceptor_loops_and_workers() {
     let server = Server::bind(
         "127.0.0.1:0",
         ServerOptions::default().with_workers(2).with_event_loops(2),
     )
     .expect("bind loopback server");
 
-    // A thread names itself when it starts, so make every one of them run
-    // before counting: two connections land on both loops (round-robin),
-    // answered evals went through the responder, and the specs below
-    // shard to both workers.
+    // A thread names itself when it starts, so make the loops run before
+    // counting: two connections land on both loops (round-robin).  The
+    // specs below name both workers, though the loops answer them.
     let mut workers_seen = HashSet::new();
     for _ in 0..2 {
         let mut client = Client::connect(server.local_addr()).expect("connect");
@@ -87,7 +86,14 @@ fn a_server_runs_exactly_acceptor_responder_loops_and_workers() {
         "the probe evals must reach both workers"
     );
 
-    let names = crosslight_threads();
+    // No request reaches a pool thread, so give the two a bounded moment
+    // to start and name themselves.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let mut names = crosslight_threads();
+    while names.len() < 5 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(10));
+        names = crosslight_threads();
+    }
     let server_threads = names
         .iter()
         .filter(|name| name.starts_with("crosslight-serv"))
@@ -96,10 +102,10 @@ fn a_server_runs_exactly_acceptor_responder_loops_and_workers() {
         .iter()
         .filter(|name| name.starts_with("crosslight-runt"))
         .count();
-    // Acceptor, responder and two event loops; two pool workers.
+    // Acceptor and two event loops; two pool workers.
     assert_eq!(
         (server_threads, pool_threads, names.len()),
-        (4, 2, 6),
+        (3, 2, 5),
         "unexpected thread set: {names:?}"
     );
 

@@ -329,11 +329,6 @@ impl HistogramSnapshot {
         self.quantile(0.99)
     }
 
-    /// 99.9th percentile.
-    pub fn p999(&self) -> u64 {
-        self.quantile(0.999)
-    }
-
     /// Combines two snapshots as if every observation had been recorded
     /// into a single histogram.  Occupancies and the count saturate at
     /// `u64::MAX`.
@@ -504,7 +499,6 @@ mod tests {
         assert_eq!(snapshot.max(), None);
         assert_eq!(snapshot.mean(), 0.0);
         assert_eq!(snapshot.p50(), 0);
-        assert_eq!(snapshot.p999(), 0);
     }
 
     #[test]

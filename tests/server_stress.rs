@@ -1194,7 +1194,7 @@ fn cache_hits_answered_on_the_event_loop_match_pool_hits_byte_for_byte() {
 }
 
 #[test]
-fn inline_hit_traces_tile_from_decode_to_flush() {
+fn eval_traces_tile_from_decode_to_flush() {
     use crosslight::server::json::Json;
 
     // Every request is traced.
@@ -1233,18 +1233,10 @@ fn inline_hit_traces_tile_from_decode_to_flush() {
         timelines
     };
 
-    // Warm the cache and drain its timelines.
-    raw_exchange(addr, &eval_lines(&specs, 0), true);
-    assert_eq!(drain_until(specs.len()).len(), specs.len());
-    // Hit the cache one request at a time, then pipelined.
-    raw_exchange(addr, &eval_lines(&specs, 1_000), false);
-    raw_exchange(addr, &eval_lines(&specs, 2_000), true);
-    let timelines = drain_until(2 * specs.len());
-    assert_eq!(timelines.len(), 2 * specs.len());
-
-    for line in &timelines {
+    // Each phase starts where the previous one ended, so the phases after
+    // `read` cover decode start to flush exactly.
+    let check_tiling = |line: &str, expected: &[&str]| {
         let timeline = Json::parse(line).expect("span lines are JSON");
-        assert!(timeline.get("id").and_then(Json::as_u64).unwrap() >= 1_000);
         let spans: Vec<(&str, u64, u64)> = timeline
             .get("spans")
             .and_then(Json::as_array)
@@ -1257,21 +1249,10 @@ fn inline_hit_traces_tile_from_decode_to_flush() {
             })
             .collect();
         let phases: Vec<&str> = spans.iter().map(|&(phase, _, _)| phase).collect();
-        assert_eq!(
-            phases,
-            [
-                "read",
-                "decode",
-                "admission",
-                "cache_lookup",
-                "serialize",
-                "write_queue",
-                "write"
-            ],
-            "a hit never waits in a worker's queue: {line}"
-        );
-        // Each phase starts where the previous one ended, so the phases
-        // after `read` cover decode start to flush exactly.
+        assert_eq!(phases, expected, "{line}");
+        for pair in spans.windows(2) {
+            assert_eq!(pair[1].1, pair[0].1 + pair[0].2, "{line}");
+        }
         let decode_start = spans[1].1;
         let latest_end = spans
             .iter()
@@ -1280,6 +1261,43 @@ fn inline_hit_traces_tile_from_decode_to_flush() {
             .unwrap();
         let covered: u64 = spans[1..].iter().map(|&(_, _, dur)| dur).sum();
         assert_eq!(covered, latest_end - decode_start, "{line}");
+        timeline.get("id").and_then(Json::as_u64).unwrap()
+    };
+
+    // Warm the cache: every eval misses and is evaluated on its loop.
+    raw_exchange(addr, &eval_lines(&specs, 0), true);
+    let misses = drain_until(specs.len());
+    assert_eq!(misses.len(), specs.len());
+    for line in &misses {
+        let miss_phases = [
+            "read",
+            "decode",
+            "admission",
+            "cache_lookup",
+            "prepare",
+            "evaluate",
+            "serialize",
+            "write_queue",
+            "write",
+        ];
+        assert!(check_tiling(line, &miss_phases) < 1_000);
+    }
+    // Hit the cache one request at a time, then pipelined.
+    raw_exchange(addr, &eval_lines(&specs, 1_000), false);
+    raw_exchange(addr, &eval_lines(&specs, 2_000), true);
+    let hits = drain_until(2 * specs.len());
+    assert_eq!(hits.len(), 2 * specs.len());
+    for line in &hits {
+        let hit_phases = [
+            "read",
+            "decode",
+            "admission",
+            "cache_lookup",
+            "serialize",
+            "write_queue",
+            "write",
+        ];
+        assert!(check_tiling(line, &hit_phases) >= 1_000);
     }
     server.shutdown();
 }
