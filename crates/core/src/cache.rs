@@ -22,6 +22,14 @@
 //! `accelerator_power`, `achievable_resolution_bits`) — the core test suite
 //! enforces this with exact equality over all paper variants.
 //!
+//! One memoized prepared simulator per full configuration sits on top, so
+//! a configuration asked for again costs one map probe.  A sweep rarely
+//! asks twice, so that memo is a [`BoundedMap`] of
+//! [`PREPARED_BUDGET_BYTES`]: once full, it admits a configuration only on
+//! its second touch and evicts by CLOCK (see [`crate::bounded`]).  The
+//! unit, resolution and bank memos stay unbounded; they hold one entry per
+//! unit size, `(N, K)` pair and bank design.
+//!
 //! [`ModelCache`] is `Sync`: one instance can back a whole worker pool (the
 //! runtime's `EvalService` shares one across its workers, and the parallel
 //! Fig. 6 sweep shares one across its scoped threads).  Values are computed
@@ -36,6 +44,7 @@ use std::sync::Mutex;
 use crosslight_photonics::units::MilliWatts;
 
 use crate::area::{accelerator_area, AcceleratorArea};
+use crate::bounded::{BoundedMap, Fingerprint, Insert};
 use crate::canonical::{ConfigKey, DesignKey, ResolutionKey, VdpUnitKey};
 use crate::config::CrossLightConfig;
 use crate::error::{ArchitectureError, Result};
@@ -48,6 +57,19 @@ use crate::vdp::{VdpUnit, VdpUnitReport};
 /// [`ModelCacheEntry`] or the canonical word codecs change shape, so a
 /// restore can reject snapshots from an incompatible build.
 pub const MODEL_CACHE_EXPORT_VERSION: u32 = 1;
+
+/// The most bytes of prepared simulators one [`ModelCache`] holds: 2 674
+/// configurations on 64-bit targets (the paper mix needs 8).
+pub const PREPARED_BUDGET_BYTES: usize = 1 << 20;
+
+/// A prepared simulator's charge: it owns no heap bytes.
+const PREPARED_CHARGE: usize = BoundedMap::<ConfigKey, PreparedSimulator>::ENTRY_BYTES;
+
+impl Fingerprint for ConfigKey {
+    fn fingerprint(&self) -> u64 {
+        ConfigKey::fingerprint(self)
+    }
+}
 
 /// One exported [`ModelCache`] entry: a canonical key plus the memoized
 /// value it maps to.  The `Prepared` arm carries the plain parts of a
@@ -96,7 +118,8 @@ pub struct ModelCacheStats {
     pub unit_reports: usize,
     /// Distinct resolution results currently memoized.
     pub resolutions: usize,
-    /// Distinct prepared simulators currently memoized.
+    /// Prepared simulators currently memoized, at most
+    /// [`PREPARED_BUDGET_BYTES`]' worth.
     pub prepared_configs: usize,
 }
 
@@ -115,16 +138,29 @@ impl ModelCacheStats {
 
 /// Memoizes the workload-independent analytical models by canonical
 /// sub-config key; see the module docs.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct ModelCache {
     /// Per-bank tuning power by `(mrs_per_bank, design)`, what
     /// [`VdpUnit::report`]'s eigensolve reads.
     banks: Mutex<HashMap<(usize, DesignKey), MilliWatts>>,
     units: Mutex<HashMap<VdpUnitKey, VdpUnitReport>>,
     resolutions: Mutex<HashMap<ResolutionKey, u32>>,
-    prepared: Mutex<HashMap<ConfigKey, PreparedSimulator>>,
+    prepared: Mutex<BoundedMap<ConfigKey, PreparedSimulator>>,
     hits: AtomicU64,
     misses: AtomicU64,
+}
+
+impl Default for ModelCache {
+    fn default() -> Self {
+        Self {
+            banks: Mutex::default(),
+            units: Mutex::default(),
+            resolutions: Mutex::default(),
+            prepared: Mutex::new(BoundedMap::new(PREPARED_BUDGET_BYTES)),
+            hits: AtomicU64::default(),
+            misses: AtomicU64::default(),
+        }
+    }
 }
 
 impl ModelCache {
@@ -245,7 +281,8 @@ impl ModelCache {
 
     /// Memoized [`CrossLightSimulator::prepare`]: a hit is one map probe; a
     /// miss assembles the prepared simulator from the (themselves memoized)
-    /// power and resolution models.  Bit-identical to an uncached `prepare`.
+    /// power and resolution models, and offers it to the bounded memo.
+    /// Bit-identical to an uncached `prepare`.
     ///
     /// [`CrossLightSimulator::prepare`]: crate::simulator::CrossLightSimulator::prepare
     ///
@@ -254,14 +291,15 @@ impl ModelCache {
     /// Propagates model errors (which do not occur for valid configurations).
     pub fn prepare(&self, config: &CrossLightConfig) -> Result<PreparedSimulator> {
         let key = config.canonical_key();
-        if let Some(prepared) = self
+        let memoized = self
             .prepared
             .lock()
             .expect("prepared cache lock poisoned")
             .get(&key)
-        {
+            .copied();
+        if let Some(prepared) = memoized {
             self.record(true);
-            return Ok(*prepared);
+            return Ok(prepared);
         }
         let prepared = PreparedSimulator::from_parts(
             *config,
@@ -272,7 +310,7 @@ impl ModelCache {
         self.prepared
             .lock()
             .expect("prepared cache lock poisoned")
-            .insert(key, prepared);
+            .insert(key, prepared, PREPARED_CHARGE, drop);
         self.record(false);
         Ok(prepared)
     }
@@ -310,7 +348,7 @@ impl ModelCache {
         }
         {
             let prepared = self.prepared.lock().expect("prepared cache lock poisoned");
-            let mut sorted: Vec<_> = prepared.values().copied().collect();
+            let mut sorted: Vec<_> = prepared.iter().map(|(_, p)| *p).collect();
             sorted.sort_unstable_by_key(|p| p.config().canonical_key());
             entries.extend(sorted.into_iter().map(|p| ModelCacheEntry::Prepared {
                 config: *p.config(),
@@ -326,7 +364,10 @@ impl ModelCache {
     /// before anything is applied (all-or-nothing), existing entries win
     /// over imported ones for equal keys, and the hit/miss counters are
     /// untouched — a restore is invisible to cache statistics except for
-    /// the entry counts.  Returns the number of entries newly inserted.
+    /// the entry counts.  A prepared entry goes through the bounded memo's
+    /// admission, so past [`PREPARED_BUDGET_BYTES`] a restore stops
+    /// admitting first-seen configurations.  Returns the number of entries
+    /// newly inserted.
     ///
     /// # Errors
     ///
@@ -374,13 +415,15 @@ impl ModelCache {
                 } => {
                     let key = config.canonical_key();
                     let mut prepared = self.prepared.lock().expect("prepared cache lock poisoned");
-                    if let std::collections::hash_map::Entry::Vacant(slot) = prepared.entry(key) {
-                        slot.insert(PreparedSimulator::from_parts(
-                            *config,
-                            *power,
-                            *area,
-                            *resolution_bits,
-                        ));
+                    if prepared.contains_key(&key) {
+                        continue;
+                    }
+                    let simulator =
+                        PreparedSimulator::from_parts(*config, *power, *area, *resolution_bits);
+                    if matches!(
+                        prepared.insert(key, simulator, PREPARED_CHARGE, drop),
+                        Insert::Admitted
+                    ) {
                         inserted += 1;
                     }
                 }
@@ -469,6 +512,7 @@ mod tests {
     fn a_dense_grid_pays_one_bank_eigensolve() {
         let cache = ModelCache::new();
         let design = CrossLightConfig::paper_best().design;
+        let mut grid = Vec::new();
         for n_size in (2..=20).step_by(2) {
             for k_size in (50..=300).step_by(10) {
                 for n_units in (10..=150).step_by(10) {
@@ -477,6 +521,7 @@ mod tests {
                             CrossLightConfig::new(n_size, k_size, n_units, m_units, design)
                                 .unwrap();
                         cache.prepare(&config).unwrap();
+                        grid.push(config);
                     }
                 }
             }
@@ -484,6 +529,19 @@ mod tests {
         // 10 CONV sizes and 26 FC sizes share one bank design.
         assert_eq!(cache.stats().unit_reports, 36);
         assert_eq!(cache.banks.lock().unwrap().len(), 1);
+        // The 58 500 configurations overflow the prepared memo, which holds
+        // what its budget allows.
+        assert_eq!(grid.len(), 58_500);
+        let held = cache.stats().prepared_configs;
+        assert_eq!(held, PREPARED_BUDGET_BYTES / PREPARED_CHARGE);
+        // Held or not, a configuration prepares bit-identically.
+        for config in grid.iter().step_by(97) {
+            assert_eq!(
+                cache.prepare(config).unwrap(),
+                CrossLightSimulator::new(*config).prepare().unwrap()
+            );
+        }
+        assert!(cache.stats().prepared_configs <= held);
     }
 
     #[test]

@@ -22,6 +22,8 @@
 //!   models behind the paper's figures.
 //! * [`cache`] — the [`ModelCache`](cache::ModelCache) memoizing those
 //!   models by sub-config key for design-space sweeps and the runtime pool.
+//! * [`bounded`] — the byte-budgeted memo table that bounds the
+//!   per-configuration memo here and the runtime's result cache.
 //! * [`simulator`] — the top-level [`CrossLightSimulator`].
 //!
 //! # Example
@@ -44,6 +46,7 @@
 #![warn(missing_debug_implementations)]
 
 pub mod area;
+pub mod bounded;
 pub mod cache;
 pub mod canonical;
 pub mod config;

@@ -146,6 +146,15 @@ impl NetworkWorkload {
         self.total_dot_products() * u64::from(resolution_bits)
     }
 
+    /// Bytes this workload owns on the heap: its name's and both layer
+    /// lists' capacities.
+    #[must_use]
+    pub fn heap_bytes(&self) -> usize {
+        self.name.capacity()
+            + (self.conv_layers.capacity() + self.fc_layers.capacity())
+                * std::mem::size_of::<DotProductWorkload>()
+    }
+
     /// Platform-stable 64-bit fingerprint of the workload (name, per-layer
     /// dot-product jobs and tower count), used by the runtime layer as a
     /// cache-routing key.  Equal workloads always fingerprint equally; the

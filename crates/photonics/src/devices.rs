@@ -10,7 +10,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::units::{Dbm, GigaHertz, MilliWatts, Seconds};
+use crate::units::{Dbm, MilliWatts, Seconds};
 
 /// Latency and power of a single optoelectronic device instance.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -117,32 +117,6 @@ impl Transceiver {
 impl Default for Transceiver {
     fn default() -> Self {
         Self::isscc2019()
-    }
-}
-
-/// Operating data rate of the photonic datapath.
-///
-/// Noncoherent accelerators are clocked by how fast activations and weights
-/// can be (re)imprinted; with EO tuning at 20 ns the paper's effective vector
-/// throughput sits in the multi-GHz range for the photodetection path while
-/// reprogramming dominates. This type simply carries the symbol rate used for
-/// energy-per-bit accounting.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct DataRate {
-    /// Symbol (sample) rate of the datapath.
-    pub rate: GigaHertz,
-    /// Bits carried per symbol (the resolution of the analog encoding).
-    pub bits_per_symbol: u32,
-}
-
-impl DataRate {
-    /// Creates a data rate.
-    #[must_use]
-    pub fn new(rate: GigaHertz, bits_per_symbol: u32) -> Self {
-        Self {
-            rate,
-            bits_per_symbol,
-        }
     }
 }
 

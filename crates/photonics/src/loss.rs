@@ -6,9 +6,11 @@
 //! (0.9 dB each), MR through loss (0.02 dB per off-resonance MR passed), MR
 //! modulation loss (0.72 dB when a value is imprinted), microdisk loss
 //! (1.22 dB), EO tuning loss (6 dB/cm of tuned waveguide) and TO tuning loss
-//! (1 dB/cm).  The total loss feeds directly into the laser power model,
-//! Eq. (7), so an architecture that forces light past many devices pays for it
-//! in laser power.
+//! (1 dB/cm).  The budget charges every term but the tuning losses: no
+//! modelled path has a tuned-waveguide length to charge them on.  The total
+//! loss feeds directly into the laser power model, Eq. (7), so an
+//! architecture that forces light past many devices pays for it in laser
+//! power.
 
 use serde::{Deserialize, Serialize};
 
@@ -29,10 +31,6 @@ pub struct LossModel {
     pub mr_modulation_db: f64,
     /// Insertion loss of one microdisk (HolyLight devices).
     pub microdisk_db: f64,
-    /// Additional loss of electro-optically tuned waveguide, per centimetre.
-    pub eo_tuning_db_per_cm: f64,
-    /// Additional loss of thermo-optically tuned waveguide, per centimetre.
-    pub to_tuning_db_per_cm: f64,
 }
 
 impl LossModel {
@@ -46,8 +44,6 @@ impl LossModel {
             mr_through_db: 0.02,
             mr_modulation_db: 0.72,
             microdisk_db: 1.22,
-            eo_tuning_db_per_cm: 6.0,
-            to_tuning_db_per_cm: 1.0,
         }
     }
 }
@@ -61,8 +57,7 @@ impl Default for LossModel {
 /// An itemised optical-loss budget along one laser-to-detector path.
 ///
 /// Build it up with the `add_*` methods and read the total with
-/// [`LossBudget::total`].  Each contribution is tracked separately so
-/// experiments can report a breakdown.
+/// [`LossBudget::total`].
 ///
 /// # Example
 ///
@@ -87,7 +82,6 @@ pub struct LossBudget {
     mr_through: DecibelLoss,
     mr_modulation: DecibelLoss,
     microdisks: DecibelLoss,
-    tuning: DecibelLoss,
 }
 
 impl LossBudget {
@@ -102,7 +96,6 @@ impl LossBudget {
             mr_through: DecibelLoss::new(0.0),
             mr_modulation: DecibelLoss::new(0.0),
             microdisks: DecibelLoss::new(0.0),
-            tuning: DecibelLoss::new(0.0),
         }
     }
 
@@ -158,56 +151,6 @@ impl LossBudget {
             + self.mr_through
             + self.mr_modulation
             + self.microdisks
-            + self.tuning
-    }
-
-    /// Itemised breakdown of the budget, in the order
-    /// (propagation, splitters, combiners, MR through, MR modulation,
-    /// microdisks, tuning).
-    #[must_use]
-    pub fn breakdown(&self) -> LossBreakdown {
-        LossBreakdown {
-            propagation: self.propagation,
-            splitters: self.splitters,
-            combiners: self.combiners,
-            mr_through: self.mr_through,
-            mr_modulation: self.mr_modulation,
-            microdisks: self.microdisks,
-            tuning: self.tuning,
-        }
-    }
-}
-
-/// Itemised loss contributions of a [`LossBudget`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct LossBreakdown {
-    /// Waveguide propagation loss.
-    pub propagation: DecibelLoss,
-    /// Splitter loss.
-    pub splitters: DecibelLoss,
-    /// Combiner loss.
-    pub combiners: DecibelLoss,
-    /// Off-resonance MR through loss.
-    pub mr_through: DecibelLoss,
-    /// Active MR modulation loss.
-    pub mr_modulation: DecibelLoss,
-    /// Microdisk insertion loss.
-    pub microdisks: DecibelLoss,
-    /// EO/TO tuning loss.
-    pub tuning: DecibelLoss,
-}
-
-impl LossBreakdown {
-    /// Sum of all contributions (equals [`LossBudget::total`]).
-    #[must_use]
-    pub fn total(&self) -> DecibelLoss {
-        self.propagation
-            + self.splitters
-            + self.combiners
-            + self.mr_through
-            + self.mr_modulation
-            + self.microdisks
-            + self.tuning
     }
 }
 
@@ -224,8 +167,6 @@ mod tests {
         assert!((m.mr_through_db - 0.02).abs() < 1e-12);
         assert!((m.mr_modulation_db - 0.72).abs() < 1e-12);
         assert!((m.microdisk_db - 1.22).abs() < 1e-12);
-        assert!((m.eo_tuning_db_per_cm - 6.0).abs() < 1e-12);
-        assert!((m.to_tuning_db_per_cm - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -247,9 +188,6 @@ mod tests {
             .add_microdisks(0);
         let expected = 0.5 + 0.52 + 0.9 + 0.28 + 0.72;
         assert!((budget.total().value() - expected).abs() < 1e-9);
-        let breakdown = budget.breakdown();
-        assert!((breakdown.total().value() - expected).abs() < 1e-9);
-        assert!((breakdown.splitters.value() - 0.52).abs() < 1e-12);
     }
 
     #[test]

@@ -13,8 +13,13 @@
 //! existed ([`ArchKey`] streams a bare `ConfigKey` for the CrossLight arm),
 //! so fingerprints, shard indices and worker routes for CrossLight traffic
 //! are bit-identical to the pre-zoo runtime.
+//!
+//! The cache holds at most [`RESULT_BUDGET_BYTES`], split evenly over its
+//! shards, each a [`BoundedMap`]: below its share a shard admits every
+//! insert; at it, a key is admitted only on its second touch, evicting by
+//! CLOCK.  A design sweep's one-hit points are refused by a bitset test
+//! instead of growing the cache, and never displace the keys clients hit.
 
-use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -22,6 +27,7 @@ use std::sync::{Arc, Mutex};
 use crosslight_telemetry::Counter;
 
 use crosslight_baselines::ArchSpec;
+use crosslight_core::bounded::{BoundedMap, Fingerprint, Insert};
 use crosslight_core::canonical::{ArchKey, ConfigKey};
 use crosslight_core::config::CrossLightConfig;
 use crosslight_core::simulator::SimulationReport;
@@ -119,13 +125,24 @@ impl Hash for CacheKey {
     }
 }
 
+impl Fingerprint for CacheKey {
+    fn fingerprint(&self) -> u64 {
+        self.fingerprint
+    }
+}
+
 /// A sharded `CacheKey → SimulationReport` map with hit/miss counters.
 ///
 /// The counters are telemetry [`Counter`] handles so the service can adopt
 /// them into its metrics registry without changing ownership; the cache
-/// stays the single writer.  `evictions` is registered alongside them and
-/// is always zero today — the cache never evicts — but reserves the family
-/// name for a future bounded-capacity policy.
+/// stays the single writer.  `evictions` counts the entries a full shard
+/// evicted to admit a second-touch key.
+///
+/// An entry is charged its slot and index bytes plus its workload's heap
+/// bytes ([`NetworkWorkload::heap_bytes`]).  A paper model's workload is
+/// one `Arc` shared by every key, so that over-counts it; an inline
+/// workload is a fresh one per request, so charging it keeps a stream of
+/// large inline frames bounded too.
 ///
 /// Each entry also holds one slot for a caller's encoding of its report,
 /// filled on the entry's first inline hit (`EvalService::answer`)
@@ -133,13 +150,12 @@ impl Hash for CacheKey {
 /// one thin pointer, 8 bytes.  A filled one holds a server's eval-answer
 /// tail: 570–649 bytes for the dense Fig. 6 sweep's reports, about 700
 /// bytes of resident memory with its allocations, so the budget fills at
-/// about 14 000 entries.  Re-serving 150 000 sweep keys to a warm server
-/// on a 2-core x86-64 host grew its resident memory by 9.1 MiB, against
-/// 97 MiB with no budget.  The cache never reads, exports or imports the
-/// bytes.
+/// about 14 000 entries.  An evicted or replaced entry returns its
+/// encoding's bytes to that budget.  The cache never reads, exports or
+/// imports the bytes.
 #[derive(Debug)]
 pub struct ShardedCache {
-    shards: Vec<Mutex<HashMap<CacheKey, Entry>>>,
+    shards: Vec<Mutex<BoundedMap<CacheKey, Entry>>>,
     hits: Counter,
     misses: Counter,
     evictions: Counter,
@@ -147,10 +163,15 @@ pub struct ShardedCache {
     memo_bytes: AtomicUsize,
 }
 
-/// The most bytes of callers' encodings one cache memoizes.  The cache
-/// never evicts, so without a bound a warm server re-serving a long sweep
-/// would keep an encoding for every entry; past the budget, a hit on an
-/// entry without one is encoded afresh each time.
+/// The most bytes of entries one cache holds, `1 / shards` of it in each
+/// shard: at 552–614 bytes per paper-model entry on 64-bit targets, some
+/// 29 000 entries.
+pub const RESULT_BUDGET_BYTES: usize = 16 << 20;
+
+/// The most bytes of callers' encodings one cache memoizes.  Without a
+/// bound a warm server re-serving a long sweep would keep an encoding for
+/// nearly every entry; past the budget, a hit on an entry without one is
+/// encoded afresh each time.
 pub(crate) const MEMO_BUDGET_BYTES: usize = 8 << 20;
 
 /// What [`ShardedCache::get_inline`] finds for a cached key.
@@ -176,15 +197,32 @@ impl Entry {
             encoded: None,
         }
     }
+
+    /// Bytes of the memoized encoding this entry holds.
+    fn memo_bytes(&self) -> usize {
+        self.encoded.as_ref().map_or(0, |encoded| encoded.len())
+    }
+}
+
+/// An entry's charge against its shard's budget.
+fn charge(key: &CacheKey) -> usize {
+    BoundedMap::<CacheKey, Entry>::ENTRY_BYTES + key.workload.heap_bytes()
 }
 
 impl ShardedCache {
-    /// Creates a cache with `shards` independent locks (at least one).
+    /// Creates a cache with `shards` independent locks (at least one),
+    /// holding at most [`RESULT_BUDGET_BYTES`].
     #[must_use]
     pub fn new(shards: usize) -> Self {
+        Self::with_budget(shards, RESULT_BUDGET_BYTES)
+    }
+
+    fn with_budget(shards: usize, budget: usize) -> Self {
         let shards = shards.max(1);
         Self {
-            shards: (0..shards).map(|_| Mutex::new(HashMap::new())).collect(),
+            shards: (0..shards)
+                .map(|_| Mutex::new(BoundedMap::new(budget / shards)))
+                .collect(),
             hits: Counter::new(),
             misses: Counter::new(),
             evictions: Counter::new(),
@@ -192,7 +230,7 @@ impl ShardedCache {
         }
     }
 
-    fn shard(&self, key: &CacheKey) -> &Mutex<HashMap<CacheKey, Entry>> {
+    fn shard(&self, key: &CacheKey) -> &Mutex<BoundedMap<CacheKey, Entry>> {
         let index = (key.fingerprint() % self.shards.len() as u64) as usize;
         &self.shards[index]
     }
@@ -246,7 +284,7 @@ impl ShardedCache {
             return;
         }
         let mut shard = self.shard(key).lock().expect("cache shard lock poisoned");
-        match shard.get_mut(key) {
+        match shard.get(key) {
             Some(entry) if entry.encoded.is_none() => entry.encoded = Some(Arc::clone(encoded)),
             _ => {
                 self.memo_bytes.fetch_sub(cost, Ordering::Relaxed);
@@ -254,18 +292,32 @@ impl ShardedCache {
         }
     }
 
-    /// Stores a computed report under its key.
-    pub fn insert(&self, key: CacheKey, report: SimulationReport) {
-        let replaced = self
+    /// Stores a computed report under its key, unless its shard is full
+    /// and this is the key's first touch there; returns whether the key is
+    /// held.  Counts what the shard evicts to admit it.  An evicted entry,
+    /// or a replaced one (same-wake duplicates each insert), frees its
+    /// encoding's share of the memo budget.
+    pub fn insert(&self, key: CacheKey, report: SimulationReport) -> bool {
+        let charge = charge(&key);
+        let (mut evicted, mut freed) = (0, 0);
+        let outcome = self
             .shard(&key)
             .lock()
             .expect("cache shard lock poisoned")
-            .insert(key, Entry::new(report));
-        // Same-wake duplicates each insert; a dropped encoding frees its
-        // share of the budget.
-        if let Some(encoded) = replaced.and_then(|entry| entry.encoded) {
-            self.memo_bytes.fetch_sub(encoded.len(), Ordering::Relaxed);
+            .insert(key, Entry::new(report), charge, |entry| {
+                evicted += 1;
+                freed += entry.memo_bytes();
+            });
+        if let Insert::Replaced(entry) = &outcome {
+            freed += entry.memo_bytes();
         }
+        if evicted > 0 {
+            self.evictions.add(evicted);
+        }
+        if freed > 0 {
+            self.memo_bytes.fetch_sub(freed, Ordering::Relaxed);
+        }
+        !matches!(outcome, Insert::Refused)
     }
 
     /// Number of cached entries across all shards.
@@ -307,7 +359,7 @@ impl ShardedCache {
         &self.misses
     }
 
-    /// The live eviction counter (always zero today; see the type docs).
+    /// The live eviction counter, for adoption into a metrics registry.
     #[must_use]
     pub fn eviction_counter(&self) -> &Counter {
         &self.evictions
@@ -340,15 +392,20 @@ impl ShardedCache {
     }
 
     /// Restores exported entries.  Existing entries win over imported ones
-    /// for equal keys, and none of the hit/miss/eviction counters move — a
-    /// restore is invisible to cache statistics except for `len`.  Returns
-    /// the number of entries newly inserted.
+    /// for equal keys, and neither the hit nor the miss counter moves — a
+    /// restore is invisible to lookup statistics.  An entry goes through
+    /// the same admission as [`ShardedCache::insert`], so once a shard is
+    /// full a restore stops admitting first-touch keys to it.  Returns the
+    /// number of entries newly inserted.
     pub fn import(&self, entries: Vec<(CacheKey, SimulationReport)>) -> usize {
         let mut inserted = 0;
         for (key, report) in entries {
-            let mut shard = self.shard(&key).lock().expect("cache shard lock poisoned");
-            if let std::collections::hash_map::Entry::Vacant(slot) = shard.entry(key) {
-                slot.insert(Entry::new(report));
+            let held = self
+                .shard(&key)
+                .lock()
+                .expect("cache shard lock poisoned")
+                .contains_key(&key);
+            if !held && self.insert(key, report) {
                 inserted += 1;
             }
         }
@@ -477,6 +534,78 @@ mod tests {
         for (key, report) in &exported {
             assert_eq!(restored.get(key), Some(*report));
         }
+    }
+
+    /// Eight keys of one workload, so every entry has the same charge.
+    fn eight_keys() -> (Vec<CacheKey>, SimulationReport) {
+        let w = workload(PaperModel::CnnCifar10);
+        let report = CrossLightSimulator::new(CrossLightConfig::paper_best())
+            .evaluate(&w)
+            .unwrap();
+        let keys = (1..=8)
+            .map(|units| {
+                let mut config = CrossLightConfig::paper_best();
+                config.conv_units = units;
+                CacheKey::new(&config, Arc::clone(&w))
+            })
+            .collect();
+        (keys, report)
+    }
+
+    #[test]
+    fn a_full_cache_evicts_on_second_touches_and_frees_their_memo_bytes() {
+        let (keys, report) = eight_keys();
+        let cache = ShardedCache::with_budget(1, 4 * charge(&keys[0]));
+        let tail = Arc::new("x".repeat(600));
+        for key in &keys[..4] {
+            cache.insert(key.clone(), report);
+            assert!(matches!(cache.get_inline(key), Some(Cached::Report(_))));
+            cache.memoize(key, &tail);
+        }
+        assert_eq!(cache.memo_bytes.load(Ordering::Relaxed), 4 * tail.len());
+
+        for (admitted, key) in keys[4..].iter().enumerate() {
+            // A first touch at the budget is refused ...
+            cache.insert(key.clone(), report);
+            assert_eq!(cache.len(), 4);
+            assert_eq!(cache.eviction_counter().get(), admitted as u64);
+            // ... and a second evicts one entry, the oldest: the hand
+            // cleared the four hit entries' bits on its first pass.
+            cache.insert(key.clone(), report);
+            assert_eq!(cache.len(), 4);
+            assert_eq!(cache.eviction_counter().get(), admitted as u64 + 1);
+            assert_eq!(cache.get(&keys[admitted]), None);
+            assert_eq!(cache.get(key), Some(report));
+            assert_eq!(
+                cache.memo_bytes.load(Ordering::Relaxed),
+                (3 - admitted) * tail.len(),
+                "an evicted entry returns its tail's bytes"
+            );
+        }
+    }
+
+    #[test]
+    fn an_import_past_the_budget_stops_admitting() {
+        let (keys, report) = eight_keys();
+        let warm = ShardedCache::new(4);
+        for key in &keys {
+            warm.insert(key.clone(), report);
+        }
+        let exported = warm.export();
+        assert_eq!(exported.len(), 8);
+
+        let small = ShardedCache::with_budget(1, 4 * charge(&keys[0]));
+        assert_eq!(small.import(exported.clone()), 4);
+        assert_eq!(small.len(), 4);
+        assert_eq!(small.eviction_counter().get(), 0);
+        let held: Vec<_> = exported[..4].to_vec();
+        assert_eq!(small.export(), held, "the first four in export order");
+        // A second restore is every refused key's second touch: each is
+        // admitted in place of an untouched entry.
+        assert_eq!(small.import(exported.clone()), 4);
+        assert_eq!(small.eviction_counter().get(), 4);
+        assert_eq!(small.export(), exported[4..].to_vec());
+        assert_eq!((small.hits(), small.misses()), (0, 0));
     }
 
     #[test]

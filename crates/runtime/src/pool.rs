@@ -18,7 +18,8 @@
 //!
 //! Two memoization layers serve the hot loop:
 //!
-//! 1. a pool-wide [`ShardedCache`] of finished `(config, workload)` reports;
+//! 1. a pool-wide [`ShardedCache`] of finished `(config, workload)` reports,
+//!    bounded by a byte budget;
 //! 2. a pool-wide [`ModelCache`] of the workload-independent analytical
 //!    models (per-unit power reports, prepared simulators, resolutions), so a
 //!    report-cache miss for a configuration *or sub-configuration* any worker
@@ -92,8 +93,8 @@ pub struct RuntimeStats {
     pub cache_misses: u64,
     /// Distinct `(config, workload)` reports currently cached.
     pub cached_entries: usize,
-    /// Distinct configurations whose workload-independent models are
-    /// memoized in the pool-wide [`ModelCache`].
+    /// Configurations whose prepared simulator the pool-wide
+    /// [`ModelCache`]'s bounded memo currently holds.
     pub prepared_configs: usize,
     /// Requests handled by each worker, indexed by worker id.
     pub per_worker: Vec<u64>,
@@ -205,7 +206,8 @@ impl Telemetry {
         registry
             .register_counter(
                 "runtime_result_cache_evictions_total",
-                "Result-cache evictions (always zero: the cache is unbounded today).",
+                "Result-cache entries evicted to admit a key on its second touch \
+                 once the cache's byte budget is full.",
                 &[],
                 cache.eviction_counter(),
             )
@@ -259,7 +261,7 @@ impl Telemetry {
             ),
             model_cache_entries: registry.gauge(
                 "runtime_model_cache_entries",
-                "Distinct configurations with memoized analytical models.",
+                "Prepared configurations held in the model cache's bounded memo.",
             ),
             registry,
         }

@@ -1344,3 +1344,144 @@ fn default_options_trace_one_line_in_sixteen_on_each_event_loop() {
         server.shutdown();
     }
 }
+
+#[test]
+fn a_sweep_of_large_inline_frames_stays_within_the_result_cache_budget() {
+    use crosslight::neural::layers::DotProductWorkload;
+    use crosslight::runtime::cache::RESULT_BUDGET_BYTES;
+    use crosslight::runtime::pool::{EvalService, RuntimeOptions};
+    use crosslight::server::wire::{EvalFrame, WorkloadRef};
+    use std::sync::Arc;
+
+    // Each inline workload puts at least 64 KiB on the cache's books: 32
+    // KiB of layer list and a 32 KiB name (a name decodes far faster than
+    // layers in a debug build).  576 distinct frames are then two and a
+    // quarter budgets' worth.
+    const LAYERS: usize = 2 * 1024;
+    const NAME_BYTES: usize = 32 * 1024;
+    let min_charge = LAYERS * std::mem::size_of::<DotProductWorkload>() + NAME_BYTES;
+    let frames = 9 * RESULT_BUDGET_BYTES / (4 * min_charge);
+    let wide = |n: usize| {
+        let layer = DotProductWorkload {
+            dot_length: 1 + n % 3,
+            dot_count: 1,
+        };
+        let mut name = format!("wide-{n}-");
+        name.extend(std::iter::repeat_n('x', NAME_BYTES - name.len()));
+        let mut spec = EvalSpec::paper(CrossLightVariant::OptTed, PaperModel::CnnCifar10);
+        spec.workload = WorkloadRef::Inline(NetworkWorkload {
+            name,
+            conv_layers: vec![layer; LAYERS / 2],
+            fc_layers: vec![layer; LAYERS / 2],
+            towers: 1,
+        });
+        spec
+    };
+    let hot = EvalSpec::paper(CrossLightVariant::Base, PaperModel::Lenet5SignMnist);
+
+    // Every answer is checked against direct submission of its spec.
+    let service = EvalService::new(RuntimeOptions::default().with_workers(1));
+    let table =
+        PaperModel::all().map(|model| Arc::new(NetworkWorkload::from_spec(&model.spec()).unwrap()));
+    let direct = |spec: &EvalSpec| {
+        let request = spec.to_eval_request(0, &table).expect("valid specs");
+        service.submit(request).expect("direct evaluation").report
+    };
+    let hot_report = direct(&hot);
+    let wide_reports: Vec<SimulationReport> = (0..frames).map(|n| direct(&wide(n))).collect();
+
+    let server = Server::bind("127.0.0.1:0", ServerOptions::default()).expect("bind");
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    // The hot key's first answer is its only miss.
+    let first = client.eval(0, &hot).expect("first hot answer");
+    assert!(matches!(
+        first.body,
+        ResponseBody::Eval(EvalFrame { report, cache_hit: false, .. }) if report == hot_report
+    ));
+    let mut next_id = 1;
+    // Sends frames `ns` pipelined, each followed by the hot key, and
+    // returns the frames' `cache_hit` bits; the hot key must hit.
+    let mut sweep = |ns: &[usize]| -> Vec<bool> {
+        let specs: Vec<EvalSpec> = ns.iter().flat_map(|&n| [wide(n), hot.clone()]).collect();
+        let mut answers: Vec<(u64, EvalFrame)> = client
+            .eval_pipelined(&specs, next_id)
+            .expect("pipelined sweep")
+            .into_iter()
+            .map(|response| match response.body {
+                ResponseBody::Eval(frame) => (response.id.expect("eval ids echo"), frame),
+                other => panic!("expected an eval answer, got {other:?}"),
+            })
+            .collect();
+        answers.sort_by_key(|(id, _)| *id);
+        assert_eq!(answers.len(), specs.len());
+        let mut hits = Vec::new();
+        for ((id, frame), pair) in answers.iter().zip(0..) {
+            assert_eq!(*id, next_id + pair);
+            if pair % 2 == 1 {
+                assert!(frame.cache_hit, "the hot key is held");
+                assert_eq!(frame.report, hot_report);
+            } else {
+                let n = ns[pair as usize / 2];
+                assert_eq!(frame.report, wide_reports[n], "frame {n}");
+                hits.push(frame.cache_hit);
+            }
+        }
+        next_id += specs.len() as u64;
+        hits
+    };
+    let evictions = |server: &Server| match server
+        .metrics_snapshot()
+        .value("runtime_result_cache_evictions_total")
+    {
+        Some(SeriesValue::Counter(n)) => *n,
+        other => panic!("no eviction counter: {other:?}"),
+    };
+
+    // Every distinct frame misses once.  Past each shard's budget the
+    // frames are refused on their first touch, which evicts nothing.
+    let ns: Vec<usize> = (0..frames).collect();
+    for chunk in ns.chunks(16) {
+        assert!(sweep(chunk).iter().all(|&hit| !hit));
+    }
+    assert_eq!(evictions(&server), 0);
+    let held = server.stats().runtime.cached_entries;
+    assert!(held < frames, "{held} of {frames} frames held");
+
+    // A refused frame's second touch misses once more and is admitted in
+    // place of an untouched frame; its third is a hit.
+    let refused = &ns[frames - 32..];
+    assert!(sweep(refused).iter().all(|&hit| !hit));
+    assert!(evictions(&server) > 0);
+    assert!(sweep(refused).iter().all(|&hit| hit));
+
+    // The hot key plus the held frames, each charged at least its layer
+    // list and name, fit in the budget.
+    let stats = server.stats();
+    assert!(
+        (stats.runtime.cached_entries - 1) * min_charge <= RESULT_BUDGET_BYTES,
+        "{} entries held",
+        stats.runtime.cached_entries
+    );
+
+    // The scrape follows this connection's last answer on its event loop,
+    // so the load gauges read the quiesced server.
+    let response = client.metrics(next_id, MetricsFormat::Json).unwrap();
+    let ResponseBody::Metrics(MetricsFrame::Snapshot(scrape)) = response.body else {
+        panic!("expected a metrics snapshot, got {response:?}");
+    };
+    for gauge in [
+        "server_admission_in_flight",
+        "server_write_queue_depth",
+        "runtime_queue_depth",
+    ] {
+        let family = scrape.family(gauge).expect("load gauge registered");
+        assert!(
+            family
+                .series
+                .iter()
+                .all(|series| series.value == SeriesValue::Gauge(0)),
+            "{gauge} is not zero at quiesce: {family:?}"
+        );
+    }
+    server.shutdown();
+}
