@@ -2,7 +2,7 @@
 //!
 //! This binary runs no other router, so every `crosslight-cluster-*`
 //! thread it sees belongs to the router under test; its backends' threads
-//! carry the `crosslight-server-*` and `crosslight-runtime-*` prefixes.
+//! carry the `crosslight-server-*` prefix.
 //! The descriptor-exhaustion case runs in a child process (this same
 //! binary, re-executed) so that its lowered open-file limit cannot starve
 //! the other test.

@@ -14,12 +14,12 @@
 //!
 //! * [`table_rows`] — Table-III-style comparison rows for
 //!   [`ArchSpec::zoo_defaults`] (one row per backend family default);
-//! * [`run_streaming`] — folds the union grid over the crate's parallel
+//! * [`run_streaming`] — folds the union grid over the runtime's parallel
 //!   sweep engine into per-worker top-K/Pareto frontiers and merges them,
 //!   **identical for any worker count**;
 //! * [`run_on`] — the same grid fanned through the runtime's
 //!   [`EvalService`], producing a frontier bit-identical to
-//!   [`run_streaming`] (the pool serves CrossLight points through the
+//!   [`run_streaming`] (the service serves CrossLight points through the
 //!   prepared simulator and zoo points through [`ArchSpec::simulate`], both
 //!   bit-identical to the serial path).
 
@@ -36,9 +36,10 @@ use crosslight_core::variants::CrossLightVariant;
 use crosslight_neural::workload::NetworkWorkload;
 use crosslight_runtime::pool::EvalService;
 use crosslight_runtime::request::EvalRequest;
+use crosslight_runtime::sweep;
 
+use crate::frontier::{Frontier, FrontierPoint};
 use crate::report::{fmt_f64, TextTable};
-use crate::sweep::{self, Frontier, FrontierPoint};
 use crate::table_i_workloads;
 
 /// Default deployment power envelope (W) for the in-budget frontier: wide
@@ -234,7 +235,7 @@ fn zoo_frontier(frontier: Frontier<ZooPoint>, power_budget_w: f64) -> ZooFrontie
     }
 }
 
-/// Runs the cross-architecture sweep as a stream: the crate's parallel
+/// Runs the cross-architecture sweep as a stream: the runtime's parallel
 /// sweep engine folds the candidates into per-worker top-K/Pareto frontiers
 /// (runs of consecutive candidates claimed by up to `workers` threads),
 /// which are then merged — identical for any worker count.
@@ -271,7 +272,7 @@ pub fn run_streaming(
 /// Runs the cross-architecture sweep through the runtime's evaluation
 /// service, fanning the `candidates × models` grid across its workers.
 ///
-/// Bit-identical to [`run_streaming`] for any worker count: the pool serves
+/// Bit-identical to [`run_streaming`] for any worker count: the service serves
 /// CrossLight points through the prepared simulator and zoo points through
 /// [`ArchSpec::simulate`], both bit-identical to the serial path, and the
 /// responses come back in request order.

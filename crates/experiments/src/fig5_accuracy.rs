@@ -13,7 +13,7 @@
 //!
 //! The sweep is embarrassingly parallel across its `(model × bit-width)`
 //! surrogate-training cells, and [`run_parallel`] spreads them over the
-//! crate's parallel sweep engine.  Every cell seeds its own `StdRng` with
+//! runtime's parallel sweep engine.  Every cell seeds its own `StdRng` with
 //! exactly the seed the serial sweep would use and results come back in
 //! configuration order, so the parallel output is **byte-identical** to
 //! [`run`] for any worker count.
@@ -25,11 +25,11 @@ use crosslight_neural::quant::QuantConfig;
 use crosslight_neural::train::{evaluate, evaluate_quantized, train, TrainConfig};
 use crosslight_neural::zoo::PaperModel;
 use crosslight_neural::NeuralError;
+use crosslight_runtime::sweep;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::report::{fmt_f64, TextTable};
-use crate::sweep;
 
 /// Configuration of the accuracy-vs-resolution study.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]

@@ -28,7 +28,7 @@
 //!
 //! * [`run`] materializes every [`DesignPoint`] serially, and is the
 //!   reference the other flavors are tested against;
-//! * [`run_streaming`] folds the candidates over the crate's parallel sweep
+//! * [`run_streaming`] folds the candidates over the runtime's parallel sweep
 //!   engine into per-worker [`FrontierAccumulator`]s (top-K by FPS/EPB plus
 //!   the FPS/EPB/area Pareto frontier) and merges them, so a dense grid such
 //!   as [`dense_candidates`] (~58.5k points) needs O(top-K + frontier)
@@ -50,9 +50,10 @@ use crosslight_neural::workload::NetworkWorkload;
 use crosslight_neural::zoo::PaperModel;
 use crosslight_runtime::planner::SweepPlanner;
 use crosslight_runtime::pool::EvalService;
+use crosslight_runtime::sweep;
 
+use crate::frontier::{Frontier, FrontierPoint};
 use crate::report::{fmt_f64, TextTable};
-use crate::sweep::{self, Frontier, FrontierPoint};
 use crate::table_i_workloads;
 
 /// Upper bound of the paper's "reasonable area constraint" (§V.D), in mm².
@@ -456,7 +457,7 @@ impl FrontierAccumulator {
     }
 }
 
-/// Runs the design-space sweep as a stream: the crate's parallel sweep
+/// Runs the design-space sweep as a stream: the runtime's parallel sweep
 /// engine folds the candidates into per-worker [`FrontierAccumulator`]s
 /// (runs of consecutive candidates claimed by up to `workers` threads, one
 /// shared [`ModelCache`]), which are then merged.

@@ -29,9 +29,9 @@ pub mod fig5_accuracy;
 pub mod fig6_design_space;
 pub mod fig7_power;
 pub mod fig8_epb;
+mod frontier;
 pub mod report;
 pub mod resolution_analysis;
-mod sweep;
 pub mod table3_summary;
 
 pub use report::TextTable;

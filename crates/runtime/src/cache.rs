@@ -6,7 +6,7 @@
 //! returns the report the simulator would have computed — caching can change
 //! latency, never results.  Keys also expose a platform-stable
 //! [`fingerprint`](CacheKey::fingerprint) used both to pick a shard here and
-//! to pick a worker in the pool, so all requests for one key land on one
+//! to pick the service's worker, so all requests for one key land on one
 //! worker and one shard deterministically.
 //!
 //! CrossLight keys hash exactly as they did before the architecture zoo
@@ -251,7 +251,7 @@ impl ShardedCache {
         found
     }
 
-    /// Looks up a key for an answer off the pool: the encoding memoized on
+    /// Looks up a key for `EvalService::answer`: the encoding memoized on
     /// its entry, or its report while none is stored.  Counts the outcome
     /// as a hit or miss, as [`ShardedCache::get`] does.
     pub(crate) fn get_inline(&self, key: &CacheKey) -> Option<Cached> {

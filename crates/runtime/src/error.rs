@@ -14,9 +14,6 @@ pub enum RuntimeError {
     Evaluation(ArchitectureError),
     /// A sweep scenario could not be expanded into requests.
     Scenario(String),
-    /// No worker could answer: the pool was shut down, or a worker thread
-    /// died outside the contained evaluation.
-    WorkerLost,
     /// The evaluation panicked; the panic was contained and its message is
     /// carried here.
     Panicked(String),
@@ -27,7 +24,6 @@ impl fmt::Display for RuntimeError {
         match self {
             Self::Evaluation(err) => write!(f, "evaluation failed: {err}"),
             Self::Scenario(reason) => write!(f, "invalid sweep scenario: {reason}"),
-            Self::WorkerLost => write!(f, "a runtime worker exited before answering"),
             Self::Panicked(message) => write!(f, "evaluation panicked: {message}"),
         }
     }
@@ -61,10 +57,9 @@ mod tests {
         let err = RuntimeError::from(inner);
         assert!(err.to_string().contains("evaluation failed"));
         assert!(err.source().is_some());
-        assert!(RuntimeError::WorkerLost.source().is_none());
-        assert!(RuntimeError::Scenario("empty".into())
-            .to_string()
-            .contains("empty"));
+        let scenario = RuntimeError::Scenario("empty".into());
+        assert!(scenario.source().is_none());
+        assert!(scenario.to_string().contains("empty"));
         assert!(RuntimeError::Panicked("boom".into())
             .to_string()
             .contains("panicked: boom"));

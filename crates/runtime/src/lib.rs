@@ -10,24 +10,26 @@
 //! 1. **submit** — callers hand [`EvalService::submit_batch`](pool::EvalService::submit_batch)
 //!    a stream of [`EvalRequest`](request::EvalRequest)s, usually produced by
 //!    the [`SweepPlanner`](planner::SweepPlanner).
-//! 2. **shard** — each request is routed to a worker thread by the
-//!    platform-stable fingerprint of its canonical cache key
-//!    ([`CacheKey`](cache::CacheKey)), so identical requests serialize on one
-//!    worker and distinct design points spread across the pool.
-//! 3. **evaluate/cache** — the worker answers from the memoizing
-//!    [`ShardedCache`](cache::ShardedCache) when possible; otherwise it
-//!    evaluates with a per-configuration
+//! 2. **shard** — each request is grouped with the others of its worker,
+//!    the platform-stable fingerprint of its canonical cache key
+//!    ([`CacheKey`](cache::CacheKey)) modulo `workers`, so identical
+//!    requests serialize in one group, and the groups are served on up to
+//!    `workers` scoped threads of the [`sweep`] engine.
+//! 3. **evaluate/cache** — each request is answered from the memoizing
+//!    [`ShardedCache`](cache::ShardedCache) when possible; otherwise it is
+//!    evaluated with a per-configuration
 //!    [`PreparedSimulator`](crosslight_core::simulator::PreparedSimulator)
-//!    (power/area/resolution computed once per configuration) and caches the
-//!    report.
-//! 4. **collect** — responses return in request order, each tagged with the
-//!    serving worker and hit/miss provenance.
+//!    (power/area/resolution computed once per configuration) and its
+//!    report cached.
+//! 4. **collect** — responses return in request order, each tagged with its
+//!    worker and hit/miss provenance.
 //!
-//! [`EvalService::answer`](pool::EvalService::answer) is the other entry
-//! point: it answers one request on the calling thread — a hit from the
-//! cache, a miss evaluated right there — and counts it as the worker its
-//! key routes to would.  The network front-end's event loops answer every
-//! eval through it.
+//! The service owns no thread.  [`EvalService::submit`](pool::EvalService::submit)
+//! serves one request on the calling thread, and
+//! [`EvalService::answer`](pool::EvalService::answer) does too but answers
+//! a hit with the caller's encoding memoized on the cache entry; the
+//! network front-end's event loops answer every eval through it.  Every
+//! request counts as its worker's, whatever thread serves it.
 //!
 //! The service is *transparent*: reports are bit-identical to serial
 //! [`CrossLightSimulator`](crosslight_core::simulator::CrossLightSimulator)
@@ -36,7 +38,7 @@
 //!
 //! Requests are architecture-generic: an
 //! [`EvalRequest`](request::EvalRequest) carries an
-//! [`ArchSpec`](crosslight_baselines::ArchSpec), so one pool serves
+//! [`ArchSpec`](crosslight_baselines::ArchSpec), so one service serves
 //! CrossLight design points and every other backend in the architecture zoo
 //! (DEAP-CNN, HolyLight, electronic platforms, the symmetric MRR crossbar,
 //! LiteCON) through the same cache, routing and counters.  CrossLight-only
@@ -71,6 +73,7 @@ pub mod error;
 pub mod planner;
 pub mod pool;
 pub mod request;
+pub mod sweep;
 
 pub use cache::{CacheKey, ShardedCache};
 pub use error::RuntimeError;

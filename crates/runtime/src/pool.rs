@@ -1,42 +1,39 @@
-//! The sharded worker pool behind the evaluation service, and the answer
-//! path that needs no worker.
+//! The evaluation service: every request served on the thread that asks
+//! for it, and a batch served by shard on the [`sweep`] engine.
 //!
-//! [`EvalService`] owns `N` OS threads, each with its own job channel.
-//! [`EvalService::submit_batch`] routes each request to a worker by the
-//! platform-stable fingerprint of its cache key, so identical requests
-//! always land on the same worker — within one batch the first occurrence
-//! computes and every later duplicate is a cache hit, never a redundant
-//! recomputation racing on another thread.  [`EvalService::submit`] is a
-//! one-request batch.
+//! [`EvalService`] owns no thread.  Each request is counted as its
+//! *shard*, the platform-stable fingerprint of its cache key modulo
+//! `workers`: answers name the shard as their `worker`, and
+//! [`RuntimeStats::per_worker`] counts requests by it.
+//! [`EvalService::submit`] serves one request on the calling thread.
+//! [`EvalService::submit_batch`] groups a batch by shard, in request order
+//! within each group, and serves the groups on up to `workers` scoped
+//! threads, so identical requests always share a group — within one batch
+//! the first occurrence computes and every later duplicate is a cache hit,
+//! never a redundant recomputation racing on another thread.
 //!
-//! [`EvalService::answer`] serves one request on the calling thread
-//! instead; the network front-end's event loops answer every eval through
-//! it.  A hit returns the caller's encoding memoized on the cache entry, a
-//! miss is prepared, evaluated and cached right there, and either counts
-//! as the worker its key routes to would, so answers and counters read the
-//! same as the pool's.
+//! [`EvalService::answer`] serves one request on the calling thread too,
+//! but answers a hit with the caller's encoding memoized on the cache
+//! entry; the network front-end's event loops answer every eval through
+//! it.
 //!
 //! Two memoization layers serve the hot loop:
 //!
-//! 1. a pool-wide [`ShardedCache`] of finished `(config, workload)` reports,
-//!    bounded by a byte budget;
-//! 2. a pool-wide [`ModelCache`] of the workload-independent analytical
-//!    models (per-unit power reports, prepared simulators, resolutions), so a
-//!    report-cache miss for a configuration *or sub-configuration* any worker
-//!    has seen only recomputes the per-workload inference metrics.  The cache
-//!    is shared across workers — and can be shared with callers via
-//!    [`EvalService::with_model_cache`] — so batched evaluation, serial
-//!    sweeps and parallel sweeps all draw from one set of memoized models.
+//! 1. a service-wide [`ShardedCache`] of finished `(config, workload)`
+//!    reports, bounded by a byte budget;
+//! 2. a service-wide [`ModelCache`] of the workload-independent analytical
+//!    models (per-unit power reports, prepared simulators, resolutions), so
+//!    a report-cache miss for a configuration *or sub-configuration* seen
+//!    before only recomputes the per-workload inference metrics.
 //!
 //! Both layers are transparent: the simulator is deterministic, so responses
 //! are bit-identical to serial `CrossLightSimulator::evaluate` calls
 //! regardless of worker count, batch partitioning, or hit pattern.
 
 use std::any::Any;
+use std::convert::Infallible;
 use std::panic::AssertUnwindSafe;
-use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Instant;
 
 use crosslight_baselines::ArchSpec;
@@ -49,6 +46,7 @@ use crosslight_telemetry::{
 use crate::cache::{CacheKey, Cached, ShardedCache};
 use crate::error::{Result, RuntimeError};
 use crate::request::{EvalRequest, EvalResponse, KeyedRequest};
+use crate::sweep;
 
 /// Independent shards of the result cache.
 const CACHE_SHARDS: usize = 16;
@@ -56,7 +54,8 @@ const CACHE_SHARDS: usize = 16;
 /// Tuning knobs of the evaluation service.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RuntimeOptions {
-    /// Number of worker threads (clamped to at least 1).
+    /// Number of workers (clamped to at least 1): the shards answers name,
+    /// and the most threads a batch is served on.
     pub workers: usize,
 }
 
@@ -93,14 +92,13 @@ pub struct RuntimeStats {
     pub cache_misses: u64,
     /// Distinct `(config, workload)` reports currently cached.
     pub cached_entries: usize,
-    /// Configurations whose prepared simulator the pool-wide
+    /// Configurations whose prepared simulator the service-wide
     /// [`ModelCache`]'s bounded memo currently holds.
     pub prepared_configs: usize,
-    /// Requests handled by each worker, indexed by worker id.
+    /// Requests served for each worker (shard), indexed by worker id.
     pub per_worker: Vec<u64>,
-    /// Jobs dispatched to each worker's channel but not yet picked up,
-    /// indexed by worker id (a gauge, so the network front-end can report
-    /// backlog per shard).
+    /// One zero per worker: every request is served by the thread that
+    /// takes it, so nothing queues (the `stats` frame keeps the field).
     pub queue_depths: Vec<u64>,
 }
 
@@ -123,15 +121,6 @@ impl RuntimeStats {
     }
 }
 
-/// One request of a [`EvalService::submit_batch`] on its way to a worker,
-/// with its position in the batch and the channel its outcome goes back on.
-struct Job {
-    index: usize,
-    key: CacheKey,
-    request: EvalRequest,
-    reply: Sender<(usize, Result<EvalResponse>)>,
-}
-
 /// What [`EvalService::answer`] gives back for one request.
 #[derive(Debug)]
 pub enum Answer {
@@ -150,7 +139,6 @@ struct Telemetry {
     completed: Counter,
     panics: Counter,
     per_worker: Vec<Counter>,
-    queued: Vec<Gauge>,
     cache_lookup_hit_ns: Histogram,
     cache_lookup_miss_ns: Histogram,
     prepare_ns: Histogram,
@@ -167,23 +155,23 @@ impl Telemetry {
     fn new(workers: usize, cache: &ShardedCache) -> Self {
         let registry = Arc::new(Registry::new());
         let mut per_worker = Vec::with_capacity(workers);
-        let mut queued = Vec::with_capacity(workers);
         for worker in 0..workers {
             let label = worker.to_string();
             per_worker.push(registry.counter_with(
                 "runtime_worker_completed_total",
-                "Requests answered by each worker.",
+                "Requests answered for each worker (the shard a key routes to).",
                 &[("worker", &label)],
             ));
-            queued.push(registry.gauge_with(
+            registry.gauge_with(
                 "runtime_queue_depth",
-                "Jobs dispatched to each worker's channel but not yet picked up.",
+                "Requests waiting for each worker (always zero: every request is \
+                 served by the thread that takes it).",
                 &[("worker", &label)],
-            ));
+            );
             registry.counter_with(
                 "runtime_worker_busy_ns_total",
                 "Nanoseconds each worker spent serving traced requests (always \
-                 zero: only `EvalService::answer` traces, and it needs no worker).",
+                 zero: the service has no worker threads).",
                 &[("worker", &label)],
             );
         }
@@ -213,12 +201,15 @@ impl Telemetry {
             )
             .expect("static metric registration is infallible");
         registry
-            .gauge("runtime_workers", "Number of worker threads.")
+            .gauge(
+                "runtime_workers",
+                "Number of workers: the shards answers name, not threads.",
+            )
             .set(workers as i64);
         registry.histogram(
             "runtime_queue_wait_ns",
-            "Time traced requests spent waiting in a worker's queue (always \
-             empty: only `EvalService::answer` traces, and it queues nothing).",
+            "Time traced requests spent waiting for a worker (always empty: \
+             nothing queues).",
         );
         Self {
             submitted: registry.counter("runtime_submitted_total", "Requests accepted."),
@@ -228,7 +219,6 @@ impl Telemetry {
                 "Evaluations that panicked, each answered with an evaluation error.",
             ),
             per_worker,
-            queued,
             cache_lookup_hit_ns: registry.histogram_with(
                 "runtime_cache_lookup_ns",
                 "Result-cache probe latency for traced requests, split by outcome.",
@@ -300,158 +290,127 @@ impl Telemetry {
 /// ```
 #[derive(Debug)]
 pub struct EvalService {
-    senders: Vec<Sender<Vec<Job>>>,
-    handles: Vec<JoinHandle<()>>,
     cache: Arc<ShardedCache>,
     model_cache: Arc<ModelCache>,
-    telemetry: Arc<Telemetry>,
+    telemetry: Telemetry,
 }
 
 impl EvalService {
-    /// Spawns the worker pool with a fresh pool-wide [`ModelCache`].
+    /// Creates a service with `options.workers` workers and empty caches.
     #[must_use]
     pub fn new(options: RuntimeOptions) -> Self {
-        Self::with_model_cache(options, Arc::new(ModelCache::new()))
-    }
-
-    /// Spawns the worker pool around an existing [`ModelCache`], so batched
-    /// evaluation shares memoized analytical models with work done outside
-    /// the pool (a warm-up sweep, a sibling pool, a serial pre-pass).
-    #[must_use]
-    pub fn with_model_cache(options: RuntimeOptions, model_cache: Arc<ModelCache>) -> Self {
-        let workers = options.workers.max(1);
         let cache = Arc::new(ShardedCache::new(CACHE_SHARDS));
-        let telemetry = Arc::new(Telemetry::new(workers, &cache));
-        let mut senders = Vec::with_capacity(workers);
-        let mut handles = Vec::with_capacity(workers);
-        for worker in 0..workers {
-            let (tx, rx) = mpsc::channel::<Vec<Job>>();
-            let cache = Arc::clone(&cache);
-            let models = Arc::clone(&model_cache);
-            let telemetry = Arc::clone(&telemetry);
-            let handle = std::thread::Builder::new()
-                .name(format!("crosslight-runtime-{worker}"))
-                .spawn(move || worker_loop(worker, &rx, &cache, &models, &telemetry))
-                .expect("spawning a runtime worker thread succeeds");
-            senders.push(tx);
-            handles.push(handle);
-        }
         Self {
-            senders,
-            handles,
+            telemetry: Telemetry::new(options.workers.max(1), &cache),
             cache,
-            model_cache,
-            telemetry,
+            model_cache: Arc::new(ModelCache::new()),
         }
     }
 
-    /// The pool-wide cache of workload-independent analytical models.
+    /// The service-wide cache of workload-independent analytical models.
     #[must_use]
     pub fn model_cache(&self) -> &Arc<ModelCache> {
         &self.model_cache
     }
 
-    /// The pool-wide memoized result cache.  Exposed so serving layers can
-    /// snapshot it for warm-state handoff and restore a transported
+    /// The service-wide memoized result cache.  Exposed so serving layers
+    /// can snapshot it for warm-state handoff and restore a transported
     /// snapshot into a freshly started service.
     #[must_use]
     pub fn result_cache(&self) -> &Arc<ShardedCache> {
         &self.cache
     }
 
-    /// Number of workers: the pool's threads, and the worker ids answers
-    /// name.
+    /// Number of workers: the shards answers name as their `worker`, and
+    /// the most threads [`EvalService::submit_batch`] serves a batch on.
     #[must_use]
     pub fn workers(&self) -> usize {
         self.telemetry.per_worker.len()
     }
 
-    /// Evaluates one request (sugar for a one-element batch).
+    /// The worker (shard) `key` routes to.
+    fn shard(&self, key: &CacheKey) -> usize {
+        (key.fingerprint() % self.workers() as u64) as usize
+    }
+
+    /// Evaluates one request on the calling thread.
     ///
     /// # Errors
     ///
-    /// Propagates evaluation errors; [`RuntimeError::WorkerLost`] if the
-    /// pool's threads died.
+    /// The request's evaluation error, or [`RuntimeError::Panicked`].
     pub fn submit(&self, request: EvalRequest) -> Result<EvalResponse> {
-        let mut responses = self.submit_batch(vec![request])?;
-        responses.pop().ok_or(RuntimeError::WorkerLost)
+        self.serve(&request.into())
     }
 
-    /// Fans a batch across the workers and returns the responses in request
-    /// order.  Jobs are grouped by target worker, so each worker is woken
-    /// by one channel send per batch.  Results are bit-identical to
-    /// evaluating each request serially with
+    /// Serves a batch and returns the responses in request order.  The
+    /// requests are grouped by the worker their key routes to, in request
+    /// order within a group, and the groups are served on up to `workers`
+    /// scoped threads ([`sweep::fold`]): identical requests share a group,
+    /// so the first occurrence misses and every later one hits.  Results
+    /// are bit-identical to evaluating each request serially with
     /// [`CrossLightSimulator::evaluate`], for any worker count and any
     /// partitioning of the stream into batches.
     ///
     /// # Errors
     ///
-    /// Returns the first evaluation error, or
-    /// [`RuntimeError::WorkerLost`] if the pool was shut down or a worker
-    /// thread died mid-batch.
+    /// The error of the lowest failing request index.  Every request of
+    /// the batch is served and counted before the call returns.
     pub fn submit_batch(&self, requests: Vec<EvalRequest>) -> Result<Vec<EvalResponse>> {
-        let expected = requests.len();
-        let (reply_tx, reply_rx) = mpsc::channel();
-        let mut groups: Vec<Vec<Job>> = self.senders.iter().map(|_| Vec::new()).collect();
+        let mut groups: Vec<Vec<(usize, KeyedRequest)>> =
+            (0..self.workers()).map(|_| Vec::new()).collect();
         for (index, request) in requests.into_iter().enumerate() {
-            let KeyedRequest { request, key } = request.into();
-            let worker = (key.fingerprint() % self.workers() as u64) as usize;
-            // A shut-down pool has no group to take the job; dropping it
-            // leaves its index unanswered.
-            if let Some(group) = groups.get_mut(worker) {
-                group.push(Job {
-                    index,
-                    key,
-                    request,
-                    reply: reply_tx.clone(),
-                });
-            }
+            let request = KeyedRequest::from(request);
+            groups[self.shard(&request.key)].push((index, request));
         }
-        drop(reply_tx);
-        for (worker, group) in groups.into_iter().enumerate() {
-            if group.is_empty() {
-                continue;
-            }
-            let n = group.len();
-            self.telemetry.submitted.add(n as u64);
-            self.telemetry.queued[worker].add(n as i64);
-            if self.senders[worker].send(group).is_err() {
-                // The group never reached the worker: roll the counters
-                // back so the gauges cannot drift on a dying pool.
-                self.telemetry.queued[worker].sub(n as i64);
-                self.telemetry.submitted.sub(n as u64);
-            }
-        }
-
-        let mut responses: Vec<Option<EvalResponse>> = vec![None; expected];
-        let mut received = 0;
-        while let Ok((index, outcome)) = reply_rx.recv() {
-            responses[index] = Some(outcome?);
-            received += 1;
-        }
-        if received != expected {
-            return Err(RuntimeError::WorkerLost);
-        }
-        Ok(responses
-            .into_iter()
-            .map(|r| r.expect("every index answered exactly once"))
-            .collect())
+        // An empty group would still cost a thread; a batch whose requests
+        // share one group is served on the calling thread.
+        groups.retain(|group| !group.is_empty());
+        let Ok(parts) = sweep::fold(&groups, self.workers(), Vec::new, |served, _, group| {
+            served.extend(
+                group
+                    .iter()
+                    .map(|(index, request)| (*index, self.serve(request))),
+            );
+            Ok::<_, Infallible>(())
+        });
+        let mut served: Vec<_> = parts.into_iter().flatten().collect();
+        served.sort_unstable_by_key(|&(index, _)| index);
+        served.into_iter().map(|(_, response)| response).collect()
     }
 
-    /// Answers `request` on the calling thread, with no worker involved.
+    /// Serves one request on the calling thread: a result-cache hit, or a
+    /// miss evaluated and cached here, counted as its worker's.
+    fn serve(&self, request: &KeyedRequest) -> Result<EvalResponse> {
+        self.telemetry.submitted.inc();
+        let worker = self.shard(&request.key);
+        let response = match self.cache.get(&request.key) {
+            Some(report) => Ok(EvalResponse {
+                id: request.request.id,
+                report,
+                cache_hit: true,
+                worker,
+            }),
+            None => self.evaluate_miss(request, worker, None),
+        };
+        self.telemetry.per_worker[worker].inc();
+        self.telemetry.completed.inc();
+        response
+    }
+
+    /// Answers `request` on the calling thread.
     ///
     /// A hit returns the caller's encoding of the report: `encode` makes
     /// it from the report and the worker the key routes to
     /// (`fingerprint % workers`) on the entry's first hit here, and the
     /// entry keeps it for every later one while the cache's memo budget
     /// lasts (past it, a hit on an entry without one is encoded afresh).
-    /// A miss is prepared, evaluated and cached here, with the code a
-    /// worker runs; a panic in it is answered with
+    /// A miss is prepared, evaluated and cached here, as
+    /// [`EvalService::submit`] does it; a panic in it is answered with
     /// [`RuntimeError::Panicked`] and counted in
     /// `runtime_worker_panics_total`, and the calling thread lives on.
     ///
-    /// Either counts exactly as the worker the key routes to would: one
-    /// cache hit or miss, one `per_worker` request, and `submitted` before
+    /// Either counts exactly as [`EvalService::submit`] does: one cache
+    /// hit or miss, one `per_worker` request, and `submitted` before
     /// `completed`, which [`EvalService::stats`]'s ordered read needs.
     ///
     /// `trace` is a sampled request's timeline and its phase cursor.  Each
@@ -470,7 +429,7 @@ impl EvalService {
         mut trace: Option<(&mut RequestTrace, &mut Instant)>,
         encode: impl FnOnce(&SimulationReport, usize) -> Arc<String>,
     ) -> Result<Answer> {
-        let telemetry = &*self.telemetry;
+        let telemetry = &self.telemetry;
         let cached = self.cache.get_inline(&request.key);
         let lookup_ns = match cached {
             Some(_) => &telemetry.cache_lookup_hit_ns,
@@ -478,7 +437,7 @@ impl EvalService {
         };
         close_span(&mut trace, Phase::CacheLookup, lookup_ns);
         telemetry.submitted.inc();
-        let worker = (request.key.fingerprint() % self.workers() as u64) as usize;
+        let worker = self.shard(&request.key);
         let answer = match cached {
             Some(Cached::Encoded(encoded)) => Ok(Answer::Hit(encoded)),
             Some(Cached::Report(report)) => {
@@ -486,22 +445,7 @@ impl EvalService {
                 self.cache.memoize(&request.key, &encoded);
                 Ok(Answer::Hit(encoded))
             }
-            None => evaluate_miss(
-                &request.request,
-                &request.key,
-                &self.cache,
-                &self.model_cache,
-                telemetry,
-                trace,
-            )
-            .map(|report| {
-                Answer::Miss(EvalResponse {
-                    id: request.request.id,
-                    report,
-                    cache_hit: false,
-                    worker,
-                })
-            }),
+            None => self.evaluate_miss(request, worker, trace).map(Answer::Miss),
         };
         telemetry.per_worker[worker].inc();
         telemetry.completed.inc();
@@ -512,8 +456,7 @@ impl EvalService {
     ///
     /// The snapshot is *ordered*: `completed` is read before `submitted`.
     /// A request increments `completed` only after its `submitted`
-    /// increment (program order on the submitting thread, then the job
-    /// channel's happens-before edge to the worker), and counter reads are
+    /// increment, on the one thread that serves it, and counter reads are
     /// `Acquire`, so the later `submitted` read observes at least every
     /// submission whose completion was already counted — live-traffic
     /// snapshots always satisfy `submitted >= completed`, not just
@@ -530,12 +473,7 @@ impl EvalService {
             cached_entries: self.cache.len(),
             prepared_configs: self.model_cache.stats().prepared_configs,
             per_worker: self.telemetry.per_worker.iter().map(Counter::get).collect(),
-            queue_depths: self
-                .telemetry
-                .queued
-                .iter()
-                .map(|gauge| gauge.get().max(0) as u64)
-                .collect(),
+            queue_depths: vec![0; self.workers()],
         }
     }
 
@@ -564,60 +502,55 @@ impl EvalService {
         telemetry.registry.snapshot()
     }
 
-    /// Stops the workers and waits for them to exit.
-    pub fn shutdown(mut self) {
-        self.shutdown_in_place();
-    }
+    /// Drops the service: it owns no thread, so nothing waits.
+    pub fn shutdown(self) {}
 
-    fn shutdown_in_place(&mut self) {
-        self.senders.clear();
-        for handle in self.handles.drain(..) {
-            let _ = handle.join();
-        }
-    }
-}
-
-impl Drop for EvalService {
-    fn drop(&mut self) {
-        self.shutdown_in_place();
-    }
-}
-
-fn worker_loop(
-    worker: usize,
-    jobs: &Receiver<Vec<Job>>,
-    cache: &ShardedCache,
-    models: &ModelCache,
-    telemetry: &Telemetry,
-) {
-    while let Ok(group) = jobs.recv() {
-        for Job {
-            index,
-            key,
-            request,
-            reply,
-        } in group
-        {
-            telemetry.queued[worker].sub(1);
-            let outcome = match cache.get(&key) {
-                Some(report) => Ok((report, true)),
-                None => evaluate_miss(&request, &key, cache, models, telemetry, None)
-                    .map(|report| (report, false)),
+    /// The work of a result-cache miss, counted as `worker`'s: prepares and
+    /// evaluates the request and caches its report.  It runs under
+    /// `catch_unwind`, and no lock is held across simulator code, so a
+    /// panic poisons nothing: it is counted and answered with
+    /// [`RuntimeError::Panicked`].  `trace` gets the spans
+    /// [`EvalService::answer`] documents.
+    fn evaluate_miss(
+        &self,
+        request: &KeyedRequest,
+        worker: usize,
+        mut trace: Option<(&mut RequestTrace, &mut Instant)>,
+    ) -> Result<EvalResponse> {
+        let telemetry = &self.telemetry;
+        let KeyedRequest { request, key } = request;
+        let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| -> Result<SimulationReport> {
+            panic_if_armed();
+            let report = match request.arch {
+                // The service-wide ModelCache shares the workload-independent
+                // breakdowns (and their sub-config unit reports) across every
+                // caller, so only the per-workload inference metrics remain
+                // per-request work.
+                ArchSpec::CrossLight(config) => {
+                    let prepared =
+                        CrossLightSimulator::new(config).prepare_with(&self.model_cache)?;
+                    close_span(&mut trace, Phase::Prepare, &telemetry.prepare_ns);
+                    prepared.evaluate(&request.workload)?
+                }
+                // The zoo backends are closed-form analytical models; their
+                // workload-independent parts are cheap enough that the result
+                // cache alone carries the memoization.
+                spec => spec.simulate(&request.workload)?,
             };
-            telemetry.per_worker[worker].inc();
-            telemetry.completed.inc();
-            // A send error means the batch's collector already returned on
-            // an earlier error.
-            let _ = reply.send((
-                index,
-                outcome.map(|(report, cache_hit)| EvalResponse {
-                    id: request.id,
-                    report,
-                    cache_hit,
-                    worker,
-                }),
-            ));
-        }
+            self.cache.insert(key.clone(), report);
+            close_span(&mut trace, Phase::Evaluate, &telemetry.evaluate_ns);
+            Ok(report)
+        }));
+        let report = outcome.unwrap_or_else(|payload| {
+            telemetry.panics.inc();
+            Err(RuntimeError::Panicked(panic_message(payload.as_ref())))
+        })?;
+        Ok(EvalResponse {
+            id: request.id,
+            report,
+            cache_hit: false,
+            worker,
+        })
     }
 }
 
@@ -635,47 +568,6 @@ fn close_span(
         trace.record(phase, **cursor, end);
         **cursor = end;
     }
-}
-
-/// The work of a result-cache miss, on a worker or on the caller's thread:
-/// prepares and evaluates the request and caches its report.  It runs under
-/// `catch_unwind`, and no lock is held across simulator code, so a panic
-/// poisons nothing: it is counted and answered with
-/// [`RuntimeError::Panicked`].  `trace` gets the spans
-/// [`EvalService::answer`] documents.
-fn evaluate_miss(
-    request: &EvalRequest,
-    key: &CacheKey,
-    cache: &ShardedCache,
-    models: &ModelCache,
-    telemetry: &Telemetry,
-    mut trace: Option<(&mut RequestTrace, &mut Instant)>,
-) -> Result<SimulationReport> {
-    let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| -> Result<SimulationReport> {
-        panic_if_armed();
-        let report = match request.arch {
-            // The pool-wide ModelCache shares the workload-independent
-            // breakdowns (and their sub-config unit reports) across every
-            // caller, so only the per-workload inference metrics remain
-            // per-request work.
-            ArchSpec::CrossLight(config) => {
-                let prepared = CrossLightSimulator::new(config).prepare_with(models)?;
-                close_span(&mut trace, Phase::Prepare, &telemetry.prepare_ns);
-                prepared.evaluate(&request.workload)?
-            }
-            // The zoo backends are closed-form analytical models; their
-            // workload-independent parts are cheap enough that the result
-            // cache alone carries the memoization.
-            spec => spec.simulate(&request.workload)?,
-        };
-        cache.insert(key.clone(), report);
-        close_span(&mut trace, Phase::Evaluate, &telemetry.evaluate_ns);
-        Ok(report)
-    }));
-    outcome.unwrap_or_else(|payload| {
-        telemetry.panics.inc();
-        Err(RuntimeError::Panicked(panic_message(payload.as_ref())))
-    })
 }
 
 /// The text a panic was raised with (empty when it carries none).
@@ -700,6 +592,7 @@ use tests::panic_if_armed;
 mod tests {
     use super::*;
     use crosslight_core::config::CrossLightConfig;
+    use crosslight_core::error::ArchitectureError;
     use crosslight_core::variants::CrossLightVariant;
     use crosslight_neural::workload::NetworkWorkload;
     use crosslight_neural::zoo::PaperModel;
@@ -774,19 +667,75 @@ mod tests {
 
     #[test]
     fn duplicates_within_one_batch_hit_after_the_first_occurrence() {
-        let service = EvalService::new(RuntimeOptions::default().with_workers(3));
+        let distinct = paper_requests();
+        // Each distinct key three times, its duplicates interleaved with
+        // other keys.
+        let picks: Vec<usize> = (0..distinct.len())
+            .flat_map(|i| [i, i / 2, (i * 5) % distinct.len()])
+            .collect();
+        let batch: Vec<EvalRequest> = picks.iter().map(|&i| distinct[i].clone()).collect();
+        for workers in 1..=8 {
+            let service = EvalService::new(RuntimeOptions::default().with_workers(workers));
+            let responses = service.submit_batch(batch.clone()).unwrap();
+            // Grouping by shard serves identical requests in order on one
+            // thread, so exactly the first occurrence of each key misses.
+            let mut seen = vec![false; distinct.len()];
+            for (&i, response) in picks.iter().zip(&responses) {
+                assert_eq!(response.cache_hit, seen[i], "key {i} on {workers} workers");
+                seen[i] = true;
+            }
+            let stats = service.stats();
+            assert_eq!(
+                stats.cache_misses,
+                distinct.len() as u64,
+                "{workers} workers"
+            );
+            assert_eq!(stats.cache_misses, stats.cached_entries as u64);
+            assert_eq!(stats.cache_hits, (batch.len() - distinct.len()) as u64);
+        }
+    }
+
+    #[test]
+    fn a_batch_returns_the_lowest_failing_index_after_serving_every_request() {
         let workload =
-            Arc::new(NetworkWorkload::from_spec(&PaperModel::Lenet5SignMnist.spec()).unwrap());
-        let request = EvalRequest::new(CrossLightConfig::paper_best(), workload);
-        let responses = service
-            .submit_batch(vec![request.clone(), request.clone(), request])
-            .unwrap();
-        // Key-sharded dispatch serializes identical requests on one worker,
-        // so exactly one response computed and two hit.
-        let hits = responses.iter().filter(|r| r.cache_hit).count();
-        assert_eq!(hits, 2);
-        assert_eq!(responses[0].report, responses[1].report);
-        assert_eq!(responses[1].report, responses[2].report);
+            Arc::new(NetworkWorkload::from_spec(&PaperModel::CnnCifar10.spec()).unwrap());
+        let failing = |config| EvalRequest::new(config, Arc::clone(&workload));
+        let no_units = failing(CrossLightConfig {
+            conv_units: 0,
+            ..CrossLightConfig::paper_best()
+        });
+        let no_chunk = failing(CrossLightConfig {
+            conv_unit_size: 0,
+            ..CrossLightConfig::paper_best()
+        });
+        let invalid = |name| {
+            move |outcome: &Result<Vec<EvalResponse>>| {
+                matches!(
+                    outcome,
+                    Err(RuntimeError::Evaluation(ArchitectureError::InvalidConfig { name: n, .. }))
+                        if *n == name
+                )
+            }
+        };
+        for (first, second, lower) in [
+            (&no_units, &no_chunk, invalid("units")),
+            (&no_chunk, &no_units, invalid("chunk")),
+        ] {
+            let mut batch = paper_requests();
+            batch.insert(3, first.clone());
+            batch.insert(11, second.clone());
+            for workers in 1..=8 {
+                let service = EvalService::new(RuntimeOptions::default().with_workers(workers));
+                let outcome = service.submit_batch(batch.clone());
+                assert!(lower(&outcome), "{workers} workers: {outcome:?}");
+                let stats = service.stats();
+                assert_eq!(
+                    (stats.submitted, stats.completed),
+                    (batch.len() as u64, batch.len() as u64),
+                    "{workers} workers"
+                );
+            }
+        }
     }
 
     #[test]
@@ -804,25 +753,23 @@ mod tests {
     }
 
     #[test]
-    fn pool_shares_one_model_cache_across_workers_and_callers() {
-        let models = Arc::new(ModelCache::new());
-        // Warm the cache outside the pool…
+    fn one_model_cache_serves_every_worker_and_the_caller() {
+        let service = EvalService::new(RuntimeOptions::default().with_workers(4));
+        // Warm the cache outside any batch…
         CrossLightSimulator::new(CrossLightConfig::paper_best())
-            .prepare_with(&models)
+            .prepare_with(service.model_cache())
             .unwrap();
-        let service =
-            EvalService::with_model_cache(RuntimeOptions::default().with_workers(4), models);
         let responses = service.submit_batch(paper_requests()).unwrap();
         assert_eq!(responses.len(), 16);
         let stats = service.stats();
         // Four paper variants → four prepared configurations, one of which
-        // was prepared by the caller before the pool ever ran.
+        // was prepared by the caller before the batch ran.
         assert_eq!(stats.prepared_configs, 4);
         assert!(service.model_cache().stats().hits > 0);
     }
 
     #[test]
-    fn one_item_batches_match_serial_and_settle_queue_gauges() {
+    fn single_submits_match_serial_and_queue_depths_read_zero() {
         let service = EvalService::new(RuntimeOptions::default().with_workers(3));
         for request in paper_requests() {
             let serial = CrossLightSimulator::new(request.config().unwrap())
@@ -834,23 +781,8 @@ mod tests {
         assert_eq!(stats.submitted, 16);
         assert_eq!(stats.completed, 16);
         assert_eq!(stats.in_flight(), 0);
-        // Once every answer has been received, no job is waiting anywhere.
+        // Nothing ever queues.
         assert_eq!(stats.queue_depths.len(), 3);
-        assert!(stats.queue_depths.iter().all(|&d| d == 0));
-    }
-
-    #[test]
-    fn a_shut_down_pool_answers_every_batch_with_worker_lost() {
-        let mut service = EvalService::new(RuntimeOptions::default().with_workers(2));
-        service.shutdown_in_place();
-        let request = paper_requests().remove(0);
-        assert_eq!(
-            service.submit_batch(vec![request.clone(); 3]),
-            Err(RuntimeError::WorkerLost)
-        );
-        assert_eq!(service.submit(request), Err(RuntimeError::WorkerLost));
-        let stats = service.stats();
-        assert_eq!(stats.submitted, 0);
         assert!(stats.queue_depths.iter().all(|&d| d == 0));
     }
 
@@ -868,19 +800,19 @@ mod tests {
     }
 
     #[test]
-    fn answers_count_and_trace_like_the_pool() {
+    fn answers_count_and_trace_like_batches() {
         const WORKERS: u64 = 3;
         let options = RuntimeOptions::default().with_workers(WORKERS as usize);
         let service = EvalService::new(options);
         let requests = paper_requests();
-        let pool = EvalService::new(options)
+        let batched = EvalService::new(options)
             .submit_batch(requests.clone())
             .unwrap();
         let keyed: Vec<KeyedRequest> = requests.iter().cloned().map(KeyedRequest::from).collect();
 
         // First pass: every answer is a miss evaluated on this thread, the
-        // pool's response exactly.
-        for (request, expected) in keyed.iter().zip(&pool) {
+        // batch's response exactly.
+        for (request, expected) in keyed.iter().zip(&batched) {
             let origin = Instant::now();
             let mut trace = RequestTrace::with_origin(0, origin);
             let mut cursor = origin;
@@ -902,7 +834,7 @@ mod tests {
         // Then hits: one encoding per entry, on its first hit.
         let mut encodings = 0;
         for _ in 0..2 {
-            for (request, response) in keyed.iter().zip(&pool) {
+            for (request, response) in keyed.iter().zip(&batched) {
                 let origin = Instant::now();
                 let mut trace = RequestTrace::with_origin(0, origin);
                 let mut cursor = origin;

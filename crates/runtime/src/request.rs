@@ -98,8 +98,8 @@ pub struct EvalResponse {
     pub report: SimulationReport,
     /// Whether the report was served from the memoizing cache.
     pub cache_hit: bool,
-    /// Index of the worker that served the request, or that its key routes
-    /// to when it was answered off the pool.
+    /// Index of the worker (shard) the request's key routes to, whatever
+    /// thread served it.
     pub worker: usize,
 }
 

@@ -15,11 +15,10 @@
 //! memoized on the cache entry, encoded on the entry's first hit, and a
 //! miss is prepared, evaluated, cached and encoded on the spot.  Either
 //! answer reads the `worker` the key routes to, so its bytes are exactly
-//! those the pool would give, and a connection's answers come back in
-//! request order.  A process serving one [`Server`] therefore runs
-//! `2 + event_loops + workers` threads (main, acceptor, the loops and the
-//! pool, whose threads a server never uses), however many thousand
-//! connections are open.
+//! those [`EvalService::submit`] would give, and a connection's answers
+//! come back in request order.  The service owns no thread, so a process
+//! serving one [`Server`] runs `2 + event_loops` threads (main, acceptor
+//! and the loops), however many thousand connections are open.
 //!
 //! # Load shedding
 //!
@@ -37,9 +36,8 @@
 //!
 //! [`Server::shutdown`] stops the acceptor and half-closes every live
 //! connection's read side: the loops see EOF and stop accepting input,
-//! flush and close each connection once its answers are written, and only
-//! then does the underlying [`EvalService`] shut down.  No admitted
-//! request is ever dropped.
+//! flush and close each connection once its answers are written.  No
+//! admitted request is ever dropped.
 
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -68,8 +66,8 @@ use crate::wire::{
 pub struct ServerOptions {
     /// Workers of the underlying [`EvalService`]: the `worker` an answer
     /// names is its key's fingerprint modulo this count, and `stats`
-    /// reports `per_worker` with this many entries.  The event loops answer
-    /// every eval themselves, so the pool's threads sit idle.
+    /// reports `per_worker` with this many entries.  Workers are shards,
+    /// not threads: the event loops answer every eval themselves.
     pub workers: usize,
     /// Maximum evals the event loops admit between two polls (an eval holds
     /// its permit until the end of the wake that admitted it); everything
@@ -235,11 +233,11 @@ impl ServerTelemetry {
         let front = FrontendTelemetry::register(&registry, "server");
         registry.counter(
             "server_batches_total",
-            "Pool submissions (always zero: the event loops answer every eval).",
+            "Eval batches sent to the runtime (always zero: the event loops answer every eval).",
         );
         registry.histogram(
             "server_batch_size",
-            "Evals per pool submission (always empty: the event loops answer every eval).",
+            "Evals per runtime batch (always empty: the event loops answer every eval).",
         );
         registry
             .register_counter(
@@ -548,8 +546,7 @@ pub struct Server {
 }
 
 impl Server {
-    /// Binds the listener and spawns the acceptor, event loops and
-    /// evaluation pool.
+    /// Binds the listener and spawns the acceptor and event loops.
     ///
     /// # Errors
     ///
@@ -620,8 +617,8 @@ impl Server {
         self.shared.metrics_snapshot()
     }
 
-    /// Stops accepting connections, drains every in-flight request, joins
-    /// every reactor thread, and shuts the evaluation pool down.
+    /// Stops accepting connections, drains every in-flight request and
+    /// joins every reactor thread.
     pub fn shutdown(mut self) {
         self.shutdown_in_place();
     }
@@ -631,8 +628,6 @@ impl Server {
             return;
         }
         self.frontend.shutdown();
-        // Dropping the service inside `self.shared` when the last Arc goes
-        // away also joins the pool; nothing in-flight remains at this point.
     }
 }
 
@@ -933,7 +928,7 @@ impl Handler for ServerLoop {
     }
 }
 
-/// Encodes a cached report's eval-answer tail the way a pool hit on
+/// Encodes a cached report's eval-answer tail the way a batched hit on
 /// `worker` is answered, so a hit's line is byte-identical to it.
 /// A memoized tail stays for good, so it holds no spare capacity.
 fn hit_tail(report: &SimulationReport, worker: usize) -> Arc<String> {

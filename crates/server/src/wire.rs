@@ -581,7 +581,7 @@ pub struct WireServerStats {
 pub struct StatsFrame {
     /// Front-end counters.
     pub server: WireServerStats,
-    /// Evaluation-pool counters.
+    /// Evaluation-service counters.
     pub runtime: RuntimeStats,
 }
 

@@ -21,7 +21,7 @@ const EMFILE: i32 = 24;
 
 /// The `comm` names of this process's `crosslight-*` threads, sorted.  The
 /// kernel truncates names to 15 bytes, so server threads read
-/// `crosslight-serv` and pool workers `crosslight-runt`.
+/// `crosslight-serv`.
 fn crosslight_threads() -> Vec<String> {
     let mut names = Vec::new();
     for task in std::fs::read_dir("/proc/self/task").expect("list /proc/self/task") {
@@ -53,7 +53,7 @@ fn crosslight_threads_after_exit() -> Vec<String> {
 }
 
 #[test]
-fn a_server_runs_exactly_acceptor_loops_and_workers() {
+fn a_server_runs_exactly_acceptor_and_loops() {
     let server = Server::bind(
         "127.0.0.1:0",
         ServerOptions::default().with_workers(2).with_event_loops(2),
@@ -62,7 +62,7 @@ fn a_server_runs_exactly_acceptor_loops_and_workers() {
 
     // A thread names itself when it starts, so make the loops run before
     // counting: two connections land on both loops (round-robin).  The
-    // specs below name both workers, though the loops answer them.
+    // specs below name both workers, which are shards, not threads.
     let mut workers_seen = HashSet::new();
     for _ in 0..2 {
         let mut client = Client::connect(server.local_addr()).expect("connect");
@@ -86,14 +86,7 @@ fn a_server_runs_exactly_acceptor_loops_and_workers() {
         "the probe evals must reach both workers"
     );
 
-    // No request reaches a pool thread, so give the two a bounded moment
-    // to start and name themselves.
-    let deadline = Instant::now() + Duration::from_secs(10);
-    let mut names = crosslight_threads();
-    while names.len() < 5 && Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(10));
-        names = crosslight_threads();
-    }
+    let names = crosslight_threads();
     let server_threads = names
         .iter()
         .filter(|name| name.starts_with("crosslight-serv"))
@@ -102,10 +95,10 @@ fn a_server_runs_exactly_acceptor_loops_and_workers() {
         .iter()
         .filter(|name| name.starts_with("crosslight-runt"))
         .count();
-    // Acceptor and two event loops; two pool workers.
+    // Acceptor and two event loops; the runtime owns no thread.
     assert_eq!(
         (server_threads, pool_threads, names.len()),
-        (3, 2, 5),
+        (3, 0, 3),
         "unexpected thread set: {names:?}"
     );
 

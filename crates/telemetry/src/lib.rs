@@ -1,7 +1,7 @@
 //! # crosslight-telemetry
 //!
 //! Std-only observability substrate for the CrossLight serving stack: the
-//! measurement layer underneath `crosslight-runtime`'s worker pool and
+//! measurement layer underneath `crosslight-runtime`'s evaluation service and
 //! `crosslight-server`'s TCP front-end.
 //!
 //! Three pieces, layered:

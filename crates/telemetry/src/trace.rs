@@ -155,11 +155,6 @@ impl RequestTrace {
         self.spans.push(span);
     }
 
-    /// Records a phase that started at `start` and ends "now".
-    pub fn record_since(&mut self, phase: Phase, start: Instant) {
-        self.record(phase, start, Instant::now());
-    }
-
     /// The recorded spans, in recording order.
     pub fn spans(&self) -> &[Span] {
         &self.spans

@@ -226,7 +226,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
 
     // Every family of the documented vocabulary must be present in one
-    // merged scrape — server front-end and runtime pool alike.
+    // merged scrape — server front-end and runtime alike.
     for family in [
         "server_requests_total",
         "server_evals_ok_total",

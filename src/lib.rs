@@ -15,7 +15,7 @@
 //! | [`tuning`] | `crosslight-tuning` | EO/TO/hybrid tuning, thermal eigenmode decomposition |
 //! | [`neural`] | `crosslight-neural` | tensors, layers, training, quantization, the Table I model zoo |
 //! | [`core`] | `crosslight-core` | the CrossLight architecture: VDP units, power/area/latency models, simulator |
-//! | [`runtime`] | `crosslight-runtime` | concurrent batched evaluation service: worker pool, result cache, sweep planner |
+//! | [`runtime`] | `crosslight-runtime` | concurrent batched evaluation service: sweep engine, result cache, sweep planner |
 //! | [`server`] | `crosslight-server` | load-shedding TCP/JSON-lines front-end over the runtime, plus the reference client/loadgen |
 //! | [`cluster`] | `crosslight-cluster` | fault-tolerant router over N servers: fingerprint sharding, health-checked failover, circuit breakers, fault injection |
 //! | [`telemetry`] | `crosslight-telemetry` | lock-free metrics registry, Prometheus-style exposition, sampled request tracing |
