@@ -25,15 +25,14 @@
 //! direct serving, so no bar backs this ratio; the JSON records its
 //! current value and spread.
 //!
-//! `cluster_failover_{cold,warm}_recovery` each time, one request at a
-//! time, the first sweep after a backend is killed, restarted and
-//! readmitted, cold (it recomputes its shards) or warm (its caches are
-//! restored from the surviving replica first), against the same cycle's
-//! steady-state sweep, `_steady`.  A sweep is `FAILOVER_SPECS` distinct
-//! design points, so each p99 rests on about 500 samples rather than
-//! being a sweep's maximum.  A round is one such cycle, and the recovery's
-//! speed-up compares p99s; the warm recovery's bar is its p99 within 2×
-//! of the steady p99, a speed-up ≥ 0.5.
+//! `cluster_failover_cold_recovery` times, one request at a time, the
+//! first sweep after a backend is killed, restarted and readmitted (cold:
+//! it recomputes its shards), against the same cycle's steady-state
+//! sweep, `_steady`.  A sweep is `FAILOVER_SPECS` distinct design points,
+//! so each p99 rests on about 500 samples rather than being a sweep's
+//! maximum.  A round is one such cycle, and the recovery's speed-up
+//! compares p99s; its bar is the recovery p99 within 2× of the steady
+//! p99, a speed-up ≥ 0.5.
 
 use std::net::SocketAddr;
 use std::process::ExitCode;
@@ -49,8 +48,8 @@ use crosslight_server::server::{Server, ServerOptions};
 use crosslight_server::wire::{EvalSpec, ResponseBody, WorkloadRef};
 use crosslight_telemetry::{Histogram, HistogramSnapshot};
 
-/// Warm recovery's p99 is at most 2× the steady p99 of the same cycle.
-const WARM_RECOVERY_OVER_STEADY: Bar = Bar::AtLeast(0.5);
+/// Recovery's p99 is at most 2× the steady p99 of the same cycle.
+const RECOVERY_OVER_STEADY: Bar = Bar::AtLeast(0.5);
 
 /// Distinct design points in one failover sweep.
 const FAILOVER_SPECS: usize = 512;
@@ -161,7 +160,7 @@ fn main() -> ExitCode {
     }
     solo.shutdown();
 
-    // ---- failover recovery: cold vs warm readmission ----------------------
+    // ---- failover recovery: a readmitted backend against steady state -----
     // Each of the rounds is a full cycle on a fresh cluster, timing
     // `FAILOVER_SPECS` distinct paper-variant design points per sweep.
     let specs: Vec<EvalSpec> = (0..FAILOVER_SPECS)
@@ -174,33 +173,26 @@ fn main() -> ExitCode {
             )
         })
         .collect();
-    for (name, handoff) in [
-        ("cluster_failover_cold_recovery", false),
-        ("cluster_failover_warm_recovery", true),
-    ] {
-        let (mut steady, mut recovery) = (Vec::new(), Vec::new());
-        for _ in 0..ROUNDS {
-            let [s, r] = failover_round(&specs, workers, handoff);
-            steady.push(s);
-            recovery.push(r);
-        }
-        let steady = BenchResult::from_rounds(&format!("{name}_steady"), &steady);
-        let mut recovery = BenchResult::from_rounds(name, &recovery);
-        let bar = handoff.then_some(WARM_RECOVERY_OVER_STEADY);
-        recovery.compare(&steady, Figure::P99, bar);
-        results.extend([steady, recovery]);
+    let (mut steady, mut recovery) = (Vec::new(), Vec::new());
+    for _ in 0..ROUNDS {
+        let [s, r] = failover_round(&specs, workers);
+        steady.push(s);
+        recovery.push(r);
     }
+    let steady = BenchResult::from_rounds("cluster_failover_cold_recovery_steady", &steady);
+    let mut recovery = BenchResult::from_rounds("cluster_failover_cold_recovery", &recovery);
+    recovery.compare(&steady, Figure::P99, Some(RECOVERY_OVER_STEADY));
+    results.extend([steady, recovery]);
     finish(&args, "crosslight-bench-cluster/v2", &results)
 }
 
-/// Runs one full failover cycle, a round of the failover pairs — warm the
+/// Runs one full failover cycle, a round of the failover pair — warm the
 /// cluster, serially time a steady-state sweep, kill one of the two
 /// replicated backends, sweep through the outage, restart it, wait for
-/// readmission, and serially time the first post-recovery sweep —
-/// returning the steady and recovery per-request nanoseconds.  With `handoff` the readmitted backend's
-/// caches are restored from the survivor before it takes traffic; without
-/// it the same sweep pays the recompute cliff.
-fn failover_round(specs: &[EvalSpec], workers: usize, handoff: bool) -> [HistogramSnapshot; 2] {
+/// readmission, and serially time the first post-recovery sweep, in which
+/// the readmitted backend recomputes its shards — returning the steady
+/// and recovery per-request nanoseconds.
+fn failover_round(specs: &[EvalSpec], workers: usize) -> [HistogramSnapshot; 2] {
     let bind_backend = || {
         Server::bind(
             "127.0.0.1:0",
@@ -225,14 +217,11 @@ fn failover_round(specs: &[EvalSpec], workers: usize, handoff: bool) -> [Histogr
     let router = Router::bind(
         "127.0.0.1:0",
         &addrs,
-        RouterOptions::default()
-            .with_replication(2)
-            .with_handoff(handoff)
-            .with_health(
-                Duration::from_millis(10),
-                Duration::from_millis(250),
-                Duration::from_millis(50),
-            ),
+        RouterOptions::default().with_replication(2).with_health(
+            Duration::from_millis(10),
+            Duration::from_millis(250),
+            Duration::from_millis(50),
+        ),
     )
     .expect("bind router");
     let mut client = Client::connect(router.local_addr()).expect("connect to router");
@@ -272,8 +261,7 @@ fn failover_round(specs: &[EvalSpec], workers: usize, handoff: bool) -> [Histogr
         Box::new(|| router.stats().backend_states[1] == CircuitState::Open),
     );
 
-    // Restart it at a fresh address and wait for readmission — warm
-    // (handoff restores its caches first) or cold, per the flag.
+    // Restart it at a fresh address and wait for readmission.
     let reborn = bind_backend();
     router.update_backend_addr(1, reborn.local_addr());
     wait_for(

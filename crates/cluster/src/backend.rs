@@ -9,9 +9,8 @@
 //!   requests are routed here.  After `open_cooldown` the backend's link
 //!   moves it to half-open.
 //! * **Half-open** — still excluded from dispatch, but the link dials
-//!   and sends a trial ping; its pong closes the breaker (readmission,
-//!   through *warming* when a warm handoff runs first), a failure re-opens
-//!   it and restarts the cooldown.
+//!   and sends a trial ping; its pong closes the breaker (readmission),
+//!   a failure re-opens it and restarts the cooldown.
 //!
 //! Requests never probe an open circuit themselves — only the backend's
 //! link does — so a dead backend costs the cluster one trial per
@@ -44,32 +43,26 @@ pub enum CircuitState {
     Open,
     /// Probation: excluded from routing, but health probes may readmit it.
     HalfOpen,
-    /// Probe succeeded and a warm-state handoff is in flight: still
-    /// excluded from routing until the handoff completes (or falls back
-    /// cold), so the first readmitted request never races the restore.
-    Warming,
 }
 
 impl CircuitState {
-    /// Stable wire/metric name (`closed`, `open`, `half_open`, `warming`).
+    /// Stable wire/metric name (`closed`, `open`, `half_open`).
     #[must_use]
     pub fn as_str(self) -> &'static str {
         match self {
             Self::Closed => "closed",
             Self::Open => "open",
             Self::HalfOpen => "half_open",
-            Self::Warming => "warming",
         }
     }
 
-    /// Gauge encoding: closed = 0, open = 1, half-open = 2, warming = 3.
+    /// Gauge encoding: closed = 0, open = 1, half-open = 2.
     #[must_use]
     pub fn as_gauge(self) -> i64 {
         match self {
             Self::Closed => 0,
             Self::Open => 1,
             Self::HalfOpen => 2,
-            Self::Warming => 3,
         }
     }
 
@@ -77,7 +70,6 @@ impl CircuitState {
         match value {
             1 => Self::Open,
             2 => Self::HalfOpen,
-            3 => Self::Warming,
             _ => Self::Closed,
         }
     }
@@ -183,10 +175,9 @@ impl BackendState {
         let failures = self.consecutive_failures.fetch_add(1, Ordering::AcqRel) + 1;
         match self.state() {
             CircuitState::Closed if failures >= self.failure_threshold => self.open(),
-            // A half-open backend that fails its probe — or a warming one
-            // whose handoff collapsed under it — goes straight back to
-            // open and restarts the cooldown.
-            CircuitState::HalfOpen | CircuitState::Warming => self.open(),
+            // A half-open backend that fails its probe goes straight back
+            // to open and restarts the cooldown.
+            CircuitState::HalfOpen => self.open(),
             _ => Transition::None,
         }
     }
@@ -211,40 +202,6 @@ impl BackendState {
             }
             _ => Transition::None,
         }
-    }
-
-    /// Claims a successful half-open probe for a warm handoff: half-open
-    /// becomes warming, and the backend keeps taking no traffic until
-    /// [`BackendState::complete_warming`].  Returns `false` if the
-    /// breaker was not half-open.
-    pub fn begin_warming(&self) -> bool {
-        self.state
-            .compare_exchange(
-                CircuitState::HalfOpen.as_gauge() as u8,
-                CircuitState::Warming.as_gauge() as u8,
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            )
-            .is_ok()
-    }
-
-    /// Completes a warm handoff (whether the state transfer succeeded or
-    /// fell back cold): a warming backend closes and takes traffic again.
-    pub fn complete_warming(&self) -> Transition {
-        if self
-            .state
-            .compare_exchange(
-                CircuitState::Warming.as_gauge() as u8,
-                CircuitState::Closed.as_gauge() as u8,
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            )
-            .is_ok()
-        {
-            self.consecutive_failures.store(0, Ordering::Release);
-            return Transition::Readmitted;
-        }
-        Transition::None
     }
 
     /// Moves an open breaker whose cooldown has elapsed into half-open;
@@ -356,27 +313,6 @@ mod tests {
         );
         backend.set_addr("127.0.0.1:2".parse().unwrap());
         assert_eq!(backend.generation(), initial + 2);
-    }
-
-    #[test]
-    fn warming_walks_half_open_to_closed_exactly_once() {
-        let backend = test_backend(1, Duration::from_millis(0));
-        assert_eq!(backend.record_failure(), Transition::Opened);
-        assert_eq!(backend.tick_probation(), Transition::Probation);
-        assert!(backend.begin_warming());
-        assert!(!backend.begin_warming(), "warming is claimed exactly once");
-        assert_eq!(backend.state(), CircuitState::Warming);
-        assert!(!backend.available(), "warming backends take no traffic");
-        assert_eq!(backend.complete_warming(), Transition::Readmitted);
-        assert_eq!(backend.complete_warming(), Transition::None);
-        assert!(backend.available());
-        // A handoff that collapses mid-warming re-opens the breaker.
-        assert_eq!(backend.record_failure(), Transition::Opened);
-        assert_eq!(backend.tick_probation(), Transition::Probation);
-        assert!(backend.begin_warming());
-        assert_eq!(backend.record_failure(), Transition::Opened);
-        assert_eq!(backend.complete_warming(), Transition::None);
-        assert_eq!(backend.state(), CircuitState::Open);
     }
 
     #[test]

@@ -38,32 +38,20 @@ pub enum FaultPoint {
     /// sleeps and `Garble` corrupts the ping line.  A failed ping is a
     /// link death like any other.
     HealthProbe,
-    /// Immediately before the router starts a warm-state handoff to a
-    /// rejoining backend.  `Kill`/`Stall` abort the transfer outright;
-    /// `Garble` corrupts the restore stream in flight so the rejoining
-    /// backend rejects it with a typed error — either way the backend is
-    /// readmitted cold, never wedged.
-    Handoff,
 }
 
 impl FaultPoint {
     /// All injection points, for exhaustive tests and catalogs.
-    pub const ALL: [Self; 4] = [
-        Self::BackendSend,
-        Self::BackendRecv,
-        Self::HealthProbe,
-        Self::Handoff,
-    ];
+    pub const ALL: [Self; 3] = [Self::BackendSend, Self::BackendRecv, Self::HealthProbe];
 
     /// The catalog name of this point (`backend.send`, `backend.recv`,
-    /// `health.probe`, `cluster.handoff`).
+    /// `health.probe`).
     #[must_use]
     pub fn as_str(self) -> &'static str {
         match self {
             Self::BackendSend => "backend.send",
             Self::BackendRecv => "backend.recv",
             Self::HealthProbe => "health.probe",
-            Self::Handoff => "cluster.handoff",
         }
     }
 }

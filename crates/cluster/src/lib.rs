@@ -11,8 +11,9 @@
 //! Layering:
 //!
 //! * [`backend`] — per-backend circuit breakers (closed → open →
-//!   half-open → closed) and rendezvous (highest-random-weight) replica
-//!   placement.
+//!   half-open → closed: a recovered backend is readmitted cold, and
+//!   recomputes what it lost) and rendezvous (highest-random-weight)
+//!   replica placement.
 //! * [`retry`] — bounded exponential backoff with deterministic jitter
 //!   and the cluster-wide token [`RetryBudget`] that brakes retry storms.
 //! * [`faultpoint`] — a seeded, deterministic fault-injection harness

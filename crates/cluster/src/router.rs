@@ -53,21 +53,16 @@
 //! retryable `unavailable` error — never a hang, never a silent wrong
 //! answer.
 //!
-//! # Warm recovery and hedging
+//! # Readmission and hedging
 //!
-//! A backend readmitted through half-open probing can receive a **warm
-//! handoff** (`RouterOptions::handoff`, on by default): while the breaker
-//! sits in the `warming` state — still excluded from routing — its link
-//! pulls `snapshot` streams from the surviving replicas, keeps the
-//! entries whose shard includes the rejoining backend (plus all
-//! shard-agnostic model-cache entries), and `restore`s them, so the first
-//! routed request already hits a warm cache.  Any handoff failure
-//! degrades to the old cold readmission.  Optional **hedged requests**
-//! ([`HedgePolicy`]) launch a second attempt on the next replica after a
-//! delay derived from the observed per-hop p99; the first answer wins
-//! exactly once and the loser is cancelled or discarded, never delivered.
+//! A backend readmitted through half-open probing takes traffic again as
+//! soon as its link reads the trial's pong, and its first requests
+//! recompute what it lost: answers stay bit-identical, because
+//! evaluations are pure.  Optional **hedged requests** ([`HedgePolicy`])
+//! launch a second attempt on the next replica after a delay derived from
+//! the observed per-hop p99; the first answer wins exactly once and the
+//! loser is cancelled or discarded, never delivered.
 
-use std::collections::HashSet;
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
@@ -77,20 +72,18 @@ use std::time::{Duration, Instant};
 
 use crosslight_neural::workload::NetworkWorkload;
 use crosslight_neural::zoo::PaperModel;
-use crosslight_runtime::cache::CacheKey;
 use crosslight_server::frontend::{
     default_event_loops, Bound, Conn, Frontend, FrontendTelemetry, Handler,
 };
-use crosslight_server::loadgen::{restore_stream, Client, ClientOptions};
 use crosslight_server::poller::wake_pair;
 use crosslight_server::wire::{
     self, ErrorFrame, ErrorKind, MetricsFormat, MetricsFrame, Request, RequestBody, Response,
-    ResponseBody, SnapshotEntry, StatsFrame, DEFAULT_MAX_LINE_BYTES,
+    ResponseBody, StatsFrame, DEFAULT_MAX_LINE_BYTES,
 };
 use crosslight_telemetry::{render_text, Counter, Gauge, Histogram, Registry, RegistrySnapshot};
 
 use crate::backend::{rendezvous_order, BackendState, CircuitState};
-use crate::faultpoint::{FaultAction, FaultPlan, FaultPoint};
+use crate::faultpoint::FaultPlan;
 use crate::retry::{RetryBudget, RetryPolicy};
 
 mod link;
@@ -131,11 +124,6 @@ pub struct RouterOptions {
     pub retry: RetryPolicy,
     /// Cluster-wide retry budget, in tokens (see [`RetryBudget`]).
     pub retry_budget: u64,
-    /// Whether a readmitted backend gets a warm-state handoff (snapshot
-    /// pulled from surviving replicas and restored before it takes
-    /// traffic).  Off, readmission is cold — exactly the pre-handoff
-    /// behavior.
-    pub handoff: bool,
     /// Hedged-request policy; disabled by default.
     pub hedge: HedgePolicy,
     /// Fault-injection plan; [`FaultPlan::none`] in production.
@@ -201,7 +189,6 @@ impl Default for RouterOptions {
             failure_threshold: 3,
             retry: RetryPolicy::default(),
             retry_budget: 128,
-            handoff: true,
             hedge: HedgePolicy::default(),
             faults: FaultPlan::none(),
         }
@@ -265,13 +252,6 @@ impl RouterOptions {
         self
     }
 
-    /// Returns a copy with warm-state handoff on readmission toggled.
-    #[must_use]
-    pub fn with_handoff(mut self, handoff: bool) -> Self {
-        self.handoff = handoff;
-        self
-    }
-
     /// Returns a copy with a different hedged-request policy.
     #[must_use]
     pub fn with_hedge(mut self, hedge: HedgePolicy) -> Self {
@@ -322,11 +302,6 @@ struct ClusterTelemetry {
     retry_budget_tenths: Gauge,
     faults_injected: Counter,
     hop_ns: Histogram,
-    handoff_snapshots_sent: Counter,
-    handoff_restored: Counter,
-    handoff_entries: Counter,
-    handoff_failed: Counter,
-    handoff_warmup_ns: Histogram,
     hedges_launched: Counter,
     hedges_won: Counter,
     hedges_cancelled: Counter,
@@ -394,26 +369,6 @@ impl ClusterTelemetry {
                 "Latency from writing a request on a backend link to reading its answer, \
                  in nanoseconds.",
             ),
-            handoff_snapshots_sent: registry.counter(
-                "cluster_handoff_snapshots_sent_total",
-                "Warm-state snapshots pulled from donor backends during handoff.",
-            ),
-            handoff_restored: registry.counter(
-                "cluster_handoff_restored_total",
-                "Warm-state restores applied to rejoining backends.",
-            ),
-            handoff_entries: registry.counter(
-                "cluster_handoff_entries_total",
-                "Cache entries transferred into rejoining backends.",
-            ),
-            handoff_failed: registry.counter(
-                "cluster_handoff_failed_total",
-                "Handoffs that fell back to a cold readmission.",
-            ),
-            handoff_warmup_ns: registry.histogram(
-                "cluster_handoff_warmup_ns",
-                "Duration of one warm-state handoff attempt, in nanoseconds.",
-            ),
             hedges_launched: registry.counter(
                 "cluster_hedges_launched_total",
                 "Hedge attempts parked behind the p99-derived delay.",
@@ -456,7 +411,7 @@ impl BackendTelemetry {
             ),
             state: gauge(
                 "cluster_backend_state",
-                "Circuit state per backend: 0 closed, 1 open, 2 half-open, 3 warming.",
+                "Circuit state per backend: 0 closed, 1 open, 2 half-open.",
             ),
             circuit_opened: counter(
                 "cluster_circuit_opened_total",
@@ -1014,125 +969,6 @@ fn retry_loop(shared: &Arc<ClusterShared>, rx: &Receiver<(Instant, ForwardJob)>)
 }
 
 // ---------------------------------------------------------------------------
-// Warm-state handoff
-// ---------------------------------------------------------------------------
-
-/// One warm-state handoff into a rejoining backend, run by its link while
-/// the backend is warming, with telemetry: pull
-/// snapshots from the surviving replicas, keep the entries the rejoining
-/// backend is responsible for, restore them, and time the whole thing.
-/// Failure is never fatal — the backend is readmitted cold.
-fn attempt_handoff(shared: &Arc<ClusterShared>, backend: usize) {
-    let started = Instant::now();
-    let outcome = run_handoff(shared, backend);
-    shared
-        .telemetry
-        .handoff_warmup_ns
-        .record(started.elapsed().as_nanos() as u64);
-    match outcome {
-        Ok(0) => {}
-        Ok(entries) => {
-            shared.telemetry.handoff_restored.inc();
-            shared.telemetry.handoff_entries.add(entries);
-        }
-        Err(_detail) => shared.telemetry.handoff_failed.inc(),
-    }
-}
-
-/// The fallible body of a handoff; returns the number of entries the
-/// rejoining backend acknowledged (0 when there was nothing to move).
-fn run_handoff(shared: &Arc<ClusterShared>, backend: usize) -> Result<u64, String> {
-    let mut garble = false;
-    match shared.faults().check(FaultPoint::Handoff, backend) {
-        Some(FaultAction::Kill) => return Err("injected: handoff killed".to_string()),
-        Some(FaultAction::Stall(ms)) => {
-            std::thread::sleep(Duration::from_millis(ms));
-            return Err("injected: stall during handoff".to_string());
-        }
-        Some(FaultAction::Slow(ms)) => std::thread::sleep(Duration::from_millis(ms)),
-        Some(FaultAction::Garble) => garble = true,
-        None => {}
-    }
-    let entries = pull_warm_state(shared, backend)?;
-    if entries.is_empty() {
-        return Ok(0);
-    }
-    push_warm_state(shared, backend, entries, garble)
-}
-
-/// Pulls one snapshot from every closed (healthy) replica except the
-/// rejoining backend and keeps, deduplicated by canonical encoding:
-/// result entries whose shard includes the rejoining backend, and every
-/// model-cache entry (model state is shard-agnostic physics).
-fn pull_warm_state(
-    shared: &Arc<ClusterShared>,
-    backend: usize,
-) -> Result<Vec<SnapshotEntry>, String> {
-    let replication = shared.options.replication;
-    let backends = shared.backends.len();
-    let mut seen: HashSet<String> = HashSet::new();
-    let mut collected: Vec<SnapshotEntry> = Vec::new();
-    let mut donors = 0usize;
-    let mut pulled = 0usize;
-    for donor in &shared.backends {
-        if donor.index == backend || donor.state() != CircuitState::Closed {
-            continue;
-        }
-        donors += 1;
-        let deadline = ClientOptions::with_deadline(shared.options.request_timeout);
-        let pulled_entries = Client::connect_with(donor.addr(), deadline)
-            .and_then(|mut client| client.snapshot_entries(0));
-        let Ok(entries) = pulled_entries else {
-            continue;
-        };
-        pulled += 1;
-        shared.telemetry.handoff_snapshots_sent.inc();
-        for entry in entries {
-            let keep = match &entry {
-                SnapshotEntry::Result { arch, workload, .. } => {
-                    let fingerprint =
-                        CacheKey::from_parts(*arch, Arc::new(workload.clone())).fingerprint();
-                    rendezvous_order(fingerprint, backends)[..replication].contains(&backend)
-                }
-                SnapshotEntry::Model(_) => true,
-            };
-            if keep && seen.insert(wire::encode_snapshot_entry(&entry)) {
-                collected.push(entry);
-            }
-        }
-    }
-    if donors > 0 && pulled == 0 {
-        return Err("no donor replica delivered a snapshot".to_string());
-    }
-    Ok(collected)
-}
-
-/// Streams a restore into the rejoining backend over the client's one
-/// restore stream; the `Garble` fault corrupts its first line in flight,
-/// so the backend must answer with a typed rejection, which surfaces as a
-/// handoff failure and a cold fallback.
-fn push_warm_state(
-    shared: &Arc<ClusterShared>,
-    backend: usize,
-    entries: Vec<SnapshotEntry>,
-    garble: bool,
-) -> Result<u64, String> {
-    let mut lines = restore_stream(0, entries, DEFAULT_MAX_LINE_BYTES * 3 / 4);
-    if garble {
-        lines[0] = FaultPlan::garble_line(&lines[0]);
-    }
-    let mut client = Client::connect_with(
-        shared.backends[backend].addr(),
-        ClientOptions::with_deadline(shared.options.request_timeout),
-    )
-    .map_err(|err| format!("connect to rejoining backend: {err}"))?;
-    client
-        .restore(&lines)
-        .map(|frame| frame.entries)
-        .map_err(|err| format!("restore into rejoining backend: {err}"))
-}
-
-// ---------------------------------------------------------------------------
 // Client connections
 // ---------------------------------------------------------------------------
 
@@ -1172,8 +1008,7 @@ impl Handler for ClientSide {
             })),
             RequestBody::Metrics { format } => scrape(shared, conn, id, Some(format)),
             // The router holds no caches of its own: warm state lives on the
-            // backends, and the router moves it between them during handoff.
-            // Clients wanting a snapshot talk to a backend directly.
+            // backends, and clients wanting a snapshot talk to one directly.
             RequestBody::Snapshot { .. } | RequestBody::Restore(_) | RequestBody::RestoreEnd(_) => {
                 local(ErrorFrame::new(
                     ErrorKind::Unsupported,

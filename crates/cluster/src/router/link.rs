@@ -12,7 +12,8 @@
 //! ([`wire::peek_answer`]) names its job and tells `ok` from `err` without
 //! decoding the payload, and the client's id is spliced back before the
 //! line is queued on the client's connection.  Each connection a read
-//! burst touched is flushed once, as the server's responder does.
+//! burst touched is flushed once, as a server's event loop flushes each
+//! connection it read from at the end of its wake.
 //!
 //! A link dies on EOF or a socket error, a garbled answer, an answer whose
 //! id is not in flight, and when it goes `request_timeout` without reading
@@ -40,12 +41,11 @@
 //! dialing first if it has no socket, as a scrape does.  Nothing read for
 //! `health_timeout` after the ping, or after the first scrape it owes,
 //! kills the link as `timeout`.  A failed ping is a link death like any
-//! other, and a failed health probe too.  Once an open
-//! breaker cools down, the link's half-open trial is a fresh dial and a
-//! ping: the pong readmits the backend, after a warm handoff run here when
-//! `handoff` is on, and a failure re-opens the breaker.  An idle router
-//! holds one connection per closed backend, however often it is scraped,
-//! and dials no other.
+//! other, and a failed health probe too.  Once an open breaker cools
+//! down, the link's half-open trial is a fresh dial and a ping: the pong
+//! readmits the backend, and a failure re-opens the breaker.  An idle
+//! router holds one connection per closed backend, however often it is
+//! scraped, and dials no other.
 
 use std::collections::VecDeque;
 use std::io::{ErrorKind as IoErrorKind, Read, Write};
@@ -60,8 +60,8 @@ use crosslight_server::wire::{self, AnswerPeek};
 use crosslight_telemetry::Gauge;
 
 use super::{
-    attempt_handoff, dispatch, retry_after_failure, shed, ClusterShared, ForwardJob, Gather,
-    ShedReason, CONNECT_TIMEOUT, IDLE_POLL,
+    dispatch, retry_after_failure, shed, ClusterShared, ForwardJob, Gather, ShedReason,
+    CONNECT_TIMEOUT, IDLE_POLL,
 };
 use crate::backend::{CircuitState, Transition};
 use crate::faultpoint::{FaultAction, FaultPlan, FaultPoint};
@@ -427,7 +427,7 @@ impl Link<'_> {
         let due = match state.state() {
             CircuitState::Closed => self.quiet_since.elapsed() >= shared.options.health_interval,
             CircuitState::HalfOpen => true,
-            CircuitState::Open | CircuitState::Warming => false,
+            CircuitState::Open => false,
         };
         if due && self.control.is_empty() {
             self.ping();
@@ -459,23 +459,12 @@ impl Link<'_> {
         socket.out.push(b'\n');
     }
 
-    /// The pong: the backend is alive, and a half-open one is readmitted,
-    /// warm when `handoff` is on.
+    /// The pong: the backend is alive, and a half-open one is readmitted.
     fn pong(&mut self) {
-        let (shared, backend) = (self.shared, self.backend);
-        let telemetry = &shared.telemetry;
-        let state = &shared.backends[backend];
-        telemetry.backends[backend].probes_ok.inc();
-        let transition = if shared.options.handoff && state.begin_warming() {
-            // Warming keeps the backend out of the routing set until the
-            // handoff is done or has fallen back cold.
-            attempt_handoff(shared, backend);
-            state.complete_warming()
-        } else {
-            state.record_success()
-        };
-        if transition == Transition::Readmitted {
-            telemetry.backends[backend].readmitted.inc();
+        let telemetry = &self.shared.telemetry.backends[self.backend];
+        telemetry.probes_ok.inc();
+        if self.shared.backends[self.backend].record_success() == Transition::Readmitted {
+            telemetry.readmitted.inc();
         }
     }
 

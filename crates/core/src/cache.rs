@@ -30,9 +30,10 @@
 //! unit, resolution and bank memos stay unbounded; they hold one entry per
 //! unit size, `(N, K)` pair and bank design.
 //!
-//! [`ModelCache`] is `Sync`: one instance can back a whole worker pool (the
-//! runtime's `EvalService` shares one across its workers, and the parallel
-//! Fig. 6 sweep shares one across its scoped threads).  Values are computed
+//! [`ModelCache`] is `Sync`: one instance can back many threads (the
+//! runtime's `EvalService` shares one across its server's event loops and
+//! a batch's shards, and the parallel Fig. 6 sweep shares one across its
+//! scoped threads).  Values are computed
 //! outside the short-lived map locks, so two threads racing on the same key
 //! may both compute — they insert the same bits, and neither blocks the
 //! other's unrelated lookups.

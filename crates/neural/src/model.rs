@@ -103,12 +103,6 @@ impl Sequential {
         self.layers.iter().map(|l| l.parameter_count()).sum()
     }
 
-    /// Number of layers of a given kind.
-    #[must_use]
-    pub fn count_kind(&self, kind: LayerKind) -> usize {
-        self.layers.iter().filter(|l| l.kind() == kind).count()
-    }
-
     /// Runs a forward pass on one sample.
     ///
     /// # Errors
@@ -379,8 +373,6 @@ mod tests {
         let fc_work = summary[4].dot_products.unwrap();
         assert_eq!(fc_work.dot_length, 36);
         assert_eq!(fc_work.dot_count, 5);
-        assert_eq!(model.count_kind(LayerKind::Convolution), 1);
-        assert_eq!(model.count_kind(LayerKind::FullyConnected), 1);
     }
 
     #[test]

@@ -51,25 +51,6 @@ impl QuantConfig {
     pub fn quantize_activations_in_place(&self, tensor: &mut Tensor) {
         fake_quantize_slice(tensor.as_mut_slice(), self.activation_bits);
     }
-
-    /// Quantizes a standalone value vector to `weight_bits` (used by tests and
-    /// by callers that hold raw parameter slices).
-    #[must_use]
-    pub fn quantize_weights_vec(&self, values: &[f32]) -> Vec<f32> {
-        let mut out = values.to_vec();
-        fake_quantize_slice(&mut out, self.weight_bits);
-        out
-    }
-
-    /// Number of representable levels for the weight grid.
-    #[must_use]
-    pub fn weight_levels(&self) -> u64 {
-        if self.weight_bits >= 63 {
-            u64::MAX
-        } else {
-            1u64 << self.weight_bits
-        }
-    }
 }
 
 impl Default for QuantConfig {
@@ -102,7 +83,6 @@ mod tests {
         let q = QuantConfig::uniform(8);
         assert_eq!(q.weight_bits, 8);
         assert_eq!(q.activation_bits, 8);
-        assert_eq!(q.weight_levels(), 256);
         assert_eq!(QuantConfig::default().weight_bits, 16);
     }
 
@@ -134,16 +114,5 @@ mod tests {
         }
         assert_eq!(quantization_error_bound(1.0, 24), 0.0);
         assert_eq!(quantization_error_bound(0.7, 0), 0.7);
-    }
-
-    #[test]
-    fn weight_vec_quantization_is_consistent_with_activation_path() {
-        let values: Vec<f32> = vec![0.9, -0.4, 0.1, -0.05];
-        let q = QuantConfig::uniform(3);
-        let via_vec = q.quantize_weights_vec(&values);
-        let via_tensor = q
-            .quantize_activations(&Tensor::from_vec(vec![4], values).unwrap())
-            .into_vec();
-        assert_eq!(via_vec, via_tensor);
     }
 }

@@ -101,51 +101,6 @@ impl NetworkWorkload {
         per_tower * self.towers as u64
     }
 
-    /// Total MACs contributed by convolution layers (all towers).
-    #[must_use]
-    pub fn conv_macs(&self) -> u64 {
-        self.conv_layers
-            .iter()
-            .map(|w| w.macs() as u64)
-            .sum::<u64>()
-            * self.towers as u64
-    }
-
-    /// Total MACs contributed by fully connected layers (all towers).
-    #[must_use]
-    pub fn fc_macs(&self) -> u64 {
-        self.fc_layers.iter().map(|w| w.macs() as u64).sum::<u64>() * self.towers as u64
-    }
-
-    /// Longest dot product appearing in the FC pool (determines how much
-    /// decomposition a K-sized FC VDP unit must perform).
-    #[must_use]
-    pub fn max_fc_length(&self) -> usize {
-        self.fc_layers
-            .iter()
-            .map(|w| w.dot_length)
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Longest dot product appearing in the CONV pool.
-    #[must_use]
-    pub fn max_conv_length(&self) -> usize {
-        self.conv_layers
-            .iter()
-            .map(|w| w.dot_length)
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Number of data bits produced per inference at `resolution_bits` per
-    /// dot-product result — the denominator of the paper's energy-per-bit
-    /// metric.
-    #[must_use]
-    pub fn output_bits(&self, resolution_bits: u32) -> u64 {
-        self.total_dot_products() * u64::from(resolution_bits)
-    }
-
     /// Bytes this workload owns on the heap: its name's and both layer
     /// lists' capacities.
     #[must_use]
@@ -183,9 +138,6 @@ mod tests {
         // First conv: 6 output channels over 24×24 positions, 25-long dots.
         assert_eq!(w.conv_layers[0].dot_length, 25);
         assert_eq!(w.conv_layers[0].dot_count, 6 * 24 * 24);
-        // FC pool is dominated by the 256-long layer.
-        assert_eq!(w.max_fc_length(), 256);
-        assert_eq!(w.max_conv_length(), 6 * 25);
         assert!(w.total_macs() > 100_000);
     }
 
@@ -222,15 +174,6 @@ mod tests {
     }
 
     #[test]
-    fn output_bits_scale_with_resolution() {
-        let spec = PaperModel::CnnCifar10.spec();
-        let w = NetworkWorkload::from_spec(&spec).unwrap();
-        assert_eq!(w.output_bits(16), w.total_dot_products() * 16);
-        assert_eq!(w.output_bits(4), w.total_dot_products() * 4);
-        assert!(w.conv_macs() > w.fc_macs());
-    }
-
-    #[test]
     fn fingerprints_are_deterministic_and_distinguish_models() {
         let a = NetworkWorkload::from_spec(&PaperModel::Lenet5SignMnist.spec()).unwrap();
         let b = NetworkWorkload::from_spec(&PaperModel::Lenet5SignMnist.spec()).unwrap();
@@ -253,8 +196,6 @@ mod tests {
             fc_layers: vec![],
             towers: 1,
         };
-        assert_eq!(w.max_fc_length(), 0);
-        assert_eq!(w.max_conv_length(), 0);
         assert_eq!(w.total_macs(), 0);
     }
 }

@@ -313,9 +313,9 @@ impl EvalService {
         &self.model_cache
     }
 
-    /// The service-wide memoized result cache.  Exposed so serving layers
-    /// can snapshot it for warm-state handoff and restore a transported
-    /// snapshot into a freshly started service.
+    /// The service-wide memoized result cache.  Exposed so a server can
+    /// answer the `snapshot` op from it and import a `restore` stream into
+    /// it.
     #[must_use]
     pub fn result_cache(&self) -> &Arc<ShardedCache> {
         &self.cache

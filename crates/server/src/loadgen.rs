@@ -322,27 +322,13 @@ impl Client {
         }
     }
 
-    /// Pushes a warm-state snapshot into the peer: sends the
-    /// [`restore_stream`] of `entries` under `max_chunk_bytes` and returns
-    /// the peer's verdict, as [`Client::restore`] reads it.
-    ///
-    /// # Errors
-    ///
-    /// As [`Client::restore`].
-    pub fn restore_entries(
-        &mut self,
-        id: u64,
-        entries: Vec<wire::SnapshotEntry>,
-        max_chunk_bytes: usize,
-    ) -> std::io::Result<wire::RestoredFrame> {
-        self.restore(&restore_stream(id, entries, max_chunk_bytes))
-    }
-
-    /// Pipelines the lines of a restore stream (see [`restore_stream`]) and
-    /// waits for the answer to its `restore_end`.  A line the peer cannot
-    /// decode (a chunk over its line limit, or a corrupted one) is answered
-    /// at once and without an id; those answers are skipped, and the answer
-    /// to `restore_end` is the peer's verdict on the stream.
+    /// Pushes a warm-state snapshot into the peer and returns its verdict.
+    /// The stream is pipelined under the id `id`: a `restore` frame per
+    /// chunk of `entries` packed under `max_chunk_bytes`, then the
+    /// `restore_end` frame with the totals and the checksum.  A line the
+    /// peer cannot decode (a chunk over its line limit, say) is answered
+    /// at once and without an id; those answers are skipped, and the
+    /// answer to `restore_end` is the peer's verdict on the stream.
     ///
     /// # Errors
     ///
@@ -350,10 +336,22 @@ impl Client {
     /// (truncated/corrupt stream, invalid entries, schema mismatch) is
     /// reported as [`std::io::ErrorKind::InvalidData`] carrying the
     /// frame's kind and message; the restore was not applied.
-    pub fn restore(&mut self, lines: &[String]) -> std::io::Result<wire::RestoredFrame> {
-        for line in lines {
-            self.writer.write_all(line.as_bytes())?;
-            self.writer.write_all(b"\n")?;
+    pub fn restore_entries(
+        &mut self,
+        id: u64,
+        entries: Vec<wire::SnapshotEntry>,
+        max_chunk_bytes: usize,
+    ) -> std::io::Result<wire::RestoredFrame> {
+        let checksum = wire::snapshot_checksum(&entries);
+        let total = entries.len() as u64;
+        let chunks = wire::chunk_snapshot_entries(entries, max_chunk_bytes);
+        let end = RequestBody::RestoreEnd(wire::SnapshotEnd {
+            chunks: chunks.len() as u64,
+            entries: total,
+            checksum,
+        });
+        for body in chunks.into_iter().map(RequestBody::Restore).chain([end]) {
+            self.send(&Request { id, body })?;
         }
         self.flush()?;
         let verdict = loop {
@@ -424,32 +422,6 @@ impl Client {
         }
         Ok(responses)
     }
-}
-
-/// The lines of one restore stream that pushes `entries` into a peer,
-/// every frame under the id `id`: a `restore` frame per chunk packed under
-/// `max_chunk_bytes`, then the `restore_end` frame with the totals and the
-/// checksum.  [`Client::restore`] sends them and reads the verdict.
-#[must_use]
-pub fn restore_stream(
-    id: u64,
-    entries: Vec<wire::SnapshotEntry>,
-    max_chunk_bytes: usize,
-) -> Vec<String> {
-    let checksum = wire::snapshot_checksum(&entries);
-    let total = entries.len() as u64;
-    let chunks = wire::chunk_snapshot_entries(entries, max_chunk_bytes);
-    let end = RequestBody::RestoreEnd(wire::SnapshotEnd {
-        chunks: chunks.len() as u64,
-        entries: total,
-        checksum,
-    });
-    chunks
-        .into_iter()
-        .map(RequestBody::Restore)
-        .chain([end])
-        .map(|body| wire::encode_request(&Request { id, body }))
-        .collect()
 }
 
 /// Options of a load-generation run.

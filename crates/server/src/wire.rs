@@ -3510,7 +3510,7 @@ mod tests {
         out
     }
 
-    /// The sample snapshot stream, built once: warming its model cache runs
+    /// The sample snapshot stream, built once: filling its model cache runs
     /// eigensolves every case would otherwise repeat.
     fn snapshot_entries() -> &'static [SnapshotEntry] {
         static ENTRIES: std::sync::OnceLock<Vec<SnapshotEntry>> = std::sync::OnceLock::new();

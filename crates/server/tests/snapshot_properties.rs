@@ -25,6 +25,7 @@ use crosslight_server::wire::{
 use crosslight_server::{
     Client, ErrorKind, Request, RequestBody, ResponseBody, Server, ServerOptions,
 };
+use crosslight_telemetry::SeriesValue;
 
 fn report_from_bits(bits: &[u64; 16], resolution_bits: u32) -> SimulationReport {
     let f = |i: usize| f64::from_bits(bits[i]);
@@ -370,6 +371,48 @@ fn corrupt_restore_streams_are_rejected_typed_and_do_not_wedge() {
         ResponseBody::Error(frame) => assert_eq!(frame.kind, ErrorKind::Unsupported),
         other => panic!("expected typed error, got {other:?}"),
     }
+
+    // A stream whose chunk-0 line is corrupted in flight: that line is
+    // answered at once and without an id, chunk 1 then finds no stream
+    // to extend, and `restore_end` is rejected typed.
+    let counter = |name: &str| match server.metrics_snapshot().value(name) {
+        Some(SeriesValue::Counter(value)) => *value,
+        other => panic!("expected counter `{name}`, got {other:?}"),
+    };
+    let failed_before = counter("server_restore_failed_total");
+    let both = [entries.clone(), entries.clone()].concat();
+    let chunk_zero = encode_request(&Request {
+        id: 8,
+        body: RequestBody::Restore(chunk(0)),
+    });
+    client.send_raw(&chunk_zero.replacen('{', "#", 1)).unwrap();
+    client
+        .send(&Request {
+            id: 8,
+            body: RequestBody::Restore(chunk(1)),
+        })
+        .unwrap();
+    client
+        .send(&Request {
+            id: 8,
+            body: end(2, both.len() as u64, snapshot_checksum(&both)),
+        })
+        .unwrap();
+    client.flush().unwrap();
+    let garbled = client.recv().unwrap();
+    assert_eq!(garbled.id, None, "{garbled:?}");
+    match garbled.body {
+        ResponseBody::Error(frame) => assert_eq!(frame.kind, ErrorKind::Malformed),
+        other => panic!("expected typed error, got {other:?}"),
+    }
+    let verdict = client.recv().unwrap();
+    assert_eq!(verdict.id, Some(8), "{verdict:?}");
+    match verdict.body {
+        ResponseBody::Error(frame) => assert_eq!(frame.kind, ErrorKind::Malformed),
+        other => panic!("expected typed error, got {other:?}"),
+    }
+    assert_eq!(counter("server_restore_failed_total"), failed_before + 1);
+    assert_eq!(counter("server_restores_total"), 0);
 
     // None of the rejected streams touched the caches, the connection is
     // still healthy, and a correct stream — seq 0 restarts the session —

@@ -3,10 +3,10 @@
 //! A [`RequestTrace`] is a small owned timeline: the request's id, a
 //! monotonic origin instant, and one [`Span`] per lifecycle phase recorded
 //! as nanosecond offsets from the origin.  The trace travels *with* the
-//! request — event loop → runtime queue → worker → responder → the socket
-//! flush (on the responder or the event loop) — so recording never
-//! synchronizes between threads; only the finished trace is folded into
-//! shared histograms and the export ring by whichever thread finishes it.
+//! request — from the event loop that reads it, through the cache probe or
+//! evaluation, to the socket flush — so recording never synchronizes
+//! between threads; only the finished trace is folded into shared
+//! histograms and the export ring by whichever thread finishes it.
 //!
 //! The caller decides which requests carry a trace; an untraced request
 //! pays nothing — not even a clock read.  A bounded [`SpanRing`] keeps the
