@@ -44,12 +44,12 @@ pub mod router;
 pub use backend::CircuitState;
 pub use faultpoint::{FaultAction, FaultPlan, FaultPoint, FaultRule, Firing};
 pub use retry::{RetryBudget, RetryPolicy};
-pub use router::{HedgePolicy, Router, RouterOptions, RouterStats};
+pub use router::{Router, RouterOptions, RouterStats};
 
 /// Convenient re-exports for downstream users.
 pub mod prelude {
     pub use crate::backend::CircuitState;
     pub use crate::faultpoint::{FaultAction, FaultPlan, FaultPoint, FaultRule, Firing};
     pub use crate::retry::{RetryBudget, RetryPolicy};
-    pub use crate::router::{HedgePolicy, Router, RouterOptions, RouterStats};
+    pub use crate::router::{Router, RouterOptions, RouterStats};
 }

@@ -53,15 +53,12 @@
 //! retryable `unavailable` error — never a hang, never a silent wrong
 //! answer.
 //!
-//! # Readmission and hedging
+//! # Readmission
 //!
 //! A backend readmitted through half-open probing takes traffic again as
 //! soon as its link reads the trial's pong, and its first requests
 //! recompute what it lost: answers stay bit-identical, because
-//! evaluations are pure.  Optional **hedged requests** ([`HedgePolicy`])
-//! launch a second attempt on the next replica after a delay derived from
-//! the observed per-hop p99; the first answer wins exactly once and the
-//! loser is cancelled or discarded, never delivered.
+//! evaluations are pure.
 
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -124,56 +121,8 @@ pub struct RouterOptions {
     pub retry: RetryPolicy,
     /// Cluster-wide retry budget, in tokens (see [`RetryBudget`]).
     pub retry_budget: u64,
-    /// Hedged-request policy; disabled by default.
-    pub hedge: HedgePolicy,
     /// Fault-injection plan; [`FaultPlan::none`] in production.
     pub faults: Arc<FaultPlan>,
-}
-
-/// When and how the router hedges a slow eval with a second attempt on
-/// another replica.  The hedge fires after a delay derived from the
-/// observed per-hop p99, first answer wins exactly once, and the loser
-/// is accounted (won / cancelled / wasted) — never delivered.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct HedgePolicy {
-    /// Master switch; `false` routes every request exactly once.
-    pub enabled: bool,
-    /// The hedge fires after `p99(cluster_hop_ns) * p99_multiplier`.
-    pub p99_multiplier: f64,
-    /// Lower clamp on the hedge delay (also used before any p99 exists).
-    pub min_delay: Duration,
-    /// Upper clamp on the hedge delay.
-    pub max_delay: Duration,
-}
-
-impl Default for HedgePolicy {
-    fn default() -> Self {
-        Self {
-            enabled: false,
-            p99_multiplier: 1.5,
-            min_delay: Duration::from_millis(1),
-            max_delay: Duration::from_secs(1),
-        }
-    }
-}
-
-impl HedgePolicy {
-    /// The enabled policy with default timing knobs.
-    #[must_use]
-    pub fn enabled() -> Self {
-        Self {
-            enabled: true,
-            ..Self::default()
-        }
-    }
-
-    /// The delay before the hedge fires, given the current per-hop p99 in
-    /// nanoseconds (0 when no request has been answered yet).
-    #[must_use]
-    pub fn delay(&self, p99_ns: u64) -> Duration {
-        let scaled = (p99_ns as f64 * self.p99_multiplier.max(0.0)) as u64;
-        Duration::from_nanos(scaled).clamp(self.min_delay, self.max_delay)
-    }
 }
 
 impl Default for RouterOptions {
@@ -189,7 +138,6 @@ impl Default for RouterOptions {
             failure_threshold: 3,
             retry: RetryPolicy::default(),
             retry_budget: 128,
-            hedge: HedgePolicy::default(),
             faults: FaultPlan::none(),
         }
     }
@@ -252,13 +200,6 @@ impl RouterOptions {
         self
     }
 
-    /// Returns a copy with a different hedged-request policy.
-    #[must_use]
-    pub fn with_hedge(mut self, hedge: HedgePolicy) -> Self {
-        self.hedge = hedge;
-        self
-    }
-
     /// Returns a copy executing the given fault plan.
     #[must_use]
     pub fn with_faults(mut self, faults: Arc<FaultPlan>) -> Self {
@@ -302,10 +243,6 @@ struct ClusterTelemetry {
     retry_budget_tenths: Gauge,
     faults_injected: Counter,
     hop_ns: Histogram,
-    hedges_launched: Counter,
-    hedges_won: Counter,
-    hedges_cancelled: Counter,
-    hedges_wasted: Counter,
     /// Indexed like the router's backends.
     backends: Vec<BackendTelemetry>,
 }
@@ -369,22 +306,6 @@ impl ClusterTelemetry {
                 "Latency from writing a request on a backend link to reading its answer, \
                  in nanoseconds.",
             ),
-            hedges_launched: registry.counter(
-                "cluster_hedges_launched_total",
-                "Hedge attempts parked behind the p99-derived delay.",
-            ),
-            hedges_won: registry.counter(
-                "cluster_hedges_won_total",
-                "Hedge attempts that answered the client first.",
-            ),
-            hedges_cancelled: registry.counter(
-                "cluster_hedges_cancelled_total",
-                "Hedge attempts cancelled before doing I/O (primary answered).",
-            ),
-            hedges_wasted: registry.counter(
-                "cluster_hedges_wasted_total",
-                "Hedge or primary attempts whose outcome lost the race and was discarded.",
-            ),
             backends: (0..backends)
                 .map(|index| BackendTelemetry::register(&registry, &index.to_string()))
                 .collect(),
@@ -442,14 +363,15 @@ impl BackendTelemetry {
 }
 
 /// One admitted eval in flight through the cluster: the client's raw
-/// line, its routing key, and the client's connection.  A hedged request
-/// is two clones of the same job sharing one `delivered` cell; whichever
-/// resolves first claims the cell and answers, which also settles the
-/// connection's in-flight count exactly once.
-#[derive(Debug, Clone)]
+/// line, its routing key, and the client's connection.  It is not
+/// `Clone`: the one job moves from dispatch to a link's backlog, the
+/// retry timer or a shed, and whichever path ends it (the backend's
+/// answer, a forwarded error or a shed) answers the client and settles
+/// the connection's in-flight count exactly once.
+#[derive(Debug)]
 struct ForwardJob {
     id: u64,
-    line: Arc<String>,
+    line: String,
     fingerprint: u64,
     /// Failed I/O attempts so far (the in-progress attempt not included).
     attempts: u32,
@@ -457,26 +379,7 @@ struct ForwardJob {
     /// never ping-pongs between two dying replicas without progress.
     tried: u64,
     deadline: Instant,
-    /// Whether this copy is the hedge (second) attempt.  A hedge may win
-    /// with a report but never answers with an error — failure reporting
-    /// belongs to the primary, so a hedge that cannot even dispatch can
-    /// never shed a request whose primary is still in flight.
-    hedge: bool,
-    /// First-answer-wins cell shared by the primary and its hedge.
-    delivered: Arc<AtomicBool>,
     reply: Arc<Conn>,
-}
-
-impl ForwardJob {
-    /// Claims the exactly-once answer slot; `true` for the first caller.
-    fn claim(&self) -> bool {
-        !self.delivered.swap(true, Ordering::SeqCst)
-    }
-
-    /// Whether some copy of this request has already answered the client.
-    fn is_claimed(&self) -> bool {
-        self.delivered.load(Ordering::SeqCst)
-    }
 }
 
 #[derive(Debug)]
@@ -783,10 +686,6 @@ impl Drop for Router {
 /// retry (waiting for capacity or readmission costs no attempt or budget
 /// token — only failed I/O does).
 fn dispatch(shared: &Arc<ClusterShared>, mut job: ForwardJob) {
-    if job.hedge && job.is_claimed() {
-        shared.telemetry.hedges_cancelled.inc();
-        return;
-    }
     if Instant::now() >= job.deadline {
         shed(
             shared,
@@ -844,32 +743,6 @@ fn schedule_retry(shared: &Arc<ClusterShared>, mut job: ForwardJob) {
     }
 }
 
-/// Parks a hedge copy of a freshly admitted job on the retry timer until
-/// its p99-derived delay elapses, when the policy allows one.  The hedge
-/// pre-marks the primary's preferred replica as tried, so with
-/// replication > 1 the two attempts land on different backends.  A hedge
-/// that cannot be parked (deadline too close, router draining) is
-/// cancelled — it never answers the client.
-fn launch_hedge(shared: &Arc<ClusterShared>, job: &ForwardJob) {
-    let hedge = &shared.options.hedge;
-    if !hedge.enabled || shared.options.replication < 2 {
-        return;
-    }
-    let due = Instant::now() + hedge.delay(shared.telemetry.hop_ns.snapshot().p99());
-    if due >= job.deadline || shared.shutting_down.load(Ordering::SeqCst) {
-        shared.telemetry.hedges_cancelled.inc();
-        return;
-    }
-    let mut copy = job.clone();
-    copy.hedge = true;
-    copy.tried = 1u64 << rendezvous_order(copy.fingerprint, shared.backends.len())[0];
-    let lane = shared.retry_tx.lock().expect("retry lane lock poisoned");
-    match lane.as_ref().map(|tx| tx.send((due, copy))) {
-        Some(Ok(())) => shared.telemetry.hedges_launched.inc(),
-        _ => shared.telemetry.hedges_cancelled.inc(),
-    }
-}
-
 /// Books a failed I/O attempt (or a backend's retryable refusal) against
 /// the job and fails over; exhaustion delivers `fallback` when the last
 /// backend answered with a retryable error frame, else sheds.
@@ -912,16 +785,6 @@ fn shed(shared: &Arc<ClusterShared>, job: &ForwardJob, reason: ShedReason, detai
 
 /// Answers a job with an error line, counted under `shed` when it is one.
 fn fail(shared: &Arc<ClusterShared>, job: &ForwardJob, shed: Option<&Counter>, line: String) {
-    // A hedge is an optimization, not a second chance to fail: its own
-    // exhaustion is discarded while the primary still owns the request.
-    if job.hedge {
-        shared.telemetry.hedges_wasted.inc();
-        return;
-    }
-    // The hedge already answered: the primary's late failure is moot.
-    if !job.claim() {
-        return;
-    }
     if let Some(counter) = shed {
         counter.inc();
     }
@@ -1035,16 +898,13 @@ impl Handler for ClientSide {
                 conn.begin();
                 let job = ForwardJob {
                     id,
-                    line: Arc::new(line),
+                    line,
                     fingerprint: eval_request.key().fingerprint(),
                     attempts: 0,
                     tried: 0,
                     deadline: Instant::now() + shared.options.request_deadline,
-                    hedge: false,
-                    delivered: Arc::new(AtomicBool::new(false)),
                     reply: Arc::clone(conn),
                 };
-                launch_hedge(shared, &job);
                 dispatch(shared, job);
                 true
             }

@@ -187,8 +187,8 @@ struct Socket {
 struct Outstanding {
     job: ForwardJob,
     written: Instant,
-    /// The job's deadline passed here and the client was answered (or the
-    /// copy was written off): its late answer is dropped.
+    /// The job's deadline passed here and the client was answered: its
+    /// late answer is dropped.
     shed: bool,
 }
 
@@ -313,10 +313,6 @@ impl Link<'_> {
         }
         let mut jobs = jobs.into_iter();
         while let Some(job) = jobs.next() {
-            if job.hedge && job.is_claimed() {
-                shared.telemetry.hedges_cancelled.inc();
-                continue;
-            }
             if Instant::now() >= job.deadline {
                 let detail = "request deadline exceeded";
                 shed(shared, &job, ShedReason::Deadline, detail);
@@ -621,14 +617,6 @@ impl Link<'_> {
         // pong's.
         shared.backends[backend].record_success();
         shared.budget.deposit();
-        if !job.claim() {
-            // The other copy answered first.
-            telemetry.hedges_wasted.inc();
-            return;
-        }
-        if job.hedge {
-            telemetry.hedges_won.inc();
-        }
         telemetry.evals_ok.inc();
         job.reply.push(answer);
         job.reply.finish();
@@ -667,12 +655,8 @@ impl Link<'_> {
             // Shed in place: the backend still owes the answer, so the
             // request keeps its window slot until it arrives.
             outstanding.shed = true;
-            if outstanding.job.is_claimed() {
-                shared.telemetry.hedges_wasted.inc();
-            } else {
-                let detail = "request deadline exceeded";
-                shed(shared, &outstanding.job, ShedReason::Deadline, detail);
-            }
+            let detail = "request deadline exceeded";
+            shed(shared, &outstanding.job, ShedReason::Deadline, detail);
         }
     }
 
@@ -789,8 +773,8 @@ impl Link<'_> {
     }
 
     /// At retirement every client connection has drained, so what is left
-    /// are copies whose request was already answered (or whose client is
-    /// gone): each is accounted and dropped.
+    /// are jobs whose client is gone: each is shed, and its closed
+    /// connection drops the answer.
     fn abandon(&mut self) {
         self.socket = None;
         for job in self.unanswered().chain(self.take(usize::MAX)) {

@@ -142,12 +142,6 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Consumes the tensor and returns its data.
-    #[must_use]
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Reshapes the tensor without copying data.
     ///
     /// # Errors

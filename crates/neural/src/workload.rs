@@ -89,18 +89,6 @@ impl NetworkWorkload {
         per_tower * self.towers as u64
     }
 
-    /// Total number of dot products per inference (all towers).
-    #[must_use]
-    pub fn total_dot_products(&self) -> u64 {
-        let per_tower: u64 = self
-            .conv_layers
-            .iter()
-            .chain(self.fc_layers.iter())
-            .map(|w| w.dot_count as u64)
-            .sum();
-        per_tower * self.towers as u64
-    }
-
     /// Bytes this workload owns on the heap: its name's and both layer
     /// lists' capacities.
     #[must_use]
@@ -170,7 +158,6 @@ mod tests {
         assert_eq!(w.conv_layers[0].dot_count, 4 * 64);
         assert_eq!(w.fc_layers[0].dot_length, 64);
         assert_eq!(w.total_macs(), (9 * 4 * 64 + 64 * 10) as u64);
-        assert_eq!(w.total_dot_products(), (4 * 64 + 10) as u64);
     }
 
     #[test]

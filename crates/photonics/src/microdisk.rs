@@ -147,24 +147,6 @@ impl MicrodiskGang {
     pub fn combined_resolution_bits(&self) -> u32 {
         self.disk.resolution_bits * self.count as u32
     }
-
-    /// Total insertion loss of a wavelength traversing every disk in the gang.
-    #[must_use]
-    pub fn total_insertion_loss(&self) -> DecibelLoss {
-        self.disk.insertion_loss * self.count as f64
-    }
-
-    /// Total footprint length of the gang along the bus waveguide given a
-    /// centre-to-centre pitch.
-    #[must_use]
-    pub fn bus_length(&self, pitch: Micrometers) -> Micrometers {
-        if self.count == 0 {
-            return Micrometers::new(0.0);
-        }
-        Micrometers::new(
-            pitch.value() * (self.count - 1) as f64 + self.disk.footprint_diameter().value(),
-        )
-    }
 }
 
 #[cfg(test)]
@@ -184,25 +166,6 @@ mod tests {
         let gang = MicrodiskGang::holylight_weight_cell();
         assert_eq!(gang.count(), 8);
         assert_eq!(gang.combined_resolution_bits(), 16);
-    }
-
-    #[test]
-    fn gang_loss_is_much_higher_than_single_mr_through_loss() {
-        let gang = MicrodiskGang::holylight_weight_cell();
-        let loss = gang.total_insertion_loss();
-        assert!((loss.value() - 8.0 * 1.22).abs() < 1e-9);
-        // CrossLight's MR through loss is 0.02 dB; the microdisk gang pays
-        // orders of magnitude more optical loss per weight.
-        assert!(loss.value() > 100.0 * 0.02);
-    }
-
-    #[test]
-    fn gang_bus_length_scales_with_pitch() {
-        let gang = MicrodiskGang::holylight_weight_cell();
-        let l = gang.bus_length(Micrometers::new(10.0));
-        assert!((l.value() - (70.0 + 5.0)).abs() < 1e-9);
-        let empty = MicrodiskGang::new(Microdisk::holylight(), 0);
-        assert_eq!(empty.bus_length(Micrometers::new(10.0)).value(), 0.0);
     }
 
     #[test]

@@ -262,16 +262,6 @@ impl Microring {
         Ok(detuning)
     }
 
-    /// Applies a resonance shift (e.g. from process variation, thermal drift
-    /// or deliberate tuning), returning the shifted device.
-    #[must_use]
-    pub fn with_resonance_shift(self, shift: Nanometers) -> Self {
-        Self {
-            resonance: self.resonance + shift,
-            ..self
-        }
-    }
-
     /// Summarises the through-port spectrum (paper Fig. 2).
     #[must_use]
     pub fn spectrum_summary(&self) -> SpectrumSummary {
@@ -352,32 +342,6 @@ impl MrBank {
     /// Iterates over the rings in the bank.
     pub fn iter(&self) -> std::slice::Iter<'_, Microring> {
         self.rings.iter()
-    }
-
-    /// Physical length of bus waveguide occupied by the bank.
-    #[must_use]
-    pub fn waveguide_length(&self) -> Micrometers {
-        if self.rings.is_empty() {
-            return Micrometers::new(0.0);
-        }
-        // (n-1) gaps plus one device footprint at each end.
-        let gaps = (self.rings.len().saturating_sub(1)) as f64;
-        let footprint = self.rings[0].geometry().footprint_diameter();
-        Micrometers::new(gaps * self.spacing.value() + footprint.value())
-    }
-
-    /// Pairwise centre-to-centre distance between ring `i` and ring `j`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either index is out of bounds.
-    #[must_use]
-    pub fn distance_between(&self, i: usize, j: usize) -> Micrometers {
-        assert!(
-            i < self.rings.len() && j < self.rings.len(),
-            "index out of bounds"
-        );
-        Micrometers::new(self.spacing.value() * (i as f64 - j as f64).abs())
     }
 }
 
@@ -468,15 +432,6 @@ mod tests {
     }
 
     #[test]
-    fn resonance_shift_moves_notch() {
-        let ring = mr();
-        let shifted = ring.with_resonance_shift(Nanometers::new(0.5));
-        assert!((shifted.resonance().value() - 1550.5).abs() < 1e-12);
-        // The original carrier is now off the shifted resonance.
-        assert!(shifted.through_transmission(Nanometers::new(1550.0)) > ring.min_transmission());
-    }
-
-    #[test]
     fn spectrum_summary_is_consistent() {
         let ring = mr();
         let summary = ring.spectrum_summary();
@@ -496,10 +451,6 @@ mod tests {
         .expect("valid bank");
         assert_eq!(bank.len(), 10);
         assert!(!bank.is_empty());
-        // 9 gaps of 5 µm plus a footprint of ~10.4 µm.
-        assert!(bank.waveguide_length().value() > 45.0);
-        assert!((bank.distance_between(0, 9).value() - 45.0).abs() < 1e-9);
-        assert!((bank.distance_between(3, 1).value() - 10.0).abs() < 1e-9);
     }
 
     #[test]

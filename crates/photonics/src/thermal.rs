@@ -216,14 +216,6 @@ impl CrosstalkMatrix {
             .map(|j| self.get(i, j))
             .sum()
     }
-
-    /// Largest row crosstalk over the whole bank (worst-disturbed MR).
-    #[must_use]
-    pub fn max_row_crosstalk(&self) -> f64 {
-        (0..self.size)
-            .map(|i| self.row_crosstalk(i))
-            .fold(0.0, f64::max)
-    }
 }
 
 /// A thermo-optic microheater characterisation: how much heater power produces
@@ -318,7 +310,6 @@ mod tests {
         assert!(m.get(0, 1) > m.get(0, 2));
         // Middle MRs see the most total crosstalk.
         assert!(m.row_crosstalk(5) > m.row_crosstalk(0));
-        assert!(m.max_row_crosstalk() >= m.row_crosstalk(0));
     }
 
     #[test]

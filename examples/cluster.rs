@@ -25,8 +25,8 @@
 //!    the final sweep serves across all three backends again and stays
 //!    bit-identical, and the reborn backend answers part of it,
 //!    recomputing what it lost.  The cluster-wide metrics page is scraped
-//!    through the router (hedge accounting included) and optionally
-//!    dumped with `--dump-metrics <path>` for the CI scrape step.
+//!    through the router and optionally dumped with
+//!    `--dump-metrics <path>` for the CI scrape step.
 //! 4. **Degradation + drain** — with every backend gone, an eval is
 //!    answered with a typed retryable `unavailable` frame within the
 //!    deadline, and router shutdown completes with a client connected.
@@ -35,7 +35,7 @@ use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crosslight::cluster::{CircuitState, HedgePolicy, RetryPolicy, Router, RouterOptions};
+use crosslight::cluster::{CircuitState, RetryPolicy, Router, RouterOptions};
 use crosslight::experiments::arch_zoo;
 use crosslight::neural::workload::NetworkWorkload;
 use crosslight::neural::zoo::PaperModel;
@@ -225,10 +225,7 @@ fn main() {
             jitter_seed: 0x5EED,
         })
         .with_retry_budget(1_000)
-        .with_request_deadline(Duration::from_secs(30))
-        // Speculative second attempts on the other replica once a forward
-        // outlives the observed p99 — accounting shows up in the scrape.
-        .with_hedge(HedgePolicy::enabled());
+        .with_request_deadline(Duration::from_secs(30));
     let router = Router::bind("127.0.0.1:0", &addrs, options).expect("bind router");
     println!("router  : {}", router.local_addr());
     for (index, addr) in addrs.iter().enumerate() {
@@ -366,7 +363,6 @@ fn main() {
     validate_text(&page).expect("the cluster-wide exposition page validates");
     for family in [
         "cluster_backend_readmitted_total",
-        "cluster_hedges_launched_total",
         "server_restores_total",
         "runtime_result_cache_hits_total",
     ] {

@@ -15,8 +15,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crosslight::cluster::{
-    CircuitState, FaultAction, FaultPlan, FaultPoint, FaultRule, HedgePolicy, RetryPolicy, Router,
-    RouterOptions,
+    CircuitState, FaultAction, FaultPlan, FaultPoint, FaultRule, RetryPolicy, Router, RouterOptions,
 };
 use crosslight::experiments::arch_zoo;
 use crosslight::neural::workload::NetworkWorkload;
@@ -202,6 +201,43 @@ fn wait_for(what: &str, deadline: Duration, mut done: impl FnMut() -> bool) {
     }
 }
 
+/// Waits until nothing is left in flight: every series of the router's
+/// backlog, in-flight and write-queue gauges, and of each live backend's
+/// admission and write-queue gauges, reads exactly zero, and the router
+/// counts `open_clients` connections.  It reads the raw gauge values, so
+/// a gauge leaked below zero cannot pass for zero.
+fn quiesce<'a>(
+    router: &Router,
+    backends: impl IntoIterator<Item = &'a Server> + Clone,
+    open_clients: i64,
+) {
+    use crosslight::telemetry::SeriesValue;
+
+    let settled = |scrape: RegistrySnapshot, gauges: &[(&str, i64)]| {
+        gauges.iter().all(|&(name, expected)| {
+            let family = scrape
+                .family(name)
+                .unwrap_or_else(|| panic!("the scrape has no {name} family"));
+            (family.series.iter()).all(|series| series.value == SeriesValue::Gauge(expected))
+        })
+    };
+    let router_gauges = [
+        ("cluster_queue_depth", 0),
+        ("cluster_backend_in_flight", 0),
+        ("cluster_write_queue_depth", 0),
+        ("cluster_connections_active", open_clients),
+    ];
+    let backend_gauges = [
+        ("server_admission_in_flight", 0),
+        ("server_write_queue_depth", 0),
+    ];
+    wait_for("every gauge to settle", Duration::from_secs(10), || {
+        settled(router.metrics_snapshot(), &router_gauges)
+            && (backends.clone().into_iter())
+                .all(|backend| settled(backend.metrics_snapshot(), &backend_gauges))
+    });
+}
+
 /// `n` addresses that refuse every dial for as long as the returned
 /// listeners live.  Each listener holds a port `P` on `127.0.0.1`, and the
 /// address handed out is `127.0.0.2:P`, where nothing listens.  A dropped
@@ -308,6 +344,7 @@ fn router_stats_are_the_field_wise_sum_of_its_backends() {
     assert_eq!(routed.server.evals_ok, 32);
     assert_eq!(routed.runtime.per_worker.len(), 3);
 
+    quiesce(&router, &backends, 1);
     router.shutdown();
     for backend in backends {
         backend.shutdown();
@@ -346,6 +383,7 @@ fn three_backend_cluster_is_bit_identical_to_one_eval_service() {
         family_total(&scrape, "cluster_health_probes_total") > 0
     });
 
+    quiesce(&router, &backends, 1);
     router.shutdown();
     for backend in backends {
         backend.shutdown();
@@ -418,6 +456,7 @@ fn killing_a_backend_mid_sweep_loses_zero_accepted_requests() {
         "transport faults against the killed backend must be counted"
     );
 
+    quiesce(&router, backends.iter().flatten(), 1);
     router.shutdown();
     for backend in backends.into_iter().flatten() {
         backend.shutdown();
@@ -480,6 +519,7 @@ fn restarted_backend_is_readmitted_through_half_open_probing() {
         "the readmitted backend must answer part of the sweep"
     );
 
+    quiesce(&router, [&healthy, &reborn], 1);
     router.shutdown();
     healthy.shutdown();
     reborn.shutdown();
@@ -585,6 +625,7 @@ fn health_probe_faults_fail_pings_through_the_link_like_any_link_death() {
             .all(|(b, &before)| probes(&scrape, b, "ok") > before)
     });
 
+    quiesce(&router, &backends, 0);
     router.shutdown();
     for backend in backends {
         backend.shutdown();
@@ -661,6 +702,7 @@ fn an_idle_router_holds_one_connection_per_backend_and_dials_no_other() {
     assert_eq!(family_total(&scrape, "cluster_link_resets_total"), 0);
 
     drop(client);
+    quiesce(&router, &backends, 0);
     router.shutdown();
     for backend in backends {
         backend.shutdown();
@@ -725,6 +767,7 @@ fn all_backends_down_degrades_to_bounded_retryable_unavailable() {
         stats.shed_total >= 1,
         "the shed must be observable: {stats:?}"
     );
+    quiesce(&router, [], 1);
     router.shutdown();
 }
 
@@ -784,63 +827,7 @@ fn seeded_fault_plan_chaos_sweep_stays_bit_identical() {
         "killed/garbled exchanges must be re-routed: {stats:?}"
     );
 
-    router.shutdown();
-    for backend in backends {
-        backend.shutdown();
-    }
-}
-
-#[test]
-fn hedged_requests_deliver_exactly_once_and_account_every_hedge() {
-    let backends = [bind_backend(), bind_backend()];
-    let addrs: Vec<SocketAddr> = backends.iter().map(Server::local_addr).collect();
-    // A zero minimum delay makes the hedge race the primary outright —
-    // the harshest test of the first-answer-wins claim.
-    let hedge = HedgePolicy {
-        enabled: true,
-        p99_multiplier: 1.0,
-        min_delay: Duration::ZERO,
-        max_delay: Duration::from_millis(5),
-    };
-    let router = Router::bind(
-        "127.0.0.1:0",
-        &addrs,
-        chaos_options().with_replication(2).with_hedge(hedge),
-    )
-    .expect("bind router");
-
-    let specs = mixed_sweep(64);
-    let mut client = Client::connect_with(
-        router.local_addr(),
-        ClientOptions::with_deadline(Duration::from_secs(60)),
-    )
-    .expect("connect to router");
-    let served = cluster_lines(&mut client, &specs);
-    assert_eq!(sorted(served), sorted(reference_lines(&specs)));
-
-    // Exactly once: two attempts per request never inflate the answers.
-    let stats = router.stats();
-    assert_eq!(stats.evals_routed, 64);
-    assert_eq!(stats.evals_ok, 64);
-    assert_eq!(stats.evals_failed, 0);
-    assert_eq!(stats.shed_total, 0);
-
-    // Every launched hedge eventually resolves into the accounting
-    // vocabulary (won, cancelled before I/O, or wasted after it).
-    let launched = family_total(&router.metrics_snapshot(), "cluster_hedges_launched_total");
-    assert!(launched >= 1, "hedges must actually have been launched");
-    wait_for(
-        "hedge accounting to settle",
-        Duration::from_secs(10),
-        || {
-            let scrape = router.metrics_snapshot();
-            family_total(&scrape, "cluster_hedges_won_total")
-                + family_total(&scrape, "cluster_hedges_cancelled_total")
-                + family_total(&scrape, "cluster_hedges_wasted_total")
-                >= launched
-        },
-    );
-
+    quiesce(&router, &backends, 1);
     router.shutdown();
     for backend in backends {
         backend.shutdown();
@@ -903,6 +890,7 @@ fn mid_frame_client_disconnects_leave_the_router_clean() {
         sorted(reference_lines(&specs))
     );
 
+    quiesce(&router, [&backend], 1);
     router.shutdown();
     backend.shutdown();
 }
@@ -998,6 +986,7 @@ fn a_client_that_never_reads_cannot_stall_another_clients_evals() {
     });
 
     drop(client_b);
+    quiesce(&router, &backends, 0);
     router.shutdown();
     for backend in backends {
         backend.shutdown();
@@ -1068,6 +1057,7 @@ fn a_stats_fan_out_waiting_on_a_silent_backend_never_stalls_a_ping() {
     assert_eq!(stats.id, Some(1));
     assert!(matches!(stats.body, ResponseBody::Stats(_)), "{stats:?}");
 
+    quiesce(&router, [&backend], 2);
     router.shutdown();
     backend.shutdown();
 }
@@ -1295,6 +1285,7 @@ fn clients_reusing_the_same_ids_get_their_own_answers_over_one_link() {
     assert_eq!(stats.failovers, 0);
 
     drop((client_a, client_b));
+    quiesce(&router, [&real], 0);
     router.shutdown();
     real.shutdown();
 }
@@ -1347,20 +1338,7 @@ fn a_backend_that_closes_mid_window_fails_each_unanswered_eval_over_once() {
     );
 
     drop(client);
-    wait_for(
-        "every link gauge back at zero",
-        Duration::from_secs(10),
-        || {
-            let scrape = router.metrics_snapshot();
-            [
-                "cluster_queue_depth",
-                "cluster_backend_in_flight",
-                "cluster_write_queue_depth",
-            ]
-            .iter()
-            .all(|name| family_total(&scrape, name) == 0)
-        },
-    );
+    quiesce(&router, [&upstream, &survivor], 0);
     router.shutdown();
     upstream.shutdown();
     survivor.shutdown();
@@ -1419,6 +1397,7 @@ fn a_silent_backend_fails_its_whole_window_over_within_one_timeout() {
     assert_eq!(router.stats().shed_total, 0);
 
     drop(client);
+    quiesce(&router, [&upstream, &survivor], 0);
     router.shutdown();
     upstream.shutdown();
     survivor.shutdown();
@@ -1477,6 +1456,7 @@ fn a_deadline_passing_on_a_slow_link_is_answered_there_and_the_late_answer_dropp
     );
 
     drop(client);
+    quiesce(&router, [&upstream], 0);
     router.shutdown();
     upstream.shutdown();
 }
@@ -1535,6 +1515,7 @@ fn a_line_at_the_length_limit_still_fits_the_backend_after_many_requests_on_its_
     assert_eq!(router.stats().shed_total, 0);
 
     drop((client, raw));
+    quiesce(&router, [&backend], 0);
     router.shutdown();
     backend.shutdown();
 }
@@ -1591,6 +1572,7 @@ fn refused_dials_spend_attempts_and_shed_long_before_the_deadline() {
     );
 
     drop(client);
+    quiesce(&router, [], 0);
     router.shutdown();
 }
 
@@ -1646,5 +1628,6 @@ fn a_metrics_page_past_the_request_line_limit_is_merged_without_resetting_the_li
     assert_eq!(family_total(&scrape, "cluster_backend_failures_total"), 0);
 
     drop(client);
+    quiesce(&router, [], 0);
     router.shutdown();
 }
