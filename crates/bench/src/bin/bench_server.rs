@@ -19,6 +19,9 @@
 //!   measure the wire reader.  `wire_decode_metrics_json` (absolute time
 //!   only) decodes the JSON `metrics` answer of a server that has served
 //!   the paper mix.
+//! * `wire_write_report_floats` writes the sample answer's 16 report
+//!   floats with `json::push_f64` against `_display`, the same floats
+//!   through `Display` and the `.0` rule it replaced; its bar is ≥ 1.5.
 //! * `direct_submit_batch_warm_per_req` (the mix as one `submit_batch` to
 //!   a warmed service) against `serial_uncached_per_req` (a fresh
 //!   simulator per request on one thread, no cache) is the warm runtime's
@@ -40,6 +43,7 @@
 //! Those six entries take turns in one group, and every figure is per
 //! request.
 
+use std::fmt::Write as _;
 use std::hint::black_box;
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -65,6 +69,8 @@ const BATCH_OVER_SERIAL: Bar = Bar::AtLeast(10.0);
 const LOOPBACK_OVER_SERIAL: Bar = Bar::AtLeast(20.0);
 /// Default tracing costs at most 5 % of a loopback warm request.
 const UNTRACED_OVER_TRACED: Bar = Bar::AtMost(1.05);
+/// The wire's float writer takes at most 2/3 of `Display`'s time.
+const WRITER_OVER_DISPLAY: Bar = Bar::AtLeast(1.5);
 
 fn main() -> ExitCode {
     let args = Args::parse("BENCH_server.json");
@@ -125,6 +131,36 @@ fn main() -> ExitCode {
     results.push(measure("wire_encode_response", window_ms, || {
         wire::encode_response(&sample_response)
     }));
+    let report_floats = floats(&Json::parse(&response_line).expect("encoded lines parse"));
+    let (mut written, mut displayed) = (String::new(), String::new());
+    let [mut writer, display] = measure_pair(
+        [
+            "wire_write_report_floats",
+            "wire_write_report_floats_display",
+        ],
+        window_ms,
+        || {
+            written.clear();
+            for &value in &report_floats {
+                push_f64(value, &mut written);
+            }
+            written.len()
+        },
+        || {
+            displayed.clear();
+            for &value in &report_floats {
+                let start = displayed.len();
+                let _ = write!(displayed, "{value}");
+                if !displayed[start..].contains(['.', 'e', 'E']) {
+                    displayed.push_str(".0");
+                }
+            }
+            displayed.len()
+        },
+    );
+    assert_eq!(written, displayed, "spelled as Display spells");
+    writer.compare(&display, Figure::Mean, Some(WRITER_OVER_DISPLAY));
+    results.extend([writer, display]);
     let reordered_response_line = reversed(&response_line);
     results.extend(measure_pair(
         ["wire_decode_response", "wire_decode_response_reordered"],
@@ -264,6 +300,16 @@ fn main() -> ExitCode {
     drop(client);
     server.shutdown();
     finish(&args, "crosslight-bench-server/v2", &results)
+}
+
+/// Every float in `value`, in document order.
+fn floats(value: &Json) -> Vec<f64> {
+    match value {
+        Json::Float(v) => vec![*v],
+        Json::Array(items) => items.iter().flat_map(floats).collect(),
+        Json::Object(members) => members.iter().flat_map(|(_, v)| floats(v)).collect(),
+        _ => Vec::new(),
+    }
 }
 
 /// `line` written again with every object's members in reverse order, at

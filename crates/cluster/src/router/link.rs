@@ -216,6 +216,10 @@ struct Link<'a> {
     control: VecDeque<Control>,
     /// Client connections that got answers since the last flush.
     touched: Vec<Arc<Conn>>,
+    /// The earliest deadline in the backlog when [`Link::expire`] last
+    /// looked; a job offered since to a non-empty backlog is seen within
+    /// [`IDLE_POLL`].
+    backlog_due: Option<Instant>,
 }
 
 /// The link thread of backend `backend`, until the router retires it.
@@ -229,6 +233,7 @@ pub(super) fn run(shared: &Arc<ClusterShared>, backend: usize, wake: &WakeReceiv
         quiet_since: Instant::now(),
         control: VecDeque::new(),
         touched: Vec::new(),
+        backlog_due: None,
     };
     let mut poll_set = PollSet::new();
     let mut scratch = vec![0u8; 64 * 1024];
@@ -631,7 +636,7 @@ impl Link<'_> {
 
     /// Kills a link that made no progress for `request_timeout` or read
     /// nothing for `health_timeout` while it owed a control answer, and
-    /// sheds outstanding jobs whose deadline passed.
+    /// sheds outstanding and backlogged jobs whose deadline passed.
     fn expire(&mut self) {
         let now = Instant::now();
         let options = &self.shared.options;
@@ -647,7 +652,7 @@ impl Link<'_> {
                 return self.reset(Reset::Timeout);
             }
         }
-        let shared = self.shared;
+        let (shared, detail) = (self.shared, "request deadline exceeded");
         for outstanding in self.slots.iter_mut().flatten() {
             if outstanding.shed || now < outstanding.job.deadline {
                 continue;
@@ -655,14 +660,38 @@ impl Link<'_> {
             // Shed in place: the backend still owes the answer, so the
             // request keeps its window slot until it arrives.
             outstanding.shed = true;
-            let detail = "request deadline exceeded";
             shed(shared, &outstanding.job, ShedReason::Deadline, detail);
+        }
+        for job in self.take_late(now) {
+            shed(shared, &job, ShedReason::Deadline, detail);
         }
     }
 
+    /// Takes the backlog's jobs whose deadline is `now` or past, and notes
+    /// the earliest deadline left.
+    fn take_late(&mut self, now: Instant) -> VecDeque<ForwardJob> {
+        let mut jobs = self.shared.links[self.backend]
+            .jobs
+            .lock()
+            .expect("link backlog lock poisoned");
+        self.backlog_due = jobs.iter().map(|job| job.deadline).min();
+        if self.backlog_due.is_none_or(|due| now < due) {
+            return VecDeque::new();
+        }
+        let (waiting, late) = std::mem::take(&mut *jobs)
+            .into_iter()
+            .partition(|job| now < job.deadline);
+        *jobs = waiting;
+        self.backlog_due = jobs.iter().map(|job| job.deadline).min();
+        self.shared.telemetry.backends[self.backend]
+            .queue_depth
+            .sub(late.len() as i64);
+        late
+    }
+
     /// How long the next poll may sleep: until the liveness bound, the
-    /// next ping or the control timeout, or the next outstanding deadline,
-    /// and at most [`IDLE_POLL`].
+    /// next ping or the control timeout, or the next outstanding or
+    /// backlogged deadline, and at most [`IDLE_POLL`].
     fn poll_timeout(&self) -> Duration {
         let now = Instant::now();
         let options = &self.shared.options;
@@ -677,6 +706,9 @@ impl Link<'_> {
         }
         for outstanding in self.slots.iter().flatten().filter(|o| !o.shed) {
             wake_at = wake_at.min(outstanding.job.deadline);
+        }
+        if let Some(due) = self.backlog_due {
+            wake_at = wake_at.min(due);
         }
         wake_at.saturating_duration_since(now)
     }

@@ -28,7 +28,8 @@
 //! [`PREPARED_BUDGET_BYTES`]: once full, it admits a configuration only on
 //! its second touch and evicts by CLOCK (see [`crate::bounded`]).  The
 //! unit, resolution and bank memos stay unbounded; they hold one entry per
-//! unit size, `(N, K)` pair and bank design.
+//! unit size, `(N, K)` pair and bank design.  All four memos hash their
+//! keys with [`WordHash`], seeded once per process.
 //!
 //! [`ModelCache`] is `Sync`: one instance can back many threads (the
 //! runtime's `EvalService` shares one across its server's event loops and
@@ -39,13 +40,14 @@
 //! other's unrelated lookups.
 
 use std::collections::HashMap;
+use std::hash::BuildHasher;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use crosslight_photonics::units::MilliWatts;
 
 use crate::area::{accelerator_area, AcceleratorArea};
-use crate::bounded::{BoundedMap, Fingerprint, Insert};
+use crate::bounded::{BoundedMap, Fingerprint, Insert, WordHash};
 use crate::canonical::{ConfigKey, DesignKey, ResolutionKey, VdpUnitKey};
 use crate::config::CrossLightConfig;
 use crate::error::{ArchitectureError, Result};
@@ -66,9 +68,15 @@ pub const PREPARED_BUDGET_BYTES: usize = 1 << 20;
 /// A prepared simulator's charge: it owns no heap bytes.
 const PREPARED_CHARGE: usize = BoundedMap::<ConfigKey, PreparedSimulator>::ENTRY_BYTES;
 
+/// The seed of the word hash `prepared`'s doorkeeper records a
+/// configuration by: fixed, so the memo admits the same configurations
+/// from run to run.  It is not [`ConfigKey::fingerprint`], the FNV-1a
+/// hash that wire-visible keys are built on.
+const DOORKEEPER_SEED: u64 = 0x243f_6a88_85a3_08d3;
+
 impl Fingerprint for ConfigKey {
     fn fingerprint(&self) -> u64 {
-        ConfigKey::fingerprint(self)
+        WordHash::with_seed(DOORKEEPER_SEED).hash_one(self)
     }
 }
 
@@ -143,9 +151,9 @@ impl ModelCacheStats {
 pub struct ModelCache {
     /// Per-bank tuning power by `(mrs_per_bank, design)`, what
     /// [`VdpUnit::report`]'s eigensolve reads.
-    banks: Mutex<HashMap<(usize, DesignKey), MilliWatts>>,
-    units: Mutex<HashMap<VdpUnitKey, VdpUnitReport>>,
-    resolutions: Mutex<HashMap<ResolutionKey, u32>>,
+    banks: Mutex<HashMap<(usize, DesignKey), MilliWatts, WordHash>>,
+    units: Mutex<HashMap<VdpUnitKey, VdpUnitReport, WordHash>>,
+    resolutions: Mutex<HashMap<ResolutionKey, u32, WordHash>>,
     prepared: Mutex<BoundedMap<ConfigKey, PreparedSimulator>>,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -602,6 +610,12 @@ mod tests {
         assert!(fresh.import(&exported).is_err());
         // All-or-nothing: the valid unit/resolution entries were not applied.
         assert!(fresh.export().is_empty());
+    }
+
+    #[test]
+    fn the_doorkeeper_fingerprint_never_reads_the_process_seed() {
+        let key = CrossLightConfig::paper_best().canonical_key();
+        assert_eq!(Fingerprint::fingerprint(&key), 0x02b7_d4b6_b0a4_821f);
     }
 
     #[test]

@@ -94,13 +94,6 @@ impl Microdisk {
     pub fn resolution_bits(&self) -> u32 {
         self.resolution_bits
     }
-
-    /// Footprint diameter of the device (smaller than an MR — the reason
-    /// HolyLight chose microdisks).
-    #[must_use]
-    pub fn footprint_diameter(&self) -> Micrometers {
-        Micrometers::new(2.0 * self.radius.value())
-    }
 }
 
 impl Default for Microdisk {
@@ -158,7 +151,6 @@ mod tests {
         let disk = Microdisk::holylight();
         assert!((disk.insertion_loss().value() - 1.22).abs() < 1e-12);
         assert_eq!(disk.resolution_bits(), 2);
-        assert!((disk.footprint_diameter().value() - 5.0).abs() < 1e-12);
     }
 
     #[test]
@@ -166,13 +158,5 @@ mod tests {
         let gang = MicrodiskGang::holylight_weight_cell();
         assert_eq!(gang.count(), 8);
         assert_eq!(gang.combined_resolution_bits(), 16);
-    }
-
-    #[test]
-    fn microdisk_is_smaller_than_microring() {
-        use crate::mr::MrGeometry;
-        let disk = Microdisk::holylight();
-        let mr = MrGeometry::optimized();
-        assert!(disk.footprint_diameter().value() < mr.footprint_diameter().value());
     }
 }

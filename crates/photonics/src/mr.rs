@@ -80,13 +80,6 @@ impl MrGeometry {
         (self.input_waveguide_width.value() - 400.0).abs() < 1.0
             && (self.ring_waveguide_width.value() - 800.0).abs() < 1.0
     }
-
-    /// Approximate footprint diameter of the device including the coupling
-    /// region, used by the area model.
-    #[must_use]
-    pub fn footprint_diameter(&self) -> Micrometers {
-        Micrometers::new(2.0 * self.radius.value() + 2.0 * self.gap.to_micrometers().value())
-    }
 }
 
 impl Default for MrGeometry {

@@ -11,8 +11,9 @@
 //! [`Json::parse`] is one generic read on that reader.  Design points that
 //! matter for the protocol guarantees:
 //!
-//! * **Exact floats.**  Finite `f64`s are written with Rust's shortest
-//!   round-trip formatting and parsed with the standard correctly-rounding
+//! * **Exact floats.**  Finite `f64`s are written in their shortest
+//!   round-trip digits, spelled byte for byte as `Display` spells them, and
+//!   parsed with the standard correctly-rounding
 //!   parser, so `decode(encode(x))` returns the bit-identical value for every
 //!   finite `f64` (including `-0.0` and subnormals).  Non-finite values are
 //!   encoded as the strings `"NaN"`, `"inf"` and `"-inf"` (JSON has no
@@ -181,21 +182,212 @@ impl Json {
 /// shortest-round-trip form, a non-finite one as its tagged string
 /// (`"NaN"`, `"inf"` or `"-inf"`), so the output stays valid JSON.
 ///
-/// Integral values get an explicit `.0` so the reader classifies them as
-/// floats again — without it `-0.0` would serialize as `-0`, parse as the
-/// integer `0`, and silently drop its sign bit.
+/// A finite float is spelled exactly as `f64`'s `Display` spells it, with
+/// no exponent, plus `.0` when that text has no `.`.  The `.0` makes the
+/// reader classify an integral value as a float again: without it `-0.0`
+/// would serialize as `-0`, parse as the integer `0`, and silently drop
+/// its sign bit.
 pub fn push_f64(value: f64, out: &mut String) {
     if value.is_nan() {
-        out.push_str("\"NaN\"");
+        return out.push_str("\"NaN\"");
     } else if value.is_infinite() {
-        out.push_str(if value > 0.0 { "\"inf\"" } else { "\"-inf\"" });
+        return out.push_str(if value > 0.0 { "\"inf\"" } else { "\"-inf\"" });
+    }
+    if value.is_sign_negative() {
+        out.push('-');
+    }
+    if value == 0.0 {
+        return out.push_str("0.0");
+    }
+    let (mut mantissa, exponent) = shortest_digits(value.to_bits());
+    let mut buf = [0u8; 20];
+    let mut at = buf.len();
+    while mantissa >= 10_000 {
+        let quad = (mantissa % 10_000) as usize;
+        mantissa /= 10_000;
+        at -= 4;
+        buf[at..at + 2].copy_from_slice(&DIGIT_PAIRS[quad / 100 * 2..][..2]);
+        buf[at + 2..at + 4].copy_from_slice(&DIGIT_PAIRS[quad % 100 * 2..][..2]);
+    }
+    while mantissa > 0 {
+        at -= 1;
+        buf[at] = b'0' + (mantissa % 10) as u8;
+        mantissa /= 10;
+    }
+    // SAFETY: every byte of `buf[at..]` was written above, as `b'0'` plus a
+    // digit or from `DIGIT_PAIRS`, so all are ASCII digits: valid UTF-8.
+    // Validating them instead costs about a fifth of the writer's time.
+    let digits = unsafe { std::str::from_utf8_unchecked(&buf[at..]) };
+    // The value is 0.`digits` × 10^point.
+    let point = exponent + digits.len() as i32;
+    if point <= 0 {
+        out.push_str("0.");
+        out.extend(std::iter::repeat_n('0', point.unsigned_abs() as usize));
+        out.push_str(digits);
+    } else if (point as usize) < digits.len() {
+        let (whole, fraction) = digits.split_at(point as usize);
+        out.push_str(whole);
+        out.push('.');
+        out.push_str(fraction);
     } else {
-        let start = out.len();
-        let _ = write!(out, "{value}");
-        if !out[start..].contains(['.', 'e', 'E']) {
-            out.push_str(".0");
+        out.push_str(digits);
+        out.extend(std::iter::repeat_n('0', point as usize - digits.len()));
+        out.push_str(".0");
+    }
+}
+
+/// `"00"`, `"01"`, … `"99"`, back to back.
+const DIGIT_PAIRS: &[u8; 200] = b"0001020304050607080910111213141516171819\
+    2021222324252627282930313233343536373839404142434445464748495051525354555657585960616263646566676869\
+    707172737475767778798081828384858687888990919293949596979899";
+
+/// Bits of each entry of [`POW5`] and [`POW5_INVERSE`].
+const POW5_BITS: u32 = 125;
+
+/// Ryū's two multiplier tables (Adams, PLDI 2018), built at compile time
+/// from a 1 088-bit integer.  `POW5[i]` is `5^i` cut to its top 125 bits;
+/// `POW5_INVERSE[q]` is `⌊2^(⌊log2 5^q⌋ + 125) / 5^q⌋ + 1`.  The indices
+/// cover every finite `f64`'s binary exponent.
+static POW5: [u128; 326] = POW5_TABLES.0;
+static POW5_INVERSE: [u128; 342] = POW5_TABLES.1;
+const POW5_TABLES: ([u128; 326], [u128; 342]) = pow5_tables();
+
+const fn pow5_tables() -> ([u128; 326], [u128; 342]) {
+    const LIMBS: usize = 17;
+    /// Bits `shift..shift + 128` of a little-endian integer.
+    const fn bits_at(n: &[u64; LIMBS], shift: usize) -> u128 {
+        let (word, bit) = (shift / 64, shift % 64);
+        let low = n[word] as u128 | (n[word + 1] as u128) << 64;
+        low >> bit | (n[word + 2] as u128) << (127 - bit) << 1
+    }
+    let (mut pow5, mut inverse) = ([0; 326], [0; 342]);
+    // 5^i × 2^125, and ⌊2^1024 / 5^i⌋, which every inverse is a prefix of.
+    let (mut power, mut quotient) = ([0u64; LIMBS], [0u64; LIMBS]);
+    power[1] = 1 << (POW5_BITS - 64);
+    quotient[16] = 1;
+    let mut i = 0;
+    while i < inverse.len() {
+        let length = pow5_bits(i as u32) as usize;
+        if i < pow5.len() {
+            pow5[i] = bits_at(&power, length);
+        }
+        inverse[i] = bits_at(&quotient, 1024 + 1 - length - POW5_BITS as usize) + 1;
+        let (mut carry, mut remainder) = (0u128, 0u128);
+        let mut k = 0;
+        while k < LIMBS {
+            let product = power[k] as u128 * 5 + carry;
+            (power[k], carry) = (product as u64, product >> 64);
+            let dividend = remainder << 64 | quotient[LIMBS - 1 - k] as u128;
+            (quotient[LIMBS - 1 - k], remainder) = ((dividend / 5) as u64, dividend % 5);
+            k += 1;
+        }
+        i += 1;
+    }
+    (pow5, inverse)
+}
+
+/// `⌊log2 5^e⌋ + 1`, the bit length of `5^e`.
+const fn pow5_bits(e: u32) -> u32 {
+    ((e * 1_217_359) >> 19) + 1
+}
+
+/// `(m × multiplier) >> shift`, for a multiplier of [`POW5_BITS`] bits and
+/// a shift past 64.
+fn mul_shift(m: u64, multiplier: u128, shift: u32) -> u64 {
+    let low = u128::from(m) * u128::from(multiplier as u64);
+    let high = u128::from(m) * (multiplier >> 64);
+    (((low >> 64) + high) >> (shift - 64)) as u64
+}
+
+fn pow5_factor(mut value: u64) -> u32 {
+    let mut count = 0;
+    while value.is_multiple_of(5) {
+        value /= 5;
+        count += 1;
+    }
+    count
+}
+
+/// The shortest decimal `digits × 10^exponent` that reads back as the
+/// positive finite `f64` with these bits, the one nearest it when several
+/// are that short: Ryū's d2s search, except that an exact tie in the last
+/// kept digit rounds up, as `Display` rounds it, where Ryū rounds to even
+/// (`2^-25` is `0.000000029802322387695313`, not `…312`).
+fn shortest_digits(bits: u64) -> (u64, i32) {
+    let fraction = bits & ((1 << 52) - 1);
+    let biased = (bits >> 52 & 0x7ff) as i32;
+    // The value is `mv × 2^e2` with `mv = 4 × m2`, so the interval of
+    // decimals that read back as it, `[mm, mp]` around `mv`, has integral ends.
+    let (e2, m2) = match biased {
+        0 => (1 - 1077, fraction),
+        _ => (biased - 1077, fraction | 1 << 52),
+    };
+    // An integer below 2^53 is its own shortest decimal.
+    let shift = -2 - e2;
+    if (0..=52).contains(&shift) && m2.trailing_zeros() >= shift as u32 {
+        let (mut digits, mut exponent) = (m2 >> shift, 0);
+        while digits.is_multiple_of(10) {
+            (digits, exponent) = (digits / 10, exponent + 1);
+        }
+        return (digits, exponent);
+    }
+    let inclusive = m2.is_multiple_of(2);
+    let mv = 4 * m2;
+    // The float below a power of two is nearer than the one above it.
+    let mm = mv - 1 - u64::from(fraction != 0 || biased <= 1);
+    let mp = mv + 2;
+    let (q, multiplier, shift, e10) = if e2 >= 0 {
+        let q = ((e2 as u32 * 78_913) >> 18) - u32::from(e2 > 3);
+        let shift = q + POW5_BITS + pow5_bits(q) - 1 - e2 as u32;
+        (q, POW5_INVERSE[q as usize], shift, q as i32)
+    } else {
+        let q = ((e2.unsigned_abs() * 732_923) >> 20) - u32::from(e2 < -1);
+        let i = e2.unsigned_abs() - q;
+        (
+            q,
+            POW5[i as usize],
+            q + POW5_BITS - pow5_bits(i),
+            q as i32 + e2,
+        )
+    };
+    let [mut vr, mut vp, mut vm] = [mv, mp, mm].map(|m| mul_shift(m, multiplier, shift));
+    // Whether the lower end's exact decimal has only zeros past the kept
+    // digits; an excluded upper end that is exact steps down one.  At most
+    // one of mm, mv and mp is a multiple of 5.
+    let mut vm_exact = false;
+    if e2 >= 0 && q <= 21 && !mv.is_multiple_of(5) {
+        if inclusive {
+            vm_exact = pow5_factor(mm) >= q;
+        } else if pow5_factor(mp) >= q {
+            vp -= 1;
+        }
+    } else if e2 < 0 && q <= 1 {
+        if inclusive {
+            vm_exact = mv - mm == 2;
+        } else {
+            vp -= 1;
         }
     }
+    // Drop digits while the interval still holds a shorter decimal, four
+    // at a time while four fit, remembering the last digit of `vr` dropped.
+    let (mut removed, mut last) = (0, 0);
+    while vp / 10_000 > vm / 10_000 {
+        vm_exact &= vm.is_multiple_of(10_000);
+        (last, vr, vp, vm) = (vr % 10_000 / 1_000, vr / 10_000, vp / 10_000, vm / 10_000);
+        removed += 4;
+    }
+    while vp / 10 > vm / 10 {
+        vm_exact &= vm.is_multiple_of(10);
+        (last, vr, vp, vm, removed) = (vr % 10, vr / 10, vp / 10, vm / 10, removed + 1);
+    }
+    if vm_exact {
+        while vm.is_multiple_of(10) {
+            (last, vr, vp, vm, removed) = (vr % 10, vr / 10, vp / 10, vm / 10, removed + 1);
+        }
+    }
+    // Round up past a half, on a tie, or off an excluded lower end.
+    let up = last >= 5 || (vr == vm && !(inclusive && vm_exact));
+    (vr + u64::from(up), e10 + removed)
 }
 
 /// Appends a JSON string literal (with escaping) to `out`.
@@ -764,6 +956,65 @@ mod tests {
             push_f64(value, &mut encoded);
             let decoded = Json::parse(&encoded).unwrap().as_f64().unwrap();
             assert_eq!(decoded.to_bits(), value.to_bits(), "{value} via {encoded}");
+        }
+    }
+
+    /// What `push_f64` wrote before it searched digits itself: `Display`,
+    /// plus `.0` when the text has no `.`, `e` or `E`.
+    fn display_rule(value: f64, out: &mut String) {
+        if value.is_nan() {
+            out.push_str("\"NaN\"");
+        } else if value.is_infinite() {
+            out.push_str(if value > 0.0 { "\"inf\"" } else { "\"-inf\"" });
+        } else {
+            let start = out.len();
+            let _ = write!(out, "{value}");
+            if !out[start..].contains(['.', 'e', 'E']) {
+                out.push_str(".0");
+            }
+        }
+    }
+
+    /// Asserts that `push_f64` writes each value's bytes as `Display` does.
+    fn spelled_as_display(values: impl IntoIterator<Item = f64>) {
+        let (mut written, mut expected) = (String::new(), String::new());
+        for value in values {
+            written.clear();
+            expected.clear();
+            push_f64(value, &mut written);
+            display_rule(value, &mut expected);
+            assert_eq!(written, expected, "bits {:#018x}", value.to_bits());
+        }
+    }
+
+    proptest::proptest! {
+        /// Any bit pattern — subnormal, normal, zero or not finite — is
+        /// written byte for byte as `Display` writes it.
+        #[test]
+        fn float_writer_spells_random_bit_patterns_as_display(
+            patterns in proptest::collection::vec(proptest::num::u64::ANY, 1_000),
+        ) {
+            spelled_as_display(patterns.into_iter().map(f64::from_bits));
+        }
+    }
+
+    #[test]
+    fn float_writer_spells_fixed_sets_as_display() {
+        let edges = (0..=2046u64).flat_map(|biased| {
+            [0, 1, 1 << 51, (1 << 52) - 1].map(|mantissa| f64::from_bits(biased << 52 | mantissa))
+        });
+        let subnormals = (0..64).map(|shift| f64::from_bits(((1u64 << 52) - 1) >> shift));
+        let extremes = [0.0, -0.0, f64::MAX, f64::MIN, f64::MIN_POSITIVE, 5e-324];
+        let integers = (1..=200_000u32).flat_map(|n| [f64::from(n), f64::from(n) / 1_000.0]);
+        spelled_as_display(edges.chain(subnormals).chain(extremes).chain(integers));
+        // Exact ties in the last kept digit round up, as `Display` does.
+        for (value, spelled) in [
+            (2f64.powi(-25), "0.000000029802322387695313"),
+            (2f64.powi(49) + 0.25, "562949953421312.3"),
+        ] {
+            let mut written = String::new();
+            push_f64(value, &mut written);
+            assert_eq!(written, spelled);
         }
     }
 

@@ -1246,6 +1246,65 @@ fn serve_metrics_only(stream: TcpStream, page: &RegistrySnapshot) -> std::io::Re
     Ok(())
 }
 
+/// A backend that answers each ping at once and forwards each other line
+/// to `upstream`, writing its answer back `hold` after reading the line.
+fn holding_backend(upstream: SocketAddr, hold: Duration) -> SocketAddr {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind a holding backend");
+    let addr = listener.local_addr().expect("holding backend address");
+    // Detached, like `fake_backend`'s threads.
+    std::thread::spawn(move || {
+        for stream in listener.incoming() {
+            let Ok(stream) = stream else { continue };
+            std::thread::spawn(move || serve_holding(stream, upstream, hold));
+        }
+    });
+    addr
+}
+
+fn serve_holding(stream: TcpStream, upstream: SocketAddr, hold: Duration) -> std::io::Result<()> {
+    use std::io::{BufRead, BufReader};
+    use std::sync::{mpsc, Mutex};
+
+    let writer = Arc::new(Mutex::new(stream.try_clone()?));
+    let upstream = TcpStream::connect(upstream)?;
+    let mut up_writer = upstream.try_clone()?;
+    let mut up_reader = BufReader::new(upstream);
+    let (held, due) = mpsc::channel::<(Instant, String)>();
+    let release = Arc::clone(&writer);
+    // Writes each held answer when it is due, in the order read; ends
+    // when the connection's reader below does.
+    std::thread::spawn(move || {
+        for (at, answer) in due {
+            std::thread::sleep(at.saturating_duration_since(Instant::now()));
+            let _ = release
+                .lock()
+                .expect("writer lock")
+                .write_all(answer.as_bytes());
+        }
+    });
+    for line in BufReader::new(stream).lines() {
+        let line = line?;
+        let read = Instant::now();
+        let request = wire::decode_request(&line).expect("the router's requests decode");
+        if matches!(request.body, RequestBody::Ping) {
+            let pong = wire::encode_response(&Response {
+                id: Some(request.id),
+                body: ResponseBody::Pong,
+            });
+            writer
+                .lock()
+                .expect("writer lock")
+                .write_all(format!("{pong}\n").as_bytes())?;
+            continue;
+        }
+        up_writer.write_all(format!("{line}\n").as_bytes())?;
+        let mut answer = String::new();
+        up_reader.read_line(&mut answer)?;
+        let _ = held.send((read + hold, answer));
+    }
+    Ok(())
+}
+
 fn router_client(router: &Router) -> Client {
     Client::connect_with(
         router.local_addr(),
@@ -1454,6 +1513,56 @@ fn a_deadline_passing_on_a_slow_link_is_answered_there_and_the_late_answer_dropp
         0,
         "a late answer does not cost the link"
     );
+
+    drop(client);
+    quiesce(&router, [&upstream], 0);
+    router.shutdown();
+    upstream.shutdown();
+}
+
+#[test]
+fn a_deadline_passing_in_a_links_backlog_is_shed_there_before_any_slot_frees() {
+    let upstream = bind_backend();
+    let hold = Duration::from_millis(800);
+    let holding = holding_backend(upstream.local_addr(), hold);
+    let deadline = Duration::from_millis(300);
+    let router = Router::bind(
+        "127.0.0.1:0",
+        &[holding],
+        chaos_options().with_request_deadline(deadline),
+    )
+    .expect("bind router");
+
+    // The link's window takes the first evals; the rest wait in its
+    // backlog, where no slot frees before the held answers are due.
+    let mut client = router_client(&router);
+    let started = Instant::now();
+    send_evals(&mut client, &mixed_sweep(20));
+    for _ in 0..20 {
+        let response = client.recv().expect("every eval is answered");
+        assert!(
+            matches!(response.body, ResponseBody::Error(ref frame)
+                if frame.kind == ErrorKind::Unavailable && frame.detail == "request deadline exceeded"),
+            "{response:?}"
+        );
+    }
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed >= deadline && elapsed < hold,
+        "every eval must be shed at its deadline, not when a slot frees: {elapsed:?}"
+    );
+    let scrape = router.metrics_snapshot();
+    assert_eq!(family_total(&scrape, "cluster_queue_depth"), 0);
+    let stats = router.stats();
+    assert_eq!((stats.evals_ok, stats.shed_total), (0, 20));
+
+    // The held answers land on the link and are dropped there.
+    wait_for("the held answers", Duration::from_secs(10), || {
+        let scrape = router.metrics_snapshot();
+        family_total(&scrape, "cluster_backend_in_flight") == 0
+    });
+    next_line_is_pong(&mut client, 1_000);
+    assert_eq!(router.stats().shed_total, 20);
 
     drop(client);
     quiesce(&router, [&upstream], 0);
