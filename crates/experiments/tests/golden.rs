@@ -1,7 +1,7 @@
 //! Golden-value regression tests for the experiments that previously had
 //! no exact coverage: `fig7_power`, `fig8_epb`, `device_dse`,
-//! `resolution_analysis`, the Fig. 6 streaming frontier and the
-//! architecture zoo.
+//! `resolution_analysis`, the Fig. 6 streaming frontiers over the paper and
+//! dense grids, and the architecture zoo.
 //!
 //! Each experiment's output is rendered into a canonical text form in which
 //! every `f64` appears twice: as its shortest-round-trip decimal (for
@@ -21,7 +21,7 @@
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
-use crosslight_experiments::fig6_design_space::{self, DesignPoint};
+use crosslight_experiments::fig6_design_space::{self, DesignFrontier, DesignPoint};
 use crosslight_experiments::{arch_zoo, device_dse, fig7_power, fig8_epb, resolution_analysis};
 
 /// Canonical rendering of one float: decimal (shortest round-trip) plus the
@@ -141,14 +141,10 @@ fn design_point_line(p: &DesignPoint) -> String {
     )
 }
 
-#[test]
-fn fig6_frontier_is_locked() {
-    // The streaming Fig. 6 frontier over the paper grid.  Worker count
-    // cannot matter (locked by the unit tests); the fixture locks the
-    // values themselves.
-    let frontier =
-        fig6_design_space::run_streaming(&fig6_design_space::paper_candidates(), 3, 10).unwrap();
-    let mut out = String::from("fig6_frontier/v1 candidates=paper top_k=10\n");
+/// Renders a Fig. 6 frontier's counts, best point, paper point and top-K
+/// after `header`.
+fn fig6_frontier_head(header: &str, frontier: &DesignFrontier) -> String {
+    let mut out = format!("{header}\n");
     let _ = writeln!(
         out,
         "evaluated={} in_cap={}",
@@ -167,10 +163,55 @@ fn fig6_frontier_is_locked() {
     for p in &frontier.top {
         let _ = writeln!(out, "top {}", design_point_line(p));
     }
+    out
+}
+
+/// One `pareto` line per point of a Fig. 6 frontier's Pareto set.
+fn fig6_pareto_lines(frontier: &DesignFrontier) -> String {
+    let mut out = String::new();
     for p in &frontier.pareto {
         let _ = writeln!(out, "pareto {}", design_point_line(p));
     }
+    out
+}
+
+/// 64-bit FNV-1a of `bytes`.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+#[test]
+fn fig6_frontier_is_locked() {
+    // The streaming Fig. 6 frontier over the paper grid.  Worker count
+    // cannot matter (locked by the unit tests); the fixture locks the
+    // values themselves.
+    let frontier =
+        fig6_design_space::run_streaming(&fig6_design_space::paper_candidates(), 3, 10).unwrap();
+    let mut out = fig6_frontier_head("fig6_frontier/v1 candidates=paper top_k=10", &frontier);
+    out.push_str(&fig6_pareto_lines(&frontier));
     check("fig6_frontier.txt", &out);
+}
+
+#[test]
+fn fig6_dense_frontier_is_locked() {
+    // The streaming Fig. 6 frontier over the ~58.5k-candidate dense grid.
+    // Its Pareto set would take about 60 KB in full, so the fixture locks
+    // the set's length and a digest of its full rendering.
+    let frontier =
+        fig6_design_space::run_streaming(&fig6_design_space::dense_candidates(), 3, 10).unwrap();
+    let mut out = fig6_frontier_head(
+        "fig6_dense_frontier/v1 candidates=dense top_k=10",
+        &frontier,
+    );
+    let _ = writeln!(
+        out,
+        "pareto_len={} pareto_fnv1a={:016x}",
+        frontier.pareto.len(),
+        fnv1a(fig6_pareto_lines(&frontier).as_bytes())
+    );
+    check("fig6_dense_frontier.txt", &out);
 }
 
 /// Canonical rendering of one zoo point, shared by the table and frontier
