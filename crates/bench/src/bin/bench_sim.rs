@@ -8,7 +8,7 @@
 //! cargo run --release -p crosslight-bench --bin bench_sim -- --out path.json
 //! ```
 //!
-//! Four entries take turns with a sibling and record their speed-up over
+//! Five entries take turns with a sibling and record their speed-up over
 //! it in the same run.  Three are memoized or allocation-free paths over
 //! the paths they replaced: `prepare_paper_best_modelcache` over
 //! `prepare_paper_best_uncached`, `crosstalk_noise_15ch_matrix` over
@@ -16,13 +16,17 @@
 //! preserved reference `bank_resolution_bits_15_naive`.  The fourth,
 //! `fig6_dense_streaming_58k` (every core) over
 //! `fig6_dense_streaming_58k_1w` (one worker), is the dense sweep's
-//! parallel speed-up.  The other entries have no sibling and record their
-//! absolute times.
+//! parallel speed-up.  The fifth, `fig6_dense_kernel_58k_1w` (the sweep's
+//! kernel, `run_streaming` on one worker) over
+//! `fig6_dense_per_candidate_58k_1w` (`run_per_candidate`, the simulator's
+//! per-candidate path), is what the kernel saves per dense pass; its bar
+//! is ≥ 2.5, and the two frontiers must be equal before either is timed.
+//! The other entries have no sibling and record their absolute times.
 
 use std::process::ExitCode;
 use std::sync::Arc;
 
-use crosslight_bench::{finish, measure, measure_pair, Args};
+use crosslight_bench::{finish, measure, measure_pair, Args, Bar, Figure};
 use crosslight_core::cache::ModelCache;
 use crosslight_core::config::CrossLightConfig;
 use crosslight_core::simulator::CrossLightSimulator;
@@ -36,6 +40,10 @@ use crosslight_photonics::units::Nanometers;
 use crosslight_photonics::wdm::WdmGrid;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+/// A one-worker dense pass through the sweep's kernel takes at most 1/2.5
+/// of one through the per-candidate simulator path.
+const KERNEL_OVER_PER_CANDIDATE: Bar = Bar::AtLeast(2.5);
 
 fn main() -> ExitCode {
     let args = Args::parse("BENCH_sim.json");
@@ -159,6 +167,29 @@ fn main() -> ExitCode {
         || fig6_design_space::run_streaming(&dense, workers, 10).expect("sweep succeeds"),
         || fig6_design_space::run_streaming(&dense, 1, 10).expect("sweep succeeds"),
     ));
+
+    // --- the sweep's kernel against the per-candidate simulator path, both
+    // on one worker -----------------------------------------------------------
+    assert_eq!(
+        fig6_design_space::run_streaming(&dense, 1, 10).expect("sweep succeeds"),
+        fig6_design_space::run_per_candidate(&dense, 10).expect("sweep succeeds"),
+        "the kernel's dense frontier is the per-candidate path's"
+    );
+    let [mut kernel, per_candidate] = measure_pair(
+        [
+            "fig6_dense_kernel_58k_1w",
+            "fig6_dense_per_candidate_58k_1w",
+        ],
+        window_ms,
+        || fig6_design_space::run_streaming(&dense, 1, 10).expect("sweep succeeds"),
+        || fig6_design_space::run_per_candidate(&dense, 10).expect("sweep succeeds"),
+    );
+    kernel.compare(
+        &per_candidate,
+        Figure::Mean,
+        Some(KERNEL_OVER_PER_CANDIDATE),
+    );
+    results.extend([kernel, per_candidate]);
 
     finish(&args, "crosslight-bench-sim/v2", &results)
 }

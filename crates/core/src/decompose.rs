@@ -102,9 +102,24 @@ pub fn conv_patch_as_dot(kernel: &[f64], patch: &[f64]) -> f64 {
     kernel.iter().zip(patch.iter()).map(|(k, a)| k * a).sum()
 }
 
+/// Unit passes needed to execute `dot_count` dot products of length
+/// `dot_length` on units supporting `unit_size` elements per pass: one per
+/// chunk of every dot product, before they are spread over the units.
+///
+/// The first step of [`sequential_passes`]; a sweep over unit counts at a
+/// fixed unit size computes it once and divides it for each count.
+///
+/// # Errors
+///
+/// Returns [`ArchitectureError::InvalidConfig`] if `unit_size` is zero.
+pub fn unit_passes(dot_length: usize, dot_count: usize, unit_size: usize) -> Result<u64> {
+    let plan = DecompositionPlan::new(dot_length, unit_size)?;
+    Ok(plan.passes() as u64 * dot_count as u64)
+}
+
 /// Total passes required to execute `dot_count` dot products of length
 /// `dot_length` on `units` parallel units each supporting `unit_size`
-/// elements per pass.
+/// elements per pass: the [`unit_passes`], spread over the units.
 ///
 /// The result is the number of sequential unit-cycles; it is what the latency
 /// model multiplies by the per-pass latency.
@@ -125,9 +140,7 @@ pub fn sequential_passes(
             reason: "at least one unit is required".into(),
         });
     }
-    let plan = DecompositionPlan::new(dot_length, unit_size)?;
-    let total_passes = plan.passes() as u64 * dot_count as u64;
-    Ok(total_passes.div_ceil(units as u64))
+    Ok(unit_passes(dot_length, dot_count, unit_size)?.div_ceil(units as u64))
 }
 
 #[cfg(test)]

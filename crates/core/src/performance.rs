@@ -103,13 +103,40 @@ pub fn inference_latency(
         )?;
     }
 
-    let towers = workload.towers as f64;
-    let layer_count = (workload.conv_layers.len() + workload.fc_layers.len()) as f64;
-    Ok(InferenceLatency {
+    Ok(latency_from_cycles(
+        conv_pass,
+        fc_pass,
+        conv_cycles,
+        fc_cycles,
+        workload.conv_layers.len() + workload.fc_layers.len(),
+        workload.towers,
+    ))
+}
+
+/// The latency formula behind [`inference_latency`]: each pool's sequential
+/// unit-cycles times its pass latency, plus [`LAYER_OVERHEAD_NS`] per
+/// layer, all once per tower.
+///
+/// `conv_cycles` and `fc_cycles` are the sums of
+/// [`sequential_passes`](crate::decompose::sequential_passes) over the
+/// workload's CONV and FC layers, `layers` counts both kinds, and the pass
+/// latencies are the units' [`VdpUnit::pass_latency`].
+#[must_use]
+pub fn latency_from_cycles(
+    conv_pass: Seconds,
+    fc_pass: Seconds,
+    conv_cycles: u64,
+    fc_cycles: u64,
+    layers: usize,
+    towers: usize,
+) -> InferenceLatency {
+    let towers = towers as f64;
+    let layer_count = layers as f64;
+    InferenceLatency {
         conv_time: conv_pass * conv_cycles as f64 * towers,
         fc_time: fc_pass * fc_cycles as f64 * towers,
         electronic_time: Seconds::from_nanos(LAYER_OVERHEAD_NS) * layer_count * towers,
-    })
+    }
 }
 
 /// Combines latency and power into the paper's headline metrics.
@@ -122,26 +149,44 @@ pub fn inference_metrics(
     config: &CrossLightConfig,
     power: &AcceleratorPower,
 ) -> Result<InferenceMetrics> {
-    let latency = inference_latency(workload, config)?;
+    Ok(metrics_from_latency(
+        inference_latency(workload, config)?,
+        workload.total_macs(),
+        config.resolution_bits,
+        power,
+    ))
+}
+
+/// The metrics formula behind [`inference_metrics`]: FPS, energy per
+/// inference and per operand bit, and kFPS/W of one inference of
+/// `total_macs` multiply–accumulates at `resolution_bits` taking `latency`
+/// on an accelerator drawing `power`.
+#[must_use]
+pub fn metrics_from_latency(
+    latency: InferenceLatency,
+    total_macs: u64,
+    resolution_bits: u32,
+    power: &AcceleratorPower,
+) -> InferenceMetrics {
     let total_latency = latency.total();
     let fps = 1.0 / total_latency.value();
     let total_power = power.total_watts();
     let energy_per_inference = Picojoules::from_power_time(power.total(), total_latency);
-    let operand_bits = 2.0 * workload.total_macs() as f64 * f64::from(config.resolution_bits);
+    let operand_bits = 2.0 * total_macs as f64 * f64::from(resolution_bits);
     let energy_per_bit_pj = if operand_bits > 0.0 {
         energy_per_inference.value() / operand_bits
     } else {
         0.0
     };
     let kfps_per_watt = fps / 1000.0 / total_power.value();
-    Ok(InferenceMetrics {
+    InferenceMetrics {
         latency,
         fps,
         energy_per_inference,
         energy_per_bit_pj,
         kfps_per_watt,
         power: total_power,
-    })
+    }
 }
 
 #[cfg(test)]

@@ -15,16 +15,19 @@
 //! a candidate's cost used to go: [`dense_candidates`] needs 36 unit reports
 //! (10 CONV plus 26 FC sizes) and 260 resolutions.
 //!
-//! [`run`] and [`run_streaming`] keep a one-entry memo per sweep worker: the
-//! CONV and FC unit reports and the resolution it last fetched, under the
-//! cache's own canonical keys.  A worker probes the shared cache (two unit
-//! lookups and one resolution lookup) only when a candidate's keys differ
-//! from its predecessor's.  Both grids vary the unit counts `(n, m)`
-//! innermost and the sweep engine hands each worker runs of consecutive
-//! candidates, so a dense pass probes once per `(N, K)` change, about 0.5 %
-//! of candidates, and its workers barely touch the cache's locks.  On a grid
-//! whose consecutive candidates rarely share `(N, K)` the memo misses every
-//! time and costs one key comparison per candidate.  On top of that:
+//! [`run`] and [`run_streaming`] evaluate through one kernel per sweep
+//! worker, which pays per candidate only for what changes from its
+//! predecessor.  Every candidate is the CrossLight-Opt-TED design at the
+//! fixed bank size, so its unit sizes `(N, K)` decide both unit reports, the
+//! resolution and every layer's unit passes; `n` decides the CONV cycles,
+//! and `m` the FC cycles, power and area.  Both grids vary the unit counts
+//! `(n, m)` innermost and the sweep engine hands each worker runs of
+//! consecutive candidates, so a dense pass probes the shared cache once per
+//! `(N, K)` change, about 0.5 % of candidates, and recounts CONV cycles
+//! once per `n` change, one candidate in 15.  On a grid whose consecutive
+//! candidates rarely share `(N, K)` the kernel redoes that work every time,
+//! about what the per-candidate path ([`run_per_candidate`]) costs.  On top
+//! of that:
 //!
 //! * [`run`] materializes every [`DesignPoint`] serially, and is the
 //!   reference the other flavors are tested against;
@@ -35,19 +38,26 @@
 //!   memory instead of one `DesignPoint` per candidate, and the result is
 //!   identical for any worker count;
 //! * [`run_on`] fans the `candidates × models` grid through the runtime's
-//!   [`EvalService`].
+//!   [`EvalService`];
+//! * [`run_per_candidate`] folds the candidates one at a time through
+//!   [`CrossLightSimulator::evaluate_average_with`], the path the kernel is
+//!   checked and timed against.
+
+use std::sync::Mutex;
 
 use serde::{Deserialize, Serialize};
 
 use crosslight_core::cache::ModelCache;
-use crosslight_core::canonical::{ResolutionKey, VdpUnitKey};
 use crosslight_core::config::{CrossLightConfig, DesignChoices};
+use crosslight_core::decompose::unit_passes;
 use crosslight_core::error::Result as CoreResult;
+use crosslight_core::performance::{latency_from_cycles, metrics_from_latency};
 use crosslight_core::power::accelerator_power_from_unit_reports;
 use crosslight_core::simulator::{AverageMetrics, CrossLightSimulator, SimulationReport};
 use crosslight_core::vdp::{VdpUnit, VdpUnitReport};
 use crosslight_neural::workload::NetworkWorkload;
 use crosslight_neural::zoo::PaperModel;
+use crosslight_photonics::units::Seconds;
 use crosslight_runtime::planner::SweepPlanner;
 use crosslight_runtime::pool::EvalService;
 use crosslight_runtime::sweep;
@@ -208,81 +218,152 @@ fn candidate_config(dims: (usize, usize, usize, usize)) -> CoreResult<CrossLight
     )
 }
 
-/// The workload-independent models of one sub-configuration, under the
-/// canonical keys the shared [`ModelCache`] files them by.
+/// What a candidate's unit sizes `(N, K)` decide: both unit reports, their
+/// pass latencies and the achievable resolution.
 #[derive(Clone, Copy)]
 struct SubModels {
-    keys: (VdpUnitKey, VdpUnitKey, ResolutionKey),
+    sizes: (usize, usize),
     conv_unit: VdpUnitReport,
     fc_unit: VdpUnitReport,
+    conv_pass: Seconds,
+    fc_pass: Seconds,
     resolution_bits: u32,
 }
 
-/// One sweep worker's evaluation state: the per-workload report buffer and
-/// a one-entry memo of the sub-models it last fetched from the shared
-/// [`ModelCache`].
+/// One workload as an [`Evaluator`] holds it: what of it no candidate
+/// changes, and its cycle counts at the memoized unit sizes and counts.
+struct Model<'a> {
+    workload: &'a NetworkWorkload,
+    total_macs: u64,
+    /// Each CONV layer's unit passes at the memoized `N`.
+    conv_passes: Vec<u64>,
+    /// Each FC layer's unit passes at the memoized `K`.
+    fc_passes: Vec<u64>,
+    /// Its CONV cycles at the memoized `N` and [`Evaluator::conv_units`].
+    conv_cycles: u64,
+}
+
+/// One sweep worker's evaluation kernel (see the module docs).
 ///
-/// This is the single evaluation path behind [`run`] and [`run_streaming`].
-/// Power is combined from the unit reports exactly as [`ModelCache::power`]
-/// combines them, the per-workload reports are assembled as
-/// `PreparedSimulator::evaluate` assembles them, and they are averaged
-/// through the shared `AverageMetrics::from_reports` accumulation, so every
-/// flavor produces bit-identical points.
+/// Every candidate is [`candidate_config`]'s Opt-TED design at the fixed
+/// bank size, so `(N, K)` decides both unit reports' keys and the
+/// resolution key, and the one-entry [`SubModels`] memo is keyed by
+/// `(N, K)` alone.  The counts it keeps feed the simulator's own
+/// [`unit_passes`], [`latency_from_cycles`] and [`metrics_from_latency`];
+/// power is combined as [`ModelCache::power`] combines it and the reports
+/// are averaged by `AverageMetrics::from_reports`, so every point is
+/// bit-identical to [`run_per_candidate`]'s.  Its buffers are allocated
+/// once, in [`Evaluator::new`], so no candidate allocates.
 struct Evaluator<'a> {
-    workloads: &'a [NetworkWorkload],
     cache: &'a ModelCache,
+    models: Vec<Model<'a>>,
     reports: Vec<SimulationReport>,
     memo: Option<SubModels>,
+    /// The CONV unit count `n` the models' `conv_cycles` hold, if current.
+    conv_units: Option<usize>,
 }
 
 impl<'a> Evaluator<'a> {
     fn new(workloads: &'a [NetworkWorkload], cache: &'a ModelCache) -> Self {
+        let models = workloads
+            .iter()
+            .map(|workload| Model {
+                workload,
+                total_macs: workload.total_macs(),
+                conv_passes: vec![0; workload.conv_layers.len()],
+                fc_passes: vec![0; workload.fc_layers.len()],
+                conv_cycles: 0,
+            })
+            .collect();
         Self {
-            workloads,
             cache,
+            models,
             reports: Vec::with_capacity(workloads.len()),
             memo: None,
+            conv_units: None,
         }
     }
 
     /// The sub-models of `config`: from the memo while consecutive
-    /// candidates share their canonical keys, from the shared cache (two
-    /// unit probes and one resolution probe) when they change.
+    /// candidates share `(N, K)`; on a change, fetched from the shared cache
+    /// (two unit probes and one resolution probe) with every layer's unit
+    /// passes at the new sizes.
     fn sub_models(&mut self, config: &CrossLightConfig) -> CoreResult<SubModels> {
-        let conv_unit = VdpUnit::conv_unit(config);
-        let fc_unit = VdpUnit::fc_unit(config);
-        let keys = (
-            conv_unit.canonical_key(),
-            fc_unit.canonical_key(),
-            ResolutionKey::from(config),
-        );
-        if let Some(memo) = self.memo.filter(|memo| memo.keys == keys) {
+        let sizes = (config.conv_unit_size, config.fc_unit_size);
+        if let Some(memo) = self.memo.filter(|memo| memo.sizes == sizes) {
             return Ok(memo);
         }
-        let models = SubModels {
-            keys,
+        self.memo = None;
+        self.conv_units = None;
+        for model in &mut self.models {
+            for (slot, layer) in model
+                .conv_passes
+                .iter_mut()
+                .zip(&model.workload.conv_layers)
+            {
+                *slot = unit_passes(layer.dot_length, layer.dot_count, sizes.0)?;
+            }
+            for (slot, layer) in model.fc_passes.iter_mut().zip(&model.workload.fc_layers) {
+                *slot = unit_passes(layer.dot_length, layer.dot_count, sizes.1)?;
+            }
+        }
+        let conv_unit = VdpUnit::conv_unit(config);
+        let fc_unit = VdpUnit::fc_unit(config);
+        let sub = SubModels {
+            sizes,
             conv_unit: self.cache.unit_report(&conv_unit)?,
             fc_unit: self.cache.unit_report(&fc_unit)?,
+            conv_pass: conv_unit.pass_latency(),
+            fc_pass: fc_unit.pass_latency(),
             resolution_bits: self.cache.resolution_bits(config)?,
         };
-        self.memo = Some(models);
-        Ok(models)
+        self.memo = Some(sub);
+        Ok(sub)
     }
 
     fn evaluate(&mut self, dims: (usize, usize, usize, usize)) -> CoreResult<DesignPoint> {
         let config = candidate_config(dims)?;
-        let models = self.sub_models(&config)?;
-        let power =
-            accelerator_power_from_unit_reports(&config, &models.conv_unit, &models.fc_unit);
+        let sub = self.sub_models(&config)?;
+        if self.conv_units != Some(config.conv_units) {
+            let units = config.conv_units as u64;
+            for model in &mut self.models {
+                model.conv_cycles = model
+                    .conv_passes
+                    .iter()
+                    .map(|passes| passes.div_ceil(units))
+                    .sum();
+            }
+            self.conv_units = Some(config.conv_units);
+        }
+        let power = accelerator_power_from_unit_reports(&config, &sub.conv_unit, &sub.fc_unit);
         let area = self.cache.area(&config);
-        let simulator = CrossLightSimulator::new(config);
+        let fc_units = config.fc_units as u64;
         self.reports.clear();
-        for workload in self.workloads {
+        for model in &self.models {
+            let fc_cycles = model
+                .fc_passes
+                .iter()
+                .map(|passes| passes.div_ceil(fc_units))
+                .sum();
+            let workload = model.workload;
+            let latency = latency_from_cycles(
+                sub.conv_pass,
+                sub.fc_pass,
+                model.conv_cycles,
+                fc_cycles,
+                workload.conv_layers.len() + workload.fc_layers.len(),
+                workload.towers,
+            );
             self.reports.push(SimulationReport {
                 power,
                 area,
-                metrics: simulator.evaluate_metrics(workload, &power)?,
-                resolution_bits: models.resolution_bits,
+                metrics: metrics_from_latency(
+                    latency,
+                    model.total_macs,
+                    config.resolution_bits,
+                    &power,
+                ),
+                resolution_bits: sub.resolution_bits,
             });
         }
         let avg = AverageMetrics::from_reports(&self.reports)?;
@@ -476,13 +557,23 @@ pub fn run_streaming(
 ) -> Result<DesignFrontier, Box<dyn std::error::Error>> {
     let workloads = table_i_workloads()?;
     let cache = ModelCache::new();
+    // The kernels are built here, one per worker the engine can start, and
+    // dropped here after the merge.  Small buffers a worker allocated would
+    // be freed into this thread's cache of free blocks, which scatters the
+    // workers' malloc arenas and raises the peak RSS with every pass.
+    let kernels = Mutex::new(
+        (0..workers.min(candidates.len()).max(1))
+            .map(|_| Evaluator::new(&workloads, &cache))
+            .collect::<Vec<_>>(),
+    );
     let parts = sweep::fold(
         candidates,
         workers,
         || {
+            let kernel = kernels.lock().expect("kernel pool lock poisoned").pop();
             (
                 FrontierAccumulator::new(top_k),
-                Evaluator::new(&workloads, &cache),
+                kernel.expect("the engine starts at most one worker per kernel"),
             )
         },
         |(acc, evaluator), index, &dims| -> CoreResult<()> {
@@ -495,6 +586,30 @@ pub fn run_streaming(
         merged.merge(part);
     }
     Ok(merged.finish())
+}
+
+/// [`run_streaming`]'s frontier through the per-candidate simulator path,
+/// on the calling thread: each candidate's
+/// [`CrossLightSimulator::evaluate_average_with`] on one shared
+/// [`ModelCache`], folded into one [`FrontierAccumulator`].  The reference
+/// the sweep's kernel is checked and timed against.
+///
+/// # Errors
+///
+/// Propagates simulator errors (which do not occur for valid candidates).
+pub fn run_per_candidate(
+    candidates: &[(usize, usize, usize, usize)],
+    top_k: usize,
+) -> Result<DesignFrontier, Box<dyn std::error::Error>> {
+    let workloads = table_i_workloads()?;
+    let cache = ModelCache::new();
+    let mut acc = FrontierAccumulator::new(top_k);
+    for (index, &dims) in candidates.iter().enumerate() {
+        let avg = CrossLightSimulator::new(candidate_config(dims)?)
+            .evaluate_average_with(&workloads, &cache)?;
+        acc.push(index, design_point(dims, &avg));
+    }
+    Ok(acc.finish())
 }
 
 /// Runs the design-space sweep through the runtime's evaluation service,
@@ -741,14 +856,16 @@ mod tests {
             let config = candidate_config(dims).unwrap();
             units.insert(VdpUnit::conv_unit(&config).canonical_key());
             units.insert(VdpUnit::fc_unit(&config).canonical_key());
-            resolutions.insert(ResolutionKey::from(&config));
+            resolutions.insert(crosslight_core::canonical::ResolutionKey::from(&config));
         }
         assert_eq!(units.len(), 36);
         assert_eq!(resolutions.len(), 260);
     }
 
+    type PointBits = (usize, usize, usize, usize, [u64; 4], bool);
+
     /// Every field's bits, so equality also tells `-0.0` from `0.0`.
-    fn bits(p: &DesignPoint) -> (usize, usize, usize, usize, [u64; 4], bool) {
+    fn bits(p: &DesignPoint) -> PointBits {
         (
             p.conv_unit_size,
             p.fc_unit_size,
@@ -762,6 +879,35 @@ mod tests {
             ],
             p.within_area_cap,
         )
+    }
+
+    /// Every point's [`bits`] in a frontier (top, Pareto set, then best and
+    /// paper point), and its two counts.
+    fn frontier_bits(
+        f: &DesignFrontier,
+    ) -> (
+        Vec<PointBits>,
+        Vec<PointBits>,
+        [Option<PointBits>; 2],
+        [usize; 2],
+    ) {
+        (
+            f.top.iter().map(bits).collect(),
+            f.pareto.iter().map(bits).collect(),
+            [f.best.as_ref().map(bits), f.paper_point.as_ref().map(bits)],
+            [f.evaluated, f.in_cap],
+        )
+    }
+
+    #[test]
+    fn dense_kernel_matches_the_per_candidate_path_bit_for_bit() {
+        let dense = dense_candidates();
+        let reference = frontier_bits(&run_per_candidate(&dense, 10).unwrap());
+        assert_eq!(reference.3, [dense.len(), 31_856]);
+        for workers in [1, 3] {
+            let streamed = run_streaming(&dense, workers, 10).unwrap();
+            assert_eq!(frontier_bits(&streamed), reference, "{workers} workers");
+        }
     }
 
     #[test]
@@ -786,11 +932,27 @@ mod tests {
             shuffled,
             sorted,
             vec![a, b, a],
-            // Only N changes, then only K.
+            // Only N changes.
             vec![(10, 150, 50, 30), (20, 150, 50, 30)],
-            vec![(20, 100, 50, 30), (20, 150, 50, 30)],
+            // Only K changes, and back.
+            vec![(20, 100, 50, 30), (20, 150, 50, 30), (20, 100, 50, 30)],
+            // (N, K) stays while n moves back and forth, and m with it.
+            vec![
+                (10, 100, 50, 30),
+                (10, 100, 100, 30),
+                (10, 100, 50, 30),
+                (10, 100, 50, 60),
+                (10, 100, 100, 60),
+            ],
+            // (N, K) changes while n stays.
+            vec![
+                (10, 100, 50, 30),
+                (20, 150, 50, 30),
+                (20, 150, 50, 60),
+                (14, 90, 50, 60),
+            ],
         ];
-        // The per-candidate probe path the memo replaces, on its own cache.
+        // The per-candidate probe path the kernel replaces, on its own cache.
         let workloads = table_i_workloads().unwrap();
         let cache = ModelCache::new();
         for candidates in &lists {
@@ -802,10 +964,10 @@ mod tests {
                     .unwrap();
                 assert_eq!(bits(point), bits(&design_point(dims, &avg)), "{dims:?}");
             }
-            let serial = run_streaming(candidates, 1, 5).unwrap();
-            for workers in [2, 5] {
-                let parallel = run_streaming(candidates, workers, 5).unwrap();
-                assert_eq!(serial, parallel, "{workers} workers");
+            let reference = frontier_bits(&run_per_candidate(candidates, 5).unwrap());
+            for workers in [1, 2, 5] {
+                let streamed = run_streaming(candidates, workers, 5).unwrap();
+                assert_eq!(frontier_bits(&streamed), reference, "{workers} workers");
             }
         }
     }

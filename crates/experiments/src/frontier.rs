@@ -41,6 +41,10 @@ pub(crate) struct Frontier<P> {
     /// asked when `top_k` is 0, so the best point is always `top[0]`.
     top: Vec<(usize, P)>,
     pareto: Vec<(usize, P)>,
+    /// The slot in `pareto` of the member that dominated the last dominated
+    /// point, checked first: a sweep's neighbours tend to share a
+    /// dominator.  Only a hint; any slot gives the same set.
+    dominator: usize,
     evaluated: usize,
     admitted: usize,
 }
@@ -67,6 +71,7 @@ impl<P: FrontierPoint> Frontier<P> {
             top_k,
             top: Vec::with_capacity(top_k.saturating_add(1).min(1024)),
             pareto: Vec::new(),
+            dominator: 0,
             evaluated: 0,
             admitted: 0,
         }
@@ -107,7 +112,13 @@ impl<P: FrontierPoint> Frontier<P> {
     }
 
     fn offer_pareto(&mut self, index: usize, point: P) {
-        if self.pareto.iter().any(|(_, p)| p.dominates(&point)) {
+        if let Some((_, p)) = self.pareto.get(self.dominator) {
+            if p.dominates(&point) {
+                return;
+            }
+        }
+        if let Some(at) = self.pareto.iter().position(|(_, p)| p.dominates(&point)) {
+            self.dominator = at;
             return;
         }
         self.pareto.retain(|(_, p)| !point.dominates(p));

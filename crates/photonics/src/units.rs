@@ -11,7 +11,7 @@
 //! * arithmetic where it is physically meaningful (`Add`/`Sub` between equal
 //!   quantities, `Mul`/`Div` by dimensionless scalars),
 //! * conversions to related quantities where unambiguous
-//!   (e.g. [`Nanometers::to_micrometers`], [`MilliWatts::to_dbm`]).
+//!   (e.g. [`Micrometers::to_centimeters`], [`MilliWatts::to_dbm`]).
 //!
 //! [C-NEWTYPE]: https://rust-lang.github.io/api-guidelines/type-safety.html
 
@@ -235,14 +235,6 @@ quantity!(
     "rad"
 );
 
-impl Nanometers {
-    /// Converts this length to micrometres.
-    #[must_use]
-    pub fn to_micrometers(self) -> Micrometers {
-        Micrometers::new(self.value() / 1e3)
-    }
-}
-
 impl Micrometers {
     /// Converts this length to centimetres (propagation losses are quoted per
     /// centimetre).
@@ -253,12 +245,6 @@ impl Micrometers {
 }
 
 impl Millimeters {
-    /// Converts this length to micrometres.
-    #[must_use]
-    pub fn to_micrometers(self) -> Micrometers {
-        Micrometers::new(self.value() * 1e3)
-    }
-
     /// Converts this length to centimetres.
     #[must_use]
     pub fn to_centimeters(self) -> f64 {
@@ -404,12 +390,6 @@ impl Radians {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn nanometer_micrometer_roundtrip() {
-        let wl = Nanometers::new(1550.0);
-        assert!((wl.to_micrometers().value() - 1.55).abs() < 1e-12);
-    }
 
     #[test]
     fn milliwatt_dbm_roundtrip() {
