@@ -117,10 +117,9 @@ pub fn inference_latency(
 /// unit-cycles times its pass latency, plus [`LAYER_OVERHEAD_NS`] per
 /// layer, all once per tower.
 ///
-/// `conv_cycles` and `fc_cycles` are the sums of
-/// [`sequential_passes`](crate::decompose::sequential_passes) over the
-/// workload's CONV and FC layers, `layers` counts both kinds, and the pass
-/// latencies are the units' [`VdpUnit::pass_latency`].
+/// `conv_cycles` and `fc_cycles` are the sums of [`sequential_passes`]
+/// over the workload's CONV and FC layers, `layers` counts both kinds, and
+/// the pass latencies are the units' [`VdpUnit::pass_latency`].
 #[must_use]
 pub fn latency_from_cycles(
     conv_pass: Seconds,
