@@ -13,7 +13,8 @@
 //! locked the same way by `tests/golden/telemetry_frames.txt`, built from a
 //! hand-made registry so every byte is deterministic.  The remaining
 //! frames — every other request op, an eval request per zoo architecture,
-//! the snapshot and restore streams and an error of every kind — are
+//! an eval answer with the longest float spellings, the snapshot and
+//! restore streams and an error of every kind — are
 //! locked by `tests/golden/cold_frames.txt`, built from fixed values.
 //!
 //! To regenerate after an *intentional* protocol change (which is a breaking
@@ -250,17 +251,10 @@ fn escaped_workload() -> NetworkWorkload {
     }
 }
 
-/// One snapshot entry of every kind, from fixed canonical words and
-/// floats (an infinity, a negative zero and a subnormal among them).
-fn cold_entries() -> Vec<SnapshotEntry> {
-    let spacing = 5.0f64.to_bits();
-    let geometry = [0.45f64, 0.4, 5.0, 0.2, 0.22].map(f64::to_bits);
-    let [g0, g1, g2, g3, g4] = geometry;
-    let config = CrossLightConfig::from_canonical_words([
-        20, 150, 100, 60, 15, 16, g0, g1, g2, g3, g4, 1, 0, 1, spacing,
-    ])
-    .unwrap();
-    let report = SimulationReport {
+/// A report from fixed floats (an infinity, a negative zero and the
+/// smallest subnormal among them).
+fn cold_report() -> SimulationReport {
+    SimulationReport {
         power: crosslight_core::power::AcceleratorPower {
             laser: MilliWatts::new(19510.5),
             tuning: MilliWatts::new(12103.25),
@@ -286,7 +280,20 @@ fn cold_entries() -> Vec<SnapshotEntry> {
             power: Watts::new(f64::NEG_INFINITY),
         },
         resolution_bits: 16,
-    };
+    }
+}
+
+/// One snapshot entry of every kind, from fixed canonical words and
+/// [`cold_report`].
+fn cold_entries() -> Vec<SnapshotEntry> {
+    let spacing = 5.0f64.to_bits();
+    let geometry = [0.45f64, 0.4, 5.0, 0.2, 0.22].map(f64::to_bits);
+    let [g0, g1, g2, g3, g4] = geometry;
+    let config = CrossLightConfig::from_canonical_words([
+        20, 150, 100, 60, 15, 16, g0, g1, g2, g3, g4, 1, 0, 1, spacing,
+    ])
+    .unwrap();
+    let report = cold_report();
     vec![
         SnapshotEntry::Result {
             arch: ArchKey::CrossLight(config.canonical_key()),
@@ -393,13 +400,24 @@ fn cold_requests() -> Vec<Request> {
         .collect()
 }
 
-/// The snapshot stream's answers (a chunk holding every entry kind and its
-/// terminal frame), a `restored` answer and an error of every kind, one of
-/// them without an id.
+/// An eval answer whose report spells the longest floats (`5e-324` and
+/// `1e300`), the snapshot stream's answers (a chunk holding every entry
+/// kind and its terminal frame), a `restored` answer and an error of every
+/// kind, one of them without an id.
 fn cold_answers() -> Vec<Response> {
     let entries = cold_entries();
     let count = entries.len() as u64;
+    let mut report = cold_report();
+    report.power.conversion = MilliWatts::new(1e300);
     let mut answers = vec![
+        Response {
+            id: Some(19),
+            body: ResponseBody::Eval(EvalFrame {
+                report,
+                cache_hit: true,
+                worker: 1,
+            }),
+        },
         Response {
             id: Some(20),
             body: ResponseBody::Snapshot(SnapshotChunk { seq: 3, entries }),
