@@ -841,9 +841,7 @@ fn retry_loop(shared: &Arc<ClusterShared>, rx: &Receiver<(Instant, ForwardJob)>)
 struct ClientSide(Arc<ClusterShared>);
 
 impl Handler for ClientSide {
-    type State = ();
-
-    fn on_line(&mut self, conn: &Arc<Conn>, (): &mut (), line: String) -> bool {
+    fn on_line(&mut self, conn: &Arc<Conn>, line: String) -> bool {
         let shared = &self.0;
         let request = match wire::decode_request(&line) {
             Ok(request) => request,
@@ -870,14 +868,6 @@ impl Handler for ClientSide {
                 body: ResponseBody::Metrics(MetricsFrame::Spans(Vec::new())),
             })),
             RequestBody::Metrics { format } => scrape(shared, conn, id, Some(format)),
-            // The router holds no caches of its own: warm state lives on the
-            // backends, and clients wanting a snapshot talk to one directly.
-            RequestBody::Snapshot { .. } | RequestBody::Restore(_) | RequestBody::RestoreEnd(_) => {
-                local(ErrorFrame::new(
-                    ErrorKind::Unsupported,
-                    "snapshot/restore are backend ops; the router holds no cache state",
-                ))
-            }
             RequestBody::Eval(spec) => {
                 if shared.shutting_down.load(Ordering::SeqCst) {
                     return local(ErrorFrame::new(

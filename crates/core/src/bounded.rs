@@ -180,11 +180,6 @@ impl<K, V> BoundedMap<K, V> {
     pub fn is_empty(&self) -> bool {
         self.ring.is_empty()
     }
-
-    /// The held entries, in ring order.
-    pub fn iter(&self) -> impl Iterator<Item = (&K, &V)> {
-        self.ring.iter().map(|slot| (&slot.key, &slot.value))
-    }
 }
 
 impl<K: Eq + Hash + Clone + Fingerprint, V> BoundedMap<K, V> {
@@ -198,12 +193,6 @@ impl<K: Eq + Hash + Clone + Fingerprint, V> BoundedMap<K, V> {
             slot.referenced = true;
         }
         Some(&mut slot.value)
-    }
-
-    /// Whether `key` is held, without touching it.
-    #[must_use]
-    pub fn contains_key(&self, key: &K) -> bool {
-        self.index.contains_key(key)
     }
 
     /// Inserts `value` under `key`, charged `charge` bytes; see the module
@@ -350,7 +339,7 @@ mod tests {
             Insert::Refused
         );
         assert_eq!(map.len(), 10);
-        assert!(!map.contains_key(&Key(10)));
+        assert!(!map.index.contains_key(&Key(10)));
         assert_eq!(
             map.insert(Key(10), 10, CHARGE, |v| evicted.push(v)),
             Insert::Admitted
@@ -376,14 +365,19 @@ mod tests {
             );
             assert!(map.held <= BUDGET);
         }
-        assert!(map.contains_key(&Key(3)));
+        assert!(map.index.contains_key(&Key(3)));
         // Every other first-fill entry, and all but the nine newest of the
         // stream, were evicted, each once.
         for n in (0..10).filter(|&n| n != 3) {
-            assert!(!map.contains_key(&Key(n)), "{n} is unreferenced");
+            assert!(!map.index.contains_key(&Key(n)), "{n} is unreferenced");
         }
         assert_eq!(evicted.len(), 100);
-        let held: Vec<u64> = map.iter().map(|(_, &v)| v).filter(|&v| v != 3).collect();
+        let held: Vec<u64> = map
+            .ring
+            .iter()
+            .map(|slot| slot.value)
+            .filter(|&v| v != 3)
+            .collect();
         assert_eq!(held, (191..200).collect::<Vec<_>>());
         assert_eq!((map.len(), map.held), (10, BUDGET));
     }

@@ -14,7 +14,7 @@
 //! point.  Below the unit reports it memoizes each bank design's tuning
 //! power — nearly all of a unit report's cost, and independent of the unit
 //! size — so the dense grid pays one eigensolve, not 36.  The bank memo is
-//! internal: it moves no counter and is not exported.
+//! internal: it moves no counter.
 //!
 //! The cache is transparent: every model is deterministic, so a hit returns
 //! exactly the value a fresh computation would produce and cached evaluation
@@ -47,19 +47,14 @@ use std::sync::Mutex;
 use crosslight_photonics::units::MilliWatts;
 
 use crate::area::{accelerator_area, AcceleratorArea};
-use crate::bounded::{BoundedMap, Fingerprint, Insert, WordHash};
+use crate::bounded::{BoundedMap, Fingerprint, WordHash};
 use crate::canonical::{ConfigKey, DesignKey, ResolutionKey, VdpUnitKey};
 use crate::config::CrossLightConfig;
-use crate::error::{ArchitectureError, Result};
+use crate::error::Result;
 use crate::power::{accelerator_power_from_unit_reports, AcceleratorPower};
 use crate::resolution::achievable_resolution_bits;
 use crate::simulator::PreparedSimulator;
 use crate::vdp::{VdpUnit, VdpUnitReport};
-
-/// Version tag of the [`ModelCache`] export format.  Bumped whenever
-/// [`ModelCacheEntry`] or the canonical word codecs change shape, so a
-/// restore can reject snapshots from an incompatible build.
-pub const MODEL_CACHE_EXPORT_VERSION: u32 = 1;
 
 /// The most bytes of prepared simulators one [`ModelCache`] holds: 2 674
 /// configurations on 64-bit targets (the paper mix needs 8).
@@ -78,42 +73,6 @@ impl Fingerprint for ConfigKey {
     fn fingerprint(&self) -> u64 {
         WordHash::with_seed(DOORKEEPER_SEED).hash_one(self)
     }
-}
-
-/// One exported [`ModelCache`] entry: a canonical key plus the memoized
-/// value it maps to.  The `Prepared` arm carries the plain parts of a
-/// [`PreparedSimulator`] (full configuration, power, area, resolution)
-/// rather than the simulator itself, so reassembly stays inside this crate
-/// and external producers cannot forge an inconsistent prepared state
-/// without going through [`ModelCache::import`] validation.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ModelCacheEntry {
-    /// A memoized per-unit report keyed by the unit's canonical identity.
-    Unit {
-        /// Canonical identity of the VDP unit.
-        key: VdpUnitKey,
-        /// The memoized unit report.
-        report: VdpUnitReport,
-    },
-    /// A memoized achievable-resolution result.
-    Resolution {
-        /// Canonical identity of the resolution-model inputs.
-        key: ResolutionKey,
-        /// The memoized achievable resolution.
-        bits: u32,
-    },
-    /// A memoized prepared simulator, carried as its plain parts.
-    Prepared {
-        /// The full configuration (its canonical key is recomputed on
-        /// import, so key and value cannot disagree).
-        config: CrossLightConfig,
-        /// Workload-independent power report.
-        power: AcceleratorPower,
-        /// Workload-independent area report.
-        area: AcceleratorArea,
-        /// Achievable resolution in bits.
-        resolution_bits: u32,
-    },
 }
 
 /// Point-in-time hit/miss counters of a [`ModelCache`].
@@ -324,123 +283,6 @@ impl ModelCache {
         Ok(prepared)
     }
 
-    /// Exports every memoized entry in a deterministic order: unit reports,
-    /// then resolutions, then prepared configurations, each sorted by the
-    /// total order on its canonical key.  Two caches holding the same
-    /// entries export bit-identical sequences regardless of insertion
-    /// order, so snapshot checksums are reproducible.
-    #[must_use]
-    pub fn export(&self) -> Vec<ModelCacheEntry> {
-        let mut entries = Vec::new();
-        {
-            let units = self.units.lock().expect("unit-report cache lock poisoned");
-            let mut sorted: Vec<_> = units.iter().map(|(k, v)| (*k, *v)).collect();
-            sorted.sort_unstable_by_key(|(key, _)| *key);
-            entries.extend(
-                sorted
-                    .into_iter()
-                    .map(|(key, report)| ModelCacheEntry::Unit { key, report }),
-            );
-        }
-        {
-            let resolutions = self
-                .resolutions
-                .lock()
-                .expect("resolution cache lock poisoned");
-            let mut sorted: Vec<_> = resolutions.iter().map(|(k, v)| (*k, *v)).collect();
-            sorted.sort_unstable_by_key(|(key, _)| *key);
-            entries.extend(
-                sorted
-                    .into_iter()
-                    .map(|(key, bits)| ModelCacheEntry::Resolution { key, bits }),
-            );
-        }
-        {
-            let prepared = self.prepared.lock().expect("prepared cache lock poisoned");
-            let mut sorted: Vec<_> = prepared.iter().map(|(_, p)| *p).collect();
-            sorted.sort_unstable_by_key(|p| p.config().canonical_key());
-            entries.extend(sorted.into_iter().map(|p| ModelCacheEntry::Prepared {
-                config: *p.config(),
-                power: *p.power(),
-                area: *p.area(),
-                resolution_bits: p.resolution_bits(),
-            }));
-        }
-        entries
-    }
-
-    /// Restores exported entries into this cache.  Every entry is validated
-    /// before anything is applied (all-or-nothing), existing entries win
-    /// over imported ones for equal keys, and the hit/miss counters are
-    /// untouched — a restore is invisible to cache statistics except for
-    /// the entry counts.  A prepared entry goes through the bounded memo's
-    /// admission, so past [`PREPARED_BUDGET_BYTES`] a restore stops
-    /// admitting first-seen configurations.  Returns the number of entries
-    /// newly inserted.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ArchitectureError::InvalidConfig`] if a `Prepared` entry
-    /// carries a configuration violating the architecture invariants.
-    pub fn import(&self, entries: &[ModelCacheEntry]) -> Result<usize> {
-        for entry in entries {
-            if let ModelCacheEntry::Prepared { config, .. } = entry {
-                // Round-tripping through the canonical words re-runs the
-                // full constructor validation.
-                let rebuilt = CrossLightConfig::from_canonical_words(config.to_canonical_words())?;
-                if rebuilt.canonical_key() != config.canonical_key() {
-                    return Err(ArchitectureError::InvalidConfig {
-                        name: "snapshot",
-                        reason: "prepared entry's canonical key is not stable".into(),
-                    });
-                }
-            }
-        }
-        let mut inserted = 0;
-        for entry in entries {
-            match entry {
-                ModelCacheEntry::Unit { key, report } => {
-                    let mut units = self.units.lock().expect("unit-report cache lock poisoned");
-                    if !units.contains_key(key) {
-                        units.insert(*key, *report);
-                        inserted += 1;
-                    }
-                }
-                ModelCacheEntry::Resolution { key, bits } => {
-                    let mut resolutions = self
-                        .resolutions
-                        .lock()
-                        .expect("resolution cache lock poisoned");
-                    if !resolutions.contains_key(key) {
-                        resolutions.insert(*key, *bits);
-                        inserted += 1;
-                    }
-                }
-                ModelCacheEntry::Prepared {
-                    config,
-                    power,
-                    area,
-                    resolution_bits,
-                } => {
-                    let key = config.canonical_key();
-                    let mut prepared = self.prepared.lock().expect("prepared cache lock poisoned");
-                    if prepared.contains_key(&key) {
-                        continue;
-                    }
-                    let simulator =
-                        PreparedSimulator::from_parts(*config, *power, *area, *resolution_bits);
-                    if matches!(
-                        prepared.insert(key, simulator, PREPARED_CHARGE, drop),
-                        Insert::Admitted
-                    ) {
-                        inserted += 1;
-                    }
-                }
-            }
-        }
-        Ok(inserted)
-    }
-
     /// Snapshot of the cache counters.
     #[must_use]
     pub fn stats(&self) -> ModelCacheStats {
@@ -551,65 +393,6 @@ mod tests {
             );
         }
         assert!(cache.stats().prepared_configs <= held);
-    }
-
-    #[test]
-    fn export_import_reproduces_an_organically_warmed_cache_bit_exactly() {
-        let warm = ModelCache::new();
-        for variant in CrossLightVariant::all() {
-            warm.prepare(&variant.config()).unwrap();
-        }
-        let exported = warm.export();
-        assert!(!exported.is_empty());
-        // Deterministic: exporting twice yields the identical sequence.
-        assert_eq!(exported, warm.export());
-
-        let restored = ModelCache::new();
-        let inserted = restored.import(&exported).unwrap();
-        assert_eq!(inserted, exported.len());
-        // The restored cache exports the same sequence and leaves the
-        // hit/miss counters untouched.
-        assert_eq!(restored.export(), exported);
-        let stats = restored.stats();
-        assert_eq!((stats.hits, stats.misses), (0, 0));
-        assert_eq!(stats.prepared_configs, warm.stats().prepared_configs);
-
-        // Every restored prepare is a hit returning the organic bits.
-        for variant in CrossLightVariant::all() {
-            let config = variant.config();
-            assert_eq!(
-                restored.prepare(&config).unwrap(),
-                warm.prepare(&config).unwrap()
-            );
-        }
-        assert_eq!(restored.stats().misses, 0, "restored cache must be warm");
-    }
-
-    #[test]
-    fn import_is_idempotent_and_keeps_existing_entries() {
-        let cache = ModelCache::new();
-        cache.prepare(&CrossLightConfig::paper_best()).unwrap();
-        let exported = cache.export();
-        assert_eq!(cache.import(&exported).unwrap(), 0);
-        assert_eq!(cache.export(), exported);
-    }
-
-    #[test]
-    fn import_rejects_invalid_prepared_entries_atomically() {
-        let warm = ModelCache::new();
-        warm.prepare(&CrossLightConfig::paper_best()).unwrap();
-        let mut exported = warm.export();
-        let Some(ModelCacheEntry::Prepared { config, .. }) = exported
-            .iter_mut()
-            .find(|e| matches!(e, ModelCacheEntry::Prepared { .. }))
-        else {
-            panic!("a warmed cache exports a prepared entry");
-        };
-        config.conv_units = 0;
-        let fresh = ModelCache::new();
-        assert!(fresh.import(&exported).is_err());
-        // All-or-nothing: the valid unit/resolution entries were not applied.
-        assert!(fresh.export().is_empty());
     }
 
     #[test]

@@ -134,30 +134,6 @@ impl PreparedSimulator {
         }
     }
 
-    /// Returns the configuration being simulated.
-    #[must_use]
-    pub fn config(&self) -> &CrossLightConfig {
-        &self.config
-    }
-
-    /// Returns the precomputed power breakdown.
-    #[must_use]
-    pub fn power(&self) -> &AcceleratorPower {
-        &self.power
-    }
-
-    /// Returns the precomputed area breakdown.
-    #[must_use]
-    pub fn area(&self) -> &AcceleratorArea {
-        &self.area
-    }
-
-    /// Returns the precomputed achievable resolution.
-    #[must_use]
-    pub fn resolution_bits(&self) -> u32 {
-        self.resolution_bits
-    }
-
     /// Evaluates one workload, reusing the precomputed breakdowns.
     ///
     /// # Errors
@@ -363,13 +339,13 @@ mod tests {
                 let split = prepared.evaluate(&workload).unwrap();
                 assert_eq!(direct, split);
                 let metrics = simulator
-                    .evaluate_metrics(&workload, prepared.power())
+                    .evaluate_metrics(&workload, &prepared.power)
                     .unwrap();
                 assert_eq!(metrics, direct.metrics);
             }
-            assert_eq!(prepared.config(), simulator.config());
-            assert_eq!(prepared.resolution_bits(), 16);
-            assert!(prepared.area().total().value() > 0.0);
+            assert_eq!(&prepared.config, simulator.config());
+            assert_eq!(prepared.resolution_bits, 16);
+            assert!(prepared.area.total().value() > 0.0);
         }
     }
 

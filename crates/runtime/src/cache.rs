@@ -58,15 +58,6 @@ impl CacheKey {
         Self::from_arch_key(arch.canonical_key(), workload)
     }
 
-    /// Builds the key from its canonical parts: an already-projected
-    /// [`ArchKey`] plus the workload.  This is the restore-side constructor
-    /// for cache snapshots — the fingerprint is recomputed from the parts,
-    /// so a transported key can never carry a forged route.
-    #[must_use]
-    pub fn from_parts(arch: ArchKey, workload: Arc<NetworkWorkload>) -> Self {
-        Self::from_arch_key(arch, workload)
-    }
-
     fn from_arch_key(arch: ArchKey, workload: Arc<NetworkWorkload>) -> Self {
         let mut hasher = StableHasher::new();
         arch.hash(&mut hasher);
@@ -76,18 +67,6 @@ impl CacheKey {
             workload,
             fingerprint: hasher.finish(),
         }
-    }
-
-    /// The canonical architecture component of the key.
-    #[must_use]
-    pub fn arch_key(&self) -> &ArchKey {
-        &self.arch
-    }
-
-    /// The workload component of the key.
-    #[must_use]
-    pub fn workload(&self) -> &Arc<NetworkWorkload> {
-        &self.workload
     }
 
     /// The canonical CrossLight configuration component of the key, when the
@@ -151,8 +130,7 @@ impl Fingerprint for CacheKey {
 /// tail: 570–649 bytes for the dense Fig. 6 sweep's reports, about 700
 /// bytes of resident memory with its allocations, so the budget fills at
 /// about 14 000 entries.  An evicted or replaced entry returns its
-/// encoding's bytes to that budget.  The cache never reads, exports or
-/// imports the bytes.
+/// encoding's bytes to that budget.  The cache never reads the bytes.
 #[derive(Debug)]
 pub struct ShardedCache {
     shards: Vec<Mutex<BoundedMap<CacheKey, Entry>>>,
@@ -364,53 +342,6 @@ impl ShardedCache {
     pub fn eviction_counter(&self) -> &Counter {
         &self.evictions
     }
-
-    /// Exports every cached `(key, report)` pair in a deterministic order
-    /// (by routing fingerprint, ties broken by the architecture key's total
-    /// order), independent of shard count and insertion order, so snapshot
-    /// checksums are reproducible across replicas.
-    #[must_use]
-    pub fn export(&self) -> Vec<(CacheKey, SimulationReport)> {
-        let mut entries: Vec<(CacheKey, SimulationReport)> = self
-            .shards
-            .iter()
-            .flat_map(|shard| {
-                shard
-                    .lock()
-                    .expect("cache shard lock poisoned")
-                    .iter()
-                    .map(|(k, entry)| (k.clone(), entry.report))
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        entries.sort_unstable_by(|(a, _), (b, _)| {
-            a.fingerprint
-                .cmp(&b.fingerprint)
-                .then_with(|| a.arch.cmp(&b.arch))
-        });
-        entries
-    }
-
-    /// Restores exported entries.  Existing entries win over imported ones
-    /// for equal keys, and neither the hit nor the miss counter moves — a
-    /// restore is invisible to lookup statistics.  An entry goes through
-    /// the same admission as [`ShardedCache::insert`], so once a shard is
-    /// full a restore stops admitting first-touch keys to it.  Returns the
-    /// number of entries newly inserted.
-    pub fn import(&self, entries: Vec<(CacheKey, SimulationReport)>) -> usize {
-        let mut inserted = 0;
-        for (key, report) in entries {
-            let held = self
-                .shard(&key)
-                .lock()
-                .expect("cache shard lock poisoned")
-                .contains_key(&key);
-            if !held && self.insert(key, report) {
-                inserted += 1;
-            }
-        }
-        inserted
-    }
 }
 
 #[cfg(test)]
@@ -504,38 +435,6 @@ mod tests {
         assert_eq!(cache.memo_bytes.load(Ordering::Relaxed), MEMO_BUDGET_BYTES);
     }
 
-    #[test]
-    fn export_import_is_bit_identical_counter_neutral_and_shard_agnostic() {
-        let warm = ShardedCache::new(4);
-        for variant in CrossLightVariant::all() {
-            let config = variant.config();
-            let report = CrossLightSimulator::new(config)
-                .evaluate(&workload(PaperModel::CnnCifar10))
-                .unwrap();
-            warm.insert(
-                CacheKey::new(&config, workload(PaperModel::CnnCifar10)),
-                report,
-            );
-        }
-        let exported = warm.export();
-        assert_eq!(exported.len(), 4);
-        assert_eq!(exported, warm.export(), "export must be deterministic");
-
-        // Restore into a cache with a *different* shard count: same
-        // contents, untouched counters, identical re-export.
-        let restored = ShardedCache::new(7);
-        assert_eq!(restored.import(exported.clone()), 4);
-        assert_eq!(restored.export(), exported);
-        assert_eq!((restored.hits(), restored.misses()), (0, 0));
-        // Idempotent: a second import inserts nothing and changes nothing.
-        assert_eq!(restored.import(exported.clone()), 0);
-        assert_eq!(restored.export(), exported);
-
-        for (key, report) in &exported {
-            assert_eq!(restored.get(key), Some(*report));
-        }
-    }
-
     /// Eight keys of one workload, so every entry has the same charge.
     fn eight_keys() -> (Vec<CacheKey>, SimulationReport) {
         let w = workload(PaperModel::CnnCifar10);
@@ -582,40 +481,6 @@ mod tests {
                 "an evicted entry returns its tail's bytes"
             );
         }
-    }
-
-    #[test]
-    fn an_import_past_the_budget_stops_admitting() {
-        let (keys, report) = eight_keys();
-        let warm = ShardedCache::new(4);
-        for key in &keys {
-            warm.insert(key.clone(), report);
-        }
-        let exported = warm.export();
-        assert_eq!(exported.len(), 8);
-
-        let small = ShardedCache::with_budget(1, 4 * charge(&keys[0]));
-        assert_eq!(small.import(exported.clone()), 4);
-        assert_eq!(small.len(), 4);
-        assert_eq!(small.eviction_counter().get(), 0);
-        let held: Vec<_> = exported[..4].to_vec();
-        assert_eq!(small.export(), held, "the first four in export order");
-        // A second restore is every refused key's second touch: each is
-        // admitted in place of an untouched entry.
-        assert_eq!(small.import(exported.clone()), 4);
-        assert_eq!(small.eviction_counter().get(), 4);
-        assert_eq!(small.export(), exported[4..].to_vec());
-        assert_eq!((small.hits(), small.misses()), (0, 0));
-    }
-
-    #[test]
-    fn from_parts_recomputes_the_route_and_matches_the_organic_key() {
-        let w = workload(PaperModel::CnnStl10);
-        let config = CrossLightConfig::paper_best();
-        let organic = CacheKey::new(&config, Arc::clone(&w));
-        let transported = CacheKey::from_parts(*organic.arch_key(), Arc::clone(organic.workload()));
-        assert_eq!(transported, organic);
-        assert_eq!(transported.fingerprint(), organic.fingerprint());
     }
 
     #[test]

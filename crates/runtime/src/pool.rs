@@ -290,8 +290,8 @@ impl Telemetry {
 /// ```
 #[derive(Debug)]
 pub struct EvalService {
-    cache: Arc<ShardedCache>,
-    model_cache: Arc<ModelCache>,
+    cache: ShardedCache,
+    model_cache: ModelCache,
     telemetry: Telemetry,
 }
 
@@ -299,26 +299,12 @@ impl EvalService {
     /// Creates a service with `options.workers` workers and empty caches.
     #[must_use]
     pub fn new(options: RuntimeOptions) -> Self {
-        let cache = Arc::new(ShardedCache::new(CACHE_SHARDS));
+        let cache = ShardedCache::new(CACHE_SHARDS);
         Self {
             telemetry: Telemetry::new(options.workers.max(1), &cache),
             cache,
-            model_cache: Arc::new(ModelCache::new()),
+            model_cache: ModelCache::new(),
         }
-    }
-
-    /// The service-wide cache of workload-independent analytical models.
-    #[must_use]
-    pub fn model_cache(&self) -> &Arc<ModelCache> {
-        &self.model_cache
-    }
-
-    /// The service-wide memoized result cache.  Exposed so a server can
-    /// answer the `snapshot` op from it and import a `restore` stream into
-    /// it.
-    #[must_use]
-    pub fn result_cache(&self) -> &Arc<ShardedCache> {
-        &self.cache
     }
 
     /// Number of workers: the shards answers name as their `worker`, and
@@ -757,7 +743,7 @@ mod tests {
         let service = EvalService::new(RuntimeOptions::default().with_workers(4));
         // Warm the cache outside any batch…
         CrossLightSimulator::new(CrossLightConfig::paper_best())
-            .prepare_with(service.model_cache())
+            .prepare_with(&service.model_cache)
             .unwrap();
         let responses = service.submit_batch(paper_requests()).unwrap();
         assert_eq!(responses.len(), 16);
@@ -765,7 +751,7 @@ mod tests {
         // Four paper variants → four prepared configurations, one of which
         // was prepared by the caller before the batch ran.
         assert_eq!(stats.prepared_configs, 4);
-        assert!(service.model_cache().stats().hits > 0);
+        assert!(service.model_cache.stats().hits > 0);
     }
 
     #[test]

@@ -84,17 +84,15 @@ pub fn default_event_loops() -> usize {
 }
 
 /// The protocol a [`Frontend`] serves.  Each event loop owns one handler,
-/// made for it by the factory given to [`Bound::start`].
+/// made for it by the factory given to [`Bound::start`].  Every line is a
+/// whole request, so a handler keeps no state per connection.
 pub trait Handler: Send + 'static {
-    /// Per-connection protocol state, owned by the connection's loop.
-    type State: Default;
-
     /// Handles one complete, non-blank request line (already counted in
     /// `<owner>_requests_total`).  Answers are queued on `conn`; work
     /// answered later by another thread is bracketed by [`Conn::begin`]
     /// and [`Conn::finish`].  Returns `false` when the connection is torn
     /// down and reading should stop.
-    fn on_line(&mut self, conn: &Arc<Conn>, state: &mut Self::State, line: String) -> bool;
+    fn on_line(&mut self, conn: &Arc<Conn>, line: String) -> bool;
 
     /// Runs once at the end of every poll wake, after every ready
     /// connection was read and before the lines those reads queued are
@@ -621,10 +619,9 @@ impl Conn {
 }
 
 /// The event loop's private view of one connection.
-struct Slot<S> {
+struct Slot {
     conn: Arc<Conn>,
     scanner: LineScanner,
-    state: S,
     read_closed: bool,
 }
 
@@ -639,7 +636,7 @@ fn event_loop<H: Handler>(
     mut handler: H,
 ) {
     let telemetry = &shared.telemetry;
-    let mut slots: Vec<Slot<H::State>> = Vec::new();
+    let mut slots: Vec<Slot> = Vec::new();
     let mut poll_set = PollSet::new();
     let mut polled: Vec<usize> = Vec::new();
     let mut scratch = vec![0u8; 64 * 1024];
@@ -648,7 +645,6 @@ fn event_loop<H: Handler>(
         slots.extend(registrations.try_iter().map(|stream| Slot {
             conn: Arc::new(Conn::new(Arc::clone(shared), loop_id, stream)),
             scanner: LineScanner::new(),
-            state: H::State::default(),
             read_closed: false,
         }));
         let shutting_down = shared.shutting_down.load(Ordering::SeqCst);
@@ -739,7 +735,7 @@ fn event_loop<H: Handler>(
 /// Reads one connection until the socket would block (bounded per tick),
 /// feeding bytes through the line scanner into the handler.  A socket
 /// failure tears the connection down.
-fn service_read<H: Handler>(slot: &mut Slot<H::State>, handler: &mut H, scratch: &mut [u8]) {
+fn service_read<H: Handler>(slot: &mut Slot, handler: &mut H, scratch: &mut [u8]) {
     let max_bytes = slot.conn.shared.max_line_bytes;
     for _ in 0..MAX_READS_PER_TICK {
         // Back-pressure mid-burst too: a connection owed a full queue's
@@ -758,14 +754,9 @@ fn service_read<H: Handler>(slot: &mut Slot<H::State>, handler: &mut H, scratch:
             Err(ref e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
             Err(_) => return slot.conn.close(),
         };
-        let Slot {
-            conn,
-            scanner,
-            state,
-            ..
-        } = slot;
+        let Slot { conn, scanner, .. } = slot;
         if !scanner.push(&scratch[..read], max_bytes, |event| {
-            on_event(conn, state, handler, event)
+            on_event(conn, handler, event)
         }) {
             // The write side tore down mid-burst; stop consuming input and
             // let the next pass retire the connection.
@@ -776,18 +767,13 @@ fn service_read<H: Handler>(slot: &mut Slot<H::State>, handler: &mut H, scratch:
 
 /// Routes one framing event: typed answers for over-long and non-UTF-8
 /// lines, the handler for everything else.  Blank lines are skipped.
-fn on_event<H: Handler>(
-    conn: &Arc<Conn>,
-    state: &mut H::State,
-    handler: &mut H,
-    event: ScanEvent,
-) -> bool {
+fn on_event<H: Handler>(conn: &Arc<Conn>, handler: &mut H, event: ScanEvent) -> bool {
     let telemetry = &conn.shared.telemetry;
     let frame = match event {
         ScanEvent::Line(line) if line.trim().is_empty() => return true,
         ScanEvent::Line(line) => {
             telemetry.requests_total.inc();
-            return handler.on_line(conn, state, line);
+            return handler.on_line(conn, line);
         }
         ScanEvent::Oversized => {
             telemetry.requests_total.inc();

@@ -60,7 +60,6 @@ pub use loadgen::{Client, ClientOptions, LoadGenOptions, LoadReport};
 pub use server::{Server, ServerOptions};
 pub use wire::{
     ArchRequest, ErrorFrame, ErrorKind, EvalSpec, Request, RequestBody, Response, ResponseBody,
-    RestoredFrame, SnapshotChunk, SnapshotEnd, SnapshotEntry,
 };
 
 /// Convenient re-exports for downstream users.
@@ -69,6 +68,6 @@ pub mod prelude {
     pub use crate::server::{Server, ServerOptions};
     pub use crate::wire::{
         ArchRequest, ErrorFrame, ErrorKind, EvalSpec, Request, RequestBody, Response, ResponseBody,
-        RestoredFrame, SnapshotChunk, SnapshotEnd, SnapshotEntry, WorkloadRef,
+        WorkloadRef,
     };
 }

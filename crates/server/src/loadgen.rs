@@ -242,141 +242,6 @@ impl Client {
         })
     }
 
-    /// Pulls the peer's full warm-state snapshot: one `snapshot` request,
-    /// then chunks are streamed until the terminal frame, with sequence
-    /// numbers, entry counts and the checksum re-verified locally.
-    ///
-    /// # Errors
-    ///
-    /// Propagates socket errors.  A truncated, reordered or corrupt
-    /// stream — or a typed error frame from the peer — is reported as
-    /// [`std::io::ErrorKind::InvalidData`]; the connection may still
-    /// carry stale snapshot frames afterwards, so use a dedicated
-    /// connection per transfer.
-    pub fn snapshot_entries(&mut self, id: u64) -> std::io::Result<Vec<wire::SnapshotEntry>> {
-        self.snapshot_entries_limited(id, None)
-    }
-
-    /// [`Client::snapshot_entries`] advertising this client's own line
-    /// budget, so a server with a larger `max_line_bytes` still sizes its
-    /// chunk frames under what this side can decode.
-    ///
-    /// # Errors
-    ///
-    /// As [`Client::snapshot_entries`].
-    pub fn snapshot_entries_limited(
-        &mut self,
-        id: u64,
-        max_chunk_bytes: Option<u64>,
-    ) -> std::io::Result<Vec<wire::SnapshotEntry>> {
-        fn corrupt(detail: String) -> std::io::Error {
-            std::io::Error::new(std::io::ErrorKind::InvalidData, detail)
-        }
-        self.send(&Request {
-            id,
-            body: RequestBody::Snapshot { max_chunk_bytes },
-        })?;
-        self.flush()?;
-        let mut entries = Vec::new();
-        let mut next_seq = 0u64;
-        loop {
-            match self.recv()?.body {
-                ResponseBody::Snapshot(chunk) => {
-                    if chunk.seq != next_seq {
-                        return Err(corrupt(format!(
-                            "snapshot chunk out of sequence: expected {next_seq}, got {}",
-                            chunk.seq
-                        )));
-                    }
-                    next_seq += 1;
-                    entries.extend(chunk.entries);
-                }
-                ResponseBody::SnapshotEnd(end) => {
-                    if next_seq != end.chunks || entries.len() as u64 != end.entries {
-                        return Err(corrupt(format!(
-                            "truncated snapshot stream: got {next_seq} chunks / {} \
-                             entries, terminal frame promised {} / {}",
-                            entries.len(),
-                            end.chunks,
-                            end.entries
-                        )));
-                    }
-                    if wire::snapshot_checksum(&entries) != end.checksum {
-                        return Err(corrupt("snapshot stream checksum mismatch".into()));
-                    }
-                    return Ok(entries);
-                }
-                ResponseBody::Error(frame) => {
-                    return Err(corrupt(format!(
-                        "snapshot refused ({}): {}",
-                        frame.kind.as_str(),
-                        frame.detail
-                    )));
-                }
-                other => {
-                    return Err(corrupt(format!(
-                        "unexpected frame in snapshot stream: {other:?}"
-                    )));
-                }
-            }
-        }
-    }
-
-    /// Pushes a warm-state snapshot into the peer and returns its verdict.
-    /// The stream is pipelined under the id `id`: a `restore` frame per
-    /// chunk of `entries` packed under `max_chunk_bytes`, then the
-    /// `restore_end` frame with the totals and the checksum.  A line the
-    /// peer cannot decode (a chunk over its line limit, say) is answered
-    /// at once and without an id; those answers are skipped, and the
-    /// answer to `restore_end` is the peer's verdict on the stream.
-    ///
-    /// # Errors
-    ///
-    /// Propagates socket errors.  A typed rejection from the peer
-    /// (truncated/corrupt stream, invalid entries, schema mismatch) is
-    /// reported as [`std::io::ErrorKind::InvalidData`] carrying the
-    /// frame's kind and message; the restore was not applied.
-    pub fn restore_entries(
-        &mut self,
-        id: u64,
-        entries: Vec<wire::SnapshotEntry>,
-        max_chunk_bytes: usize,
-    ) -> std::io::Result<wire::RestoredFrame> {
-        let checksum = wire::snapshot_checksum(&entries);
-        let total = entries.len() as u64;
-        let chunks = wire::chunk_snapshot_entries(entries, max_chunk_bytes);
-        let end = RequestBody::RestoreEnd(wire::SnapshotEnd {
-            chunks: chunks.len() as u64,
-            entries: total,
-            checksum,
-        });
-        for body in chunks.into_iter().map(RequestBody::Restore).chain([end]) {
-            self.send(&Request { id, body })?;
-        }
-        self.flush()?;
-        let verdict = loop {
-            let response = self.recv()?;
-            if response.id.is_some() {
-                break response;
-            }
-        };
-        match verdict.body {
-            ResponseBody::Restored(frame) => Ok(frame),
-            ResponseBody::Error(frame) => Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                format!(
-                    "restore rejected ({}): {}",
-                    frame.kind.as_str(),
-                    frame.detail
-                ),
-            )),
-            other => Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                format!("unexpected frame in restore stream: {other:?}"),
-            )),
-        }
-    }
-
     /// Pipelines a whole mix of specs (ids `base_id + index`) and collects
     /// every response, in **arrival order** — pipelined responses complete
     /// out of order, so callers correlate by [`Response::id`].

@@ -7,8 +7,8 @@
 //! **event-loop** threads (independent of the connection count; one per
 //! core by default, at most four) with line framing, bounded write queues
 //! and the drain barrier.  This module is the protocol each loop runs: the
-//! per-op match answers `ping`, `stats`, `metrics`, snapshot and error
-//! frames inline and admits `eval`s.
+//! per-op match answers `ping`, `stats`, `metrics` and error frames inline
+//! and admits `eval`s.
 //!
 //! The loop answers every admitted eval itself, through
 //! [`EvalService::answer`]: a hit queues the id head plus the answer tail
@@ -47,7 +47,6 @@ use std::time::Instant;
 use crosslight_core::simulator::SimulationReport;
 use crosslight_neural::workload::NetworkWorkload;
 use crosslight_neural::zoo::PaperModel;
-use crosslight_runtime::cache::CacheKey;
 use crosslight_runtime::pool::{Answer, EvalService, RuntimeOptions};
 use crosslight_runtime::request::KeyedRequest;
 use crosslight_telemetry::{
@@ -58,7 +57,7 @@ use crosslight_telemetry::{
 use crate::frontend::{default_event_loops, Bound, Conn, Frontend, FrontendTelemetry, Handler};
 use crate::wire::{
     self, ErrorFrame, ErrorKind, EvalFrame, MetricsFormat, MetricsFrame, RequestBody, Response,
-    ResponseBody, SnapshotEnd, SnapshotEntry, StatsFrame, WireServerStats, DEFAULT_MAX_LINE_BYTES,
+    ResponseBody, StatsFrame, WireServerStats, DEFAULT_MAX_LINE_BYTES,
 };
 
 /// Tuning knobs of the server.
@@ -203,17 +202,6 @@ struct ServerTelemetry {
     /// to the post-flush instant of the response write.
     request_ns: Histogram,
     traces_sampled: Counter,
-    /// Snapshot streams served (one per `snapshot` op).
-    snapshots_total: Counter,
-    /// Cache entries exported across all served snapshots.
-    snapshot_entries_total: Counter,
-    /// Restore streams validated and applied.
-    restores_total: Counter,
-    /// Cache entries received in validated restore streams.
-    restore_entries_total: Counter,
-    /// Restore streams rejected (truncated, out of sequence, corrupt, or
-    /// carrying invalid entries).
-    restore_failed_total: Counter,
     /// Scrape-time mirror of the span ring's drop count.
     spans_dropped: Counter,
     spans: SpanRing,
@@ -287,26 +275,6 @@ impl ServerTelemetry {
             traces_sampled: registry.counter(
                 "server_traces_sampled_total",
                 "Requests that carried a phase trace.",
-            ),
-            snapshots_total: registry.counter(
-                "server_snapshots_total",
-                "Warm-state snapshot streams served.",
-            ),
-            snapshot_entries_total: registry.counter(
-                "server_snapshot_entries_total",
-                "Cache entries exported across all served snapshots.",
-            ),
-            restores_total: registry.counter(
-                "server_restores_total",
-                "Warm-state restore streams validated and applied.",
-            ),
-            restore_entries_total: registry.counter(
-                "server_restore_entries_total",
-                "Cache entries received in validated restore streams.",
-            ),
-            restore_failed_total: registry.counter(
-                "server_restore_failed_total",
-                "Restore streams rejected as truncated, corrupt, or invalid.",
             ),
             spans_dropped: registry.counter(
                 "server_trace_spans_dropped_total",
@@ -400,122 +368,6 @@ impl Shared {
         ])
         .expect("the server_ and runtime_ metric prefixes are disjoint")
     }
-
-    /// Exports both warm caches as one deterministic snapshot stream:
-    /// result-cache entries first (sorted by key), then model-cache
-    /// entries — the same order every replica produces for the same
-    /// contents, so the terminal checksum is comparable across servers.
-    fn collect_snapshot(&self) -> Vec<SnapshotEntry> {
-        let mut entries: Vec<SnapshotEntry> = self
-            .service
-            .result_cache()
-            .export()
-            .into_iter()
-            .map(|(key, report)| SnapshotEntry::Result {
-                arch: *key.arch_key(),
-                workload: (**key.workload()).clone(),
-                report,
-            })
-            .collect();
-        entries.extend(
-            self.service
-                .model_cache()
-                .export()
-                .into_iter()
-                .map(SnapshotEntry::Model),
-        );
-        entries
-    }
-
-    /// Reuses the prebuilt Table I workload [`Arc`]s for transported
-    /// workloads that match them, so restored result-cache keys share
-    /// storage with organically-warmed ones instead of duplicating the
-    /// layer tables per entry.
-    fn intern_workload(&self, workload: NetworkWorkload) -> Arc<NetworkWorkload> {
-        for known in &self.workloads {
-            if **known == workload {
-                return Arc::clone(known);
-            }
-        }
-        Arc::new(workload)
-    }
-
-    /// Validates a completed restore stream against its terminal frame and
-    /// applies it to the caches.  Model-cache entries are imported first
-    /// (that import validates before touching the cache), so a rejected
-    /// stream leaves both caches untouched.
-    fn apply_restore(
-        &self,
-        entries: Vec<SnapshotEntry>,
-        chunks: u64,
-        end: &SnapshotEnd,
-    ) -> Result<wire::RestoredFrame, ErrorFrame> {
-        if chunks != end.chunks || entries.len() as u64 != end.entries {
-            return Err(ErrorFrame::new(
-                ErrorKind::Malformed,
-                format!(
-                    "truncated restore stream: got {chunks} chunks / {} entries, \
-                     terminal frame promised {} / {}",
-                    entries.len(),
-                    end.chunks,
-                    end.entries
-                ),
-            ));
-        }
-        if wire::snapshot_checksum(&entries) != end.checksum {
-            return Err(ErrorFrame::new(
-                ErrorKind::Malformed,
-                "restore stream checksum mismatch",
-            ));
-        }
-        let total = entries.len() as u64;
-        let mut results = Vec::new();
-        let mut model = Vec::new();
-        for entry in entries {
-            match entry {
-                SnapshotEntry::Result {
-                    arch,
-                    workload,
-                    report,
-                } => {
-                    let workload = self.intern_workload(workload);
-                    results.push((CacheKey::from_parts(arch, workload), report));
-                }
-                SnapshotEntry::Model(entry) => model.push(entry),
-            }
-        }
-        let inserted_model = self.service.model_cache().import(&model).map_err(|err| {
-            ErrorFrame::new(
-                ErrorKind::Malformed,
-                format!("invalid snapshot entry: {err}"),
-            )
-        })?;
-        let inserted_results = self.service.result_cache().import(results);
-        Ok(wire::RestoredFrame {
-            entries: total,
-            results: inserted_results as u64,
-            model: inserted_model as u64,
-        })
-    }
-}
-
-/// Per-connection restore-stream state.  Chunks are accumulated silently
-/// (one response per *stream*, at `restore_end` — answering every chunk
-/// would desynchronize pipelined response correlation); a mid-stream
-/// violation poisons the session and surfaces as the terminal response.
-#[derive(Default)]
-enum RestoreSession {
-    /// No stream in progress.
-    #[default]
-    Idle,
-    /// Chunks 0..next_seq received and buffered.
-    Active {
-        next_seq: u64,
-        entries: Vec<SnapshotEntry>,
-    },
-    /// The stream violated the protocol; the error is held until the
-    /// terminal frame so the response stream stays aligned.
-    Poisoned { frame: ErrorFrame },
 }
 
 /// The JSON-lines evaluation server.
@@ -647,11 +499,9 @@ struct ServerLoop {
 }
 
 impl Handler for ServerLoop {
-    type State = RestoreSession;
-
     /// The whole per-op protocol surface, every answer queued straight
     /// onto the connection's write queue.
-    fn on_line(&mut self, conn: &Arc<Conn>, restore: &mut RestoreSession, line: String) -> bool {
+    fn on_line(&mut self, conn: &Arc<Conn>, line: String) -> bool {
         let Self {
             shared,
             held,
@@ -703,129 +553,6 @@ impl Handler for ServerLoop {
                     id: Some(request.id),
                     body: ResponseBody::Metrics(frame),
                 });
-                conn.push(line)
-            }
-            RequestBody::Snapshot { max_chunk_bytes } => {
-                telemetry.snapshots_total.inc();
-                let entries = shared.collect_snapshot();
-                telemetry.snapshot_entries_total.add(entries.len() as u64);
-                let total = entries.len() as u64;
-                let checksum = wire::snapshot_checksum(&entries);
-                // Keep every encoded chunk line comfortably under the line
-                // limit: the entries array gets 3/4 of the budget, leaving
-                // headroom for the response envelope.  The budget is our own
-                // line limit, lowered to the peer's announced one when the
-                // request carries `max_chunk_bytes` — a peer with a smaller
-                // limit than ours would otherwise shed every chunk as
-                // oversized.
-                let server_budget = (shared.options.max_line_bytes.saturating_mul(3) / 4).max(1);
-                let budget = match max_chunk_bytes {
-                    Some(peer_limit) => {
-                        let peer_limit = usize::try_from(peer_limit).unwrap_or(usize::MAX);
-                        (peer_limit.saturating_mul(3) / 4).max(1).min(server_budget)
-                    }
-                    None => server_budget,
-                };
-                let chunks = wire::chunk_snapshot_entries(entries, budget);
-                let chunk_count = chunks.len() as u64;
-                for chunk in chunks {
-                    let line = wire::encode_response(&Response {
-                        id: Some(request.id),
-                        body: ResponseBody::Snapshot(chunk),
-                    });
-                    if !conn.push(line) {
-                        return false;
-                    }
-                }
-                let line = wire::encode_response(&Response {
-                    id: Some(request.id),
-                    body: ResponseBody::SnapshotEnd(SnapshotEnd {
-                        chunks: chunk_count,
-                        entries: total,
-                        checksum,
-                    }),
-                });
-                conn.push(line)
-            }
-            RequestBody::Restore(chunk) => {
-                // Chunks are acknowledged only by the terminal frame; see
-                // `RestoreSession`.  Sequence 0 always starts a fresh stream,
-                // so a client can retry on a surviving connection.
-                if chunk.seq == 0 {
-                    *restore = RestoreSession::Active {
-                        next_seq: 1,
-                        entries: chunk.entries,
-                    };
-                } else {
-                    match restore {
-                        RestoreSession::Active { next_seq, entries } if chunk.seq == *next_seq => {
-                            *next_seq += 1;
-                            entries.extend(chunk.entries);
-                        }
-                        RestoreSession::Poisoned { .. } => {}
-                        RestoreSession::Active { next_seq, .. } => {
-                            let frame = ErrorFrame::new(
-                                ErrorKind::Malformed,
-                                format!(
-                                    "restore chunk out of sequence: expected {next_seq}, \
-                                 got {}",
-                                    chunk.seq
-                                ),
-                            );
-                            *restore = RestoreSession::Poisoned { frame };
-                        }
-                        RestoreSession::Idle => {
-                            let frame = ErrorFrame::new(
-                                ErrorKind::Malformed,
-                                format!("restore stream must start at chunk 0, got {}", chunk.seq),
-                            );
-                            *restore = RestoreSession::Poisoned { frame };
-                        }
-                    }
-                }
-                true
-            }
-            RequestBody::RestoreEnd(end) => {
-                let session = std::mem::replace(restore, RestoreSession::Idle);
-                // An empty stream (0 chunks) is a legal snapshot of an empty
-                // cache, so Idle folds into an empty Active session.
-                let response = match session {
-                    RestoreSession::Poisoned { frame } => {
-                        telemetry.restore_failed_total.inc();
-                        Response::error(Some(request.id), frame)
-                    }
-                    RestoreSession::Idle => match shared.apply_restore(Vec::new(), 0, &end) {
-                        Ok(frame) => {
-                            telemetry.restores_total.inc();
-                            Response {
-                                id: Some(request.id),
-                                body: ResponseBody::Restored(frame),
-                            }
-                        }
-                        Err(frame) => {
-                            telemetry.restore_failed_total.inc();
-                            Response::error(Some(request.id), frame)
-                        }
-                    },
-                    RestoreSession::Active { next_seq, entries } => {
-                        let received = entries.len() as u64;
-                        match shared.apply_restore(entries, next_seq, &end) {
-                            Ok(frame) => {
-                                telemetry.restores_total.inc();
-                                telemetry.restore_entries_total.add(received);
-                                Response {
-                                    id: Some(request.id),
-                                    body: ResponseBody::Restored(frame),
-                                }
-                            }
-                            Err(frame) => {
-                                telemetry.restore_failed_total.inc();
-                                Response::error(Some(request.id), frame)
-                            }
-                        }
-                    }
-                };
-                let line = wire::encode_response(&response);
                 conn.push(line)
             }
             RequestBody::Eval(spec) => {

@@ -59,18 +59,17 @@
 //!
 //! Every value has one wire form, the private `Wire` trait: how the
 //! encoders append it, how the wire reader reads it and how the exact
-//! reader reads it.  Each struct that travels as an object — the stats,
-//! restored and eval frames, the report with its power, area and metrics
-//! objects, the VDP unit report and the workload — gets all three from one
-//! member table (`wire_object!`) that spells each key once, in wire order.
+//! reader reads it.  Each struct that travels as an object — the stats and
+//! eval frames, the report with its power, area and metrics objects, and
+//! the workload — gets all three from one member table (`wire_object!`)
+//! that spells each key once, in wire order.
 //! The wire reader reads a table's members in any order into one slot per
 //! key: it tries the key the encoder writes next first, reads past unknown
 //! members and keeps the first of duplicate keys, as
 //! [`Json::get`](crate::json::Json::get) does.  Slots are taken in the
 //! table's order, so errors come in the order the protocol checks them.
-//! The kind-tagged values (architecture keys, snapshot entries, metric
-//! families and histograms) implement the trait by hand, and the eval
-//! request's `config` stays hand-written.
+//! Metric families and histograms implement the trait by hand, and the
+//! eval request's `config` stays hand-written.
 
 use std::borrow::Cow;
 use std::fmt::Write as _;
@@ -90,15 +89,11 @@ use crosslight_baselines::{
     ArchSpec, DeapCnn, ElectronicPlatform, HolyLight, LiteCon, SymmetricCrossbar,
 };
 use crosslight_core::area::AcceleratorArea;
-use crosslight_core::cache::ModelCacheEntry;
-use crosslight_core::canonical::{ArchKey, BackendKey, ConfigKey, ResolutionKey, VdpUnitKey};
 use crosslight_core::config::CrossLightConfig;
 use crosslight_core::performance::{InferenceLatency, InferenceMetrics};
 use crosslight_core::power::AcceleratorPower;
 use crosslight_core::simulator::SimulationReport;
 use crosslight_core::variants::CrossLightVariant;
-use crosslight_core::vdp::VdpUnitReport;
-use crosslight_neural::fingerprint::StableHasher;
 use crosslight_neural::layers::DotProductWorkload;
 use crosslight_neural::workload::NetworkWorkload;
 use crosslight_neural::zoo::PaperModel;
@@ -120,11 +115,6 @@ pub const METRICS_SCHEMA: &str = "crosslight-metrics/v1";
 
 /// Default maximum accepted line length (bytes, excluding the newline).
 pub const DEFAULT_MAX_LINE_BYTES: usize = 64 * 1024;
-
-/// Schema tag carried by every cache-snapshot frame (`snapshot` chunks and
-/// `restore` streams), so a restore can reject snapshots produced by an
-/// incompatible cache export format.
-pub const SNAPSHOT_SCHEMA: &str = "crosslight-snapshot/v1";
 
 /// The typed error kinds of the protocol.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -494,26 +484,6 @@ pub enum RequestBody {
         /// Requested payload shape.
         format: MetricsFormat,
     },
-    /// Export the full warm state (result + model caches) as a chunked
-    /// snapshot stream: `snapshot` chunk responses followed by one
-    /// `snapshot_end` frame.
-    Snapshot {
-        /// The requesting peer's own line-length budget, in bytes.  The
-        /// exporter sizes chunk frames under `min(this, its own
-        /// max_line_bytes)` so a client with a smaller limit than the
-        /// server never receives an undecodable oversized chunk.  Absent
-        /// (the default) means "size by the server's limit", the historic
-        /// behaviour.
-        max_chunk_bytes: Option<u64>,
-    },
-    /// One chunk of a restore stream.  Chunks must arrive in sequence on
-    /// one connection, starting at 0; the server only answers at
-    /// `restore_end`.
-    Restore(SnapshotChunk),
-    /// Terminates a restore stream; the server validates the totals and
-    /// checksum, applies the entries, and answers `restored` or a typed
-    /// error.
-    RestoreEnd(SnapshotEnd),
 }
 
 /// The payload shape of one `metrics` scrape.
@@ -608,64 +578,6 @@ pub struct EvalFrame {
     pub worker: u64,
 }
 
-/// One exported cache entry in wire form: either a result-cache entry (the
-/// full `(architecture, workload) → report` pair) or a model-cache entry.
-/// Keys travel as their canonical `u64` words, values as the same exact-f64
-/// encodings every other frame uses, so a restored entry is bit-identical
-/// to the organically-computed one.
-#[derive(Debug, Clone, PartialEq)]
-pub enum SnapshotEntry {
-    /// One runtime result-cache entry.
-    Result {
-        /// Canonical architecture identity (fingerprint is recomputed on
-        /// restore, never transported).
-        arch: ArchKey,
-        /// The full workload component of the key.
-        workload: NetworkWorkload,
-        /// The memoized report.
-        report: SimulationReport,
-    },
-    /// One core model-cache entry.
-    Model(ModelCacheEntry),
-}
-
-/// One numbered chunk of a snapshot stream.  Chunks are sized under the
-/// transport's line limit by [`chunk_snapshot_entries`] and carry
-/// consecutive sequence numbers starting at 0, so a receiver detects any
-/// truncation or reordering.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SnapshotChunk {
-    /// 0-based chunk sequence number.
-    pub seq: u64,
-    /// The entries of this chunk, in stream order.
-    pub entries: Vec<SnapshotEntry>,
-}
-
-/// The terminal frame of a snapshot stream: totals plus a checksum over
-/// every entry's canonical encoding (see [`snapshot_checksum`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SnapshotEnd {
-    /// Number of chunks that preceded this frame.
-    pub chunks: u64,
-    /// Total entries across all chunks.
-    pub entries: u64,
-    /// FNV-1a checksum of the concatenated canonical entry encodings.
-    pub checksum: u64,
-}
-
-/// The payload of a successful `restore_end` response: how many transported
-/// entries were applied to each cache (entries already present on the
-/// receiver are counted as applied — the caches converge either way).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RestoredFrame {
-    /// Total entries in the validated stream.
-    pub entries: u64,
-    /// Result-cache entries newly inserted.
-    pub results: u64,
-    /// Model-cache entries newly inserted.
-    pub model: u64,
-}
-
 /// One response frame.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Response {
@@ -684,12 +596,6 @@ pub enum ResponseBody {
     Stats(StatsFrame),
     /// A metrics scrape.
     Metrics(MetricsFrame),
-    /// One chunk of a snapshot stream.
-    Snapshot(SnapshotChunk),
-    /// The terminal frame of a snapshot stream.
-    SnapshotEnd(SnapshotEnd),
-    /// A completed restore.
-    Restored(RestoredFrame),
     /// Answer to `ping`.
     Pong,
     /// A typed error.
@@ -1263,12 +1169,6 @@ wire_object!(StatsFrame, "{\"type\":\"stats\"," {
     "runtime": runtime,
 });
 
-wire_object!(RestoredFrame, "{\"type\":\"restored\"," {
-    "entries": entries,
-    "results": results,
-    "model": model,
-});
-
 wire_object!(EvalFrame, "{\"type\":\"eval\"," {
     "cache_hit": cache_hit,
     "worker": worker,
@@ -1316,174 +1216,12 @@ wire_object!(InferenceMetrics, "{", |m|
     }
 );
 
-wire_object!(VdpUnitReport, "{" {
-    "arms": arms,
-    "pass_latency_s": pass_latency,
-    "laser_mw": laser_power,
-    "tuning_mw": tuning_power,
-    "detection_mw": detection_power,
-    "conversion_mw": conversion_power,
-});
-
 wire_object!(NetworkWorkload, "{" {
     "name": name,
     "towers": towers,
     "conv_layers": conv_layers,
     "fc_layers": fc_layers,
 });
-
-/// Maps a core canonical-codec rejection into a typed malformed frame.
-fn snapshot_entry_error(err: &dyn std::fmt::Display) -> ErrorFrame {
-    ErrorFrame::malformed(format!("invalid snapshot entry: {err}"))
-}
-
-/// The canonical keys travel as their words; words the core codec rejects
-/// are a malformed snapshot entry.
-macro_rules! words_wire {
-    ($($ty:ty: $to:ident, $from:ident);+ $(;)?) => {$(
-        impl Wire<'_> for $ty {
-            fn encode(&self, out: &mut String) {
-                self.$to().encode(out);
-            }
-
-            fn read(r: &mut Reader<'_>, key: &str) -> Result<Self, Fault> {
-                <$ty>::$from(Wire::read(r, key)?).map_err(|err| snapshot_entry_error(&err).into())
-            }
-        }
-    )+};
-}
-
-words_wire!(
-    ConfigKey: to_words, from_words;
-    VdpUnitKey: to_words, from_words;
-    ResolutionKey: to_words, from_words;
-    CrossLightConfig: to_canonical_words, from_canonical_words;
-);
-
-impl Wire<'_> for ArchKey {
-    fn encode(&self, out: &mut String) {
-        match self {
-            ArchKey::CrossLight(key) => {
-                out.push_str("{\"kind\":\"crosslight\",\"words\":");
-                key.encode(out);
-            }
-            ArchKey::Backend(key) => {
-                let tag = key.arch_tag();
-                let _ = write!(out, "{{\"kind\":\"backend\",\"tag\":{tag},\"params\":");
-                key.params().encode(out);
-            }
-        }
-        out.push('}');
-    }
-
-    fn read(r: &mut Reader<'_>, _: &str) -> Result<Self, Fault> {
-        read_members!(r, "kind" => kind, "words" => words, "tag" => tag, "params" => params);
-        let kind: Cow<str> = kind.take()?;
-        Ok(match &*kind {
-            "crosslight" => ArchKey::CrossLight(words.take()?),
-            "backend" => {
-                let tag = tag.take()?;
-                ArchKey::Backend(BackendKey::new(tag, params.take()?))
-            }
-            other => {
-                let detail = format!("unknown arch key kind `{other}`");
-                return Err(ErrorFrame::malformed(detail).into());
-            }
-        })
-    }
-}
-
-/// One snapshot entry's object.  This encoding is the canonical checksum
-/// domain: it is deterministic (keys in fixed order, exact-f64 numbers), so
-/// [`snapshot_checksum`] agrees between the exporter and a receiver that
-/// re-encodes what it decoded.
-impl Wire<'_> for SnapshotEntry {
-    fn encode(&self, out: &mut String) {
-        match self {
-            SnapshotEntry::Result {
-                arch,
-                workload,
-                report,
-            } => {
-                out.push_str("{\"kind\":\"result\",\"arch\":");
-                arch.encode(out);
-                out.push_str(",\"workload\":");
-                workload.encode(out);
-                out.push_str(",\"report\":");
-                report.encode(out);
-            }
-            SnapshotEntry::Model(ModelCacheEntry::Unit { key, report }) => {
-                out.push_str("{\"kind\":\"unit\",\"key\":");
-                key.encode(out);
-                out.push_str(",\"report\":");
-                report.encode(out);
-            }
-            SnapshotEntry::Model(ModelCacheEntry::Resolution { key, bits }) => {
-                out.push_str("{\"kind\":\"resolution\",\"key\":");
-                key.encode(out);
-                let _ = write!(out, ",\"bits\":{bits}");
-            }
-            SnapshotEntry::Model(ModelCacheEntry::Prepared {
-                config,
-                power,
-                area,
-                resolution_bits,
-            }) => {
-                out.push_str("{\"kind\":\"prepared\",\"config\":");
-                config.encode(out);
-                out.push_str(",\"power_mw\":");
-                power.encode(out);
-                out.push_str(",\"area_mm2\":");
-                area.encode(out);
-                let _ = write!(out, ",\"resolution_bits\":{resolution_bits}");
-            }
-        }
-        out.push('}');
-    }
-
-    fn read(r: &mut Reader<'_>, _: &str) -> Result<Self, Fault> {
-        let model = SnapshotEntry::Model;
-        Ok(match &*tag(r, ",\"kind\":")? {
-            "result" => {
-                read_members!(r, "arch" => arch, "workload" => workload, "report" => report);
-                SnapshotEntry::Result {
-                    arch: arch.take()?,
-                    workload: workload.take()?,
-                    report: report.take()?,
-                }
-            }
-            "unit" => {
-                read_members!(r, "key" => key, "report" => report);
-                model(ModelCacheEntry::Unit {
-                    key: key.take()?,
-                    report: report.take()?,
-                })
-            }
-            "resolution" => {
-                read_members!(r, "key" => key, "bits" => bits);
-                model(ModelCacheEntry::Resolution {
-                    key: key.take()?,
-                    bits: bits.take()?,
-                })
-            }
-            "prepared" => {
-                read_members!(r, "config" => config, "power_mw" => power, "area_mm2" => area,
-                    "resolution_bits" => resolution_bits);
-                model(ModelCacheEntry::Prepared {
-                    config: config.take()?,
-                    power: power.take()?,
-                    area: area.take()?,
-                    resolution_bits: resolution_bits.take()?,
-                })
-            }
-            other => {
-                let detail = format!("unknown snapshot entry kind `{other}`");
-                r.skip()?;
-                return Err(ErrorFrame::malformed(detail).into());
-            }
-        })
-    }
-}
 
 impl Wire<'_> for HistogramSnapshot {
     fn encode(&self, out: &mut String) {
@@ -1676,83 +1414,6 @@ fn encode_arch_request_into(arch: &ArchRequest, out: &mut String) {
     }
 }
 
-/// The canonical encoding of one snapshot entry, as it appears inside a
-/// chunk's `entries` array.
-#[must_use]
-pub fn encode_snapshot_entry(entry: &SnapshotEntry) -> String {
-    let mut out = String::with_capacity(256);
-    entry.encode(&mut out);
-    out
-}
-
-/// FNV-1a checksum over the canonical encodings of a snapshot's entries, in
-/// stream order.  Both sides of a transfer compute this over the same
-/// deterministic encoding, so any corruption, loss or reordering that
-/// survives the per-chunk sequence check is caught at the terminal frame.
-#[must_use]
-pub fn snapshot_checksum(entries: &[SnapshotEntry]) -> u64 {
-    let mut hasher = StableHasher::new();
-    let mut buf = String::with_capacity(512);
-    for entry in entries {
-        buf.clear();
-        entry.encode(&mut buf);
-        std::hash::Hasher::write(&mut hasher, buf.as_bytes());
-    }
-    std::hash::Hasher::finish(&hasher)
-}
-
-/// Packs entries greedily into chunks whose encoded `entries` arrays stay
-/// under `max_chunk_bytes`, preserving order and numbering the chunks from
-/// 0.  A single entry larger than the budget still ships alone (the caller
-/// picks a budget comfortably under the transport's line limit, and every
-/// cache entry the workspace produces encodes far below it).
-#[must_use]
-pub fn chunk_snapshot_entries(
-    entries: Vec<SnapshotEntry>,
-    max_chunk_bytes: usize,
-) -> Vec<SnapshotChunk> {
-    let budget = max_chunk_bytes.max(1);
-    let mut chunks: Vec<SnapshotChunk> = Vec::new();
-    let mut current: Vec<SnapshotEntry> = Vec::new();
-    let mut bytes = 0usize;
-    for entry in entries {
-        let encoded = encode_snapshot_entry(&entry).len() + 1;
-        if !current.is_empty() && bytes + encoded > budget {
-            chunks.push(SnapshotChunk {
-                seq: chunks.len() as u64,
-                entries: std::mem::take(&mut current),
-            });
-            bytes = 0;
-        }
-        bytes += encoded;
-        current.push(entry);
-    }
-    if !current.is_empty() {
-        chunks.push(SnapshotChunk {
-            seq: chunks.len() as u64,
-            entries: current,
-        });
-    }
-    chunks
-}
-
-fn encode_snapshot_chunk_into(chunk: &SnapshotChunk, out: &mut String) {
-    let _ = write!(
-        out,
-        "\"schema\":\"{SNAPSHOT_SCHEMA}\",\"seq\":{},\"entries\":",
-        chunk.seq
-    );
-    chunk.entries.encode(out);
-}
-
-fn encode_snapshot_end_into(end: &SnapshotEnd, out: &mut String) {
-    let _ = write!(
-        out,
-        "\"schema\":\"{SNAPSHOT_SCHEMA}\",\"chunks\":{},\"entries\":{},\"checksum\":\"{:016x}\"",
-        end.chunks, end.entries, end.checksum
-    );
-}
-
 /// Encodes a request as one JSON line (no trailing newline).
 #[must_use]
 pub fn encode_request(request: &Request) -> String {
@@ -1782,22 +1443,6 @@ pub fn encode_request(request: &Request) -> String {
             if *format != MetricsFormat::Json {
                 let _ = write!(out, ",\"format\":\"{}\"", format.as_str());
             }
-        }
-        RequestBody::Snapshot { max_chunk_bytes } => {
-            out.push_str(",\"op\":\"snapshot\"");
-            // Omitted when absent so pre-existing frames (and the golden
-            // backcompat corpus) stay byte-identical.
-            if let Some(limit) = max_chunk_bytes {
-                let _ = write!(out, ",\"max_chunk_bytes\":{limit}");
-            }
-        }
-        RequestBody::Restore(chunk) => {
-            out.push_str(",\"op\":\"restore\",");
-            encode_snapshot_chunk_into(chunk, &mut out);
-        }
-        RequestBody::RestoreEnd(end) => {
-            out.push_str(",\"op\":\"restore_end\",");
-            encode_snapshot_end_into(end, &mut out);
         }
     }
     out.push('}');
@@ -1858,20 +1503,6 @@ pub fn encode_response(response: &Response) -> String {
                 }
             }
             out.push('}');
-        }
-        ResponseBody::Snapshot(chunk) => {
-            out.push_str(",\"ok\":{\"type\":\"snapshot\",");
-            encode_snapshot_chunk_into(chunk, &mut out);
-            out.push('}');
-        }
-        ResponseBody::SnapshotEnd(end) => {
-            out.push_str(",\"ok\":{\"type\":\"snapshot_end\",");
-            encode_snapshot_end_into(end, &mut out);
-            out.push('}');
-        }
-        ResponseBody::Restored(frame) => {
-            out.push_str(",\"ok\":");
-            frame.encode(&mut out);
         }
         ResponseBody::Pong => out.push_str(",\"ok\":{\"type\":\"pong\"}"),
         ResponseBody::Error(frame) => {
@@ -1996,44 +1627,10 @@ fn read_arch_request(r: &mut Reader<'_>, _: &str) -> Result<ArchRequest, Fault> 
     })
 }
 
-fn snapshot_chunk(
-    schema: Slot<Cow<'_, str>>,
-    seq: Slot<u64>,
-    entries: Slot<Vec<SnapshotEntry>>,
-) -> Result<SnapshotChunk, Fault> {
-    check_schema(schema, SNAPSHOT_SCHEMA)?;
-    let entries = entries.take()?;
-    Ok(SnapshotChunk {
-        seq: seq.take()?,
-        entries,
-    })
-}
-
-fn snapshot_end(
-    schema: Slot<Cow<'_, str>>,
-    checksum: Slot<Cow<'_, str>>,
-    chunks: Slot<u64>,
-    entries: Slot<u64>,
-) -> Result<SnapshotEnd, Fault> {
-    check_schema(schema, SNAPSHOT_SCHEMA)?;
-    let checksum = u64::from_str_radix(&checksum.take()?, 16)
-        .map_err(|_| bad("checksum", "must be a 64-bit hex string"))?;
-    Ok(SnapshotEnd {
-        chunks: chunks.take()?,
-        entries: entries.take()?,
-        checksum,
-    })
-}
-
-/// Reads a request object.  Its members are read in any order; `entries`,
-/// a count in `restore_end`, is read again as the chunk's entries in
-/// `restore`.
+/// Reads a request object.  Its members are read in any order.
 fn read_request(r: &mut Reader<'_>) -> Result<Request, Fault> {
     read_members!(r, "v" => v, "id" => id, "op" => op, "config" => config with read_arch_request,
-        "model" => model, "workload" => workload with later, "format" => format with later,
-        "max_chunk_bytes" => max_chunk_bytes with later, "schema" => schema with later,
-        "seq" => seq with later, "entries" => entries with later, "chunks" => chunks with later,
-        "checksum" => checksum with later);
+        "model" => model, "workload" => workload with later, "format" => format with later);
     check_version(v.take()?)?;
     let id = id.take()?;
     let op: Cow<str> = op.take()?;
@@ -2069,20 +1666,6 @@ fn read_request(r: &mut Reader<'_>) -> Result<Request, Fault> {
                 },
             }
         }
-        "snapshot" => RequestBody::Snapshot {
-            max_chunk_bytes: max_chunk_bytes.reread(r).optional()?,
-        },
-        "restore" => RequestBody::Restore(snapshot_chunk(
-            schema.reread(r),
-            seq.reread(r),
-            entries.reread(r),
-        )?),
-        "restore_end" => RequestBody::RestoreEnd(snapshot_end(
-            schema.reread(r),
-            checksum.reread(r),
-            chunks.reread(r),
-            entries.reread(r),
-        )?),
         other => return Err(ErrorFrame::malformed(format!("unknown op `{other}`")).into()),
     };
     Ok(Request { id, body })
@@ -2192,7 +1775,6 @@ fn read_ok(r: &mut Reader<'_>, key: &str) -> Result<ResponseBody, Fault> {
     Ok(match &*tag(r, ",\"type\":")? {
         "eval" => ResponseBody::Eval(Wire::read(r, key)?),
         "stats" => ResponseBody::Stats(Wire::read(r, key)?),
-        "restored" => ResponseBody::Restored(Wire::read(r, key)?),
         "metrics" => {
             read_members!(r, "format" => format, "schema" => schema, "families" => families,
                 "page" => page, "spans" => spans);
@@ -2215,15 +1797,6 @@ fn read_ok(r: &mut Reader<'_>, key: &str) -> Result<ResponseBody, Fault> {
         "pong" => {
             r.skip()?;
             ResponseBody::Pong
-        }
-        "snapshot" => {
-            read_members!(r, "schema" => schema, "seq" => seq, "entries" => entries);
-            ResponseBody::Snapshot(snapshot_chunk(schema, seq, entries)?)
-        }
-        "snapshot_end" => {
-            read_members!(r, "schema" => schema, "chunks" => chunks, "entries" => entries,
-                "checksum" => checksum);
-            ResponseBody::SnapshotEnd(snapshot_end(schema, checksum, chunks, entries)?)
         }
         other => {
             let detail = format!("unknown ok type `{other}`");
@@ -2536,199 +2109,6 @@ mod tests {
         }
     }
 
-    /// A representative snapshot stream: result-cache entries under both
-    /// arch-key kinds plus every model-cache entry kind from an
-    /// organically warmed [`crosslight_core::cache::ModelCache`].
-    fn sample_snapshot_entries() -> Vec<SnapshotEntry> {
-        let workloads = paper_workloads();
-        let config = CrossLightConfig::paper_best();
-        let report = CrossLightSimulator::new(config)
-            .evaluate(&workloads[0])
-            .unwrap();
-        let mut entries = vec![
-            SnapshotEntry::Result {
-                arch: ArchKey::CrossLight(config.canonical_key()),
-                workload: (*workloads[0]).clone(),
-                report,
-            },
-            SnapshotEntry::Result {
-                arch: ArchKey::Backend(BackendKey::new(3, [9, 0, u64::MAX, 17])),
-                workload: (*workloads[1]).clone(),
-                report,
-            },
-        ];
-        let model = crosslight_core::cache::ModelCache::new();
-        for variant in CrossLightVariant::all() {
-            model.prepare(&variant.config()).unwrap();
-        }
-        entries.extend(model.export().into_iter().map(SnapshotEntry::Model));
-        entries
-    }
-
-    #[test]
-    fn snapshot_frames_round_trip_bit_exactly() {
-        let entries = sample_snapshot_entries();
-        assert!(
-            entries
-                .iter()
-                .any(|e| matches!(e, SnapshotEntry::Model(ModelCacheEntry::Prepared { .. }))),
-            "a warmed model cache exports prepared entries"
-        );
-        let checksum = snapshot_checksum(&entries);
-        let requests = vec![
-            Request {
-                id: 1,
-                body: RequestBody::Snapshot {
-                    max_chunk_bytes: None,
-                },
-            },
-            Request {
-                id: 4,
-                body: RequestBody::Snapshot {
-                    max_chunk_bytes: Some(4096),
-                },
-            },
-            Request {
-                id: 2,
-                body: RequestBody::Restore(SnapshotChunk {
-                    seq: 0,
-                    entries: entries.clone(),
-                }),
-            },
-            Request {
-                id: 3,
-                body: RequestBody::RestoreEnd(SnapshotEnd {
-                    chunks: 1,
-                    entries: entries.len() as u64,
-                    checksum,
-                }),
-            },
-        ];
-        for request in requests {
-            let line = encode_request(&request);
-            assert_eq!(decode_request(&line).unwrap(), request, "{line}");
-        }
-        let responses = vec![
-            Response {
-                id: Some(4),
-                body: ResponseBody::Snapshot(SnapshotChunk {
-                    seq: 5,
-                    entries: entries.clone(),
-                }),
-            },
-            Response {
-                id: Some(5),
-                body: ResponseBody::SnapshotEnd(SnapshotEnd {
-                    chunks: 6,
-                    entries: entries.len() as u64,
-                    checksum,
-                }),
-            },
-            Response {
-                id: Some(6),
-                body: ResponseBody::Restored(RestoredFrame {
-                    entries: 12,
-                    results: 7,
-                    model: 5,
-                }),
-            },
-        ];
-        for response in responses {
-            let line = encode_response(&response);
-            assert_eq!(decode_response(&line).unwrap(), response, "{line}");
-        }
-    }
-
-    #[test]
-    fn snapshot_checksum_is_deterministic_and_order_sensitive() {
-        let entries = sample_snapshot_entries();
-        assert_eq!(snapshot_checksum(&entries), snapshot_checksum(&entries));
-        let mut reversed = entries.clone();
-        reversed.reverse();
-        assert_ne!(
-            snapshot_checksum(&entries),
-            snapshot_checksum(&reversed),
-            "reordering a stream must change its checksum"
-        );
-        // The decoded stream re-encodes to the identical checksum — the
-        // property the receiver-side verification relies on.
-        let chunk = SnapshotChunk { seq: 0, entries };
-        let line = encode_request(&Request {
-            id: 1,
-            body: RequestBody::Restore(chunk.clone()),
-        });
-        let Ok(Request {
-            body: RequestBody::Restore(decoded),
-            ..
-        }) = decode_request(&line)
-        else {
-            panic!("restore frame must decode");
-        };
-        assert_eq!(
-            snapshot_checksum(&decoded.entries),
-            snapshot_checksum(&chunk.entries)
-        );
-    }
-
-    #[test]
-    fn snapshot_chunking_respects_the_byte_budget_and_numbers_chunks() {
-        let entries = sample_snapshot_entries();
-        let budget = 600;
-        let chunks = chunk_snapshot_entries(entries.clone(), budget);
-        assert!(chunks.len() > 1, "a 600-byte budget must force chunking");
-        let mut reassembled = Vec::new();
-        for (i, chunk) in chunks.iter().enumerate() {
-            assert_eq!(chunk.seq, i as u64);
-            assert!(!chunk.entries.is_empty());
-            let payload: usize = chunk
-                .entries
-                .iter()
-                .map(|e| encode_snapshot_entry(e).len() + 1)
-                .sum();
-            assert!(
-                payload <= budget || chunk.entries.len() == 1,
-                "chunk {i} holds {payload} bytes against a {budget} budget"
-            );
-            reassembled.extend(chunk.entries.iter().cloned());
-        }
-        assert_eq!(reassembled, entries, "chunking must preserve the stream");
-        // A generous budget yields one chunk.
-        assert_eq!(chunk_snapshot_entries(entries, usize::MAX).len(), 1);
-        // An empty stream yields no chunks.
-        assert!(chunk_snapshot_entries(Vec::new(), budget).is_empty());
-    }
-
-    #[test]
-    fn snapshot_decode_rejections_are_typed() {
-        // A foreign schema is a well-formed frame this build cannot apply.
-        let line = r#"{"v":1,"id":1,"op":"restore","schema":"crosslight-snapshot/v9","seq":0,"entries":[]}"#;
-        assert_eq!(
-            decode_request(line).unwrap_err().kind,
-            ErrorKind::Unsupported
-        );
-        // Everything else about a broken stream is malformed.
-        for line in [
-            // checksum not a hex string
-            r#"{"v":1,"id":1,"op":"restore_end","schema":"crosslight-snapshot/v1","chunks":0,"entries":0,"checksum":"zz"}"#,
-            // checksum as a bare number
-            r#"{"v":1,"id":1,"op":"restore_end","schema":"crosslight-snapshot/v1","chunks":0,"entries":0,"checksum":7}"#,
-            // entries not an array
-            r#"{"v":1,"id":1,"op":"restore","schema":"crosslight-snapshot/v1","seq":0,"entries":3}"#,
-            // unknown entry kind
-            r#"{"v":1,"id":1,"op":"restore","schema":"crosslight-snapshot/v1","seq":0,"entries":[{"kind":"mystery"}]}"#,
-            // wrong word-array arity
-            r#"{"v":1,"id":1,"op":"restore","schema":"crosslight-snapshot/v1","seq":0,"entries":[{"kind":"resolution","key":[1,2],"bits":8}]}"#,
-            // a prepared entry whose config words fail core validation
-            r#"{"v":1,"id":1,"op":"restore","schema":"crosslight-snapshot/v1","seq":0,"entries":[{"kind":"prepared","config":[0,0,0,0,0,0,0,0,0,0,0,0,0,0,0],"power_mw":{},"area_mm2":{},"resolution_bits":8}]}"#,
-        ] {
-            assert_eq!(
-                decode_request(line).unwrap_err().kind,
-                ErrorKind::Malformed,
-                "{line}"
-            );
-        }
-    }
-
     #[test]
     fn error_stats_and_pong_frames_round_trip() {
         let frames = vec![
@@ -2798,8 +2178,32 @@ mod tests {
             let err = decode_request(line).unwrap_err();
             assert_eq!(err.kind, ErrorKind::Malformed, "{line} → {err:?}");
         }
+        // A peer still sending the cache snapshot and restore ops gets a
+        // typed error.
+        for (op, members) in [
+            ("snapshot", ""),
+            ("snapshot", r#","max_chunk_bytes":4096"#),
+            ("restore", r#","seq":0,"entries":[]"#),
+            ("restore_end", r#","chunks":0,"entries":0"#),
+        ] {
+            let line = format!(r#"{{"v":1,"id":1,"op":"{op}"{members}}}"#);
+            let err = decode_request(&line).unwrap_err();
+            assert_eq!(err.kind, ErrorKind::Malformed, "{line} → {err:?}");
+            assert_eq!(err.detail, format!("unknown op `{op}`"), "{line}");
+        }
         let err = decode_response(r#"{"v":1,"id":1,"ok":{"type":"eval"},"err":{}}"#).unwrap_err();
         assert_eq!(err.kind, ErrorKind::Malformed);
+        // And so does one reading their answers.
+        for (kind, members) in [
+            ("snapshot", r#","seq":0,"entries":[]"#),
+            ("snapshot_end", r#","chunks":0,"entries":0"#),
+            ("restored", r#","entries":0"#),
+        ] {
+            let line = format!(r#"{{"v":1,"id":1,"ok":{{"type":"{kind}"{members}}}}}"#);
+            let err = decode_response(&line).unwrap_err();
+            assert_eq!(err.kind, ErrorKind::Malformed, "{line} → {err:?}");
+            assert_eq!(err.detail, format!("unknown ok type `{kind}`"), "{line}");
+        }
     }
 
     #[test]
@@ -3510,13 +2914,6 @@ mod tests {
         out
     }
 
-    /// The sample snapshot stream, built once: filling its model cache runs
-    /// eigensolves every case would otherwise repeat.
-    fn snapshot_entries() -> &'static [SnapshotEntry] {
-        static ENTRIES: std::sync::OnceLock<Vec<SnapshotEntry>> = std::sync::OnceLock::new();
-        ENTRIES.get_or_init(sample_snapshot_entries)
-    }
-
     /// A registry snapshot holding a series of every metric kind, one with
     /// labels.
     fn sample_registry() -> RegistrySnapshot {
@@ -3543,13 +2940,6 @@ mod tests {
     /// answer type and error kind.
     fn every_frame(request: &Request, answer: &Response) -> Vec<(String, bool)> {
         let id = request.id;
-        let entries = snapshot_entries().to_vec();
-        let end = SnapshotEnd {
-            chunks: 1,
-            entries: entries.len() as u64,
-            checksum: snapshot_checksum(&entries),
-        };
-        let chunk = SnapshotChunk { seq: id, entries };
         let inline = WorkloadRef::Inline((*paper_workloads()[1]).clone());
         let mut bodies = vec![
             request.body.clone(),
@@ -3560,14 +2950,6 @@ mod tests {
             RequestBody::Eval(EvalSpec::for_arch(ArchRequest::DeapCnn, inline)),
             RequestBody::Stats,
             RequestBody::Ping,
-            RequestBody::Snapshot {
-                max_chunk_bytes: None,
-            },
-            RequestBody::Snapshot {
-                max_chunk_bytes: Some(id),
-            },
-            RequestBody::Restore(chunk.clone()),
-            RequestBody::RestoreEnd(end),
         ];
         for spec in ArchSpec::zoo_defaults() {
             let arch = ArchRequest::for_spec(&spec).expect("zoo specs use named variants");
@@ -3610,13 +2992,6 @@ mod tests {
             ResponseBody::Metrics(MetricsFrame::Snapshot(sample_registry())),
             ResponseBody::Metrics(MetricsFrame::Text("# TYPE a counter\na 1\n".to_string())),
             ResponseBody::Metrics(MetricsFrame::Spans(vec!["{\"id\":7}".to_string()])),
-            ResponseBody::Snapshot(chunk),
-            ResponseBody::SnapshotEnd(end),
-            ResponseBody::Restored(RestoredFrame {
-                entries: 12,
-                results: id,
-                model: 5,
-            }),
             ResponseBody::Pong,
         ];
         answers.extend(

@@ -13,8 +13,8 @@
 //! locked the same way by `tests/golden/telemetry_frames.txt`, built from a
 //! hand-made registry so every byte is deterministic.  The remaining
 //! frames — every other request op, an eval request per zoo architecture,
-//! an eval answer with the longest float spellings, the snapshot and
-//! restore streams and an error of every kind — are
+//! an eval answer with the longest float spellings and an error of every
+//! kind — are
 //! locked by `tests/golden/cold_frames.txt`, built from fixed values.
 //!
 //! To regenerate after an *intentional* protocol change (which is a breaking
@@ -28,22 +28,17 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use crosslight_baselines::electronic::EDGE_TPU;
-use crosslight_core::cache::ModelCacheEntry;
-use crosslight_core::canonical::{ArchKey, BackendKey, ResolutionKey, VdpUnitKey};
-use crosslight_core::config::CrossLightConfig;
 use crosslight_core::performance::{InferenceLatency, InferenceMetrics};
 use crosslight_core::simulator::SimulationReport;
-use crosslight_core::vdp::VdpUnitReport;
 use crosslight_neural::layers::DotProductWorkload;
 use crosslight_neural::workload::NetworkWorkload;
 use crosslight_neural::zoo::PaperModel;
 use crosslight_photonics::units::{MilliWatts, Picojoules, Seconds, SquareMillimeters, Watts};
 use crosslight_runtime::pool::{EvalService, RuntimeOptions, RuntimeStats};
 use crosslight_server::wire::{
-    decode_request, decode_response, encode_request, encode_response, peek_id, snapshot_checksum,
-    ArchRequest, ErrorFrame, ErrorKind, EvalFrame, EvalSpec, MetricsFormat, MetricsFrame, Request,
-    RequestBody, Response, ResponseBody, RestoredFrame, SnapshotChunk, SnapshotEnd, SnapshotEntry,
-    StatsFrame, WireServerStats, WorkloadRef,
+    decode_request, decode_response, encode_request, encode_response, peek_id, ArchRequest,
+    ErrorFrame, ErrorKind, EvalFrame, EvalSpec, MetricsFormat, MetricsFrame, Request, RequestBody,
+    Response, ResponseBody, StatsFrame, WireServerStats, WorkloadRef,
 };
 use crosslight_telemetry::{render_text, Registry};
 
@@ -134,7 +129,7 @@ fn serve_corpus() -> String {
                 body: ResponseBody::Pong,
             },
             Ok(Request { id, .. }) => {
-                panic!("corpus has no stats/metrics/snapshot ops (non-deterministic), got id {id}")
+                panic!("corpus has no stats/metrics ops (non-deterministic), got id {id}")
             }
             Err(frame) => Response::error(peek_id(line), frame),
         };
@@ -283,57 +278,10 @@ fn cold_report() -> SimulationReport {
     }
 }
 
-/// One snapshot entry of every kind, from fixed canonical words and
-/// [`cold_report`].
-fn cold_entries() -> Vec<SnapshotEntry> {
-    let spacing = 5.0f64.to_bits();
-    let geometry = [0.45f64, 0.4, 5.0, 0.2, 0.22].map(f64::to_bits);
-    let [g0, g1, g2, g3, g4] = geometry;
-    let config = CrossLightConfig::from_canonical_words([
-        20, 150, 100, 60, 15, 16, g0, g1, g2, g3, g4, 1, 0, 1, spacing,
-    ])
-    .unwrap();
-    let report = cold_report();
-    vec![
-        SnapshotEntry::Result {
-            arch: ArchKey::CrossLight(config.canonical_key()),
-            workload: escaped_workload(),
-            report,
-        },
-        SnapshotEntry::Result {
-            arch: ArchKey::Backend(BackendKey::new(3, [9, 0, u64::MAX, 17])),
-            workload: escaped_workload(),
-            report,
-        },
-        SnapshotEntry::Model(ModelCacheEntry::Unit {
-            key: VdpUnitKey::from_words([150, 15, g0, g1, g2, g3, g4, 1, 0, 1, spacing]).unwrap(),
-            report: VdpUnitReport {
-                arms: 150,
-                pass_latency: Seconds::new(1.25e-10),
-                laser_power: MilliWatts::new(2.5),
-                tuning_power: MilliWatts::new(0.125),
-                detection_power: MilliWatts::new(3.0),
-                conversion_power: MilliWatts::new(1e300),
-            },
-        }),
-        SnapshotEntry::Model(ModelCacheEntry::Resolution {
-            key: ResolutionKey::from(&config),
-            bits: 12,
-        }),
-        SnapshotEntry::Model(ModelCacheEntry::Prepared {
-            config,
-            power: report.power,
-            area: report.area,
-            resolution_bits: 16,
-        }),
-    ]
-}
-
 /// One request of every op but the CrossLight eval on a Table I model
 /// (which `wire_v1_backcompat.txt` locks), one eval request per zoo
 /// architecture and one zoo eval on an inline workload.
 fn cold_requests() -> Vec<Request> {
-    let entries = cold_entries();
     let eval = |arch, workload| RequestBody::Eval(EvalSpec::for_arch(arch, workload));
     let model = WorkloadRef::Model;
     let bodies = vec![
@@ -348,21 +296,6 @@ fn cold_requests() -> Vec<Request> {
         RequestBody::Metrics {
             format: MetricsFormat::Spans,
         },
-        RequestBody::Snapshot {
-            max_chunk_bytes: None,
-        },
-        RequestBody::Snapshot {
-            max_chunk_bytes: Some(4096),
-        },
-        RequestBody::Restore(SnapshotChunk {
-            seq: 0,
-            entries: entries.clone(),
-        }),
-        RequestBody::RestoreEnd(SnapshotEnd {
-            chunks: 1,
-            entries: entries.len() as u64,
-            checksum: snapshot_checksum(&entries),
-        }),
         eval(ArchRequest::DeapCnn, model(PaperModel::Lenet5SignMnist)),
         eval(
             ArchRequest::HolyLight { units: 250 },
@@ -394,51 +327,25 @@ fn cold_requests() -> Vec<Request> {
             WorkloadRef::Inline(escaped_workload()),
         ),
     ];
-    let ids = [u64::MAX, 0].into_iter().chain(2..);
+    let ids = [u64::MAX, 0, 2, 3, 4].into_iter().chain(9..);
     ids.zip(bodies)
         .map(|(id, body)| Request { id, body })
         .collect()
 }
 
 /// An eval answer whose report spells the longest floats (`5e-324` and
-/// `1e300`), the snapshot stream's answers (a chunk holding every entry
-/// kind and its terminal frame), a `restored` answer and an error of every
-/// kind, one of them without an id.
+/// `1e300`) and an error of every kind, one of them without an id.
 fn cold_answers() -> Vec<Response> {
-    let entries = cold_entries();
-    let count = entries.len() as u64;
     let mut report = cold_report();
     report.power.conversion = MilliWatts::new(1e300);
-    let mut answers = vec![
-        Response {
-            id: Some(19),
-            body: ResponseBody::Eval(EvalFrame {
-                report,
-                cache_hit: true,
-                worker: 1,
-            }),
-        },
-        Response {
-            id: Some(20),
-            body: ResponseBody::Snapshot(SnapshotChunk { seq: 3, entries }),
-        },
-        Response {
-            id: Some(21),
-            body: ResponseBody::SnapshotEnd(SnapshotEnd {
-                chunks: 4,
-                entries: count,
-                checksum: 0x0000_ffff_0000_beef,
-            }),
-        },
-        Response {
-            id: Some(22),
-            body: ResponseBody::Restored(RestoredFrame {
-                entries: 5,
-                results: 2,
-                model: 3,
-            }),
-        },
-    ];
+    let mut answers = vec![Response {
+        id: Some(19),
+        body: ResponseBody::Eval(EvalFrame {
+            report,
+            cache_hit: true,
+            worker: 1,
+        }),
+    }];
     let kinds = [
         ErrorKind::Malformed,
         ErrorKind::UnsupportedVersion,
@@ -479,7 +386,7 @@ fn cold_frames_produce_byte_identical_lines() {
     check_fixture(
         "cold_frames.txt",
         &rendered,
-        "cold frame drift: a request op, a zoo eval request, a snapshot or restore frame or an \
-         error no longer encodes to the bytes it always has.",
+        "cold frame drift: a request op, a zoo eval request, an eval answer or an error no \
+         longer encodes to the bytes it always has.",
     );
 }

@@ -363,7 +363,7 @@ fn main() {
     validate_text(&page).expect("the cluster-wide exposition page validates");
     for family in [
         "cluster_backend_readmitted_total",
-        "server_restores_total",
+        "server_evals_ok_total",
         "runtime_result_cache_hits_total",
     ] {
         assert!(

@@ -914,108 +914,6 @@ fn pipelined_and_one_at_a_time_evals_are_byte_identical() {
     );
 }
 
-#[test]
-fn snapshot_transfers_honor_the_smaller_peer_line_budget() {
-    // A server with a large line budget talking to a client with a small
-    // one: the client advertises `max_chunk_bytes` and the server sizes
-    // chunks under the *smaller* limit — same entries, more chunks.
-    let server = Server::bind(
-        "127.0.0.1:0",
-        ServerOptions::default()
-            .with_workers(1)
-            .with_max_line_bytes(256 * 1024),
-    )
-    .expect("bind loopback server");
-    let addr = server.local_addr();
-
-    // Warm the caches so there is something to transfer.
-    let mut warm = Client::connect(addr).expect("connect");
-    for (i, spec) in (0..4)
-        .map(|i| EvalSpec::paper(CrossLightVariant::all()[i], PaperModel::all()[i]))
-        .enumerate()
-    {
-        let response = warm.eval(i as u64, &spec).expect("warm eval");
-        assert!(matches!(response.body, ResponseBody::Eval(_)));
-    }
-
-    // One transfer per dedicated connection, as the client docs require.
-    let chunks_of = |max_chunk_bytes: Option<u64>| -> (usize, Vec<String>) {
-        use std::io::{BufRead as _, BufReader, Write as _};
-        let mut stream = std::net::TcpStream::connect(addr).expect("connect raw");
-        let line = crosslight::server::wire::encode_request(&Request {
-            id: 7,
-            body: RequestBody::Snapshot { max_chunk_bytes },
-        });
-        stream.write_all(line.as_bytes()).expect("send snapshot op");
-        stream.write_all(b"\n").expect("terminate snapshot op");
-        let mut reader = BufReader::new(stream);
-        let mut chunks = 0usize;
-        let mut entries = Vec::new();
-        loop {
-            let mut raw = String::new();
-            assert!(
-                reader.read_line(&mut raw).expect("read snapshot frame") > 0,
-                "stream ended before snapshot_end"
-            );
-            let response =
-                crosslight::server::wire::decode_response(raw.trim_end()).expect("decode frame");
-            match response.body {
-                ResponseBody::Snapshot(chunk) => {
-                    // A single unsplittable entry may exceed the budget
-                    // (it ships alone); any multi-entry chunk must fit.
-                    if let Some(limit) = max_chunk_bytes {
-                        assert!(
-                            raw.len() as u64 <= limit || chunk.entries.len() == 1,
-                            "multi-entry frame of {} bytes exceeds the \
-                             advertised {limit}-byte budget",
-                            raw.len()
-                        );
-                    }
-                    assert_eq!(chunk.seq, chunks as u64, "chunks arrive in sequence");
-                    chunks += 1;
-                    entries.extend(chunk.entries.into_iter().map(|e| format!("{e:?}")));
-                }
-                ResponseBody::SnapshotEnd(end) => {
-                    assert_eq!(end.entries as usize, entries.len());
-                    break;
-                }
-                other => panic!("unexpected frame in snapshot stream: {other:?}"),
-            }
-        }
-        entries.sort();
-        (chunks, entries)
-    };
-
-    let (full_chunks, full_entries) = chunks_of(None);
-    let (limited_chunks, limited_entries) = chunks_of(Some(4096));
-    assert!(!full_entries.is_empty(), "warm caches must export entries");
-    assert_eq!(
-        limited_entries, full_entries,
-        "the peer budget must never change *what* is transferred"
-    );
-    assert!(
-        limited_chunks >= full_chunks,
-        "a smaller budget cannot use fewer chunks ({limited_chunks} < {full_chunks})"
-    );
-    assert!(
-        limited_chunks > 1,
-        "a 4 KiB budget must split this transfer ({limited_chunks} chunk)"
-    );
-
-    // The typed client helper sees the same entries through its own
-    // advertised budget.
-    let mut typed = Client::connect(addr).expect("connect typed");
-    let mut typed_entries: Vec<String> = typed
-        .snapshot_entries_limited(9, Some(4096))
-        .expect("typed limited transfer")
-        .into_iter()
-        .map(|e| format!("{e:?}"))
-        .collect();
-    typed_entries.sort();
-    assert_eq!(typed_entries, full_entries);
-    server.shutdown();
-}
-
 /// The eval lines of `specs` under ids `base..`, newline-terminated.
 fn eval_lines(specs: &[EvalSpec], base: u64) -> Vec<String> {
     specs
@@ -1140,7 +1038,9 @@ fn cache_hits_answered_on_the_event_loop_match_pool_hits_byte_for_byte() {
     let warm = raw_exchange(addr, &eval_lines(&specs, 0), true);
     assert_eq!(sorted(warm), pool_answers(0, false));
     // Every later answer is a hit on the event loop, byte-identical to a
-    // hit the pool served: one request at a time, then pipelined.
+    // hit the pool served: the first hits, one request at a time, encode
+    // the tails their entries memoize, and the second, pipelined, reuse
+    // them.
     for (base, pipelined) in [(1_000, false), (2_000, true)] {
         let hits = raw_exchange(addr, &eval_lines(&specs, base), pipelined);
         assert_eq!(
@@ -1166,31 +1066,7 @@ fn cache_hits_answered_on_the_event_loop_match_pool_hits_byte_for_byte() {
         server.metrics_snapshot().value("server_evals_ok_total"),
         Some(&SeriesValue::Counter(192))
     );
-
-    // Restored entries carry no encoding: the first hits on a fresh
-    // server encode their tails, the second reuse them, and both give the
-    // same bytes as the pool.
-    let entries = Client::connect(addr)
-        .expect("connect")
-        .snapshot_entries(7)
-        .expect("snapshot the warm server");
     server.shutdown();
-    let fresh = Server::bind("127.0.0.1:0", options).expect("bind a fresh server");
-    Client::connect(fresh.local_addr())
-        .expect("connect")
-        .restore_entries(8, entries, 48 * 1024)
-        .expect("restore into the fresh server");
-    let lines = eval_lines(&specs, 1_000);
-    let first = raw_exchange(fresh.local_addr(), &lines, false);
-    let second = raw_exchange(fresh.local_addr(), &lines, false);
-    assert_eq!(first, second);
-    assert_eq!(sorted(first), pool_answers(1_000, true));
-    let stats = quiesced_stats(&fresh);
-    assert_eq!(
-        (stats.runtime.cache_hits, stats.runtime.cache_misses),
-        (128, 0)
-    );
-    fresh.shutdown();
 }
 
 #[test]
