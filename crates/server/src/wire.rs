@@ -718,7 +718,7 @@ macro_rules! narrow_wire {
     )+};
 }
 
-narrow_wire!(u8, u32, usize);
+narrow_wire!(u32, usize);
 
 impl Wire<'_> for i64 {
     fn encode(&self, out: &mut String) {
